@@ -26,7 +26,7 @@
 
 #[cfg(all(unix, not(miri)))]
 mod harness {
-    use adaptive_renaming::free_list::{FreeList, FreeListKind};
+    use adaptive_renaming::free_list::FreeList;
     use adaptive_renaming::recovery::{recover, recover_with};
     use adaptive_renaming::robust::RobustLeaseTable;
     use adaptive_renaming::traits::assert_tight_namespace;
@@ -57,7 +57,7 @@ mod harness {
     fn footprint() -> usize {
         RobustLeaseTable::footprint(CAPACITY)
             + FlightRecorder::footprint(CHILDREN, RING_CAPACITY)
-            + FreeList::footprint(FREE_BOUND, FreeListKind::Hierarchical)
+            + FreeList::footprint(FREE_BOUND)
             + CHILDREN * 64
     }
 
@@ -65,7 +65,7 @@ mod harness {
         Shared {
             table: Arc::new(RobustLeaseTable::with_capacity_in(arena, CAPACITY)),
             recorder: FlightRecorder::new_in(arena, CHILDREN, RING_CAPACITY),
-            free: FreeList::with_kind_in(arena, FREE_BOUND, FreeListKind::Hierarchical),
+            free: FreeList::new_in(arena, FREE_BOUND),
             progress: arena.alloc_slice::<AtomicU64>(CHILDREN).pin(arena),
         }
     }

@@ -2,14 +2,12 @@
 //!
 //! Worker threads repeatedly lease and release a name. The contenders:
 //!
-//! * **`Recycler` (flat free list)** — the compiled §5 renaming network
-//!   behind the lock-free recycling free list, with the flat one-level
-//!   bitmap (the pre-hierarchical baseline). Names stay inside
-//!   `1..=threads` forever (the *tight* long-lived guarantee).
-//! * **`Recycler` (hierarchical free list)** — the same object with the
-//!   two-level bitmap: pop-minimum consults a summary word and visits only
-//!   data words that have ever held a free name, so hits *and* misses are
-//!   `O(1)` expected under churn instead of `O(bound / 64)` flat scans.
+//! * **`Recycler`** — the compiled §5 renaming network behind the
+//!   lock-free recycling free list. The list is a two-level bitmap:
+//!   pop-minimum consults a summary word and visits only data words that
+//!   have ever held a free name, so hits *and* misses are `O(1)` expected
+//!   under churn. Names stay inside `1..=threads` forever (the *tight*
+//!   long-lived guarantee).
 //! * **`ShardedRecycler`** — one recycler per worker-count shard over
 //!   disjoint name ranges, home shards by process id, overflow stealing.
 //!   Shard-local atomics take the coherence traffic out of the hot path at
@@ -56,7 +54,6 @@
 
 use adaptive_renaming::batched::BatchedRecycler;
 use adaptive_renaming::builder::RenamingBuilder;
-use adaptive_renaming::free_list::FreeListKind;
 use adaptive_renaming::lease::LongLivedRenaming;
 use adaptive_renaming::recycler::Recycler;
 use adaptive_renaming::sharded::ShardedRecycler;
@@ -374,14 +371,9 @@ fn measure_robust_procs(sizing: &Sizing, processes: usize) -> Sample {
     }
 }
 
-/// Measures a single recycler with the given free-list layout.
-fn measure_recycler(
-    sizing: &Sizing,
-    variant: &'static str,
-    threads: usize,
-    kind: FreeListKind,
-) -> Sample {
-    let recycler = Arc::new(Recycler::with_free_list(network(WIDTH), threads, kind));
+/// Measures a single tight recycler over the compiled renaming network.
+fn measure_recycler(sizing: &Sizing, variant: &'static str, threads: usize) -> Sample {
+    let recycler = Arc::new(Recycler::new(network(WIDTH), threads));
     measure(
         sizing,
         VariantSpec {
@@ -414,29 +406,14 @@ fn measure_recycler(
 fn run_sweep(sizing: &Sizing) -> Vec<Sample> {
     let mut samples = Vec::new();
     for &threads in sizing.threads {
-        // --- Recycler over the compiled renaming network, both layouts ----
-        samples.push(measure_recycler(
-            sizing,
-            "recycler_flat",
-            threads,
-            FreeListKind::Flat,
-        ));
-        samples.push(measure_recycler(
-            sizing,
-            "recycler_hierarchical",
-            threads,
-            FreeListKind::Hierarchical,
-        ));
+        // --- Recycler over the compiled renaming network -----------------
+        samples.push(measure_recycler(sizing, "recycler_hierarchical", threads));
 
         // --- Batched leases: admission and release amortized over BATCH ---
         // Each worker cycles a whole batch at a time through the raw batch
         // surface: one admission reservation and one release-side counter
         // bump per BATCH leases instead of per lease.
-        let batched = Arc::new(Recycler::with_free_list(
-            network(threads * BATCH),
-            threads * BATCH,
-            FreeListKind::Hierarchical,
-        ));
+        let batched = Arc::new(Recycler::new(network(threads * BATCH), threads * BATCH));
         samples.push(measure(
             sizing,
             VariantSpec {
@@ -465,16 +442,12 @@ fn run_sweep(sizing: &Sizing) -> Vec<Sample> {
         ));
 
         // --- Builder-default stash: single leases, batched releases -------
-        // The same hierarchical recycler behind the BatchedRecycler wrapper
-        // the builder installs by default: plain lease/release per cycle
+        // The same recycler behind the BatchedRecycler wrapper the builder
+        // installs by default: plain lease/release per cycle
         // (no caller-side batching), with the release cost amortized by the
         // stripe stashes. Names stay within the concurrency bound but lose
         // the per-grant tightness, so the row is labelled loose.
-        let stash_inner = Arc::new(Recycler::with_free_list(
-            network(WIDTH),
-            threads,
-            FreeListKind::Hierarchical,
-        ));
+        let stash_inner = Arc::new(Recycler::new(network(WIDTH), threads));
         let stash = Arc::new(BatchedRecycler::new(
             Arc::clone(&stash_inner) as Arc<dyn LongLivedRenaming>,
             BATCH,
@@ -575,7 +548,7 @@ fn run_sweep(sizing: &Sizing) -> Vec<Sample> {
 
 fn print_table(samples: &[Sample]) {
     let mut table = Table::new(
-        "Lease churn — acquire/release cycles: recyclers (flat/hierarchical/sharded) vs ticket dispenser",
+        "Lease churn — acquire/release cycles: recyclers (single/batched/sharded) vs ticket dispenser",
         &[
             "variant",
             "threads",
@@ -736,11 +709,7 @@ fn write_obs_json(sizing: &Sizing) -> std::io::Result<()> {
         ));
     };
     for &threads in sizing.threads {
-        let hierarchical = Arc::new(Recycler::with_free_list(
-            network(WIDTH),
-            threads,
-            FreeListKind::Hierarchical,
-        ));
+        let hierarchical = Arc::new(Recycler::new(network(WIDTH), threads));
         push_row(
             "recycler_hierarchical",
             threads,
@@ -757,11 +726,7 @@ fn write_obs_json(sizing: &Sizing) -> std::io::Result<()> {
         );
 
         let stash = Arc::new(BatchedRecycler::new(
-            Arc::new(Recycler::with_free_list(
-                network(WIDTH),
-                threads,
-                FreeListKind::Hierarchical,
-            )) as Arc<dyn LongLivedRenaming>,
+            Arc::new(Recycler::new(network(WIDTH), threads)) as Arc<dyn LongLivedRenaming>,
             BATCH,
         ));
         push_row(
@@ -869,12 +834,10 @@ fn main() {
         };
         let ticket = ns("cas_ticket_baseline");
         println!(
-            "{threads:>2} threads: flat {:.0} ns/op ({:.1}x), hierarchical {:.0} ns/op \
-             ({:.1}x), batch8 {:.0} ns/op ({:.1}x), stash8 {:.0} ns/op ({:.1}x), \
+            "{threads:>2} threads: hierarchical {:.0} ns/op ({:.1}x), \
+             batch8 {:.0} ns/op ({:.1}x), stash8 {:.0} ns/op ({:.1}x), \
              sharded {:.0} ns/op ({:.1}x) vs \
              ticket {ticket:.0} ns/op; tight namespace 1..={threads}, loose ≤ {}",
-            ns("recycler_flat"),
-            ns("recycler_flat") / ticket,
             ns("recycler_hierarchical"),
             ns("recycler_hierarchical") / ticket,
             ns("recycler_hierarchical_batch8"),

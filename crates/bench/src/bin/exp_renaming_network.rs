@@ -8,16 +8,10 @@
 //! namespace check. A second table repeats the measurement with hardware
 //! (atomic-swap) comparators — the deterministic variant of §1/§9.
 //!
-//! A third section races the two renaming engines — the compiled wire-map +
-//! comparator-slab engine against the legacy `RwLock<HashMap>` engine — on
-//! `odd_even_network(64)` with 16 concurrent processes, and records the
-//! numbers into `BENCH_renaming_network.json` so the performance trajectory
-//! of the hot path is tracked across revisions.
-//!
 //! Run with `cargo run --release -p renaming-bench --bin exp_renaming_network`.
 
-use adaptive_renaming::renaming_network::{LockedRenamingNetwork, RenamingNetwork};
-use adaptive_renaming::traits::{assert_tight_namespace, Renaming};
+use adaptive_renaming::renaming_network::RenamingNetwork;
+use adaptive_renaming::traits::assert_tight_namespace;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use renaming_bench::{fmt1, Aggregate, Table};
@@ -27,7 +21,6 @@ use shmem::process::ProcessId;
 use sortnet::batcher::odd_even_network;
 use sortnet::schedule::ComparatorSchedule;
 use std::sync::Arc;
-use std::time::Instant;
 use tas::hardware::HardwareTas;
 use tas::two_process::TwoProcessTas;
 
@@ -88,142 +81,6 @@ fn run_table<T: tas::TwoPartyTas + Default + 'static>(title: &str) -> Table {
     table
 }
 
-/// Workload of the engine comparison: `odd_even_network(WIDTH)`,
-/// `PARTICIPANTS` concurrent processes, each traversing `ROUNDS` fresh
-/// one-shot networks per timed execution.
-const WIDTH: usize = 64;
-const PARTICIPANTS: usize = 16;
-const ROUNDS: usize = 32;
-const EXECUTIONS: usize = 20;
-
-/// Wall-clock statistics of one engine variant, in nanoseconds per execution.
-struct EngineSample {
-    engine: &'static str,
-    tas: &'static str,
-    mean_ns: f64,
-    min_ns: u128,
-    max_ns: u128,
-}
-
-/// Times `EXECUTIONS` adversarial executions against pre-built batches of
-/// fresh networks. Construction happens outside the timed window; the timed
-/// window still includes the executor's thread spawn/join, a constant paid
-/// identically by both engines, so `ROUNDS` networks per execution amortize
-/// it and keep the traversal difference visible.
-fn measure_engine<N, F>(engine: &'static str, tas: &'static str, build: F) -> EngineSample
-where
-    N: Renaming + Send + Sync,
-    F: Fn() -> N,
-{
-    let ids: Vec<ProcessId> = (0..PARTICIPANTS)
-        .map(|i| ProcessId::new(i * WIDTH / PARTICIPANTS))
-        .collect();
-    let mut total_ns = 0u128;
-    let mut min_ns = u128::MAX;
-    let mut max_ns = 0u128;
-    for execution in 0..EXECUTIONS {
-        let networks: Arc<Vec<N>> = Arc::new((0..ROUNDS).map(|_| build()).collect());
-        let start = Instant::now();
-        let outcome = Executor::new(ExecConfig::new(execution as u64)).run_with_ids(&ids, {
-            let networks = Arc::clone(&networks);
-            move |ctx| {
-                networks
-                    .iter()
-                    .map(|network| network.acquire(ctx).expect("ids fit"))
-                    .sum::<usize>()
-            }
-        });
-        let elapsed = start.elapsed().as_nanos();
-        assert_eq!(outcome.completed().count(), PARTICIPANTS);
-        total_ns += elapsed;
-        min_ns = min_ns.min(elapsed);
-        max_ns = max_ns.max(elapsed);
-    }
-    EngineSample {
-        engine,
-        tas,
-        mean_ns: total_ns as f64 / EXECUTIONS as f64,
-        min_ns,
-        max_ns,
-    }
-}
-
-fn engine_comparison() -> Vec<EngineSample> {
-    vec![
-        measure_engine("compiled_slab", "hardware", || {
-            RenamingNetwork::<_, HardwareTas>::new(odd_even_network(WIDTH))
-        }),
-        measure_engine("locked_rwlock_hashmap", "hardware", || {
-            LockedRenamingNetwork::<_, HardwareTas>::new(odd_even_network(WIDTH))
-        }),
-        measure_engine("compiled_slab", "two_process", || {
-            RenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(WIDTH))
-        }),
-        measure_engine("locked_rwlock_hashmap", "two_process", || {
-            LockedRenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(WIDTH))
-        }),
-    ]
-}
-
-fn engine_table(samples: &[EngineSample]) -> Table {
-    let mut table = Table::new(
-        "E3b — engine shootout: compiled wire-map + slab vs legacy RwLock+HashMap \
-         (odd-even 64, 16 concurrent processes)",
-        &[
-            "engine",
-            "comparator TAS",
-            "mean µs/exec",
-            "min µs",
-            "max µs",
-        ],
-    );
-    for sample in samples {
-        table.row(vec![
-            sample.engine.to_string(),
-            sample.tas.to_string(),
-            fmt1(sample.mean_ns / 1_000.0),
-            fmt1(sample.min_ns as f64 / 1_000.0),
-            fmt1(sample.max_ns as f64 / 1_000.0),
-        ]);
-    }
-    table
-}
-
-fn speedup(samples: &[EngineSample], tas: &str) -> f64 {
-    let mean = |engine: &str| {
-        samples
-            .iter()
-            .find(|s| s.engine == engine && s.tas == tas)
-            .map(|s| s.mean_ns)
-            .unwrap_or(f64::NAN)
-    };
-    mean("locked_rwlock_hashmap") / mean("compiled_slab")
-}
-
-fn write_json(samples: &[EngineSample]) -> std::io::Result<()> {
-    let mut variants = String::new();
-    for (index, sample) in samples.iter().enumerate() {
-        if index > 0 {
-            variants.push_str(",\n");
-        }
-        variants.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"tas\": \"{}\", \"mean_ns\": {:.1}, \
-             \"min_ns\": {}, \"max_ns\": {}}}",
-            sample.engine, sample.tas, sample.mean_ns, sample.min_ns, sample.max_ns
-        ));
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"renaming_network_engine\",\n  \
-         \"network\": \"odd_even_mergesort\",\n  \"width\": {WIDTH},\n  \
-         \"participants\": {PARTICIPANTS},\n  \"networks_per_execution\": {ROUNDS},\n  \
-         \"executions\": {EXECUTIONS},\n  \"variants\": [\n{variants}\n  ],\n  \
-         \"speedup_hardware\": {:.3},\n  \"speedup_two_process\": {:.3}\n}}\n",
-        speedup(samples, "hardware"),
-        speedup(samples, "two_process"),
-    );
-    std::fs::write("BENCH_renaming_network.json", json)
-}
-
 fn main() {
     run_table::<TwoProcessTas>(
         "E3 — renaming network over odd-even mergesort (randomized two-process TAS comparators)",
@@ -233,16 +90,4 @@ fn main() {
         "E3/E13 — same networks with hardware (atomic swap) comparators: the deterministic variant",
     )
     .print();
-
-    let samples = engine_comparison();
-    engine_table(&samples).print();
-    println!(
-        "speedup (locked / compiled): hardware {:.2}x, two-process {:.2}x",
-        speedup(&samples, "hardware"),
-        speedup(&samples, "two_process"),
-    );
-    match write_json(&samples) {
-        Ok(()) => println!("wrote BENCH_renaming_network.json"),
-        Err(error) => eprintln!("failed to write BENCH_renaming_network.json: {error}"),
-    }
 }

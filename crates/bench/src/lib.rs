@@ -1,9 +1,9 @@
-//! Shared utilities for the experiment binaries and criterion benches.
+//! Shared utilities for the experiment binaries.
 //!
-//! Every quantitative claim of the paper has a corresponding experiment (see
-//! `DESIGN.md` §3 and `EXPERIMENTS.md`); this crate holds the measurement
-//! helpers they share: aggregation of step statistics across repeated
-//! executions and plain-text table rendering.
+//! Every quantitative claim of the paper has a corresponding `exp_*` binary
+//! in `src/bin/` (the README's "Running the benches" section lists them);
+//! this crate holds the measurement helpers they share: aggregation of step
+//! statistics across repeated executions and plain-text table rendering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -149,33 +149,39 @@ impl fmt::Debug for CompiledBalancingNetwork {
 mod tests {
     use super::*;
     use crate::family::CountingFamily;
-    use crate::network::BalancingNetwork;
+    use crate::verify::simulate_tokens;
     use shmem::process::{ProcessCtx, ProcessId};
-    use std::sync::Arc;
 
     #[test]
-    fn compiled_and_interpreted_engines_route_identically() {
+    fn compiled_network_routes_like_the_sequential_token_model() {
         for family in CountingFamily::all() {
             for width in [2usize, 4, 8, 16] {
                 let schedule = family.schedule(width);
-                let interpreted = BalancingNetwork::new(Arc::clone(&schedule));
                 let compiled = CompiledBalancingNetwork::compile(&*schedule);
-                assert_eq!(compiled.width(), interpreted.width());
-                assert_eq!(compiled.depth(), interpreted.depth());
-                assert_eq!(compiled.size(), interpreted.size());
-                let mut a = ProcessCtx::new(ProcessId::new(0), 9);
-                let mut b = ProcessCtx::new(ProcessId::new(0), 9);
-                // Identical token sequences produce identical exits: the
-                // engines are the same wiring over the same toggle states.
-                for token in 0..4 * width {
-                    let wire = token % width;
+                assert_eq!(compiled.width(), schedule.width());
+                assert_eq!(compiled.depth(), schedule.depth());
+                let mut ctx = ProcessCtx::new(ProcessId::new(0), 9);
+                // Each token's exit wire is the one output count the pure
+                // model gains when that token is appended to the prefix.
+                let entries: Vec<usize> = (0..4 * width).map(|token| token % width).collect();
+                let mut before = vec![0u64; width];
+                for (token, &wire) in entries.iter().enumerate() {
+                    let after = simulate_tokens(&*schedule, &entries[..=token]);
+                    let expected = (0..width)
+                        .find(|&exit| after[exit] != before[exit])
+                        .expect("every token exits somewhere");
                     assert_eq!(
-                        compiled.traverse(&mut a, wire),
-                        interpreted.traverse(&mut b, wire),
+                        compiled.traverse(&mut ctx, wire),
+                        expected,
                         "{family} width {width} token {token}"
                     );
+                    before = after;
                 }
-                assert_eq!(a.stats(), b.stats(), "step accounting agrees");
+                assert_eq!(
+                    ctx.stats().balancer_toggles,
+                    compiled.balancer_tokens().iter().sum::<u64>(),
+                    "one step per balancer toggle"
+                );
             }
         }
     }

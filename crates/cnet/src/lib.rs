@@ -16,12 +16,13 @@
 //!
 //! * [`Balancer`] — the primitive: one atomic word toggled per token, with
 //!   step accounting through `shmem` ([`StepKind::Balancer`]).
-//! * [`BalancingNetwork`] — any [`ComparatorSchedule`] reinterpreted as
-//!   balancer wiring (the interpreted reference engine).
-//! * [`CompiledBalancingNetwork`] — the fast path over
+//! * [`CompiledBalancingNetwork`] — any [`ComparatorSchedule`]
+//!   reinterpreted as balancer wiring, lowered onto
 //!   [`CompiledSchedule`](sortnet::compiled::CompiledSchedule)'s flat
 //!   wire-map and dense-CSR arrays: O(1) per-stage traversal, balancers in a
-//!   flat slab indexed by dense slot.
+//!   flat slab indexed by dense slot. It implements
+//!   [`BalancingTopology`], the traversal interface the counters are
+//!   generic over.
 //! * [`CountingFamily`] — the wirings certified to count: bitonic and
 //!   periodic, both at power-of-two widths. Batcher's odd-even merge and
 //!   the one-pass transposition wiring provably miscount and are rejected
@@ -38,7 +39,9 @@
 //!   width-2/4/8/… cascade of networks that covers *realized* contention,
 //!   so a quiet counter pays ~4 shared steps instead of a wide network's ~11.
 //! * [`verify`] — executable step-property checks and a pure sequential
-//!   token simulator for certifying or refuting candidate wirings.
+//!   token simulator for certifying or refuting candidate wirings; the
+//!   simulator is also the reference the compiled network is tested
+//!   against.
 //!
 //! # Quick start
 //!
@@ -82,7 +85,7 @@ pub use balancer::{Balancer, BalancerSlot};
 pub use compiled::CompiledBalancingNetwork;
 pub use counter::NetworkCounter;
 pub use family::{CountingFamily, UncertifiedWiring};
-pub use network::{BalancingNetwork, BalancingTopology};
+pub use network::BalancingTopology;
 pub use prism::{Prism, PrismOutcome};
 pub use verify::{
     has_step_property, is_smooth, sequential_step_property, simulate_tokens,

@@ -2,26 +2,24 @@
 //!
 //! A *balancing network* has exactly the layout of a comparator network —
 //! wires and stages — with every comparator replaced by a
-//! [`Balancer`]. A token enters on an input wire, is switched up or down by
-//! each balancer it meets, and exits on an output wire. The repo already
+//! [`Balancer`](crate::balancer::Balancer). A token enters on an input wire,
+//! is switched up or down by each balancer it meets, and exits on an output
+//! wire. The repo already
 //! compiles comparator layouts for the renaming networks, so a balancing
-//! network is built by *reinterpreting* any [`ComparatorSchedule`]: the
+//! network is built by *reinterpreting* any
+//! [`ComparatorSchedule`](sortnet::schedule::ComparatorSchedule): the
 //! schedule answers "which balancer touches my wire in the next stage?" and
 //! the balancer decides which of its two wires the token continues on.
 //!
-//! [`BalancingNetwork`] is the interpreted reference engine: it queries the
-//! schedule per stage and keeps its balancers in per-stage hash maps. The
-//! compiled fast path lives in
-//! [`CompiledBalancingNetwork`](crate::compiled::CompiledBalancingNetwork).
-//! Both implement [`BalancingTopology`], the traversal interface the
-//! [`NetworkCounter`](crate::counter::NetworkCounter) is generic over.
+//! The engine is
+//! [`CompiledBalancingNetwork`](crate::compiled::CompiledBalancingNetwork),
+//! which implements [`BalancingTopology`], the traversal interface the
+//! [`NetworkCounter`](crate::counter::NetworkCounter) is generic over. The
+//! sequential reference model the tests check it against is
+//! [`simulate_tokens`](crate::verify::simulate_tokens).
 
-use crate::balancer::{Balancer, BalancerSlot};
+use crate::balancer::BalancerSlot;
 use sortnet::network::Comparator;
-use sortnet::schedule::ComparatorSchedule;
-use std::collections::HashMap;
-use std::fmt;
-use std::sync::Arc;
 
 /// The wire a token continues on after a balancer routes it.
 #[inline]
@@ -54,107 +52,10 @@ pub trait BalancingTopology: Send + Sync {
     fn traverse(&self, ctx: &mut shmem::process::ProcessCtx, wire: usize) -> usize;
 }
 
-/// The interpreted balancing-network engine over any comparator schedule.
-///
-/// Balancers are materialized eagerly (they are one atomic word each), but
-/// every traversal step goes through the schedule's
-/// [`comparator_at`](ComparatorSchedule::comparator_at) query and a hash
-/// lookup — the engine of choice for analytic or shared schedules. For the
-/// flat-array fast path, compile the schedule into a
-/// [`CompiledBalancingNetwork`](crate::compiled::CompiledBalancingNetwork).
-///
-/// # Example
-///
-/// ```
-/// use cnet::family::CountingFamily;
-/// use cnet::network::{BalancingNetwork, BalancingTopology};
-/// use shmem::process::{ProcessCtx, ProcessId};
-///
-/// let network = BalancingNetwork::new(CountingFamily::Bitonic.schedule(4));
-/// let mut ctx = ProcessCtx::new(ProcessId::new(0), 1);
-/// // A quiescent sequence of tokens exits on consecutive wires.
-/// assert_eq!(network.traverse(&mut ctx, 0), 0);
-/// assert_eq!(network.traverse(&mut ctx, 0), 1);
-/// assert_eq!(network.traverse(&mut ctx, 0), 2);
-/// assert_eq!(network.traverse(&mut ctx, 0), 3);
-/// ```
-pub struct BalancingNetwork<S: ComparatorSchedule = Arc<dyn ComparatorSchedule>> {
-    schedule: S,
-    /// One map per stage, keyed by the balancer's top wire.
-    stages: Vec<HashMap<usize, Balancer>>,
-}
-
-impl<S: ComparatorSchedule> BalancingNetwork<S> {
-    /// Reinterprets a comparator schedule as balancer wiring.
-    pub fn new(schedule: S) -> Self {
-        let stages = (0..schedule.depth())
-            .map(|stage| {
-                schedule
-                    .stage_comparators(stage)
-                    .into_iter()
-                    .map(|comparator| (comparator.top, Balancer::new()))
-                    .collect()
-            })
-            .collect();
-        BalancingNetwork { schedule, stages }
-    }
-
-    /// The underlying comparator schedule.
-    pub fn schedule(&self) -> &S {
-        &self.schedule
-    }
-
-    /// The balancer touching `wire` in `stage`, if any (harness/test
-    /// inspection).
-    pub fn balancer_at(&self, stage: usize, wire: usize) -> Option<&Balancer> {
-        let comparator = self.schedule.comparator_at(stage, wire)?;
-        self.stages.get(stage)?.get(&comparator.top)
-    }
-}
-
-impl<S: ComparatorSchedule> BalancingTopology for BalancingNetwork<S> {
-    fn width(&self) -> usize {
-        self.schedule.width()
-    }
-
-    fn depth(&self) -> usize {
-        self.schedule.depth()
-    }
-
-    fn size(&self) -> usize {
-        self.stages.iter().map(HashMap::len).sum()
-    }
-
-    fn traverse(&self, ctx: &mut shmem::process::ProcessCtx, wire: usize) -> usize {
-        assert!(
-            wire < self.width(),
-            "entry wire {wire} is outside the network's {} wires",
-            self.width()
-        );
-        let mut wire = wire;
-        for (stage, balancers) in self.stages.iter().enumerate() {
-            if let Some(comparator) = self.schedule.comparator_at(stage, wire) {
-                let balancer = &balancers[&comparator.top];
-                wire = exit_wire(comparator, balancer.toggle(ctx));
-            }
-        }
-        wire
-    }
-}
-
-impl<S: ComparatorSchedule> fmt::Debug for BalancingNetwork<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BalancingNetwork")
-            .field("width", &self.width())
-            .field("depth", &self.depth())
-            .field("size", &self.size())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::CompiledBalancingNetwork;
     use crate::family::CountingFamily;
     use shmem::process::{ProcessCtx, ProcessId};
 
@@ -162,10 +63,14 @@ mod tests {
         ProcessCtx::new(ProcessId::new(0), 5)
     }
 
+    fn bitonic(width: usize) -> CompiledBalancingNetwork {
+        CompiledBalancingNetwork::compile(&*CountingFamily::Bitonic.schedule(width))
+    }
+
     #[test]
     fn dimensions_mirror_the_schedule() {
         let schedule = CountingFamily::Periodic.schedule(8);
-        let network = BalancingNetwork::new(Arc::clone(&schedule));
+        let network = CompiledBalancingNetwork::compile(&*schedule);
         assert_eq!(network.width(), 8);
         assert_eq!(network.depth(), schedule.depth());
         assert_eq!(
@@ -174,14 +79,13 @@ mod tests {
                 .map(|s| schedule.stage_comparators(s).len())
                 .sum::<usize>()
         );
-        assert!(format!("{network:?}").contains("BalancingNetwork"));
     }
 
     #[test]
     fn sequential_tokens_fill_output_wires_in_order() {
         for family in CountingFamily::all() {
             for width in [2usize, 4, 8] {
-                let network = BalancingNetwork::new(family.schedule(width));
+                let network = CompiledBalancingNetwork::compile(&*family.schedule(width));
                 let mut ctx = ctx();
                 for round in 0..3 {
                     for expected in 0..width {
@@ -197,7 +101,7 @@ mod tests {
 
     #[test]
     fn traversal_charges_one_toggle_per_met_balancer() {
-        let network = BalancingNetwork::new(CountingFamily::Bitonic.schedule(4));
+        let network = bitonic(4);
         let mut ctx = ctx();
         network.traverse(&mut ctx, 0);
         // Bitonic width 4 touches every wire in every stage: depth toggles.
@@ -207,20 +111,19 @@ mod tests {
 
     #[test]
     fn balancer_at_exposes_the_wiring() {
-        let network = BalancingNetwork::new(CountingFamily::Bitonic.schedule(4));
+        let network = bitonic(4);
         let mut ctx = ctx();
         network.traverse(&mut ctx, 0);
-        let first = network
-            .balancer_at(0, 0)
+        let (_, slot) = network
+            .schedule()
+            .pair_at(0, 0)
             .expect("wire 0 is busy in stage 0");
-        assert_eq!(first.tokens(), 1);
-        assert!(network.balancer_at(99, 0).is_none());
+        assert_eq!(network.balancer(slot).tokens(), 1);
     }
 
     #[test]
     #[should_panic(expected = "outside the network")]
     fn out_of_range_entry_wires_are_rejected() {
-        let network = BalancingNetwork::new(CountingFamily::Bitonic.schedule(4));
-        network.traverse(&mut ctx(), 4);
+        bitonic(4).traverse(&mut ctx(), 4);
     }
 }

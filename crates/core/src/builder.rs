@@ -5,8 +5,8 @@
 //! `RenamingNetwork::new(odd_even_network(n))`, …). The
 //! [`RenamingBuilder`] replaces those entry points with one fluent surface
 //! that selects the algorithm, the capacity, the sorting-network family and
-//! the comparator engine, and returns the object behind `Arc<dyn Renaming>`
-//! — or, via [`RenamingBuilder::build_long_lived`], behind
+//! the comparator test-and-set, and returns the object behind
+//! `Arc<dyn Renaming>` — or, via [`RenamingBuilder::build_long_lived`], behind
 //! `Arc<dyn LongLivedRenaming>` with a [`Recycler`] layered on top.
 //!
 //! Obtain a builder with `<dyn Renaming>::builder()` (or
@@ -29,11 +29,10 @@ use crate::adaptive::AdaptiveRenaming;
 use crate::batched::BatchedRecycler;
 use crate::bit_batching::BitBatchingRenaming;
 use crate::error::RenamingError;
-use crate::free_list::FreeListKind;
 use crate::lease::LongLivedRenaming;
 use crate::linear_probe::LinearProbeRenaming;
 use crate::recycler::Recycler;
-use crate::renaming_network::{LockedRenamingNetwork, RenamingNetwork};
+use crate::renaming_network::RenamingNetwork;
 use crate::sharded::ShardedRecycler;
 use crate::traits::Renaming;
 use shmem::adversary::ExecConfig;
@@ -61,16 +60,6 @@ pub enum Algorithm {
     LinearProbe,
 }
 
-/// The comparator-storage engine for [`Algorithm::Network`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// The compiled flat wire-map + lock-free comparator-slab engine.
-    #[default]
-    Compiled,
-    /// The legacy `RwLock<HashMap>` engine, kept for benchmark comparison.
-    Locked,
-}
-
 /// The test-and-set implementation placed at comparators and name slots.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ComparatorKind {
@@ -94,12 +83,10 @@ pub struct RenamingBuilder {
     capacity: Option<usize>,
     max_concurrent: Option<usize>,
     family: NetworkFamily,
-    engine: EngineKind,
     comparators: ComparatorKind,
     adaptive_level: Option<usize>,
     probe_multiplier: usize,
     shards: usize,
-    free_list: FreeListKind,
     lease_batch: usize,
     arena: Option<Arc<Arena>>,
     seed: u64,
@@ -112,12 +99,10 @@ impl Default for RenamingBuilder {
             capacity: None,
             max_concurrent: None,
             family: NetworkFamily::default(),
-            engine: EngineKind::default(),
             comparators: ComparatorKind::default(),
             adaptive_level: None,
             probe_multiplier: 3,
             shards: 1,
-            free_list: FreeListKind::default(),
             lease_batch: 8,
             arena: None,
             seed: 0,
@@ -135,7 +120,7 @@ impl dyn Renaming {
 
 impl RenamingBuilder {
     /// Creates a builder with the default configuration: §6 adaptive strong
-    /// renaming on the compiled engine with randomized comparators.
+    /// renaming with randomized comparators.
     pub fn new() -> Self {
         Self::default()
     }
@@ -189,12 +174,6 @@ impl RenamingBuilder {
         self
     }
 
-    /// Selects the comparator-storage engine ([`Algorithm::Network`] only).
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Selects the test-and-set implementation.
     pub fn comparators(mut self, comparators: ComparatorKind) -> Self {
         self.comparators = comparators;
@@ -238,15 +217,6 @@ impl RenamingBuilder {
         self
     }
 
-    /// Selects the free-list layout of the long-lived object produced by
-    /// [`RenamingBuilder::build_long_lived`]: the two-level hierarchical
-    /// bitmap (default, `O(1)` expected pop-minimum) or the flat scan
-    /// baseline (`O(capacity / 64)`).
-    pub fn free_list(mut self, kind: FreeListKind) -> Self {
-        self.free_list = kind;
-        self
-    }
-
     /// Sets the release-batching factor of the long-lived object produced
     /// by [`RenamingBuilder::build_long_lived`]. The default (`8`) wraps
     /// the recycler in a [`BatchedRecycler`]: releases park in striped
@@ -265,15 +235,26 @@ impl RenamingBuilder {
         self
     }
 
-    /// Places the long-lived object's shared mutable state — free-list
-    /// words, admission counters, misuse diagnostics — in the given
-    /// [`Arena`] instead of private heap allocations, making the object
-    /// deployable across processes when the arena uses the
-    /// [`shared`](shmem::arena::ArenaBackend::Shared) backend. Size the
-    /// arena generously (the recycler layers report exact footprints via
-    /// [`Recycler::footprint`] / [`ShardedRecycler::footprint`]); the build
-    /// panics if the arena runs out of space. Ignored by the one-shot
+    /// Places the recycler layer's words in the given [`Arena`] instead of
+    /// private heap allocations: each recycler's free list and its four
+    /// admission counters (tickets, granted, peak, leaked), plus the
+    /// sharded layer's misuse counter. Size the arena generously (the
+    /// recycler layers report exact footprints via [`Recycler::footprint`]
+    /// / [`ShardedRecycler::footprint`]); the build panics if the arena
+    /// runs out of space. Ignored by the one-shot
     /// [`RenamingBuilder::build`].
+    ///
+    /// Everything else stays on the private heap even when the arena uses
+    /// the [`shared`](shmem::arena::ArenaBackend::Shared) backend: the
+    /// inner one-shot object (the comparator slab's lazily initialized
+    /// cells, or the adaptive algorithm's lock-guarded network sections)
+    /// and the [`BatchedRecycler`] release stashes. The object is therefore
+    /// **not** safe to share across processes: a `fork(2)` child gets
+    /// private copies of that state, so two processes would run fresh
+    /// acquisitions against different comparators and could both grant a
+    /// stashed name. For names leased by several processes, use
+    /// [`RobustLeaseTable`](crate::robust::RobustLeaseTable), whose whole
+    /// state lives in the arena.
     pub fn arena(mut self, arena: &Arc<Arena>) -> Self {
         self.arena = Some(Arc::clone(arena));
         self
@@ -318,8 +299,8 @@ impl RenamingBuilder {
     ///
     /// Returns [`RenamingError::InvalidConfiguration`] when the settings do
     /// not fit the selected algorithm (missing or too-small capacity, a
-    /// capacity on the unbounded adaptive algorithm, the locked engine on a
-    /// non-network algorithm).
+    /// capacity on the unbounded adaptive algorithm, a zero probe
+    /// multiplier).
     pub fn build(&self) -> Result<Arc<dyn Renaming>, RenamingError> {
         if self.shards > 1 {
             return Err(RenamingError::InvalidConfiguration {
@@ -332,11 +313,6 @@ impl RenamingBuilder {
     /// Builds one one-shot object ignoring the sharding knob (each shard of
     /// a sharded long-lived object is one of these).
     fn build_one(&self) -> Result<Arc<dyn Renaming>, RenamingError> {
-        if self.engine == EngineKind::Locked && self.algorithm != Algorithm::Network {
-            return Err(RenamingError::InvalidConfiguration {
-                reason: "the locked engine only applies to fixed renaming networks",
-            });
-        }
         match self.algorithm {
             Algorithm::Adaptive => {
                 if self.capacity.is_some() {
@@ -358,18 +334,12 @@ impl RenamingBuilder {
             Algorithm::Network => {
                 let width = self.bounded_capacity(2)?;
                 let schedule = self.family.schedule(width);
-                Ok(match (self.engine, self.comparators) {
-                    (EngineKind::Compiled, ComparatorKind::Randomized) => {
+                Ok(match self.comparators {
+                    ComparatorKind::Randomized => {
                         Arc::new(RenamingNetwork::<_, TwoProcessTas>::new(schedule))
                     }
-                    (EngineKind::Compiled, ComparatorKind::Hardware) => {
+                    ComparatorKind::Hardware => {
                         Arc::new(RenamingNetwork::<_, HardwareTas>::new(schedule))
-                    }
-                    (EngineKind::Locked, ComparatorKind::Randomized) => {
-                        Arc::new(LockedRenamingNetwork::<_, TwoProcessTas>::new(schedule))
-                    }
-                    (EngineKind::Locked, ComparatorKind::Hardware) => {
-                        Arc::new(LockedRenamingNetwork::<_, HardwareTas>::new(schedule))
                     }
                 })
             }
@@ -414,8 +384,8 @@ impl RenamingBuilder {
     /// Builds the configured object and wraps it in a [`Recycler`] — or,
     /// with [`RenamingBuilder::sharded`], builds one object per shard and
     /// wraps them in a [`ShardedRecycler`] — yielding a long-lived renaming
-    /// object whose leases recycle released names through the configured
-    /// [`FreeListKind`]. Unless [`RenamingBuilder::lease_batch`] is set to
+    /// object whose leases recycle released names through a lock-free
+    /// [`FreeList`](crate::free_list::FreeList). Unless [`RenamingBuilder::lease_batch`] is set to
     /// 1, the result is additionally wrapped in a [`BatchedRecycler`] that
     /// amortizes release traffic in batches (of 8 by default).
     ///
@@ -467,32 +437,14 @@ impl RenamingBuilder {
         let recycler: Arc<dyn LongLivedRenaming> = match (self.shards, &self.arena) {
             (1, None) => {
                 let inner = inners.into_iter().next().expect("one shard");
-                Arc::new(Recycler::with_free_list(
-                    inner,
-                    per_shard_max,
-                    self.free_list,
-                ))
+                Arc::new(Recycler::new(inner, per_shard_max))
             }
             (1, Some(arena)) => {
                 let inner = inners.into_iter().next().expect("one shard");
-                Arc::new(Recycler::with_free_list_in(
-                    inner,
-                    per_shard_max,
-                    self.free_list,
-                    arena,
-                ))
+                Arc::new(Recycler::new_in(inner, per_shard_max, arena))
             }
-            (_, None) => Arc::new(ShardedRecycler::with_free_list(
-                inners,
-                per_shard_max,
-                self.free_list,
-            )),
-            (_, Some(arena)) => Arc::new(ShardedRecycler::with_free_list_in(
-                inners,
-                per_shard_max,
-                self.free_list,
-                arena,
-            )),
+            (_, None) => Arc::new(ShardedRecycler::new(inners, per_shard_max)),
+            (_, Some(arena)) => Arc::new(ShardedRecycler::new_in(inners, per_shard_max, arena)),
         };
         if self.lease_batch > 1 {
             Ok(Arc::new(BatchedRecycler::new(recycler, self.lease_batch)))
@@ -520,13 +472,6 @@ mod tests {
         let configs: Vec<(&str, RenamingBuilder)> = vec![
             ("adaptive", RenamingBuilder::new().adaptive()),
             ("network", RenamingBuilder::new().network().capacity(16)),
-            (
-                "network-locked",
-                RenamingBuilder::new()
-                    .network()
-                    .capacity(16)
-                    .engine(EngineKind::Locked),
-            ),
             (
                 "network-hardware",
                 RenamingBuilder::new()
@@ -587,8 +532,6 @@ mod tests {
         ));
         let adaptive_capacity = <dyn Renaming>::builder().capacity(8).build();
         assert!(adaptive_capacity.is_err());
-        let locked_adaptive = <dyn Renaming>::builder().engine(EngineKind::Locked).build();
-        assert!(locked_adaptive.is_err());
         let tiny = <dyn Renaming>::builder().bit_batching().capacity(1).build();
         assert!(tiny.is_err());
         let zero_mult = <dyn Renaming>::builder()
@@ -704,25 +647,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_free_list_knobs_build_long_lived_objects() {
-        use crate::free_list::FreeListKind;
-
-        // Both free-list layouts serve churn identically at this scale.
-        for kind in [FreeListKind::Flat, FreeListKind::Hierarchical] {
-            let object = <dyn Renaming>::builder()
-                .network()
-                .capacity(16)
-                .max_concurrent(4)
-                .free_list(kind)
-                .build_long_lived()
-                .unwrap();
-            let mut ctx = ProcessCtx::new(ProcessId::new(0), 6);
-            for _ in 0..5 {
-                let lease = Arc::clone(&object).lease(&mut ctx).unwrap();
-                assert_eq!(lease.name(), 1, "{kind:?}");
-            }
-        }
-
+    fn sharded_knob_builds_long_lived_objects() {
         // A 2-sharded object homes processes by identifier and splits the
         // concurrency bound: names come from disjoint per-shard ranges.
         let sharded = <dyn Renaming>::builder()

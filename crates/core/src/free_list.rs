@@ -1,4 +1,4 @@
-//! Lock-free pop-minimum free lists of names, flat and hierarchical.
+//! A lock-free pop-minimum free list of names over a two-level bitmap.
 //!
 //! A [`FreeList`] is the heart of the long-lived recycling layer
 //! ([`Recycler`](crate::recycler::Recycler)): released names are parked in an
@@ -9,17 +9,12 @@
 //! a name granted at peak contention straight back out at low contention and
 //! break that bound.
 //!
-//! Two layouts are provided, selected by [`FreeListKind`]:
-//!
-//! * **Flat** — one word per 64 names, scanned in order. Pop-minimum is
-//!   `O(bound / 64)` in the worst case (an empty or top-heavy list scans the
-//!   whole array). This was the only layout before the hierarchical one
-//!   landed; it is kept as the bit-exact baseline.
-//! * **Hierarchical** — the same data words plus a *summary* level: one
-//!   summary bit per data word (so one summary word per 64 data words, i.e.
-//!   per 4096 names). Pop-minimum reads the first non-zero summary word,
-//!   jumps straight to its lowest flagged data word, and claims that word's
-//!   lowest bit — `O(1)` expected instead of `O(bound / 64)`.
+//! The bitmap has two levels: one *data* word per 64 names, plus a
+//! *summary* level with one bit per data word (so one summary word per 64
+//! data words, i.e. per 4096 names). Pop-minimum reads the first non-zero
+//! summary word, jumps straight to its lowest flagged data word, and claims
+//! that word's lowest bit — `O(1)` expected instead of the `O(bound / 64)`
+//! of scanning the data words in order.
 //!
 //! # The summary protocol: monotone flags
 //!
@@ -48,12 +43,12 @@
 //!   exactly what the seqlock re-scan rule accounts for.
 //!
 //! The trade-off is that emptied words keep their flags: a pop pays one
-//! load per *historically touched* word it passes, degenerating to the
-//! flat scan plus summary overhead only when every word has held a free
-//! name at some point. Under the recycling workloads the hierarchy is for
-//! — free names dense at the bottom of the namespace — only the lowest
-//! words are ever flagged, and pop-minimum (hits *and* misses) stays
-//! `O(1)` expected regardless of the bound.
+//! load per *historically touched* word it passes, degenerating to an
+//! in-order scan of the data words plus summary overhead only when every
+//! word has held a free name at some point. Under the recycling workloads
+//! the hierarchy is for — free names dense at the bottom of the namespace —
+//! only the lowest words are ever flagged, and pop-minimum (hits *and*
+//! misses) stays `O(1)` expected regardless of the bound.
 //!
 //! # Coherent misses
 //!
@@ -82,24 +77,12 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// The layout of a [`FreeList`]'s bitmap.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum FreeListKind {
-    /// Data words only; pop-minimum scans them in order (`O(bound / 64)`).
-    Flat,
-    /// Data words plus a summary word per 64 data words; pop-minimum is
-    /// `O(1)` expected. The default.
-    #[default]
-    Hierarchical,
-}
-
-/// A lock-free pop-minimum set of names `1..=bound`, stored as an atomic
-/// bitmap (optionally two-level, see [`FreeListKind`] and the
-/// [module documentation](self)).
+/// A lock-free pop-minimum set of names `1..=bound`, stored as a two-level
+/// atomic bitmap (see the [module documentation](self)).
 pub struct FreeList {
     /// The arena holding every mutable word below. Defaults to a private
     /// heap arena sized by [`FreeList::footprint`]; pass a `MAP_SHARED`
-    /// arena to [`FreeList::with_kind_in`] to share the list across
+    /// arena to [`FreeList::new_in`] to share the list across
     /// processes.
     arena: Arc<Arena>,
     /// The data words stay dense — the bitmap's density *is* the layout —
@@ -109,10 +92,10 @@ pub struct FreeList {
     /// before it — the false-sharing hazard the arena placement retires).
     /// Pinned (resolved once) so every scan is a plain slice walk.
     words: ArenaSliceRef<AtomicU64>,
-    /// One bit per data word; present only for the hierarchical layout.
-    /// Each summary word is cache-padded: adjacent summary words cover
-    /// disjoint 4096-name regions and are flagged concurrently.
-    summary: Option<ArenaSliceRef<CachePadded<AtomicU64>>>,
+    /// One bit per data word. Each summary word is cache-padded: adjacent
+    /// summary words cover disjoint 4096-name regions and are flagged
+    /// concurrently.
+    summary: ArenaSliceRef<CachePadded<AtomicU64>>,
     /// Successful pushes so far (seqlock for coherent-miss detection). An
     /// arena allocation owns its 64-byte line outright — it is the single
     /// most contended word in the structure.
@@ -121,34 +104,23 @@ pub struct FreeList {
 }
 
 impl FreeList {
-    /// Creates an empty free list accepting names `1..=bound`, with the
-    /// default (hierarchical) layout, in a private heap arena.
+    /// Creates an empty free list accepting names `1..=bound` in a private
+    /// heap arena (identical layout to the shared backend; see
+    /// [`FreeList::new_in`]).
     pub fn new(bound: usize) -> Self {
-        Self::with_kind(bound, FreeListKind::default())
-    }
-
-    /// Creates an empty free list accepting names `1..=bound` with the given
-    /// layout, in a private heap arena (identical layout to the shared
-    /// backend; see [`FreeList::with_kind_in`]).
-    pub fn with_kind(bound: usize, kind: FreeListKind) -> Self {
-        Self::with_kind_in(&Arena::heap(Self::footprint(bound, kind)), bound, kind)
+        Self::new_in(&Arena::heap(Self::footprint(bound)), bound)
     }
 
     /// Creates an empty free list whose words live in `arena` — the
     /// cross-process constructor. The caller must reserve at least
     /// [`FreeList::footprint`] bytes for it.
-    pub fn with_kind_in(arena: &Arc<Arena>, bound: usize, kind: FreeListKind) -> Self {
+    pub fn new_in(arena: &Arc<Arena>, bound: usize) -> Self {
         let word_count = bound.div_ceil(64).max(1);
         FreeList {
             words: arena.alloc_slice::<AtomicU64>(word_count).pin(arena),
-            summary: match kind {
-                FreeListKind::Flat => None,
-                FreeListKind::Hierarchical => Some(
-                    arena
-                        .alloc_slice::<CachePadded<AtomicU64>>(word_count.div_ceil(64))
-                        .pin(arena),
-                ),
-            },
+            summary: arena
+                .alloc_slice::<CachePadded<AtomicU64>>(word_count.div_ceil(64))
+                .pin(arena),
             pushes: arena.alloc::<AtomicUsize>().pin(arena),
             bound,
             arena: Arc::clone(arena),
@@ -158,14 +130,11 @@ impl FreeList {
     /// The number of arena bytes a `FreeList` of this shape allocates
     /// (data words, summary words and the seqlock, each rounded to the
     /// arena's 64-byte allocation grain).
-    pub fn footprint(bound: usize, kind: FreeListKind) -> usize {
+    pub fn footprint(bound: usize) -> usize {
         let word_count = bound.div_ceil(64).max(1);
         let round = |bytes: usize| bytes.div_ceil(64).max(1) * 64;
         let data = round(word_count * 8);
-        let summary = match kind {
-            FreeListKind::Flat => 0,
-            FreeListKind::Hierarchical => word_count.div_ceil(64) * 64,
-        };
+        let summary = word_count.div_ceil(64) * 64;
         data + summary + 64
     }
 
@@ -180,8 +149,8 @@ impl FreeList {
     }
 
     #[inline]
-    fn flags(&self) -> Option<&[CachePadded<AtomicU64>]> {
-        self.summary.as_deref()
+    fn flags(&self) -> &[CachePadded<AtomicU64>] {
+        &self.summary
     }
 
     #[inline]
@@ -192,14 +161,6 @@ impl FreeList {
     /// The largest name the list can hold.
     pub fn bound(&self) -> usize {
         self.bound
-    }
-
-    /// The layout of this list.
-    pub fn kind(&self) -> FreeListKind {
-        match self.summary {
-            None => FreeListKind::Flat,
-            Some(_) => FreeListKind::Hierarchical,
-        }
     }
 
     /// Successful pushes so far. Together with [`FreeList::len`] this yields
@@ -250,38 +211,33 @@ impl FreeList {
         if previous & bit != 0 {
             return false;
         }
-        if let Some(summary) = self.flags() {
-            // Ensure the summary flag before this push can complete. The
-            // bits are monotone (never cleared), so an observed-set flag is
-            // set forever and the common case is one plain load. Skipping
-            // based on the *data* word being non-empty would be unsound:
-            // the earlier pusher that made it non-empty may still be
-            // in-flight before its own summary write.
-            let flag = &summary[word / 64];
-            let summary_bit = 1u64 << (word % 64);
-            if flag.load(Ordering::SeqCst) & summary_bit == 0 {
-                flag.fetch_or(summary_bit, Ordering::SeqCst);
-            }
+        // Ensure the summary flag before this push can complete. The bits
+        // are monotone (never cleared), so an observed-set flag is set
+        // forever and the common case is one plain load. Skipping based on
+        // the *data* word being non-empty would be unsound: the earlier
+        // pusher that made it non-empty may still be in-flight before its
+        // own summary write.
+        let flag = &self.flags()[word / 64];
+        let summary_bit = 1u64 << (word % 64);
+        if flag.load(Ordering::SeqCst) & summary_bit == 0 {
+            flag.fetch_or(summary_bit, Ordering::SeqCst);
         }
         true
     }
 
     /// Re-derives the summary level from the data words, flagging any
     /// non-empty data word whose summary bit is clear. Returns the number
-    /// of flags repaired; `0` for the flat layout.
+    /// of flags repaired.
     ///
     /// A crash between a push's data `fetch_or` and its summary ensure
-    /// leaves exactly this inconsistency: the name's bit is set but
-    /// hierarchical pops skip its word forever — lost capacity. Because
-    /// summary flags are monotone (never cleared), repair is pure
-    /// re-derivation: setting a flag that should be set cannot race any
-    /// concurrent pusher or popper, so this is safe to run at any time, not
-    /// only during restart recovery ([`crate::recovery::recover`] calls it
-    /// on every win).
+    /// leaves exactly this inconsistency: the name's bit is set but pops
+    /// skip its word forever — lost capacity. Because summary flags are
+    /// monotone (never cleared), repair is pure re-derivation: setting a
+    /// flag that should be set cannot race any concurrent pusher or popper,
+    /// so this is safe to run at any time, not only during restart recovery
+    /// ([`crate::recovery::recover`] calls it on every win).
     pub fn repair_summary(&self) -> usize {
-        let Some(summary) = self.flags() else {
-            return 0;
-        };
+        let summary = self.flags();
         let mut repaired = 0;
         for (index, word) in self.data().iter().enumerate() {
             if word.load(Ordering::SeqCst) == 0 {
@@ -301,9 +257,7 @@ impl FreeList {
     /// ensure or the seqlock bump — the state a kill inside
     /// [`FreeList::push`] leaves behind, which [`FreeList::repair_summary`]
     /// exists to fix. Chaos-harness fault hook; returns whether the data
-    /// bit was newly set. On the flat layout the data bit *is* the whole
-    /// push minus the seqlock, so the injection degenerates to an
-    /// uncounted push.
+    /// bit was newly set.
     pub fn inject_torn_push(&self, name: usize) -> bool {
         if name == 0 || name > self.bound {
             return false;
@@ -312,19 +266,14 @@ impl FreeList {
         self.data()[word].fetch_or(bit, Ordering::SeqCst) & bit == 0
     }
 
-    /// A flat copy of every shared word — data, summary (if any), then the
+    /// A flat copy of every shared word — data, summary, then the
     /// push counter. Equal snapshots mean byte-identical list state; the
     /// recovery idempotence tests pin on it.
     pub fn snapshot_words(&self) -> Vec<u64> {
         self.data()
             .iter()
             .map(|word| word.load(Ordering::SeqCst))
-            .chain(
-                self.flags()
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|flag| flag.load(Ordering::SeqCst)),
-            )
+            .chain(self.flags().iter().map(|flag| flag.load(Ordering::SeqCst)))
             .chain(std::iter::once(self.pushes() as u64))
             .collect()
     }
@@ -335,39 +284,21 @@ impl FreeList {
     /// [`FreeList::pop_coherent`] when a miss must mean "observably empty at
     /// one instant".
     pub fn pop(&self) -> Option<usize> {
-        let popped = match self.flags() {
-            None => self.pop_flat(),
-            Some(summary) => self.pop_hierarchical(summary),
-        };
-        if popped.is_some() {
-            obs::count(obs::Metric::FreeListPop);
-        }
-        popped
-    }
-
-    fn pop_flat(&self) -> Option<usize> {
-        for (index, word) in self.data().iter().enumerate() {
-            if let Some(bit) = Self::claim_lowest(word) {
-                return Some(index * 64 + bit + 1);
-            }
-        }
-        None
-    }
-
-    fn pop_hierarchical(&self, summary: &[CachePadded<AtomicU64>]) -> Option<usize> {
-        for (summary_index, summary_word) in summary.iter().enumerate() {
+        for (summary_index, summary_word) in self.flags().iter().enumerate() {
             // One snapshot per summary word, visited lowest bit first. A
             // flag appearing behind the cursor belongs to a push that
-            // overlaps this scan — the same race a flat scan has, covered
-            // by the seqlock for coherent misses. Flags over emptied words
-            // cost one data-word load each and are never cleared (see the
-            // module docs for why clearing would be unsound).
+            // overlaps this scan — the same race any in-order scan has,
+            // covered by the seqlock for coherent misses. Flags over
+            // emptied words cost one data-word load each and are never
+            // cleared (see the module docs for why clearing would be
+            // unsound).
             let mut flags = summary_word.load(Ordering::SeqCst);
             while flags != 0 {
                 let summary_bit = flags.trailing_zeros() as usize;
                 flags &= !(1u64 << summary_bit);
                 let word_index = summary_index * 64 + summary_bit;
                 if let Some(bit) = Self::claim_lowest(&self.data()[word_index]) {
+                    obs::count(obs::Metric::FreeListPop);
                     return Some(word_index * 64 + bit + 1);
                 }
             }
@@ -431,10 +362,10 @@ impl FreeList {
     /// The byte offsets (within the arena) of the data words, the summary
     /// words and the seqlock — exposed so tests can assert the layout
     /// (64-byte alignment, no line sharing between hot words).
-    pub fn layout_offsets(&self) -> (usize, Option<usize>, usize) {
+    pub fn layout_offsets(&self) -> (usize, usize, usize) {
         (
             self.words.offset(),
-            self.summary.as_ref().map(|s| s.offset()),
+            self.summary.offset(),
             self.pushes.offset(),
         )
     }
@@ -443,7 +374,6 @@ impl FreeList {
 impl fmt::Debug for FreeList {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FreeList")
-            .field("kind", &self.kind())
             .field("bound", &self.bound)
             .field("len", &self.len())
             .field("pushes", &self.pushes())
@@ -454,9 +384,8 @@ impl fmt::Debug for FreeList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use std::sync::Arc;
-
-    const BOTH: [FreeListKind; 2] = [FreeListKind::Flat, FreeListKind::Hierarchical];
 
     /// Iterations of the multi-threaded churn tests; shrunk under miri,
     /// whose interpreter runs them ~1000× slower than native.
@@ -464,35 +393,29 @@ mod tests {
 
     #[test]
     fn pops_the_minimum_and_rejects_duplicates() {
-        for kind in BOTH {
-            let list = FreeList::with_kind(200, kind);
-            assert_eq!(list.kind(), kind);
-            assert_eq!(list.pop(), None);
-            assert!(list.push(5));
-            assert!(list.push(3));
-            assert!(list.push(130)); // third word of the bitmap
-            assert!(!list.push(5), "duplicate push is rejected");
-            assert!(!list.push(0), "name 0 is rejected");
-            assert!(!list.push(201), "out-of-range name is rejected");
-            assert_eq!(list.len(), 3);
-            assert_eq!(list.pop(), Some(3), "the smallest free name comes first");
-            assert_eq!(list.pop(), Some(5));
-            assert_eq!(list.pop(), Some(130));
-            assert_eq!(list.pop(), None);
-            assert!(list.push(5), "popped names can be pushed again");
-            assert_eq!(list.pop_coherent(), Some(5));
-            assert_eq!(list.pop_coherent(), None);
-        }
+        let list = FreeList::new(200);
+        assert_eq!(list.pop(), None);
+        assert!(list.push(5));
+        assert!(list.push(3));
+        assert!(list.push(130)); // third word of the bitmap
+        assert!(!list.push(5), "duplicate push is rejected");
+        assert!(!list.push(0), "name 0 is rejected");
+        assert!(!list.push(201), "out-of-range name is rejected");
+        assert_eq!(list.len(), 3);
+        assert_eq!(list.pop(), Some(3), "the smallest free name comes first");
+        assert_eq!(list.pop(), Some(5));
+        assert_eq!(list.pop(), Some(130));
+        assert_eq!(list.pop(), None);
+        assert!(list.push(5), "popped names can be pushed again");
+        assert_eq!(list.pop_coherent(), Some(5));
+        assert_eq!(list.pop_coherent(), None);
     }
 
     #[test]
     fn word_sizing_is_exact_at_the_64_boundaries() {
         // One word per 64 names, no extra word when the bound divides 64.
         for (bound, words) in [(1, 1), (63, 1), (64, 1), (65, 2), (127, 2), (128, 2)] {
-            for kind in BOTH {
-                let list = FreeList::with_kind(bound, kind);
-                assert_eq!(list.word_count(), words, "bound {bound}, {kind:?}");
-            }
+            assert_eq!(FreeList::new(bound).word_count(), words, "bound {bound}");
         }
     }
 
@@ -502,46 +425,39 @@ mod tests {
         // by the audit: every name in 1..=bound lands and comes back out in
         // ascending order; bound + 1 and 0 are rejected.
         for bound in [1usize, 63, 64, 65, 128] {
-            for kind in BOTH {
-                let list = FreeList::with_kind(bound, kind);
-                for name in 1..=bound {
-                    assert!(list.push(name), "bound {bound}, {kind:?}: push {name}");
-                }
-                assert!(!list.push(0), "bound {bound}, {kind:?}");
-                assert!(
-                    !list.push(bound + 1),
-                    "bound {bound}, {kind:?}: name above the bound"
-                );
-                assert_eq!(list.len(), bound, "bound {bound}, {kind:?}");
-                for name in 1..=bound {
-                    assert_eq!(
-                        list.pop_coherent(),
-                        Some(name),
-                        "bound {bound}, {kind:?}: pop-minimum order"
-                    );
-                }
-                assert_eq!(list.pop_coherent(), None, "bound {bound}, {kind:?}");
-                assert_eq!(list.pushes(), bound, "bound {bound}, {kind:?}");
+            let list = FreeList::new(bound);
+            for name in 1..=bound {
+                assert!(list.push(name), "bound {bound}: push {name}");
             }
+            assert!(!list.push(0), "bound {bound}");
+            assert!(!list.push(bound + 1), "bound {bound}: name above the bound");
+            assert_eq!(list.len(), bound, "bound {bound}");
+            for name in 1..=bound {
+                assert_eq!(
+                    list.pop_coherent(),
+                    Some(name),
+                    "bound {bound}: pop-minimum order"
+                );
+            }
+            assert_eq!(list.pop_coherent(), None, "bound {bound}");
+            assert_eq!(list.pushes(), bound, "bound {bound}");
         }
     }
 
     #[test]
     fn the_highest_name_lives_in_the_last_word() {
-        for kind in BOTH {
-            let list = FreeList::with_kind(64, kind);
-            assert!(list.push(64), "{kind:?}: name == bound is accepted");
-            assert_eq!(list.len(), 1);
-            assert_eq!(list.pop(), Some(64), "{kind:?}");
-            let wide = FreeList::with_kind(128, kind);
-            assert!(wide.push(128));
-            assert_eq!(wide.pop(), Some(128), "{kind:?}");
-        }
+        let list = FreeList::new(64);
+        assert!(list.push(64), "name == bound is accepted");
+        assert_eq!(list.len(), 1);
+        assert_eq!(list.pop(), Some(64));
+        let wide = FreeList::new(128);
+        assert!(wide.push(128));
+        assert_eq!(wide.pop(), Some(128));
     }
 
     #[test]
     fn emptied_words_keep_their_flags_and_are_skipped_cheaply() {
-        let list = FreeList::with_kind(8192, FreeListKind::Hierarchical);
+        let list = FreeList::new(8192);
         // Park a name far up the namespace, then cycle a low name: word 0's
         // monotone summary flag survives the pop that empties it, and later
         // pops walk past it (one load) to find name 5000.
@@ -564,66 +480,69 @@ mod tests {
         // coherent miss must never coincide with an unclaimed name. The
         // accounting check: every popped name is pushed back, so at the end
         // all names are on the list again.
-        for kind in BOTH {
-            let list = Arc::new(FreeList::with_kind(8192, kind));
-            assert!(list.push(1) && list.push(100) && list.push(8000));
-            std::thread::scope(|scope| {
-                for _ in 0..4 {
-                    let list = Arc::clone(&list);
-                    scope.spawn(move || {
-                        for _ in 0..CHURN_OPS {
-                            if let Some(name) = list.pop_coherent() {
-                                assert!(list.push(name), "claimed names push back cleanly");
-                            }
+        let list = Arc::new(FreeList::new(8192));
+        assert!(list.push(1) && list.push(100) && list.push(8000));
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let list = Arc::clone(&list);
+                scope.spawn(move || {
+                    for _ in 0..CHURN_OPS {
+                        if let Some(name) = list.pop_coherent() {
+                            assert!(list.push(name), "claimed names push back cleanly");
                         }
-                    });
-                }
-            });
-            assert_eq!(list.len(), 3, "{kind:?}: all names survive the churn");
-            assert_eq!(list.pop_coherent(), Some(1), "{kind:?}");
-            assert_eq!(list.pop_coherent(), Some(100), "{kind:?}");
-            assert_eq!(list.pop_coherent(), Some(8000), "{kind:?}");
-            assert_eq!(list.pop_coherent(), None, "{kind:?}");
-        }
+                    }
+                });
+            }
+        });
+        assert_eq!(list.len(), 3, "all names survive the churn");
+        assert_eq!(list.pop_coherent(), Some(1));
+        assert_eq!(list.pop_coherent(), Some(100));
+        assert_eq!(list.pop_coherent(), Some(8000));
+        assert_eq!(list.pop_coherent(), None);
     }
 
     #[test]
-    fn hierarchical_and_flat_agree_on_sequential_scripts() {
-        // A deterministic interleaving driven against both layouts must
-        // produce identical results op for op (the property-based version
-        // with random scripts lives in tests/lease_churn.rs).
-        let flat = FreeList::with_kind(300, FreeListKind::Flat);
-        let hier = FreeList::with_kind(300, FreeListKind::Hierarchical);
+    fn free_list_agrees_with_a_sorted_set_on_sequential_scripts() {
+        // A deterministic script driven against the list and a sequential
+        // pop-min model (a `BTreeSet` of the free names) must produce
+        // identical results op for op (the property-based version with
+        // random scripts lives in tests/lease_churn.rs).
+        let bound = 300;
+        let list = FreeList::new(bound);
+        let mut model = BTreeSet::new();
+        let mut pushes = 0;
         let script: Vec<(usize, usize)> = (0..600usize)
             .map(|i| ((i * 7 + 3) % 4, (i * 131 + 17) % 302))
             .collect();
         for (op, name) in script {
             match op {
-                0 | 1 => assert_eq!(flat.push(name), hier.push(name), "push {name}"),
-                2 => assert_eq!(flat.pop(), hier.pop()),
-                _ => assert_eq!(flat.pop_coherent(), hier.pop_coherent()),
+                0 | 1 => {
+                    let accepted = (1..=bound).contains(&name) && model.insert(name);
+                    pushes += usize::from(accepted);
+                    assert_eq!(list.push(name), accepted, "push {name}");
+                }
+                2 => assert_eq!(list.pop(), model.pop_first()),
+                _ => assert_eq!(list.pop_coherent(), model.pop_first()),
             }
         }
-        assert_eq!(flat.len(), hier.len());
-        assert_eq!(flat.pushes(), hier.pushes());
+        assert_eq!(list.len(), model.len());
+        assert_eq!(list.pushes(), pushes);
     }
 
     #[test]
     fn push_many_batches_the_seqlock_and_rejects_like_push() {
-        for kind in BOTH {
-            let list = FreeList::with_kind(100, kind);
-            assert!(list.push(7));
-            // 7 is a duplicate, 0 and 101 are out of range: 3 of 6 land.
-            let pushed = list.push_many(&[5, 7, 0, 70, 101, 9]);
-            assert_eq!(pushed, 3, "{kind:?}");
-            assert_eq!(list.pushes(), 4, "{kind:?}: one bump per landed name");
-            assert_eq!(list.len(), 4, "{kind:?}");
-            for expected in [5, 7, 9, 70] {
-                assert_eq!(list.pop_coherent(), Some(expected), "{kind:?}");
-            }
-            assert_eq!(list.pop_coherent(), None, "{kind:?}");
-            assert_eq!(list.push_many(&[]), 0, "{kind:?}");
+        let list = FreeList::new(100);
+        assert!(list.push(7));
+        // 7 is a duplicate, 0 and 101 are out of range: 3 of 6 land.
+        let pushed = list.push_many(&[5, 7, 0, 70, 101, 9]);
+        assert_eq!(pushed, 3);
+        assert_eq!(list.pushes(), 4, "one bump per landed name");
+        assert_eq!(list.len(), 4);
+        for expected in [5, 7, 9, 70] {
+            assert_eq!(list.pop_coherent(), Some(expected));
         }
+        assert_eq!(list.pop_coherent(), None);
+        assert_eq!(list.push_many(&[]), 0);
     }
 
     #[test]
@@ -631,36 +550,32 @@ mod tests {
         // The false-sharing hazard the arena placement retires: every hot
         // region (data words, each summary word, the pushes seqlock) starts
         // on its own 64-byte line, and no two of them share a line.
-        for kind in BOTH {
-            let list = FreeList::with_kind(8192, kind);
-            let (words_off, summary_off, pushes_off) = list.layout_offsets();
-            assert_eq!(words_off % 64, 0, "{kind:?}: data words line-aligned");
-            assert_eq!(pushes_off % 64, 0, "{kind:?}: seqlock line-aligned");
-            let data_bytes = list.word_count() * 8;
-            assert!(
-                pushes_off >= words_off + data_bytes.next_multiple_of(64)
-                    || words_off >= pushes_off + 64,
-                "{kind:?}: seqlock shares no line with data words"
-            );
-            if let Some(summary_off) = summary_off {
-                assert_eq!(summary_off % 64, 0, "{kind:?}: summary line-aligned");
-                assert_eq!(
-                    std::mem::size_of::<CachePadded<AtomicU64>>(),
-                    64,
-                    "each summary word owns a full line"
-                );
-            }
-            // The footprint helper really covers the allocation.
-            assert!(list.arena().used() <= FreeList::footprint(8192, kind));
-        }
+        let list = FreeList::new(8192);
+        let (words_off, summary_off, pushes_off) = list.layout_offsets();
+        assert_eq!(words_off % 64, 0, "data words line-aligned");
+        assert_eq!(pushes_off % 64, 0, "seqlock line-aligned");
+        assert_eq!(summary_off % 64, 0, "summary line-aligned");
+        let data_bytes = list.word_count() * 8;
+        assert!(
+            pushes_off >= words_off + data_bytes.next_multiple_of(64)
+                || words_off >= pushes_off + 64,
+            "seqlock shares no line with data words"
+        );
+        assert_eq!(
+            std::mem::size_of::<CachePadded<AtomicU64>>(),
+            64,
+            "each summary word owns a full line"
+        );
+        // The footprint helper really covers the allocation.
+        assert!(list.arena().used() <= FreeList::footprint(8192));
     }
 
     #[test]
     fn arena_backed_list_behaves_identically_to_private() {
         use shmem::arena::Arena;
 
-        let arena = Arena::heap(FreeList::footprint(300, FreeListKind::Hierarchical));
-        let shared = FreeList::with_kind_in(&arena, 300, FreeListKind::Hierarchical);
+        let arena = Arena::heap(FreeList::footprint(300));
+        let shared = FreeList::new_in(&arena, 300);
         let private = FreeList::new(300);
         for name in [7usize, 1, 299, 64, 65] {
             assert_eq!(shared.push(name), private.push(name));
@@ -681,7 +596,7 @@ mod tests {
         assert!(list.is_empty());
         assert!(list.push(2));
         let formatted = format!("{list:?}");
-        assert!(formatted.contains("Hierarchical"), "{formatted}");
+        assert!(formatted.contains("bound: 10"), "{formatted}");
         assert!(formatted.contains("len: 1"), "{formatted}");
     }
 }

@@ -16,10 +16,7 @@
 //!   the compiled engine: the schedule is lowered to flat wire-map arrays and
 //!   the test-and-sets live in a lock-free
 //!   [`ComparatorSlab`], so a comparator
-//!   play costs one array load on top of the test-and-set itself. The
-//!   pre-compilation engine is kept as
-//!   [`LockedRenamingNetwork`] for
-//!   benchmark comparison.
+//!   play costs one array load on top of the test-and-set itself.
 //! * [`TempName`] — the §6.2 first stage: a randomized
 //!   splitter tree assigning temporary names polynomial in the contention `k`.
 //! * [`AdaptiveRenaming`] — the paper's headline
@@ -31,9 +28,9 @@
 //! * [`MonotoneCounter`] — the §8.1
 //!   monotone-consistent counter (renaming + max register), plus a
 //!   compare-and-swap baseline counter and the `cnet` counting-network
-//!   counter behind one facade: `<dyn Counter>::builder()` selects among
-//!   [`CounterBackend::Monotone`], [`CounterBackend::FetchAdd`] and
-//!   [`CounterBackend::Network`].
+//!   counters behind one facade: `<dyn Counter>::builder()` selects among
+//!   [`CounterBackend::Monotone`], [`CounterBackend::FetchAdd`],
+//!   [`CounterBackend::Network`] and [`CounterBackend::Adaptive`].
 //! * [`BoundedTas`] and
 //!   [`BoundedFetchIncrement`] — the
 //!   §8.2 linearizable ℓ-test-and-set and m-valued fetch-and-increment.
@@ -44,8 +41,8 @@
 //! algorithm, and [`Recycler`] turns any of them into a
 //! [`LongLivedRenaming`] object whose
 //! [`NameLease`] guards recycle released names through a
-//! lock-free [`FreeList`] (flat or two-level hierarchical bitmap, see
-//! [`FreeListKind`]). For shard-local throughput under heavy churn,
+//! lock-free [`FreeList`] (a two-level bitmap with an `O(1)`-expected
+//! lowest-free-name pop). For shard-local throughput under heavy churn,
 //! [`ShardedRecycler`] trades the tight namespace bound for a documented
 //! *loose* one (`.sharded(n)` on the builder), and [`BatchedRecycler`] —
 //! the builder's default under churn, `.lease_batch(n)` — parks releases in
@@ -88,7 +85,6 @@ pub mod fetch_increment;
 pub mod free_list;
 pub mod lease;
 pub mod linear_probe;
-pub mod loose;
 pub mod ltas;
 pub mod recovery;
 pub mod recycler;
@@ -101,21 +97,20 @@ pub mod traits;
 pub use adaptive::AdaptiveRenaming;
 pub use batched::BatchedRecycler;
 pub use bit_batching::BitBatchingRenaming;
-pub use builder::{Algorithm, ComparatorKind, EngineKind, RenamingBuilder};
+pub use builder::{Algorithm, ComparatorKind, RenamingBuilder};
 pub use comparator_slab::ComparatorSlab;
 pub use counter::{CasCounter, Counter, CounterBackend, CounterBuilder, MonotoneCounter};
 pub use error::RenamingError;
 pub use fetch_increment::BoundedFetchIncrement;
-pub use free_list::{FreeList, FreeListKind};
+pub use free_list::FreeList;
 pub use lease::{
     assert_loose_lease_namespace, assert_tight_lease_namespace, LeaseRecord, LongLivedRenaming,
     NameLease,
 };
 pub use linear_probe::LinearProbeRenaming;
-pub use loose::LooseRenaming;
 pub use ltas::BoundedTas;
 pub use recycler::Recycler;
-pub use renaming_network::{LockedRenamingNetwork, RenamingNetwork};
+pub use renaming_network::RenamingNetwork;
 pub use robust::RobustLeaseTable;
 pub use sharded::ShardedRecycler;
 pub use temp_name::TempName;

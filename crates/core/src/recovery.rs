@@ -194,7 +194,7 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::free_list::{FreeList, FreeListKind};
+    use crate::free_list::FreeList;
     use shmem::process::ProcessId;
 
     fn ctx(id: usize) -> ProcessCtx {
@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn recovery_repairs_free_list_summaries() {
-        let list = FreeList::with_kind(256, FreeListKind::Hierarchical);
+        let list = FreeList::new(256);
         // A kill between a push's data fetch_or and its summary ensure
         // leaves the data bit set behind an unflagged summary word.
         assert!(list.inject_torn_push(130));

@@ -32,8 +32,8 @@
 //! `fetch_or`), lease claims the **lowest** set bit. Claiming the minimum
 //! free name is what keeps recycling *adaptive* — see the
 //! [`free_list`](crate::free_list) module documentation for the argument,
-//! the flat-vs-hierarchical layouts, and the seqlock protocol behind
-//! coherent misses. Both operations are lock-free and allocation-free, and a
+//! the two-level bitmap layout, and the seqlock protocol behind coherent
+//! misses. Both operations are lock-free and allocation-free, and a
 //! double release is detected by the `fetch_or` (the duplicate is rejected
 //! and counted in [`Recycler::leaked_names`]).
 //!
@@ -42,7 +42,7 @@
 //! leases over several independent recyclers.
 
 use crate::error::RenamingError;
-use crate::free_list::{FreeList, FreeListKind};
+use crate::free_list::FreeList;
 use crate::lease::{LongLivedRenaming, NameLease};
 use crate::traits::Renaming;
 use shmem::arena::{Arena, ArenaRef};
@@ -116,7 +116,7 @@ pub struct Recycler<R: Renaming> {
 
 impl<R: Renaming> Recycler<R> {
     /// Wraps `inner`, allowing at most `max_concurrent` simultaneously live
-    /// leases, with the default (hierarchical) free-list layout.
+    /// leases.
     ///
     /// # Panics
     ///
@@ -124,44 +124,33 @@ impl<R: Renaming> Recycler<R> {
     /// capacity (a bounded object cannot serve more concurrent holders than
     /// it has names).
     pub fn new(inner: R, max_concurrent: usize) -> Self {
-        Self::with_free_list(inner, max_concurrent, FreeListKind::default())
+        let bound = Self::checked_bound(&inner, max_concurrent);
+        let arena = Arena::heap(Self::footprint_for(bound));
+        Self::build(inner, max_concurrent, bound, arena)
     }
 
-    /// Like [`Recycler::new`], with an explicit free-list layout — the flat
-    /// baseline or the two-level hierarchical bitmap (see
-    /// [`FreeListKind`]).
+    /// Like [`Recycler::new`], but places the free list and the header
+    /// counters in the caller's `arena`. The caller must reserve at least
+    /// [`Recycler::footprint`] bytes for this recycler. The inner one-shot
+    /// object stays on the private heap, so a shared arena alone does not
+    /// make the recycler safe to use from several processes.
     ///
     /// # Panics
     ///
     /// As [`Recycler::new`].
-    pub fn with_free_list(inner: R, max_concurrent: usize, kind: FreeListKind) -> Self {
+    pub fn new_in(inner: R, max_concurrent: usize, arena: &Arc<Arena>) -> Self {
         let bound = Self::checked_bound(&inner, max_concurrent);
-        let arena = Arena::heap(Self::footprint_for(bound, kind));
-        Self::build(inner, max_concurrent, kind, bound, arena)
-    }
-
-    /// Like [`Recycler::with_free_list`], but places the free list and the
-    /// header counters in the caller's `arena` — the cross-process
-    /// constructor. The caller must reserve at least
-    /// [`Recycler::footprint`] bytes for this recycler.
-    pub fn with_free_list_in(
-        inner: R,
-        max_concurrent: usize,
-        kind: FreeListKind,
-        arena: &Arc<Arena>,
-    ) -> Self {
-        let bound = Self::checked_bound(&inner, max_concurrent);
-        Self::build(inner, max_concurrent, kind, bound, Arc::clone(arena))
+        Self::build(inner, max_concurrent, bound, Arc::clone(arena))
     }
 
     /// The number of arena bytes a recycler of this shape allocates: the
     /// free list plus four header counter lines.
-    pub fn footprint(inner: &R, max_concurrent: usize, kind: FreeListKind) -> usize {
-        Self::footprint_for(Self::checked_bound(inner, max_concurrent), kind)
+    pub fn footprint(inner: &R, max_concurrent: usize) -> usize {
+        Self::footprint_for(Self::checked_bound(inner, max_concurrent))
     }
 
-    fn footprint_for(bound: usize, kind: FreeListKind) -> usize {
-        FreeList::footprint(bound, kind) + 4 * 64
+    fn footprint_for(bound: usize) -> usize {
+        FreeList::footprint(bound) + 4 * 64
     }
 
     fn checked_bound(inner: &R, max_concurrent: usize) -> usize {
@@ -182,16 +171,10 @@ impl<R: Renaming> Recycler<R> {
         }
     }
 
-    fn build(
-        inner: R,
-        max_concurrent: usize,
-        kind: FreeListKind,
-        bound: usize,
-        arena: Arc<Arena>,
-    ) -> Self {
+    fn build(inner: R, max_concurrent: usize, bound: usize, arena: Arc<Arena>) -> Self {
         Recycler {
             inner,
-            free: FreeList::with_kind_in(&arena, bound, kind),
+            free: FreeList::new_in(&arena, bound),
             tickets: arena.alloc::<AtomicUsize>().pin(&arena),
             max_concurrent,
             granted: arena.alloc::<AtomicUsize>().pin(&arena),
@@ -223,7 +206,7 @@ impl<R: Renaming> Recycler<R> {
 
     /// The arena holding the free list and the header counters (a private
     /// heap arena unless the recycler was built with
-    /// [`Recycler::with_free_list_in`]).
+    /// [`Recycler::new_in`]).
     pub fn arena(&self) -> &Arc<Arena> {
         &self.arena
     }
@@ -238,11 +221,6 @@ impl<R: Renaming> Recycler<R> {
     /// `max_concurrent` for unbounded inner objects.
     pub fn name_bound(&self) -> usize {
         self.free.bound()
-    }
-
-    /// The free-list layout in use.
-    pub fn free_list_kind(&self) -> FreeListKind {
-        self.free.kind()
     }
 
     /// Names acquired fresh from the inner object so far.
@@ -551,29 +529,21 @@ mod tests {
 
     #[test]
     fn sequential_churn_recycles_instead_of_growing() {
-        for kind in [FreeListKind::Flat, FreeListKind::Hierarchical] {
-            let recycler = Arc::new(Recycler::with_free_list(
-                RenamingNetwork::<_>::new(odd_even_network(32)),
-                4,
-                kind,
-            ));
-            assert_eq!(recycler.free_list_kind(), kind);
-            let mut ctx = ctx(0, 9);
-            for round in 0..20 {
-                let lease = Arc::clone(&recycler).lease(&mut ctx).unwrap();
-                assert_eq!(lease.name(), 1, "{kind:?}, round {round}");
-                lease.release(&mut ctx);
-            }
-            assert_eq!(
-                recycler.fresh_names(),
-                1,
-                "{kind:?}: one fresh name serves all churn"
-            );
-            assert_eq!(recycler.recycled_names(), 19, "{kind:?}");
-            assert_eq!(recycler.leaked_names(), 0, "{kind:?}");
-            assert_eq!(recycler.live_leases(), 0, "{kind:?}");
-            assert!(ctx.stats().releases >= 19);
+        let recycler = Arc::new(Recycler::new(
+            RenamingNetwork::<_>::new(odd_even_network(32)),
+            4,
+        ));
+        let mut ctx = ctx(0, 9);
+        for round in 0..20 {
+            let lease = Arc::clone(&recycler).lease(&mut ctx).unwrap();
+            assert_eq!(lease.name(), 1, "round {round}");
+            lease.release(&mut ctx);
         }
+        assert_eq!(recycler.fresh_names(), 1, "one fresh name serves all churn");
+        assert_eq!(recycler.recycled_names(), 19);
+        assert_eq!(recycler.leaked_names(), 0);
+        assert_eq!(recycler.live_leases(), 0);
+        assert!(ctx.stats().releases >= 19);
     }
 
     #[test]

@@ -24,23 +24,14 @@
 //! initialization: per stage, one wire-map load plus the test-and-set
 //! itself. Comparator objects are still created lazily on first touch
 //! ([`RenamingNetwork::allocated_comparators`] observes this).
-//!
-//! The previous engine — a global `RwLock<HashMap<(stage, wire), Arc<T>>>`
-//! interposed on every comparator play — is retained as
-//! [`LockedRenamingNetwork`] so the benches can measure exactly what the
-//! compilation buys (see `benches/renaming_network.rs` and
-//! `BENCH_renaming_network.json`).
 
 use crate::comparator_slab::ComparatorSlab;
 use crate::error::RenamingError;
 use crate::traits::Renaming;
-use parking_lot::RwLock;
 use shmem::process::ProcessCtx;
 use sortnet::compiled::CompiledSchedule;
 use sortnet::schedule::ComparatorSchedule;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 use tas::two_process::TwoProcessTas;
 use tas::{Side, TwoPartyTas};
 
@@ -250,145 +241,6 @@ impl<S: ComparatorSchedule, T: TwoPartyTas + Default> Renaming for RenamingNetwo
     }
 }
 
-/// The pre-compilation renaming engine: comparator objects live in a global
-/// `RwLock<HashMap<(stage, top wire), Arc<T>>>` that every comparator play
-/// locks, hashes and clones out of.
-///
-/// Functionally equivalent to [`RenamingNetwork`]; kept so the benches and
-/// experiments can quantify what the compiled engine saves. New code should
-/// use [`RenamingNetwork`].
-pub struct LockedRenamingNetwork<S: ComparatorSchedule, T: TwoPartyTas + Default = TwoProcessTas> {
-    schedule: S,
-    /// Lazily allocated comparator objects, keyed by `(stage, top wire)`.
-    comparators: RwLock<HashMap<(usize, usize), Arc<T>>>,
-}
-
-impl<S: ComparatorSchedule, T: TwoPartyTas + Default> LockedRenamingNetwork<S, T> {
-    /// Creates a renaming network over the given sorting network.
-    pub fn new(schedule: S) -> Self {
-        LockedRenamingNetwork {
-            schedule,
-            comparators: RwLock::new(HashMap::new()),
-        }
-    }
-
-    /// The size of the initial namespace (number of input ports).
-    pub fn namespace(&self) -> usize {
-        self.schedule.width()
-    }
-
-    /// The depth of the underlying sorting network.
-    pub fn depth(&self) -> usize {
-        self.schedule.depth()
-    }
-
-    /// Number of comparator objects allocated so far (harness inspection).
-    pub fn allocated_comparators(&self) -> usize {
-        self.comparators.read().len()
-    }
-
-    fn comparator(&self, stage: usize, top: usize) -> Arc<T> {
-        if let Some(game) = self.comparators.read().get(&(stage, top)) {
-            return Arc::clone(game);
-        }
-        let mut games = self.comparators.write();
-        Arc::clone(
-            games
-                .entry((stage, top))
-                .or_insert_with(|| Arc::new(T::default())),
-        )
-    }
-
-    /// Runs the calling process through the network from the input port given
-    /// by its initial name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RenamingError::IdentifierOutOfRange`] if the process's
-    /// identifier is not a valid input port.
-    pub fn acquire_with_report(
-        &self,
-        ctx: &mut ProcessCtx,
-    ) -> Result<TraversalReport, RenamingError> {
-        let port = ctx.id().as_usize();
-        self.traverse_from(ctx, port)
-    }
-
-    /// Runs the calling process through the network from an explicit input
-    /// port (0-based).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RenamingError::IdentifierOutOfRange`] if `port` is not a
-    /// valid input port.
-    pub fn traverse_from(
-        &self,
-        ctx: &mut ProcessCtx,
-        port: usize,
-    ) -> Result<TraversalReport, RenamingError> {
-        if port >= self.schedule.width() {
-            return Err(RenamingError::IdentifierOutOfRange {
-                identifier: port,
-                namespace: self.schedule.width(),
-            });
-        }
-        let mut wire = port;
-        let mut comparators_played = 0;
-        let mut wins = 0;
-        for stage in 0..self.schedule.depth() {
-            if let Some(comparator) = self.schedule.comparator_at(stage, wire) {
-                let game = self.comparator(stage, comparator.top);
-                let side = if wire == comparator.top {
-                    Side::Top
-                } else {
-                    Side::Bottom
-                };
-                comparators_played += 1;
-                if game.play(ctx, side) {
-                    wins += 1;
-                    wire = comparator.top;
-                } else {
-                    wire = comparator.bottom;
-                }
-            }
-        }
-        Ok(TraversalReport {
-            name: wire + 1,
-            comparators_played,
-            wins,
-        })
-    }
-}
-
-impl<S: ComparatorSchedule, T: TwoPartyTas + Default> fmt::Debug for LockedRenamingNetwork<S, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LockedRenamingNetwork")
-            .field("namespace", &self.namespace())
-            .field("depth", &self.depth())
-            .field("allocated_comparators", &self.allocated_comparators())
-            .finish()
-    }
-}
-
-impl<S: ComparatorSchedule, T: TwoPartyTas + Default> Renaming for LockedRenamingNetwork<S, T> {
-    fn acquire(&self, ctx: &mut ProcessCtx) -> Result<usize, RenamingError> {
-        self.acquire_with_report(ctx).map(|report| report.name)
-    }
-
-    fn acquire_as(&self, ctx: &mut ProcessCtx, participant: usize) -> Result<usize, RenamingError> {
-        self.traverse_from(ctx, participant)
-            .map(|report| report.name)
-    }
-
-    fn capacity(&self) -> Option<usize> {
-        Some(self.schedule.width())
-    }
-
-    fn is_adaptive(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,37 +424,6 @@ mod tests {
         assert!(
             allocated < total,
             "8 of 64 ports must not touch the whole network ({allocated} of {total})"
-        );
-    }
-
-    #[test]
-    fn locked_engine_agrees_with_the_compiled_engine() {
-        // The legacy engine must remain a correct renaming object (it is the
-        // bench baseline), and both engines must see the same schedule.
-        let compiled = RenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(32));
-        let locked = LockedRenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(32));
-        assert_eq!(compiled.namespace(), locked.namespace());
-        assert_eq!(compiled.depth(), locked.depth());
-        assert_eq!(Renaming::capacity(&compiled), Renaming::capacity(&locked));
-        assert!(Renaming::is_adaptive(&locked));
-
-        let locked = Arc::new(locked);
-        let ids = scattered_ids(10, 32, 5);
-        let outcome = Executor::new(ExecConfig::new(5)).run_with_ids(&ids, {
-            let locked = Arc::clone(&locked);
-            move |ctx| locked.acquire(ctx).unwrap()
-        });
-        assert_tight_namespace(&outcome.results()).unwrap();
-        assert!(locked.allocated_comparators() > 0);
-        assert!(format!("{locked:?}").contains("LockedRenamingNetwork"));
-
-        let mut ctx = ProcessCtx::new(ProcessId::new(32), 0);
-        assert_eq!(
-            locked.acquire(&mut ctx),
-            Err(RenamingError::IdentifierOutOfRange {
-                identifier: 32,
-                namespace: 32
-            })
         );
     }
 }

@@ -14,9 +14,9 @@
 //! # The tight-vs-loose trade
 //!
 //! The price is a relaxed namespace guarantee, exactly the tight-vs-loose
-//! spectrum the source paper quantifies (and the repo's
-//! [`LooseRenaming`](crate::loose::LooseRenaming) occupies for the one-shot
-//! problem). A single [`Recycler`] over a strong adaptive inner object is
+//! spectrum the source paper quantifies (for the one-shot problem, the §6.2
+//! splitter tree [`TempName`](crate::temp_name::TempName) alone is the loose
+//! end of it). A single [`Recycler`] over a strong adaptive inner object is
 //! *tight*: every name is bounded by the point contention of its grant. A
 //! [`ShardedRecycler`] is *loose*: within each shard the localized names
 //! stay tight against that shard's contention, so with per-shard point
@@ -32,7 +32,6 @@
 //! names index a resource that must stay as dense as the contention allows.
 
 use crate::error::RenamingError;
-use crate::free_list::FreeListKind;
 use crate::lease::{LongLivedRenaming, NameLease};
 use crate::recycler::Recycler;
 use crate::traits::Renaming;
@@ -84,15 +83,14 @@ pub struct ShardedRecycler<R: Renaming> {
     span: usize,
     per_shard_max: usize,
     /// Releases of names outside every shard's range (misuse; diagnostics).
-    /// Arena-resident when built with [`ShardedRecycler::with_free_list_in`]
+    /// Arena-resident when built with [`ShardedRecycler::new_in`]
     /// so cross-process misuse is visible to every process.
     leaked: ArenaCell<AtomicUsize>,
 }
 
 impl<R: Renaming> ShardedRecycler<R> {
     /// Builds one shard per inner object, each allowing `per_shard_max`
-    /// simultaneously live leases, with the default (hierarchical)
-    /// free-list layout.
+    /// simultaneously live leases.
     ///
     /// # Panics
     ///
@@ -101,38 +99,27 @@ impl<R: Renaming> ShardedRecycler<R> {
     /// same per-shard name bound (the ranges could not be disjoint and
     /// uniform otherwise).
     pub fn new(inners: Vec<R>, per_shard_max: usize) -> Self {
-        Self::with_free_list(inners, per_shard_max, FreeListKind::default())
-    }
-
-    /// Like [`ShardedRecycler::new`], with an explicit free-list layout for
-    /// every shard.
-    ///
-    /// # Panics
-    ///
-    /// As [`ShardedRecycler::new`].
-    pub fn with_free_list(inners: Vec<R>, per_shard_max: usize, kind: FreeListKind) -> Self {
         assert!(!inners.is_empty(), "a sharded recycler needs a shard");
         let shards: Box<[Recycler<R>]> = inners
             .into_iter()
-            .map(|inner| Recycler::with_free_list(inner, per_shard_max, kind))
+            .map(|inner| Recycler::new(inner, per_shard_max))
             .collect();
         Self::assemble(shards, per_shard_max, ArenaCell::default())
     }
 
-    /// Like [`ShardedRecycler::with_free_list`], but places every shard's
-    /// free list and header counters in the caller's `arena` — the
-    /// cross-process constructor. Size the arena with
+    /// Like [`ShardedRecycler::new`], but places every shard's free list
+    /// and header counters in the caller's `arena` (see
+    /// [`Recycler::new_in`] for what stays private). Size the arena with
     /// [`ShardedRecycler::footprint`].
-    pub fn with_free_list_in(
-        inners: Vec<R>,
-        per_shard_max: usize,
-        kind: FreeListKind,
-        arena: &Arc<Arena>,
-    ) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// As [`ShardedRecycler::new`].
+    pub fn new_in(inners: Vec<R>, per_shard_max: usize, arena: &Arc<Arena>) -> Self {
         assert!(!inners.is_empty(), "a sharded recycler needs a shard");
         let shards: Box<[Recycler<R>]> = inners
             .into_iter()
-            .map(|inner| Recycler::with_free_list_in(inner, per_shard_max, kind, arena))
+            .map(|inner| Recycler::new_in(inner, per_shard_max, arena))
             .collect();
         Self::assemble(
             shards,
@@ -142,12 +129,12 @@ impl<R: Renaming> ShardedRecycler<R> {
     }
 
     /// The number of arena bytes the sharded recycler allocates when built
-    /// with [`ShardedRecycler::with_free_list_in`]: one recycler footprint
-    /// per inner object plus the shared misuse counter line.
-    pub fn footprint(inners: &[R], per_shard_max: usize, kind: FreeListKind) -> usize {
+    /// with [`ShardedRecycler::new_in`]: one recycler footprint per inner
+    /// object plus the shared misuse counter line.
+    pub fn footprint(inners: &[R], per_shard_max: usize) -> usize {
         inners
             .iter()
-            .map(|inner| Recycler::footprint(inner, per_shard_max, kind))
+            .map(|inner| Recycler::footprint(inner, per_shard_max))
             .sum::<usize>()
             + 64
     }

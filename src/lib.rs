@@ -9,12 +9,13 @@
 //! * [`shmem`] — the shared-memory substrate and execution harness.
 //! * [`tas`] — test-and-set objects.
 //! * [`sortnet`] — sorting networks, including the §6.1 adaptive construction.
-//! * [`cnet`] — counting networks: balancers, balancing networks and the
-//!   quiescently-consistent network counter.
+//! * [`cnet`] — counting networks: balancers, the compiled balancing
+//!   network, and the quiescently-consistent network and adaptive counters.
 //! * [`maxreg`] — max registers.
 //!
-//! See `README.md` for a guided tour and `EXPERIMENTS.md` for the
-//! reproduction of the paper's quantitative claims.
+//! See `README.md` for a guided tour; its "Running the benches" section
+//! lists the `exp_*` binaries that reproduce the paper's quantitative
+//! claims.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,26 +34,25 @@ pub mod prelude {
     pub use adaptive_renaming::adaptive::AdaptiveRenaming;
     pub use adaptive_renaming::batched::BatchedRecycler;
     pub use adaptive_renaming::bit_batching::BitBatchingRenaming;
-    pub use adaptive_renaming::builder::{Algorithm, ComparatorKind, EngineKind, RenamingBuilder};
+    pub use adaptive_renaming::builder::{Algorithm, ComparatorKind, RenamingBuilder};
     pub use adaptive_renaming::comparator_slab::ComparatorSlab;
     pub use adaptive_renaming::counter::{
         CasCounter, Counter, CounterBackend, CounterBuilder, MonotoneCounter,
     };
     pub use adaptive_renaming::fetch_increment::BoundedFetchIncrement;
-    pub use adaptive_renaming::free_list::{FreeList, FreeListKind};
+    pub use adaptive_renaming::free_list::FreeList;
     pub use adaptive_renaming::lease::{
         assert_loose_lease_namespace, assert_tight_lease_namespace, LeaseRecord, LongLivedRenaming,
         NameLease,
     };
     pub use adaptive_renaming::linear_probe::LinearProbeRenaming;
-    pub use adaptive_renaming::loose::LooseRenaming;
     pub use adaptive_renaming::ltas::BoundedTas;
     pub use adaptive_renaming::recycler::Recycler;
-    pub use adaptive_renaming::renaming_network::{LockedRenamingNetwork, RenamingNetwork};
+    pub use adaptive_renaming::renaming_network::RenamingNetwork;
     pub use adaptive_renaming::sharded::ShardedRecycler;
     pub use adaptive_renaming::traits::{assert_tight_namespace, assert_unique_names, Renaming};
     pub use cnet::{
-        AdaptiveNetworkCounter, Balancer, BalancerSlot, BalancingNetwork, BalancingTopology,
+        AdaptiveNetworkCounter, Balancer, BalancerSlot, BalancingTopology,
         CompiledBalancingNetwork, ContentionSensor, CountingFamily, NetworkCounter, Prism,
         PrismOutcome,
     };

@@ -8,7 +8,7 @@
 //! states (live and dead owners, torn lease slots, torn free-list pushes)
 //! and over a real two-thread race for the epoch CAS.
 
-use adaptive_renaming::free_list::{FreeList, FreeListKind};
+use adaptive_renaming::free_list::FreeList;
 use adaptive_renaming::lease::LongLivedRenaming;
 use adaptive_renaming::recovery::{recover_with, RecoveryReport};
 use adaptive_renaming::robust::RobustLeaseTable;
@@ -45,7 +45,7 @@ proptest! {
         presume in 0u8..2,
     ) {
         let table = RobustLeaseTable::with_capacity(capacity);
-        let free = FreeList::with_kind(64, FreeListKind::Hierarchical);
+        let free = FreeList::new(64);
         let mut driver = ctx(0, seed);
 
         let registrations: Vec<_> = (0..owners)
@@ -116,7 +116,7 @@ fn racing_fresh_attachers_serialize_to_one_recovery() {
         for _ in 0..8 {
             table.acquire(&mut driver, registration.tag()).unwrap();
         }
-        let free = FreeList::with_kind(16, FreeListKind::Hierarchical);
+        let free = FreeList::new(16);
 
         let reports: Vec<RecoveryReport> = std::thread::scope(|scope| {
             let handles: Vec<_> = (1..=2)

@@ -155,6 +155,8 @@ fn bounded_tas_histories_remain_linearizable_under_crashes() {
         let limit = 3usize;
         let ltas = Arc::new(BoundedTas::new(limit));
         let recorder: Arc<Recorder<(), bool>> = Arc::new(Recorder::new());
+        let invoked: Arc<parking_lot::Mutex<Vec<(ProcessId, u64)>>> =
+            Arc::new(parking_lot::Mutex::new(Vec::new()));
         let config = ExecConfig::new(seed).with_crash_plan(CrashPlan::Random {
             prob: 0.2,
             max_steps: 60,
@@ -162,22 +164,51 @@ fn bounded_tas_histories_remain_linearizable_under_crashes() {
         let _ = Executor::new(config).run(9, {
             let ltas = Arc::clone(&ltas);
             let recorder = Arc::clone(&recorder);
+            let invoked = Arc::clone(&invoked);
             move |ctx| {
                 let invoke = recorder.invoke();
+                invoked.lock().push((ctx.id(), invoke));
                 let won = ltas.invoke(ctx);
                 recorder.record(ctx.id(), (), won, invoke);
             }
         });
-        // Crashed invocations never complete, so they are simply absent from
-        // the history; the completed operations must still linearize.
-        let history = recorder.take_history();
-        check_linearizable(
-            &BoundedTasSpec {
-                limit: limit as u64,
-            },
-            &history,
-        )
-        .unwrap_or_else(|violation| panic!("seed {seed}: {violation}"));
+        // A crashed invocation never responds, but it may already have won
+        // a slot, so dropping it can make a correct history look
+        // non-linearizable. Herlihy–Wing completion: the history is
+        // linearizable if completing some subset of the crashed invocations
+        // as wins that respond after every recorded event (and dropping the
+        // rest) linearizes.
+        let completed = recorder.take_history().into_records();
+        let crashed: Vec<(ProcessId, u64)> = invoked
+            .lock()
+            .iter()
+            .copied()
+            .filter(|&(_, invoke)| completed.iter().all(|op| op.invoke != invoke))
+            .collect();
+        let end = recorder.invoke();
+        let spec = BoundedTasSpec {
+            limit: limit as u64,
+        };
+        let linearizable = (0..1u32 << crashed.len()).any(|took_effect| {
+            let winners = crashed
+                .iter()
+                .enumerate()
+                .filter(|&(index, _)| took_effect & (1 << index) != 0)
+                .map(|(_, &(process, invoke))| OpRecord {
+                    process,
+                    op: (),
+                    result: true,
+                    invoke,
+                    response: end,
+                });
+            let history = History::new(completed.iter().cloned().chain(winners).collect());
+            check_linearizable(&spec, &history).is_ok()
+        });
+        assert!(
+            linearizable,
+            "seed {seed}: no completion of {} crashed invocations linearizes",
+            crashed.len()
+        );
     }
 }
 

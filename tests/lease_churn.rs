@@ -10,10 +10,11 @@
 //! `assert_loose_lease_namespace`; the builder-default `BatchedRecycler`
 //! variant checks uniqueness and the `max_concurrent` bound (batching
 //! deliberately trades away per-grant tightness); the free-list properties
-//! pin the hierarchical bitmap to the flat baseline op for op.
+//! pin the lock-free bitmap to a sequential sorted-set model op for op.
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use strong_renaming::prelude::*;
@@ -186,27 +187,24 @@ proptest! {
     }
 
     /// The builder's long-lived surface composes the same way over the other
-    /// strong adaptive backends, whichever free-list layout it is given.
+    /// strong adaptive backends.
     #[test]
     fn builder_long_lived_objects_stay_tight(
         k in 2usize..6,
         rounds in 1usize..5,
         seed in 0u64..1_000_000,
         algorithm in 0u8..3,
-        hierarchical in 0u8..2,
     ) {
         let builder = match algorithm % 3 {
             0 => RenamingBuilder::new().network().capacity(32),
             1 => RenamingBuilder::new().adaptive().adaptive_level(3),
             _ => RenamingBuilder::new().linear_probe().capacity(32),
         };
-        let kind = if hierarchical == 0 { FreeListKind::Flat } else { FreeListKind::Hierarchical };
         // .lease_batch(1) bypasses the default release-batching stash: only
         // the bare recycler guarantees per-grant tightness (the batched
         // default is covered by the unique-and-bounded test below).
         let object = builder
             .max_concurrent(2 * k)
-            .free_list(kind)
             .lease_batch(1)
             .seed(seed)
             .build_long_lived()
@@ -409,19 +407,21 @@ proptest! {
         );
     }
 
-    /// The hierarchical free list is pinned to the flat baseline: the same
-    /// random push/pop/pop_coherent interleaving, replayed deterministically
-    /// against both layouts, must produce identical pop-minimum results and
-    /// identical coherent-miss verdicts at every step.
+    /// The free list is pinned to a sequential pop-min model (a sorted set
+    /// of the free names): a random push/pop/pop_coherent interleaving,
+    /// replayed deterministically against both, must produce identical push
+    /// verdicts, pop-minimum results and coherent-miss verdicts at every
+    /// step.
     #[test]
-    fn hierarchical_free_list_agrees_with_flat_on_random_scripts(
+    fn free_list_agrees_with_a_sorted_set_on_random_scripts(
         bound in 1usize..5000,
         ops in 1usize..400,
         seed in 0u64..1_000_000,
     ) {
-        let flat = FreeList::with_kind(bound, FreeListKind::Flat);
-        let hier = FreeList::with_kind(bound, FreeListKind::Hierarchical);
-        prop_assert_eq!(flat.word_count(), hier.word_count());
+        let list = FreeList::new(bound);
+        let mut model = BTreeSet::new();
+        let mut pushes = 0;
+        prop_assert_eq!(list.word_count(), bound.div_ceil(64));
         let mut state = seed.wrapping_mul(2).wrapping_add(1);
         let mut step = move || {
             // SplitMix64: a deterministic op stream from the sampled seed.
@@ -438,37 +438,38 @@ proptest! {
             match draw % 4 {
                 0 | 1 => {
                     let name = (step() % (bound as u64 + 2)) as usize;
+                    let accepted = (1..=bound).contains(&name) && model.insert(name);
+                    pushes += usize::from(accepted);
                     prop_assert_eq!(
-                        flat.push(name),
-                        hier.push(name),
+                        list.push(name),
+                        accepted,
                         "op {}: push({}) verdicts diverge", index, name
                     );
                 }
-                2 => prop_assert_eq!(flat.pop(), hier.pop(), "op {}: pop", index),
+                2 => prop_assert_eq!(list.pop(), model.pop_first(), "op {}: pop", index),
                 _ => prop_assert_eq!(
-                    flat.pop_coherent(),
-                    hier.pop_coherent(),
+                    list.pop_coherent(),
+                    model.pop_first(),
                     "op {}: pop_coherent", index
                 ),
             }
         }
         // Drain both: remaining contents are identical, in identical order.
         loop {
-            let (a, b) = (flat.pop_coherent(), hier.pop_coherent());
+            let (a, b) = (list.pop_coherent(), model.pop_first());
             prop_assert_eq!(a, b, "drain diverges");
             if a.is_none() {
                 break;
             }
         }
-        prop_assert_eq!(flat.pushes(), hier.pushes());
+        prop_assert_eq!(list.pushes(), pushes);
     }
 
-    /// Concurrent differential churn: the same conservation workload (every
-    /// popped name is pushed back) driven through real threads against both
-    /// layouts must leave both lists holding exactly the initial name set —
-    /// no coherent miss may ever swallow a name in either layout.
+    /// Concurrent conservation churn: every popped name is pushed back, so
+    /// after real threads churn the list it must hold exactly the initial
+    /// name set — no coherent miss may ever swallow a name.
     #[test]
-    fn free_list_layouts_conserve_names_under_concurrent_churn(
+    fn free_list_conserves_names_under_concurrent_churn(
         bound in 64usize..4096,
         threads in 2usize..5,
         names in 1usize..16,
@@ -477,31 +478,29 @@ proptest! {
     ) {
         let expected: Vec<usize> = (0..names.min(bound))
             .map(|i| (seed as usize).wrapping_mul(31).wrapping_add(i * 97) % bound + 1)
-            .collect::<std::collections::BTreeSet<_>>()
+            .collect::<BTreeSet<_>>()
             .into_iter()
             .collect();
-        for kind in [FreeListKind::Flat, FreeListKind::Hierarchical] {
-            let list = Arc::new(FreeList::with_kind(bound, kind));
-            for &name in &expected {
-                prop_assert!(list.push(name));
-            }
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    let list = Arc::clone(&list);
-                    scope.spawn(move || {
-                        for _ in 0..iterations {
-                            if let Some(name) = list.pop_coherent() {
-                                assert!(list.push(name), "claimed names push back cleanly");
-                            }
-                        }
-                    });
-                }
-            });
-            let mut drained = Vec::new();
-            while let Some(name) = list.pop_coherent() {
-                drained.push(name);
-            }
-            prop_assert_eq!(&drained, &expected, "{:?} lost or invented names", kind);
+        let list = Arc::new(FreeList::new(bound));
+        for &name in &expected {
+            prop_assert!(list.push(name));
         }
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                let list = Arc::clone(&list);
+                scope.spawn(move || {
+                    for _ in 0..iterations {
+                        if let Some(name) = list.pop_coherent() {
+                            assert!(list.push(name), "claimed names push back cleanly");
+                        }
+                    }
+                });
+            }
+        });
+        let mut drained = Vec::new();
+        while let Some(name) = list.pop_coherent() {
+            drained.push(name);
+        }
+        prop_assert_eq!(&drained, &expected, "lost or invented names");
     }
 }
