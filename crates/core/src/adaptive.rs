@@ -19,44 +19,47 @@
 //! (Theorem 3, adjusted for the constructible-network substitution recorded
 //! in `DESIGN.md`).
 //!
-//! Comparator storage is hybrid, chosen per section of the sandwich: the
-//! small inner sections (where virtually every traversal happens, because
-//! temporary names are polynomial in the contention) are compiled into flat
-//! wire maps with lock-free [`ComparatorSlab`] storage, while the huge outer
-//! sections — reachable only through astronomically unlikely temporary names
-//! — keep sharded sparse lazy storage.
+//! Comparator storage is chosen per section of the sandwich, and both kinds
+//! are lock-free and lazy (an object exists only once a process reaches its
+//! comparator):
+//!
+//! * Sections of at most `COMPILED_CELL_LIMIT` cells (levels 1–3 and the
+//!   base, covering channels 0–255) are compiled into flat wire maps over a
+//!   pre-sized [`ComparatorSlab`] indexed by the dense comparator slot.
+//! * Larger sections (level 4 from channel 128, level 5 from channel 32768
+//!   up to 2³²) keep their analytic schedule and store comparators in a
+//!   [`LazyTable`] keyed by `(top − offset) << depth_bits | stage`.
+//!
+//! The outer sections are not rare: temporary names are polynomial in `k`,
+//! and level 4 begins at channel 128, so a process whose temporary name
+//! exceeds 128 plays some comparators there. With `k = 256` concurrent
+//! acquisitions (128 per thread on two threads), 61% of acquisitions reach
+//! level 4; the median temporary name is 136. A comparator's object is
+//! created on the first play that reaches it, so the cost of that first
+//! touch (one [`TwoProcessTas`] with two inline rounds) is on the path too.
 
 use crate::comparator_slab::ComparatorSlab;
 use crate::error::RenamingError;
 use crate::renaming_network::traverse_compiled;
 use crate::temp_name::{TempName, TempNameReport};
 use crate::traits::Renaming;
-use parking_lot::RwLock;
+use shmem::lazy::LazyTable;
 use shmem::process::ProcessCtx;
 use sortnet::adaptive::{AdaptiveNetwork, Section};
 use sortnet::compiled::CompiledSchedule;
 use sortnet::family::{NetworkFamily, SortingFamily};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 use tas::two_process::TwoProcessTas;
 use tas::{Side, TwoPartyTas};
 
 /// Upper bound on `width × depth` for a section to be compiled into a flat
 /// wire map + comparator slab. Sections above the bound (the outer levels of
 /// the §6.1 construction, with tens of thousands to billions of channels)
-/// keep sparse lazy storage — processes reach them only through
-/// astronomically unlikely temporary names, so pre-sizing would waste memory
-/// for cells that are never touched.
+/// keep sparse lazy storage: compiling them would pre-size wire maps and
+/// slabs for cells that are never touched. Sparse does not mean rarely
+/// used — see the [module documentation](self) — which is why the sparse
+/// store is a lock-free [`LazyTable`] rather than a locked map.
 const COMPILED_CELL_LIMIT: usize = 1 << 20;
-
-/// Shard count of the sparse fallback store (power of two). Sharding keeps
-/// the rare outer-section plays from serializing behind a single lock.
-const SPARSE_SHARDS: usize = 16;
-
-/// One shard of the sparse fallback store: lazily allocated comparator
-/// objects keyed by `(stage, global top channel)`.
-type SparseShard<T> = RwLock<HashMap<(usize, usize), Arc<T>>>;
 
 /// Comparator storage of one section of the adaptive network.
 enum SectionStore<T> {
@@ -69,8 +72,29 @@ enum SectionStore<T> {
         slab: ComparatorSlab<T>,
     },
     /// Huge analytic section: lazily allocated comparator objects keyed by
-    /// `(stage, global top channel)`, sharded to spread lock contention.
-    Sparse { shards: Box<[SparseShard<T>]> },
+    /// [`sparse_key`].
+    Sparse {
+        /// Bits reserved for the stage in the key.
+        depth_bits: u32,
+        /// One lazily created test-and-set per comparator reached (boxed:
+        /// the table's eleven roots outweigh the compiled variant).
+        games: Box<LazyTable<T>>,
+    },
+}
+
+/// Bits needed to store any stage index of `section`.
+fn depth_bits(section: &Section) -> u32 {
+    section
+        .schedule
+        .depth()
+        .next_power_of_two()
+        .trailing_zeros()
+}
+
+/// The [`LazyTable`] key of the comparator at `stage` whose top channel is
+/// the global channel `top`: `(top − offset) << depth_bits | stage`.
+fn sparse_key(section: &Section, depth_bits: u32, stage: usize, top: usize) -> u64 {
+    (((top - section.offset) as u64) << depth_bits) | stage as u64
 }
 
 impl<T: TwoPartyTas + Default> SectionStore<T> {
@@ -82,32 +106,25 @@ impl<T: TwoPartyTas + Default> SectionStore<T> {
                 let slab = ComparatorSlab::new(schedule.size());
                 SectionStore::Compiled { schedule, slab }
             }
-            _ => SectionStore::Sparse {
-                shards: (0..SPARSE_SHARDS)
-                    .map(|_| RwLock::new(HashMap::new()))
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-            },
+            _ => {
+                let depth_bits = depth_bits(section);
+                assert!(
+                    (section.width() as u64).leading_zeros() >= depth_bits,
+                    "sparse keys of a {}-channel section overflow u64",
+                    section.width()
+                );
+                SectionStore::Sparse {
+                    depth_bits,
+                    games: Box::default(),
+                }
+            }
         }
-    }
-
-    fn sparse_game(shards: &[SparseShard<T>], stage: usize, top: usize) -> Arc<T> {
-        let shard = &shards[(stage.wrapping_mul(31).wrapping_add(top)) & (SPARSE_SHARDS - 1)];
-        if let Some(game) = shard.read().get(&(stage, top)) {
-            return Arc::clone(game);
-        }
-        let mut games = shard.write();
-        Arc::clone(
-            games
-                .entry((stage, top))
-                .or_insert_with(|| Arc::new(T::default())),
-        )
     }
 
     fn allocated(&self) -> usize {
         match self {
             SectionStore::Compiled { slab, .. } => slab.allocated(),
-            SectionStore::Sparse { shards } => shards.iter().map(|s| s.read().len()).sum(),
+            SectionStore::Sparse { games, .. } => games.allocated(),
         }
     }
 }
@@ -156,7 +173,7 @@ pub struct AdaptiveRenaming<T: TwoPartyTas + Default = TwoProcessTas> {
     temp: TempName,
     network: AdaptiveNetwork,
     /// Per-section comparator storage, parallel to `network.sections()`:
-    /// compiled slab for the small inner sections, sharded sparse maps for
+    /// compiled slab for the small inner sections, sparse lazy tables for
     /// the huge outer ones.
     stores: Vec<SectionStore<T>>,
 }
@@ -252,10 +269,11 @@ impl<T: TwoPartyTas + Default> AdaptiveRenaming<T> {
                     comparators_played += played;
                     wins += won;
                 }
-                SectionStore::Sparse { shards } => {
+                SectionStore::Sparse { depth_bits, games } => {
                     for stage in 0..section.schedule.depth() {
                         if let Some(comparator) = section.comparator_at(stage, channel) {
-                            let game = SectionStore::sparse_game(shards, stage, comparator.top);
+                            let key = sparse_key(section, *depth_bits, stage, comparator.top);
+                            let game = games.get_or_init(key, T::default);
                             let side = if channel == comparator.top {
                                 Side::Top
                             } else {
@@ -333,6 +351,8 @@ mod tests {
     use shmem::adversary::{ArrivalSchedule, CrashPlan, ExecConfig, YieldPolicy};
     use shmem::executor::Executor;
     use shmem::process::ProcessId;
+    use shmem::steps::StepStats;
+    use std::sync::Arc;
     use std::time::Duration;
     use tas::hardware::HardwareTas;
 
@@ -483,6 +503,93 @@ mod tests {
         // A small truncation compiles everything.
         let small: AdaptiveRenaming = AdaptiveRenaming::with_family(NetworkFamily::OddEven, 3);
         assert_eq!(small.compiled_sections(), small.network().sections().len());
+    }
+
+    #[test]
+    fn sixty_four_sequential_acquisitions_are_pinned() {
+        // Pins the algorithm: how comparators and splitters are stored must
+        // not change a single step. These constants were recorded with
+        // every test-and-set round built up front and the outer sections
+        // and splitters in locked hash maps; any change to the splitter
+        // walk, the network or the test-and-set rounds shows up here.
+        const TEMP_NAMES: [usize; 64] = [
+            1, 3, 6, 2, 5, 10, 4, 13, 8, 11, 20, 22, 23, 12, 7, 24, 26, 17, 9, 14, 45, 21, 43, 15,
+            53, 41, 82, 16, 52, 31, 87, 18, 104, 27, 28, 208, 57, 42, 47, 84, 46, 33, 35, 56, 62,
+            83, 417, 107, 85, 112, 40, 49, 55, 19, 71, 63, 126, 44, 252, 167, 166, 125, 98, 115,
+        ];
+        const PLAYED: [usize; 64] = [
+            1, 9, 15, 11, 18, 24, 18, 35, 24, 48, 56, 63, 67, 66, 38, 59, 51, 59, 58, 59, 49, 57,
+            52, 53, 55, 59, 51, 60, 63, 62, 56, 60, 54, 62, 64, 71, 56, 61, 59, 50, 57, 60, 65, 64,
+            64, 64, 93, 60, 64, 66, 69, 69, 67, 63, 64, 62, 58, 65, 103, 102, 116, 66, 65, 62,
+        ];
+        let renaming = AdaptiveRenaming::default();
+        let mut totals = StepStats::new();
+        for (i, (&temp_name, &played)) in TEMP_NAMES.iter().zip(&PLAYED).enumerate() {
+            let mut ctx = ProcessCtx::new(ProcessId::new(i), 0x5EED);
+            let report = renaming.acquire_with_report(&mut ctx).unwrap();
+            assert_eq!(report.name, i + 1, "acquisition {i}: name");
+            assert_eq!(report.temp_name, temp_name, "acquisition {i}: temp name");
+            assert_eq!(
+                report.comparators_played, played,
+                "acquisition {i}: comparators"
+            );
+            let stats = ctx.stats();
+            totals.reads += stats.reads;
+            totals.writes += stats.writes;
+            totals.rmws += stats.rmws;
+            totals.tas_invocations += stats.tas_invocations;
+            totals.coin_flips += stats.coin_flips;
+        }
+        let expected = StepStats {
+            reads: 6989,
+            writes: 7053,
+            rmws: 2146,
+            tas_invocations: 3621,
+            coin_flips: 1765,
+            ..StepStats::new()
+        };
+        assert_eq!(totals, expected);
+        assert_eq!(renaming.allocated_comparators(), 2146);
+        assert_eq!(renaming.temp_name_stage().allocated_splitters(), 64);
+        // Temporary names above 128 reach level 4, a sparse section.
+        assert!(TEMP_NAMES.iter().any(|&name| name > 128));
+    }
+
+    #[test]
+    fn extreme_sparse_keys_land_in_distinct_cells() {
+        // The largest key of level 5 — its last channel as a comparator's
+        // top at its last stage — and its neighbours must not collide.
+        let renaming = AdaptiveRenaming::default();
+        let mut probes = Vec::new();
+        for (section, store) in renaming.network().sections().iter().zip(&renaming.stores) {
+            if let SectionStore::Sparse { depth_bits, games } = store {
+                let last_top = section.offset + section.width() - 1;
+                let last_stage = section.schedule.depth() - 1;
+                for (stage, top) in [
+                    (last_stage, last_top),
+                    (last_stage - 1, last_top),
+                    (last_stage, last_top - 1),
+                    (0, section.offset),
+                ] {
+                    let key = sparse_key(section, *depth_bits, stage, top);
+                    let game: *const TwoProcessTas = games.get_or_init(key, TwoProcessTas::new);
+                    probes.push((section.index, key, game));
+                }
+                assert_eq!(games.allocated(), 4, "section {}", section.index);
+            }
+        }
+        assert_eq!(probes.len(), 16, "four sparse sections");
+        let level5_max = probes[0].1;
+        assert_eq!(level5_max, ((4_294_934_528 - 1) << 10) | 527);
+        for (i, a) in probes.iter().enumerate() {
+            for b in &probes[i + 1..] {
+                if a.0 == b.0 {
+                    assert_ne!(a.1, b.1, "section {}: keys collide", a.0);
+                }
+                assert_ne!(a.2, b.2, "distinct cells");
+            }
+        }
+        assert_eq!(renaming.allocated_comparators(), 16);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! A lock-free, lazily initialized slab of comparator objects.
 //!
 //! The renaming engine stores one two-process test-and-set per comparator of
-//! the underlying sorting network. The network's
+//! the underlying sorting network. Where the network's
 //! [`CompiledSchedule`](sortnet::compiled::CompiledSchedule) assigns every
-//! comparator a *dense index*, so the natural store is a pre-sized
-//! contiguous array indexed by that slot — no hashing, no global lock, no
+//! comparator a *dense index* — the §5 renaming network and the compiled
+//! inner sections of the §6 adaptive network — the natural store is a
+//! pre-sized contiguous array indexed by that slot: no hashing, no lock, no
 //! `Arc` clone on the traversal path. Each cell is a [`OnceLock`], which
 //! preserves the engine's lazy-allocation semantics (a comparator object
 //! exists only once some process actually reaches it — observable through
@@ -13,6 +14,10 @@
 //! load. The only blocking the slab can introduce is per-cell and one-time —
 //! a contender arriving while a cell's `T::default()` is still running waits
 //! for it — after which the cell is immutable and lock-free forever.
+//!
+//! Sections too large to pre-size (the adaptive network's outer levels) keep
+//! the same first-touch semantics in a sparse
+//! [`LazyTable`](shmem::lazy::LazyTable) keyed by stage and channel instead.
 
 use std::fmt;
 use std::sync::OnceLock;

@@ -9,13 +9,11 @@
 //! execution, which is all the second stage needs for safety; the polynomial
 //! bound only affects the step complexity.
 
-use parking_lot::RwLock;
+use shmem::lazy::LazyTable;
 use shmem::process::ProcessCtx;
 use shmem::register::AtomicU64Register;
 use shmem::steps::StepKind;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 use tas::splitter::{Direction, RandomizedSplitter};
 
 /// Maximum splitter-tree depth explored before falling back to the overflow
@@ -51,8 +49,9 @@ pub struct TempNameReport {
 /// ```
 pub struct TempName {
     /// Lazily allocated splitters, keyed by heap index (root = 1, children of
-    /// `i` are `2i` and `2i + 1`).
-    splitters: RwLock<HashMap<u64, Arc<RandomizedSplitter>>>,
+    /// `i` are `2i` and `2i + 1`): a lock-free radix table, so a visit costs
+    /// a few acquire loads and no hashing or reference counting.
+    splitters: LazyTable<RandomizedSplitter>,
     /// Overflow counter handing out unique names beyond the tree, used only
     /// if a process fails to acquire a splitter within [`MAX_DEPTH`] levels.
     overflow: AtomicU64Register,
@@ -62,26 +61,18 @@ impl TempName {
     /// Creates an empty temporary-name object.
     pub fn new() -> Self {
         TempName {
-            splitters: RwLock::new(HashMap::new()),
+            splitters: LazyTable::new(),
             overflow: AtomicU64Register::new(1u64 << MAX_DEPTH),
         }
     }
 
     /// Number of splitters allocated so far (harness inspection hook).
     pub fn allocated_splitters(&self) -> usize {
-        self.splitters.read().len()
+        self.splitters.allocated()
     }
 
-    fn splitter(&self, index: u64) -> Arc<RandomizedSplitter> {
-        if let Some(splitter) = self.splitters.read().get(&index) {
-            return Arc::clone(splitter);
-        }
-        let mut splitters = self.splitters.write();
-        Arc::clone(
-            splitters
-                .entry(index)
-                .or_insert_with(|| Arc::new(RandomizedSplitter::new())),
-        )
+    fn splitter(&self, index: u64) -> &RandomizedSplitter {
+        self.splitters.get_or_init(index, RandomizedSplitter::new)
     }
 
     /// Acquires a unique temporary name.

@@ -28,6 +28,9 @@
 //!   [`vexec::Scheduler`] chooses the interleaving step by step:
 //!   the substrate for systematic schedule exploration (the `mcheck` crate),
 //!   schedule replay and DPOR model checking.
+//! * [`lazy`] — [`LazyTable`], a lock-free radix table of
+//!   `OnceLock` nodes that creates shared objects keyed by `u64` on first
+//!   touch (outer renaming-network sections, splitter trees).
 //! * [`pad`] — a 64-byte-aligned [`CachePadded`] wrapper used to keep
 //!   contended atomic words on distinct cache lines.
 //! * [`history`] — invoke/response history recording for concurrent objects.
@@ -72,6 +75,7 @@ pub mod arena;
 pub mod consistency;
 pub mod executor;
 pub mod history;
+pub mod lazy;
 pub mod pad;
 pub mod process;
 #[cfg(all(unix, not(miri)))]
@@ -87,6 +91,7 @@ pub use arena::{
 };
 pub use executor::{ExecutionOutcome, Executor, ProcessOutcome};
 pub use history::{History, OpRecord, Recorder};
+pub use lazy::LazyTable;
 pub use pad::CachePadded;
 pub use process::{ProcessCtx, ProcessId};
 pub use register::{AtomicBoolRegister, AtomicU64Register, AtomicUsizeRegister, ValueRegister};

@@ -59,6 +59,7 @@ use crate::process::{install_crash_panic_silencer, CrashSignal, ProcessCtx, Proc
 use crate::steps::StepKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,15 +68,28 @@ use std::sync::{Arc, Condvar, Mutex};
 /// Identifier of a shared-memory location (one register, balancer word or
 /// other atomic cell), used to key read/write dependency analysis.
 ///
-/// Every register allocates a fresh `Loc` at construction from a global
-/// counter, so two operations conflict only if they touch the same word.
-/// Construction order is deterministic for a given program, which is all the
-/// dependency analysis needs: locations are only ever compared *within* one
-/// execution.
+/// Every register allocates a fresh `Loc` at construction ([`Loc::fresh`]),
+/// so two operations conflict only if they touch the same word. Ids are
+/// unique process-wide but carry no order: each thread draws them from its
+/// own block, so which ids an object gets depends on the thread that built
+/// it and on what that thread built before. Nothing relies on the raw
+/// values — the dependency analysis only compares locations *within* one
+/// execution, and `mcheck` renames them by first appearance in each run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Loc(u64);
 
+/// Next unallocated block of location ids.
 static NEXT_LOC: AtomicU64 = AtomicU64::new(1);
+
+/// Ids a thread takes from [`NEXT_LOC`] at a time: building a shared object
+/// touches the global counter once per `LOC_BLOCK` registers instead of
+/// once per register.
+const LOC_BLOCK: u64 = 4096;
+
+thread_local! {
+    /// The calling thread's unused ids, as the half-open range `(next, end)`.
+    static LOC_IDS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
 
 impl Loc {
     /// The anonymous location, used by [`ProcessCtx::record`] call sites that
@@ -83,9 +97,19 @@ impl Loc {
     /// other location.
     pub const ANON: Loc = Loc(0);
 
-    /// Allocates a fresh, globally unique location identifier.
+    /// Allocates a fresh, globally unique location identifier from the
+    /// calling thread's block, refilling the block from the global counter
+    /// when it runs out.
     pub fn fresh() -> Loc {
-        Loc(NEXT_LOC.fetch_add(1, Ordering::Relaxed)) // lint: relaxed-ok(unique id allocation only; no data is published through this counter)
+        LOC_IDS.with(|ids| {
+            let (mut next, mut end) = ids.get();
+            if next == end {
+                next = NEXT_LOC.fetch_add(LOC_BLOCK, Ordering::Relaxed); // lint: relaxed-ok(unique id allocation only; no data is published through this counter)
+                end = next + LOC_BLOCK;
+            }
+            ids.set((next + 1, end));
+            Loc(next)
+        })
     }
 
     /// Whether this is the anonymous (conservatively conflicting) location.
@@ -756,6 +780,31 @@ mod tests {
         assert_ne!(a, b);
         assert!(!a.is_anon());
         assert!(Loc::ANON.is_anon());
+    }
+
+    #[test]
+    fn loc_fresh_is_unique_across_threads() {
+        #[cfg(not(miri))]
+        const PER_THREAD: usize = 100_000;
+        #[cfg(miri)]
+        const PER_THREAD: usize = 5_000;
+        let per_thread: Vec<Vec<u64>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        (0..PER_THREAD)
+                            .map(|_| Loc::fresh().as_u64())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let mut all: Vec<u64> = per_thread.into_iter().flatten().collect();
+        assert!(all.iter().all(|&raw| raw != 0), "no id is ANON");
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 8 * PER_THREAD, "ids are unique");
     }
 
     #[test]

@@ -29,12 +29,10 @@ use crate::hardware::HardwareTas;
 use crate::splitter::{Direction, RandomizedSplitter};
 use crate::two_process::TwoProcessTas;
 use crate::{Side, TestAndSet, TwoPartyTas};
-use parking_lot::RwLock;
+use shmem::lazy::LazyTable;
 use shmem::process::ProcessCtx;
 use shmem::steps::StepKind;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Maximum descent depth before a process diverts to the backup object.
 ///
@@ -84,7 +82,7 @@ impl Node {
 pub struct RatRaceTas {
     /// Lazily allocated tree nodes, keyed by heap index (root = 1, children
     /// of `i` are `2i` and `2i + 1`).
-    nodes: RwLock<HashMap<u64, Arc<Node>>>,
+    nodes: LazyTable<Node>,
     /// Final game between the primary-tree winner (top) and the backup winner
     /// (bottom).
     crown: TwoProcessTas,
@@ -96,7 +94,7 @@ impl RatRaceTas {
     /// Creates an unwon adaptive test-and-set.
     pub fn new() -> Self {
         RatRaceTas {
-            nodes: RwLock::new(HashMap::new()),
+            nodes: LazyTable::new(),
             crown: TwoProcessTas::new(),
             backup: HardwareTas::new(),
         }
@@ -104,15 +102,11 @@ impl RatRaceTas {
 
     /// Number of tree nodes allocated so far (harness inspection hook).
     pub fn allocated_nodes(&self) -> usize {
-        self.nodes.read().len()
+        self.nodes.allocated()
     }
 
-    fn node(&self, index: u64) -> Arc<Node> {
-        if let Some(node) = self.nodes.read().get(&index) {
-            return Arc::clone(node);
-        }
-        let mut nodes = self.nodes.write();
-        Arc::clone(nodes.entry(index).or_insert_with(|| Arc::new(Node::new())))
+    fn node(&self, index: u64) -> &Node {
+        self.nodes.get_or_init(index, Node::new)
     }
 
     /// Descends the splitter tree until acquiring a node; returns its heap
@@ -213,6 +207,7 @@ mod tests {
     use shmem::adversary::{ArrivalSchedule, CrashPlan, ExecConfig, YieldPolicy};
     use shmem::executor::Executor;
     use shmem::process::ProcessId;
+    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]
