@@ -8,7 +8,8 @@
 //! operation indices, SIGSTOP/SIGCONT stalls (with a mid-stall sweep
 //! proving a *stalled* process's leases survive — slow is not dead), and
 //! torn-write injection (lease slots claimed with no owner published,
-//! free-list data bits with no summary flag). The storm then kills
+//! names popped off the table's free list and never claimed, free-list
+//! data bits with no summary flag). The storm then kills
 //! whatever is left, the parent re-attaches **by path** as a fresh
 //! restart, runs `recover`, and verifies:
 //!
@@ -173,14 +174,17 @@ mod harness {
                     }
                     FaultAction::TornWrite => {
                         // Half-written states, injected from outside the
-                        // children: a claimed-but-ownerless lease slot and
-                        // an unflagged free-list data bit.
+                        // children: a claimed-but-ownerless lease slot, a
+                        // name popped but never claimed (lost to the fleet
+                        // until a restart re-lists it) and an unflagged
+                        // free-list data bit.
                         for name in 1..=CAPACITY {
                             if shared.table.inject_torn_slot(&mut supervisor, name) {
                                 torn_names.push(name);
                                 break;
                             }
                         }
+                        torn_names.extend(shared.table.inject_torn_pop(&mut supervisor));
                         let torn = FREE_BOUND - (seed as usize % 64) - 1;
                         if shared.free.inject_torn_push(torn) {
                             torn_pushes.push(torn);
@@ -352,7 +356,7 @@ mod harness {
         }
 
         arena.mark_clean();
-        let _ = torn_names; // reclaimed via quarantine; counted in `names` above
+        let _ = torn_names; // repaired by the drain or re-listed; counted in `names` above
         Ok(())
     }
 

@@ -63,6 +63,14 @@
 //! that at its linearization point every name absent from the list was owned
 //! by a still-live lease operation.
 //!
+//! Owners that keep their own seqlock push with
+//! [`FreeList::push_unsequenced`], which lands the bits and the summary flag
+//! exactly like [`FreeList::push`] but leaves `pushes` alone. The
+//! crash-robust lease table ([`crate::robust::RobustLeaseTable`]) does: its
+//! per-process transition stripes already order every push before the
+//! releaser finishes, and one shared counter bumped by every release would
+//! be the table's single most contended word.
+//!
 //! # Name-to-bit mapping
 //!
 //! Names are 1-based; name `n` occupies bit `(n - 1) % 64` of data word
@@ -70,6 +78,13 @@
 //! words. (An earlier revision mapped name `n` to bit `n % 64` of word
 //! `n / 64`, which wasted bit 0 of word 0 and allocated one entire extra
 //! word whenever `bound % 64 == 0` — e.g. 2 words for a 64-name list.)
+//!
+//! # Layout
+//!
+//! Every data word owns a 64-byte line. A pop claims a word's bit with an
+//! RMW and a release pushes into the same word from another core, so two
+//! neighbouring words on one line would bounce that line between
+//! processes serving disjoint names. The price is 64 bytes per 64 names.
 
 use shmem::arena::{Arena, ArenaRef, ArenaSliceRef};
 use shmem::pad::CachePadded;
@@ -85,13 +100,11 @@ pub struct FreeList {
     /// arena to [`FreeList::new_in`] to share the list across
     /// processes.
     arena: Arc<Arena>,
-    /// The data words stay dense — the bitmap's density *is* the layout —
-    /// and the allocation starts on its own 64-byte line, so no data word
-    /// ever shares a line with foreign state (the old `Box<[AtomicU64]>`
-    /// layout let word 0 share its line with whatever the allocator placed
-    /// before it — the false-sharing hazard the arena placement retires).
-    /// Pinned (resolved once) so every scan is a plain slice walk.
-    words: ArenaSliceRef<AtomicU64>,
+    /// One data word (64 names) per cache line, so pops and pushes on
+    /// neighbouring words never contend for one line (see the module docs'
+    /// layout section). Pinned (resolved once) so every scan is a plain
+    /// slice walk.
+    words: ArenaSliceRef<CachePadded<AtomicU64>>,
     /// One bit per data word. Each summary word is cache-padded: adjacent
     /// summary words cover disjoint 4096-name regions and are flagged
     /// concurrently.
@@ -115,27 +128,48 @@ impl FreeList {
     /// cross-process constructor. The caller must reserve at least
     /// [`FreeList::footprint`] bytes for it.
     pub fn new_in(arena: &Arc<Arena>, bound: usize) -> Self {
+        Self::alloc_in(arena, bound, false)
+    }
+
+    /// Creates a **full** free list (every name `1..=bound` free) in
+    /// `arena`, with its summary flags already raised, so the first pops
+    /// need no pushes. Like every `*_with` arena allocation, the initial
+    /// fill is skipped when `arena` preserves its contents
+    /// ([`Arena::file_attach`]): re-running the constructor over a
+    /// surviving list keeps its words.
+    pub(crate) fn full_in(arena: &Arc<Arena>, bound: usize) -> Self {
+        Self::alloc_in(arena, bound, true)
+    }
+
+    fn alloc_in(arena: &Arc<Arena>, bound: usize, full: bool) -> Self {
+        // The low `count` bits of a word, or none unless `full`.
+        let fill = |count: usize| match count {
+            _ if !full => 0,
+            0..=63 => (1u64 << count) - 1,
+            _ => u64::MAX,
+        };
         let word_count = bound.div_ceil(64).max(1);
+        let words = arena.alloc_slice_with(word_count, |index, _| {
+            CachePadded::new(AtomicU64::new(fill(bound.saturating_sub(index * 64))))
+        });
+        let summary = arena.alloc_slice_with(word_count.div_ceil(64), |index, _| {
+            CachePadded::new(AtomicU64::new(fill(word_count - index * 64)))
+        });
         FreeList {
-            words: arena.alloc_slice::<AtomicU64>(word_count).pin(arena),
-            summary: arena
-                .alloc_slice::<CachePadded<AtomicU64>>(word_count.div_ceil(64))
-                .pin(arena),
+            words: words.pin(arena),
+            summary: summary.pin(arena),
             pushes: arena.alloc::<AtomicUsize>().pin(arena),
             bound,
             arena: Arc::clone(arena),
         }
     }
 
-    /// The number of arena bytes a `FreeList` of this shape allocates
-    /// (data words, summary words and the seqlock, each rounded to the
-    /// arena's 64-byte allocation grain).
+    /// The number of arena bytes a `FreeList` of this shape allocates: one
+    /// 64-byte line per data word, one per summary word and one for the
+    /// seqlock.
     pub fn footprint(bound: usize) -> usize {
         let word_count = bound.div_ceil(64).max(1);
-        let round = |bytes: usize| bytes.div_ceil(64).max(1) * 64;
-        let data = round(word_count * 8);
-        let summary = word_count.div_ceil(64) * 64;
-        data + summary + 64
+        (word_count + word_count.div_ceil(64) + 1) * 64
     }
 
     /// The arena backing this list.
@@ -144,7 +178,7 @@ impl FreeList {
     }
 
     #[inline]
-    fn data(&self) -> &[AtomicU64] {
+    fn data(&self) -> &[CachePadded<AtomicU64>] {
         &self.words
     }
 
@@ -178,6 +212,23 @@ impl FreeList {
         self.push_counter().fetch_add(1, Ordering::SeqCst);
         obs::count(obs::Metric::FreeListPush);
         true
+    }
+
+    /// Marks `name` free exactly like [`FreeList::push`] — bits and summary
+    /// flag land before the call returns — but **without** bumping the
+    /// `pushes` seqlock. For owners that keep their own seqlock ordered
+    /// after the push, as the crash-robust lease table's transition stripes
+    /// are; [`FreeList::pop_coherent`] cannot see these pushes.
+    pub fn push_unsequenced(&self, name: usize) -> bool {
+        self.set_bit(name)
+    }
+
+    /// Data word `index` as one load: bit `i` is set iff name
+    /// `index * 64 + i + 1` is free. Scans that visit names in order (the
+    /// recovery re-listing pass) read each word once instead of once per
+    /// name.
+    pub(crate) fn word_bits(&self, index: usize) -> u64 {
+        self.data()[index].load(Ordering::SeqCst)
     }
 
     /// Marks every name in `names` free with a **single** seqlock bump at
@@ -307,8 +358,13 @@ impl FreeList {
     }
 
     /// Claims the lowest set bit of `word`, returning its index.
+    ///
+    /// The first access is an RMW that changes nothing (`fetch_add(0)`), not
+    /// a load: it brings the line in exclusive, so the claiming CAS that
+    /// follows hits locally instead of paying a second coherence
+    /// round-trip to upgrade a shared line.
     fn claim_lowest(word: &AtomicU64) -> Option<usize> {
-        let mut current = word.load(Ordering::SeqCst);
+        let mut current = word.fetch_add(0, Ordering::SeqCst);
         while current != 0 {
             let bit = current.trailing_zeros();
             match word.compare_exchange_weak(
@@ -354,7 +410,7 @@ impl FreeList {
     }
 
     /// The number of data words allocated (exactly `⌈bound / 64⌉`, except
-    /// that a zero-bound list still allocates one word).
+    /// that a zero-bound list still allocates one word), one per line.
     pub fn word_count(&self) -> usize {
         self.words.len()
     }
@@ -547,27 +603,55 @@ mod tests {
 
     #[test]
     fn hot_words_are_cache_line_aligned_and_disjoint() {
-        // The false-sharing hazard the arena placement retires: every hot
-        // region (data words, each summary word, the pushes seqlock) starts
-        // on its own 64-byte line, and no two of them share a line.
+        // Every hot word owns its 64-byte line: each data word, each
+        // summary word and the pushes seqlock, with no two regions sharing
+        // a line.
         let list = FreeList::new(8192);
         let (words_off, summary_off, pushes_off) = list.layout_offsets();
         assert_eq!(words_off % 64, 0, "data words line-aligned");
         assert_eq!(pushes_off % 64, 0, "seqlock line-aligned");
         assert_eq!(summary_off % 64, 0, "summary line-aligned");
-        let data_bytes = list.word_count() * 8;
-        assert!(
-            pushes_off >= words_off + data_bytes.next_multiple_of(64)
-                || words_off >= pushes_off + 64,
-            "seqlock shares no line with data words"
-        );
         assert_eq!(
             std::mem::size_of::<CachePadded<AtomicU64>>(),
             64,
-            "each summary word owns a full line"
+            "each data and summary word owns a full line"
         );
-        // The footprint helper really covers the allocation.
-        assert!(list.arena().used() <= FreeList::footprint(8192));
+        let data_end = words_off + list.word_count() * 64;
+        let summary_end = summary_off + 64 * list.word_count().div_ceil(64);
+        assert!(
+            data_end <= summary_off && summary_end <= pushes_off,
+            "data, summary and seqlock regions are disjoint and in order"
+        );
+        // The footprint helper is exact.
+        assert_eq!(list.arena().used(), FreeList::footprint(8192));
+    }
+
+    #[test]
+    fn full_lists_pop_every_name_in_order() {
+        for bound in [1usize, 63, 64, 65, 4097] {
+            let list = FreeList::full_in(&Arena::heap(FreeList::footprint(bound)), bound);
+            assert_eq!(list.len(), bound, "bound {bound}");
+            for name in 1..=bound {
+                assert_eq!(list.pop(), Some(name), "bound {bound}");
+            }
+            assert_eq!(list.pop(), None, "bound {bound}: no bit above the bound");
+            assert_eq!(list.pushes(), 0, "the fill is not a push");
+        }
+    }
+
+    #[test]
+    fn unsequenced_pushes_land_without_the_seqlock() {
+        let list = FreeList::new(100);
+        assert!(list.push_unsequenced(70));
+        assert!(!list.push_unsequenced(70), "duplicates are rejected");
+        assert!(
+            !list.push_unsequenced(101),
+            "out-of-range names are rejected"
+        );
+        assert_eq!(list.word_bits(1), 1 << (70 - 65), "only name 70's bit");
+        assert_eq!(list.pushes(), 0);
+        assert_eq!(list.pop(), Some(70), "the summary flag landed too");
+        assert_eq!(list.word_bits(1), 0);
     }
 
     #[test]

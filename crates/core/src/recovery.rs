@@ -4,13 +4,15 @@
 //! [`shmem::arena::Arena`] can be SIGKILLed wholesale at any instant. The
 //! arena's words survive on disk exactly as the kill left them; what a
 //! fresh attacher inherits is a namespace mid-flight: slots held by dead
-//! owners, slots torn between claim and owner publication, and free-list
-//! summary flags that lag their data words (a kill between a push's data
-//! `fetch_or` and its summary ensure). [`recover`] reconciles all of it —
-//! the escrow shape from the paper's lineage applies directly: every
-//! per-process obligation is reconstructible by a later process that never
-//! spoke to the dead one, because the protocol state (generation-stamped
-//! slot words, monotone summary bits) is self-describing.
+//! owners, slots torn between claim and owner publication, free names that
+//! a kill left off the table's free list (between pop and claim, or between
+//! free and push), and free-list summary flags that lag their data words (a
+//! kill between a push's data `fetch_or` and its summary ensure).
+//! [`recover`] reconciles all of it — the escrow shape from the paper's
+//! lineage applies directly: every per-process obligation is
+//! reconstructible by a later process that never spoke to the dead one,
+//! because the protocol state (generation-stamped slot words, monotone
+//! summary bits) is self-describing.
 //!
 //! # The scan
 //!
@@ -21,14 +23,21 @@
 //! 2. **Gate admissions.** While the scan runs, acquirers that find the
 //!    table exhausted back off (bounded) instead of failing: the capacity
 //!    they are missing is exactly what the scan is about to free.
-//! 3. **Repair free-list summaries.** Summary flags are monotone, so
-//!    repair is re-derive-and-re-flag ([`FreeList::repair_summary`]) —
-//!    never a clear, so it cannot race pushers.
+//! 3. **Repair free-list summaries** — the table's own list and every list
+//!    passed in. Summary flags are monotone, so repair is
+//!    re-derive-and-re-flag ([`FreeList::repair_summary`]) — never a clear,
+//!    so it cannot race pushers.
 //! 4. **Sweep the table.** Every held slot's owner tag is judged: torn
 //!    slots (owner tag 0) are quarantined, dead owners' slots get the same
-//!    exactly-once `HELD(g) → FREE(g)` CAS a release would perform. With
+//!    exactly-once `HELD(g) → FREE(g)` CAS a release would perform, and the
+//!    name is pushed back onto the table's free list. With
 //!    `presume_all_dead` (the restart signature: no registered survivor)
 //!    every non-torn held slot is reclaimed unconditionally.
+//! 5. **Re-list dropped names.** With `presume_all_dead`, every free slot
+//!    whose list bit is clear is pushed back: nobody is alive to finish the
+//!    pop-then-claim or free-then-push that left it off the list. A push
+//!    that races a straggler only duplicates a bit, and the table drops a
+//!    popped name whose slot is held, so duplicates are harmless.
 //!
 //! Idempotence — `recover ∘ recover = recover` on the observable state
 //! ([`RobustLeaseTable::state_snapshot`]) — is pinned by proptests in
@@ -53,6 +62,9 @@ pub struct RecoveryReport {
     pub quarantined: usize,
     /// Free-list summary flags re-derived from data words.
     pub summary_repairs: usize,
+    /// Free slots pushed back onto the table's free list (their bit was
+    /// clear after a whole-fleet kill).
+    pub relisted: usize,
     /// Distinct dead registered pids encountered (postmortem candidates).
     pub dead_pids: Vec<u32>,
 }
@@ -88,12 +100,25 @@ pub fn recover_with(
     obs::count(obs::Metric::RecoverRuns);
 
     table.hold_admissions(ctx);
-    report.summary_repairs = lists.iter().map(|list| list.repair_summary()).sum();
+    let own = table.free_list();
+    report.summary_repairs = std::iter::once(own)
+        .chain(lists.iter().copied())
+        .map(FreeList::repair_summary)
+        .sum();
 
+    let mut listed = 0;
     for (index, slot) in table.slot_registers().iter().enumerate() {
         let name = index + 1;
         let word = slot.read(ctx);
+        if presume_all_dead && index % 64 == 0 {
+            listed = own.word_bits(index / 64);
+        }
         if !robust::is_held(word) {
+            let bit = 1u64 << (index % 64);
+            // Like a release's push, the re-listing rides on the slot read.
+            if presume_all_dead && listed & bit == 0 && own.push_unsequenced(name) {
+                report.relisted += 1;
+            }
             continue;
         }
         let tag = robust::owner(word);
@@ -122,7 +147,7 @@ pub fn recover_with(
                 .compare_and_swap(ctx, word, robust::pack_free(robust::generation(word)))
                 .is_ok()
         {
-            table.note_transition(ctx);
+            table.note_transition(ctx, name);
             report.reclaimed += 1;
             obs::count(obs::Metric::RecoverReclaimed);
             obs::event(obs::EventKind::Recovered, name as u64, tag as u64);

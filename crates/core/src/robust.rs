@@ -11,12 +11,24 @@
 //!
 //! * Name `n` is represented by one 64-bit slot word packing an **owner**
 //!   (32 bits, an OS pid in cross-process deployments), a **generation**
-//!   (31 bits, bumped once per grant) and a **held** flag.
-//! * `acquire` scans the slots from name 1 upward and claims the first free
-//!   one with a single CAS `FREE(g) → HELD(g+1, owner)`.
-//! * `release` performs the single CAS `HELD(g, owner) → FREE(g)`.
+//!   (31 bits, bumped once per grant) and a **held** flag. The slot word is
+//!   the only ownership record: sweep and recovery read nothing else.
+//! * In front of the slots sits an arena-resident pop-minimum
+//!   [`FreeList`] of the free names, full at creation. `acquire` pops the
+//!   lowest free name and claims its slot with a single CAS
+//!   `FREE(g) → HELD(g+1, owner)`: `O(1)` expected steps instead of the
+//!   `Θ(k)` slot scan of linear probing (§1's baseline,
+//!   [`linear_probe`](crate::linear_probe)).
+//! * `release` performs the single CAS `HELD(g, owner) → FREE(g)`, then
+//!   pushes the name back.
 //! * `sweep` re-reads every slot and performs the *same* CAS on slots whose
-//!   owner a liveness predicate declares dead.
+//!   owner a liveness predicate declares dead, then pushes the name back.
+//!
+//! The list is a hint, the slot word the truth. A popped name whose slot
+//! turns out HELD carries a stale bit (a duplicate push, or a torn slot
+//! still listed) and is simply dropped: its holder pushes it again when it
+//! frees it. Duplicate bits are therefore harmless, which is what lets
+//! recovery re-list names without coordinating with the list.
 //!
 //! Because release and sweep compare against the exact word they observed,
 //! the `HELD(g) → FREE(g)` transition of every grant happens **exactly
@@ -26,12 +38,17 @@
 //! exhaustively model-checked in the `mcheck` crate's `robust_sweep_2p`
 //! scenario.
 //!
-//! **Namespace tightness.** `acquire` claims the lowest free slot, so a
-//! process granted name `m` observed slots `1..m` occupied during its
-//! winning scan: under point contention `k` the names stay in `1..=k` up to
-//! the transient reuse races every scan-based long-lived object has (the
-//! same loose bound as [`ShardedRecycler`](crate::sharded::ShardedRecycler),
-//! tight in the sequential and quiescent cases exercised by the tests).
+//! **Namespace tightness.** `acquire` pops the *minimum* free name, so a
+//! process granted name `m` found every name in `1..m` absent from the
+//! list: held, popped by a concurrent acquirer, or freed by a releaser that
+//! has not pushed it yet — each one a live operation (a name a sweep
+//! reclaims belonged to a crashed holder, which counts as a contender
+//! forever). Under point contention `k` the names therefore stay in
+//! `1..=k`, the recycling argument that makes
+//! [`Recycler`](crate::recycler::Recycler) tight.
+//! `tests/lease_churn.rs` checks seeded three-process `vexec` churn
+//! histories of this table with
+//! [`assert_tight_lease_namespace`](crate::lease::assert_tight_lease_namespace).
 //!
 //! **ABA.** A generation wraps after `2³¹` grants of the same name; a CAS
 //! delayed across a full wrap of one slot could misfire. At one grant per
@@ -60,19 +77,24 @@
 //! **admission gate** so concurrent acquirers back off instead of
 //! reporting spurious exhaustion ([`crate::backoff::Backoff`]), sweeps
 //! dead owners, and moves torn slots (held with owner tag `0`) onto the
-//! **quarantine** bitmap, drained by the next sweep.
+//! **quarantine** bitmap, drained by the next sweep. On a whole-fleet
+//! restart it also re-lists free slots whose list bit is clear: a kill
+//! between pop and claim, or between free and push, leaves exactly that.
 //!
-//! All shared state lives in an [`Arena`], one cache line per slot, so the
-//! table works unchanged over the process-private heap backend (tests,
-//! model checking) and the `MAP_SHARED` mmap backend (the fork-based crash
-//! test in `tests/crash_reclaim.rs`).
+//! All shared state lives in an [`Arena`] — one cache line per slot, per
+//! free-list word and per transition stripe — so the table works unchanged
+//! over the process-private heap backend (tests, model checking) and the
+//! `MAP_SHARED` mmap backend (the fork-based crash test in
+//! `tests/crash_reclaim.rs`).
 
 use crate::backoff::Backoff;
 use crate::error::RenamingError;
+use crate::free_list::FreeList;
 use crate::lease::{LongLivedRenaming, NameLease};
 use shmem::arena::{Arena, ArenaSliceRef};
 use shmem::process::{ProcessCtx, ProcessId};
 use shmem::register::{AtomicU64Register, AtomicUsizeRegister};
+use shmem::steps::StepKind;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -119,6 +141,11 @@ pub(crate) fn owner(word: u64) -> u32 {
 pub(crate) fn next_generation(generation: u64) -> u64 {
     generation.wrapping_add(1) & GEN_MASK
 }
+
+/// Number of transition stripes: a process bumps stripe `ctx.id() % 16`
+/// after each `HELD → FREE` transition it completes, so releases by
+/// processes whose ids differ modulo 16 never contend on one counter.
+const TRANSITION_STRIPES: usize = 16;
 
 /// Number of process-registration slots every table carries. Generously
 /// above the fleet sizes the chaos harness and benches run; dead
@@ -206,11 +233,15 @@ pub struct RobustLeaseTable {
     /// Slot `i` governs name `i + 1`; each register word is on its own
     /// arena cache line.
     slots: Vec<AtomicU64Register>,
-    /// Count of completed `HELD → FREE` transitions (by releasers *or*
-    /// sweepers). Doubles as the seqlock stamp that keeps exhaustion
-    /// reports coherent: an acquire whose scan found nothing re-checks this
-    /// counter and rescans if a release landed mid-scan.
-    releases: AtomicUsizeRegister,
+    /// The free names, popped lowest first. Pushed with
+    /// [`FreeList::push_unsequenced`]: the stripes below are the seqlock.
+    free: FreeList,
+    /// Completed `HELD → FREE` transitions (by releasers, sweepers or
+    /// recovery), striped per process and bumped after the name is pushed
+    /// back. Their sum doubles as the seqlock that keeps exhaustion reports
+    /// coherent: an acquire whose pop missed reports exhaustion only if the
+    /// sum did not move across a second, missing pop.
+    stripes: Vec<AtomicUsizeRegister>,
     /// Admission gate: nonzero while a sweep/recovery is in flight. An
     /// acquire that would report exhaustion backs off (bounded) instead, so
     /// recovery does not surface as spurious `CapacityExceeded` to callers
@@ -261,7 +292,10 @@ impl RobustLeaseTable {
         RobustLeaseTable {
             arena: Arc::clone(arena),
             slots,
-            releases: AtomicUsizeRegister::new_in(arena, 0),
+            free: FreeList::full_in(arena, capacity),
+            stripes: (0..TRANSITION_STRIPES)
+                .map(|_| AtomicUsizeRegister::new_in(arena, 0))
+                .collect(),
             gate: AtomicU64Register::new_in(arena, 0),
             recovered_epoch: AtomicU64Register::new_in(arena, 0),
             quarantine: (0..capacity.div_ceil(64))
@@ -273,11 +307,16 @@ impl RobustLeaseTable {
     }
 
     /// The number of arena bytes the table allocates: one 64-byte line per
-    /// slot, one each for the release stamp, the admission gate and the
-    /// recovery epoch, one per quarantine word (64 names each), plus the
-    /// dense [`REGISTRY_SLOTS`]-word process registry.
+    /// slot, the free list ([`FreeList::footprint`]), one line per
+    /// transition stripe, one each for the admission gate and the recovery
+    /// epoch, one per quarantine word (64 names each), plus the dense
+    /// [`REGISTRY_SLOTS`]-word process registry.
     pub fn footprint(capacity: usize) -> usize {
-        capacity * 64 + 3 * 64 + capacity.div_ceil(64) * 64 + REGISTRY_SLOTS * 8
+        capacity * 64
+            + FreeList::footprint(capacity)
+            + (TRANSITION_STRIPES + 2) * 64
+            + capacity.div_ceil(64) * 64
+            + REGISTRY_SLOTS * 8
     }
 
     /// The arena holding the table's shared state.
@@ -295,56 +334,36 @@ impl RobustLeaseTable {
     /// the caller's OS pid ([`shmem::arena::os_pid`]) so
     /// [`RobustLeaseTable::sweep_dead_processes`] can reclaim after a crash.
     ///
-    /// Costs one read per scanned slot plus one CAS per claim attempt
-    /// (`O(capacity)` reads per scan; a scan repeats only when a concurrent
-    /// release or grant moved the table under it).
+    /// Costs one free-list pop (`O(1)` expected) and one or two CASes on the
+    /// popped name's slot. The first CAS guesses the never-granted word, so
+    /// it takes the slot's line exclusive on first touch; when the guess
+    /// misses, it returns the actual word for the second. A popped name
+    /// whose slot is held carries a stale bit and is dropped for the next
+    /// pop.
     ///
     /// # Errors
     ///
     /// Returns [`RenamingError::CapacityExceeded`] when every slot is held —
-    /// coherently: the failing scan is revalidated against the release
-    /// stamp, so a release that landed mid-scan triggers a rescan instead of
-    /// a spurious failure. While the admission gate is raised (a
-    /// sweep/recovery in flight), an exhausted scan backs off and retries
-    /// ([`Backoff`], bounded) before failing: the sweep is about to free the
-    /// dead owners' names, so the exhaustion is very likely transient.
+    /// coherently: a missing pop is repeated, and the miss reported only if
+    /// no `HELD → FREE` transition completed in between (the stripe sum did
+    /// not move). While the admission gate is raised (a sweep/recovery in
+    /// flight), a coherent miss backs off and retries ([`Backoff`],
+    /// bounded) before failing: the sweep is about to free the dead owners'
+    /// names, so the exhaustion is very likely transient.
     pub fn acquire(&self, ctx: &mut ProcessCtx, owner_tag: u32) -> Result<usize, RenamingError> {
         let acquire_timer = obs::start();
         let mut backoff = Backoff::new();
+        let mut stamp = None;
         loop {
-            let stamp = self.releases.read(ctx);
-            let mut progress = false;
-            for (index, slot) in self.slots.iter().enumerate() {
-                let mut word = slot.read(ctx);
-                while !is_held(word) {
-                    let claimed = pack_held(next_generation(generation(word)), owner_tag);
-                    match slot.compare_and_swap(ctx, word, claimed) {
-                        Ok(_) => {
-                            obs::count(obs::Metric::RobustAcquire);
-                            obs::finish(acquire_timer, obs::Metric::RobustAcquireNs);
-                            obs::event(
-                                obs::EventKind::LeaseGranted,
-                                (index + 1) as u64,
-                                owner_tag as u64,
-                            );
-                            return Ok(index + 1);
-                        }
-                        Err(actual) => {
-                            obs::count(obs::Metric::RobustCasRetry);
-                            // Lost the race for this slot; it may have been
-                            // re-freed with a newer generation, so re-read
-                            // rather than skipping ahead (skipping would
-                            // loosen the lowest-free-name discipline).
-                            word = actual;
-                            progress = true;
-                        }
-                    }
+            // The list's words are plain atomics; announce the pop as one
+            // shared step so schedules interleave around it.
+            ctx.record(StepKind::ReadModifyWrite);
+            let Some(name) = self.free.pop() else {
+                let now = self.transitions_seen(ctx);
+                if stamp != Some(now) {
+                    stamp = Some(now);
+                    continue;
                 }
-            }
-            // Every slot was held at its read point. Report exhaustion only
-            // if no release landed while we scanned; otherwise the miss may
-            // be incoherent — rescan.
-            if !progress && self.releases.read(ctx) == stamp {
                 if !backoff.is_completed() && self.gate.read(ctx) != 0 {
                     obs::count(obs::Metric::RobustGateWait);
                     backoff.snooze();
@@ -353,11 +372,34 @@ impl RobustLeaseTable {
                 return Err(RenamingError::CapacityExceeded {
                     capacity: self.capacity,
                 });
+            };
+            if self.claim(ctx, name, owner_tag) {
+                obs::count(obs::Metric::RobustAcquire);
+                obs::finish(acquire_timer, obs::Metric::RobustAcquireNs);
+                obs::event(obs::EventKind::LeaseGranted, name as u64, owner_tag as u64);
+                return Ok(name);
+            }
+            obs::count(obs::Metric::RobustCasRetry);
+        }
+    }
+
+    /// Claims popped `name`'s slot: `FREE(g) → HELD(g + 1, owner_tag)`.
+    /// Returns `false` if the slot is held, i.e. the popped bit was stale.
+    fn claim(&self, ctx: &mut ProcessCtx, name: usize, owner_tag: u32) -> bool {
+        let slot = &self.slots[name - 1];
+        let mut expected = pack_free(0);
+        loop {
+            let claimed = pack_held(next_generation(generation(expected)), owner_tag);
+            match slot.compare_and_swap(ctx, expected, claimed) {
+                Ok(_) => return true,
+                Err(actual) if is_held(actual) => return false,
+                Err(actual) => expected = actual,
             }
         }
     }
 
-    /// Releases a held name: the single CAS `HELD(g, owner) → FREE(g)`.
+    /// Releases a held name: the single CAS `HELD(g, owner) → FREE(g)`,
+    /// then the push back onto the free list.
     /// Returns whether **this call** performed the transition — `false`
     /// means a sweeper (or an erroneous double release) got there first, in
     /// which case the call changes nothing; the transition still happened
@@ -376,7 +418,7 @@ impl RobustLeaseTable {
             .compare_and_swap(ctx, word, pack_free(generation(word)))
             .is_ok()
         {
-            self.releases.fetch_add(ctx, 1);
+            self.note_transition(ctx, name);
             obs::count(obs::Metric::RobustRelease);
             obs::event(obs::EventKind::LeaseReleased, name as u64, 0);
             true
@@ -405,7 +447,7 @@ impl RobustLeaseTable {
                     .compare_and_swap(ctx, word, pack_free(generation(word)))
                     .is_ok()
             {
-                self.releases.fetch_add(ctx, 1);
+                self.note_transition(ctx, index + 1);
                 reclaimed += 1;
                 obs::count(obs::Metric::RobustSwept);
                 obs::event(
@@ -704,7 +746,7 @@ impl RobustLeaseTable {
                         )
                         .is_ok()
                 {
-                    self.releases.fetch_add(ctx, 1);
+                    self.note_transition(ctx, name);
                     repaired += 1;
                     obs::count(obs::Metric::RobustSwept);
                     obs::event(obs::EventKind::SweepReclaimed, name as u64, 0);
@@ -727,18 +769,42 @@ impl RobustLeaseTable {
                 .is_ok()
     }
 
+    /// Injects a torn pop — the lowest free name popped but never claimed,
+    /// the state a kill between `acquire`'s pop and its slot CAS leaves
+    /// behind: the slot is free, its list bit clear. Chaos-harness fault
+    /// hook; returns the name, or `None` if the list was empty.
+    pub fn inject_torn_pop(&self, ctx: &mut ProcessCtx) -> Option<usize> {
+        ctx.record(StepKind::ReadModifyWrite);
+        self.free.pop()
+    }
+
+    /// Injects a torn free — `HELD(g) → FREE(g)` with no push and no
+    /// transition count, the state a kill between a release's CAS and its
+    /// push leaves behind. Chaos-harness fault hook; returns whether the
+    /// injection landed (the name was held).
+    pub fn inject_torn_free(&self, ctx: &mut ProcessCtx, name: usize) -> bool {
+        let slot = self.slot(name);
+        let word = slot.read(ctx);
+        is_held(word)
+            && slot
+                .compare_and_swap(ctx, word, pack_free(generation(word)))
+                .is_ok()
+    }
+
     /// A flat copy of the table's observable lease state — every slot word,
-    /// the quarantine bitmap, and the transition count. Two snapshots being
-    /// equal means the namespaces are byte-identical; the recovery
-    /// idempotence tests pin `recover ∘ recover = recover` with it. (The
-    /// recovery epoch itself is deliberately excluded: it is arbitration
-    /// state, not lease state.)
+    /// the quarantine bitmap, the transition count and the free list's
+    /// words ([`FreeList::snapshot_words`]). Two snapshots being equal
+    /// means the namespaces are byte-identical; the recovery idempotence
+    /// tests pin `recover ∘ recover = recover` with it. (The recovery epoch
+    /// itself is deliberately excluded: it is arbitration state, not lease
+    /// state.)
     pub fn state_snapshot(&self) -> Vec<u64> {
         self.slots
             .iter()
             .map(AtomicU64Register::peek)
             .chain(self.quarantine.iter().map(AtomicU64Register::peek))
-            .chain(std::iter::once(self.releases.peek() as u64))
+            .chain(std::iter::once(self.transitions() as u64))
+            .chain(self.free.snapshot_words())
             .collect()
     }
 
@@ -747,10 +813,31 @@ impl RobustLeaseTable {
         &self.slots
     }
 
-    /// Counts a completed `HELD → FREE` transition performed externally by
-    /// the recovery scan (same-crate only).
-    pub(crate) fn note_transition(&self, ctx: &mut ProcessCtx) {
-        self.releases.fetch_add(ctx, 1);
+    /// The table's free list (same-crate only: recovery repairs and
+    /// re-lists it).
+    pub(crate) fn free_list(&self) -> &FreeList {
+        &self.free
+    }
+
+    /// Finishes a `HELD → FREE` transition of `name` that the caller's CAS
+    /// just performed: pushes the name back, then bumps the caller's
+    /// transition stripe. The bump comes last, so a seqlock reader that
+    /// sees it also sees the pushed bit.
+    ///
+    /// The push announces no step of its own: like
+    /// [`Recycler`](crate::recycler::Recycler)'s pushes, it rides on the
+    /// caller's CAS step. Every pop is announced as an anonymous step,
+    /// which conflicts with all others, so schedules still order each pop
+    /// against every push.
+    pub(crate) fn note_transition(&self, ctx: &mut ProcessCtx, name: usize) {
+        self.free.push_unsequenced(name);
+        self.stripes[ctx.id().as_usize() % TRANSITION_STRIPES].fetch_add(ctx, 1);
+    }
+
+    /// The stripe sum as read, one stripe at a time, by `ctx`: the acquire's
+    /// coherent-miss seqlock.
+    fn transitions_seen(&self, ctx: &mut ProcessCtx) -> usize {
+        self.stripes.iter().map(|stripe| stripe.read(ctx)).sum()
     }
 
     /// The owner of a held name, or `None` if the name is free
@@ -769,7 +856,13 @@ impl RobustLeaseTable {
     /// sweepers combined (harness/test inspection). Exactly-once means this
     /// equals the number of completed grants at any quiescent point.
     pub fn transitions(&self) -> usize {
-        self.releases.peek()
+        self.stripes.iter().map(AtomicUsizeRegister::peek).sum()
+    }
+
+    /// The number of names currently on the free list (inspection). Stale
+    /// bits of held slots count too, so this can exceed the free slots.
+    pub fn listed(&self) -> usize {
+        self.free.len()
     }
 
     fn slot(&self, name: usize) -> &AtomicU64Register {
@@ -932,6 +1025,77 @@ mod tests {
     }
 
     #[test]
+    fn a_popped_name_whose_slot_is_held_is_dropped() {
+        let table = RobustLeaseTable::with_capacity(3);
+        let mut ctx = ctx(0);
+        assert_eq!(table.acquire(&mut ctx, 7).unwrap(), 1);
+        // A duplicate push leaves a stale bit for a held name.
+        assert!(table.free_list().push_unsequenced(1));
+        assert_eq!(table.listed(), 3);
+        // The pop finds name 1 held, drops the bit and pops again.
+        assert_eq!(table.acquire(&mut ctx, 8).unwrap(), 2);
+        assert_eq!(table.holder(1), Some(7), "the holder is untouched");
+        assert_eq!(table.listed(), 1);
+        // The holder's release lists the name again, exactly once.
+        assert!(table.release(&mut ctx, 1));
+        assert_eq!(table.acquire(&mut ctx, 9).unwrap(), 1);
+        assert_eq!(table.acquire(&mut ctx, 9).unwrap(), 3);
+        assert!(table.acquire(&mut ctx, 9).is_err());
+    }
+
+    #[test]
+    fn steps_per_grant_do_not_grow_with_live_leases() {
+        // The §1 baseline scans from name 1: its reads grow with the live
+        // leases. A pop-min grant costs the same steps at any occupancy.
+        let table = RobustLeaseTable::with_capacity(1024);
+        let mut ctx = ctx(0);
+        let counted_grant = |ctx: &mut ProcessCtx| {
+            let before = ctx.stats().total_all();
+            let name = table.acquire(ctx, 1).unwrap();
+            (ctx.stats().total_all() - before, name)
+        };
+        for live in [0, 10, 1000] {
+            while table.live_leases() < live {
+                table.acquire(&mut ctx, 1).unwrap();
+            }
+            let (first, name) = counted_grant(&mut ctx);
+            assert_eq!(first, 2, "live {live}: pop, then one CAS on a fresh slot");
+            table.release(&mut ctx, name);
+            let (again, regranted) = counted_grant(&mut ctx);
+            assert_eq!(regranted, name);
+            assert_eq!(again, 3, "live {live}: pop, guessing CAS, claiming CAS");
+            table.release(&mut ctx, name);
+        }
+    }
+
+    /// Re-running the constructor over an attached file arena keeps the
+    /// surviving free list instead of refilling it.
+    #[test]
+    #[cfg(all(unix, not(miri)))]
+    fn attaching_preserves_the_free_list() {
+        let path = std::env::temp_dir().join(format!("robust_attach_{}.arena", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let bytes = RobustLeaseTable::footprint(8);
+        {
+            let arena = Arena::file_create(&path, bytes).unwrap();
+            let table = RobustLeaseTable::with_capacity_in(&arena, 8);
+            let mut ctx = ctx(0);
+            for expected in 1..=3 {
+                assert_eq!(table.acquire(&mut ctx, 5).unwrap(), expected);
+            }
+            assert!(table.release(&mut ctx, 2));
+        }
+        let arena = Arena::file_attach(&path).unwrap();
+        let table = RobustLeaseTable::with_capacity_in(&arena, 8);
+        assert_eq!(table.listed(), 6, "names 2 and 4..=8");
+        let mut ctx = ctx(1);
+        assert_eq!(table.acquire(&mut ctx, 6).unwrap(), 2);
+        assert_eq!(table.acquire(&mut ctx, 6).unwrap(), 4);
+        assert_eq!(table.holder(1), Some(5));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn arena_backed_table_has_an_exact_footprint() {
         let arena = Arena::heap(RobustLeaseTable::footprint(8));
         let table = RobustLeaseTable::with_capacity_in(&arena, 8);
@@ -1090,7 +1254,7 @@ mod tests {
     #[test]
     fn a_release_during_a_gated_wait_is_picked_up() {
         // The gate's purpose: an acquirer that would have failed keeps
-        // rescanning while recovery frees capacity under it.
+        // popping while recovery frees capacity under it.
         let table = Arc::new(RobustLeaseTable::with_capacity(1));
         let mut ctx = ctx(0);
         let name = table.acquire(&mut ctx, 1).unwrap();
@@ -1103,8 +1267,8 @@ mod tests {
                 table.release_admissions(&mut ctx);
             })
         };
-        // Whether the release lands mid-scan (ordinary rescan) or during a
-        // gated snooze (the new path), the acquire must eventually succeed
+        // Whether the release lands between two missing pops (the seqlock
+        // moves) or during a gated snooze, the acquire must eventually succeed
         // once the releaser has run; retry across backoff expiries so the
         // test is schedule-independent.
         let granted = loop {

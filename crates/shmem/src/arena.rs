@@ -197,7 +197,10 @@ pub const ARENA_MAGIC: u64 = 0x0031_764e_4552_4141;
 /// Layout version stamped at [`Arena::file_create`] and required verbatim at
 /// [`Arena::file_attach`]. Bump whenever the byte layout of any
 /// arena-resident structure changes incompatibly.
-pub const ARENA_LAYOUT_VERSION: u64 = 1;
+///
+/// Version 2: the crash-robust lease table gained its free list and
+/// transition stripes, and free-list data words moved to one per line.
+pub const ARENA_LAYOUT_VERSION: u64 = 2;
 
 /// Bytes reserved at the start of a file-backed arena for the validated
 /// header — exactly one allocation line, so the first real allocation still
@@ -1415,6 +1418,24 @@ mod tests {
                 Err(ArenaError::BadHeader(_))
             ));
             std::fs::remove_file(&torn).unwrap();
+        }
+
+        #[test]
+        fn attach_refuses_an_older_layout_version() {
+            let path = scratch_path("version");
+            let arena = Arena::file_create(&path, 1024).expect("file arena");
+            let header = arena.file_header().expect("file arenas have headers");
+            assert_eq!(header.layout_version.load(Ordering::SeqCst), 2);
+            // A file written by a version-1 build: same magic, old layout.
+            header.layout_version.store(1, Ordering::SeqCst);
+            drop(arena);
+            match Arena::file_attach(&path) {
+                Err(ArenaError::BadHeader(reason)) => {
+                    assert!(reason.contains("layout version 1"), "{reason}")
+                }
+                other => panic!("a version-1 arena was not refused: {other:?}"),
+            }
+            std::fs::remove_file(&path).unwrap();
         }
 
         #[test]

@@ -3,10 +3,12 @@
 //! The restart-recovery scan ([`adaptive_renaming::recovery`]) promises
 //! `recover ∘ recover = recover`: running it again — at a later epoch, or
 //! raced from a second fresh attacher at the *same* epoch — must not
-//! change the observable lease state ([`RobustLeaseTable::state_snapshot`])
-//! or the free-list words. These tests pin that over randomized crash
-//! states (live and dead owners, torn lease slots, torn free-list pushes)
-//! and over a real two-thread race for the epoch CAS.
+//! change the observable lease state ([`RobustLeaseTable::state_snapshot`],
+//! which includes the table's own free list) or the words of the free lists
+//! passed in. These tests pin that over randomized crash states (live and
+//! dead owners, torn lease slots, torn pops and frees of the table's free
+//! list, torn free-list pushes) and over a real two-thread race for the
+//! epoch CAS.
 
 use adaptive_renaming::free_list::FreeList;
 use adaptive_renaming::lease::LongLivedRenaming;
@@ -41,6 +43,8 @@ proptest! {
         dead_mask in 0u32..256,
         release_mask in 0u32..256,
         torn_slots in 0usize..3,
+        torn_pops in 0usize..3,
+        torn_frees in 0usize..3,
         torn_push in 1usize..64,
         presume in 0u8..2,
     ) {
@@ -63,6 +67,14 @@ proptest! {
             if release_mask >> (index % 8) & 1 == 1 {
                 table.release(&mut driver, name);
             }
+        }
+        // Kills between a release's CAS and its push, and between an
+        // acquire's pop and its claim: free slots whose list bit is clear.
+        for &name in held.iter().take(torn_frees) {
+            table.inject_torn_free(&mut driver, name);
+        }
+        for _ in 0..torn_pops {
+            table.inject_torn_pop(&mut driver);
         }
         let mut injected = 0;
         for name in 1..=capacity {
@@ -100,7 +112,61 @@ proptest! {
         prop_assert_eq!(replay.reclaimed, 0);
         prop_assert_eq!(table.state_snapshot(), snapshot);
         prop_assert_eq!(free.snapshot_words(), free_words);
+
+        // After a whole-fleet restart nothing is lost: once the quarantine
+        // drains, every name is grantable again, lowest first.
+        if presume_all_dead {
+            table.drain_quarantine(&mut driver);
+            let regranted: Vec<usize> = (0..capacity)
+                .map_while(|_| table.acquire(&mut driver, 9).ok())
+                .collect();
+            prop_assert_eq!(regranted, (1..=capacity).collect::<Vec<_>>());
+        }
     }
+}
+
+/// A kill between `acquire`'s pop and its slot CAS (a torn pop) or between
+/// a release's CAS and its push (a torn free) leaves a free slot whose
+/// free-list bit is clear: the name is lost to acquirers. A whole-fleet
+/// restart recovery re-lists both, and every name is grantable again.
+#[test]
+fn restart_recovery_relists_torn_pops_and_torn_frees() {
+    let capacity = 8;
+    let table = RobustLeaseTable::with_capacity(capacity);
+    let mut driver = ctx(0, 7);
+    let tag = table.register_process(4242).unwrap().tag();
+    for expected in 1..=4 {
+        assert_eq!(table.acquire(&mut driver, tag).unwrap(), expected);
+    }
+    assert!(table.inject_torn_free(&mut driver, 2), "name 2 was held");
+    assert!(!table.inject_torn_free(&mut driver, 2), "and is free now");
+    assert_eq!(table.inject_torn_pop(&mut driver), Some(5));
+    assert_eq!(table.holder(2), None);
+    assert_eq!(table.holder(5), None);
+    assert_eq!(table.listed(), 3, "only 6..=8 are still listed");
+
+    // A recovery that presumes survivors cannot tell a torn pop from a
+    // live acquirer between its pop and its claim: it leaves both alone.
+    let survivors = recover_with(&mut driver, &table, &[], 1, |_| false, false);
+    assert!(survivors.won);
+    assert_eq!((survivors.reclaimed, survivors.relisted), (0, 0));
+    assert_eq!(table.listed(), 3);
+
+    // The restart signature licenses the re-listing.
+    let restart = recover_with(&mut driver, &table, &[], 2, |_| true, true);
+    assert!(restart.won);
+    assert_eq!(restart.reclaimed, 3, "names 1, 3 and 4 had a dead owner");
+    assert_eq!(restart.relisted, 2, "names 2 and 5 were off the list");
+    assert_eq!(table.listed(), capacity);
+
+    let again = recover_with(&mut driver, &table, &[], 3, |_| true, true);
+    assert_eq!((again.reclaimed, again.relisted), (0, 0), "idempotent");
+
+    let regranted: Vec<usize> = (0..capacity)
+        .map(|_| table.acquire(&mut driver, tag).unwrap())
+        .collect();
+    assert_eq!(regranted, (1..=capacity).collect::<Vec<_>>());
+    assert!(table.acquire(&mut driver, tag).is_err(), "exactly full");
 }
 
 /// Two fresh attachers racing `recover_with` at the *same* epoch (the

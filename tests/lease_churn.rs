@@ -10,7 +10,9 @@
 //! `assert_loose_lease_namespace`; the builder-default `BatchedRecycler`
 //! variant checks uniqueness and the `max_concurrent` bound (batching
 //! deliberately trades away per-grant tightness); the free-list properties
-//! pin the lock-free bitmap to a sequential sorted-set model op for op.
+//! pin the lock-free bitmap to a sequential sorted-set model op for op. The
+//! crash-robust `RobustLeaseTable` churns on seeded, replayable `vexec`
+//! schedules and is held to the same tight checker.
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -502,5 +504,50 @@ proptest! {
             drained.push(name);
         }
         prop_assert_eq!(&drained, &expected, "lost or invented names");
+    }
+}
+
+/// The crash-robust lease table pops the minimum free name, so it is held
+/// to the tight long-lived bound: three processes churn acquire/release on
+/// seeded virtual-executor schedules (replayable, independent of machine
+/// load), and every history must pass `assert_tight_lease_namespace`.
+#[test]
+fn robust_table_leases_stay_tight_on_seeded_schedules() {
+    use adaptive_renaming::robust::RobustLeaseTable;
+    use shmem::vexec::VirtualExecutor;
+
+    const PROCS: usize = 3;
+    const ROUNDS: usize = 4;
+    for capacity in [PROCS, 8] {
+        for seed in 0..48u64 {
+            let table = Arc::new(RobustLeaseTable::with_capacity(capacity));
+            let journal = Arc::new(Journal::new());
+            let run = VirtualExecutor::with_seed(seed).run(PROCS, {
+                let (table, journal) = (Arc::clone(&table), Arc::clone(&journal));
+                move |ctx| {
+                    let tag = ctx.id().as_u64() as u32 + 1;
+                    for _ in 0..ROUNDS {
+                        let index = journal.open();
+                        let name = table
+                            .acquire(ctx, tag)
+                            .expect("the capacity covers every process");
+                        journal.grant(index, name);
+                        let started = journal.now();
+                        journal.records.lock()[index].release_started_at = Some(started);
+                        assert!(table.release(ctx, name), "nobody else frees it");
+                        let finished = journal.now();
+                        journal.records.lock()[index].release_finished_at = Some(finished);
+                    }
+                }
+            });
+            assert_eq!(run.outcome.completed().count(), PROCS, "seed {seed}");
+            let records = journal.records.lock().clone();
+            assert_tight_lease_namespace(&records).unwrap_or_else(|violation| {
+                panic!("capacity {capacity}, seed {seed}: {violation}")
+            });
+            assert_eq!(table.live_leases(), 0);
+            assert_eq!(table.transitions(), PROCS * ROUNDS, "exactly once");
+            assert_eq!(table.listed(), capacity, "every name back on the list");
+        }
     }
 }
