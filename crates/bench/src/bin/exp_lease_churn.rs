@@ -13,12 +13,13 @@
 //!   Shard-local atomics take the coherence traffic out of the hot path at
 //!   the price of the documented *loose* bound
 //!   (`namespace ≤ shards × per-shard contention`, names ≤ shards × span).
-//! * **`BatchedRecycler` (the builder default)** — the hierarchical
-//!   recycler behind the builder's default release-batching stash:
-//!   single-lease churn whose releases park in striped stashes and flush to
-//!   the free list in batches of 8. One free-list operation per batch
-//!   instead of per release, at the price of the per-grant tight bound
-//!   (names stay unique and ≤ the concurrency bound).
+//! * **Escrowed `Recycler` (the builder default, `lease_batch(8)`)** — the
+//!   hierarchical recycler with a per-thread escrow: single-lease churn
+//!   whose releases park in the releasing thread's own cache-line slot,
+//!   whose leases take them back from there, and whose full slots spill
+//!   half to the free list in one batch push. At the price of the per-grant
+//!   tight bound (names stay unique and ≤ the concurrency bound). The row
+//!   keeps its historical name, `builder_default_stash8`.
 //! * **`RobustLeaseTable` over forked processes** (unix only) — real
 //!   `fork(2)` children churning the crash-robust lease table through a
 //!   `MAP_SHARED` arena, each stamping its OS pid as the lease owner. The
@@ -52,7 +53,6 @@
 //! committed
 //! `BENCH_lease_churn.json` baseline.
 
-use adaptive_renaming::batched::BatchedRecycler;
 use adaptive_renaming::builder::RenamingBuilder;
 use adaptive_renaming::lease::LongLivedRenaming;
 use adaptive_renaming::recycler::Recycler;
@@ -60,6 +60,7 @@ use adaptive_renaming::sharded::ShardedRecycler;
 use adaptive_renaming::traits::Renaming;
 use renaming_bench::{fmt1, parse_baseline_rows, GateReport, Table};
 use shmem::adversary::ExecConfig;
+use shmem::arena::Arena;
 use shmem::executor::Executor;
 use shmem::register::AtomicU64Register;
 use std::sync::Arc;
@@ -71,7 +72,8 @@ const WIDTH: usize = 64;
 const SHARD_SPAN: usize = 8;
 /// Live leases allowed per shard (the loose per-shard admission bound).
 const PER_SHARD_MAX: usize = 2;
-/// Leases per call of the batched variant (amortized admission + release).
+/// Leases per call of the batched variant (amortized admission + release),
+/// and the escrow quota of the builder-default row.
 const BATCH: usize = 8;
 
 /// Run sizing; the full sweep feeds `BENCH_lease_churn.json`, the smoke
@@ -242,6 +244,16 @@ fn network(capacity: usize) -> Arc<dyn Renaming> {
         .hardware_comparators()
         .build()
         .expect("valid configuration")
+}
+
+/// The object `build_long_lived` makes from the same configuration with
+/// `.lease_batch(BATCH)`: a recycler over `network(WIDTH)` with a
+/// per-thread escrow of quota `BATCH`. Built directly so the row can read
+/// its fresh/recycled split.
+fn escrowed_recycler(threads: usize) -> Arc<Recycler<Arc<dyn Renaming>>> {
+    let inner = network(WIDTH);
+    let arena = Arena::heap(Recycler::footprint(&inner, threads, BATCH));
+    Arc::new(Recycler::new_in(inner, threads, BATCH, &arena))
 }
 
 /// Measures the crash-robust lease table shared across **forked OS
@@ -441,17 +453,13 @@ fn run_sweep(sizing: &Sizing) -> Vec<Sample> {
             },
         ));
 
-        // --- Builder-default stash: single leases, batched releases -------
-        // The same recycler behind the BatchedRecycler wrapper the builder
-        // installs by default: plain lease/release per cycle
-        // (no caller-side batching), with the release cost amortized by the
-        // stripe stashes. Names stay within the concurrency bound but lose
-        // the per-grant tightness, so the row is labelled loose.
-        let stash_inner = Arc::new(Recycler::new(network(WIDTH), threads));
-        let stash = Arc::new(BatchedRecycler::new(
-            Arc::clone(&stash_inner) as Arc<dyn LongLivedRenaming>,
-            BATCH,
-        ));
+        // --- Builder-default escrow: single leases through thread slots ----
+        // The same recycler with the per-thread escrow the builder installs
+        // by default: plain lease/release per cycle (no caller-side
+        // batching), served from each worker's own slot. Names stay within
+        // the concurrency bound but lose the per-grant tightness, so the row
+        // is labelled loose.
+        let stash = escrowed_recycler(threads);
         samples.push(measure(
             sizing,
             VariantSpec {
@@ -462,16 +470,16 @@ fn run_sweep(sizing: &Sizing) -> Vec<Sample> {
                 inner_capacity: WIDTH,
             },
             {
-                let stash_inner = Arc::clone(&stash_inner);
-                move || (stash_inner.fresh_names(), stash_inner.recycled_names())
+                let stash = Arc::clone(&stash);
+                move || (stash.fresh_names(), stash.recycled_names())
             },
             {
                 let stash = Arc::clone(&stash);
                 move |ctx, _| {
-                    // Stashed names hold admission slots until their batch
-                    // flushes, so a lease can spuriously collide with an
-                    // in-flight release; retry until the name lands (the
-                    // stash sweep finds it on the next pass).
+                    // Escrowed names hold admission slots, so a lease can
+                    // spuriously collide with a spill in flight; retry until
+                    // the name lands (the steal sweep finds it on the next
+                    // pass).
                     let name = loop {
                         if let Ok(name) = stash.lease_raw(ctx) {
                             break name;
@@ -725,10 +733,7 @@ fn write_obs_json(sizing: &Sizing) -> std::io::Result<()> {
             }),
         );
 
-        let stash = Arc::new(BatchedRecycler::new(
-            Arc::new(Recycler::new(network(WIDTH), threads)) as Arc<dyn LongLivedRenaming>,
-            BATCH,
-        ));
+        let stash = escrowed_recycler(threads);
         push_row(
             "builder_default_stash8",
             threads,

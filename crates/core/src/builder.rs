@@ -26,12 +26,11 @@
 //! ```
 
 use crate::adaptive::AdaptiveRenaming;
-use crate::batched::BatchedRecycler;
 use crate::bit_batching::BitBatchingRenaming;
 use crate::error::RenamingError;
 use crate::lease::LongLivedRenaming;
 use crate::linear_probe::LinearProbeRenaming;
-use crate::recycler::Recycler;
+use crate::recycler::{Recycler, MAX_ESCROW_QUOTA};
 use crate::renaming_network::RenamingNetwork;
 use crate::sharded::ShardedRecycler;
 use crate::traits::Renaming;
@@ -209,7 +208,7 @@ impl RenamingBuilder {
     /// the documented loose one — see the
     /// [`sharded`](crate::sharded) module docs for when that is acceptable.
     ///
-    /// `shards == 1` (the default) builds a plain tight [`Recycler`];
+    /// `shards == 1` (the default) builds a single [`Recycler`];
     /// `shards > 1` makes [`RenamingBuilder::build`] fail, since sharding
     /// only applies to the long-lived form.
     pub fn sharded(mut self, shards: usize) -> Self {
@@ -217,42 +216,41 @@ impl RenamingBuilder {
         self
     }
 
-    /// Sets the release-batching factor of the long-lived object produced
-    /// by [`RenamingBuilder::build_long_lived`]. The default (`8`) wraps
-    /// the recycler in a [`BatchedRecycler`]: releases park in striped
-    /// stashes and flush to the free list in batches of this size, paying
-    /// one free-list operation per batch instead of per release — the right
-    /// trade under churn, at the price of the *per-grant* tight namespace
-    /// bound (names stay unique and within `max_concurrent`, but a lease
-    /// may carry a name above its grant-time point contention; see the
-    /// [`batched`](crate::batched) module docs). `.lease_batch(1)` skips
-    /// the wrapper and restores the bare tight recycler.
+    /// Sets the escrow quota `q` of the long-lived object produced by
+    /// [`RenamingBuilder::build_long_lived`]. By default (`8`) every
+    /// recycler parks released names in a per-thread escrow slot that the
+    /// thread's next lease takes them back from, so churn touches only the
+    /// caller's cache line. The price is the *per-grant* tight bound: names
+    /// stay unique and within `max_concurrent`, and within the escrow bound
+    /// checked by
+    /// [`assert_escrow_lease_namespace`](crate::lease::assert_escrow_lease_namespace)
+    /// (see the [`recycler`](crate::recycler) module docs).
+    /// `.lease_batch(1)` builds the bare, tight recycler.
     ///
-    /// Ignored by [`RenamingBuilder::build`]; `0` is rejected at build
-    /// time.
+    /// Ignored by [`RenamingBuilder::build`]; `0` and values above
+    /// [`MAX_ESCROW_QUOTA`] (15) are rejected at build time.
     pub fn lease_batch(mut self, batch: usize) -> Self {
         self.lease_batch = batch;
         self
     }
 
     /// Places the recycler layer's words in the given [`Arena`] instead of
-    /// private heap allocations: each recycler's free list and its four
-    /// admission counters (tickets, granted, peak, leaked), plus the
-    /// sharded layer's misuse counter. Size the arena generously (the
-    /// recycler layers report exact footprints via [`Recycler::footprint`]
-    /// / [`ShardedRecycler::footprint`]); the build panics if the arena
-    /// runs out of space. Ignored by the one-shot
+    /// private heap allocations: each recycler's free list, its four
+    /// admission counters (tickets, granted, peak, leaked) and its escrow
+    /// slots, plus the sharded layer's misuse counter. Size the arena
+    /// generously (the recycler layers report exact footprints via
+    /// [`Recycler::footprint`] / [`ShardedRecycler::footprint`]); the build
+    /// panics if the arena runs out of space. Ignored by the one-shot
     /// [`RenamingBuilder::build`].
     ///
-    /// Everything else stays on the private heap even when the arena uses
-    /// the [`shared`](shmem::arena::ArenaBackend::Shared) backend: the
-    /// inner one-shot object (the comparator slab's lazily initialized
-    /// cells, or the adaptive algorithm's lock-guarded network sections)
-    /// and the [`BatchedRecycler`] release stashes. The object is therefore
-    /// **not** safe to share across processes: a `fork(2)` child gets
-    /// private copies of that state, so two processes would run fresh
-    /// acquisitions against different comparators and could both grant a
-    /// stashed name. For names leased by several processes, use
+    /// The inner one-shot object (the comparator slab's lazily initialized
+    /// cells, or the adaptive algorithm's lazily built network sections)
+    /// stays on the private heap even when the arena uses the
+    /// [`shared`](shmem::arena::ArenaBackend::Shared) backend. The object
+    /// is therefore **not** safe to share across processes: a `fork(2)`
+    /// child gets a private copy of that state, so two processes would run
+    /// fresh acquisitions against different comparators and could grant
+    /// one name twice. For names leased by several processes, use
     /// [`RobustLeaseTable`](crate::robust::RobustLeaseTable), whose whole
     /// state lives in the arena.
     pub fn arena(mut self, arena: &Arc<Arena>) -> Self {
@@ -385,9 +383,9 @@ impl RenamingBuilder {
     /// with [`RenamingBuilder::sharded`], builds one object per shard and
     /// wraps them in a [`ShardedRecycler`] — yielding a long-lived renaming
     /// object whose leases recycle released names through a lock-free
-    /// [`FreeList`](crate::free_list::FreeList). Unless [`RenamingBuilder::lease_batch`] is set to
-    /// 1, the result is additionally wrapped in a [`BatchedRecycler`] that
-    /// amortizes release traffic in batches (of 8 by default).
+    /// [`FreeList`](crate::free_list::FreeList). Unless
+    /// [`RenamingBuilder::lease_batch`] is set to 1, every recycler also
+    /// gets a per-thread escrow of that quota (8 by default).
     ///
     /// The concurrency bound is [`RenamingBuilder::max_concurrent`] if set,
     /// otherwise the capacity; a sharded object splits it evenly, giving
@@ -406,9 +404,9 @@ impl RenamingBuilder {
                 reason: "a sharded recycler needs at least one shard",
             });
         }
-        if self.lease_batch == 0 {
+        if self.lease_batch == 0 || self.lease_batch > MAX_ESCROW_QUOTA {
             return Err(RenamingError::InvalidConfiguration {
-                reason: "the lease batch must be at least 1 (1 disables batching)",
+                reason: "the lease batch must be in 1..=15 (1 disables the escrow)",
             });
         }
         let max_concurrent =
@@ -434,22 +432,18 @@ impl RenamingBuilder {
                 });
             }
         }
-        let recycler: Arc<dyn LongLivedRenaming> = match (self.shards, &self.arena) {
-            (1, None) => {
-                let inner = inners.into_iter().next().expect("one shard");
-                Arc::new(Recycler::new(inner, per_shard_max))
-            }
-            (1, Some(arena)) => {
-                let inner = inners.into_iter().next().expect("one shard");
-                Arc::new(Recycler::new_in(inner, per_shard_max, arena))
-            }
-            (_, None) => Arc::new(ShardedRecycler::new(inners, per_shard_max)),
-            (_, Some(arena)) => Arc::new(ShardedRecycler::new_in(inners, per_shard_max, arena)),
-        };
-        if self.lease_batch > 1 {
-            Ok(Arc::new(BatchedRecycler::new(recycler, self.lease_batch)))
+        let (max, quota) = (per_shard_max, self.lease_batch);
+        let quota = if quota > 1 { quota } else { 0 };
+        let arena = |footprint| self.arena.clone().unwrap_or_else(|| Arena::heap(footprint));
+        if self.shards == 1 {
+            let inner = inners.into_iter().next().expect("one shard");
+            let arena = arena(Recycler::footprint(&inner, max, quota));
+            Ok(Arc::new(Recycler::new_in(inner, max, quota, &arena)))
         } else {
-            Ok(recycler)
+            let arena = arena(ShardedRecycler::footprint(&inners, max, quota));
+            Ok(Arc::new(ShardedRecycler::new_in(
+                inners, max, quota, &arena,
+            )))
         }
     }
 }
@@ -576,29 +570,35 @@ mod tests {
             .lease_batch(0)
             .build_long_lived();
         assert!(zero_batch.is_err());
+        let oversized_batch = <dyn Renaming>::builder()
+            .network()
+            .capacity(8)
+            .lease_batch(16) // one escrow slot holds at most 15 names
+            .build_long_lived();
+        assert!(oversized_batch.is_err());
     }
 
     #[test]
     fn lease_batching_is_the_long_lived_default_and_is_disableable() {
-        // The default long-lived object batches releases: after a
-        // lease/release round trip the name is parked, not yet flushed, and
-        // the next lease recycles it from the stash.
-        let batched = <dyn Renaming>::builder()
+        // The default long-lived object has a per-thread escrow: after a
+        // lease/release round trip the name is parked in this thread's slot,
+        // and the next lease takes it back from there.
+        let escrowed = <dyn Renaming>::builder()
             .network()
             .capacity(32)
             .max_concurrent(4)
             .build_long_lived()
             .unwrap();
         let mut ctx = ProcessCtx::new(ProcessId::new(0), 13);
-        let name = batched.lease_raw(&mut ctx).unwrap();
-        batched.release_raw(name);
-        assert_eq!(batched.live_leases(), 0);
-        assert_eq!(batched.lease_raw(&mut ctx).unwrap(), name);
-        batched.release_raw(name);
+        let name = escrowed.lease_raw(&mut ctx).unwrap();
+        escrowed.release_raw(name);
+        assert_eq!(escrowed.live_leases(), 0);
+        assert_eq!(escrowed.lease_raw(&mut ctx).unwrap(), name);
+        escrowed.release_raw(name);
 
-        // .lease_batch(1) restores the bare tight recycler: a release goes
+        // .lease_batch(1) builds the bare tight recycler: a release goes
         // straight to the free list, so the free-list pop serves the next
-        // lease and live accounting matches the recycler's.
+        // lease.
         let tight = <dyn Renaming>::builder()
             .network()
             .capacity(32)

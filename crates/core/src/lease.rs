@@ -307,6 +307,24 @@ pub struct LeaseRecord {
 ///
 /// Returns `Err` with a human-readable description of the first violation.
 pub fn assert_tight_lease_namespace(records: &[LeaseRecord]) -> Result<(), String> {
+    check_lease_namespace(records, None)
+}
+
+/// Checks a lease-churn history against the bound of a recycler with a
+/// per-thread escrow (see the [`recycler`](crate::recycler) module docs):
+/// uniqueness as in [`assert_tight_lease_namespace`], and every granted
+/// name at most the highest grant-window point contention of any grant up
+/// to and including it, plus `slack` (`P·q` for quota `q` and `P` slots in
+/// use). Returns `Err` describing the first violation.
+pub fn assert_escrow_lease_namespace(records: &[LeaseRecord], slack: usize) -> Result<(), String> {
+    check_lease_namespace(records, Some(slack))
+}
+
+/// The tight check (`escrow_slack == None`) or the escrow check.
+fn check_lease_namespace(
+    records: &[LeaseRecord],
+    escrow_slack: Option<usize>,
+) -> Result<(), String> {
     const INFINITY: u64 = u64::MAX;
 
     // --- 1. uniqueness: per name, hold intervals must not overlap. --------
@@ -367,16 +385,30 @@ pub fn assert_tight_lease_namespace(records: &[LeaseRecord]) -> Result<(), Strin
             .fold(before, i64::max)
     };
 
-    for r in records {
-        let (Some(name), Some(granted)) = (r.name, r.granted_at) else {
-            continue;
-        };
-        let contention = peak_between(r.requested_at, granted);
-        if (name as i64) > contention {
-            return Err(format!(
-                "name {name} granted at t={granted} exceeds the point \
-                 contention {contention} of its grant window"
-            ));
+    let mut grants: Vec<(u64, usize, i64)> = records
+        .iter()
+        .filter_map(|r| {
+            let (name, granted) = (r.name?, r.granted_at?);
+            Some((granted, name, peak_between(r.requested_at, granted)))
+        })
+        .collect();
+    grants.sort_unstable();
+    let mut highest = 0;
+    for (granted, name, contention) in grants {
+        highest = highest.max(contention);
+        let limit = escrow_slack.map_or(contention, |slack| highest + slack as i64);
+        if name as i64 > limit {
+            return Err(match escrow_slack {
+                None => format!(
+                    "name {name} granted at t={granted} exceeds the point \
+                     contention {contention} of its grant window"
+                ),
+                Some(slack) => format!(
+                    "name {name} granted at t={granted} exceeds the highest \
+                     grant-window contention so far ({highest}) plus the \
+                     escrow slack {slack}"
+                ),
+            });
         }
     }
     Ok(())
@@ -545,6 +577,21 @@ mod tests {
     #[test]
     fn empty_histories_are_trivially_tight() {
         assert!(assert_tight_lease_namespace(&[]).is_ok());
+    }
+
+    #[test]
+    fn escrow_checker_allows_the_slack_above_the_running_peak() {
+        // Two overlapping grants reach contention 2; a later solo grant
+        // (contention 1) may carry an escrowed name up to 2 + slack.
+        let history = [
+            record(1, 0, 2, Some(6), Some(7)),
+            record(2, 1, 3, Some(4), Some(5)),
+            record(3, 8, 9, Some(10), Some(11)),
+        ];
+        assert!(assert_tight_lease_namespace(&history).is_err());
+        assert!(assert_escrow_lease_namespace(&history, 1).is_ok());
+        let error = assert_escrow_lease_namespace(&history, 0).unwrap_err();
+        assert!(error.contains("escrow slack 0"), "{error}");
     }
 
     #[test]

@@ -42,12 +42,14 @@
 //! [`LongLivedRenaming`] object whose
 //! [`NameLease`] guards recycle released names through a
 //! lock-free [`FreeList`] (a two-level bitmap with an `O(1)`-expected
-//! lowest-free-name pop). For shard-local throughput under heavy churn,
-//! [`ShardedRecycler`] trades the tight namespace bound for a documented
-//! *loose* one (`.sharded(n)` on the builder), and [`BatchedRecycler`] —
-//! the builder's default under churn, `.lease_batch(n)` — parks releases in
-//! striped stashes that flush in batches, paying one free-list operation
-//! per batch instead of per release.
+//! lowest-free-name pop). The builder's default long-lived object gives its
+//! recycler a per-thread *escrow* (`.lease_batch(q)`, `q = 8`): a release
+//! parks the name in the calling thread's own cache-line slot and the
+//! thread's next lease takes it back, so steady churn touches no shared
+//! line, at the price of the per-grant tight bound (see the [`recycler`]
+//! module docs for the exact bound). For shard-local throughput under
+//! heavy churn, [`ShardedRecycler`] trades the tight namespace bound for a
+//! documented *loose* one (`.sharded(n)` on the builder).
 //!
 //! # Quick start
 //!
@@ -75,7 +77,6 @@
 
 pub mod adaptive;
 pub mod backoff;
-pub mod batched;
 pub mod bit_batching;
 pub mod builder;
 pub mod comparator_slab;
@@ -95,7 +96,6 @@ pub mod temp_name;
 pub mod traits;
 
 pub use adaptive::AdaptiveRenaming;
-pub use batched::BatchedRecycler;
 pub use bit_batching::BitBatchingRenaming;
 pub use builder::{Algorithm, ComparatorKind, RenamingBuilder};
 pub use comparator_slab::ComparatorSlab;
@@ -104,8 +104,8 @@ pub use error::RenamingError;
 pub use fetch_increment::BoundedFetchIncrement;
 pub use free_list::FreeList;
 pub use lease::{
-    assert_loose_lease_namespace, assert_tight_lease_namespace, LeaseRecord, LongLivedRenaming,
-    NameLease,
+    assert_escrow_lease_namespace, assert_loose_lease_namespace, assert_tight_lease_namespace,
+    LeaseRecord, LongLivedRenaming, NameLease,
 };
 pub use linear_probe::LinearProbeRenaming;
 pub use ltas::BoundedTas;

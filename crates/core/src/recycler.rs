@@ -37,19 +37,63 @@
 //! double release is detected by the `fetch_or` (the duplicate is rejected
 //! and counted in [`Recycler::leaked_names`]).
 //!
+//! # The per-thread escrow
+//!
+//! With an escrow quota `q ≥ 1` ([`Recycler::new_in`]; the builder default
+//! is `q = 8`) released names park in 64 arena-resident slots of one cache
+//! line each: a header word (busy flag, length) and up to 15 names. A
+//! thread's slot is a thread-local index drawn once from a global counter,
+//! modulo 64, so a slot's line is normally written by one thread only.
+//!
+//! * **Lease** (one modelled read-modify-write): try-lock the caller's slot
+//!   with one RMW, pop the newest name, unlock. A busy or empty slot falls
+//!   back to the admission + free-list grant; if that is rejected for
+//!   capacity, the lease sweeps every slot and steals a parked name first,
+//!   so names parked by another or an exited thread never cause a spurious
+//!   reject.
+//! * **Release:** try-lock the caller's slot and append the name. A slot
+//!   holding `q` names keeps its newest `q/2` and spills the rest plus this
+//!   name with one [`FreeList::push_many`] (one seqlock bump). A busy slot
+//!   sends the name to the free list. Batch leases and releases bypass the
+//!   escrow.
+//! * **Critical sections** record no modelled step, allocate nothing and
+//!   cannot panic, so the virtual executor never parks a slot holder and a
+//!   sweeper's [`Backoff`] wait on a busy slot ends.
+//!
+//! Escrowed names keep their admission slots (admission counts
+//! `granted − pushes`), so `max_concurrent` bounds leases plus parked names
+//! exactly; [`LongLivedRenaming::live_leases`] subtracts the parked names.
+//! The trade: an escrowed name was granted earlier, perhaps at higher
+//! contention, so the per-grant tight bound is lost. What holds, with `P`
+//! slots in use, is that every granted name is at most the highest point
+//! contention of any grant up to and including it, plus `P·q`: the bound
+//! [`assert_escrow_lease_namespace`] checks on seeded virtual-executor
+//! churn in `tests/lease_churn.rs`. (Under real threads a spill in flight
+//! briefly holds up to `⌈q/2⌉` more names of its slot.)
+//!
+//! A release drops a duplicate of a name still parked in its own slot,
+//! counted in [`Recycler::leaked_names`]; a duplicate whose first copy left
+//! that slot (spilled, stolen, or released by another thread) is caught
+//! only if it spills while the other copy is on the free list. Names parked
+//! by a process that dies stay parked until a steal sweep finds them; crash
+//! recovery does not drain escrows.
+//!
 //! For shard-local throughput at the price of a *loose* namespace bound, see
 //! [`ShardedRecycler`](crate::sharded::ShardedRecycler), which spreads
 //! leases over several independent recyclers.
+//!
+//! [`assert_escrow_lease_namespace`]: crate::lease::assert_escrow_lease_namespace
 
+use crate::backoff::Backoff;
 use crate::error::RenamingError;
 use crate::free_list::FreeList;
 use crate::lease::{LongLivedRenaming, NameLease};
 use crate::traits::Renaming;
-use shmem::arena::{Arena, ArenaRef};
+use shmem::arena::{Arena, ArenaRef, ArenaSliceRef};
 use shmem::process::ProcessCtx;
 use shmem::steps::StepKind;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Headroom multiplier used to size the free list of a recycler over an
@@ -58,6 +102,155 @@ use std::sync::Arc;
 /// (they would exceed the admission limit); if one appears it is leaked, not
 /// lost.
 const UNBOUNDED_FREELIST_HEADROOM: usize = 4;
+
+/// Escrow slots per recycler; a thread uses slot `index % ESCROW_SLOTS`.
+const ESCROW_SLOTS: usize = 64;
+/// `u32` words per escrow slot — one 64-byte cache line: the header word,
+/// then up to [`MAX_ESCROW_QUOTA`] names, oldest first.
+const SLOT_WORDS: usize = 16;
+/// The largest escrow quota: the names that fit in one slot.
+pub const MAX_ESCROW_QUOTA: usize = SLOT_WORDS - 1;
+/// The header's busy flag; the low bits hold the slot's length.
+const BUSY: u32 = 1 << 31;
+
+/// Hands each thread its escrow slot index, in order of first use.
+static NEXT_ESCROW_SLOT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    // lint: relaxed-ok(an index ticket; threads sharing a slot stay correct)
+    static ESCROW_SLOT: usize = NEXT_ESCROW_SLOT.fetch_add(1, Ordering::Relaxed) % ESCROW_SLOTS;
+}
+
+/// The calling thread's escrow slot index, the same for every recycler.
+#[inline]
+fn home_slot() -> usize {
+    ESCROW_SLOT.with(|slot| *slot)
+}
+
+/// One escrow slot: `[header, name₁, …, name₁₅]`.
+type Slot = [AtomicU32; SLOT_WORDS];
+
+/// Try-locks `slot` with one RMW on its line; returns its length when the
+/// lock was free. The length is clamped so that no index derived from it can
+/// leave the slot, which keeps every critical section panic-free.
+#[inline]
+fn try_lock(slot: &Slot) -> Option<usize> {
+    let header = slot[0].fetch_or(BUSY, Ordering::Acquire);
+    (header & BUSY == 0).then_some((header as usize).min(MAX_ESCROW_QUOTA))
+}
+
+/// Publishes the slot's names and new length, releasing the lock.
+#[inline]
+fn unlock(slot: &Slot, len: usize) {
+    slot[0].store(len as u32, Ordering::Release);
+}
+
+/// Reads a name word of a slot the caller has locked.
+#[inline]
+fn read(word: &AtomicU32) -> usize {
+    word.load(Ordering::Relaxed) as usize // lint: relaxed-ok(slot words are accessed under the slot lock, whose Acquire/Release orders them)
+}
+
+/// Writes a name word of a slot the caller has locked.
+#[inline]
+fn write(word: &AtomicU32, name: usize) {
+    word.store(name as u32, Ordering::Relaxed); // lint: relaxed-ok(slot words are accessed under the slot lock, whose Acquire/Release orders them)
+}
+
+/// What a release into the caller's escrow slot did with the name.
+enum Parked {
+    /// Appended to the slot.
+    Kept,
+    /// Already in the slot: a double release, dropped.
+    Duplicate,
+    /// The slot was full: these names (its oldest plus the released one)
+    /// left it and must go to the free list.
+    Spilled([usize; SLOT_WORDS], usize),
+    /// Another thread holds the slot.
+    Busy,
+}
+
+/// The per-thread escrow of a [`Recycler`] (see the module docs).
+struct Escrow {
+    /// `ESCROW_SLOTS` slots of `SLOT_WORDS` words, one cache line each.
+    words: ArenaSliceRef<AtomicU32>,
+    quota: usize,
+}
+
+impl Escrow {
+    fn new_in(arena: &Arc<Arena>, quota: usize) -> Self {
+        Escrow {
+            words: arena.alloc_slice(ESCROW_SLOTS * SLOT_WORDS).pin(arena),
+            quota,
+        }
+    }
+
+    #[inline]
+    fn slot(&self, index: usize) -> &Slot {
+        &self.words.as_chunks::<SLOT_WORDS>().0[index % ESCROW_SLOTS]
+    }
+
+    /// Pops the newest name of slot `index`; `None` if it is empty, or if
+    /// it is busy and `wait` is false. Waiting uses [`Backoff`]: a holder
+    /// never blocks, so the wait ends.
+    #[inline]
+    fn pop(&self, index: usize, wait: bool) -> Option<usize> {
+        let slot = self.slot(index);
+        let mut backoff = Backoff::new();
+        let len = loop {
+            match try_lock(slot) {
+                Some(len) => break len,
+                None if wait => backoff.snooze(),
+                None => return None,
+            }
+        };
+        let name = (len > 0).then(|| read(&slot[len]));
+        unlock(slot, len - usize::from(name.is_some()));
+        name
+    }
+
+    /// Steals one name, visiting every slot once from `from` and waiting
+    /// out busy ones; `None` when every slot is empty.
+    fn steal(&self, from: usize) -> Option<usize> {
+        (0..ESCROW_SLOTS).find_map(|offset| {
+            // An unlocked empty slot has a zero header: skip it unwritten.
+            let index = from + offset;
+            (self.slot(index)[0].load(Ordering::Acquire) != 0)
+                .then(|| self.pop(index, true))
+                .flatten()
+        })
+    }
+
+    /// Parks `name` in slot `index` (see [`Parked`]).
+    #[inline]
+    fn park(&self, index: usize, name: usize) -> Parked {
+        let slot = self.slot(index);
+        let Some(len) = try_lock(slot) else {
+            return Parked::Busy;
+        };
+        let names = &slot[1..=len];
+        if names.iter().any(|held| read(held) == name) {
+            unlock(slot, len);
+            return Parked::Duplicate;
+        }
+        if len < self.quota {
+            write(&slot[len + 1], name);
+            unlock(slot, len + 1);
+            return Parked::Kept;
+        }
+        // Full: spill the oldest names plus this one, keep the newest half.
+        let spill = len - self.quota / 2;
+        let mut spilled = [name; SLOT_WORDS];
+        for (out, held) in spilled.iter_mut().zip(&names[..spill]) {
+            *out = read(held);
+        }
+        for (to, from) in names.iter().zip(&names[spill..]) {
+            write(to, read(from));
+        }
+        unlock(slot, len - spill);
+        Parked::Spilled(spilled, spill + 1)
+    }
+}
 
 /// Adapts a one-shot [`Renaming`] object into a [`LongLivedRenaming`] object
 /// by recycling released names through a lock-free free list.
@@ -112,11 +305,14 @@ pub struct Recycler<R: Renaming> {
     granted: ArenaRef<AtomicUsize>,
     peak: ArenaRef<AtomicUsize>,
     leaked: ArenaRef<AtomicUsize>,
+    /// The per-thread escrow, when built with a quota (see the module docs).
+    escrow: Option<Escrow>,
 }
 
 impl<R: Renaming> Recycler<R> {
     /// Wraps `inner`, allowing at most `max_concurrent` simultaneously live
-    /// leases.
+    /// leases. The recycler has no escrow: every release goes straight to
+    /// the free list, and every grant is tight.
     ///
     /// # Panics
     ///
@@ -124,33 +320,79 @@ impl<R: Renaming> Recycler<R> {
     /// capacity (a bounded object cannot serve more concurrent holders than
     /// it has names).
     pub fn new(inner: R, max_concurrent: usize) -> Self {
-        let bound = Self::checked_bound(&inner, max_concurrent);
-        let arena = Arena::heap(Self::footprint_for(bound));
-        Self::build(inner, max_concurrent, bound, arena)
+        let arena = Arena::heap(Self::footprint(&inner, max_concurrent, 0));
+        Self::new_in(inner, max_concurrent, 0, &arena)
     }
 
-    /// Like [`Recycler::new`], but places the free list and the header
-    /// counters in the caller's `arena`. The caller must reserve at least
+    /// Like [`Recycler::new`], but with a per-thread escrow of up to
+    /// `escrow_quota` names per slot (`0` for none; see the module docs),
+    /// and with the free list, the header counters and the escrow slots
+    /// placed in the caller's `arena`. The caller must reserve at least
     /// [`Recycler::footprint`] bytes for this recycler. The inner one-shot
     /// object stays on the private heap, so a shared arena alone does not
     /// make the recycler safe to use from several processes.
     ///
     /// # Panics
     ///
-    /// As [`Recycler::new`].
-    pub fn new_in(inner: R, max_concurrent: usize, arena: &Arc<Arena>) -> Self {
+    /// As [`Recycler::new`], and if `escrow_quota` exceeds
+    /// [`MAX_ESCROW_QUOTA`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use adaptive_renaming::lease::LongLivedRenaming;
+    /// use adaptive_renaming::recycler::Recycler;
+    /// use adaptive_renaming::renaming_network::RenamingNetwork;
+    /// use shmem::arena::Arena;
+    /// use shmem::process::{ProcessCtx, ProcessId};
+    /// use sortnet::batcher::odd_even_network;
+    ///
+    /// let inner = RenamingNetwork::<_>::new(odd_even_network(16));
+    /// let arena = Arena::heap(Recycler::footprint(&inner, 4, 4));
+    /// let recycler = Recycler::new_in(inner, 4, 4, &arena);
+    /// let mut ctx = ProcessCtx::new(ProcessId::new(0), 1);
+    ///
+    /// let name = recycler.lease_raw(&mut ctx).unwrap();
+    /// recycler.release_raw(name); // parked in this thread's slot
+    /// assert_eq!(recycler.escrowed_names(), 1);
+    /// assert_eq!(recycler.free_names(), 0, "the free list never saw it");
+    /// assert_eq!(recycler.live_leases(), 0);
+    /// assert_eq!(recycler.lease_raw(&mut ctx).unwrap(), name, "taken back");
+    /// ```
+    pub fn new_in(
+        inner: R,
+        max_concurrent: usize,
+        escrow_quota: usize,
+        arena: &Arc<Arena>,
+    ) -> Self {
         let bound = Self::checked_bound(&inner, max_concurrent);
-        Self::build(inner, max_concurrent, bound, Arc::clone(arena))
+        assert!(
+            escrow_quota <= MAX_ESCROW_QUOTA && (escrow_quota == 0 || bound <= u32::MAX as usize),
+            "an escrow slot holds at most {MAX_ESCROW_QUOTA} names, stored as u32"
+        );
+        Recycler {
+            inner,
+            free: FreeList::new_in(arena, bound),
+            tickets: arena.alloc::<AtomicUsize>().pin(arena),
+            max_concurrent,
+            granted: arena.alloc::<AtomicUsize>().pin(arena),
+            peak: arena.alloc::<AtomicUsize>().pin(arena),
+            leaked: arena.alloc::<AtomicUsize>().pin(arena),
+            escrow: (escrow_quota > 0).then(|| Escrow::new_in(arena, escrow_quota)),
+            arena: Arc::clone(arena),
+        }
     }
 
     /// The number of arena bytes a recycler of this shape allocates: the
-    /// free list plus four header counter lines.
-    pub fn footprint(inner: &R, max_concurrent: usize) -> usize {
-        Self::footprint_for(Self::checked_bound(inner, max_concurrent))
-    }
-
-    fn footprint_for(bound: usize) -> usize {
-        FreeList::footprint(bound) + 4 * 64
+    /// free list, four header counter lines and, with a nonzero quota, the
+    /// 64 escrow slot lines.
+    pub fn footprint(inner: &R, max_concurrent: usize, escrow_quota: usize) -> usize {
+        let escrow = if escrow_quota > 0 {
+            ESCROW_SLOTS * 64
+        } else {
+            0
+        };
+        FreeList::footprint(Self::checked_bound(inner, max_concurrent)) + 4 * 64 + escrow
     }
 
     fn checked_bound(inner: &R, max_concurrent: usize) -> usize {
@@ -171,41 +413,8 @@ impl<R: Renaming> Recycler<R> {
         }
     }
 
-    fn build(inner: R, max_concurrent: usize, bound: usize, arena: Arc<Arena>) -> Self {
-        Recycler {
-            inner,
-            free: FreeList::new_in(&arena, bound),
-            tickets: arena.alloc::<AtomicUsize>().pin(&arena),
-            max_concurrent,
-            granted: arena.alloc::<AtomicUsize>().pin(&arena),
-            peak: arena.alloc::<AtomicUsize>().pin(&arena),
-            leaked: arena.alloc::<AtomicUsize>().pin(&arena),
-            arena,
-        }
-    }
-
-    #[inline]
-    fn tickets(&self) -> &AtomicUsize {
-        &self.tickets
-    }
-
-    #[inline]
-    fn granted(&self) -> &AtomicUsize {
-        &self.granted
-    }
-
-    #[inline]
-    fn peak(&self) -> &AtomicUsize {
-        &self.peak
-    }
-
-    #[inline]
-    fn leaked(&self) -> &AtomicUsize {
-        &self.leaked
-    }
-
-    /// The arena holding the free list and the header counters (a private
-    /// heap arena unless the recycler was built with
+    /// The arena holding the free list, the header counters and the escrow
+    /// slots (a private heap arena unless the recycler was built with
     /// [`Recycler::new_in`]).
     pub fn arena(&self) -> &Arc<Arena> {
         &self.arena
@@ -225,7 +434,7 @@ impl<R: Renaming> Recycler<R> {
 
     /// Names acquired fresh from the inner object so far.
     pub fn fresh_names(&self) -> usize {
-        self.tickets().load(Ordering::Relaxed) // lint: relaxed-ok(diagnostic counter; no ordering dependency)
+        self.tickets.load(Ordering::Relaxed) // lint: relaxed-ok(diagnostic counter; no ordering dependency)
     }
 
     /// Leases served from the free list (recycled names) so far, derived as
@@ -237,13 +446,13 @@ impl<R: Renaming> Recycler<R> {
 
     /// Peak number of simultaneously live leases observed so far.
     pub fn peak_leases(&self) -> usize {
-        self.peak().load(Ordering::Relaxed) // lint: relaxed-ok(diagnostic counter; no ordering dependency)
+        self.peak.load(Ordering::Relaxed) // lint: relaxed-ok(diagnostic counter; no ordering dependency)
     }
 
     /// Names lost to the recycling discipline (double releases or releases
     /// of out-of-range names). Zero in well-formed executions.
     pub fn leaked_names(&self) -> usize {
-        self.leaked().load(Ordering::Relaxed) // lint: relaxed-ok(diagnostic counter; no ordering dependency)
+        self.leaked.load(Ordering::Relaxed) // lint: relaxed-ok(diagnostic counter; no ordering dependency)
     }
 
     /// Names currently waiting on the free list (O(capacity); diagnostics).
@@ -251,19 +460,91 @@ impl<R: Renaming> Recycler<R> {
         self.free.len()
     }
 
-    /// Leases currently live (including in-flight releases and crashed
-    /// attempts): total reservations granted minus completed releases.
+    /// The escrow quota: the names a thread's slot keeps before it spills
+    /// (`0` when the recycler has no escrow).
+    pub fn escrow_quota(&self) -> usize {
+        self.escrow.as_ref().map_or(0, |escrow| escrow.quota)
+    }
+
+    /// Names currently parked in escrow slots: released by their holders,
+    /// still holding admission slots (diagnostics; momentarily stale while
+    /// operations are in flight).
+    pub fn escrowed_names(&self) -> usize {
+        let Some(escrow) = &self.escrow else { return 0 };
+        let slots = escrow.words.as_chunks::<SLOT_WORDS>().0;
+        slots
+            .iter()
+            .map(|slot| (slot[0].load(Ordering::Acquire) & !BUSY) as usize)
+            .sum()
+    }
+
+    /// Admission's live count (including in-flight releases, crashed
+    /// attempts and escrowed names): total reservations granted minus
+    /// completed free-list pushes.
     fn live_count(&self) -> usize {
-        self.granted()
+        self.granted
             .load(Ordering::SeqCst)
             .saturating_sub(self.free.pushes())
     }
 
-    /// Grants one name without wrapping it in a [`NameLease`]: the
-    /// admission + recycle/fresh core shared by [`LongLivedRenaming::lease`]
-    /// and [`ShardedRecycler`](crate::sharded::ShardedRecycler). The caller
-    /// owes the name one [`LongLivedRenaming::release_raw`].
-    pub(crate) fn grant(&self, ctx: &mut ProcessCtx) -> Result<usize, RenamingError> {
+    /// Leases one name: from the caller's escrow slot when it has one,
+    /// otherwise through [`Recycler::grant`], with a steal sweep over every
+    /// slot before a capacity rejection is surfaced (see the module docs).
+    fn lease_escrowed(
+        &self,
+        escrow: &Escrow,
+        ctx: &mut ProcessCtx,
+    ) -> Result<usize, RenamingError> {
+        // The slot consult is modeled as one shared read-modify-write: the
+        // try-lock on the caller's own line.
+        ctx.record(StepKind::ReadModifyWrite);
+        let home = home_slot();
+        let name = match escrow.pop(home, false) {
+            Some(name) => name,
+            None => match self.grant(ctx) {
+                Err(RenamingError::CapacityExceeded { capacity }) => escrow
+                    .steal(home)
+                    .ok_or(RenamingError::CapacityExceeded { capacity })?,
+                granted => return granted,
+            },
+        };
+        obs::count(obs::Metric::BatchedStashHit);
+        Ok(name)
+    }
+
+    /// Returns `name` through the caller's escrow slot: parked, dropped as
+    /// a duplicate, spilled with part of the slot in one batch push, or —
+    /// when another thread holds the slot — pushed straight to the list.
+    fn release_escrowed(&self, escrow: &Escrow, name: usize) {
+        let home = home_slot();
+        match escrow.park(home, name) {
+            Parked::Kept => {}
+            Parked::Duplicate => {
+                self.leaked.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(diagnostic counter; no ordering dependency)
+            }
+            Parked::Spilled(names, count) => {
+                obs::count(obs::Metric::BatchedFlush);
+                obs::event(obs::EventKind::Flush, home as u64, count as u64);
+                self.push_many(&names[..count]);
+            }
+            Parked::Busy => self.push_many(&[name]),
+        }
+    }
+
+    /// Returns a batch of names to the free list with one seqlock bump,
+    /// counting rejected duplicates as leaked.
+    fn push_many(&self, names: &[usize]) {
+        let pushed = self.free.push_many(names);
+        if pushed < names.len() {
+            self.leaked
+                .fetch_add(names.len() - pushed, Ordering::Relaxed); // lint: relaxed-ok(diagnostic counter; no ordering dependency)
+        }
+    }
+
+    /// Grants one name through admission and the free list (or the fresh
+    /// path), bypassing the escrow. The caller owes the name one
+    /// [`LongLivedRenaming::release_raw`].
+    fn grant(&self, ctx: &mut ProcessCtx) -> Result<usize, RenamingError> {
         let lease_timer = obs::start();
         // Admission control: bound the simultaneously live leases. The
         // reservation is taken before touching shared state and unreserved
@@ -283,13 +564,13 @@ impl<R: Renaming> Recycler<R> {
         let mut backoff = crate::backoff::Backoff::new();
         let mut rejected_at = None;
         let live = loop {
-            let reserved = self.granted().fetch_add(1, Ordering::SeqCst) + 1;
+            let reserved = self.granted.fetch_add(1, Ordering::SeqCst) + 1;
             let pushes = self.free.pushes();
             let live = reserved.saturating_sub(pushes);
             if live <= self.max_concurrent {
                 break live;
             }
-            self.granted().fetch_sub(1, Ordering::SeqCst);
+            self.granted.fetch_sub(1, Ordering::SeqCst);
             if backoff.is_completed() || rejected_at == Some(pushes) {
                 return Err(RenamingError::CapacityExceeded {
                     capacity: self.max_concurrent,
@@ -300,8 +581,8 @@ impl<R: Renaming> Recycler<R> {
             backoff.snooze();
         };
         // lint: relaxed-ok(peak watermark is advisory; fetch_max below is the RMW)
-        if live > self.peak().load(Ordering::Relaxed) {
-            self.peak().fetch_max(live, Ordering::AcqRel); // lint: relaxed-ok(monotone watermark RMW; AcqRel keeps concurrent maxes ordered)
+        if live > self.peak.load(Ordering::Relaxed) {
+            self.peak.fetch_max(live, Ordering::AcqRel); // lint: relaxed-ok(monotone watermark RMW; AcqRel keeps concurrent maxes ordered)
         }
 
         // Fast path: recycle a released name. The coherent pop only reports
@@ -322,7 +603,7 @@ impl<R: Renaming> Recycler<R> {
                 Ok(name)
             }
             Err(error) => {
-                self.granted().fetch_sub(1, Ordering::SeqCst);
+                self.granted.fetch_sub(1, Ordering::SeqCst);
                 Err(error)
             }
         }
@@ -332,7 +613,7 @@ impl<R: Renaming> Recycler<R> {
     /// fresh one as a new virtual participant. The caller owns the
     /// admission reservation and unreserves it on failure.
     fn grant_fresh(&self, ctx: &mut ProcessCtx) -> Result<usize, RenamingError> {
-        let participant = self.tickets().fetch_add(1, Ordering::AcqRel); // lint: relaxed-ok(ticket RMW is the acquisition point for the participant slot)
+        let participant = self.tickets.fetch_add(1, Ordering::AcqRel); // lint: relaxed-ok(ticket RMW is the acquisition point for the participant slot)
         match self.inner.acquire_as(ctx, participant) {
             Ok(name) => Ok(name),
             Err(error) => {
@@ -343,7 +624,7 @@ impl<R: Renaming> Recycler<R> {
                 // the counter when no later fresh acquisition raced past us;
                 // in that rare case the index stays burned — acceptable,
                 // since concurrent freshers are bounded by admission.
-                let _ = self.tickets().compare_exchange(
+                let _ = self.tickets.compare_exchange(
                     participant + 1,
                     participant,
                     Ordering::AcqRel, // lint: relaxed-ok(CAS success publishes the rollback; failure retries with a fresh load)
@@ -361,6 +642,10 @@ impl<R: Renaming> Recycler<R> {
     /// decide whether a partial batch is usable (shard sweeps) or must be
     /// rolled back with the true cause surfaced (all-or-nothing leases).
     /// Every granted name owes one [`LongLivedRenaming::release_raw`].
+    ///
+    /// The batch bypasses the escrow, except that a shortfall at the
+    /// admission bound is topped up by stealing escrowed names: they hold
+    /// the admission slots the batch could not reserve.
     pub(crate) fn grant_many(
         &self,
         ctx: &mut ProcessCtx,
@@ -373,18 +658,15 @@ impl<R: Renaming> Recycler<R> {
         // One fetch_add reserves the whole batch; excess reservations are
         // returned immediately, so transient over-reservation never rejects
         // others spuriously for longer than this window.
-        let before = self.granted().fetch_add(count, Ordering::SeqCst);
+        let before = self.granted.fetch_add(count, Ordering::SeqCst);
         let live_before = before.saturating_sub(self.free.pushes());
         let admitted = self.max_concurrent.saturating_sub(live_before).min(count);
         if admitted < count {
-            self.granted().fetch_sub(count - admitted, Ordering::SeqCst);
-        }
-        if admitted == 0 {
-            return (0, None);
+            self.granted.fetch_sub(count - admitted, Ordering::SeqCst);
         }
         // lint: relaxed-ok(peak watermark is advisory; fetch_max below is the RMW)
-        if live_before + admitted > self.peak().load(Ordering::Relaxed) {
-            self.peak()
+        if admitted > 0 && live_before + admitted > self.peak.load(Ordering::Relaxed) {
+            self.peak
                 .fetch_max(live_before + admitted, Ordering::AcqRel); // lint: relaxed-ok(monotone watermark RMW; AcqRel keeps concurrent maxes ordered)
         }
         let mut served = 0;
@@ -402,11 +684,15 @@ impl<R: Renaming> Recycler<R> {
                 Err(error) => {
                     // Unreserve the failing slot plus the not-yet-attempted
                     // remainder of the batch.
-                    self.granted()
-                        .fetch_sub(admitted - served, Ordering::SeqCst);
+                    self.granted.fetch_sub(admitted - served, Ordering::SeqCst);
                     return (served, Some(error));
                 }
             }
+        }
+        if let Some(escrow) = &self.escrow {
+            let before = names.len();
+            names.extend((served..count).map_while(|_| escrow.steal(home_slot())));
+            served += names.len() - before;
         }
         (served, None)
     }
@@ -414,15 +700,18 @@ impl<R: Renaming> Recycler<R> {
 
 impl<R: Renaming + 'static> LongLivedRenaming for Recycler<R> {
     fn lease(self: Arc<Self>, ctx: &mut ProcessCtx) -> Result<NameLease, RenamingError> {
-        let name = self.grant(ctx)?;
+        let name = self.lease_raw(ctx)?;
         Ok(NameLease::new(name, self))
     }
 
     fn lease_raw(&self, ctx: &mut ProcessCtx) -> Result<usize, RenamingError> {
-        self.grant(ctx)
+        match &self.escrow {
+            None => self.grant(ctx),
+            Some(escrow) => self.lease_escrowed(escrow, ctx),
+        }
     }
 
-    /// Raw batch form with the amortized admission [`Recycler::lease_many`]
+    /// Raw batch form (it bypasses the escrow) with the amortized admission [`Recycler::lease_many`]
     /// builds on: one atomic reservation for the whole batch, all-or-nothing
     /// with the true shortfall cause surfaced.
     fn lease_many_raw(
@@ -462,6 +751,12 @@ impl<R: Renaming + 'static> LongLivedRenaming for Recycler<R> {
     }
 
     fn release_raw(&self, name: usize) {
+        if let Some(escrow) = &self.escrow {
+            // Out-of-range names (misuse) take the free list's rejection.
+            if (1..=self.free.bound()).contains(&name) {
+                return self.release_escrowed(escrow, name);
+            }
+        }
         obs::count(obs::Metric::RecyclerRelease);
         if !self.free.push(name) {
             // A rejected push is a double release (or an out-of-range name,
@@ -470,7 +765,7 @@ impl<R: Renaming + 'static> LongLivedRenaming for Recycler<R> {
             // not count as another release — count the misuse and otherwise
             // treat the call as a no-op. (A rejected push does not bump the
             // seqlock, so `live_leases` is untouched automatically.)
-            self.leaked().fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(diagnostic counter; no ordering dependency)
+            self.leaked.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(diagnostic counter; no ordering dependency)
         }
         // No further bookkeeping: the successful push's seqlock bump *is*
         // the admission release, and it lands strictly after the name does —
@@ -480,20 +775,18 @@ impl<R: Renaming + 'static> LongLivedRenaming for Recycler<R> {
 
     /// Batch release with one seqlock bump (hence one admission release
     /// operation) for the whole batch, after every name's bit has landed.
+    /// It bypasses the escrow.
     fn release_many_raw(&self, names: &[usize]) {
-        let pushed = self.free.push_many(names);
-        if pushed < names.len() {
-            self.leaked()
-                .fetch_add(names.len() - pushed, Ordering::Relaxed); // lint: relaxed-ok(diagnostic counter; no ordering dependency)
-        }
+        self.push_many(names);
     }
 
     fn max_concurrent(&self) -> Option<usize> {
         Some(self.max_concurrent)
     }
 
+    /// Admission's live count minus the escrowed names.
     fn live_leases(&self) -> usize {
-        self.live_count()
+        self.live_count().saturating_sub(self.escrowed_names())
     }
 }
 
@@ -505,6 +798,8 @@ impl<R: Renaming> fmt::Debug for Recycler<R> {
             .field("fresh_names", &self.fresh_names())
             .field("recycled_names", &self.recycled_names())
             .field("leaked_names", &self.leaked_names())
+            .field("escrow_quota", &self.escrow_quota())
+            .field("escrowed_names", &self.escrowed_names())
             .field("free_list", &self.free)
             .finish()
     }
@@ -764,7 +1059,9 @@ mod tests {
 
     #[test]
     fn concurrent_churn_yields_unique_live_names_in_bound() {
-        for seed in 0..4 {
+        // Shrunk under miri, like the escrow churn below.
+        let seeds = if cfg!(miri) { 1 } else { 4 };
+        for seed in 0..seeds {
             let recycler = Arc::new(Recycler::new(
                 RenamingNetwork::<_>::new(odd_even_network(64)),
                 8,
@@ -791,6 +1088,167 @@ mod tests {
             assert_eq!(recycler.live_leases(), 0, "seed {seed}");
             assert_eq!(recycler.leaked_names(), 0, "seed {seed}");
         }
+    }
+
+    /// A recycler over a 64-wire network with an escrow of `quota` names
+    /// per slot, in its own heap arena.
+    fn escrowed(max: usize, quota: usize) -> Arc<Recycler<impl Renaming>> {
+        let inner = RenamingNetwork::<_>::new(odd_even_network(64));
+        let arena = Arena::heap(Recycler::footprint(&inner, max, quota));
+        Arc::new(Recycler::new_in(inner, max, quota, &arena))
+    }
+
+    fn lease_n(recycler: &impl LongLivedRenaming, ctx: &mut ProcessCtx, n: usize) -> Vec<usize> {
+        (0..n).map(|_| recycler.lease_raw(ctx).unwrap()).collect()
+    }
+
+    fn release(recycler: &impl LongLivedRenaming, names: &[usize]) {
+        names.iter().for_each(|&name| recycler.release_raw(name));
+    }
+
+    #[test]
+    fn releases_park_in_the_escrow_until_the_slot_fills() {
+        let (recycler, mut ctx) = (escrowed(8, 4), ctx(0, 1));
+        let names = lease_n(&*recycler, &mut ctx, 4);
+        release(&*recycler, &names[..3]);
+        assert_eq!((recycler.escrowed_names(), recycler.free_names()), (3, 0));
+        assert_eq!(recycler.live_leases(), 1);
+        assert_eq!(recycler.live_count(), 4, "parked, still admitted");
+        // Churn takes back the newest parked name, without a spill.
+        assert_eq!(recycler.lease_raw(&mut ctx).unwrap(), names[2]);
+        recycler.release_raw(names[2]);
+        recycler.release_raw(names[3]); // fills the slot to the quota
+        assert_eq!((recycler.escrowed_names(), recycler.free_names()), (4, 0));
+        assert_eq!(recycler.live_leases(), 0);
+    }
+
+    #[test]
+    fn a_full_slot_spills_its_older_half_as_one_batch() {
+        let (recycler, mut ctx) = (escrowed(8, 4), ctx(0, 2));
+        let names = lease_n(&*recycler, &mut ctx, 5);
+        release(&*recycler, &names);
+        // The fifth release found the slot full: the two oldest names and
+        // itself spilled with one push_many, the newest two stayed.
+        assert_eq!((recycler.escrowed_names(), recycler.free_names()), (2, 3));
+        assert_eq!(recycler.live_leases(), 0);
+        let again = lease_n(&*recycler, &mut ctx, 3);
+        assert_eq!(again, [names[3], names[2], names[0]], "newest, then min");
+    }
+
+    #[test]
+    fn escrowed_names_do_not_defeat_the_admission_bound() {
+        let (recycler, mut ctx) = (escrowed(2, 8), ctx(0, 3));
+        let names = lease_n(&*recycler, &mut ctx, 2);
+        release(&*recycler, &names);
+        // Both admission slots are parked, yet both leases succeed.
+        let mut again = lease_n(&*recycler, &mut ctx, 2);
+        let reject = RenamingError::CapacityExceeded { capacity: 2 };
+        assert_eq!(recycler.lease_raw(&mut ctx), Err(reject));
+        again.reverse();
+        assert_eq!(again, names);
+    }
+
+    #[test]
+    fn names_parked_by_an_exited_thread_are_stolen_not_rejected() {
+        let recycler = escrowed(2, 8);
+        let spawn = |run: &(dyn Fn() -> Option<Vec<usize>> + Sync)| {
+            std::thread::scope(|scope| scope.spawn(run).join().unwrap())
+        };
+        // Thread A leases two names, parks both in its slot and exits.
+        let mut parked = spawn(&|| {
+            let names = lease_n(&*recycler, &mut ctx(0, 4), 2);
+            release(&*recycler, &names);
+            Some(vec![names[0], names[1], home_slot()])
+        })
+        .unwrap();
+        let a_slot = parked.pop().unwrap();
+        assert_eq!((recycler.escrowed_names(), recycler.live_leases()), (2, 0));
+        // Thread B, on another slot, must steal both names from A's slot;
+        // only its third lease is a genuine reject.
+        let leased = loop {
+            let attempt = spawn(&|| {
+                let mut ctx = ctx(1, 5);
+                (home_slot() != a_slot).then(|| {
+                    let names = lease_n(&*recycler, &mut ctx, 2);
+                    let reject = RenamingError::CapacityExceeded { capacity: 2 };
+                    assert_eq!(recycler.lease_raw(&mut ctx), Err(reject));
+                    release(&*recycler, &names);
+                    names
+                })
+            });
+            if let Some(leased) = attempt {
+                break leased;
+            }
+        };
+        parked.reverse();
+        assert_eq!(leased, parked, "B took exactly A's names, newest first");
+        assert_eq!(recycler.fresh_names(), 2, "no name was minted for B");
+        assert_eq!(recycler.live_leases(), 0, "every thread has exited");
+    }
+
+    #[test]
+    fn a_double_release_into_the_own_slot_is_dropped_and_counted() {
+        let (recycler, mut ctx) = (escrowed(4, 8), ctx(0, 6));
+        let [name, held] = lease_n(&*recycler, &mut ctx, 2)[..] else {
+            unreachable!()
+        };
+        recycler.release_raw(name);
+        recycler.release_raw(name); // misuse: the duplicate is dropped
+        assert_eq!(recycler.leaked_names(), 1);
+        assert_eq!((recycler.escrowed_names(), recycler.live_leases()), (1, 1));
+        // Two later leases must not both get the name.
+        let again = lease_n(&*recycler, &mut ctx, 2);
+        assert!(again[0] == name && ![name, held].contains(&again[1]));
+    }
+
+    #[test]
+    fn the_lease_surface_returns_raii_guards_through_the_escrow() {
+        let (recycler, mut ctx) = (escrowed(4, 2), ctx(3, 4));
+        let lease = Arc::clone(&recycler).lease(&mut ctx).unwrap();
+        let name = lease.name();
+        drop(lease); // Drop releases through the escrow.
+        assert_eq!((recycler.escrowed_names(), recycler.live_leases()), (1, 0));
+        assert_eq!(Arc::clone(&recycler).lease(&mut ctx).unwrap(), name);
+    }
+
+    #[test]
+    fn escrowed_concurrent_churn_keeps_names_unique_and_bounded() {
+        // Shrunk under miri, as the bare churn above.
+        let (seeds, workers) = if cfg!(miri) { (1, 3) } else { (4, 8) };
+        for seed in 0..seeds {
+            let recycler = escrowed(workers, 2);
+            let outcome = Executor::new(ExecConfig::new(seed)).run(workers, {
+                let recycler = Arc::clone(&recycler);
+                move |ctx| {
+                    (0..6)
+                        .map(|_| Arc::clone(&recycler).lease(ctx).unwrap().name())
+                        .collect::<Vec<_>>()
+                }
+            });
+            let names = outcome.flattened();
+            assert!(names.iter().all(|name| (1..=workers).contains(name)));
+            assert_eq!(recycler.live_leases(), 0, "seed {seed}");
+            assert_eq!(recycler.live_count(), recycler.escrowed_names());
+            assert_eq!(recycler.leaked_names(), 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn escrow_accessors_and_debug_report_the_configuration() {
+        let recycler = escrowed(4, 8);
+        assert_eq!((recycler.escrow_quota(), recycler.escrowed_names()), (8, 0));
+        assert!(format!("{recycler:?}").contains("escrow_quota: 8"));
+        // The bare recycler has no escrow and no slot lines in its arena.
+        let inner = AdaptiveRenaming::default();
+        let slot_lines = Recycler::footprint(&inner, 4, 8) - Recycler::footprint(&inner, 4, 0);
+        assert_eq!(slot_lines, ESCROW_SLOTS * 64);
+        assert_eq!(Recycler::new(inner, 4).escrow_quota(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 15 names")]
+    fn escrow_quotas_above_a_slot_are_rejected() {
+        let _ = escrowed(2, MAX_ESCROW_QUOTA + 1);
     }
 
     #[test]

@@ -26,6 +26,11 @@
 //! high shard. [`assert_loose_lease_namespace`](crate::lease::assert_loose_lease_namespace)
 //! is the property checker for exactly this bound.
 //!
+//! With an escrow quota ([`ShardedRecycler::new_in`], the builder default)
+//! each shard's recycler gets its own per-thread escrow, and the loose
+//! checker applies only without one (see the [`recycler`](crate::recycler)
+//! module docs).
+//!
 //! Choose sharding when lease/release throughput matters more than the last
 //! factor of `shards` in namespace density — connection-slot pools, session
 //! tables, per-core scratch indices. Stay with one tight recycler when the
@@ -82,9 +87,8 @@ pub struct ShardedRecycler<R: Renaming> {
     /// Names per shard: shard `i` owns global names `i·span+1 ..= (i+1)·span`.
     span: usize,
     per_shard_max: usize,
-    /// Releases of names outside every shard's range (misuse; diagnostics).
-    /// Arena-resident when built with [`ShardedRecycler::new_in`]
-    /// so cross-process misuse is visible to every process.
+    /// Releases of names outside every shard's range (misuse; diagnostics),
+    /// arena-resident so cross-process misuse is visible to every process.
     leaked: ArenaCell<AtomicUsize>,
 }
 
@@ -99,51 +103,30 @@ impl<R: Renaming> ShardedRecycler<R> {
     /// same per-shard name bound (the ranges could not be disjoint and
     /// uniform otherwise).
     pub fn new(inners: Vec<R>, per_shard_max: usize) -> Self {
-        assert!(!inners.is_empty(), "a sharded recycler needs a shard");
-        let shards: Box<[Recycler<R>]> = inners
-            .into_iter()
-            .map(|inner| Recycler::new(inner, per_shard_max))
-            .collect();
-        Self::assemble(shards, per_shard_max, ArenaCell::default())
+        let arena = Arena::heap(Self::footprint(&inners, per_shard_max, 0));
+        Self::new_in(inners, per_shard_max, 0, &arena)
     }
 
-    /// Like [`ShardedRecycler::new`], but places every shard's free list
-    /// and header counters in the caller's `arena` (see
-    /// [`Recycler::new_in`] for what stays private). Size the arena with
-    /// [`ShardedRecycler::footprint`].
+    /// Like [`ShardedRecycler::new`], but gives every shard a per-thread
+    /// escrow of `escrow_quota` names per slot (`0` for none) and places
+    /// every shard's free list, header counters and escrow slots in the
+    /// caller's `arena` (see [`Recycler::new_in`] for what stays private).
+    /// Size the arena with [`ShardedRecycler::footprint`].
     ///
     /// # Panics
     ///
-    /// As [`ShardedRecycler::new`].
-    pub fn new_in(inners: Vec<R>, per_shard_max: usize, arena: &Arc<Arena>) -> Self {
+    /// As [`ShardedRecycler::new`] and [`Recycler::new_in`].
+    pub fn new_in(
+        inners: Vec<R>,
+        per_shard_max: usize,
+        escrow_quota: usize,
+        arena: &Arc<Arena>,
+    ) -> Self {
         assert!(!inners.is_empty(), "a sharded recycler needs a shard");
         let shards: Box<[Recycler<R>]> = inners
             .into_iter()
-            .map(|inner| Recycler::new_in(inner, per_shard_max, arena))
+            .map(|inner| Recycler::new_in(inner, per_shard_max, escrow_quota, arena))
             .collect();
-        Self::assemble(
-            shards,
-            per_shard_max,
-            ArenaCell::new_in(arena, AtomicUsize::new(0)),
-        )
-    }
-
-    /// The number of arena bytes the sharded recycler allocates when built
-    /// with [`ShardedRecycler::new_in`]: one recycler footprint per inner
-    /// object plus the shared misuse counter line.
-    pub fn footprint(inners: &[R], per_shard_max: usize) -> usize {
-        inners
-            .iter()
-            .map(|inner| Recycler::footprint(inner, per_shard_max))
-            .sum::<usize>()
-            + 64
-    }
-
-    fn assemble(
-        shards: Box<[Recycler<R>]>,
-        per_shard_max: usize,
-        leaked: ArenaCell<AtomicUsize>,
-    ) -> Self {
         let span = shards[0].name_bound();
         assert!(
             shards.iter().all(|shard| shard.name_bound() == span),
@@ -153,8 +136,19 @@ impl<R: Renaming> ShardedRecycler<R> {
             shards,
             span,
             per_shard_max,
-            leaked,
+            leaked: ArenaCell::new_in(arena, AtomicUsize::new(0)),
         }
+    }
+
+    /// The number of arena bytes the sharded recycler allocates when built
+    /// with [`ShardedRecycler::new_in`]: one recycler footprint per inner
+    /// object plus the shared misuse counter line.
+    pub fn footprint(inners: &[R], per_shard_max: usize, escrow_quota: usize) -> usize {
+        inners
+            .iter()
+            .map(|inner| Recycler::footprint(inner, per_shard_max, escrow_quota))
+            .sum::<usize>()
+            + 64
     }
 
     /// The number of shards.
@@ -224,7 +218,7 @@ impl<R: Renaming + 'static> LongLivedRenaming for ShardedRecycler<R> {
         let mut first_error = None;
         for offset in 0..count {
             let shard = (home + offset) % count;
-            match self.shards[shard].grant(ctx) {
+            match self.shards[shard].lease_raw(ctx) {
                 Ok(local) if local <= self.span => return Ok(self.globalize(shard, local)),
                 Ok(_) => {
                     // A misbehaving inner produced a name beyond the shard's

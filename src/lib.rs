@@ -32,7 +32,6 @@ pub use tas;
 /// long-lived lease surface.
 pub mod prelude {
     pub use adaptive_renaming::adaptive::AdaptiveRenaming;
-    pub use adaptive_renaming::batched::BatchedRecycler;
     pub use adaptive_renaming::bit_batching::BitBatchingRenaming;
     pub use adaptive_renaming::builder::{Algorithm, ComparatorKind, RenamingBuilder};
     pub use adaptive_renaming::comparator_slab::ComparatorSlab;
@@ -42,8 +41,8 @@ pub mod prelude {
     pub use adaptive_renaming::fetch_increment::BoundedFetchIncrement;
     pub use adaptive_renaming::free_list::FreeList;
     pub use adaptive_renaming::lease::{
-        assert_loose_lease_namespace, assert_tight_lease_namespace, LeaseRecord, LongLivedRenaming,
-        NameLease,
+        assert_escrow_lease_namespace, assert_loose_lease_namespace, assert_tight_lease_namespace,
+        LeaseRecord, LongLivedRenaming, NameLease,
     };
     pub use adaptive_renaming::linear_probe::LinearProbeRenaming;
     pub use adaptive_renaming::ltas::BoundedTas;

@@ -7,8 +7,10 @@
 //! are recorded with logical timestamps and checked offline by
 //! `assert_tight_lease_namespace`. The sharded variants run the same churn
 //! against a `ShardedRecycler` and check the relaxed guarantee with
-//! `assert_loose_lease_namespace`; the builder-default `BatchedRecycler`
-//! variant checks uniqueness and the `max_concurrent` bound (batching
+//! `assert_loose_lease_namespace`; the builder-default object, a recycler
+//! with a per-thread escrow, is checked for uniqueness and the
+//! `max_concurrent` bound under random interleavings and against
+//! `assert_escrow_lease_namespace` on seeded `vexec` schedules (the escrow
 //! deliberately trades away per-grant tightness); the free-list properties
 //! pin the lock-free bitmap to a sequential sorted-set model op for op. The
 //! crash-robust `RobustLeaseTable` churns on seeded, replayable `vexec`
@@ -202,9 +204,10 @@ proptest! {
             1 => RenamingBuilder::new().adaptive().adaptive_level(3),
             _ => RenamingBuilder::new().linear_probe().capacity(32),
         };
-        // .lease_batch(1) bypasses the default release-batching stash: only
-        // the bare recycler guarantees per-grant tightness (the batched
-        // default is covered by the unique-and-bounded test below).
+        // .lease_batch(1) builds the bare recycler without the default
+        // escrow: only it guarantees per-grant tightness (the escrowed
+        // default is covered by the unique-and-bounded test below and by
+        // the seeded escrow-bound test at the end of this file).
         let object = builder
             .max_concurrent(2 * k)
             .lease_batch(1)
@@ -216,8 +219,8 @@ proptest! {
         prop_assert!(check.is_ok(), "{check:?}");
     }
 
-    /// The builder's *default* long-lived object batches releases through a
-    /// `BatchedRecycler` stash, which deliberately gives up per-grant
+    /// The builder's *default* long-lived object parks releases in a
+    /// per-thread escrow, which deliberately gives up per-grant
     /// tightness. What it must still guarantee, at every instant and under
     /// random interleavings: no two simultaneously-held leases share a
     /// name, every name stays within `1..=max_concurrent`, and the live
@@ -249,7 +252,7 @@ proptest! {
                 "name {} above max_concurrent {}", name_a, 2 * k
             );
             // A holder occupies its name from the grant until its release
-            // *starts* (the stash push lands inside the release window, so
+            // *starts* (the escrow push lands inside the release window, so
             // any later grant of the same name is stamped after it).
             for b in &records[i + 1..] {
                 let (Some(name_b), Some(start_b)) = (b.name, b.granted_at) else { continue };
@@ -548,6 +551,79 @@ fn robust_table_leases_stay_tight_on_seeded_schedules() {
             assert_eq!(table.live_leases(), 0);
             assert_eq!(table.transitions(), PROCS * ROUNDS, "exactly once");
             assert_eq!(table.listed(), capacity, "every name back on the list");
+        }
+    }
+}
+
+/// The builder-default object's escrow bound: three processes churn on
+/// seeded virtual-executor schedules, each leasing bursts of up to six
+/// names and releasing them, and every history must pass
+/// `assert_escrow_lease_namespace` with slack `P·q` (each process uses at
+/// most one escrow slot). Bursts larger than `q` make slots spill. The
+/// concurrency bound of 12 is below the 18 names the bursts can hold at
+/// once, so leases are rejected, and admission also counts parked names, so
+/// the steal sweep runs. Every reject must be genuine: a process step runs
+/// atomically under `vexec`, so the attempts open at the reject's
+/// timestamp are the contention admission saw, and they must exceed the
+/// bound.
+#[test]
+fn escrow_default_leases_stay_within_the_escrow_bound_on_seeded_schedules() {
+    use shmem::vexec::VirtualExecutor;
+
+    const PROCS: usize = 3;
+    const MAX_CONCURRENT: usize = 12;
+    const BURSTS: [usize; 4] = [2, 6, 1, 5];
+    for quota in [2, 8] {
+        for seed in 0..32u64 {
+            let object = RenamingBuilder::new()
+                .max_concurrent(MAX_CONCURRENT)
+                .lease_batch(quota)
+                .build_long_lived()
+                .unwrap();
+            let journal = Arc::new(Journal::new());
+            let run = VirtualExecutor::with_seed(seed).run(PROCS, {
+                let (object, journal) = (Arc::clone(&object), Arc::clone(&journal));
+                move |ctx| {
+                    for burst in BURSTS {
+                        let mut held = Vec::new();
+                        for _ in 0..burst {
+                            let index = journal.open();
+                            match object.lease_raw(ctx) {
+                                Ok(name) => {
+                                    journal.grant(index, name);
+                                    held.push((index, name));
+                                }
+                                Err(_) => journal.fail(index),
+                            }
+                        }
+                        for (index, name) in held {
+                            let started = journal.now();
+                            journal.records.lock()[index].release_started_at = Some(started);
+                            object.release_with(ctx, name);
+                            let finished = journal.now();
+                            journal.records.lock()[index].release_finished_at = Some(finished);
+                        }
+                    }
+                }
+            });
+            assert_eq!(run.outcome.completed().count(), PROCS, "seed {seed}");
+            let records = journal.records.lock().clone();
+            assert_escrow_lease_namespace(&records, PROCS * quota)
+                .unwrap_or_else(|violation| panic!("quota {quota}, seed {seed}: {violation}"));
+            for reject in records.iter().filter(|r| r.name.is_none()) {
+                let at = reject.release_finished_at.expect("a reject is stamped");
+                let open = records
+                    .iter()
+                    .filter(|r| {
+                        r.requested_at < at && r.release_finished_at.is_none_or(|end| end >= at)
+                    })
+                    .count();
+                assert!(
+                    open > MAX_CONCURRENT,
+                    "quota {quota}, seed {seed}: spurious reject at t={at} with {open} attempts open"
+                );
+            }
+            assert_eq!(object.live_leases(), 0, "quota {quota}, seed {seed}");
         }
     }
 }
