@@ -32,7 +32,6 @@ use crate::lease::LongLivedRenaming;
 use crate::linear_probe::LinearProbeRenaming;
 use crate::recycler::{Recycler, MAX_ESCROW_QUOTA};
 use crate::renaming_network::RenamingNetwork;
-use crate::sharded::ShardedRecycler;
 use crate::traits::Renaming;
 use shmem::adversary::ExecConfig;
 use shmem::arena::Arena;
@@ -85,7 +84,6 @@ pub struct RenamingBuilder {
     comparators: ComparatorKind,
     adaptive_level: Option<usize>,
     probe_multiplier: usize,
-    shards: usize,
     lease_batch: usize,
     arena: Option<Arc<Arena>>,
     seed: u64,
@@ -101,7 +99,6 @@ impl Default for RenamingBuilder {
             comparators: ComparatorKind::default(),
             adaptive_level: None,
             probe_multiplier: 3,
-            shards: 1,
             lease_batch: 8,
             arena: None,
             seed: 0,
@@ -199,23 +196,6 @@ impl RenamingBuilder {
         self
     }
 
-    /// Shards the long-lived object produced by
-    /// [`RenamingBuilder::build_long_lived`] over `shards` independent
-    /// recyclers ([`ShardedRecycler`]): each shard gets its own inner
-    /// one-shot object (the configured capacity is **per shard**) and
-    /// `⌈max_concurrent / shards⌉` admission slots, with per-process home
-    /// shards and overflow stealing. Trades the tight namespace bound for
-    /// the documented loose one — see the
-    /// [`sharded`](crate::sharded) module docs for when that is acceptable.
-    ///
-    /// `shards == 1` (the default) builds a single [`Recycler`];
-    /// `shards > 1` makes [`RenamingBuilder::build`] fail, since sharding
-    /// only applies to the long-lived form.
-    pub fn sharded(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Sets the escrow quota `q` of the long-lived object produced by
     /// [`RenamingBuilder::build_long_lived`]. By default (`8`) every
     /// recycler parks released names in a per-thread escrow slot that the
@@ -237,11 +217,9 @@ impl RenamingBuilder {
     /// Places the recycler layer's words in the given [`Arena`] instead of
     /// private heap allocations: each recycler's free list, its four
     /// admission counters (tickets, granted, peak, leaked) and its escrow
-    /// slots, plus the sharded layer's misuse counter. Size the arena
-    /// generously (the recycler layers report exact footprints via
-    /// [`Recycler::footprint`] / [`ShardedRecycler::footprint`]); the build
-    /// panics if the arena runs out of space. Ignored by the one-shot
-    /// [`RenamingBuilder::build`].
+    /// slots. Size the arena generously ([`Recycler::footprint`] reports
+    /// the exact footprint); the build panics if the arena runs out of
+    /// space. Ignored by the one-shot [`RenamingBuilder::build`].
     ///
     /// The inner one-shot object (the comparator slab's lazily initialized
     /// cells, or the adaptive algorithm's lazily built network sections)
@@ -300,17 +278,6 @@ impl RenamingBuilder {
     /// capacity on the unbounded adaptive algorithm, a zero probe
     /// multiplier).
     pub fn build(&self) -> Result<Arc<dyn Renaming>, RenamingError> {
-        if self.shards > 1 {
-            return Err(RenamingError::InvalidConfiguration {
-                reason: "sharding applies to the long-lived form: use build_long_lived()",
-            });
-        }
-        self.build_one()
-    }
-
-    /// Builds one one-shot object ignoring the sharding knob (each shard of
-    /// a sharded long-lived object is one of these).
-    fn build_one(&self) -> Result<Arc<dyn Renaming>, RenamingError> {
         match self.algorithm {
             Algorithm::Adaptive => {
                 if self.capacity.is_some() {
@@ -379,31 +346,22 @@ impl RenamingBuilder {
         }
     }
 
-    /// Builds the configured object and wraps it in a [`Recycler`] — or,
-    /// with [`RenamingBuilder::sharded`], builds one object per shard and
-    /// wraps them in a [`ShardedRecycler`] — yielding a long-lived renaming
-    /// object whose leases recycle released names through a lock-free
-    /// [`FreeList`](crate::free_list::FreeList). Unless
-    /// [`RenamingBuilder::lease_batch`] is set to 1, every recycler also
-    /// gets a per-thread escrow of that quota (8 by default).
+    /// Builds the configured object and wraps it in a [`Recycler`],
+    /// yielding a long-lived renaming object whose leases recycle released
+    /// names through a lock-free [`FreeList`](crate::free_list::FreeList).
+    /// Unless [`RenamingBuilder::lease_batch`] is set to 1, the recycler
+    /// also gets a per-thread escrow of that quota (8 by default).
     ///
     /// The concurrency bound is [`RenamingBuilder::max_concurrent`] if set,
-    /// otherwise the capacity; a sharded object splits it evenly, giving
-    /// each shard `⌈max_concurrent / shards⌉` admission slots (so the
-    /// effective total bound rounds up to a multiple of the shard count).
+    /// otherwise the capacity.
     ///
     /// # Errors
     ///
     /// As [`RenamingBuilder::build`], plus
     /// [`RenamingError::InvalidConfiguration`] when no concurrency bound can
-    /// be derived, it exceeds the (per-shard) capacity, or the shard count
-    /// is zero.
+    /// be derived, it exceeds the capacity, or the lease batch is out of
+    /// range.
     pub fn build_long_lived(&self) -> Result<Arc<dyn LongLivedRenaming>, RenamingError> {
-        if self.shards == 0 {
-            return Err(RenamingError::InvalidConfiguration {
-                reason: "a sharded recycler needs at least one shard",
-            });
-        }
         if self.lease_batch == 0 || self.lease_batch > MAX_ESCROW_QUOTA {
             return Err(RenamingError::InvalidConfiguration {
                 reason: "the lease batch must be in 1..=15 (1 disables the escrow)",
@@ -420,31 +378,29 @@ impl RenamingBuilder {
                 reason: "max_concurrent must be at least 1",
             });
         }
-        let per_shard_max = max_concurrent.div_ceil(self.shards);
-        let inners = (0..self.shards)
-            .map(|_| self.build_one())
-            .collect::<Result<Vec<_>, _>>()?;
-        if let Some(capacity) = inners[0].capacity() {
-            if per_shard_max > capacity {
+        let inner = self.build()?;
+        if let Some(capacity) = inner.capacity() {
+            if max_concurrent > capacity {
                 return Err(RenamingError::InvalidConfiguration {
-                    reason: "max_concurrent exceeds the object's capacity \
-                             (per shard, when sharded)",
+                    reason: "max_concurrent exceeds the object's capacity",
                 });
             }
         }
-        let (max, quota) = (per_shard_max, self.lease_batch);
-        let quota = if quota > 1 { quota } else { 0 };
-        let arena = |footprint| self.arena.clone().unwrap_or_else(|| Arena::heap(footprint));
-        if self.shards == 1 {
-            let inner = inners.into_iter().next().expect("one shard");
-            let arena = arena(Recycler::footprint(&inner, max, quota));
-            Ok(Arc::new(Recycler::new_in(inner, max, quota, &arena)))
+        let quota = if self.lease_batch > 1 {
+            self.lease_batch
         } else {
-            let arena = arena(ShardedRecycler::footprint(&inners, max, quota));
-            Ok(Arc::new(ShardedRecycler::new_in(
-                inners, max, quota, &arena,
-            )))
-        }
+            0
+        };
+        let arena = self
+            .arena
+            .clone()
+            .unwrap_or_else(|| Arena::heap(Recycler::footprint(&inner, max_concurrent, quota)));
+        Ok(Arc::new(Recycler::new_in(
+            inner,
+            max_concurrent,
+            quota,
+            &arena,
+        )))
     }
 }
 
@@ -542,28 +498,6 @@ mod tests {
             .max_concurrent(9)
             .build_long_lived();
         assert!(excess.is_err());
-        let sharded_one_shot = <dyn Renaming>::builder()
-            .network()
-            .capacity(8)
-            .sharded(2)
-            .build();
-        assert!(
-            sharded_one_shot.is_err(),
-            "sharding only applies to the long-lived form"
-        );
-        let zero_shards = <dyn Renaming>::builder()
-            .network()
-            .capacity(8)
-            .sharded(0)
-            .build_long_lived();
-        assert!(zero_shards.is_err());
-        let per_shard_excess = <dyn Renaming>::builder()
-            .network()
-            .capacity(4)
-            .sharded(2)
-            .max_concurrent(12) // 6 per shard > the per-shard capacity of 4
-            .build_long_lived();
-        assert!(per_shard_excess.is_err());
         let zero_batch = <dyn Renaming>::builder()
             .network()
             .capacity(8)
@@ -647,61 +581,25 @@ mod tests {
     }
 
     #[test]
-    fn sharded_knob_builds_long_lived_objects() {
-        // A 2-sharded object homes processes by identifier and splits the
-        // concurrency bound: names come from disjoint per-shard ranges.
-        let sharded = <dyn Renaming>::builder()
-            .network()
-            .capacity(8)
-            .sharded(2)
-            .max_concurrent(4)
-            .build_long_lived()
-            .unwrap();
-        assert_eq!(sharded.max_concurrent(), Some(4));
-        let mut p0 = ProcessCtx::new(ProcessId::new(0), 1);
-        let mut p1 = ProcessCtx::new(ProcessId::new(1), 1);
-        let a = Arc::clone(&sharded).lease(&mut p0).unwrap();
-        let b = Arc::clone(&sharded).lease(&mut p1).unwrap();
-        assert_eq!(a.name(), 1);
-        assert_eq!(b.name(), 9, "shard 1 owns names 9..=16");
-        assert_eq!(sharded.live_leases(), 2);
-        drop(a);
-        drop(b);
-
-        // The batch surface works through the trait object too.
-        let batch = Arc::clone(&sharded).lease_many(&mut p0, 3).unwrap();
-        assert_eq!(batch.len(), 3);
-        assert_eq!(sharded.live_leases(), 3);
-        drop(batch);
-        assert_eq!(sharded.live_leases(), 0);
-    }
-
-    #[test]
     fn arena_backed_long_lived_objects_share_one_backing_store() {
-        // A builder pointed at an arena places every layer's hot words
+        // A builder pointed at an arena places the recycler's hot words
         // there; the object behaves identically to the heap build.
         let arena = Arena::heap(1 << 16);
-        for shards in [1usize, 2] {
-            let before = arena.used();
-            let object = <dyn Renaming>::builder()
-                .network()
-                .capacity(8)
-                .sharded(shards)
-                .max_concurrent(4)
-                .arena(&arena)
-                .build_long_lived()
-                .unwrap();
-            assert!(
-                arena.used() > before,
-                "the build must consume arena space ({shards} shards)"
-            );
-            let mut ctx = ProcessCtx::new(ProcessId::new(0), 21);
-            for _ in 0..6 {
-                let lease = Arc::clone(&object).lease(&mut ctx).unwrap();
-                assert_eq!(lease.name(), 1, "{shards} shards");
-            }
-            assert_eq!(object.live_leases(), 0);
+        let before = arena.used();
+        let object = <dyn Renaming>::builder()
+            .network()
+            .capacity(8)
+            .max_concurrent(4)
+            .arena(&arena)
+            .build_long_lived()
+            .unwrap();
+        assert!(arena.used() > before, "the build must consume arena space");
+        let mut ctx = ProcessCtx::new(ProcessId::new(0), 21);
+        for _ in 0..6 {
+            let lease = Arc::clone(&object).lease(&mut ctx).unwrap();
+            assert_eq!(lease.name(), 1);
         }
+        assert_eq!(object.live_leases(), 0);
     }
 
     #[test]

@@ -54,9 +54,7 @@ pub trait LongLivedRenaming: Send + Sync {
     /// The default implementation loops over [`LongLivedRenaming::lease`];
     /// implementations override it to amortize per-lease admission work —
     /// [`Recycler`](crate::recycler::Recycler) reserves the whole batch's
-    /// admission slots with a single atomic operation, and
-    /// [`ShardedRecycler`](crate::sharded::ShardedRecycler) fills the batch
-    /// shard by shard starting at the caller's home shard.
+    /// admission slots with a single atomic operation.
     ///
     /// # Errors
     ///
@@ -414,77 +412,6 @@ fn check_lease_namespace(
     Ok(())
 }
 
-/// Checks a lease-churn history against the **loose** sharded bound of
-/// [`ShardedRecycler`](crate::sharded::ShardedRecycler): names are drawn
-/// from `shards` disjoint ranges of `span` names each, and within each
-/// shard's range the *localized* names (`((name - 1) % span) + 1`) must
-/// satisfy the tight long-lived guarantee of
-/// [`assert_tight_lease_namespace`] against that shard's own churn history.
-///
-/// Concretely:
-///
-/// 1. every granted name lies in `1..=shards × span`;
-/// 2. per shard, localized hold intervals never overlap — which, because the
-///    shard ranges partition the namespace, is exactly global uniqueness at
-///    every instant;
-/// 3. per shard, every localized name is at most the point contention of its
-///    grant window within that shard — so with per-shard point contention at
-///    most `p`, at most `shards × p` distinct names are ever in use (the
-///    documented loose namespace bound), even though the largest such name
-///    can be as high as `(shards - 1) × span + p`.
-///
-/// Attempts that never received a name (failures and crashes) cannot be
-/// attributed to a shard from the record alone — under overflow stealing
-/// they may have contended at several shards — so they are counted toward
-/// every shard's contention. A checker must never report a violation for a
-/// correct object, and a crashed attempt legitimately justifies a higher
-/// name wherever it contended.
-///
-/// Returns `Err` with a human-readable description of the first violation.
-pub fn assert_loose_lease_namespace(
-    records: &[LeaseRecord],
-    shards: usize,
-    span: usize,
-) -> Result<(), String> {
-    if shards == 0 || span == 0 {
-        return Err(format!(
-            "a loose bound needs at least one shard and one name per shard \
-             (got {shards} shards × {span})"
-        ));
-    }
-    let mut per_shard: Vec<Vec<LeaseRecord>> = vec![Vec::new(); shards];
-    let mut unattributed: Vec<LeaseRecord> = Vec::new();
-    for record in records {
-        match record.name {
-            Some(0) => return Err("name 0 granted (names are 1-based)".to_string()),
-            Some(name) => {
-                if name > shards * span {
-                    return Err(format!(
-                        "name {name} exceeds the loose namespace bound {} \
-                         (= {shards} shards × {span} names/shard)",
-                        shards * span
-                    ));
-                }
-                let mut localized = *record;
-                localized.name = Some((name - 1) % span + 1);
-                per_shard[(name - 1) / span].push(localized);
-            }
-            None => unattributed.push(*record),
-        }
-    }
-    for (shard, mut group) in per_shard.into_iter().enumerate() {
-        if group.is_empty() {
-            continue;
-        }
-        group.extend_from_slice(&unattributed);
-        assert_tight_lease_namespace(&group).map_err(|violation| {
-            format!("shard {shard} (names {}..={}) violates its tight bound on localized names: {violation}",
-                    shard * span + 1, (shard + 1) * span)
-        })?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,66 +519,5 @@ mod tests {
         assert!(assert_escrow_lease_namespace(&history, 1).is_ok());
         let error = assert_escrow_lease_namespace(&history, 0).unwrap_err();
         assert!(error.contains("escrow slack 0"), "{error}");
-    }
-
-    #[test]
-    fn loose_checker_accepts_shard_local_tight_histories() {
-        // Two shards of span 4: a solo lease in shard 1 may hold global name
-        // 5 (localized name 1) even though its global contention is 1 — the
-        // relaxation sharding buys.
-        let records = [
-            record(1, 0, 1, Some(10), Some(11)),
-            record(5, 2, 3, Some(8), Some(9)),
-        ];
-        assert!(assert_tight_lease_namespace(&records).is_err());
-        assert!(assert_loose_lease_namespace(&records, 2, 4).is_ok());
-    }
-
-    #[test]
-    fn loose_checker_rejects_untight_shards_and_out_of_range_names() {
-        // Localized name 2 (global 6) under contention 1 inside shard 1.
-        let untight = [record(6, 0, 1, Some(2), Some(3))];
-        let err = assert_loose_lease_namespace(&untight, 2, 4).unwrap_err();
-        assert!(err.contains("shard 1"), "{err}");
-        assert!(err.contains("point contention"), "{err}");
-
-        let out_of_range = [record(9, 0, 1, None, None)];
-        let err = assert_loose_lease_namespace(&out_of_range, 2, 4).unwrap_err();
-        assert!(err.contains("loose namespace bound 8"), "{err}");
-
-        let zero = [record(0, 0, 1, None, None)];
-        assert!(assert_loose_lease_namespace(&zero, 2, 4).is_err());
-        assert!(assert_loose_lease_namespace(&[], 0, 4).is_err());
-    }
-
-    #[test]
-    fn loose_checker_rejects_overlapping_holders_within_a_shard() {
-        let records = [
-            record(5, 0, 1, Some(6), Some(7)),
-            record(5, 2, 3, Some(4), Some(5)),
-        ];
-        let err = assert_loose_lease_namespace(&records, 2, 4).unwrap_err();
-        assert!(err.contains("held by two leases"), "{err}");
-    }
-
-    #[test]
-    fn loose_checker_counts_unattributed_attempts_in_every_shard() {
-        // A crashed attempt (no grant) may have contended at any shard, so
-        // shard 1 may justify localized name 2 (global 6) with it.
-        let crashed = LeaseRecord {
-            name: None,
-            requested_at: 0,
-            ..Default::default()
-        };
-        let records = [crashed, record(6, 1, 2, Some(3), Some(4))];
-        assert!(assert_loose_lease_namespace(&records, 2, 4).is_ok());
-    }
-
-    #[test]
-    fn loose_mode_with_one_shard_degenerates_to_the_tight_check() {
-        let ok = [record(1, 0, 1, Some(2), Some(3))];
-        assert!(assert_loose_lease_namespace(&ok, 1, 8).is_ok());
-        let untight = [record(2, 0, 1, Some(2), Some(3))];
-        assert!(assert_loose_lease_namespace(&untight, 1, 8).is_err());
     }
 }

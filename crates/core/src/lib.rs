@@ -47,9 +47,8 @@
 //! parks the name in the calling thread's own cache-line slot and the
 //! thread's next lease takes it back, so steady churn touches no shared
 //! line, at the price of the per-grant tight bound (see the [`recycler`]
-//! module docs for the exact bound). For shard-local throughput under
-//! heavy churn, [`ShardedRecycler`] trades the tight namespace bound for a
-//! documented *loose* one (`.sharded(n)` on the builder).
+//! module docs for the exact bound). `.lease_batch(1)` builds the bare
+//! recycler, whose every grant is tight.
 //!
 //! # Quick start
 //!
@@ -91,7 +90,6 @@ pub mod recovery;
 pub mod recycler;
 pub mod renaming_network;
 pub mod robust;
-pub mod sharded;
 pub mod temp_name;
 pub mod traits;
 
@@ -104,14 +102,13 @@ pub use error::RenamingError;
 pub use fetch_increment::BoundedFetchIncrement;
 pub use free_list::FreeList;
 pub use lease::{
-    assert_escrow_lease_namespace, assert_loose_lease_namespace, assert_tight_lease_namespace,
-    LeaseRecord, LongLivedRenaming, NameLease,
+    assert_escrow_lease_namespace, assert_tight_lease_namespace, LeaseRecord, LongLivedRenaming,
+    NameLease,
 };
 pub use linear_probe::LinearProbeRenaming;
 pub use ltas::BoundedTas;
 pub use recycler::Recycler;
 pub use renaming_network::RenamingNetwork;
 pub use robust::RobustLeaseTable;
-pub use sharded::ShardedRecycler;
 pub use temp_name::TempName;
 pub use traits::Renaming;

@@ -78,10 +78,6 @@
 //! by a process that dies stay parked until a steal sweep finds them; crash
 //! recovery does not drain escrows.
 //!
-//! For shard-local throughput at the price of a *loose* namespace bound, see
-//! [`ShardedRecycler`](crate::sharded::ShardedRecycler), which spreads
-//! leases over several independent recyclers.
-//!
 //! [`assert_escrow_lease_namespace`]: crate::lease::assert_escrow_lease_namespace
 
 use crate::backoff::Backoff;

@@ -10,8 +10,7 @@
 //! threads pay one global flag load and a predictable branch per site.
 //!
 //! With the `off` feature every function here is an empty `#[inline]`
-//! no-op, so telemetry compiles out of the hot paths entirely — the
-//! zero-cost path the perf overhead gate compares against.
+//! no-op, so telemetry compiles out of the hot paths entirely.
 
 #[cfg(not(feature = "off"))]
 mod imp {

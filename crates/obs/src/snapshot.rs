@@ -2,10 +2,9 @@
 //!
 //! A [`Snapshot`] folds every stripe of a [`MetricsSlab`] into owned
 //! values — counters summed, gauges maxed, histograms merged — and renders
-//! them as a single JSON object (the `OBS_*.json` sidecar files the bench
-//! binaries emit) or as a text dashboard.
+//! them as a text dashboard.
 
-use crate::hist::{bucket_bounds, Histogram};
+use crate::hist::Histogram;
 use crate::metrics::{MetricKind, MetricsSlab, ALL_METRICS};
 
 /// A merged, owned view of a [`MetricsSlab`] at one instant.
@@ -85,27 +84,6 @@ impl Snapshot {
         self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
     }
 
-    /// Renders the snapshot as one JSON object:
-    /// `{"counters":{...},"gauges":{...},"hists":{"name":{"count":..,
-    /// "mean_ns":..,"p50_ns":..,"p90_ns":..,"p99_ns":..,"max_ns":..,
-    /// "buckets":[[floor,count],...]},...}}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str("\"counters\":{");
-        push_pairs(&mut out, &self.counters);
-        out.push_str("},\"gauges\":{");
-        push_pairs(&mut out, &self.gauges);
-        out.push_str("},\"hists\":{");
-        for (index, (name, hist)) in self.hists.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{}", hist_json(hist)));
-        }
-        out.push_str("}}");
-        out
-    }
-
     /// Renders the snapshot as a text dashboard block.
     pub fn dashboard(&self) -> String {
         let mut out = String::new();
@@ -123,35 +101,6 @@ impl Snapshot {
         }
         out
     }
-}
-
-fn push_pairs(out: &mut String, pairs: &[(&'static str, u64)]) {
-    for (index, (name, value)) in pairs.iter().enumerate() {
-        if index > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{value}"));
-    }
-}
-
-/// Renders one histogram as the JSON object documented on
-/// [`Snapshot::to_json`].
-pub fn hist_json(hist: &Histogram) -> String {
-    let buckets: Vec<String> = (0..crate::hist::BUCKETS)
-        .filter(|&i| hist.bucket(i) > 0)
-        .map(|i| format!("[{},{}]", bucket_bounds(i).0, hist.bucket(i)))
-        .collect();
-    format!(
-        "{{\"count\":{},\"mean_ns\":{:.1},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\
-         \"max_ns\":{},\"buckets\":[{}]}}",
-        hist.count(),
-        hist.mean(),
-        hist.quantile(0.50),
-        hist.quantile(0.90),
-        hist.quantile(0.99),
-        hist.max(),
-        buckets.join(",")
-    )
 }
 
 #[cfg(test)]
@@ -172,14 +121,6 @@ mod tests {
         assert_eq!(snapshot.hist("cnet.increment_ns").unwrap().count(), 1);
         assert_eq!(snapshot.counter("no.such"), 0);
         assert!(snapshot.hist("no.such").is_none());
-        let json = snapshot.to_json();
-        assert!(json.contains("\"cnet.increment\":2"), "{json}");
-        assert!(json.contains("\"adaptive.routed_width\":8"), "{json}");
-        assert!(
-            json.contains("\"cnet.increment_ns\":{\"count\":1"),
-            "{json}"
-        );
-        assert!(json.contains("\"buckets\":[[256,1]]"), "{json}");
         let dash = snapshot.dashboard();
         assert!(dash.contains("cnet.increment"), "{dash}");
         assert!(

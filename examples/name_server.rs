@@ -91,33 +91,37 @@ fn main() {
     assert!(server.fresh_names() <= max_concurrent);
     assert_eq!(server.live_leases(), 0);
 
-    // --- The loose, sharded variant -------------------------------------
-    // `.sharded(n)` splits the server into n independent recyclers over
-    // disjoint name ranges with per-process home shards: lease/release
-    // traffic stays shard-local (no shared hot cache line), at the price of
-    // the loose namespace bound — names live anywhere in 1..=shards×span
-    // even at low contention. `lease_many` amortizes the admission work of
-    // a burst of slots into one reservation.
-    // Admission must cover the peak demand: all workers simultaneously
-    // holding a full burst (lease_many is all-or-nothing and non-blocking,
-    // so an undersized bound would reject bursts on multi-core hosts).
-    let sharded = builder
+    // --- Bursts through the builder-default object ----------------------
+    // `build_long_lived()` gives the recycler a per-thread escrow (quota
+    // q = 8 by default): a single release parks its name in the releasing
+    // thread's own cache-line slot, where that thread's next lease finds
+    // it. `lease_many` takes a burst of names with one admission
+    // reservation; a batch bypasses the escrow, but steals parked names
+    // when admission runs short. Parked names hold admission slots, and a
+    // spill in flight briefly holds up to ⌈q/2⌉ names of its slot, so the
+    // bound covers every worker holding a full burst plus one spill each
+    // (lease_many is all-or-nothing and non-blocking: an undersized bound
+    // would reject bursts on multi-core hosts).
+    const BURST: usize = 4;
+    const QUOTA: usize = 8;
+    let burst_bound = workers * (BURST + QUOTA.div_ceil(2));
+    let escrowed = builder
         .clone()
-        .capacity(16) // per shard when sharded
-        .sharded(4)
-        .max_concurrent(workers * 4)
+        .max_concurrent(burst_bound)
+        .lease_batch(QUOTA)
         .build_long_lived()
-        .expect("valid sharded configuration");
+        .expect("valid configuration");
 
     let outcome = Executor::new(builder.exec_config()).run(workers, {
-        let sharded = Arc::clone(&sharded);
+        let escrowed = Arc::clone(&escrowed);
         move |ctx| {
             let mut worst = 0usize;
-            for _ in 0..requests_per_worker / 4 {
-                // One burst: four slots leased together, served, released.
-                let burst = Arc::clone(&sharded)
-                    .lease_many(ctx, 4)
-                    .expect("stealing finds slots across shards");
+            for _ in 0..requests_per_worker / BURST {
+                // One burst: four slots leased together, served, released
+                // one by one into the caller's escrow slot.
+                let burst = Arc::clone(&escrowed)
+                    .lease_many(ctx, BURST)
+                    .expect("the bound covers every burst and spill");
                 ctx.flip();
                 for lease in burst {
                     worst = worst.max(lease.name());
@@ -129,10 +133,9 @@ fn main() {
     });
     let widest = outcome.results().into_iter().max().unwrap_or(0);
     println!(
-        "Sharded server: 4 shards × 16 names, widest name granted {widest} \
-         (loose bound {}).",
-        4 * 16
+        "Escrowed server: bursts of {BURST}, widest name granted {widest} \
+         (bound {burst_bound})."
     );
-    assert!(widest <= 4 * 16, "the loose bound holds");
-    assert_eq!(sharded.live_leases(), 0);
+    assert!(widest <= burst_bound, "names stay within max_concurrent");
+    assert_eq!(escrowed.live_leases(), 0);
 }

@@ -41,14 +41,13 @@ pub mod prelude {
     pub use adaptive_renaming::fetch_increment::BoundedFetchIncrement;
     pub use adaptive_renaming::free_list::FreeList;
     pub use adaptive_renaming::lease::{
-        assert_escrow_lease_namespace, assert_loose_lease_namespace, assert_tight_lease_namespace,
-        LeaseRecord, LongLivedRenaming, NameLease,
+        assert_escrow_lease_namespace, assert_tight_lease_namespace, LeaseRecord,
+        LongLivedRenaming, NameLease,
     };
     pub use adaptive_renaming::linear_probe::LinearProbeRenaming;
     pub use adaptive_renaming::ltas::BoundedTas;
     pub use adaptive_renaming::recycler::Recycler;
     pub use adaptive_renaming::renaming_network::RenamingNetwork;
-    pub use adaptive_renaming::sharded::ShardedRecycler;
     pub use adaptive_renaming::traits::{assert_tight_namespace, assert_unique_names, Renaming};
     pub use cnet::{
         AdaptiveNetworkCounter, Balancer, BalancerSlot, BalancingTopology,

@@ -75,7 +75,7 @@ fn families() -> [CountingFamily; 2] {
 }
 
 fn width_from(raw: u8) -> usize {
-    1usize << (1 + raw % 3) // 2, 4 or 8
+    1usize << (1 + raw % 4) // 2, 4, 8 or 16
 }
 
 proptest! {
@@ -119,7 +119,7 @@ proptest! {
     fn step_property_holds_at_quiescence_under_contention(
         threads in 2usize..9,
         ops_per_worker in 1usize..12,
-        raw_width in 0u8..3,
+        raw_width in 0u8..4,
         seed in 0u64..1_000_000,
         yield_percent in 0u8..40,
         arrival_choice in 0u8..3,
@@ -332,7 +332,7 @@ proptest! {
     fn adaptive_counter_is_exact_at_quiescence(
         threads in 2usize..9,
         ops_per_worker in 1usize..12,
-        raw_width in 0u8..3,
+        raw_width in 0u8..4,
         seed in 0u64..1_000_000,
         yield_percent in 0u8..40,
         arrival_choice in 0u8..3,

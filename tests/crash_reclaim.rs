@@ -77,6 +77,55 @@ fn forked_incrementers_share_one_arena_counter() {
 }
 
 #[test]
+fn forked_clean_churn_of_the_robust_table_stays_tight() {
+    // Every child registers, then acquires and releases in a loop with its
+    // registration tag as the owner stamp. With one name per process, the
+    // table's pop-min keeps every grant within the process count; after
+    // clean exits nothing is held and every release was one transition.
+    let (processes, rounds) = (4usize, 500usize);
+    let arena = Arena::shared(RobustLeaseTable::footprint(processes) + (processes + 1) * 64)
+        .expect("anonymous MAP_SHARED mapping");
+    let table = Arc::new(RobustLeaseTable::with_capacity_in(&arena, processes));
+    // One word per child: the largest name it was granted.
+    let reports = arena.alloc_slice::<AtomicU64>(processes).pin(&arena);
+
+    let pids: Vec<i32> = (0..processes)
+        .map(|child| {
+            // Pre-fork context (fork discipline: the child only touches
+            // atomics on the shared mapping).
+            let mut ctx = ProcessCtx::new(ProcessId::new(child), child as u64);
+            let (table, reports) = (Arc::clone(&table), reports.clone());
+            fork_child(move || {
+                let registration = table
+                    .register_current_process()
+                    .expect("the registry admits every child");
+                let mut worst = 0usize;
+                for _ in 0..rounds {
+                    let name = table
+                        .acquire(&mut ctx, registration.tag())
+                        .expect("the capacity equals the process count");
+                    worst = worst.max(name);
+                    assert!(table.release(&mut ctx, name), "nobody else frees it");
+                }
+                reports[child].store(worst as u64, Ordering::SeqCst);
+            })
+        })
+        .collect();
+    for pid in pids {
+        wait_for_clean_exit(pid);
+    }
+    for (child, report) in reports.iter().enumerate() {
+        let worst = report.load(Ordering::SeqCst) as usize;
+        assert!(
+            (1..=processes).contains(&worst),
+            "child {child}: largest name {worst} outside 1..={processes}"
+        );
+    }
+    assert_eq!(table.live_leases(), 0);
+    assert_eq!(table.transitions(), processes * rounds);
+}
+
+#[test]
 fn crashed_leaseholder_names_are_reclaimed_by_a_sweep() {
     let arena =
         Arena::shared(RobustLeaseTable::footprint(4) + 64).expect("anonymous MAP_SHARED mapping");
@@ -243,35 +292,42 @@ fn forked_clients_drive_a_shared_network_counter() {
     use cnet::family::CountingFamily;
     use cnet::verify::has_step_property;
 
-    let (family, width) = (CountingFamily::Bitonic, 4);
-    let arena =
-        Arena::shared(NetworkCounter::footprint(family, width)).expect("MAP_SHARED mapping");
-    let counter = Arc::new(NetworkCounter::new_in(family, width, &arena));
-    let (children, increments) = (4usize, 200u64);
+    // Width 4, and width 16: the widest network a 16-way fleet provisions.
+    for width in [4, 16] {
+        let family = CountingFamily::Bitonic;
+        let arena =
+            Arena::shared(NetworkCounter::footprint(family, width)).expect("MAP_SHARED mapping");
+        let counter = Arc::new(NetworkCounter::new_in(family, width, &arena));
+        let (children, increments) = (4usize, 200u64);
 
-    let pids: Vec<i32> = (0..children)
-        .map(|child| {
-            // Pre-fork context, as above.
-            let mut ctx = ProcessCtx::new(ProcessId::new(child), child as u64);
-            fork_child({
-                let counter = Arc::clone(&counter);
-                move || {
-                    for _ in 0..increments {
-                        counter.increment(&mut ctx);
+        let pids: Vec<i32> = (0..children)
+            .map(|child| {
+                // Pre-fork context, as above.
+                let mut ctx = ProcessCtx::new(ProcessId::new(child), child as u64);
+                fork_child({
+                    let counter = Arc::clone(&counter);
+                    move || {
+                        for _ in 0..increments {
+                            counter.increment(&mut ctx);
+                        }
                     }
-                }
+                })
             })
-        })
-        .collect();
-    for pid in pids {
-        wait_for_clean_exit(pid);
+            .collect();
+        for pid in pids {
+            wait_for_clean_exit(pid);
+        }
+        // Quiescent: every child token is accounted for, and the exit counts
+        // satisfy the counting network's step property.
+        assert_eq!(
+            counter.peek(),
+            children as u64 * increments,
+            "width {width}"
+        );
+        assert!(
+            has_step_property(&counter.exit_counts()),
+            "width {width}: exit counts {:?} violate the step property",
+            counter.exit_counts()
+        );
     }
-    // Quiescent: every child token is accounted for, and the exit counts
-    // satisfy the counting network's step property.
-    assert_eq!(counter.peek(), children as u64 * increments);
-    assert!(
-        has_step_property(&counter.exit_counts()),
-        "exit counts {:?} violate the step property",
-        counter.exit_counts()
-    );
 }

@@ -5,11 +5,11 @@
 //! guarantees at every instant: no two live leases share a name, and every
 //! granted name is bounded by the point contention of its grant. Histories
 //! are recorded with logical timestamps and checked offline by
-//! `assert_tight_lease_namespace`. The sharded variants run the same churn
-//! against a `ShardedRecycler` and check the relaxed guarantee with
-//! `assert_loose_lease_namespace`; the builder-default object, a recycler
-//! with a per-thread escrow, is checked for uniqueness and the
-//! `max_concurrent` bound under random interleavings and against
+//! `assert_tight_lease_namespace`. Batch churn through `lease_many_raw` /
+//! `release_many_raw` is checked for uniqueness and the `threads × batch`
+//! bound; the builder-default object, a recycler with a per-thread escrow,
+//! is checked for uniqueness and the `max_concurrent` bound under random
+//! interleavings and against
 //! `assert_escrow_lease_namespace` on seeded `vexec` schedules (the escrow
 //! deliberately trades away per-grant tightness); the free-list properties
 //! pin the lock-free bitmap to a sequential sorted-set model op for op. The
@@ -87,11 +87,14 @@ impl Drop for RecordedLease {
 
 /// Runs `k` workers through `rounds` lease/hold/release cycles against the
 /// given long-lived object, with optional crash injection, and returns the
-/// recorded history.
+/// recorded history. With `batch == 1` each cycle is one guarded `lease`;
+/// a larger `batch` takes that many names per cycle through
+/// `lease_many_raw` and returns them with one `release_many_raw`.
 fn churn(
     object: Arc<dyn LongLivedRenaming>,
     k: usize,
     rounds: usize,
+    batch: usize,
     config: ExecConfig,
 ) -> Vec<LeaseRecord> {
     let journal = Arc::new(Journal::new());
@@ -99,7 +102,30 @@ fn churn(
         let object = Arc::clone(&object);
         let journal = Arc::clone(&journal);
         move |ctx| {
+            let mut names = Vec::with_capacity(batch);
             for _ in 0..rounds {
+                if batch > 1 {
+                    let indices: Vec<usize> = (0..batch).map(|_| journal.open()).collect();
+                    names.clear();
+                    if object.lease_many_raw(ctx, batch, &mut names).is_err() {
+                        indices.iter().for_each(|&index| journal.fail(index));
+                        continue;
+                    }
+                    for (&index, &name) in indices.iter().zip(&names) {
+                        journal.grant(index, name);
+                    }
+                    ctx.flip();
+                    let started = journal.now();
+                    for &index in &indices {
+                        journal.records.lock()[index].release_started_at = Some(started);
+                    }
+                    object.release_many_raw(&names);
+                    let finished = journal.now();
+                    for &index in &indices {
+                        journal.records.lock()[index].release_finished_at = Some(finished);
+                    }
+                    continue;
+                }
                 let index = journal.open();
                 match Arc::clone(&object).lease(ctx) {
                     Ok(lease) => {
@@ -128,6 +154,33 @@ fn churn(
         .into_inner()
 }
 
+/// Checks the guarantees an object without per-grant tightness must still
+/// keep: every granted name lies in `1..=bound`, and no two leases hold one
+/// name at once. A holder occupies its name from the grant until its
+/// release *starts* (an escrow push lands inside the release window, so any
+/// later grant of the same name is stamped after it).
+fn assert_unique_and_bounded(records: &[LeaseRecord], bound: usize) -> Result<(), String> {
+    for (i, a) in records.iter().enumerate() {
+        let (Some(name_a), Some(start_a)) = (a.name, a.granted_at) else {
+            continue;
+        };
+        if !(1..=bound).contains(&name_a) {
+            return Err(format!("name {name_a} outside 1..={bound}"));
+        }
+        for b in &records[i + 1..] {
+            let (Some(name_b), Some(start_b)) = (b.name, b.granted_at) else {
+                continue;
+            };
+            let end_a = a.release_started_at.unwrap_or(u64::MAX);
+            let end_b = b.release_started_at.unwrap_or(u64::MAX);
+            if name_a == name_b && end_a > start_b && end_b > start_a {
+                return Err(format!("name {name_a} held twice at once"));
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 10,
@@ -151,7 +204,7 @@ proptest! {
         let config = ExecConfig::new(seed)
             .with_yield_policy(YieldPolicy::Probabilistic(f64::from(yield_percent) / 100.0))
             .with_arrival(ArrivalSchedule::Simultaneous);
-        let records = churn(Arc::clone(&recycler) as Arc<dyn LongLivedRenaming>, k, rounds, config);
+        let records = churn(Arc::clone(&recycler) as Arc<dyn LongLivedRenaming>, k, rounds, 1, config);
 
         prop_assert_eq!(records.len(), k * rounds);
         let check = assert_tight_lease_namespace(&records);
@@ -182,7 +235,7 @@ proptest! {
             prob: f64::from(crash_percent) / 100.0,
             max_steps: 40,
         });
-        let records = churn(Arc::clone(&recycler) as Arc<dyn LongLivedRenaming>, k, rounds, config);
+        let records = churn(Arc::clone(&recycler) as Arc<dyn LongLivedRenaming>, k, rounds, 1, config);
 
         let check = assert_tight_lease_namespace(&records);
         prop_assert!(check.is_ok(), "{check:?}");
@@ -214,7 +267,7 @@ proptest! {
             .seed(seed)
             .build_long_lived()
             .unwrap();
-        let records = churn(object, k, rounds, ExecConfig::new(seed));
+        let records = churn(object, k, rounds, 1, ExecConfig::new(seed));
         let check = assert_tight_lease_namespace(&records);
         prop_assert!(check.is_ok(), "{check:?}");
     }
@@ -242,174 +295,48 @@ proptest! {
         let config = ExecConfig::new(seed)
             .with_yield_policy(YieldPolicy::Probabilistic(f64::from(yield_percent) / 100.0))
             .with_arrival(ArrivalSchedule::Simultaneous);
-        let records = churn(Arc::clone(&object), k, rounds, config);
+        let records = churn(Arc::clone(&object), k, rounds, 1, config);
 
         prop_assert_eq!(records.len(), k * rounds);
-        for (i, a) in records.iter().enumerate() {
-            let (Some(name_a), Some(start_a)) = (a.name, a.granted_at) else { continue };
-            prop_assert!(
-                (1..=2 * k).contains(&name_a),
-                "name {} above max_concurrent {}", name_a, 2 * k
-            );
-            // A holder occupies its name from the grant until its release
-            // *starts* (the escrow push lands inside the release window, so
-            // any later grant of the same name is stamped after it).
-            for b in &records[i + 1..] {
-                let (Some(name_b), Some(start_b)) = (b.name, b.granted_at) else { continue };
-                if name_a != name_b {
-                    continue;
-                }
-                let end_a = a.release_started_at.unwrap_or(u64::MAX);
-                let end_b = b.release_started_at.unwrap_or(u64::MAX);
-                prop_assert!(
-                    end_a <= start_b || end_b <= start_a,
-                    "name {} held twice at once", name_a
-                );
-            }
-        }
+        let check = assert_unique_and_bounded(&records, 2 * k);
+        prop_assert!(check.is_ok(), "{check:?}");
         prop_assert_eq!(object.live_leases(), 0);
     }
 
-    /// Sharded leases under random interleavings: per-shard localized names
-    /// stay unique and tight against shard contention — the documented
-    /// loose bound `namespace ≤ shards × per-shard point contention`.
+    /// Batch churn on a bare recycler: each worker takes `batch` names with
+    /// one `lease_many_raw` and returns them with one `release_many_raw`.
+    /// With admission sized for every worker holding a full batch, no batch
+    /// is refused, held names are distinct at every instant, every name is
+    /// at most `k × batch`, and the live count returns to zero.
     #[test]
-    fn sharded_recycler_leases_stay_unique_and_loose(
-        k in 2usize..8,
-        shards in 2usize..5,
-        rounds in 1usize..8,
+    fn recycled_network_batches_stay_unique_and_bounded(
+        k in 2usize..6,
+        batch in 2usize..9,
+        rounds in 1usize..6,
         seed in 0u64..1_000_000,
         yield_percent in 0u8..40,
     ) {
-        let sharded = Arc::new(ShardedRecycler::new(
-            (0..shards)
-                .map(|_| RenamingNetwork::<_>::new(sortnet::batcher::odd_even_network(16)))
-                .collect(),
-            2 * k, // every shard could absorb the whole load via stealing
+        let recycler = Arc::new(Recycler::new(
+            RenamingNetwork::<_>::new(sortnet::batcher::odd_even_network(64)),
+            k * batch,
         ));
-        let span = sharded.span();
         let config = ExecConfig::new(seed)
             .with_yield_policy(YieldPolicy::Probabilistic(f64::from(yield_percent) / 100.0))
             .with_arrival(ArrivalSchedule::Simultaneous);
         let records = churn(
-            Arc::clone(&sharded) as Arc<dyn LongLivedRenaming>,
+            Arc::clone(&recycler) as Arc<dyn LongLivedRenaming>,
             k,
             rounds,
+            batch,
             config,
         );
 
-        prop_assert_eq!(records.len(), k * rounds);
-        let check = assert_loose_lease_namespace(&records, shards, span);
+        prop_assert_eq!(records.len(), k * rounds * batch);
+        prop_assert!(records.iter().all(|r| r.name.is_some()), "a batch was refused");
+        let check = assert_unique_and_bounded(&records, k * batch);
         prop_assert!(check.is_ok(), "{check:?}");
-        prop_assert_eq!(sharded.live_leases(), 0);
-        prop_assert_eq!(sharded.leaked_names(), 0);
-        prop_assert!(sharded.fresh_names() <= k * rounds);
-    }
-
-    /// The loose guarantees survive crash injection exactly as the tight
-    /// ones do: a crashed holder's lease is released by the unwind
-    /// (re-entering its home shard's free list), a crash inside the
-    /// acquisition keeps counting toward contention forever, and no
-    /// interleaving yields duplicate live names in any shard.
-    #[test]
-    fn sharded_recycler_leases_survive_crashes(
-        k in 2usize..8,
-        shards in 2usize..5,
-        rounds in 1usize..6,
-        seed in 0u64..1_000_000,
-        crash_percent in 10u8..60,
-    ) {
-        let sharded = Arc::new(ShardedRecycler::new(
-            (0..shards)
-                .map(|_| RenamingNetwork::<_>::new(sortnet::batcher::odd_even_network(16)))
-                .collect(),
-            2 * k,
-        ));
-        let span = sharded.span();
-        let config = ExecConfig::new(seed).with_crash_plan(CrashPlan::Random {
-            prob: f64::from(crash_percent) / 100.0,
-            max_steps: 40,
-        });
-        let records = churn(
-            Arc::clone(&sharded) as Arc<dyn LongLivedRenaming>,
-            k,
-            rounds,
-            config,
-        );
-
-        let check = assert_loose_lease_namespace(&records, shards, span);
-        prop_assert!(check.is_ok(), "{check:?}");
-        prop_assert_eq!(sharded.leaked_names(), 0);
-    }
-
-    /// A dead home shard must not wedge stealers. A process that crashes
-    /// inside an acquisition burns one of its home shard's admission slots
-    /// forever; with per-shard admission this small, a couple of crashes
-    /// wall off entire shards. The guarantee under test: a single fresh
-    /// late-arriver can still collect *every* admission the crashes left
-    /// behind — the overflow sweep walks past wedged shards instead of
-    /// giving up at its home — and the namespace stays loose-tight
-    /// throughout.
-    #[test]
-    fn dead_home_shards_do_not_wedge_stealers(
-        k in 2usize..8,
-        shards in 2usize..5,
-        per_shard in 1usize..3,
-        rounds in 1usize..5,
-        seed in 0u64..1_000_000,
-        crash_percent in 20u8..70,
-    ) {
-        let sharded = Arc::new(ShardedRecycler::new(
-            (0..shards)
-                .map(|_| RenamingNetwork::<_>::new(sortnet::batcher::odd_even_network(16)))
-                .collect(),
-            per_shard, // tiny: stealing is the common path, one crash wedges a shard
-        ));
-        let span = sharded.span();
-        let config = ExecConfig::new(seed).with_crash_plan(CrashPlan::Random {
-            prob: f64::from(crash_percent) / 100.0,
-            max_steps: 30,
-        });
-        let records = churn(
-            Arc::clone(&sharded) as Arc<dyn LongLivedRenaming>,
-            k,
-            rounds,
-            config,
-        );
-        let check = assert_loose_lease_namespace(&records, shards, span);
-        prop_assert!(check.is_ok(), "{check:?}");
-        prop_assert_eq!(sharded.leaked_names(), 0);
-
-        // Only admissions burned by mid-acquisition crashes stay live (a
-        // crashed *holder*'s lease is released by its unwind).
-        let burned = sharded.live_leases();
-        let total = shards * per_shard;
-        prop_assert!(burned <= total, "{burned} burned > {total} admissions");
-
-        // The late arriver: home shard 0, which the crashes may have wedged
-        // entirely. Every unburned admission anywhere must still be
-        // stealable, the granted names globally distinct, and the first
-        // failure after that must be plain exhaustion.
-        let mut ctx = ProcessCtx::new(ProcessId::new(0), seed);
-        let mut survivors = Vec::new();
-        for _ in 0..total - burned {
-            match Arc::clone(&sharded).lease(&mut ctx) {
-                Ok(lease) => survivors.push(lease),
-                Err(error) => prop_assert!(
-                    false,
-                    "sweep wedged with {} of {} admissions free: {error}",
-                    total - burned - survivors.len(),
-                    total
-                ),
-            }
-        }
-        let names: std::collections::BTreeSet<usize> =
-            survivors.iter().map(|lease| lease.name()).collect();
-        prop_assert_eq!(names.len(), survivors.len(), "duplicate live names");
-        prop_assert!(
-            Arc::clone(&sharded).lease(&mut ctx).is_err(),
-            "lease granted beyond the admission bound"
-        );
+        prop_assert_eq!(recycler.live_leases(), 0);
+        prop_assert_eq!(recycler.leaked_names(), 0);
     }
 
     /// The free list is pinned to a sequential pop-min model (a sorted set
