@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn batch_layout_covers_the_vector_for_many_sizes() {
-        for n in [2usize, 3, 5, 8, 16, 31, 100, 256, 1000] {
+        for n in [2usize, 3, 5, 8, 16, 31, 100, 256, 1000, 1024] {
             let batches = BitBatchingRenaming::<RatRaceTas>::batch_layout(n);
             assert_eq!(batches.first().unwrap().start, 0, "n={n}");
             assert_eq!(batches.last().unwrap().end, n, "n={n}");

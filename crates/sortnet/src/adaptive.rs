@@ -455,7 +455,7 @@ mod tests {
     #[test]
     fn traversal_depth_bound_grows_with_the_wire_index() {
         let adaptive = AdaptiveNetwork::new(NetworkFamily::OddEven, 4);
-        let bounds: Vec<usize> = [1usize, 3, 10, 100, 1000]
+        let bounds: Vec<usize> = [1usize, 3, 10, 100, 1000, 10_000]
             .iter()
             .map(|&w| adaptive.traversal_depth_bound(w))
             .collect();

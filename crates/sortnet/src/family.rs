@@ -4,9 +4,8 @@
 //! network: AKS gives the optimal `O(log n)` depth (`c = 1` in the paper's
 //! notation) but is impractical; Batcher's constructible networks give
 //! `O(log² n)` (`c = 2`). [`SortingFamily`] abstracts the choice so the core
-//! crate's renaming networks, the §6.1 adaptive construction and the
-//! experiments can swap families freely, and [`aks_depth_estimate`] provides
-//! the idealized AKS depth curve for analytic comparison (Experiment E13).
+//! crate's renaming networks and the §6.1 adaptive construction can swap
+//! families freely.
 
 use crate::batcher::OddEvenSchedule;
 use crate::bitonic::bitonic_network;
@@ -141,21 +140,6 @@ impl SortingFamily for NetworkFamily {
     }
 }
 
-/// The idealized depth of an AKS sorting network of the given width, with a
-/// unit constant: `log₂ width`.
-///
-/// Real AKS constructions have enormous constant factors (the paper calls
-/// them "impractical"); this oracle exists so experiment E13 can plot the
-/// `Θ(log n)` shape the paper's optimal bound assumes next to the measured
-/// depths of the constructible families. It cannot be built or executed.
-pub fn aks_depth_estimate(width: usize) -> f64 {
-    if width <= 1 {
-        0.0
-    } else {
-        (width as f64).log2()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,21 +224,18 @@ mod tests {
 
     #[test]
     fn constructible_families_have_polylog_depth_while_transposition_does_not() {
-        let width = 128;
-        let odd_even = NetworkFamily::OddEven.depth(width);
-        let bitonic = NetworkFamily::Bitonic.depth(width);
-        let periodic = NetworkFamily::Periodic.depth(width);
-        let transposition = NetworkFamily::Transposition.depth(width);
-        assert_eq!(odd_even, 28); // 7 * 8 / 2
-        assert_eq!(bitonic, 28);
-        assert_eq!(periodic, 49); // 7 blocks of depth 7
-        assert!(transposition >= width - 1);
-    }
-
-    #[test]
-    fn aks_depth_estimate_is_logarithmic() {
-        assert_eq!(aks_depth_estimate(1), 0.0);
-        assert!((aks_depth_estimate(1024) - 10.0).abs() < 1e-9);
-        assert!(aks_depth_estimate(1 << 20) < NetworkFamily::OddEven.depth(1 << 10) as f64);
+        for exponent in [3usize, 5, 7, 9, 11] {
+            let width = 1 << exponent;
+            let odd_even = NetworkFamily::OddEven.depth(width);
+            let bitonic = NetworkFamily::Bitonic.depth(width);
+            let periodic = NetworkFamily::Periodic.depth(width);
+            let transposition = NetworkFamily::Transposition.depth(width);
+            // log n (log n + 1) / 2 stages: 28 at width 128.
+            assert_eq!(odd_even, exponent * (exponent + 1) / 2, "width {width}");
+            assert_eq!(bitonic, exponent * (exponent + 1) / 2, "width {width}");
+            // log n blocks of depth log n: 49 at width 128.
+            assert_eq!(periodic, exponent * exponent, "width {width}");
+            assert!(transposition >= width - 1, "width {width}");
+        }
     }
 }

@@ -60,7 +60,7 @@ pub use adaptive::AdaptiveNetwork;
 pub use batcher::{odd_even_network, OddEvenSchedule};
 pub use bitonic::bitonic_network;
 pub use compiled::CompiledSchedule;
-pub use family::{aks_depth_estimate, NetworkFamily, SortingFamily};
+pub use family::{NetworkFamily, SortingFamily};
 pub use network::{Comparator, ComparatorNetwork};
 pub use periodic::periodic_network;
 pub use schedule::ComparatorSchedule;

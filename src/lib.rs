@@ -13,9 +13,8 @@
 //!   network, and the quiescently-consistent network and adaptive counters.
 //! * [`maxreg`] — max registers.
 //!
-//! See `README.md` for a guided tour; its "Running the benches" section
-//! lists the `exp_*` binaries that reproduce the paper's quantitative
-//! claims.
+//! See `README.md` for a guided tour. The paper's quantitative claims are
+//! asserted, as seeded step counts, by `tests/paper_claims.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

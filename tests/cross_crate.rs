@@ -33,45 +33,6 @@ fn adaptive_renaming_handles_bursts_of_mixed_arrival_times() {
 }
 
 #[test]
-fn adaptive_renaming_beats_linear_probing_on_worst_case_steps() {
-    // E5/E7 sanity check at integration level: for k = 24, the worst-case
-    // per-process test-and-set count of the adaptive algorithm is far below
-    // the k probes linear probing needs.
-    let k = 24usize;
-    let adaptive = Arc::new(AdaptiveRenaming::default());
-    let adaptive_outcome = Executor::new(ExecConfig::new(5)).run(k, {
-        let adaptive = Arc::clone(&adaptive);
-        move |ctx| adaptive.acquire_with_report(ctx).unwrap()
-    });
-    assert_tight_namespace(
-        &adaptive_outcome
-            .results()
-            .iter()
-            .map(|r| r.name)
-            .collect::<Vec<_>>(),
-    )
-    .unwrap();
-
-    let linear = Arc::new(LinearProbeRenaming::with_slots(
-        (0..k)
-            .map(|_| tas::ratrace::RatRaceTas::new())
-            .collect::<Vec<_>>(),
-    ));
-    let linear_outcome = Executor::new(ExecConfig::new(5)).run(k, {
-        let linear = Arc::clone(&linear);
-        move |ctx| linear.acquire_with_probes(ctx).unwrap()
-    });
-    let max_linear_probes = linear_outcome
-        .results()
-        .iter()
-        .map(|(_, probes)| *probes)
-        .max()
-        .unwrap();
-    // Linear probing's unluckiest process probes k slots.
-    assert_eq!(max_linear_probes, k);
-}
-
-#[test]
 fn counter_histories_with_crashes_stay_monotone_consistent() {
     for seed in 0..4u64 {
         let counter = Arc::new(MonotoneCounter::new());

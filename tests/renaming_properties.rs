@@ -92,8 +92,8 @@ proptest! {
     /// The ℓ-test-and-set admits exactly min(ℓ, k) winners.
     #[test]
     fn bounded_tas_has_exactly_limit_winners(
-        k in 1usize..10,
-        limit in 1usize..6,
+        k in 1usize..13,
+        limit in 1usize..9,
         seed in 0u64..1_000_000,
         yield_percent in 0u8..40,
     ) {
