@@ -36,7 +36,10 @@
 //! acquisitions (128 per thread on two threads), 61% of acquisitions reach
 //! level 4; the median temporary name is 136. A comparator's object is
 //! created on the first play that reaches it, so the cost of that first
-//! touch (one [`TwoProcessTas`] with two inline rounds) is on the path too.
+//! touch is on the path too: one [`TwoProcessTas`], whose rounds 0 and 1 are
+//! seven plain words behind one block of location ids (80 bytes; 88 with the
+//! slab cell's `OnceLock`), its other rounds boxed and built only by a play
+//! that reaches round 2.
 
 use crate::comparator_slab::ComparatorSlab;
 use crate::error::RenamingError;

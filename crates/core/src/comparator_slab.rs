@@ -132,8 +132,11 @@ impl<T> fmt::Debug for ComparatorSlab<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shmem::process::{ProcessCtx, ProcessId};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+    use tas::two_process::TwoProcessTas;
+    use tas::{Side, TwoPartyTas};
 
     #[derive(Default)]
     struct Counter(AtomicUsize);
@@ -169,6 +172,35 @@ mod tests {
         for slot in 0..4 {
             // lint: relaxed-ok(test-only counter; threads joined before the assert)
             assert_eq!(slab.get(slot).0.load(Ordering::Relaxed), 8, "slot {slot}");
+        }
+    }
+
+    #[test]
+    fn concurrent_first_touch_yields_one_comparator() {
+        // The slab's real cell type: two processes race to create each
+        // comparator and play opposite sides of it; each slot ends up with
+        // one object and that object with one winner.
+        let slab: ComparatorSlab<TwoProcessTas> = ComparatorSlab::new(4);
+        let wins: Vec<Vec<bool>> = std::thread::scope(|scope| {
+            let players: Vec<_> = [Side::Top, Side::Bottom]
+                .into_iter()
+                .enumerate()
+                .map(|(id, side)| {
+                    let slab = &slab;
+                    scope.spawn(move || {
+                        let mut ctx = ProcessCtx::new(ProcessId::new(id), 5);
+                        (0..4)
+                            .map(|slot| slab.get(slot).play(&mut ctx, side))
+                            .collect()
+                    })
+                })
+                .collect();
+            players.into_iter().map(|p| p.join().unwrap()).collect()
+        });
+        assert_eq!(slab.allocated(), 4);
+        for (slot, (top, bottom)) in wins[0].iter().zip(&wins[1]).enumerate() {
+            assert!(top ^ bottom, "slot {slot}: one winner");
+            assert!(slab.peek(slot).unwrap().has_winner());
         }
     }
 

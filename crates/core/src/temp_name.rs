@@ -12,7 +12,6 @@
 use shmem::lazy::LazyTable;
 use shmem::process::ProcessCtx;
 use shmem::register::AtomicU64Register;
-use shmem::steps::StepKind;
 use std::fmt;
 use tas::splitter::{Direction, RandomizedSplitter};
 
@@ -97,9 +96,13 @@ impl TempName {
                 Direction::Right => index * 2 + 1,
             };
         }
-        // Overflow fallback: hand out a unique name beyond every possible
-        // tree index. Reached with probability at most 2^-MAX_DEPTH.
-        ctx.record(StepKind::ReadModifyWrite);
+        self.overflow_name(ctx)
+    }
+
+    /// Overflow fallback: hands out a unique name beyond every possible tree
+    /// index, for one read-modify-write step. Reached with probability at
+    /// most 2^-MAX_DEPTH.
+    fn overflow_name(&self, ctx: &mut ProcessCtx) -> TempNameReport {
         let name = self.overflow.fetch_add(ctx, 1);
         TempNameReport {
             name: name as usize,
@@ -141,6 +144,29 @@ mod tests {
         assert_eq!(report.depth, 0);
         assert!(!report.used_overflow);
         assert_eq!(temp.allocated_splitters(), 1);
+    }
+
+    #[test]
+    fn overflow_fallback_charges_one_rmw_and_names_beyond_the_tree() {
+        let temp = TempName::new();
+        let mut ctx = ProcessCtx::new(ProcessId::new(0), 1);
+        let mut names = Vec::new();
+        for _ in 0..3 {
+            let before = ctx.stats();
+            let report = temp.overflow_name(&mut ctx);
+            let after = ctx.stats();
+            assert_eq!(after.rmws - before.rmws, 1, "one RMW per fallback");
+            assert_eq!(
+                after.total_all() - before.total_all(),
+                1,
+                "and nothing else"
+            );
+            assert!(report.used_overflow);
+            assert_eq!(report.depth, MAX_DEPTH);
+            assert!(report.name >= 1 << MAX_DEPTH, "name {}", report.name);
+            names.push(report.name);
+        }
+        assert_unique_names(&names).unwrap();
     }
 
     #[test]

@@ -191,6 +191,69 @@ impl AtomicUsizeRegister {
     }
 }
 
+/// `N` multi-writer multi-reader `usize` registers stored as plain words
+/// behind one block of location ids.
+///
+/// Word `i` behaves exactly like an [`AtomicUsizeRegister`]: each operation
+/// charges one step at location `base.offset(i)` ([`Loc::fresh_block`])
+/// before its `SeqCst` access, so step counts, scheduling points and
+/// conflicts are the same as with `N` separate registers. What differs is
+/// the storage: eight bytes a word and one `Loc` for the block, where a
+/// register carries its own `Loc` and an [`ArenaCell`] it may not need.
+/// Objects built many times on a hot path (a comparator's two-process
+/// test-and-set) hold their words this way.
+#[derive(Debug)]
+pub struct RegisterBlock<const N: usize> {
+    words: [AtomicUsize; N],
+    base: Loc,
+}
+
+impl<const N: usize> RegisterBlock<N> {
+    /// Creates a block with every word set to `initial`.
+    pub fn new(initial: usize) -> Self {
+        RegisterBlock {
+            words: std::array::from_fn(|_| AtomicUsize::new(initial)),
+            base: Loc::fresh_block(N as u64),
+        }
+    }
+
+    /// The location identifier of word `index`.
+    pub fn loc(&self, index: usize) -> Loc {
+        self.base.offset(index as u64)
+    }
+
+    /// Atomically reads word `index`, charging one read step.
+    pub fn read(&self, ctx: &mut ProcessCtx, index: usize) -> usize {
+        ctx.record_at(StepKind::RegisterRead, self.loc(index));
+        self.words[index].load(Ordering::SeqCst)
+    }
+
+    /// Atomically writes word `index`, charging one write step.
+    pub fn write(&self, ctx: &mut ProcessCtx, index: usize, value: usize) {
+        ctx.record_at(StepKind::RegisterWrite, self.loc(index));
+        self.words[index].store(value, Ordering::SeqCst);
+    }
+
+    /// Atomically performs compare-and-swap on word `index`, charging one
+    /// read-modify-write step. Returns `Ok(previous)` on success and
+    /// `Err(actual)` on failure.
+    pub fn compare_and_swap(
+        &self,
+        ctx: &mut ProcessCtx,
+        index: usize,
+        expected: usize,
+        new: usize,
+    ) -> Result<usize, usize> {
+        ctx.record_at(StepKind::ReadModifyWrite, self.loc(index));
+        self.words[index].compare_exchange(expected, new, Ordering::SeqCst, Ordering::SeqCst)
+    }
+
+    /// Reads word `index` without charging any step (harness/test use only).
+    pub fn peek(&self, index: usize) -> usize {
+        self.words[index].load(Ordering::SeqCst)
+    }
+}
+
 /// A multi-writer multi-reader atomic register holding a `bool`.
 #[derive(Debug)]
 pub struct AtomicBoolRegister {
@@ -368,6 +431,25 @@ mod tests {
         assert_eq!(reg.compare_and_swap(&mut ctx, 3, 4), Ok(3));
         assert_eq!(reg.fetch_add(&mut ctx, 10), 4);
         assert_eq!(reg.peek(), 14);
+    }
+
+    #[test]
+    fn register_block_words_behave_like_registers_at_consecutive_locs() {
+        let mut ctx = ctx();
+        let block: RegisterBlock<3> = RegisterBlock::new(7);
+        assert_eq!(block.read(&mut ctx, 0), 7);
+        block.write(&mut ctx, 1, 9);
+        assert_eq!(block.peek(1), 9);
+        assert_eq!(block.peek(2), 7, "words are independent");
+        assert_eq!(block.compare_and_swap(&mut ctx, 2, 7, 4), Ok(7));
+        assert_eq!(block.compare_and_swap(&mut ctx, 2, 7, 5), Err(4));
+        let stats = ctx.stats();
+        assert_eq!((stats.reads, stats.writes, stats.rmws), (1, 1, 2));
+        for i in 0..3 {
+            assert_eq!(block.loc(i), block.loc(0).offset(i as u64));
+        }
+        assert!(!block.loc(0).is_anon());
+        assert_ne!(block.loc(0), RegisterBlock::<3>::new(0).loc(0));
     }
 
     #[test]

@@ -68,13 +68,17 @@ use std::sync::{Arc, Condvar, Mutex};
 /// Identifier of a shared-memory location (one register, balancer word or
 /// other atomic cell), used to key read/write dependency analysis.
 ///
-/// Every register allocates a fresh `Loc` at construction ([`Loc::fresh`]),
-/// so two operations conflict only if they touch the same word. Ids are
-/// unique process-wide but carry no order: each thread draws them from its
-/// own block, so which ids an object gets depends on the thread that built
-/// it and on what that thread built before. Nothing relies on the raw
-/// values — the dependency analysis only compares locations *within* one
-/// execution, and `mcheck` renames them by first appearance in each run.
+/// Every shared word gets its own `Loc` at construction: a register draws
+/// one with [`Loc::fresh`], and a block of words (a
+/// [`RegisterBlock`](crate::register::RegisterBlock)) draws one contiguous
+/// range with [`Loc::fresh_block`] and charges word *i* at `base + i`
+/// ([`Loc::offset`]). Either way two operations conflict only if they touch
+/// the same word. Ids are unique process-wide but carry no order: each
+/// thread draws them from its own block, so which ids an object gets
+/// depends on the thread that built it and on what that thread built
+/// before. Nothing relies on the raw values — the dependency analysis only
+/// compares locations *within* one execution, and `mcheck` renames them by
+/// first appearance in each run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Loc(u64);
 
@@ -101,15 +105,36 @@ impl Loc {
     /// calling thread's block, refilling the block from the global counter
     /// when it runs out.
     pub fn fresh() -> Loc {
+        Loc::fresh_block(1)
+    }
+
+    /// Allocates `n` consecutive fresh location ids and returns the first;
+    /// the block's ids are `base.offset(0)` to `base.offset(n - 1)`.
+    ///
+    /// A block that fits in the calling thread's remaining ids is cut from
+    /// them. Otherwise the thread refills first, dropping the ids it had
+    /// left, so a block never straddles two refills. A block longer than a
+    /// whole refill comes straight from the global counter and leaves the
+    /// thread's ids untouched.
+    pub fn fresh_block(n: u64) -> Loc {
+        if n > LOC_BLOCK {
+            return Loc(NEXT_LOC.fetch_add(n, Ordering::Relaxed)); // lint: relaxed-ok(unique id allocation only; no data is published through this counter)
+        }
         LOC_IDS.with(|ids| {
             let (mut next, mut end) = ids.get();
-            if next == end {
+            if end - next < n {
                 next = NEXT_LOC.fetch_add(LOC_BLOCK, Ordering::Relaxed); // lint: relaxed-ok(unique id allocation only; no data is published through this counter)
                 end = next + LOC_BLOCK;
             }
-            ids.set((next + 1, end));
+            ids.set((next + n, end));
             Loc(next)
         })
+    }
+
+    /// The id `index` places after this one: word `index` of a block whose
+    /// base came from [`Loc::fresh_block`].
+    pub fn offset(self, index: u64) -> Loc {
+        Loc(self.0 + index)
     }
 
     /// Whether this is the anonymous (conservatively conflicting) location.
@@ -805,6 +830,95 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 8 * PER_THREAD, "ids are unique");
+    }
+
+    #[test]
+    fn loc_blocks_and_single_ids_are_unique_across_threads() {
+        // Each thread interleaves single ids with 7- and 97-id blocks (the
+        // two-process test-and-set's head and tail); every id of every
+        // block and every single id is distinct process-wide.
+        #[cfg(not(miri))]
+        const ROUNDS: usize = 2_000;
+        #[cfg(miri)]
+        const ROUNDS: usize = 50;
+        let per_thread: Vec<Vec<u64>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut ids = Vec::new();
+                        for _ in 0..ROUNDS {
+                            ids.push(Loc::fresh().as_u64());
+                            for n in [7, 97] {
+                                let base = Loc::fresh_block(n);
+                                ids.extend((0..n).map(|i| base.offset(i).as_u64()));
+                            }
+                        }
+                        ids
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let mut all: Vec<u64> = per_thread.into_iter().flatten().collect();
+        assert!(all.iter().all(|&raw| raw != 0), "no id is ANON");
+        let drawn = all.len();
+        assert_eq!(drawn, 8 * ROUNDS * (1 + 7 + 97));
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), drawn, "ids are unique");
+    }
+
+    #[test]
+    fn loc_block_ids_are_consecutive() {
+        std::thread::spawn(|| {
+            let base = Loc::fresh_block(7);
+            let ids: Vec<u64> = (0..7).map(|i| base.offset(i).as_u64()).collect();
+            assert_eq!(ids, (base.as_u64()..base.as_u64() + 7).collect::<Vec<_>>());
+            // The thread's next id follows the block directly.
+            assert_eq!(Loc::fresh(), base.offset(7));
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn loc_block_larger_than_a_refill_comes_from_the_global_counter() {
+        std::thread::spawn(|| {
+            let before = Loc::fresh();
+            let big = Loc::fresh_block(LOC_BLOCK + 1);
+            let after = Loc::fresh();
+            // The thread's own ids carry on, untouched by the big block.
+            assert_eq!(after, before.offset(1));
+            let span = big.as_u64()..big.as_u64() + LOC_BLOCK + 1;
+            assert!(!span.contains(&before.as_u64()));
+            assert!(!span.contains(&after.as_u64()));
+            assert!(!big.is_anon());
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn loc_block_never_straddles_a_refill() {
+        std::thread::spawn(|| {
+            // A new thread's first id starts its first refill.
+            let first = Loc::fresh();
+            let refill = first.as_u64()..first.as_u64() + LOC_BLOCK;
+            // Leave three ids in the refill, fewer than the block needs.
+            for _ in 0..LOC_BLOCK - 4 {
+                Loc::fresh();
+            }
+            let base = Loc::fresh_block(7);
+            let block = base.as_u64()..base.as_u64() + 7;
+            assert!(
+                block.end <= refill.start || block.start >= refill.end,
+                "block {block:?} overlaps the refill {refill:?}"
+            );
+            // The block opens the thread's next refill.
+            assert_eq!(Loc::fresh(), base.offset(7));
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]
