@@ -7,17 +7,16 @@
 //! deterministic `FaultPlan` against them: SIGKILL at randomized
 //! operation indices, SIGSTOP/SIGCONT stalls (with a mid-stall sweep
 //! proving a *stalled* process's leases survive — slow is not dead), and
-//! torn-write injection (lease slots claimed with no owner published,
-//! names popped off the table's free list and never claimed, free-list
-//! data bits with no summary flag). The storm then kills
-//! whatever is left, the parent re-attaches **by path** as a fresh
-//! restart, runs `recover`, and verifies:
+//! torn-write injection (names popped off the table's free list and never
+//! claimed, free-list data bits with no summary flag; a lease slot cannot
+//! tear, since its claim is one CAS). The storm then kills whatever is
+//! left, the parent re-attaches **by path** as a fresh restart, runs
+//! `recover`, and verifies:
 //!
 //! * the recovery wins its attach epoch and reports the arena dirty;
 //! * every dead child's flight-recorder tail is recovered as a postmortem;
-//! * after recovery + one sweep the namespace is exactly whole again — no
-//!   lost names, no duplicates (`assert_tight_namespace` over a full
-//!   re-grant);
+//! * after recovery the namespace is exactly whole again — no lost names,
+//!   no duplicates (`assert_tight_namespace` over a full re-grant);
 //! * torn free-list pushes are findable again after summary repair;
 //! * a second recovery at a later epoch changes nothing
 //!   (`RobustLeaseTable::state_snapshot` byte-identical).
@@ -140,7 +139,6 @@ mod harness {
         let mut killed: Vec<usize> = Vec::new();
         let mut stalled: Vec<usize> = Vec::new();
         let mut pending: Vec<ChildFault> = plan.faults().to_vec();
-        let mut torn_names: Vec<usize> = Vec::new();
         let mut torn_pushes: Vec<usize> = Vec::new();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         while !pending.is_empty() {
@@ -174,17 +172,10 @@ mod harness {
                     }
                     FaultAction::TornWrite => {
                         // Half-written states, injected from outside the
-                        // children: a claimed-but-ownerless lease slot, a
-                        // name popped but never claimed (lost to the fleet
-                        // until a restart re-lists it) and an unflagged
-                        // free-list data bit.
-                        for name in 1..=CAPACITY {
-                            if shared.table.inject_torn_slot(&mut supervisor, name) {
-                                torn_names.push(name);
-                                break;
-                            }
-                        }
-                        torn_names.extend(shared.table.inject_torn_pop(&mut supervisor));
+                        // children: a name popped but never claimed (lost
+                        // to the fleet until a restart re-lists it) and an
+                        // unflagged free-list data bit.
+                        shared.table.inject_torn_pop(&mut supervisor);
                         let torn = FREE_BOUND - (seed as usize % 64) - 1;
                         if shared.free.inject_torn_push(torn) {
                             torn_pushes.push(torn);
@@ -287,17 +278,12 @@ mod harness {
             }
         }
 
-        // Drain the quarantine (the "next sweep" of the protocol); after
-        // that nothing may be live and the namespace must be exactly whole.
-        shared.table.sweep_dead_processes(&mut ctx);
+        // Nothing may be live now, and the namespace must be exactly whole.
         if adaptive_renaming::lease::LongLivedRenaming::live_leases(&*shared.table) != 0 {
             return fail(format!(
                 "leases survived recovery: {:?}",
                 shared.table.state_snapshot()
             ));
-        }
-        if shared.table.quarantined() != 0 {
-            return fail("quarantine not drained by the sweep".into());
         }
         let registration = shared
             .table
@@ -346,7 +332,7 @@ mod harness {
             |_| true,
             false,
         );
-        if !second.won || second.reclaimed != 0 || second.quarantined != 0 {
+        if !second.won || second.reclaimed != 0 {
             return fail(format!("second recovery did work: {second:?}"));
         }
         if shared.table.state_snapshot() != snapshot
@@ -356,7 +342,6 @@ mod harness {
         }
 
         arena.mark_clean();
-        let _ = torn_names; // repaired by the drain or re-listed; counted in `names` above
         Ok(())
     }
 

@@ -17,7 +17,7 @@
 //! the expected step complexity is `O(log k)` for a depth-`O(log n)` base
 //! family — `O(log² k)` for the constructible Batcher family used here
 //! (Theorem 3, adjusted for the constructible-network substitution recorded
-//! in `DESIGN.md`).
+//! under *Substitutions* in `PAPER.md`).
 //!
 //! Comparator storage is chosen per section of the sandwich, and both kinds
 //! are lock-free and lazy (an object exists only once a process reaches its

@@ -4,10 +4,11 @@
 //! [`shmem::arena::Arena`] can be SIGKILLed wholesale at any instant. The
 //! arena's words survive on disk exactly as the kill left them; what a
 //! fresh attacher inherits is a namespace mid-flight: slots held by dead
-//! owners, slots torn between claim and owner publication, free names that
-//! a kill left off the table's free list (between pop and claim, or between
-//! free and push), and free-list summary flags that lag their data words (a
-//! kill between a push's data `fetch_or` and its summary ensure).
+//! owners, free names that a kill left off the table's free list (between
+//! pop and claim, or between free and push), and free-list summary flags
+//! that lag their data words (a kill between a push's data `fetch_or` and
+//! its summary ensure). A slot word itself is never torn: a claim is one
+//! CAS that writes generation and owner together.
 //! [`recover`] reconciles all of it — the escrow shape from the paper's
 //! lineage applies directly: every per-process obligation is
 //! reconstructible by a later process that never spoke to the dead one,
@@ -27,12 +28,11 @@
 //!    passed in. Summary flags are monotone, so repair is
 //!    re-derive-and-re-flag ([`FreeList::repair_summary`]) — never a clear,
 //!    so it cannot race pushers.
-//! 4. **Sweep the table.** Every held slot's owner tag is judged: torn
-//!    slots (owner tag 0) are quarantined, dead owners' slots get the same
-//!    exactly-once `HELD(g) → FREE(g)` CAS a release would perform, and the
-//!    name is pushed back onto the table's free list. With
-//!    `presume_all_dead` (the restart signature: no registered survivor)
-//!    every non-torn held slot is reclaimed unconditionally.
+//! 4. **Sweep the table.** Every held slot's owner tag is judged: dead
+//!    owners' slots get the same exactly-once `HELD(g) → FREE(g)` CAS a
+//!    release would perform, and the name is pushed back onto the table's
+//!    free list. With `presume_all_dead` (the restart signature: no
+//!    registered survivor) every held slot is reclaimed unconditionally.
 //! 5. **Re-list dropped names.** With `presume_all_dead`, every free slot
 //!    whose list bit is clear is pushed back: nobody is alive to finish the
 //!    pop-then-claim or free-then-push that left it off the list. A push
@@ -58,7 +58,8 @@ pub struct RecoveryReport {
     pub epoch: u64,
     /// Names reclaimed from dead owners by the sweep.
     pub reclaimed: usize,
-    /// Torn slots newly parked on the quarantine list.
+    /// Always zero: a one-CAS claim leaves no torn slot to quarantine.
+    /// Kept because existing readers of the report still name it.
     pub quarantined: usize,
     /// Free-list summary flags re-derived from data words.
     pub summary_repairs: usize,
@@ -107,9 +108,9 @@ pub fn recover_with(
         .sum();
 
     let mut listed = 0;
-    for (index, slot) in table.slot_registers().iter().enumerate() {
+    for index in 0..table.capacity() {
         let name = index + 1;
-        let word = slot.read(ctx);
+        let word = table.read_slot(ctx, index);
         if presume_all_dead && index % 64 == 0 {
             listed = own.word_bits(index / 64);
         }
@@ -122,14 +123,6 @@ pub fn recover_with(
             continue;
         }
         let tag = robust::owner(word);
-        if tag == 0 {
-            // Torn: claimed but no owner published. Indeterminate — park it
-            // for the next sweep instead of guessing.
-            if table.quarantine_name(ctx, name) {
-                report.quarantined += 1;
-            }
-            continue;
-        }
         let dead = presume_all_dead
             || match table.tag_status(tag) {
                 TagStatus::Raw => false,
@@ -142,12 +135,7 @@ pub fn recover_with(
                     dead
                 }
             };
-        if dead
-            && slot
-                .compare_and_swap(ctx, word, robust::pack_free(robust::generation(word)))
-                .is_ok()
-        {
-            table.note_transition(ctx, name);
+        if dead && table.free_observed(ctx, index, word) {
             report.reclaimed += 1;
             obs::count(obs::Metric::RecoverReclaimed);
             obs::event(obs::EventKind::Recovered, name as u64, tag as u64);
@@ -258,24 +246,17 @@ mod tests {
         for _ in 0..3 {
             table.acquire(&mut ctx, registration.tag()).unwrap();
         }
-        table.inject_torn_slot(&mut ctx, 5);
 
         let first = recover_with(&mut ctx, &table, &[], 1, |_| true, true);
         assert!(first.won);
-        assert_eq!(first.quarantined, 1);
+        assert_eq!(first.reclaimed, 3);
         let snapshot = table.state_snapshot();
 
         // A later epoch wins again but finds nothing left to change.
         let second = recover_with(&mut ctx, &table, &[], 2, |_| true, true);
         assert!(second.won);
         assert_eq!(second.reclaimed, 0);
-        assert_eq!(second.quarantined, 0, "quarantining is idempotent");
         assert_eq!(table.state_snapshot(), snapshot, "byte-identical state");
-
-        // The quarantined torn slot is repaired by the next sweep-style
-        // drain, after which the name is grantable exactly once.
-        assert_eq!(table.drain_quarantine(&mut ctx), 1);
-        assert_eq!(table.quarantined(), 0);
         assert_eq!(table.acquire(&mut ctx, registration.tag()).unwrap(), 1);
     }
 

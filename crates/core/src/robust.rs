@@ -25,10 +25,10 @@
 //!   owner a liveness predicate declares dead, then pushes the name back.
 //!
 //! The list is a hint, the slot word the truth. A popped name whose slot
-//! turns out HELD carries a stale bit (a duplicate push, or a torn slot
-//! still listed) and is simply dropped: its holder pushes it again when it
-//! frees it. Duplicate bits are therefore harmless, which is what lets
-//! recovery re-list names without coordinating with the list.
+//! turns out HELD carries a stale bit (a duplicate push) and is simply
+//! dropped: its holder pushes it again when it frees it. Duplicate bits are
+//! therefore harmless, which is what lets recovery re-list names without
+//! coordinating with the list.
 //!
 //! Because release and sweep compare against the exact word they observed,
 //! the `HELD(g) → FREE(g)` transition of every grant happens **exactly
@@ -67,18 +67,21 @@
 //! resolves a tag back through the registry: a generation mismatch means
 //! the slot was re-registered (the original owner is gone no matter what
 //! the pid now names), and only a matching registration's pid is probed
-//! against the OS. Tags below `2^24` never collide with registration tags
-//! and are treated as in-process (never provably dead) by the OS sweep.
+//! against the OS. Nonzero tags below `2^24` never collide with
+//! registration tags and are treated as in-process (never provably dead) by
+//! the OS sweep; `acquire` rejects tag `0`, and the trait path refuses
+//! process ids whose `id + 1` tag would leave that range.
 //!
 //! **Restart recovery.** Over a file-backed arena
 //! ([`shmem::arena::Arena::file_attach`]) a whole fleet can die and a
 //! fresh process attach later. [`crate::recovery::recover`] arbitrates via
 //! the table's recovery-epoch word (one winner per epoch), raises the
 //! **admission gate** so concurrent acquirers back off instead of
-//! reporting spurious exhaustion ([`crate::backoff::Backoff`]), sweeps
-//! dead owners, and moves torn slots (held with owner tag `0`) onto the
-//! **quarantine** bitmap, drained by the next sweep. On a whole-fleet
-//! restart it also re-lists free slots whose list bit is clear: a kill
+//! reporting spurious exhaustion ([`crate::backoff::Backoff`]) and sweeps
+//! dead owners. A claim is one CAS that writes the generation and the owner
+//! together, so no kill can leave a slot held without an owner: every held
+//! word names the process that claimed it. On a whole-fleet restart
+//! recovery also re-lists free slots whose list bit is clear: a kill
 //! between pop and claim, or between free and push, leaves exactly that.
 //!
 //! All shared state lives in an [`Arena`] — one cache line per slot, per
@@ -91,12 +94,13 @@ use crate::backoff::Backoff;
 use crate::error::RenamingError;
 use crate::free_list::FreeList;
 use crate::lease::{LongLivedRenaming, NameLease};
-use shmem::arena::{Arena, ArenaSliceRef};
+use shmem::arena::{Arena, ArenaPod, ArenaSliceRef};
+use shmem::pad::CachePadded;
 use shmem::process::{ProcessCtx, ProcessId};
-use shmem::register::{AtomicU64Register, AtomicUsizeRegister};
+use shmem::register::AtomicU64Register;
 use shmem::steps::StepKind;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Number of low bits holding the owner tag.
@@ -113,12 +117,12 @@ const GEN_MASK: u64 = (1 << GEN_BITS) - 1;
 const HELD_BIT: u64 = 1 << 63;
 
 /// Packs a free slot word carrying the given generation.
-pub(crate) fn pack_free(generation: u64) -> u64 {
+fn pack_free(generation: u64) -> u64 {
     (generation & GEN_MASK) << GEN_SHIFT
 }
 
 /// Packs a held slot word carrying the given generation and owner.
-pub(crate) fn pack_held(generation: u64, owner: u32) -> u64 {
+fn pack_held(generation: u64, owner: u32) -> u64 {
     HELD_BIT | ((generation & GEN_MASK) << GEN_SHIFT) | owner as u64
 }
 
@@ -128,7 +132,7 @@ pub(crate) fn is_held(word: u64) -> bool {
 }
 
 /// The generation stamped in the slot word.
-pub(crate) fn generation(word: u64) -> u64 {
+fn generation(word: u64) -> u64 {
     (word >> GEN_SHIFT) & GEN_MASK
 }
 
@@ -138,7 +142,7 @@ pub(crate) fn owner(word: u64) -> u32 {
 }
 
 /// The successor generation, wrapping within the 31-bit field.
-pub(crate) fn next_generation(generation: u64) -> u64 {
+fn next_generation(generation: u64) -> u64 {
     generation.wrapping_add(1) & GEN_MASK
 }
 
@@ -158,6 +162,9 @@ const REG_GEN_SHIFT: u32 = 32;
 /// `slot + 1` keeps every registration tag `>= 2^24`, disjoint from the
 /// small raw tags the in-process trait path stamps (`ctx.id() + 1`).
 const TAG_SLOT_SHIFT: u32 = 24;
+/// Process ids the trait path accepts: `0..RAW_ID_LIMIT`, so its raw tag
+/// `id + 1` is nonzero and stays below the registration tags.
+const RAW_ID_LIMIT: u64 = (1 << TAG_SLOT_SHIFT) - 1;
 /// Mask of the generation bits a tag can carry.
 const TAG_GEN_MASK: u32 = (1 << TAG_SLOT_SHIFT) - 1;
 
@@ -230,9 +237,9 @@ impl Registration {
 /// ```
 pub struct RobustLeaseTable {
     arena: Arc<Arena>,
-    /// Slot `i` governs name `i + 1`; each register word is on its own
-    /// arena cache line.
-    slots: Vec<AtomicU64Register>,
+    /// Slot `i` governs name `i + 1`, one word per arena cache line; every
+    /// step on it is charged at the line's [`ArenaSliceRef::loc_at`].
+    slots: ArenaSliceRef<CachePadded<AtomicU64>>,
     /// The free names, popped lowest first. Pushed with
     /// [`FreeList::push_unsequenced`]: the stripes below are the seqlock.
     free: FreeList,
@@ -241,7 +248,7 @@ pub struct RobustLeaseTable {
     /// back. Their sum doubles as the seqlock that keeps exhaustion reports
     /// coherent: an acquire whose pop missed reports exhaustion only if the
     /// sum did not move across a second, missing pop.
-    stripes: Vec<AtomicUsizeRegister>,
+    stripes: ArenaSliceRef<CachePadded<AtomicUsize>>,
     /// Admission gate: nonzero while a sweep/recovery is in flight. An
     /// acquire that would report exhaustion backs off (bounded) instead, so
     /// recovery does not surface as spurious `CapacityExceeded` to callers
@@ -250,11 +257,6 @@ pub struct RobustLeaseTable {
     /// Highest recovery epoch claimed so far: `claim_recovery` CASes it
     /// upward, so exactly one recoverer wins per epoch value.
     recovered_epoch: AtomicU64Register,
-    /// Quarantine bitmap, one bit per name: set for slots recovery found
-    /// torn/indeterminate, cleared (and the slot repaired) by the next
-    /// sweep. A quarantined slot keeps its held flag, so the name is not
-    /// grantable until drained.
-    quarantine: Vec<AtomicU64Register>,
     /// Process registry: [`REGISTRY_SLOTS`] packed `generation << 32 | pid`
     /// words. Registration is a cold attach-time path, so the words are
     /// dense plain atomics rather than per-line registers.
@@ -286,21 +288,14 @@ impl RobustLeaseTable {
     /// offsets the creator used.
     pub fn with_capacity_in(arena: &Arc<Arena>, capacity: usize) -> Self {
         assert!(capacity > 0, "a lease table needs at least one name");
-        let slots = (0..capacity)
-            .map(|_| AtomicU64Register::new_in(arena, pack_free(0)))
-            .collect();
+        // Zeroed words are `pack_free(0)`, the never-granted slot.
         RobustLeaseTable {
             arena: Arc::clone(arena),
-            slots,
+            slots: arena.alloc_slice(capacity).pin(arena),
             free: FreeList::full_in(arena, capacity),
-            stripes: (0..TRANSITION_STRIPES)
-                .map(|_| AtomicUsizeRegister::new_in(arena, 0))
-                .collect(),
+            stripes: arena.alloc_slice(TRANSITION_STRIPES).pin(arena),
             gate: AtomicU64Register::new_in(arena, 0),
             recovered_epoch: AtomicU64Register::new_in(arena, 0),
-            quarantine: (0..capacity.div_ceil(64))
-                .map(|_| AtomicU64Register::new_in(arena, 0))
-                .collect(),
             registry: arena.alloc_slice::<AtomicU64>(REGISTRY_SLOTS).pin(arena),
             capacity,
         }
@@ -309,13 +304,11 @@ impl RobustLeaseTable {
     /// The number of arena bytes the table allocates: one 64-byte line per
     /// slot, the free list ([`FreeList::footprint`]), one line per
     /// transition stripe, one each for the admission gate and the recovery
-    /// epoch, one per quarantine word (64 names each), plus the dense
-    /// [`REGISTRY_SLOTS`]-word process registry.
+    /// epoch, plus the dense [`REGISTRY_SLOTS`]-word process registry.
     pub fn footprint(capacity: usize) -> usize {
         capacity * 64
             + FreeList::footprint(capacity)
             + (TRANSITION_STRIPES + 2) * 64
-            + capacity.div_ceil(64) * 64
             + REGISTRY_SLOTS * 8
     }
 
@@ -341,6 +334,10 @@ impl RobustLeaseTable {
     /// whose slot is held carries a stale bit and is dropped for the next
     /// pop.
     ///
+    /// # Panics
+    ///
+    /// Panics if `owner_tag` is 0: a held word must name its owner.
+    ///
     /// # Errors
     ///
     /// Returns [`RenamingError::CapacityExceeded`] when every slot is held —
@@ -351,6 +348,7 @@ impl RobustLeaseTable {
     /// bounded) before failing: the sweep is about to free the dead owners'
     /// names, so the exhaustion is very likely transient.
     pub fn acquire(&self, ctx: &mut ProcessCtx, owner_tag: u32) -> Result<usize, RenamingError> {
+        assert!(owner_tag != 0, "owner tag 0 names no owner");
         let acquire_timer = obs::start();
         let mut backoff = Backoff::new();
         let mut stamp = None;
@@ -386,11 +384,10 @@ impl RobustLeaseTable {
     /// Claims popped `name`'s slot: `FREE(g) → HELD(g + 1, owner_tag)`.
     /// Returns `false` if the slot is held, i.e. the popped bit was stale.
     fn claim(&self, ctx: &mut ProcessCtx, name: usize, owner_tag: u32) -> bool {
-        let slot = &self.slots[name - 1];
         let mut expected = pack_free(0);
         loop {
             let claimed = pack_held(next_generation(generation(expected)), owner_tag);
-            match slot.compare_and_swap(ctx, expected, claimed) {
+            match self.cas_slot(ctx, name - 1, expected, claimed) {
                 Ok(_) => return true,
                 Err(actual) if is_held(actual) => return false,
                 Err(actual) => expected = actual,
@@ -409,16 +406,12 @@ impl RobustLeaseTable {
     ///
     /// Panics if `name` is outside `1..=capacity`.
     pub fn release(&self, ctx: &mut ProcessCtx, name: usize) -> bool {
-        let slot = self.slot(name);
-        let word = slot.read(ctx);
+        let index = self.index(name);
+        let word = self.read_slot(ctx, index);
         if !is_held(word) {
             return false;
         }
-        if slot
-            .compare_and_swap(ctx, word, pack_free(generation(word)))
-            .is_ok()
-        {
-            self.note_transition(ctx, name);
+        if self.free_observed(ctx, index, word) {
             obs::count(obs::Metric::RobustRelease);
             obs::event(obs::EventKind::LeaseReleased, name as u64, 0);
             true
@@ -439,15 +432,9 @@ impl RobustLeaseTable {
     /// exactly-once transition holds regardless.
     pub fn sweep(&self, ctx: &mut ProcessCtx, mut is_dead: impl FnMut(u32) -> bool) -> usize {
         let mut reclaimed = 0;
-        for (index, slot) in self.slots.iter().enumerate() {
-            let word = slot.read(ctx);
-            if is_held(word)
-                && is_dead(owner(word))
-                && slot
-                    .compare_and_swap(ctx, word, pack_free(generation(word)))
-                    .is_ok()
-            {
-                self.note_transition(ctx, index + 1);
+        for index in 0..self.capacity {
+            let word = self.read_slot(ctx, index);
+            if is_held(word) && is_dead(owner(word)) && self.free_observed(ctx, index, word) {
                 reclaimed += 1;
                 obs::count(obs::Metric::RobustSwept);
                 obs::event(
@@ -476,9 +463,6 @@ impl RobustLeaseTable {
     ///   [`LongLivedRenaming`] trait path) is never provably dead to the
     ///   OS and is left alone.
     ///
-    /// The sweep finishes by draining the quarantine list, repairing any
-    /// torn slots recovery parked there.
-    ///
     /// As a postmortem hook, every distinct dead pid whose name this sweep
     /// reclaims is reported to [`obs::postmortem::notify_dead`]: if the
     /// sweeping process has a [`obs::FlightRecorder`] installed and the dead
@@ -498,11 +482,10 @@ impl RobustLeaseTable {
                 dead
             }
         });
-        let repaired = self.drain_quarantine(ctx);
         for pid in dead_pids {
             obs::postmortem::notify_dead(pid);
         }
-        reclaimed + repaired
+        reclaimed
     }
 
     /// Registers `pid` with the table, claiming a registry slot and a fresh
@@ -550,8 +533,8 @@ impl RobustLeaseTable {
                 if old_pid != 0 && old_pid != pid && !reclaimable(old_pid) {
                     break; // occupied by a live stranger; next slot
                 }
-                // Skip generations whose low tag bits are zero so a tag is
-                // never 0 (0 is the torn-slot marker in lease words).
+                // Skip generations whose low tag bits are zero, so every
+                // issued tag carries nonzero generation bits.
                 let mut generation = old_gen.wrapping_add(1);
                 if generation & TAG_GEN_MASK == 0 {
                     generation = generation.wrapping_add(1);
@@ -679,96 +662,6 @@ impl RobustLeaseTable {
         self.recovered_epoch.peek()
     }
 
-    /// Parks `name` on the quarantine list (idempotent: returns whether
-    /// this call set the bit). Recovery quarantines slots it finds torn —
-    /// held with owner tag 0, the signature of a kill between an owner
-    /// stamp and its publication — rather than guessing; the slot keeps its
-    /// held flag (the name stays ungrantable) until the next sweep drains
-    /// the list and repairs it.
-    pub fn quarantine_name(&self, ctx: &mut ProcessCtx, name: usize) -> bool {
-        assert!(
-            (1..=self.capacity).contains(&name),
-            "name {name} outside the table's 1..={} namespace",
-            self.capacity
-        );
-        let (word, bit) = (&self.quarantine[(name - 1) / 64], 1u64 << ((name - 1) % 64));
-        let mut seen = word.read(ctx);
-        loop {
-            if seen & bit != 0 {
-                return false;
-            }
-            match word.compare_and_swap(ctx, seen, seen | bit) {
-                Ok(_) => {
-                    obs::count(obs::Metric::RobustQuarantined);
-                    obs::event(obs::EventKind::Quarantined, name as u64, 0);
-                    return true;
-                }
-                Err(actual) => seen = actual,
-            }
-        }
-    }
-
-    /// Names currently quarantined (inspection).
-    pub fn quarantined(&self) -> usize {
-        self.quarantine
-            .iter()
-            .map(|word| word.peek().count_ones() as usize)
-            .sum()
-    }
-
-    /// Drains the quarantine list: each bit is claimed with a CAS (so
-    /// concurrent drains split the work without double-repairing) and its
-    /// slot, if still torn, is repaired `HELD(g, 0) → FREE(g + 1)` — the
-    /// generation bump makes any straggler CAS against the torn word fail,
-    /// exactly like a regrant. Returns the number of slots repaired.
-    pub fn drain_quarantine(&self, ctx: &mut ProcessCtx) -> usize {
-        let mut repaired = 0;
-        for (word_index, word) in self.quarantine.iter().enumerate() {
-            loop {
-                let bits = word.read(ctx);
-                if bits == 0 {
-                    break;
-                }
-                let bit = bits & bits.wrapping_neg();
-                if word.compare_and_swap(ctx, bits, bits & !bit).is_err() {
-                    continue; // someone else drained a bit; re-read
-                }
-                let name = word_index * 64 + bit.trailing_zeros() as usize + 1;
-                let slot = self.slot(name);
-                let observed = slot.read(ctx);
-                if is_held(observed)
-                    && owner(observed) == 0
-                    && slot
-                        .compare_and_swap(
-                            ctx,
-                            observed,
-                            pack_free(next_generation(generation(observed))),
-                        )
-                        .is_ok()
-                {
-                    self.note_transition(ctx, name);
-                    repaired += 1;
-                    obs::count(obs::Metric::RobustSwept);
-                    obs::event(obs::EventKind::SweepReclaimed, name as u64, 0);
-                }
-            }
-        }
-        repaired
-    }
-
-    /// Injects a torn slot — `FREE(g) → HELD(g + 1, owner 0)`, the state a
-    /// kill between claiming a slot and publishing a real owner leaves
-    /// behind. Chaos-harness fault hook; returns whether the injection
-    /// landed (the name was free).
-    pub fn inject_torn_slot(&self, ctx: &mut ProcessCtx, name: usize) -> bool {
-        let slot = self.slot(name);
-        let word = slot.read(ctx);
-        !is_held(word)
-            && slot
-                .compare_and_swap(ctx, word, pack_held(next_generation(generation(word)), 0))
-                .is_ok()
-    }
-
     /// Injects a torn pop — the lowest free name popped but never claimed,
     /// the state a kill between `acquire`'s pop and its slot CAS leaves
     /// behind: the slot is free, its list bit clear. Chaos-harness fault
@@ -783,17 +676,17 @@ impl RobustLeaseTable {
     /// push leaves behind. Chaos-harness fault hook; returns whether the
     /// injection landed (the name was held).
     pub fn inject_torn_free(&self, ctx: &mut ProcessCtx, name: usize) -> bool {
-        let slot = self.slot(name);
-        let word = slot.read(ctx);
+        let index = self.index(name);
+        let word = self.read_slot(ctx, index);
         is_held(word)
-            && slot
-                .compare_and_swap(ctx, word, pack_free(generation(word)))
+            && self
+                .cas_slot(ctx, index, word, pack_free(generation(word)))
                 .is_ok()
     }
 
     /// A flat copy of the table's observable lease state — every slot word,
-    /// the quarantine bitmap, the transition count and the free list's
-    /// words ([`FreeList::snapshot_words`]). Two snapshots being equal
+    /// the transition count and the free list's words
+    /// ([`FreeList::snapshot_words`]). Two snapshots being equal
     /// means the namespaces are byte-identical; the recovery idempotence
     /// tests pin `recover ∘ recover = recover` with it. (The recovery epoch
     /// itself is deliberately excluded: it is arbitration state, not lease
@@ -801,16 +694,46 @@ impl RobustLeaseTable {
     pub fn state_snapshot(&self) -> Vec<u64> {
         self.slots
             .iter()
-            .map(AtomicU64Register::peek)
-            .chain(self.quarantine.iter().map(AtomicU64Register::peek))
+            .map(|slot| slot.load(Ordering::SeqCst))
             .chain(std::iter::once(self.transitions() as u64))
             .chain(self.free.snapshot_words())
             .collect()
     }
 
-    /// The slot registers, for the recovery scan (same-crate only).
-    pub(crate) fn slot_registers(&self) -> &[AtomicU64Register] {
-        &self.slots
+    /// Reads slot `index` (name `index + 1`) as one read step.
+    pub(crate) fn read_slot(&self, ctx: &mut ProcessCtx, index: usize) -> u64 {
+        charged(ctx, StepKind::RegisterRead, &self.slots, index).load(Ordering::SeqCst)
+    }
+
+    /// CASes slot `index` as one read-modify-write step. Returns
+    /// `Ok(previous)` or `Err(actual)`.
+    fn cas_slot(
+        &self,
+        ctx: &mut ProcessCtx,
+        index: usize,
+        expected: u64,
+        new: u64,
+    ) -> Result<u64, u64> {
+        charged(ctx, StepKind::ReadModifyWrite, &self.slots, index).compare_exchange(
+            expected,
+            new,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        )
+    }
+
+    /// The `HELD(g) → FREE(g)` CAS of slot `index` against the exact held
+    /// word `observed` — the one transition release, sweep and recovery
+    /// share — followed on success by [`Self::note_transition`]. Returns
+    /// whether this call performed the transition.
+    pub(crate) fn free_observed(&self, ctx: &mut ProcessCtx, index: usize, observed: u64) -> bool {
+        let freed = self
+            .cas_slot(ctx, index, observed, pack_free(generation(observed)))
+            .is_ok();
+        if freed {
+            self.note_transition(ctx, index + 1);
+        }
+        freed
     }
 
     /// The table's free list (same-crate only: recovery repairs and
@@ -829,34 +752,43 @@ impl RobustLeaseTable {
     /// caller's CAS step. Every pop is announced as an anonymous step,
     /// which conflicts with all others, so schedules still order each pop
     /// against every push.
-    pub(crate) fn note_transition(&self, ctx: &mut ProcessCtx, name: usize) {
+    fn note_transition(&self, ctx: &mut ProcessCtx, name: usize) {
         self.free.push_unsequenced(name);
-        self.stripes[ctx.id().as_usize() % TRANSITION_STRIPES].fetch_add(ctx, 1);
+        let stripe = ctx.id().as_usize() % TRANSITION_STRIPES;
+        charged(ctx, StepKind::ReadModifyWrite, &self.stripes, stripe)
+            .fetch_add(1, Ordering::SeqCst);
     }
 
     /// The stripe sum as read, one stripe at a time, by `ctx`: the acquire's
     /// coherent-miss seqlock.
     fn transitions_seen(&self, ctx: &mut ProcessCtx) -> usize {
-        self.stripes.iter().map(|stripe| stripe.read(ctx)).sum()
+        (0..TRANSITION_STRIPES)
+            .map(|stripe| {
+                charged(ctx, StepKind::RegisterRead, &self.stripes, stripe).load(Ordering::SeqCst)
+            })
+            .sum()
     }
 
     /// The owner of a held name, or `None` if the name is free
     /// (harness/test inspection only, never from algorithm code).
     pub fn holder(&self, name: usize) -> Option<u32> {
-        let word = self.slot(name).peek();
+        let word = self.peek_slot(name);
         is_held(word).then(|| owner(word))
     }
 
     /// The generation stamped on a name's slot (harness/test inspection).
     pub fn generation_of(&self, name: usize) -> u64 {
-        generation(self.slot(name).peek())
+        generation(self.peek_slot(name))
     }
 
     /// The number of completed `HELD → FREE` transitions, by releasers and
     /// sweepers combined (harness/test inspection). Exactly-once means this
     /// equals the number of completed grants at any quiescent point.
     pub fn transitions(&self) -> usize {
-        self.stripes.iter().map(AtomicUsizeRegister::peek).sum()
+        self.stripes
+            .iter()
+            .map(|stripe| stripe.load(Ordering::SeqCst))
+            .sum()
     }
 
     /// The number of names currently on the free list (inspection). Stale
@@ -865,14 +797,33 @@ impl RobustLeaseTable {
         self.free.len()
     }
 
-    fn slot(&self, name: usize) -> &AtomicU64Register {
+    /// The slot index of `name`.
+    fn index(&self, name: usize) -> usize {
         assert!(
             (1..=self.capacity).contains(&name),
             "name {name} outside the table's 1..={} namespace",
             self.capacity
         );
-        &self.slots[name - 1]
+        name - 1
     }
+
+    /// A name's slot word, read without charging a step (inspection).
+    fn peek_slot(&self, name: usize) -> u64 {
+        self.slots[self.index(name)].load(Ordering::SeqCst)
+    }
+}
+
+/// Charges one `kind` step at word `index` of `words`, then hands out the
+/// word for the access the step stands for — the step is recorded first, as
+/// the `shmem::register` types do, so schedules interleave before it.
+fn charged<'a, T: ArenaPod>(
+    ctx: &mut ProcessCtx,
+    kind: StepKind,
+    words: &'a ArenaSliceRef<CachePadded<T>>,
+    index: usize,
+) -> &'a T {
+    ctx.record_at(kind, words.loc_at(index));
+    &words[index]
 }
 
 impl LongLivedRenaming for RobustLeaseTable {
@@ -882,11 +833,24 @@ impl LongLivedRenaming for RobustLeaseTable {
     }
 
     /// The trait path stamps ownership with the simulated process identity
-    /// (`ctx.id() + 1`, kept nonzero); cross-process callers use
-    /// [`RobustLeaseTable::acquire`] directly with their OS pid.
+    /// as the raw tag `ctx.id() + 1`; cross-process callers use
+    /// [`RobustLeaseTable::acquire`] directly with a registration tag.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RenamingError::IdentifierOutOfRange`] for a process id of
+    /// `2^24 − 1` or more, whose tag would be 0 or would alias a
+    /// registration tag (which sweeps may judge stale), and
+    /// [`RenamingError::CapacityExceeded`] as [`RobustLeaseTable::acquire`].
     fn lease_raw(&self, ctx: &mut ProcessCtx) -> Result<usize, RenamingError> {
-        let owner_tag = (ctx.id().as_u64() as u32).wrapping_add(1);
-        self.acquire(ctx, owner_tag)
+        let id = ctx.id().as_u64();
+        if id >= RAW_ID_LIMIT {
+            return Err(RenamingError::IdentifierOutOfRange {
+                identifier: ctx.id().as_usize(),
+                namespace: RAW_ID_LIMIT as usize,
+            });
+        }
+        self.acquire(ctx, id as u32 + 1)
     }
 
     fn release_raw(&self, name: usize) {
@@ -904,7 +868,7 @@ impl LongLivedRenaming for RobustLeaseTable {
     fn live_leases(&self) -> usize {
         self.slots
             .iter()
-            .filter(|slot| is_held(slot.peek()))
+            .filter(|slot| is_held(slot.load(Ordering::SeqCst)))
             .count()
     }
 }
@@ -1018,7 +982,7 @@ mod tests {
         // that stale word fails. Simulate it at the packing level:
         assert_ne!(
             pack_held(1, 1),
-            table.slot(name).peek(),
+            table.peek_slot(name),
             "the regrant's word differs, so the stale CAS cannot apply"
         );
         assert_eq!(table.generation_of(name), 2);
@@ -1121,6 +1085,44 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "owner tag 0")]
+    fn acquire_rejects_owner_tag_zero() {
+        let _ = RobustLeaseTable::with_capacity(1).acquire(&mut ctx(0), 0);
+    }
+
+    #[test]
+    fn trait_path_tags_stay_nonzero_and_below_registration_tags() {
+        let table = RobustLeaseTable::with_capacity(2);
+        // Id u32::MAX would stamp tag 0; id 2^24 − 1 would stamp a tag that
+        // reads as registry slot 0, a stale registration sweeps reclaim.
+        for id in [RAW_ID_LIMIT as usize, u32::MAX as usize] {
+            assert_eq!(
+                table.lease_raw(&mut ctx(id)),
+                Err(RenamingError::IdentifierOutOfRange {
+                    identifier: id,
+                    namespace: RAW_ID_LIMIT as usize,
+                })
+            );
+        }
+        assert_eq!(table.live_leases(), 0);
+
+        // The largest accepted id stamps the largest raw tag: a live
+        // in-process lease that neither sweep nor a recovery with
+        // survivors may take.
+        let mut ctx = ctx(RAW_ID_LIMIT as usize - 1);
+        let name = table.lease_raw(&mut ctx).unwrap();
+        let tag = (1 << TAG_SLOT_SHIFT) - 1;
+        assert_eq!(table.holder(name), Some(tag));
+        assert_eq!(table.tag_status(tag), TagStatus::Raw);
+        #[cfg(all(unix, not(miri)))]
+        assert_eq!(table.sweep_dead_processes(&mut ctx), 0);
+        let report = crate::recovery::recover_with(&mut ctx, &table, &[], 1, |_| false, false);
+        assert!(report.won);
+        assert_eq!(report.reclaimed, 0);
+        assert_eq!(table.holder(name), Some(tag));
+    }
+
+    #[test]
     fn registration_tags_are_disjoint_from_raw_tags_and_stale_out() {
         let table = RobustLeaseTable::with_capacity(4);
         let first = table.register_process(500).unwrap();
@@ -1207,31 +1209,6 @@ mod tests {
             table.tag_status(mine.tag()),
             TagStatus::Registered(mine.pid())
         );
-    }
-
-    #[test]
-    fn quarantined_names_stay_ungrantable_until_drained() {
-        let table = RobustLeaseTable::with_capacity(2);
-        let mut ctx = ctx(0);
-        assert!(table.inject_torn_slot(&mut ctx, 1));
-        assert!(table.quarantine_name(&mut ctx, 1));
-        assert!(!table.quarantine_name(&mut ctx, 1), "idempotent");
-        assert_eq!(table.quarantined(), 1);
-        // The torn slot holds its name: only slot 2 is grantable.
-        assert_eq!(table.acquire(&mut ctx, 9).unwrap(), 2);
-        assert!(matches!(
-            table.acquire(&mut ctx, 9),
-            Err(RenamingError::CapacityExceeded { .. })
-        ));
-        // Draining repairs the slot with a generation bump (ABA-safe) and
-        // the name comes back.
-        let torn_generation = table.generation_of(1);
-        assert_eq!(table.drain_quarantine(&mut ctx), 1);
-        assert_eq!(table.quarantined(), 0);
-        assert_eq!(table.generation_of(1), torn_generation + 1);
-        assert_eq!(table.acquire(&mut ctx, 9).unwrap(), 1);
-        // A drained bit does not come back; re-draining is a no-op.
-        assert_eq!(table.drain_quarantine(&mut ctx), 0);
     }
 
     #[test]

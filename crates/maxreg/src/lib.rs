@@ -11,9 +11,6 @@
 //! * [`UnboundedMaxRegister`] — an unbounded max register assembled from
 //!   doubling-capacity bounded registers, giving `O(log v)` steps for
 //!   operations involving values around `v`.
-//! * [`CasMaxRegister`] — a compare-and-swap baseline with `O(1)` expected
-//!   steps per operation under low contention, used by the experiments as the
-//!   "hardware RMW" comparison point.
 //!
 //! # Example
 //!
@@ -33,11 +30,9 @@
 #![warn(missing_debug_implementations)]
 
 pub mod bounded;
-pub mod cas;
 pub mod unbounded;
 
 pub use bounded::BoundedMaxRegister;
-pub use cas::CasMaxRegister;
 pub use unbounded::UnboundedMaxRegister;
 
 use shmem::process::ProcessCtx;
@@ -100,10 +95,5 @@ mod tests {
     #[test]
     fn unbounded_register_satisfies_concurrent_max_semantics() {
         concurrent_max_semantics(UnboundedMaxRegister::new);
-    }
-
-    #[test]
-    fn cas_register_satisfies_concurrent_max_semantics() {
-        concurrent_max_semantics(CasMaxRegister::new);
     }
 }

@@ -95,7 +95,6 @@ metrics! {
         PrismCombined => ("prism.combined", Counter),
         PrismFellThrough => ("prism.fell_through", Counter),
         BalancerToggle => ("balancer.toggle", Counter),
-        RobustQuarantined => ("robust.quarantined", Counter),
         RobustGateWait => ("robust.gate_wait", Counter),
         RecyclerAdmissionRetry => ("recycler.admission_retry", Counter),
         RecoverRuns => ("recover.runs", Counter),

@@ -57,8 +57,6 @@ pub enum EventKind {
     Mark = 7,
     /// Restart recovery reclaimed a dead owner's name.
     Recovered = 8,
-    /// Recovery parked a torn/indeterminate slot on the quarantine list.
-    Quarantined = 9,
 }
 
 impl EventKind {
@@ -72,7 +70,6 @@ impl EventKind {
             5 => EventKind::Increment,
             6 => EventKind::Flush,
             8 => EventKind::Recovered,
-            9 => EventKind::Quarantined,
             _ => EventKind::Mark,
         }
     }

@@ -280,9 +280,9 @@ pub enum FaultAction {
         pause_ops: u64,
     },
     /// Torn-write injection: the parent flips arena words into the
-    /// half-written states a kill can leave (a lease slot claimed with no
-    /// owner published, a free-list data bit without its summary flag) via
-    /// the structures' fault hooks. The child itself is untouched.
+    /// half-written states a kill can leave (a name popped off a free list
+    /// and never claimed, a free-list data bit without its summary flag)
+    /// via the structures' fault hooks. The child itself is untouched.
     TornWrite,
 }
 

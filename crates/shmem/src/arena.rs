@@ -200,7 +200,10 @@ pub const ARENA_MAGIC: u64 = 0x0031_764e_4552_4141;
 ///
 /// Version 2: the crash-robust lease table gained its free list and
 /// transition stripes, and free-list data words moved to one per line.
-pub const ARENA_LAYOUT_VERSION: u64 = 2;
+/// Version 3: the lease table lost its quarantine bitmap (its registry now
+/// follows the recovery-epoch line), and the telemetry stripes lost the
+/// `robust.quarantined` counter word.
+pub const ARENA_LAYOUT_VERSION: u64 = 3;
 
 /// Bytes reserved at the start of a file-backed arena for the validated
 /// header — exactly one allocation line, so the first real allocation still
@@ -1422,20 +1425,25 @@ mod tests {
 
         #[test]
         fn attach_refuses_an_older_layout_version() {
-            let path = scratch_path("version");
-            let arena = Arena::file_create(&path, 1024).expect("file arena");
-            let header = arena.file_header().expect("file arenas have headers");
-            assert_eq!(header.layout_version.load(Ordering::SeqCst), 2);
-            // A file written by a version-1 build: same magic, old layout.
-            header.layout_version.store(1, Ordering::SeqCst);
-            drop(arena);
-            match Arena::file_attach(&path) {
-                Err(ArenaError::BadHeader(reason)) => {
-                    assert!(reason.contains("layout version 1"), "{reason}")
+            for old in [1, 2] {
+                let path = scratch_path("version");
+                let arena = Arena::file_create(&path, 1024).expect("file arena");
+                let header = arena.file_header().expect("file arenas have headers");
+                assert_eq!(header.layout_version.load(Ordering::SeqCst), 3);
+                // A file written by an older build: same magic, old layout.
+                header.layout_version.store(old, Ordering::SeqCst);
+                drop(arena);
+                match Arena::file_attach(&path) {
+                    Err(ArenaError::BadHeader(reason)) => {
+                        assert!(
+                            reason.contains(&format!("layout version {old}")),
+                            "{reason}"
+                        )
+                    }
+                    other => panic!("a version-{old} arena was not refused: {other:?}"),
                 }
-                other => panic!("a version-1 arena was not refused: {other:?}"),
+                std::fs::remove_file(&path).unwrap();
             }
-            std::fs::remove_file(&path).unwrap();
         }
 
         #[test]

@@ -94,9 +94,7 @@ pub use history::{History, OpRecord, Recorder};
 pub use lazy::LazyTable;
 pub use pad::CachePadded;
 pub use process::{ProcessCtx, ProcessId};
-pub use register::{
-    AtomicBoolRegister, AtomicU64Register, AtomicUsizeRegister, RegisterBlock, ValueRegister,
-};
+pub use register::{AtomicBoolRegister, AtomicU64Register, AtomicUsizeRegister, RegisterBlock};
 pub use steps::{StepKind, StepStats};
 pub use vexec::{
     AccessClass, ExecTrace, ExploreHandle, Loc, OpEvent, PendingOp, Schedule, Scheduler,

@@ -1,10 +1,10 @@
 //! Multi-writer multi-reader atomic registers with step accounting.
 //!
 //! The paper's processes "communicate through multiple-writer-multiple-reader
-//! atomic registers" (§2). Registers here are backed by `std` atomics (for the
-//! common word-sized cases) or a `parking_lot` lock (for arbitrary `Copy`
-//! values); both give linearizable single-word semantics, and every operation
-//! reports exactly one step to the calling process's [`ProcessCtx`].
+//! atomic registers" (§2). Registers here are backed by `std` word-sized
+//! atomics, which give linearizable single-word semantics, and every
+//! operation reports exactly one step to the calling process's
+//! [`ProcessCtx`].
 //!
 //! Read-modify-write operations (`compare_and_swap`, `swap`, `fetch_add`) are
 //! also provided. The renaming algorithms themselves never need them — they
@@ -16,8 +16,6 @@ use crate::arena::{Arena, ArenaCell};
 use crate::process::ProcessCtx;
 use crate::steps::StepKind;
 use crate::vexec::Loc;
-use parking_lot::RwLock;
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -317,82 +315,6 @@ impl AtomicBoolRegister {
     }
 }
 
-/// A multi-writer multi-reader atomic register holding an arbitrary `Copy`
-/// value, backed by a `parking_lot::RwLock`.
-///
-/// Single-word registers ([`AtomicU64Register`], [`AtomicUsizeRegister`],
-/// [`AtomicBoolRegister`]) should be preferred where they fit; this type
-/// exists for compound values such as splitter states or labelled names.
-///
-/// `ValueRegister` is the one register that cannot be arena-backed: its
-/// lock is address-space-local state, so it has no `new_in`. Structures
-/// that must work across processes use the single-word registers.
-pub struct ValueRegister<T: Copy> {
-    cell: RwLock<T>,
-    loc: Loc,
-}
-
-impl<T: Copy> ValueRegister<T> {
-    /// Creates a register with the given initial value.
-    pub fn new(initial: T) -> Self {
-        ValueRegister {
-            cell: RwLock::new(initial),
-            loc: Loc::fresh(),
-        }
-    }
-
-    /// The register's location identifier (see [`AtomicU64Register::loc`]).
-    pub fn loc(&self) -> Loc {
-        self.loc
-    }
-
-    /// Atomically reads the register, charging one read step.
-    pub fn read(&self, ctx: &mut ProcessCtx) -> T {
-        ctx.record_at(StepKind::RegisterRead, self.loc);
-        *self.cell.read()
-    }
-
-    /// Atomically writes the register, charging one write step.
-    pub fn write(&self, ctx: &mut ProcessCtx, value: T) {
-        ctx.record_at(StepKind::RegisterWrite, self.loc);
-        *self.cell.write() = value;
-    }
-
-    /// Atomically applies `f` to the stored value, charging one
-    /// read-modify-write step, and returns the value the update produced.
-    ///
-    /// This is provided for baselines and harness bookkeeping; the paper's
-    /// algorithms only require read/write registers plus test-and-set.
-    pub fn update<F>(&self, ctx: &mut ProcessCtx, f: F) -> T
-    where
-        F: FnOnce(T) -> T,
-    {
-        ctx.record_at(StepKind::ReadModifyWrite, self.loc);
-        let mut guard = self.cell.write();
-        *guard = f(*guard);
-        *guard
-    }
-
-    /// Reads the register without charging any step (harness/test use only).
-    pub fn peek(&self) -> T {
-        *self.cell.read()
-    }
-}
-
-impl<T: Copy + fmt::Debug> fmt::Debug for ValueRegister<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ValueRegister")
-            .field("value", &*self.cell.read())
-            .finish()
-    }
-}
-
-impl<T: Copy + Default> Default for ValueRegister<T> {
-    fn default() -> Self {
-        ValueRegister::new(T::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,24 +383,6 @@ mod tests {
         assert!(reg.test_and_set(&mut ctx), "second TAS sees true");
         reg.write(&mut ctx, false);
         assert!(!reg.peek());
-    }
-
-    #[test]
-    fn value_register_update_applies_closure_atomically() {
-        let mut ctx = ctx();
-        let reg: ValueRegister<(u32, u32)> = ValueRegister::new((1, 2));
-        assert_eq!(reg.read(&mut ctx), (1, 2));
-        reg.write(&mut ctx, (3, 4));
-        let updated = reg.update(&mut ctx, |(a, b)| (a + 10, b + 20));
-        assert_eq!(updated, (13, 24));
-        assert_eq!(reg.peek(), (13, 24));
-    }
-
-    #[test]
-    fn value_register_default_and_debug() {
-        let reg: ValueRegister<u8> = ValueRegister::default();
-        assert_eq!(reg.peek(), 0);
-        assert!(format!("{reg:?}").contains("ValueRegister"));
     }
 
     #[test]

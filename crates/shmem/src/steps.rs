@@ -72,8 +72,8 @@ impl fmt::Display for StepKind {
 /// Per-process step counts, broken down by [`StepKind`].
 ///
 /// `StepStats` is the value returned for every process by the
-/// [`Executor`](crate::executor::Executor) and is the quantity all
-/// experiments in `EXPERIMENTS.md` report.
+/// [`Executor`](crate::executor::Executor) and is the quantity the paper's
+/// step-count claims (`tests/paper_claims.rs`) are stated in.
 ///
 /// # Example
 ///

@@ -16,9 +16,6 @@
 //! * [`RandomizedSplitter`] — the randomized
 //!   splitter of Attiya et al. \[25\], the building block of the `TempName`
 //!   stage and of the RatRace tree.
-//! * [`TournamentTas`] — a deterministic-structure
-//!   `n`-process test-and-set built as a balanced tournament of two-process
-//!   objects (requires knowing `n`; non-adaptive baseline).
 //! * [`RatRaceTas`] — an adaptive `n`-process
 //!   test-and-set in the style of RatRace \[12\]: a randomized splitter tree
 //!   in which the acquirer of a node climbs back to the root through
@@ -53,13 +50,11 @@
 pub mod hardware;
 pub mod ratrace;
 pub mod splitter;
-pub mod tournament;
 pub mod two_process;
 
 pub use hardware::HardwareTas;
 pub use ratrace::RatRaceTas;
 pub use splitter::{RandomizedSplitter, SplitterOutcome};
-pub use tournament::TournamentTas;
 pub use two_process::TwoProcessTas;
 
 use shmem::process::ProcessCtx;

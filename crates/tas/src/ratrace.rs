@@ -23,7 +23,8 @@
 //!    without acquiring a splitter — an event of polynomially small
 //!    probability — falls back to a hardware-swap backup object, preserving
 //!    wait-freedom without affecting safety. (The original RatRace uses a
-//!    linear backup chain; the substitution is documented in `DESIGN.md`.)
+//!    linear backup chain; the substitution is recorded under
+//!    *Substitutions* in `PAPER.md`.)
 
 use crate::hardware::HardwareTas;
 use crate::splitter::{Direction, RandomizedSplitter};

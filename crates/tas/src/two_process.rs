@@ -28,7 +28,7 @@
 //!   hardware test-and-set/compare-and-swap may be assumed at unit cost.
 //!
 //! The substitution relative to the verbatim Tromp–Vitányi algorithm is
-//! documented in `DESIGN.md`.
+//! recorded under *Substitutions* in `PAPER.md`.
 //!
 //! **Storage.** A renaming network holds one object per comparator and
 //! creates it on first touch, so construction is on the traversal path.

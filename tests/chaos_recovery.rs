@@ -6,9 +6,8 @@
 //! change the observable lease state ([`RobustLeaseTable::state_snapshot`],
 //! which includes the table's own free list) or the words of the free lists
 //! passed in. These tests pin that over randomized crash states (live and
-//! dead owners, torn lease slots, torn pops and frees of the table's free
-//! list, torn free-list pushes) and over a real two-thread race for the
-//! epoch CAS.
+//! dead owners, torn pops and frees of the table's free list, torn
+//! free-list pushes) and over a real two-thread race for the epoch CAS.
 
 use adaptive_renaming::free_list::FreeList;
 use adaptive_renaming::lease::LongLivedRenaming;
@@ -28,9 +27,9 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Random crash states: some owners dead, some alive, some lease slots
-    /// torn (claimed with no owner published), some free-list pushes torn
-    /// (data bit with no summary flag). One recovery repairs everything it
+    /// Random crash states: some owners dead, some alive, some names torn
+    /// off the table's free list (a pop with no claim, a free with no
+    /// push), a free-list push torn (data bit with no summary flag). One recovery repairs everything it
     /// can prove; a second recovery at the next epoch does zero work and
     /// leaves the observable state byte-identical; a replay at an
     /// already-claimed epoch loses the arbitration without touching
@@ -42,7 +41,6 @@ proptest! {
         seed in 0u64..1_000_000,
         dead_mask in 0u32..256,
         release_mask in 0u32..256,
-        torn_slots in 0usize..3,
         torn_pops in 0usize..3,
         torn_frees in 0usize..3,
         torn_push in 1usize..64,
@@ -76,15 +74,6 @@ proptest! {
         for _ in 0..torn_pops {
             table.inject_torn_pop(&mut driver);
         }
-        let mut injected = 0;
-        for name in 1..=capacity {
-            if injected == torn_slots {
-                break;
-            }
-            if table.inject_torn_slot(&mut driver, name) {
-                injected += 1;
-            }
-        }
         let tore_push = free.inject_torn_push(torn_push);
         prop_assert!(tore_push, "data bit should set cleanly on an empty list");
 
@@ -92,7 +81,6 @@ proptest! {
         let presume_all_dead = presume == 1;
         let first = recover_with(&mut driver, &table, &[&free], 1, is_dead, presume_all_dead);
         prop_assert!(first.won);
-        prop_assert_eq!(first.quarantined, injected);
         if tore_push {
             prop_assert!(first.summary_repairs >= 1, "torn push not re-flagged");
         }
@@ -103,7 +91,6 @@ proptest! {
         let second = recover_with(&mut driver, &table, &[&free], 2, is_dead, presume_all_dead);
         prop_assert!(second.won);
         prop_assert_eq!(second.reclaimed, 0, "second recovery re-reclaimed");
-        prop_assert_eq!(second.quarantined, 0, "second recovery re-quarantined");
         prop_assert_eq!(table.state_snapshot(), snapshot.clone());
         prop_assert_eq!(free.snapshot_words(), free_words.clone());
 
@@ -113,10 +100,9 @@ proptest! {
         prop_assert_eq!(table.state_snapshot(), snapshot);
         prop_assert_eq!(free.snapshot_words(), free_words);
 
-        // After a whole-fleet restart nothing is lost: once the quarantine
-        // drains, every name is grantable again, lowest first.
+        // After a whole-fleet restart nothing is lost: every name is
+        // grantable again, lowest first.
         if presume_all_dead {
-            table.drain_quarantine(&mut driver);
             let regranted: Vec<usize> = (0..capacity)
                 .map_while(|_| table.acquire(&mut driver, 9).ok())
                 .collect();

@@ -4,7 +4,8 @@
 #
 # Each cycle creates a file-backed arena, forks a fleet of lease-churning
 # children, fires a seeded FaultPlan (SIGKILL / SIGSTOP / torn-write
-# injection), storms the rest, re-attaches by path and verifies recovery:
+# injection: torn pops off the lease table's free list and torn free-list
+# pushes), storms the rest, re-attaches by path and verifies recovery:
 # one epoch winner, every dead child's postmortem tail, a tight re-granted
 # namespace, repaired free-list summaries, idempotent second recovery.
 # Seeds are 0..CYCLES, so any failure reported by a soak is replayable by
