@@ -31,13 +31,16 @@
 //!   wire, width-`w` tickets `local · w + wire`, quiescently consistent
 //!   reads ([`check_quiescent_consistent`]) but deliberately *not*
 //!   linearizable.
-//! * [`Prism`] — elimination/diffraction exchanger slots where two colliding
-//!   increments pair off before entering the network: one returns
-//!   immediately, the other carries a weight-2 token.
 //! * [`AdaptiveNetworkCounter`] — the adaptive counter: a [`ContentionSensor`]
-//!   routes each increment through a prism into the narrowest of a
-//!   width-2/4/8/… cascade of networks that covers *realized* contention,
-//!   so a quiet counter pays ~4 shared steps instead of a wide network's ~11.
+//!   routes each increment into the narrowest of a width-2/4/8/… cascade of
+//!   [`NetworkCounter`]s that covers *realized* contention, so a quiet
+//!   counter pays 3 shared steps instead of a wide network's ~11. The
+//!   sensor learns from the exit-wire tickets increments already fetch.
+//! * [`Prism`] — a standalone elimination/diffraction primitive: exchanger
+//!   slots where two colliding increments pair off before entering a
+//!   network (one returns immediately, the other carries a weight-2 token).
+//!   No counter in this crate uses it; at low contention a visit costs more
+//!   than the pairings it wins back.
 //! * [`verify`] — executable step-property checks and a pure sequential
 //!   token simulator for certifying or refuting candidate wirings; the
 //!   simulator is also the reference the compiled network is tested

@@ -19,7 +19,7 @@
 //! * [`CounterBackend::Network`] — the [`cnet`] counting-network counter:
 //!   quiescently consistent, spreads increment contention over a balancing
 //!   network's `Θ(w log² w)` words.
-//! * [`CounterBackend::Adaptive`] — the elimination/diffraction cascade
+//! * [`CounterBackend::Adaptive`] — the contention-routed cascade
 //!   ([`AdaptiveNetworkCounter`]): quiescently consistent like the network
 //!   counter, but each increment is routed through the narrowest of a
 //!   width-2/4/…/w cascade that covers *realized* contention, so quiet
@@ -185,9 +185,9 @@ impl<T: BalancingTopology> Counter for NetworkCounter<T> {
 }
 
 /// The adaptive cascade is the fourth [`Counter`] backend: an increment is
-/// routed by a contention sensor through an elimination prism into the
-/// narrowest counting network covering realized contention; a read sums all
-/// layers' exit wires (quiescently consistent, not linearizable).
+/// routed by a contention sensor into the narrowest counting network
+/// covering realized contention; a read sums all layers' exit wires
+/// (quiescently consistent, not linearizable).
 impl Counter for AdaptiveNetworkCounter {
     fn increment(&self, ctx: &mut ProcessCtx) {
         AdaptiveNetworkCounter::increment(self, ctx);
@@ -212,11 +212,11 @@ pub enum CounterBackend {
     /// balancing-network engine): quiescently consistent, contention spread
     /// over the network's balancers and exit counters.
     Network,
-    /// The adaptive elimination/diffraction counter
-    /// ([`AdaptiveNetworkCounter`]): a contention sensor routes each
-    /// increment through an elimination prism into the narrowest of a
-    /// cascade of counting networks (widths 2, 4, …, the configured width)
-    /// that covers realized contention. Quiescently consistent.
+    /// The adaptive cascade counter ([`AdaptiveNetworkCounter`]): a
+    /// contention sensor, fed by the gaps between each process's exit-wire
+    /// tickets, routes each increment into the narrowest of a cascade of
+    /// network counters (widths 2, 4, …, the configured width) that covers
+    /// realized contention. Quiescently consistent.
     Adaptive,
 }
 
@@ -567,10 +567,10 @@ mod tests {
             assert_eq!(counter.read(&mut ctx), expected);
         }
         // A lone process pays the narrow layer's single toggle per
-        // increment, not the width-16 network's ten.
+        // increment, not the width-16 network's ten, and no elimination.
         let stats = ctx.stats();
         assert_eq!(stats.balancer_toggles, 12, "one width-2 toggle each");
-        assert!(stats.eliminations > 0, "the prism was consulted");
+        assert_eq!(stats.eliminations, 0, "no prism on the increment path");
     }
 
     #[test]

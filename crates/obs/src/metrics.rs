@@ -92,8 +92,6 @@ metrics! {
         AdaptiveIncrement => ("adaptive.increment", Counter),
         AdaptiveRouteUp => ("adaptive.route_up", Counter),
         PrismEliminated => ("prism.eliminated", Counter),
-        PrismCombined => ("prism.combined", Counter),
-        PrismFellThrough => ("prism.fell_through", Counter),
         BalancerToggle => ("balancer.toggle", Counter),
         RobustGateWait => ("robust.gate_wait", Counter),
         RecyclerAdmissionRetry => ("recycler.admission_retry", Counter),

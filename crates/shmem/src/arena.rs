@@ -203,7 +203,9 @@ pub const ARENA_MAGIC: u64 = 0x0031_764e_4552_4141;
 /// Version 3: the lease table lost its quarantine bitmap (its registry now
 /// follows the recovery-epoch line), and the telemetry stripes lost the
 /// `robust.quarantined` counter word.
-pub const ARENA_LAYOUT_VERSION: u64 = 3;
+/// Version 4: the telemetry stripes lost the `prism.combined` and
+/// `prism.fell_through` counter words.
+pub const ARENA_LAYOUT_VERSION: u64 = 4;
 
 /// Bytes reserved at the start of a file-backed arena for the validated
 /// header — exactly one allocation line, so the first real allocation still
@@ -1425,11 +1427,11 @@ mod tests {
 
         #[test]
         fn attach_refuses_an_older_layout_version() {
-            for old in [1, 2] {
+            for old in [1, 2, 3] {
                 let path = scratch_path("version");
                 let arena = Arena::file_create(&path, 1024).expect("file arena");
                 let header = arena.file_header().expect("file arenas have headers");
-                assert_eq!(header.layout_version.load(Ordering::SeqCst), 3);
+                assert_eq!(header.layout_version.load(Ordering::SeqCst), 4);
                 // A file written by an older build: same magic, old layout.
                 header.layout_version.store(old, Ordering::SeqCst);
                 drop(arena);

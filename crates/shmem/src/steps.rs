@@ -49,7 +49,7 @@ pub enum StepKind {
     /// compare-and-swaps and resets by which two colliding increments pair
     /// off *before* entering a counting network. Tracked as its own
     /// unit-cost measure (like [`StepKind::Balancer`]) so experiments can
-    /// report how much of an adaptive counter's work the prism absorbs.
+    /// report how much work a prism in front of a network costs.
     Elimination,
 }
 

@@ -8,9 +8,9 @@
 //!   (monotone-consistent, register-model-only),
 //! * `network`  — the `cnet` counting-network counter (quiescently
 //!   consistent, contention spread over a bitonic balancing network),
-//! * `adaptive` — the elimination/diffraction front-end over a cascade of
-//!   counting networks, routed by realized contention (quiescently
-//!   consistent, narrow when quiet),
+//! * `adaptive` — a cascade of counting networks, routed by the realized
+//!   contention its own exit-wire tickets reveal (quiescently consistent,
+//!   narrow when quiet),
 //! * `fetch_add` — the hardware fetch-and-add baseline (linearizable, one
 //!   hot cache line).
 //!
@@ -170,8 +170,8 @@ fn main() {
     println!(
         "\nThe network counter trades the monotone counter's register-step budget for \
          {} balancer toggles spread across a width-{} bitonic network; the adaptive \
-         counter eliminates colliding pairs and routes the rest through the narrowest \
-         network covering realized contention ({} toggles); the fetch-and-add baseline \
+         counter routes each increment through the narrowest network covering the \
+         contention its exit-wire tickets reveal ({} toggles); the fetch-and-add baseline \
          is a single hot word outside the paper's register-only model.",
         reports[1].balancer_toggles,
         PRODUCERS.next_power_of_two(),

@@ -14,12 +14,13 @@
 //!    ticket, mirroring the §8.1 non-linearizability argument for the
 //!    monotone counter. The counterexample is driven deterministically
 //!    through the real implementation for every certified wiring and width.
-//! 4. **Elimination preserves counting** — every `Prism` visit resolves to
-//!    an outcome whose weights sum back to the visit count (eliminated and
-//!    combined tokens appear in matched pairs), and the full
-//!    `AdaptiveNetworkCounter` built on those prisms stays exact and
-//!    quiescently consistent under the same adversarial schedules as the
-//!    fixed-width counter.
+//! 4. **Elimination preserves counting** — every visit to the standalone
+//!    `Prism` resolves to an outcome whose weights sum back to the visit
+//!    count (eliminated and combined tokens appear in matched pairs).
+//! 5. **Routing preserves counting** — the `AdaptiveNetworkCounter` cascade
+//!    stays exact and quiescently consistent under the same adversarial
+//!    schedules as the fixed-width counter, on real threads and on seeded
+//!    `VirtualExecutor` schedules whose verdicts cannot depend on load.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -27,6 +28,7 @@ use shmem::consistency::{
     check_linearizable, check_quiescent_consistent, CounterOp, SequentialSpec, Violation,
 };
 use shmem::history::Recorder;
+use shmem::vexec::VirtualExecutor;
 use std::sync::Arc;
 use std::time::Duration;
 use strong_renaming::prelude::*;
@@ -325,9 +327,8 @@ proptest! {
     }
 
     /// The adaptive counter is exact at quiescence under adversarial
-    /// schedules — no increment is lost or duplicated by elimination,
-    /// combining, or cascade routing — and every layer's exit wires satisfy
-    /// the weighted step property.
+    /// schedules — no increment is lost or duplicated by cascade routing —
+    /// and every layer's exit wires satisfy the step property.
     #[test]
     fn adaptive_counter_is_exact_at_quiescence(
         threads in 2usize..9,
@@ -363,10 +364,47 @@ proptest! {
         }
     }
 
+    /// The seeded-`VirtualExecutor` twin of
+    /// `adaptive_counter_is_exact_at_quiescence`: the same inputs on
+    /// serialized random schedules, so the verdict is a pure function of
+    /// the seed and cannot depend on machine load.
+    #[test]
+    fn adaptive_counter_is_exact_at_quiescence_on_virtual_schedules(
+        threads in 2usize..9,
+        ops_per_worker in 1usize..12,
+        raw_width in 0u8..4,
+        seed in 0u64..1_000_000,
+    ) {
+        let width = width_from(raw_width);
+        for family in families() {
+            let counter = Arc::new(AdaptiveNetworkCounter::new(family, width));
+            let run = VirtualExecutor::with_seed(seed).run(threads, {
+                let counter = Arc::clone(&counter);
+                move |ctx| {
+                    for _ in 0..ops_per_worker {
+                        counter.increment(ctx);
+                    }
+                }
+            });
+            prop_assert_eq!(run.outcome.crashed_count(), 0);
+            prop_assert!(!run.trace.truncated);
+            prop_assert_eq!(
+                counter.peek(),
+                (threads * ops_per_worker) as u64,
+                "{} max width {}: tokens conserved", family, width
+            );
+            if let Err(violation) = counter.check_step_property() {
+                return Err(TestCaseError::fail(format!(
+                    "{family} max width {width} seed {seed}: {violation}"
+                )));
+            }
+        }
+    }
+
     /// Recorded mixed workloads against the adaptive counter are
-    /// quiescently consistent, exactly like the fixed-width counter it
-    /// wraps: elimination and contention routing never let a read that
-    /// overlaps no increment drift from the completed count.
+    /// quiescently consistent, exactly like the fixed-width counters it
+    /// routes between: contention routing never lets a read that overlaps
+    /// no increment drift from the completed count.
     #[test]
     fn adaptive_histories_are_quiescently_consistent(
         threads in 2usize..7,
