@@ -12,17 +12,23 @@
 //! 1. a [`ContentionSensor`] — a cache-padded EWMA — estimates how many
 //!    increments are currently in flight;
 //! 2. the token enters the **narrowest layer whose width covers the
-//!    estimate**: a width-2 [`NetworkCounter`] when the counter is quiet, up
-//!    to the full provisioned width under load;
+//!    estimate**: the layers have widths 1, 4, …, `max_width`, from a single
+//!    fetch-and-add word when the counter is quiet up to the full
+//!    provisioned network under load;
 //! 3. the ticket the layer's exit-wire fetch-and-add returns feeds the
 //!    sensor: the gap between one process's consecutive tickets on a layer
 //!    is the number of increments that layer served in between — about 1
 //!    for a process running alone, about `k` under `k` busy processes.
 //!
-//! At low contention an increment costs a sensor read, a *single* balancer
-//! toggle (the width-2 layer) and one exit-wire fetch-and-add — versus the
-//! ~11 shared steps of a fixed width-16 network — plus, on one increment in
-//! eight, a sensor update (one read, one compare-and-swap).
+//! The narrowest layer is a width-1 counting network: one cache-padded exit
+//! word and no balancer. A width-2 network would be dominated by it: its
+//! single balancer is toggled by every token, so it is exactly as contended
+//! as one word, and each token then pays a second contended fetch-and-add
+//! on an exit wire. Width 4 is the narrowest network with two balancers per
+//! stage, the first that divides contention. So a quiet increment is a
+//! sensor read and one fetch-add — versus the ~11 shared steps of a fixed
+//! width-16 network — plus, on one increment in eight, a sensor update (one
+//! read, one compare-and-swap).
 //!
 //! # Local ticket slots
 //!
@@ -35,11 +41,11 @@
 //!
 //! # Consistency
 //!
-//! Every layer is an independent quiescently-consistent [`NetworkCounter`];
-//! a read sums all layers. Every token has weight 1 and every exit wire is
-//! a plain 64-bit counter, so at any quiescent point each layer's exit
-//! counts sum to the increments routed to it — the total is exact — and
-//! satisfy the step property
+//! The word is a one-wire layer and every wider layer an independent
+//! quiescently-consistent [`NetworkCounter`]; a read sums all layers. Every
+//! token has weight 1 and every exit wire is a plain 64-bit counter, so at
+//! any quiescent point each layer's exit counts sum to the increments routed
+//! to it — the total is exact — and satisfy the step property
 //! ([`check_step_property`](AdaptiveNetworkCounter::check_step_property)).
 //!
 //! Routing different increments to different layers is also why the adaptive
@@ -55,8 +61,10 @@ use crate::network::BalancingTopology;
 use crate::verify::{step_property_violation, StepViolation};
 use shmem::pad::CachePadded;
 use shmem::process::ProcessCtx;
+use shmem::register::AtomicU64Register;
 use shmem::steps::StepKind;
 use std::fmt;
+use std::iter;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Fixed-point scale of the sensor's contention estimate (8 fraction bits).
@@ -121,8 +129,10 @@ impl ContentionSensor {
             .compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire); // lint: relaxed-ok(RMW success needs Acquire+Release: publishes the new tally, observes prior ones)
     }
 
-    /// The narrowest level (0-indexed) among `levels` power-of-two layers
-    /// (widths 2, 4, 8, …) that covers a fixed-point estimate.
+    /// The narrowest level (0-indexed) among `levels` layers that covers a
+    /// fixed-point estimate. Level `ℓ ≥ 1` has width `2^(ℓ+1)` and covers
+    /// estimates up to it; level 0, the word, covers estimates up to 2, the
+    /// range of the width-2 network it dominates.
     fn level_for(estimate_fp: u64, levels: usize) -> usize {
         let tokens = estimate_fp.div_ceil(FP_ONE).max(1);
         let width = tokens.next_power_of_two().max(2);
@@ -179,7 +189,8 @@ impl TicketSlot {
 
 /// A quiescently-consistent counter whose per-increment cost adapts to
 /// realized contention: a contention sensor routes each increment into a
-/// cascade of network counters of widths 2, 4, …, `max_width`.
+/// cascade of layers of widths 1, 4, …, `max_width` — a single fetch-and-add
+/// word, then network counters.
 ///
 /// # Example
 ///
@@ -194,18 +205,24 @@ impl TicketSlot {
 /// counter.increment(&mut ctx);
 /// assert_eq!(counter.read(&mut ctx), 2);
 /// assert!(counter.check_step_property().is_ok());
-/// // Alone, tokens route through the narrowest (width-2) layer.
-/// assert_eq!(counter.current_width(), 2);
+/// // Alone, tokens route through the narrowest layer: the width-1 word.
+/// assert_eq!(counter.current_width(), 1);
+/// assert_eq!(counter.layer_widths(), vec![1, 4, 8, 16]);
 /// ```
 pub struct AdaptiveNetworkCounter {
-    layers: Vec<NetworkCounter>,
+    /// Level 0: a width-1 counting network, one exit word and no balancer.
+    word: CachePadded<AtomicU64Register>,
+    /// Levels 1 and up: network counters of widths 4, 8, …, `max_width`.
+    networks: Vec<NetworkCounter>,
+    max_width: usize,
     sensor: ContentionSensor,
     slots: Box<[CachePadded<TicketSlot>]>,
 }
 
 impl AdaptiveNetworkCounter {
-    /// Builds a cascade of `family` networks at every power-of-two width
-    /// from 2 up to `max_width`.
+    /// Builds a cascade of the width-1 word and `family` networks at every
+    /// power-of-two width from 4 up to `max_width`. At `max_width` 2 the
+    /// cascade is the word alone.
     ///
     /// # Panics
     ///
@@ -218,9 +235,11 @@ impl AdaptiveNetworkCounter {
         );
         let levels = max_width.trailing_zeros() as usize;
         AdaptiveNetworkCounter {
-            layers: (0..levels)
+            word: CachePadded::new(AtomicU64Register::new(0)),
+            networks: (1..levels)
                 .map(|level| NetworkCounter::new(family, 2 << level))
                 .collect(),
+            max_width,
             sensor: ContentionSensor::new(),
             slots: (0..TICKET_SLOTS)
                 .map(|_| CachePadded::new(TicketSlot::new()))
@@ -228,21 +247,37 @@ impl AdaptiveNetworkCounter {
         }
     }
 
-    /// The widest layer's width (the provisioned maximum).
+    /// The provisioned width passed to [`new`](AdaptiveNetworkCounter::new).
+    /// It is the widest layer's width, except at 2, where the cascade is the
+    /// width-1 word alone. The sensor clamps its samples to twice this.
     pub fn max_width(&self) -> usize {
-        self.layers.last().expect("at least one layer").width()
+        self.max_width
     }
 
-    /// The widths of the cascade's layers, narrowest first.
+    /// The widths of the cascade's layers, narrowest first: 1 (the word),
+    /// then 4, 8, …, `max_width`.
     pub fn layer_widths(&self) -> Vec<usize> {
-        self.layers.iter().map(NetworkCounter::width).collect()
+        (0..self.levels())
+            .map(|level| self.width_of(level))
+            .collect()
     }
 
     /// The width new increments currently route to (diagnostic; racy by
     /// nature).
     pub fn current_width(&self) -> usize {
         let fp = self.sensor.estimate.load(Ordering::Acquire);
-        self.layers[ContentionSensor::level_for(fp, self.layers.len())].width()
+        self.width_of(ContentionSensor::level_for(fp, self.levels()))
+    }
+
+    fn levels(&self) -> usize {
+        1 + self.networks.len()
+    }
+
+    fn width_of(&self, level: usize) -> usize {
+        match level.checked_sub(1) {
+            None => 1,
+            Some(network) => self.networks[network].width(),
+        }
     }
 
     /// The sensor's current contention estimate, in processes.
@@ -252,25 +287,29 @@ impl AdaptiveNetworkCounter {
 
     /// Increments the counter.
     ///
-    /// The token is routed to the layer covering the sensor's estimate,
-    /// carried through that layer's network and deposited on its exit wire;
-    /// on one increment in eight the ticket gap since the process's previous
+    /// The token is routed to the layer covering the sensor's estimate: at
+    /// level 0 it is one fetch-and-add on the word, above it the token is
+    /// carried through that layer's network and deposited on its exit wire.
+    /// On one increment in eight the ticket gap since the process's previous
     /// deposit on the same layer is folded into the sensor.
     pub fn increment(&self, ctx: &mut ProcessCtx) {
         let increment_timer = obs::start();
         let fp = self.sensor.load_for_routing(ctx);
-        let level = ContentionSensor::level_for(fp, self.layers.len());
-        let layer = &self.layers[level];
+        let level = ContentionSensor::level_for(fp, self.levels());
         obs::count(obs::Metric::AdaptiveIncrement);
         obs::gauge(obs::Metric::SensorEstimateFp, fp);
-        obs::gauge(obs::Metric::RoutedWidth, layer.width() as u64);
-        if level > 0 {
-            obs::count(obs::Metric::AdaptiveRouteUp);
-        }
-        // Traverse and deposit directly: `fetch_increment` would count the
-        // token again as a `NetIncrement`.
-        let wire = layer.network().traverse(ctx, layer.entry_wire(ctx));
-        let ticket = layer.deposit(ctx, wire);
+        obs::gauge(obs::Metric::RoutedWidth, self.width_of(level) as u64);
+        let ticket = match level.checked_sub(1) {
+            None => self.word.fetch_add(ctx, 1),
+            Some(network) => {
+                obs::count(obs::Metric::AdaptiveRouteUp);
+                let layer = &self.networks[network];
+                // Traverse and deposit directly: `fetch_increment` would
+                // count the token again as a `NetIncrement`.
+                let wire = layer.network().traverse(ctx, layer.entry_wire(ctx));
+                layer.deposit(ctx, wire)
+            }
+        };
         let slot = &self.slots[ctx.id().as_usize() % TICKET_SLOTS];
         if let Some(gap) = slot.sample(level, ticket) {
             let ceiling = 2 * self.max_width() as u64;
@@ -280,34 +319,38 @@ impl AdaptiveNetworkCounter {
     }
 
     /// Reads the counter by summing every layer's exit wires, one register
-    /// read per wire. Quiescently consistent: exact whenever no increment is
-    /// in flight.
+    /// read per wire (1 + 4 + 8 + 16 = 29 at width 16). Quiescently
+    /// consistent: exact whenever no increment is in flight.
     pub fn read(&self, ctx: &mut ProcessCtx) -> u64 {
-        self.layers.iter().map(|layer| layer.read(ctx)).sum()
+        let word = self.word.read(ctx);
+        word + self
+            .networks
+            .iter()
+            .map(|layer| layer.read(ctx))
+            .sum::<u64>()
     }
 
     /// The total count without charging steps (harness/test inspection;
     /// meaningful at quiescent points).
     pub fn peek(&self) -> u64 {
-        self.layers.iter().map(NetworkCounter::peek).sum()
+        self.word.peek() + self.networks.iter().map(NetworkCounter::peek).sum::<u64>()
     }
 
-    /// Per-layer exit-wire token counts, narrowest layer first
-    /// (harness/test inspection; each layer must satisfy the step property
-    /// at quiescent points).
+    /// Per-layer exit-wire token counts, narrowest layer first, the word as
+    /// a one-wire layer (harness/test inspection; each layer must satisfy
+    /// the step property at quiescent points).
     pub fn layer_token_counts(&self) -> Vec<Vec<u64>> {
-        self.layers
-            .iter()
-            .map(NetworkCounter::exit_counts)
+        iter::once(vec![self.word.peek()])
+            .chain(self.networks.iter().map(NetworkCounter::exit_counts))
             .collect()
     }
 
     /// Verifies the step property on every layer's token counts
     /// (harness/test inspection; meaningful at quiescent points).
     pub fn check_step_property(&self) -> Result<(), StepViolation> {
-        self.layers
+        self.layer_token_counts()
             .iter()
-            .find_map(|layer| step_property_violation(&layer.exit_counts()))
+            .find_map(|counts| step_property_violation(counts))
             .map_or(Ok(()), Err)
     }
 }
@@ -354,10 +397,23 @@ mod tests {
     #[test]
     fn cascade_builds_every_power_of_two_layer() {
         let counter = AdaptiveNetworkCounter::new(CountingFamily::Bitonic, 16);
-        assert_eq!(counter.layer_widths(), vec![2, 4, 8, 16]);
+        assert_eq!(counter.layer_widths(), vec![1, 4, 8, 16]);
         assert_eq!(counter.max_width(), 16);
+        let mut ctx = ctx(0);
+        assert_eq!(counter.read(&mut ctx), 0);
+        assert_eq!(ctx.stats().reads, 1 + 4 + 8 + 16, "a read sums every wire");
         let narrow = AdaptiveNetworkCounter::new(CountingFamily::Periodic, 2);
-        assert_eq!(narrow.layer_widths(), vec![2]);
+        assert_eq!(narrow.layer_widths(), vec![1]);
+        assert_eq!(
+            narrow.max_width(),
+            2,
+            "the provisioned width, not the word's"
+        );
+        for _ in 0..5 {
+            narrow.increment(&mut ctx);
+        }
+        assert_eq!(narrow.read(&mut ctx), 5);
+        assert_eq!(narrow.layer_token_counts(), vec![vec![5]]);
     }
 
     #[test]
@@ -371,8 +427,8 @@ mod tests {
             counter.check_step_property().expect("staircase per layer");
         }
         // A lone process's tickets are consecutive: the sensor stays at ~1
-        // process and every token takes the width-2 layer.
-        assert_eq!(counter.current_width(), 2);
+        // process and every token takes the width-1 word.
+        assert_eq!(counter.current_width(), 1);
         assert!(counter.contention_estimate() < 2.0);
         let counts = counter.layer_token_counts();
         assert_eq!(counts[0].iter().sum::<u64>(), rounds);
@@ -387,13 +443,13 @@ mod tests {
         let mut ctx = ctx(0);
         counter.increment(&mut ctx);
         let stats = ctx.stats();
-        // Sensor read + one width-2 toggle + the exit-wire fetch-add: three
-        // steps against the ~11 of a fixed width-16 traversal.
+        // Sensor read + the word's fetch-add: two steps against the ~11 of
+        // a fixed width-16 traversal.
         assert_eq!(stats.reads, 1, "the sensor read");
-        assert_eq!(stats.balancer_toggles, 1, "width-2 bitonic has depth 1");
-        assert_eq!(stats.rmws, 1, "the exit-wire fetch-add");
+        assert_eq!(stats.balancer_toggles, 0, "the word has no balancer");
+        assert_eq!(stats.rmws, 1, "the word's fetch-add");
         assert_eq!(stats.eliminations, 0);
-        assert_eq!(stats.total_all(), 3);
+        assert_eq!(stats.total_all(), 2);
     }
 
     #[test]
@@ -411,11 +467,11 @@ mod tests {
             counter.sensor.observe(&mut ctx, 16);
         }
         assert_eq!(counter.current_width(), 16);
-        // A quiet spell decays the estimate back down to the narrow layer.
+        // A quiet spell decays the estimate back down to the word.
         for _ in 0..64 {
             counter.sensor.observe(&mut ctx, 1);
         }
-        assert_eq!(counter.current_width(), 2);
+        assert_eq!(counter.current_width(), 1);
     }
 
     #[test]
@@ -438,7 +494,7 @@ mod tests {
     }
 
     #[test]
-    fn a_lone_process_stays_at_width_two_with_pinned_steps() {
+    fn a_lone_process_stays_on_the_word_with_pinned_steps() {
         let counter = Arc::new(AdaptiveNetworkCounter::new(CountingFamily::Bitonic, 16));
         let increments = 64u64;
         let run = VirtualExecutor::with_seed(5).run(1, {
@@ -448,19 +504,19 @@ mod tests {
                     .map(|i| {
                         let before = ctx.stats().total_all();
                         counter.increment(ctx);
-                        // Read, toggle, fetch-add; every eighth increment
-                        // also folds its ticket gap into the sensor.
+                        // Read and fetch-add; every eighth increment also
+                        // folds its ticket gap into the sensor.
                         let steps = ctx.stats().total_all() - before;
-                        assert_eq!(steps, if i % 8 == 0 { 5 } else { 3 }, "increment {i}");
+                        assert_eq!(steps, if i % 8 == 0 { 4 } else { 2 }, "increment {i}");
                         counter.current_width()
                     })
                     .max()
             }
         });
-        assert_eq!(run.outcome.results(), vec![Some(2)]);
+        assert_eq!(run.outcome.results(), vec![Some(1)]);
         let stats = run.outcome.total_steps();
         assert_eq!(stats.reads, increments + increments / 8);
-        assert_eq!(stats.balancer_toggles, increments);
+        assert_eq!(stats.balancer_toggles, 0);
         assert_eq!(stats.rmws, increments + increments / 8);
         assert_eq!(stats.eliminations, 0);
         assert_eq!(stats.coin_flips, 0);
@@ -489,7 +545,7 @@ mod tests {
             assert_eq!(counter.peek(), (processes * per_process) as u64);
             counter.check_step_property().expect("staircase per layer");
             let above_two: u64 = counter.layer_token_counts()[1..].iter().flatten().sum();
-            assert!(above_two > 0, "seed {seed}: every token stayed at width 2");
+            assert!(above_two > 0, "seed {seed}: every token stayed on the word");
             assert_eq!(run.outcome.total_steps().eliminations, 0);
         }
     }

@@ -32,10 +32,14 @@
 //!   reads ([`check_quiescent_consistent`]) but deliberately *not*
 //!   linearizable.
 //! * [`AdaptiveNetworkCounter`] — the adaptive counter: a [`ContentionSensor`]
-//!   routes each increment into the narrowest of a width-2/4/8/… cascade of
-//!   [`NetworkCounter`]s that covers *realized* contention, so a quiet
-//!   counter pays 3 shared steps instead of a wide network's ~11. The
-//!   sensor learns from the exit-wire tickets increments already fetch.
+//!   routes each increment into the narrowest layer that covers *realized*
+//!   contention. The layers have widths 1, 4, …, `width`: a single
+//!   fetch-and-add word, then [`NetworkCounter`]s. So a quiet increment is a
+//!   sensor read and one fetch-add, 2 shared steps instead of a wide
+//!   network's ~11. A width-2 network is dominated by the word: its one
+//!   balancer is as contended as the word, and its exit wire adds a second
+//!   contended step. The sensor learns from the exit-wire tickets
+//!   increments already fetch.
 //! * [`Prism`] — a standalone elimination/diffraction primitive: exchanger
 //!   slots where two colliding increments pair off before entering a
 //!   network (one returns immediately, the other carries a weight-2 token).

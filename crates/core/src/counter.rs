@@ -21,9 +21,9 @@
 //!   network's `Θ(w log² w)` words.
 //! * [`CounterBackend::Adaptive`] — the contention-routed cascade
 //!   ([`AdaptiveNetworkCounter`]): quiescently consistent like the network
-//!   counter, but each increment is routed through the narrowest of a
-//!   width-2/4/…/w cascade that covers *realized* contention, so quiet
-//!   counters pay a fraction of the fixed network's depth.
+//!   counter, but each increment is routed through the narrowest of the
+//!   widths 1, 4, …, w that covers *realized* contention, so a quiet
+//!   increment is a sensor read and one fetch-add on the width-1 word.
 //! * [`CounterBackend::FetchAdd`] — the hardware fetch-and-add baseline:
 //!   linearizable, but every increment hits the same cache line (and the
 //!   paper's model does not assume read-modify-write).
@@ -185,9 +185,10 @@ impl<T: BalancingTopology> Counter for NetworkCounter<T> {
 }
 
 /// The adaptive cascade is the fourth [`Counter`] backend: an increment is
-/// routed by a contention sensor into the narrowest counting network
-/// covering realized contention; a read sums all layers' exit wires
-/// (quiescently consistent, not linearizable).
+/// routed by a contention sensor into the narrowest layer (widths 1, 4, …,
+/// `width`) covering realized contention, so a quiet increment is a sensor
+/// read and one fetch-add on the width-1 word; a read sums all layers' exit
+/// wires (quiescently consistent, not linearizable).
 impl Counter for AdaptiveNetworkCounter {
     fn increment(&self, ctx: &mut ProcessCtx) {
         AdaptiveNetworkCounter::increment(self, ctx);
@@ -214,9 +215,11 @@ pub enum CounterBackend {
     Network,
     /// The adaptive cascade counter ([`AdaptiveNetworkCounter`]): a
     /// contention sensor, fed by the gaps between each process's exit-wire
-    /// tickets, routes each increment into the narrowest of a cascade of
-    /// network counters (widths 2, 4, …, the configured width) that covers
-    /// realized contention. Quiescently consistent.
+    /// tickets, routes each increment into the narrowest layer that covers
+    /// realized contention. The layers have widths 1, 4, …, the configured
+    /// width: a single fetch-and-add word, then network counters. So a
+    /// quiet increment is a sensor read and one fetch-add. At width 2 the
+    /// cascade is the word alone. Quiescently consistent.
     Adaptive,
 }
 
@@ -566,11 +569,28 @@ mod tests {
             counter.increment(&mut ctx);
             assert_eq!(counter.read(&mut ctx), expected);
         }
-        // A lone process pays the narrow layer's single toggle per
-        // increment, not the width-16 network's ten, and no elimination.
+        // A lone process pays one fetch-add on the width-1 word per
+        // increment, not the width-16 network's ten toggles, and no
+        // elimination.
         let stats = ctx.stats();
-        assert_eq!(stats.balancer_toggles, 12, "one width-2 toggle each");
+        assert_eq!(stats.balancer_toggles, 0, "the word has no balancer");
+        assert_eq!(stats.rmws, 12 + 1, "one fetch-add each, one sensor CAS");
+        assert_eq!(
+            stats.reads,
+            12 + 1 + 12 * 29,
+            "sensor reads, reads of 29 wires"
+        );
         assert_eq!(stats.eliminations, 0, "no prism on the increment path");
+        // At width 2 the cascade is the word alone, and still counts.
+        let word = <dyn Counter>::builder()
+            .adaptive_network()
+            .width(2)
+            .build()
+            .unwrap();
+        for expected in 1..=3u64 {
+            word.increment(&mut ctx);
+            assert_eq!(word.read(&mut ctx), expected);
+        }
     }
 
     #[test]

@@ -27,14 +27,15 @@ use crate::schedule::ComparatorSchedule;
 /// Returns `true` if stage `(p, k)` of the odd-even mergesort network on
 /// `phys` (power-of-two) wires contains the comparator `(a, a + k)`, and
 /// that comparator survives truncation to `width` wires.
+///
+/// `p` and `k` are powers of two, so the textbook conditions `k mod p`,
+/// `(a − j0) mod 2k < k` and `⌊a / 2p⌋ = ⌊(a + k) / 2p⌋` are computed with
+/// masks: two values share their `2p`-block exactly when they agree on
+/// every bit above the block, that is when their XOR is below `2p`.
 fn is_lower_wire(phys: usize, width: usize, p: usize, k: usize, a: usize) -> bool {
-    debug_assert!(phys.is_power_of_two());
-    let j0 = k % p;
-    a + k < width
-        && a + k < phys
-        && a >= j0
-        && (a - j0) % (2 * k) < k
-        && a / (2 * p) == (a + k) / (2 * p)
+    debug_assert!(phys.is_power_of_two() && p.is_power_of_two() && k.is_power_of_two());
+    let j0 = k & (p - 1);
+    a + k < width && a + k < phys && a >= j0 && (a - j0) & (2 * k - 1) < k && (a ^ (a + k)) < 2 * p
 }
 
 /// The `(p, k)` parameters of every stage, in execution order.
@@ -226,6 +227,46 @@ mod tests {
             }
         }
         assert!(found > 0, "wire 123456 must meet at least one comparator");
+    }
+
+    #[test]
+    fn mask_lookup_matches_the_division_form_at_the_adaptive_section_widths() {
+        fn by_division(phys: usize, width: usize, p: usize, k: usize, a: usize) -> bool {
+            let j0 = k % p;
+            a + k < width
+                && a + k < phys
+                && a >= j0
+                && (a - j0) % (2 * k) < k
+                && a / (2 * p) == (a + k) / (2 * p)
+        }
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        // The widths of the §6.1 sections; the last needs 64-bit words.
+        let widths = [3u64, 14, 248, 65_408, (1 << 32) - 32_768];
+        let mut checked = 0;
+        for width in widths.into_iter().filter_map(|w| usize::try_from(w).ok()) {
+            let phys = width.next_power_of_two();
+            for (p, k) in stage_parameters(phys) {
+                // Both ends, both sides of every block boundary the stage
+                // tests, and uniform samples.
+                let mut wires: Vec<usize> = (0..8).chain(width.saturating_sub(8)..width).collect();
+                for boundary in [k, 2 * k, p, 2 * p] {
+                    let base = rng.gen_range(0..width / boundary + 1) * boundary;
+                    wires.extend(base.saturating_sub(2)..base + 2);
+                }
+                wires.extend((0..16).map(|_| rng.gen_range(0..width)));
+                for a in wires.into_iter().filter(|&a| a < width) {
+                    assert_eq!(
+                        is_lower_wire(phys, width, p, k, a),
+                        by_division(phys, width, p, k, a),
+                        "width {width} stage ({p}, {k}) wire {a}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 10_000, "only {checked} lookups compared");
     }
 
     #[test]

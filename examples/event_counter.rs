@@ -8,9 +8,10 @@
 //!   (monotone-consistent, register-model-only),
 //! * `network`  — the `cnet` counting-network counter (quiescently
 //!   consistent, contention spread over a bitonic balancing network),
-//! * `adaptive` — a cascade of counting networks, routed by the realized
-//!   contention its own exit-wire tickets reveal (quiescently consistent,
-//!   narrow when quiet),
+//! * `adaptive` — a cascade of widths 1, 4, …, `width` (a fetch-and-add
+//!   word, then counting networks), routed by the realized contention its
+//!   own exit-wire tickets reveal (quiescently consistent; a quiet
+//!   increment is a sensor read and one fetch-add),
 //! * `fetch_add` — the hardware fetch-and-add baseline (linearizable, one
 //!   hot cache line).
 //!
@@ -170,8 +171,9 @@ fn main() {
     println!(
         "\nThe network counter trades the monotone counter's register-step budget for \
          {} balancer toggles spread across a width-{} bitonic network; the adaptive \
-         counter routes each increment through the narrowest network covering the \
-         contention its exit-wire tickets reveal ({} toggles); the fetch-and-add baseline \
+         counter routes each increment through the narrowest layer covering the \
+         contention its exit-wire tickets reveal, a single fetch-and-add word when quiet \
+         ({} toggles); the fetch-and-add baseline \
          is a single hot word outside the paper's register-only model.",
         reports[1].balancer_toggles,
         PRODUCERS.next_power_of_two(),

@@ -38,6 +38,7 @@ use shmem::vexec::VirtualExecutor;
 use sortnet::adaptive::{level_for_port, AdaptiveNetwork};
 use sortnet::batcher::OddEvenSchedule;
 use sortnet::family::NetworkFamily;
+use sortnet::network::ComparatorNetwork;
 use sortnet::schedule::ComparatorSchedule;
 use std::sync::OnceLock;
 use tas::hardware::HardwareTas;
@@ -349,7 +350,53 @@ fn thm2_adaptive_network_traversal_stays_within_the_per_wire_bound() {
             "<="
         };
         claim("thm2.per_wire_bound", port, None, bound, op, total);
+        let exact = exact_max_traversal(&network, port) as f64;
+        claim(
+            "thm2.traversed_within_exact_max",
+            port,
+            None,
+            traversed,
+            "<=",
+            exact,
+        );
     }
+    // The tight half of the gate: no path from any port meets more
+    // comparators than the per-wire bound allows.
+    for port in 0..network.width() {
+        let exact = exact_max_traversal(&network, port) as f64;
+        let bound = adaptive.traversal_depth_bound(port) as f64;
+        claim(
+            "thm2.exact_max_within_bound",
+            port,
+            None,
+            exact,
+            "<=",
+            bound,
+        );
+    }
+}
+
+/// The most comparators a value entering on `port` can meet while it stays
+/// on the lowest `port + 1` wires, whatever the input — the paths Theorem 2
+/// bounds for values that enter on `port` and leave at or below it. A
+/// max-plus pass over the stages: a comparator inside that range gives both
+/// its wires the longer of their two paths plus one, since the value may
+/// leave on either; one that straddles its edge adds one to the wire
+/// inside, where the value must stay.
+fn exact_max_traversal(network: &ComparatorNetwork, port: usize) -> usize {
+    let mut longest: Vec<Option<usize>> = vec![None; port + 1];
+    longest[port] = Some(0);
+    for stage in network.stages() {
+        for comparator in stage.iter().filter(|c| c.top <= port) {
+            let bottom = longest.get(comparator.bottom).copied().flatten();
+            let met = longest[comparator.top].max(bottom).map(|n| n + 1);
+            longest[comparator.top] = met;
+            if let Some(bottom) = longest.get_mut(comparator.bottom) {
+                *bottom = met;
+            }
+        }
+    }
+    longest.into_iter().flatten().max().unwrap_or(0)
 }
 
 #[test]

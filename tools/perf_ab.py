@@ -2,6 +2,7 @@
 """Same-host A/B of two perfbench binaries against the BENCHMARK.json bounds.
 
   python3 tools/perf_ab.py BASE_BIN HEAD_BIN
+  python3 tools/perf_ab.py BASE_BIN HEAD_BIN --claim WORKLOAD:METRIC [--pairs N] [--first-seed S]
 
 BASE_BIN and HEAD_BIN are built perfbench binaries, typically of the merge
 base and of the change under review, built on the host that runs this.
@@ -15,6 +16,16 @@ Exits 1 when a run reports "correct": false or exits non-zero, when the
 share of failed operations rises on any workload, when the host stamps of
 the runs differ, or when the head median of any end-to-end metric is worse
 than the base median by more than that metric's bound.
+
+With --claim, the script instead tests one claimed gain: it runs N >= 10
+(default 10) alternating untraced pairs of WORKLOAD alone at seeds S, S+1,
+... (default 1), saves them under target/perf_ab/claim/{base,head}/, and
+prints each pair's METRIC, the number of pairs the head wins (ties count
+for neither side), and each side's median and quartiles. The claim holds
+when the head wins at least nine tenths of the pairs and its median beats
+the base median by more than the distance between the base quartiles. Exits
+1 when the claim does not hold, or a run fails or the host stamps differ as
+above, or the head's share of failed operations is higher.
 """
 
 import argparse
@@ -47,14 +58,83 @@ def change(base, head):
     return (head - base) / abs(base) if base else 0.0
 
 
+def claim(spec, binaries, workload, metric, pairs, first_seed):
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    if workload not in (w["name"] for w in spec["workloads"]):
+        sys.exit(f"--claim: {workload} is not a BENCHMARK.json workload")
+    if metric not in better:
+        sys.exit(f"--claim: {metric} is not a BENCHMARK.json end-to-end metric")
+    sign = 1 if better[metric] == "higher" else -1
+    out = OUT / "claim"
+    for side in binaries:
+        (out / side).mkdir(parents=True, exist_ok=True)
+        for stale in (out / side).glob("*.txt"):
+            stale.unlink()
+    problems = []
+    values = {"base": [], "head": []}
+    attempted, failed = {"base": 0, "head": 0}, {"base": 0, "head": 0}
+    wins = 0
+    for pair in range(pairs):
+        seed = first_seed + pair
+        for side in ("base", "head") if pair % 2 == 0 else ("head", "base"):
+            code, stdout, stderr = run(binaries[side], workload, seed, spec["run_seconds"])
+            (out / side / f"{workload}-s{seed}.txt").write_text(stdout)
+            try:
+                _, _, result = tool.parse_output(stdout)
+            except ValueError:
+                sys.exit(f"{side} {workload} seed {seed}: exit {code}, no result\n{stderr}")
+            if code != 0 or not result["correct"]:
+                problems.append(f"{side} seed {seed}: exit {code}, correct={result['correct']}")
+            attempted[side] += result["attempted"]
+            failed[side] += result["failed"]
+            values[side].append(result["metrics"][metric]["value"])
+        base, head = values["base"][-1], values["head"][-1]
+        won = sign * (head - base) > 0
+        wins += won
+        print(f"pair {pair + 1:2} seed {seed}: base {base:.6g}  head {head:.6g}  "
+              f"{change(base, head):+.1%}  {'head wins' if won else 'head does not win'}")
+    # Prints every metric's medians; exits 1 itself when the host stamps differ.
+    print()
+    tool.cmd_compare(argparse.Namespace(base=out / "base", new=out / "head"))
+    shares = {side: failed[side] / max(1, attempted[side]) for side in binaries}
+    if shares["head"] > shares["base"]:
+        problems.append(f"failed share rose from {shares['base']:.3g} to {shares['head']:.3g}")
+    bq1, bmed, bq3 = statistics.quantiles(values["base"], n=4)
+    hq1, hmed, hq3 = statistics.quantiles(values["head"], n=4)
+    print(f"\n{workload} {metric} ({better[metric]} is better), {pairs} pairs:")
+    print(f"  base median {bmed:.6g}  quartiles {bq1:.6g} .. {bq3:.6g}  (IQR {bq3 - bq1:.6g})")
+    print(f"  head median {hmed:.6g}  quartiles {hq1:.6g} .. {hq3:.6g}  "
+          f"({change(bmed, hmed):+.1%} on the base median)")
+    gap = sign * (hmed - bmed)
+    print(f"  head wins {wins}/{pairs} pairs; median gain {gap:.6g} against a base IQR of {bq3 - bq1:.6g}")
+    if wins < 0.9 * pairs:
+        problems.append(f"the head won {wins}/{pairs} pairs, fewer than nine tenths")
+    if gap <= bq3 - bq1:
+        problems.append(f"the median gain {gap:.6g} is not wider than the base IQR {bq3 - bq1:.6g}")
+    if problems:
+        print("\nCLAIM NOT MET:\n  " + "\n  ".join(problems))
+        sys.exit(1)
+    print("\nCLAIM MET")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("base")
     parser.add_argument("head")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help="test one claimed gain instead of the bounds of every workload")
+    parser.add_argument("--pairs", type=int, default=10, help="claim pairs (at least 10)")
+    parser.add_argument("--first-seed", type=int, default=1, help="seed of the first claim pair")
     args = parser.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     binaries = {"base": str(Path(args.base).resolve()), "head": str(Path(args.head).resolve())}
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        if args.pairs < 10:
+            parser.error("--pairs must be at least 10")
+        claim(spec, binaries, workload, metric, args.pairs, args.first_seed)
+        return
     problems = []
     results = {"base": {}, "head": {}}
     for side in binaries:
