@@ -66,7 +66,7 @@ mod harness {
             table: Arc::new(RobustLeaseTable::with_capacity_in(arena, CAPACITY)),
             recorder: FlightRecorder::new_in(arena, CHILDREN, RING_CAPACITY),
             free: FreeList::new_in(arena, FREE_BOUND),
-            progress: arena.alloc_slice::<AtomicU64>(CHILDREN).pin(arena),
+            progress: arena.alloc_slice::<AtomicU64>(CHILDREN),
         }
     }
 

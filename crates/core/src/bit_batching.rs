@@ -20,6 +20,10 @@ use std::ops::Range;
 use tas::ratrace::RatRaceTas;
 use tas::TestAndSet;
 
+/// The paper's probes per batch, in units of `log n`: a process tries
+/// `3 log n` random slots of each batch before moving on (Lemma 1).
+const PROBES_PER_LOG_N: usize = 3;
+
 /// Diagnostics of one acquisition, used by tests and experiments.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BitBatchingReport {
@@ -90,20 +94,7 @@ impl<T: TestAndSet> BitBatchingRenaming<T> {
     where
         F: Fn() -> T + Send + Sync + 'static,
     {
-        Self::with_factory_and_multiplier(n, factory, 3)
-    }
-
-    /// Like [`BitBatchingRenaming::with_factory`], but overriding the
-    /// paper's `3 log n` probes-per-batch constant with `multiplier · log n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` or `multiplier` is zero.
-    pub fn with_factory_and_multiplier<F>(n: usize, factory: F, multiplier: usize) -> Self
-    where
-        F: Fn() -> T + Send + Sync + 'static,
-    {
-        Self::from_parts(ComparatorSlab::new(n), Some(Box::new(factory)), multiplier)
+        Self::from_parts(ComparatorSlab::new(n), Some(Box::new(factory)))
     }
 
     /// Creates the object over the given vector of pre-built test-and-set
@@ -113,34 +104,21 @@ impl<T: TestAndSet> BitBatchingRenaming<T> {
     ///
     /// Panics if fewer than 2 slots are supplied.
     pub fn with_slots(slots: Vec<T>) -> Self {
-        Self::with_slots_and_multiplier(slots, 3)
-    }
-
-    /// Like [`BitBatchingRenaming::with_slots`], but overriding the paper's
-    /// `3 log n` probes-per-batch constant with `multiplier · log n`. Used by
-    /// the ablation experiment on the sampling budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than 2 slots are supplied or `multiplier` is zero.
-    pub fn with_slots_and_multiplier(slots: Vec<T>, multiplier: usize) -> Self {
-        Self::from_parts(ComparatorSlab::from_values(slots), None, multiplier)
+        Self::from_parts(ComparatorSlab::from_values(slots), None)
     }
 
     fn from_parts(
         slots: ComparatorSlab<T>,
         factory: Option<Box<dyn Fn() -> T + Send + Sync>>,
-        multiplier: usize,
     ) -> Self {
         let n = slots.len();
         assert!(n >= 2, "BitBatching needs at least two names");
-        assert!(multiplier >= 1, "the probe multiplier must be positive");
         let log_n = (n as f64).log2().ceil().max(1.0) as usize;
         BitBatchingRenaming {
             slots,
             factory,
             batches: Self::batch_layout(n),
-            trials_per_batch: multiplier * log_n,
+            trials_per_batch: PROBES_PER_LOG_N * log_n,
         }
     }
 

@@ -83,9 +83,7 @@ pub struct RenamingBuilder {
     family: NetworkFamily,
     comparators: ComparatorKind,
     adaptive_level: Option<usize>,
-    probe_multiplier: usize,
     lease_batch: usize,
-    arena: Option<Arc<Arena>>,
     seed: u64,
 }
 
@@ -98,9 +96,7 @@ impl Default for RenamingBuilder {
             family: NetworkFamily::default(),
             comparators: ComparatorKind::default(),
             adaptive_level: None,
-            probe_multiplier: 3,
             lease_batch: 8,
-            arena: None,
             seed: 0,
         }
     }
@@ -189,13 +185,6 @@ impl RenamingBuilder {
         self
     }
 
-    /// Overrides BitBatching's `3 log n` probes-per-batch constant with
-    /// `multiplier · log n`.
-    pub fn probe_multiplier(mut self, multiplier: usize) -> Self {
-        self.probe_multiplier = multiplier;
-        self
-    }
-
     /// Sets the escrow quota `q` of the long-lived object produced by
     /// [`RenamingBuilder::build_long_lived`]. By default (`8`) every
     /// recycler parks released names in a per-thread escrow slot that the
@@ -211,28 +200,6 @@ impl RenamingBuilder {
     /// [`MAX_ESCROW_QUOTA`] (15) are rejected at build time.
     pub fn lease_batch(mut self, batch: usize) -> Self {
         self.lease_batch = batch;
-        self
-    }
-
-    /// Places the recycler layer's words in the given [`Arena`] instead of
-    /// private heap allocations: each recycler's free list, its four
-    /// admission counters (tickets, granted, peak, leaked) and its escrow
-    /// slots. Size the arena generously ([`Recycler::footprint`] reports
-    /// the exact footprint); the build panics if the arena runs out of
-    /// space. Ignored by the one-shot [`RenamingBuilder::build`].
-    ///
-    /// The inner one-shot object (the comparator slab's lazily initialized
-    /// cells, or the adaptive algorithm's lazily built network sections)
-    /// stays on the private heap even when the arena uses the
-    /// [`shared`](shmem::arena::ArenaBackend::Shared) backend. The object
-    /// is therefore **not** safe to share across processes: a `fork(2)`
-    /// child gets a private copy of that state, so two processes would run
-    /// fresh acquisitions against different comparators and could grant
-    /// one name twice. For names leased by several processes, use
-    /// [`RobustLeaseTable`](crate::robust::RobustLeaseTable), whose whole
-    /// state lives in the arena.
-    pub fn arena(mut self, arena: &Arc<Arena>) -> Self {
-        self.arena = Some(Arc::clone(arena));
         self
     }
 
@@ -275,8 +242,7 @@ impl RenamingBuilder {
     ///
     /// Returns [`RenamingError::InvalidConfiguration`] when the settings do
     /// not fit the selected algorithm (missing or too-small capacity, a
-    /// capacity on the unbounded adaptive algorithm, a zero probe
-    /// multiplier).
+    /// capacity on the unbounded adaptive algorithm).
     pub fn build(&self) -> Result<Arc<dyn Renaming>, RenamingError> {
         match self.algorithm {
             Algorithm::Adaptive => {
@@ -310,25 +276,12 @@ impl RenamingBuilder {
             }
             Algorithm::BitBatching => {
                 let slots = self.bounded_capacity(2)?;
-                if self.probe_multiplier == 0 {
-                    return Err(RenamingError::InvalidConfiguration {
-                        reason: "the probe multiplier must be positive",
-                    });
-                }
                 Ok(match self.comparators {
                     ComparatorKind::Randomized => {
-                        Arc::new(BitBatchingRenaming::with_factory_and_multiplier(
-                            slots,
-                            RatRaceTas::new,
-                            self.probe_multiplier,
-                        ))
+                        Arc::new(BitBatchingRenaming::with_factory(slots, RatRaceTas::new))
                     }
                     ComparatorKind::Hardware => {
-                        Arc::new(BitBatchingRenaming::with_factory_and_multiplier(
-                            slots,
-                            HardwareTas::new,
-                            self.probe_multiplier,
-                        ))
+                        Arc::new(BitBatchingRenaming::with_factory(slots, HardwareTas::new))
                     }
                 })
             }
@@ -350,7 +303,9 @@ impl RenamingBuilder {
     /// yielding a long-lived renaming object whose leases recycle released
     /// names through a lock-free [`FreeList`](crate::free_list::FreeList).
     /// Unless [`RenamingBuilder::lease_batch`] is set to 1, the recycler
-    /// also gets a per-thread escrow of that quota (8 by default).
+    /// also gets a per-thread escrow of that quota (8 by default). Its
+    /// words live in a private heap arena of exactly
+    /// [`Recycler::footprint`] bytes.
     ///
     /// The concurrency bound is [`RenamingBuilder::max_concurrent`] if set,
     /// otherwise the capacity.
@@ -391,10 +346,7 @@ impl RenamingBuilder {
         } else {
             0
         };
-        let arena = self
-            .arena
-            .clone()
-            .unwrap_or_else(|| Arena::heap(Recycler::footprint(&inner, max_concurrent, quota)));
+        let arena = Arena::heap(Recycler::footprint(&inner, max_concurrent, quota));
         Ok(Arc::new(Recycler::new_in(
             inner,
             max_concurrent,
@@ -484,12 +436,6 @@ mod tests {
         assert!(adaptive_capacity.is_err());
         let tiny = <dyn Renaming>::builder().bit_batching().capacity(1).build();
         assert!(tiny.is_err());
-        let zero_mult = <dyn Renaming>::builder()
-            .bit_batching()
-            .capacity(8)
-            .probe_multiplier(0)
-            .build();
-        assert!(zero_mult.is_err());
         let no_bound = <dyn Renaming>::builder().build_long_lived();
         assert!(no_bound.is_err());
         let excess = <dyn Renaming>::builder()
@@ -578,28 +524,6 @@ mod tests {
         a.release(&mut ctx);
         b.release(&mut ctx);
         assert_eq!(ctx.stats().releases, 2);
-    }
-
-    #[test]
-    fn arena_backed_long_lived_objects_share_one_backing_store() {
-        // A builder pointed at an arena places the recycler's hot words
-        // there; the object behaves identically to the heap build.
-        let arena = Arena::heap(1 << 16);
-        let before = arena.used();
-        let object = <dyn Renaming>::builder()
-            .network()
-            .capacity(8)
-            .max_concurrent(4)
-            .arena(&arena)
-            .build_long_lived()
-            .unwrap();
-        assert!(arena.used() > before, "the build must consume arena space");
-        let mut ctx = ProcessCtx::new(ProcessId::new(0), 21);
-        for _ in 0..6 {
-            let lease = Arc::clone(&object).lease(&mut ctx).unwrap();
-            assert_eq!(lease.name(), 1);
-        }
-        assert_eq!(object.live_leases(), 0);
     }
 
     #[test]

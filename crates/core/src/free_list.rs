@@ -156,9 +156,9 @@ impl FreeList {
             CachePadded::new(AtomicU64::new(fill(word_count - index * 64)))
         });
         FreeList {
-            words: words.pin(arena),
-            summary: summary.pin(arena),
-            pushes: arena.alloc::<AtomicUsize>().pin(arena),
+            words,
+            summary,
+            pushes: arena.alloc::<AtomicUsize>(),
             bound,
             arena: Arc::clone(arena),
         }

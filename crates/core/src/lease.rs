@@ -34,6 +34,9 @@ use std::sync::Arc;
 /// distinct, and every name is at most the number of leases concurrently in
 /// progress when it was granted.
 ///
+/// Every operation leases or releases exactly one name, as long-lived
+/// renaming is specified; a burst of names is a loop of leases.
+///
 /// The trait is dyn-compatible: the builder returns
 /// `Arc<dyn LongLivedRenaming>`, and [`LongLivedRenaming::lease`] takes the
 /// `Arc` by value so the guard can keep its issuer alive. Call it as
@@ -47,31 +50,6 @@ pub trait LongLivedRenaming: Send + Sync {
     /// maximum number of concurrent leases is reached, or any error of the
     /// underlying one-shot object's fresh-name path.
     fn lease(self: Arc<Self>, ctx: &mut ProcessCtx) -> Result<NameLease, RenamingError>;
-
-    /// Acquires `count` names in one batch, all-or-nothing: on failure any
-    /// partially acquired leases are released and the error is returned.
-    ///
-    /// The default implementation loops over [`LongLivedRenaming::lease`];
-    /// implementations override it to amortize per-lease admission work —
-    /// [`Recycler`](crate::recycler::Recycler) reserves the whole batch's
-    /// admission slots with a single atomic operation.
-    ///
-    /// # Errors
-    ///
-    /// As [`LongLivedRenaming::lease`]; a batch larger than the remaining
-    /// admission headroom fails with [`RenamingError::CapacityExceeded`].
-    fn lease_many(
-        self: Arc<Self>,
-        ctx: &mut ProcessCtx,
-        count: usize,
-    ) -> Result<Vec<NameLease>, RenamingError> {
-        let mut leases = Vec::with_capacity(count);
-        for _ in 0..count {
-            // A failure drops `leases`, releasing the partial batch.
-            leases.push(Arc::clone(&self).lease(ctx)?);
-        }
-        Ok(leases)
-    }
 
     /// Acquires a name **without** an RAII guard: the raw hot path
     /// underneath [`LongLivedRenaming::lease`].
@@ -90,41 +68,6 @@ pub trait LongLivedRenaming: Send + Sync {
     /// As [`LongLivedRenaming::lease`].
     fn lease_raw(&self, ctx: &mut ProcessCtx) -> Result<usize, RenamingError>;
 
-    /// Acquires `count` names **without** guards, appending them to `out`:
-    /// the raw analogue of [`LongLivedRenaming::lease_many`], all-or-nothing
-    /// (on failure `out` is restored to its incoming length and everything
-    /// partially acquired is released). The caller owes every appended name
-    /// one release, ideally via [`LongLivedRenaming::release_many_raw`].
-    ///
-    /// The out-parameter lets hot paths reuse one buffer across batches.
-    /// Implementations override the default (a [`LongLivedRenaming::lease_raw`]
-    /// loop) to amortize admission work over the batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`LongLivedRenaming::lease_many`].
-    fn lease_many_raw(
-        &self,
-        ctx: &mut ProcessCtx,
-        count: usize,
-        out: &mut Vec<usize>,
-    ) -> Result<(), RenamingError> {
-        let start = out.len();
-        for _ in 0..count {
-            match self.lease_raw(ctx) {
-                Ok(name) => out.push(name),
-                Err(error) => {
-                    while out.len() > start {
-                        let name = out.pop().expect("length checked");
-                        self.release_raw(name);
-                    }
-                    return Err(error);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Returns a previously leased name to the object **without** step
     /// accounting.
     ///
@@ -136,20 +79,10 @@ pub trait LongLivedRenaming: Send + Sync {
     /// the caller's responsibility).
     fn release_raw(&self, name: usize);
 
-    /// Returns a batch of previously leased names **without** step
-    /// accounting: the raw analogue of dropping a [`LongLivedRenaming::lease_many`]
-    /// batch. The default loops over [`LongLivedRenaming::release_raw`];
-    /// implementations override it to amortize release-side bookkeeping
-    /// (e.g. one seqlock bump for the whole batch). The per-name contract is
-    /// that of [`LongLivedRenaming::release_raw`].
-    fn release_many_raw(&self, names: &[usize]) {
-        for &name in names {
-            self.release_raw(name);
-        }
-    }
-
     /// Returns a previously leased name, recording one
-    /// [`StepKind::Release`] step against `ctx`.
+    /// [`StepKind::Release`] step against `ctx`. Implementations whose
+    /// release takes shared-memory steps override it to take them through
+    /// `ctx` as well, so they are charged to (and scheduled as) the caller.
     fn release_with(&self, ctx: &mut ProcessCtx, name: usize) {
         self.release_raw(name);
         ctx.record(StepKind::Release);

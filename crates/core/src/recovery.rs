@@ -45,7 +45,7 @@
 //! scenario in `mcheck`.
 
 use crate::free_list::FreeList;
-use crate::robust::{self, RobustLeaseTable, TagStatus};
+use crate::robust::{self, RobustLeaseTable};
 use shmem::process::ProcessCtx;
 
 /// What one [`recover`] call did (all counts zero unless it
@@ -123,18 +123,8 @@ pub fn recover_with(
             continue;
         }
         let tag = robust::owner(word);
-        let dead = presume_all_dead
-            || match table.tag_status(tag) {
-                TagStatus::Raw => false,
-                TagStatus::Stale => true,
-                TagStatus::Registered(pid) => {
-                    let dead = is_dead_pid(pid);
-                    if dead && !report.dead_pids.contains(&pid) {
-                        report.dead_pids.push(pid);
-                    }
-                    dead
-                }
-            };
+        let dead =
+            presume_all_dead || table.owner_is_dead(tag, &mut is_dead_pid, &mut report.dead_pids);
         if dead && table.free_observed(ctx, index, word) {
             report.reclaimed += 1;
             obs::count(obs::Metric::RecoverReclaimed);

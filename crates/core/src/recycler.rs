@@ -54,8 +54,7 @@
 //! * **Release:** try-lock the caller's slot and append the name. A slot
 //!   holding `q` names keeps its newest `q/2` and spills the rest plus this
 //!   name with one [`FreeList::push_many`] (one seqlock bump). A busy slot
-//!   sends the name to the free list. Batch leases and releases bypass the
-//!   escrow.
+//!   sends the name to the free list.
 //! * **Critical sections** record no modelled step, allocate nothing and
 //!   cannot panic, so the virtual executor never parks a slot holder and a
 //!   sweeper's [`Backoff`] wait on a busy slot ends.
@@ -176,7 +175,7 @@ struct Escrow {
 impl Escrow {
     fn new_in(arena: &Arc<Arena>, quota: usize) -> Self {
         Escrow {
-            words: arena.alloc_slice(ESCROW_SLOTS * SLOT_WORDS).pin(arena),
+            words: arena.alloc_slice(ESCROW_SLOTS * SLOT_WORDS),
             quota,
         }
     }
@@ -369,11 +368,11 @@ impl<R: Renaming> Recycler<R> {
         Recycler {
             inner,
             free: FreeList::new_in(arena, bound),
-            tickets: arena.alloc::<AtomicUsize>().pin(arena),
+            tickets: arena.alloc::<AtomicUsize>(),
             max_concurrent,
-            granted: arena.alloc::<AtomicUsize>().pin(arena),
-            peak: arena.alloc::<AtomicUsize>().pin(arena),
-            leaked: arena.alloc::<AtomicUsize>().pin(arena),
+            granted: arena.alloc::<AtomicUsize>(),
+            peak: arena.alloc::<AtomicUsize>(),
+            leaked: arena.alloc::<AtomicUsize>(),
             escrow: (escrow_quota > 0).then(|| Escrow::new_in(arena, escrow_quota)),
             arena: Arc::clone(arena),
         }
@@ -538,8 +537,8 @@ impl<R: Renaming> Recycler<R> {
     }
 
     /// Grants one name through admission and the free list (or the fresh
-    /// path), bypassing the escrow. The caller owes the name one
-    /// [`LongLivedRenaming::release_raw`].
+    /// path), bypassing the escrow: the recycler's only admission path.
+    /// The caller owes the name one [`LongLivedRenaming::release_raw`].
     fn grant(&self, ctx: &mut ProcessCtx) -> Result<usize, RenamingError> {
         let lease_timer = obs::start();
         // Admission control: bound the simultaneously live leases. The
@@ -630,68 +629,6 @@ impl<R: Renaming> Recycler<R> {
             }
         }
     }
-
-    /// Grants up to `count` names with a single amortized admission
-    /// reservation, appending them to `names`. Returns how many were
-    /// granted (possibly zero when the admission bound is reached) plus the
-    /// inner fresh-path error that cut the batch short, if any — callers
-    /// decide whether a partial batch is usable (shard sweeps) or must be
-    /// rolled back with the true cause surfaced (all-or-nothing leases).
-    /// Every granted name owes one [`LongLivedRenaming::release_raw`].
-    ///
-    /// The batch bypasses the escrow, except that a shortfall at the
-    /// admission bound is topped up by stealing escrowed names: they hold
-    /// the admission slots the batch could not reserve.
-    pub(crate) fn grant_many(
-        &self,
-        ctx: &mut ProcessCtx,
-        count: usize,
-        names: &mut Vec<usize>,
-    ) -> (usize, Option<RenamingError>) {
-        if count == 0 {
-            return (0, None);
-        }
-        // One fetch_add reserves the whole batch; excess reservations are
-        // returned immediately, so transient over-reservation never rejects
-        // others spuriously for longer than this window.
-        let before = self.granted.fetch_add(count, Ordering::SeqCst);
-        let live_before = before.saturating_sub(self.free.pushes());
-        let admitted = self.max_concurrent.saturating_sub(live_before).min(count);
-        if admitted < count {
-            self.granted.fetch_sub(count - admitted, Ordering::SeqCst);
-        }
-        // lint: relaxed-ok(peak watermark is advisory; fetch_max below is the RMW)
-        if admitted > 0 && live_before + admitted > self.peak.load(Ordering::Relaxed) {
-            self.peak
-                .fetch_max(live_before + admitted, Ordering::AcqRel); // lint: relaxed-ok(monotone watermark RMW; AcqRel keeps concurrent maxes ordered)
-        }
-        let mut served = 0;
-        while served < admitted {
-            ctx.record(StepKind::ReadModifyWrite);
-            let result = match self.free.pop_coherent() {
-                Some(name) => Ok(name),
-                None => self.grant_fresh(ctx),
-            };
-            match result {
-                Ok(name) => {
-                    names.push(name);
-                    served += 1;
-                }
-                Err(error) => {
-                    // Unreserve the failing slot plus the not-yet-attempted
-                    // remainder of the batch.
-                    self.granted.fetch_sub(admitted - served, Ordering::SeqCst);
-                    return (served, Some(error));
-                }
-            }
-        }
-        if let Some(escrow) = &self.escrow {
-            let before = names.len();
-            names.extend((served..count).map_while(|_| escrow.steal(home_slot())));
-            served += names.len() - before;
-        }
-        (served, None)
-    }
 }
 
 impl<R: Renaming + 'static> LongLivedRenaming for Recycler<R> {
@@ -705,45 +642,6 @@ impl<R: Renaming + 'static> LongLivedRenaming for Recycler<R> {
             None => self.grant(ctx),
             Some(escrow) => self.lease_escrowed(escrow, ctx),
         }
-    }
-
-    /// Raw batch form (it bypasses the escrow) with the amortized admission [`Recycler::lease_many`]
-    /// builds on: one atomic reservation for the whole batch, all-or-nothing
-    /// with the true shortfall cause surfaced.
-    fn lease_many_raw(
-        &self,
-        ctx: &mut ProcessCtx,
-        count: usize,
-        out: &mut Vec<usize>,
-    ) -> Result<(), RenamingError> {
-        let start = out.len();
-        let (served, stop) = self.grant_many(ctx, count, out);
-        if served == count {
-            return Ok(());
-        }
-        let partial = out.split_off(start);
-        self.release_many_raw(&partial);
-        Err(stop.unwrap_or(RenamingError::CapacityExceeded {
-            capacity: self.max_concurrent,
-        }))
-    }
-
-    /// Batch form with *amortized admission*: one atomic reservation admits
-    /// the whole batch instead of one reservation per lease. All-or-nothing:
-    /// on a shortfall the partial batch is released and the cause is
-    /// returned — the inner object's error if its fresh path failed,
-    /// [`RenamingError::CapacityExceeded`] otherwise.
-    fn lease_many(
-        self: Arc<Self>,
-        ctx: &mut ProcessCtx,
-        count: usize,
-    ) -> Result<Vec<NameLease>, RenamingError> {
-        let mut names = Vec::with_capacity(count);
-        self.lease_many_raw(ctx, count, &mut names)?;
-        Ok(names
-            .into_iter()
-            .map(|name| NameLease::new(name, Arc::clone(&self) as Arc<dyn LongLivedRenaming>))
-            .collect())
     }
 
     fn release_raw(&self, name: usize) {
@@ -767,13 +665,6 @@ impl<R: Renaming + 'static> LongLivedRenaming for Recycler<R> {
         // the admission release, and it lands strictly after the name does —
         // so in-flight releases keep counting as live, the invariant that
         // makes fresh names contention-bounded.
-    }
-
-    /// Batch release with one seqlock bump (hence one admission release
-    /// operation) for the whole batch, after every name's bit has landed.
-    /// It bypasses the escrow.
-    fn release_many_raw(&self, names: &[usize]) {
-        self.push_many(names);
     }
 
     fn max_concurrent(&self) -> Option<usize> {
@@ -872,71 +763,6 @@ mod tests {
         drop(a);
         let c = Arc::clone(&recycler).lease(&mut ctx).unwrap();
         assert_eq!(c.name(), 1, "releasing re-opens admission with recycling");
-    }
-
-    #[test]
-    fn lease_many_amortizes_admission_and_is_all_or_nothing() {
-        let recycler = Arc::new(Recycler::new(
-            RenamingNetwork::<_>::new(odd_even_network(32)),
-            4,
-        ));
-        let mut ctx = ctx(0, 3);
-        let batch = Arc::clone(&recycler).lease_many(&mut ctx, 3).unwrap();
-        let mut names: Vec<usize> = batch.iter().map(NameLease::name).collect();
-        names.sort_unstable();
-        assert_eq!(names, vec![1, 2, 3]);
-        assert_eq!(recycler.live_leases(), 3);
-        // Requesting past the admission bound releases the partial batch.
-        assert_eq!(
-            Arc::clone(&recycler).lease_many(&mut ctx, 2).unwrap_err(),
-            RenamingError::CapacityExceeded { capacity: 4 }
-        );
-        assert_eq!(recycler.live_leases(), 3, "partial batch fully released");
-        drop(batch);
-        assert_eq!(recycler.live_leases(), 0);
-        // After full release the batch recycles instead of growing.
-        let again = Arc::clone(&recycler).lease_many(&mut ctx, 4).unwrap();
-        assert_eq!(again.len(), 4);
-        assert!(recycler.fresh_names() <= 4);
-        assert_eq!(
-            Arc::clone(&recycler).lease_many(&mut ctx, 0).unwrap().len(),
-            0
-        );
-    }
-
-    #[test]
-    fn raw_batches_round_trip_with_one_seqlock_bump_per_batch() {
-        let recycler = Arc::new(Recycler::new(
-            RenamingNetwork::<_>::new(odd_even_network(32)),
-            4,
-        ));
-        let mut ctx = ctx(0, 8);
-        let mut names = Vec::new();
-        recycler.lease_many_raw(&mut ctx, 4, &mut names).unwrap();
-        names.sort_unstable();
-        assert_eq!(names, vec![1, 2, 3, 4]);
-        assert_eq!(recycler.live_leases(), 4);
-        // All-or-nothing past the bound, with the buffer restored.
-        let mut overflow = vec![99];
-        assert_eq!(
-            recycler
-                .lease_many_raw(&mut ctx, 1, &mut overflow)
-                .unwrap_err(),
-            RenamingError::CapacityExceeded { capacity: 4 }
-        );
-        assert_eq!(overflow, vec![99], "the out buffer keeps prior contents");
-        recycler.release_many_raw(&names);
-        assert_eq!(recycler.live_leases(), 0);
-        assert_eq!(recycler.free_names(), 4);
-        // A second batch recycles the same names; a double batch release is
-        // rejected name by name and counted.
-        let mut again = Vec::new();
-        recycler.lease_many_raw(&mut ctx, 4, &mut again).unwrap();
-        assert!(recycler.fresh_names() <= 4);
-        recycler.release_many_raw(&again);
-        recycler.release_many_raw(&again);
-        assert_eq!(recycler.leaked_names(), 4);
-        assert_eq!(recycler.live_leases(), 0);
     }
 
     #[test]

@@ -291,12 +291,12 @@ impl RobustLeaseTable {
         // Zeroed words are `pack_free(0)`, the never-granted slot.
         RobustLeaseTable {
             arena: Arc::clone(arena),
-            slots: arena.alloc_slice(capacity).pin(arena),
+            slots: arena.alloc_slice(capacity),
             free: FreeList::full_in(arena, capacity),
-            stripes: arena.alloc_slice(TRANSITION_STRIPES).pin(arena),
+            stripes: arena.alloc_slice(TRANSITION_STRIPES),
             gate: AtomicU64Register::new_in(arena, 0),
             recovered_epoch: AtomicU64Register::new_in(arena, 0),
-            registry: arena.alloc_slice::<AtomicU64>(REGISTRY_SLOTS).pin(arena),
+            registry: arena.alloc_slice::<AtomicU64>(REGISTRY_SLOTS),
             capacity,
         }
     }
@@ -470,22 +470,43 @@ impl RobustLeaseTable {
     /// recorded events are dumped for inspection.
     #[cfg(all(unix, not(miri)))]
     pub fn sweep_dead_processes(&self, ctx: &mut ProcessCtx) -> usize {
-        let mut dead_pids: Vec<u32> = Vec::new();
-        let reclaimed = self.sweep(ctx, |tag| match self.tag_status(tag) {
-            TagStatus::Raw => false,
-            TagStatus::Stale => true,
-            TagStatus::Registered(pid) => {
-                let dead = !shmem::arena::os_process_alive(pid);
-                if dead && !dead_pids.contains(&pid) {
-                    dead_pids.push(pid);
-                }
-                dead
-            }
+        let mut dead_pids = Vec::new();
+        let reclaimed = self.sweep(ctx, |tag| {
+            self.owner_is_dead(
+                tag,
+                |pid| !shmem::arena::os_process_alive(pid),
+                &mut dead_pids,
+            )
         });
         for pid in dead_pids {
             obs::postmortem::notify_dead(pid);
         }
         reclaimed
+    }
+
+    /// Judges the owner behind `tag`, the one judgment
+    /// [`RobustLeaseTable::sweep_dead_processes`] and
+    /// [`recover_with`](crate::recovery::recover_with) share: a raw
+    /// in-process tag is alive, a stale registration is dead, and a
+    /// registered pid is dead when `is_dead_pid` says so. Each distinct dead
+    /// registered pid is appended to `dead_pids`, the postmortem candidates.
+    pub(crate) fn owner_is_dead(
+        &self,
+        tag: u32,
+        mut is_dead_pid: impl FnMut(u32) -> bool,
+        dead_pids: &mut Vec<u32>,
+    ) -> bool {
+        match self.tag_status(tag) {
+            TagStatus::Raw => false,
+            TagStatus::Stale => true,
+            TagStatus::Registered(pid) => {
+                let dead = is_dead_pid(pid);
+                if dead && !dead_pids.contains(&pid) {
+                    dead_pids.push(pid);
+                }
+                dead
+            }
+        }
     }
 
     /// Registers `pid` with the table, claiming a registry slot and a fresh
@@ -861,6 +882,15 @@ impl LongLivedRenaming for RobustLeaseTable {
         self.release(&mut ctx, name);
     }
 
+    /// Releases through the caller's `ctx`, so the slot read, the CAS and
+    /// the transition-stripe bump are charged to the caller, scheduled at
+    /// its gate, subject to its crash plan and striped by its identity;
+    /// then records the one [`StepKind::Release`] step.
+    fn release_with(&self, ctx: &mut ProcessCtx, name: usize) {
+        self.release(ctx, name);
+        ctx.record(StepKind::Release);
+    }
+
     fn max_concurrent(&self) -> Option<usize> {
         Some(self.capacity)
     }
@@ -1082,6 +1112,28 @@ mod tests {
         let raw = table.lease_raw(&mut ctx).unwrap();
         table.release_raw(raw);
         assert_eq!(table.live_leases(), 0);
+    }
+
+    #[test]
+    fn a_guard_release_is_charged_to_the_callers_context() {
+        let table = Arc::new(RobustLeaseTable::with_capacity(4));
+        let mut ctx = ctx(3);
+        let lease = (Arc::clone(&table) as Arc<dyn LongLivedRenaming>)
+            .lease(&mut ctx)
+            .unwrap();
+        let before = ctx.stats();
+        lease.release(&mut ctx);
+        let after = ctx.stats();
+        assert_eq!(after.reads - before.reads, 1, "the slot read");
+        assert_eq!(after.rmws - before.rmws, 2, "the CAS and the stripe bump");
+        assert_eq!(after.releases - before.releases, 1);
+        assert_eq!(table.live_leases(), 0);
+        assert_eq!(table.transitions(), 1);
+        assert_eq!(
+            table.stripes[3].load(Ordering::SeqCst),
+            1,
+            "the caller's own stripe"
+        );
     }
 
     #[test]

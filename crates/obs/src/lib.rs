@@ -11,9 +11,8 @@
 //!   gauges, and log-bucketed [`hist::Histogram`]s, merged only at
 //!   [`snapshot::Snapshot`] time.
 //! - [`sink`] — thread-local recording handles the instrumented hot paths
-//!   in `core` and `cnet` call through; compile with the `off` feature
-//!   (exposed as `obs-off` on the downstream crates) and every site
-//!   becomes an inlined no-op.
+//!   in `core` and `cnet` call through; a thread that binds no sink pays
+//!   one relaxed flag load and a predictable branch per site.
 //!
 //! The crate depends only on `shmem`, so both `core` and `cnet` can record
 //! without creating a dependency cycle.

@@ -155,10 +155,7 @@ impl MetricsSlab {
     pub fn new_in(arena: &Arc<Arena>, stripes: usize) -> Arc<Self> {
         assert!(stripes > 0, "a metrics slab needs at least one stripe");
         let words = arena.alloc_slice::<AtomicU64>(stripes * STRIPE_WORDS);
-        Arc::new(MetricsSlab {
-            words: words.pin(arena),
-            stripes,
-        })
+        Arc::new(MetricsSlab { words, stripes })
     }
 
     /// Allocates a slab of `stripes` stripes over a fresh process-private

@@ -7,12 +7,9 @@
 //! moments — as a [`Postmortem`]. Reports accumulate until drained with
 //! [`take_reports`] (tests assert on them; the flight-recorder example
 //! prints them).
-//!
-//! With the `off` feature the hook is a no-op and sweeps stay exactly as
-//! cheap as before.
 
 use crate::ring::{Event, FlightRecorder};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One dead process's dumped ring tail.
 #[derive(Clone, Debug)]
@@ -27,81 +24,48 @@ pub struct Postmortem {
     pub rendered: String,
 }
 
-#[cfg(not(feature = "off"))]
-mod imp {
-    use super::*;
-    use std::sync::Mutex;
+static HOOK: Mutex<Option<Arc<FlightRecorder>>> = Mutex::new(None);
+static REPORTS: Mutex<Vec<Postmortem>> = Mutex::new(Vec::new());
 
-    static HOOK: Mutex<Option<Arc<FlightRecorder>>> = Mutex::new(None);
-    static REPORTS: Mutex<Vec<Postmortem>> = Mutex::new(Vec::new());
-
-    /// Installs `recorder` as the process's postmortem source (replacing
-    /// any previous one).
-    pub fn install(recorder: Arc<FlightRecorder>) {
-        *HOOK.lock().expect("postmortem hook lock") = Some(recorder);
-    }
-
-    /// Removes the installed recorder, if any.
-    pub fn uninstall() {
-        *HOOK.lock().expect("postmortem hook lock") = None;
-    }
-
-    /// Dumps the ring attached by `pid`, if a recorder is installed and
-    /// has one. Returns whether a report was produced. Idempotent per
-    /// sweep call site, not deduplicated across calls — a pid swept twice
-    /// produces two reports.
-    pub fn notify_dead(pid: u32) -> bool {
-        let recorder = HOOK.lock().expect("postmortem hook lock").clone();
-        let Some(recorder) = recorder else {
-            return false;
-        };
-        let Some(ring) = recorder.find_ring(pid) else {
-            return false;
-        };
-        let report = Postmortem {
-            pid,
-            ring,
-            events: recorder.events(ring),
-            rendered: recorder.postmortem(ring),
-        };
-        REPORTS.lock().expect("postmortem report lock").push(report);
-        true
-    }
-
-    /// Drains every accumulated report.
-    pub fn take_reports() -> Vec<Postmortem> {
-        std::mem::take(&mut *REPORTS.lock().expect("postmortem report lock"))
-    }
+/// Installs `recorder` as the process's postmortem source (replacing
+/// any previous one).
+pub fn install(recorder: Arc<FlightRecorder>) {
+    *HOOK.lock().expect("postmortem hook lock") = Some(recorder);
 }
 
-#[cfg(feature = "off")]
-mod imp {
-    use super::*;
-
-    /// No-op with telemetry compiled off.
-    #[inline(always)]
-    pub fn install(_recorder: Arc<FlightRecorder>) {}
-
-    /// No-op with telemetry compiled off.
-    #[inline(always)]
-    pub fn uninstall() {}
-
-    /// Always false with telemetry compiled off.
-    #[inline(always)]
-    pub fn notify_dead(_pid: u32) -> bool {
-        false
-    }
-
-    /// Always empty with telemetry compiled off.
-    #[inline(always)]
-    pub fn take_reports() -> Vec<Postmortem> {
-        Vec::new()
-    }
+/// Removes the installed recorder, if any.
+pub fn uninstall() {
+    *HOOK.lock().expect("postmortem hook lock") = None;
 }
 
-pub use imp::{install, notify_dead, take_reports, uninstall};
+/// Dumps the ring attached by `pid`, if a recorder is installed and
+/// has one. Returns whether a report was produced. Idempotent per
+/// sweep call site, not deduplicated across calls — a pid swept twice
+/// produces two reports.
+pub fn notify_dead(pid: u32) -> bool {
+    let recorder = HOOK.lock().expect("postmortem hook lock").clone();
+    let Some(recorder) = recorder else {
+        return false;
+    };
+    let Some(ring) = recorder.find_ring(pid) else {
+        return false;
+    };
+    let report = Postmortem {
+        pid,
+        ring,
+        events: recorder.events(ring),
+        rendered: recorder.postmortem(ring),
+    };
+    REPORTS.lock().expect("postmortem report lock").push(report);
+    true
+}
 
-#[cfg(all(test, not(feature = "off")))]
+/// Drains every accumulated report.
+pub fn take_reports() -> Vec<Postmortem> {
+    std::mem::take(&mut *REPORTS.lock().expect("postmortem report lock"))
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::ring::EventKind;

@@ -128,7 +128,7 @@ impl FlightRecorder {
         crate::time::init_epoch();
         let words = arena.alloc_slice::<AtomicU64>(rings * Self::ring_words(capacity));
         Arc::new(FlightRecorder {
-            words: words.pin(arena),
+            words,
             rings,
             capacity,
         })

@@ -4,204 +4,134 @@
 //! handle through every signature, so they call the free functions here
 //! ([`count`], [`record`], [`event`], [`start`]/[`finish`]). Each thread
 //! (or forked process — the binding is plain thread-local state and
-//! survives `fork`) opts in by [`bind_metrics`]-ing a
-//! [`StripeWriter`](crate::metrics::StripeWriter) and/or [`bind_ring`]-ing
-//! a [`RingWriter`](crate::ring::RingWriter); unbound
-//! threads pay one global flag load and a predictable branch per site.
-//!
-//! With the `off` feature every function here is an empty `#[inline]`
-//! no-op, so telemetry compiles out of the hot paths entirely.
+//! survives `fork`) opts in by [`bind_metrics`]-ing a [`StripeWriter`]
+//! and/or [`bind_ring`]-ing a [`RingWriter`]; unbound threads pay one
+//! global flag load and a predictable branch per site.
 
-#[cfg(not(feature = "off"))]
-mod imp {
-    use crate::metrics::{Metric, StripeWriter};
-    use crate::ring::{EventKind, RingWriter};
-    use std::cell::RefCell;
-    use std::sync::atomic::{AtomicBool, Ordering};
+use crate::metrics::{Metric, StripeWriter};
+use crate::ring::{EventKind, RingWriter};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// Flips true on the first bind anywhere in the process and stays true:
-    /// the hot-path guard is one relaxed load of this mostly-read line.
-    static ANY_BOUND: AtomicBool = AtomicBool::new(false);
+/// Flips true on the first bind anywhere in the process and stays true:
+/// the hot-path guard is one relaxed load of this mostly-read line.
+static ANY_BOUND: AtomicBool = AtomicBool::new(false);
 
-    #[derive(Default)]
-    struct Bound {
-        metrics: Option<StripeWriter>,
-        ring: Option<RingWriter>,
+#[derive(Default)]
+struct Bound {
+    metrics: Option<StripeWriter>,
+    ring: Option<RingWriter>,
+}
+
+thread_local! {
+    static BOUND: RefCell<Bound> = RefCell::new(Bound::default());
+}
+
+#[inline(always)]
+fn active() -> bool {
+    ANY_BOUND.load(Ordering::Relaxed) // lint: relaxed-ok(monotone enable flag; guards only whether to consult thread-local state)
+}
+
+/// Binds the calling thread's metric stripe.
+pub fn bind_metrics(writer: StripeWriter) {
+    BOUND.with(|bound| bound.borrow_mut().metrics = Some(writer));
+    ANY_BOUND.store(true, Ordering::Release);
+}
+
+/// Binds the calling thread's flight-recorder ring.
+pub fn bind_ring(writer: RingWriter) {
+    BOUND.with(|bound| bound.borrow_mut().ring = Some(writer));
+    ANY_BOUND.store(true, Ordering::Release);
+}
+
+/// Unbinds both sinks of the calling thread.
+pub fn unbind() {
+    let _ = BOUND.try_with(|bound| *bound.borrow_mut() = Bound::default());
+}
+
+/// Whether any sink has ever been bound in this process.
+pub fn enabled() -> bool {
+    active()
+}
+
+#[inline]
+fn with_metrics(f: impl FnOnce(&StripeWriter)) {
+    if !active() {
+        return;
     }
-
-    thread_local! {
-        static BOUND: RefCell<Bound> = RefCell::new(Bound::default());
-    }
-
-    #[inline(always)]
-    fn active() -> bool {
-        ANY_BOUND.load(Ordering::Relaxed) // lint: relaxed-ok(monotone enable flag; guards only whether to consult thread-local state)
-    }
-
-    /// Binds the calling thread's metric stripe.
-    pub fn bind_metrics(writer: StripeWriter) {
-        BOUND.with(|bound| bound.borrow_mut().metrics = Some(writer));
-        ANY_BOUND.store(true, Ordering::Release);
-    }
-
-    /// Binds the calling thread's flight-recorder ring.
-    pub fn bind_ring(writer: RingWriter) {
-        BOUND.with(|bound| bound.borrow_mut().ring = Some(writer));
-        ANY_BOUND.store(true, Ordering::Release);
-    }
-
-    /// Unbinds both sinks of the calling thread.
-    pub fn unbind() {
-        let _ = BOUND.try_with(|bound| *bound.borrow_mut() = Bound::default());
-    }
-
-    /// Whether any sink has ever been bound in this process.
-    pub fn enabled() -> bool {
-        active()
-    }
-
-    #[inline]
-    fn with_metrics(f: impl FnOnce(&StripeWriter)) {
-        if !active() {
-            return;
+    let _ = BOUND.try_with(|bound| {
+        if let Some(writer) = bound.borrow().metrics.as_ref() {
+            f(writer);
         }
-        let _ = BOUND.try_with(|bound| {
-            if let Some(writer) = bound.borrow().metrics.as_ref() {
-                f(writer);
-            }
-        });
-    }
+    });
+}
 
-    /// Bumps a counter metric on the calling thread's stripe, if bound.
-    #[inline]
-    pub fn count(metric: Metric) {
-        with_metrics(|writer| writer.count(metric));
-    }
+/// Bumps a counter metric on the calling thread's stripe, if bound.
+#[inline]
+pub fn count(metric: Metric) {
+    with_metrics(|writer| writer.count(metric));
+}
 
-    /// Bumps a counter metric by `n` on the calling thread's stripe.
-    #[inline]
-    pub fn add(metric: Metric, n: u64) {
-        with_metrics(|writer| writer.add(metric, n));
-    }
+/// Bumps a counter metric by `n` on the calling thread's stripe.
+#[inline]
+pub fn add(metric: Metric, n: u64) {
+    with_metrics(|writer| writer.add(metric, n));
+}
 
-    /// Stores a gauge observation on the calling thread's stripe.
-    #[inline]
-    pub fn gauge(metric: Metric, value: u64) {
-        with_metrics(|writer| writer.gauge(metric, value));
-    }
+/// Stores a gauge observation on the calling thread's stripe.
+#[inline]
+pub fn gauge(metric: Metric, value: u64) {
+    with_metrics(|writer| writer.gauge(metric, value));
+}
 
-    /// Records a histogram value on the calling thread's stripe.
-    #[inline]
-    pub fn record(metric: Metric, value: u64) {
-        with_metrics(|writer| writer.record(metric, value));
-    }
+/// Records a histogram value on the calling thread's stripe.
+#[inline]
+pub fn record(metric: Metric, value: u64) {
+    with_metrics(|writer| writer.record(metric, value));
+}
 
-    /// Logs a flight-recorder event on the calling thread's ring, if bound.
-    #[inline]
-    pub fn event(kind: EventKind, name: u64, payload: u64) {
-        if !active() {
-            return;
+/// Logs a flight-recorder event on the calling thread's ring, if bound.
+#[inline]
+pub fn event(kind: EventKind, name: u64, payload: u64) {
+    if !active() {
+        return;
+    }
+    let _ = BOUND.try_with(|bound| {
+        if let Some(ring) = bound.borrow().ring.as_ref() {
+            ring.log(kind, name, payload);
         }
-        let _ = BOUND.try_with(|bound| {
-            if let Some(ring) = bound.borrow().ring.as_ref() {
-                ring.log(kind, name, payload);
-            }
-        });
+    });
+}
+
+/// An in-flight latency measurement (see [`start`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Timer(Option<u64>);
+
+/// Starts a latency measurement. Reads the clock only when a metric
+/// stripe is bound, so unbound threads never pay for a timestamp.
+#[inline]
+pub fn start() -> Timer {
+    if !active() {
+        return Timer(None);
     }
-
-    /// An in-flight latency measurement (see [`start`]).
-    #[derive(Clone, Copy, Debug)]
-    pub struct Timer(Option<u64>);
-
-    /// Starts a latency measurement. Reads the clock only when a metric
-    /// stripe is bound, so unbound threads never pay for a timestamp.
-    #[inline]
-    pub fn start() -> Timer {
-        if !active() {
-            return Timer(None);
+    let mut stamp = None;
+    let _ = BOUND.try_with(|bound| {
+        if bound.borrow().metrics.is_some() {
+            stamp = Some(crate::time::now_ns());
         }
-        let mut stamp = None;
-        let _ = BOUND.try_with(|bound| {
-            if bound.borrow().metrics.is_some() {
-                stamp = Some(crate::time::now_ns());
-            }
-        });
-        Timer(stamp)
-    }
+    });
+    Timer(stamp)
+}
 
-    /// Finishes a latency measurement into a histogram metric.
-    #[inline]
-    pub fn finish(timer: Timer, metric: Metric) {
-        if let Timer(Some(started)) = timer {
-            record(metric, crate::time::now_ns().saturating_sub(started));
-        }
+/// Finishes a latency measurement into a histogram metric.
+#[inline]
+pub fn finish(timer: Timer, metric: Metric) {
+    if let Timer(Some(started)) = timer {
+        record(metric, crate::time::now_ns().saturating_sub(started));
     }
 }
 
-#[cfg(feature = "off")]
-mod imp {
-    use crate::metrics::{Metric, StripeWriter};
-    use crate::ring::{EventKind, RingWriter};
-
-    /// Binding is a no-op with telemetry compiled off.
-    #[inline(always)]
-    pub fn bind_metrics(_writer: StripeWriter) {}
-
-    /// Binding is a no-op with telemetry compiled off.
-    #[inline(always)]
-    pub fn bind_ring(_writer: RingWriter) {}
-
-    /// Unbinding is a no-op with telemetry compiled off.
-    #[inline(always)]
-    pub fn unbind() {}
-
-    /// Always false with telemetry compiled off.
-    #[inline(always)]
-    pub fn enabled() -> bool {
-        false
-    }
-
-    /// No-op with telemetry compiled off.
-    #[inline(always)]
-    pub fn count(_metric: Metric) {}
-
-    /// No-op with telemetry compiled off.
-    #[inline(always)]
-    pub fn add(_metric: Metric, _n: u64) {}
-
-    /// No-op with telemetry compiled off.
-    #[inline(always)]
-    pub fn gauge(_metric: Metric, _value: u64) {}
-
-    /// No-op with telemetry compiled off.
-    #[inline(always)]
-    pub fn record(_metric: Metric, _value: u64) {}
-
-    /// No-op with telemetry compiled off.
-    #[inline(always)]
-    pub fn event(_kind: EventKind, _name: u64, _payload: u64) {}
-
-    /// A zero-sized stand-in with telemetry compiled off.
-    #[derive(Clone, Copy, Debug)]
-    pub struct Timer;
-
-    /// No-op with telemetry compiled off.
-    #[inline(always)]
-    pub fn start() -> Timer {
-        Timer
-    }
-
-    /// No-op with telemetry compiled off.
-    #[inline(always)]
-    pub fn finish(_timer: Timer, _metric: Metric) {}
-}
-
-pub use imp::{
-    add, bind_metrics, bind_ring, count, enabled, event, finish, gauge, record, start, unbind,
-    Timer,
-};
-
-#[cfg(all(test, not(feature = "off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::{Metric, MetricsSlab};

@@ -5,11 +5,16 @@
 //! threads in one address space, but pointers do not survive a process
 //! boundary: a `MAP_SHARED` mapping lands at a different virtual address in
 //! every process that maps it. This module therefore stores shared state in
-//! an [`Arena`] — a single contiguous region addressed by *offsets* — and
-//! hands out [`ArenaBox<T>`]/[`ArenaSlice<T>`] handles that resolve
-//! `base + offset` at access time. Handles are plain `Copy` integers, so a
-//! structure built from them is relocatable by construction: fork the
-//! process (or map the region elsewhere) and every handle still resolves.
+//! an [`Arena`] — a single contiguous region addressed by *offsets*. Every
+//! allocation returns a view pinned at allocation time: an [`ArenaRef<T>`]
+//! or [`ArenaSliceRef<T>`] resolves `base + offset` once, keeps its arena
+//! alive through an [`Arc`], and dereferences as a plain pointer. The view
+//! remembers its offset, from which the word's stable [`Loc`] derives. The
+//! offsets, not the pointers, are the layout: a `fork()` child inherits the
+//! mapping (and so every view) at the same address, and a process that
+//! attaches a file-backed arena by path re-runs the structures'
+//! constructors in allocation order, landing every word on the offset its
+//! creator used.
 //!
 //! Three backends are provided:
 //!
@@ -20,8 +25,8 @@
 //!   sharing.
 //! * [`ArenaBackend::Shared`]: an anonymous `MAP_SHARED` mmap (unix only,
 //!   not under miri). A child created with `fork()` inherits the mapping at
-//!   the same address — but nothing relies on that: all access goes through
-//!   offsets, and the handles themselves are inherited by-value.
+//!   the same address, so the views allocated before the fork stay valid
+//!   in the child.
 //! * [`ArenaBackend::File`]: a *named* `MAP_SHARED` mmap over a regular
 //!   file, so **unrelated** processes attach by path instead of by fork
 //!   inheritance ([`Arena::file_create`] / [`Arena::file_attach`]). The
@@ -32,7 +37,7 @@
 //!   An attached arena is opened in *preserve* mode: the `*_with`
 //!   allocators claim offsets in construction order but skip their
 //!   initializing writes, so re-running a structure's `*_in` constructor
-//!   re-derives the same handles over the surviving bytes.
+//!   re-derives the same views over the surviving bytes.
 //!
 //! # Allocation discipline
 //!
@@ -67,12 +72,13 @@
 //! let arena = Arena::heap(4096);
 //! let word = arena.alloc::<AtomicU64>();
 //! let slab = arena.alloc_slice::<AtomicU64>(8);
-//! word.get(&arena).store(7, Ordering::SeqCst);
-//! slab.at(&arena, 3).store(9, Ordering::SeqCst);
-//! assert_eq!(word.get(&arena).load(Ordering::SeqCst), 7);
-//! assert_eq!(slab.get(&arena)[3].load(Ordering::SeqCst), 9);
-//! // Handles are plain offsets: relocatable, Copy, process-boundary safe.
+//! word.store(7, Ordering::SeqCst);
+//! slab[3].store(9, Ordering::SeqCst);
+//! assert_eq!(word.load(Ordering::SeqCst), 7);
+//! assert_eq!(slab[3].load(Ordering::SeqCst), 9);
+//! // Every allocation starts a cache line; its Loc derives from the offset.
 //! assert_eq!(word.offset() % 64, 0);
+//! assert_eq!(word.loc(), arena.loc_for(word.offset()));
 //! ```
 
 // The one module in this crate that needs raw memory: the arena owns an
@@ -84,7 +90,6 @@ use crate::pad::CachePadded;
 use crate::vexec::Loc;
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::fmt;
-use std::marker::PhantomData;
 use std::ptr::NonNull;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -112,7 +117,7 @@ pub enum ArenaBackend {
     /// A file-backed `MAP_SHARED` mapping with a validated [`FileHeader`]:
     /// unrelated processes attach by path ([`Arena::file_attach`]) and the
     /// bytes survive every process detaching. Unix only; unavailable under
-    /// miri. The variant is payload-free (handles stay `Copy`); the path
+    /// miri. The variant is payload-free (the enum stays `Copy`); the path
     /// is carried by the constructors and [`Arena::path`].
     File,
 }
@@ -258,7 +263,7 @@ pub unsafe trait ArenaPod: Sized + Send + Sync + 'static {}
 
 // Safety: atomics and bare integers are zero-valid, drop-free,
 // address-space independent and (for the atomics) Sync. Plain integers are
-// only reachable immutably through arena handles, so sharing &T is safe.
+// only reachable immutably through arena views, so sharing &T is safe.
 unsafe impl ArenaPod for AtomicU64 {}
 unsafe impl ArenaPod for AtomicUsize {}
 unsafe impl ArenaPod for AtomicU32 {}
@@ -329,8 +334,8 @@ impl Drop for Storage {
 /// A relocatable bump-allocated region of shared memory.
 ///
 /// See the [module docs](self) for the full story. Arenas are always used
-/// behind an [`Arc`], because the handles resolve against `&Arena` and the
-/// structures built on top keep the arena alive.
+/// behind an [`Arc`], because every view an allocator returns holds one to
+/// keep the region mapped.
 pub struct Arena {
     storage: Storage,
     capacity: usize,
@@ -726,21 +731,10 @@ impl Arena {
         }
     }
 
-    fn check_pod_layout<T: ArenaPod>() {
-        assert!(
-            std::mem::align_of::<T>() <= ARENA_ALIGN,
-            "ArenaPod alignment exceeds the arena's 64-byte allocation grain"
-        );
-    }
-
     /// Allocates one zero-initialized `T`, on its own cache line.
-    pub fn alloc<T: ArenaPod>(&self) -> ArenaBox<T> {
-        Self::check_pod_layout::<T>();
-        let offset = self.bump(std::mem::size_of::<T>().max(1));
-        ArenaBox {
-            offset,
-            _marker: PhantomData,
-        }
+    pub fn alloc<T: ArenaPod>(self: &Arc<Self>) -> ArenaRef<T> {
+        let offset = self.claim::<T>(1);
+        self.pin(offset)
     }
 
     /// Allocates one `T` initialized to `value`, on its own cache line. In
@@ -749,29 +743,21 @@ impl Arena {
     /// are the value (T is zero-valid and pointer-free, so whatever a
     /// previous fleet left is a valid T — possibly a torn one, which is
     /// recovery's problem, not memory safety's).
-    pub fn alloc_with<T: ArenaPod>(&self, value: T) -> ArenaBox<T> {
-        let handle = self.alloc::<T>();
+    pub fn alloc_with<T: ArenaPod>(self: &Arc<Self>, value: T) -> ArenaRef<T> {
+        let offset = self.claim::<T>(1);
         if !self.preserve {
             // Safety: bump() just handed this region out exclusively; nothing
             // can hold a reference into it yet, and T has no Drop to leak.
-            unsafe { std::ptr::write(self.raw_at::<T>(handle.offset), value) };
+            unsafe { std::ptr::write(self.raw_at::<T>(offset), value) };
         }
-        handle
+        self.pin(offset)
     }
 
     /// Allocates a zero-initialized slice of `len` elements, contiguous
     /// from a 64-byte-aligned base.
-    pub fn alloc_slice<T: ArenaPod>(&self, len: usize) -> ArenaSlice<T> {
-        Self::check_pod_layout::<T>();
-        let bytes = std::mem::size_of::<T>()
-            .checked_mul(len)
-            .expect("slice size overflow");
-        let offset = self.bump(bytes.max(1));
-        ArenaSlice {
-            offset,
-            len,
-            _marker: PhantomData,
-        }
+    pub fn alloc_slice<T: ArenaPod>(self: &Arc<Self>, len: usize) -> ArenaSliceRef<T> {
+        let offset = self.claim::<T>(len);
+        self.pin_slice(offset, len)
     }
 
     /// Allocates a slice of `len` elements, initializing element `i` with
@@ -780,20 +766,56 @@ impl Arena {
     /// skipped, exactly as in [`Arena::alloc_with`] (the init closure still
     /// runs, since callers may rely on its side effects for bookkeeping).
     pub fn alloc_slice_with<T: ArenaPod>(
-        &self,
+        self: &Arc<Self>,
         len: usize,
         mut init: impl FnMut(usize, Loc) -> T,
-    ) -> ArenaSlice<T> {
-        let handle = self.alloc_slice::<T>(len);
+    ) -> ArenaSliceRef<T> {
+        let offset = self.claim::<T>(len);
         for i in 0..len {
-            let elem_offset = handle.offset + i * std::mem::size_of::<T>();
+            let elem_offset = offset + i * std::mem::size_of::<T>();
             let value = init(i, self.loc_for(elem_offset));
             if !self.preserve {
                 // Safety: freshly claimed exclusive region, as in alloc_with.
                 unsafe { std::ptr::write(self.raw_at::<T>(elem_offset), value) };
             }
         }
-        handle
+        self.pin_slice(offset, len)
+    }
+
+    /// Claims room for `len` contiguous `T`s (at least one byte) at the
+    /// next 64-byte boundary, returning the offset.
+    fn claim<T: ArenaPod>(&self, len: usize) -> usize {
+        assert!(
+            std::mem::align_of::<T>() <= ARENA_ALIGN,
+            "ArenaPod alignment exceeds the arena's 64-byte allocation grain"
+        );
+        let bytes = std::mem::size_of::<T>()
+            .checked_mul(len)
+            .expect("slice size overflow");
+        self.bump(bytes.max(1))
+    }
+
+    /// Resolves the `T` at `offset` once, into a view that keeps the arena
+    /// alive. Called after any initializing write, so the view's pointer is
+    /// derived last.
+    fn pin<T: ArenaPod>(self: &Arc<Self>, offset: usize) -> ArenaRef<T> {
+        ArenaRef {
+            ptr: NonNull::from(self.resolve::<T>(offset)),
+            offset,
+            arena: Arc::clone(self),
+        }
+    }
+
+    /// The slice form of [`Arena::pin`].
+    fn pin_slice<T: ArenaPod>(self: &Arc<Self>, offset: usize, len: usize) -> ArenaSliceRef<T> {
+        ArenaSliceRef {
+            // An empty slice resolves to a dangling-but-well-aligned base,
+            // exactly what from_raw_parts requires for len 0.
+            ptr: NonNull::from(self.resolve_slice::<T>(offset, len)).cast::<T>(),
+            len,
+            offset,
+            arena: Arc::clone(self),
+        }
     }
 
     /// Raw pointer to `offset`, bounds-checked against the allocated prefix.
@@ -803,7 +825,7 @@ impl Arena {
             offset
                 .checked_add(size)
                 .is_some_and(|end| end <= self.used()),
-            "arena handle out of bounds (offset {offset}, size {size}, used {})",
+            "arena offset out of bounds (offset {offset}, size {size}, used {})",
             self.used()
         );
         debug_assert_eq!(offset % std::mem::align_of::<T>().max(1), 0);
@@ -812,8 +834,8 @@ impl Arena {
         unsafe { self.storage.base().as_ptr().add(offset).cast::<T>() }
     }
 
-    /// Resolves a typed reference at `offset`. Internal: use the handle
-    /// methods ([`ArenaBox::get`], [`ArenaSlice::get`]).
+    /// Resolves a typed reference at `offset`. Internal: the views pin it
+    /// once at allocation.
     fn resolve<T: ArenaPod>(&self, offset: usize) -> &T {
         // Safety: raw_at bounds-checks; ArenaPod guarantees the zeroed (or
         // explicitly written) bytes are a valid T and that &T is Sync.
@@ -831,66 +853,10 @@ impl Arena {
             offset
                 .checked_add(bytes)
                 .is_some_and(|end| end <= self.used()),
-            "arena slice handle out of bounds"
+            "arena slice out of bounds"
         );
         // Safety: as in resolve, for the whole contiguous run.
         unsafe { std::slice::from_raw_parts(self.raw_at::<T>(offset), len) }
-    }
-}
-
-/// A relocatable handle to a single `T` in an [`Arena`].
-///
-/// The handle is a bare byte offset: `Copy`, process-boundary safe, and
-/// only meaningful against the arena that allocated it (resolving against
-/// a different arena is caught by the bounds check at best — don't).
-pub struct ArenaBox<T> {
-    offset: usize,
-    _marker: PhantomData<fn() -> T>,
-}
-
-impl<T> Clone for ArenaBox<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for ArenaBox<T> {}
-
-impl<T> fmt::Debug for ArenaBox<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ArenaBox")
-            .field("offset", &self.offset)
-            .finish()
-    }
-}
-
-impl<T: ArenaPod> ArenaBox<T> {
-    /// The byte offset of the value within its arena.
-    pub fn offset(&self) -> usize {
-        self.offset
-    }
-
-    /// Resolves the handle against its arena.
-    pub fn get<'a>(&self, arena: &'a Arena) -> &'a T {
-        arena.resolve(self.offset)
-    }
-
-    /// The stable [`Loc`] of this word (see [`Arena::loc_for`]).
-    pub fn loc(&self, arena: &Arena) -> Loc {
-        arena.loc_for(self.offset)
-    }
-
-    /// Resolves the handle **once** and pins the result: the returned
-    /// [`ArenaRef`] keeps the arena alive and dereferences with no per-access
-    /// offset arithmetic or bounds check. Use it wherever the same word is
-    /// accessed repeatedly (hot paths); keep the `ArenaBox` form for state
-    /// that crosses a process boundary.
-    pub fn pin(self, arena: &Arc<Arena>) -> ArenaRef<T> {
-        ArenaRef {
-            ptr: NonNull::from(arena.resolve::<T>(self.offset)),
-            offset: self.offset,
-            arena: Arc::clone(arena),
-        }
     }
 }
 
@@ -922,7 +888,7 @@ impl<T: ArenaPod> ArenaCell<T> {
 
     /// Allocates the value in `arena`, on its own cache line.
     pub fn new_in(arena: &Arc<Arena>, value: T) -> Self {
-        ArenaCell(CellRepr::Arena(arena.alloc_with(value).pin(arena)))
+        ArenaCell(CellRepr::Arena(arena.alloc_with(value)))
     }
 
     /// Resolves the word, wherever it lives.
@@ -950,88 +916,15 @@ impl<T: ArenaPod + Default> Default for ArenaCell<T> {
     }
 }
 
-/// A relocatable handle to a contiguous `[T]` in an [`Arena`].
-pub struct ArenaSlice<T> {
-    offset: usize,
-    len: usize,
-    _marker: PhantomData<fn() -> T>,
-}
-
-impl<T> Clone for ArenaSlice<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for ArenaSlice<T> {}
-
-impl<T> fmt::Debug for ArenaSlice<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ArenaSlice")
-            .field("offset", &self.offset)
-            .field("len", &self.len)
-            .finish()
-    }
-}
-
-impl<T: ArenaPod> ArenaSlice<T> {
-    /// The byte offset of the first element within its arena.
-    pub fn offset(&self) -> usize {
-        self.offset
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Resolves the whole slice against its arena.
-    pub fn get<'a>(&self, arena: &'a Arena) -> &'a [T] {
-        arena.resolve_slice(self.offset, self.len)
-    }
-
-    /// Resolves element `index` (panics if out of range).
-    pub fn at<'a>(&self, arena: &'a Arena, index: usize) -> &'a T {
-        assert!(index < self.len, "arena slice index out of range");
-        arena.resolve(self.offset + index * std::mem::size_of::<T>())
-    }
-
-    /// The stable [`Loc`] of element `index` (see [`Arena::loc_for`]).
-    pub fn loc_at(&self, arena: &Arena, index: usize) -> Loc {
-        assert!(index < self.len, "arena slice index out of range");
-        arena.loc_for(self.offset + index * std::mem::size_of::<T>())
-    }
-
-    /// Resolves the slice **once** and pins the result (see
-    /// [`ArenaBox::pin`]): the returned [`ArenaSliceRef`] dereferences to
-    /// `&[T]` with no per-access resolution.
-    pub fn pin(self, arena: &Arc<Arena>) -> ArenaSliceRef<T> {
-        let resolved = arena.resolve_slice::<T>(self.offset, self.len);
-        ArenaSliceRef {
-            // An empty slice resolves to a dangling-but-well-aligned base,
-            // exactly what from_raw_parts requires for len 0.
-            ptr: NonNull::from(resolved).cast::<T>(),
-            len: self.len,
-            offset: self.offset,
-            arena: Arc::clone(arena),
-        }
-    }
-}
-
-/// A pinned, pre-resolved view of a single `T` in an [`Arena`].
+/// A pinned, pre-resolved view of a single `T` in an [`Arena`], as
+/// [`Arena::alloc`] and [`Arena::alloc_with`] return it.
 ///
-/// [`ArenaBox`] is the *relocatable* form of a handle — a bare offset that
-/// survives a process boundary. `ArenaRef` is its in-process companion: the
-/// `base + offset` resolution (bounds check included) happens **once**, at
-/// [`ArenaBox::pin`], and the resulting pointer is stored next to an owning
+/// The `base + offset` resolution (bounds check included) happens **once**,
+/// at allocation, and the resulting pointer is stored next to an owning
 /// [`Arc<Arena>`] so it can never dangle. Dereferencing is a plain pointer
 /// access, which is what makes arena-backed structures match the performance
-/// of their pre-arena `Box`-based layouts on hot paths.
+/// of their pre-arena `Box`-based layouts on hot paths. The view also keeps
+/// the word's offset, the layout fact that survives a process boundary.
 pub struct ArenaRef<T: ArenaPod> {
     ptr: NonNull<T>,
     offset: usize,
@@ -1059,15 +952,6 @@ impl<T: ArenaPod> ArenaRef<T> {
     pub fn loc(&self) -> Loc {
         self.arena.loc_for(self.offset)
     }
-
-    /// The relocatable [`ArenaBox`] form of this handle (for shipping the
-    /// location across a process boundary).
-    pub fn handle(&self) -> ArenaBox<T> {
-        ArenaBox {
-            offset: self.offset,
-            _marker: PhantomData,
-        }
-    }
 }
 
 impl<T: ArenaPod> std::ops::Deref for ArenaRef<T> {
@@ -1075,7 +959,7 @@ impl<T: ArenaPod> std::ops::Deref for ArenaRef<T> {
 
     #[inline]
     fn deref(&self) -> &T {
-        // Safety: pinned at construction from a bounds-checked resolve; the
+        // Safety: pinned at allocation from a bounds-checked resolve; the
         // owned Arc keeps the backing region mapped for &self's lifetime.
         unsafe { self.ptr.as_ref() }
     }
@@ -1100,8 +984,8 @@ impl<T: ArenaPod> fmt::Debug for ArenaRef<T> {
 }
 
 /// A pinned, pre-resolved view of a contiguous `[T]` in an [`Arena`]
-/// (see [`ArenaRef`]; this is the slice form, produced by
-/// [`ArenaSlice::pin`]).
+/// (see [`ArenaRef`]; this is the slice form, returned by
+/// [`Arena::alloc_slice`] and [`Arena::alloc_slice_with`]).
 pub struct ArenaSliceRef<T: ArenaPod> {
     ptr: NonNull<T>,
     len: usize,
@@ -1130,15 +1014,6 @@ impl<T: ArenaPod> ArenaSliceRef<T> {
         self.arena
             .loc_for(self.offset + index * std::mem::size_of::<T>())
     }
-
-    /// The relocatable [`ArenaSlice`] form of this handle.
-    pub fn handle(&self) -> ArenaSlice<T> {
-        ArenaSlice {
-            offset: self.offset,
-            len: self.len,
-            _marker: PhantomData,
-        }
-    }
 }
 
 impl<T: ArenaPod> std::ops::Deref for ArenaSliceRef<T> {
@@ -1146,7 +1021,7 @@ impl<T: ArenaPod> std::ops::Deref for ArenaSliceRef<T> {
 
     #[inline]
     fn deref(&self) -> &[T] {
-        // Safety: pinned at construction from a bounds-checked resolve_slice;
+        // Safety: pinned at allocation from a bounds-checked resolve_slice;
         // the owned Arc keeps the backing region mapped for &self's lifetime.
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
@@ -1218,12 +1093,12 @@ mod tests {
             assert_eq!(offset % ARENA_ALIGN, 0, "allocation not line-aligned");
         }
         assert_ne!(a.offset(), b.offset());
-        assert_eq!(a.get(&arena).load(Ordering::SeqCst), 0);
-        assert!(s.get(&arena).iter().all(|w| w.load(Ordering::SeqCst) == 0));
+        assert_eq!(a.load(Ordering::SeqCst), 0);
+        assert!(s.iter().all(|w| w.load(Ordering::SeqCst) == 0));
         // Single allocations each own a full line; slices pack contiguously.
         assert!(b.offset() - a.offset() >= 64);
-        let base = s.at(&arena, 0) as *const AtomicU64 as usize;
-        let next = s.at(&arena, 1) as *const AtomicU64 as usize;
+        let base = &s[0] as *const AtomicU64 as usize;
+        let next = &s[1] as *const AtomicU64 as usize;
         assert_eq!(next - base, std::mem::size_of::<AtomicU64>());
         // The resolved base pointer is itself 64-byte aligned.
         assert_eq!(base % 64, 0);
@@ -1233,12 +1108,12 @@ mod tests {
     fn alloc_with_and_slice_with_initialize_values() {
         let arena = Arena::heap(4096);
         let word = arena.alloc_with(AtomicU64::new(41));
-        assert_eq!(word.get(&arena).load(Ordering::SeqCst), 41);
+        assert_eq!(word.load(Ordering::SeqCst), 41);
         let slab = arena.alloc_slice_with::<u64>(4, |i, loc| {
             assert!(!loc.is_anon());
             (i as u64) * 10
         });
-        assert_eq!(slab.get(&arena), &[0, 10, 20, 30]);
+        assert_eq!(&slab[..], &[0, 10, 20, 30]);
     }
 
     #[test]
@@ -1246,8 +1121,8 @@ mod tests {
         let arena = Arena::heap(4096);
         let a = arena.alloc::<AtomicU64>();
         let b = arena.alloc::<AtomicU64>();
-        let la = a.loc(&arena);
-        let lb = b.loc(&arena);
+        let la = a.loc();
+        let lb = b.loc();
         assert_ne!(la, lb);
         assert_eq!(
             la,
@@ -1257,7 +1132,7 @@ mod tests {
         assert!(la.as_u64() & (1 << 63) != 0, "arena locs carry the tag bit");
         assert!(!la.is_anon());
         let s = arena.alloc_slice::<AtomicU64>(3);
-        assert_ne!(s.loc_at(&arena, 0), s.loc_at(&arena, 1));
+        assert_ne!(s.loc_at(0), s.loc_at(1));
     }
 
     #[test]
@@ -1335,8 +1210,8 @@ mod tests {
         let arena = Arena::shared(4096).expect("anonymous MAP_SHARED mapping");
         assert_eq!(arena.backend(), ArenaBackend::Shared);
         let word = arena.alloc_with(AtomicU64::new(3));
-        word.get(&arena).fetch_add(4, Ordering::SeqCst);
-        assert_eq!(word.get(&arena).load(Ordering::SeqCst), 7);
+        word.fetch_add(4, Ordering::SeqCst);
+        assert_eq!(word.load(Ordering::SeqCst), 7);
     }
 
     #[cfg(all(unix, not(miri)))]
@@ -1365,9 +1240,11 @@ mod tests {
             assert!(!created.preserves_contents());
             let word = created.alloc_with(AtomicU64::new(7));
             let slab = created.alloc_slice::<AtomicU64>(4);
-            slab.at(&created, 2).store(99, Ordering::SeqCst);
-            word.get(&created).store(41, Ordering::SeqCst);
-            drop(created);
+            slab[2].store(99, Ordering::SeqCst);
+            word.store(41, Ordering::SeqCst);
+            // The views hold the mapping too: drop them with the arena.
+            let (word_offset, slab_offset) = (word.offset(), slab.offset());
+            drop((word, slab, created));
 
             // A fresh, unrelated mapping of the same path sees the bytes.
             let attached = Arena::file_attach(&path).expect("attach by path");
@@ -1378,10 +1255,10 @@ mod tests {
             // values (alloc_with must NOT overwrite the surviving 41).
             let word2 = attached.alloc_with(AtomicU64::new(0));
             let slab2 = attached.alloc_slice::<AtomicU64>(4);
-            assert_eq!(word2.offset(), word.offset());
-            assert_eq!(slab2.offset(), slab.offset());
-            assert_eq!(word2.get(&attached).load(Ordering::SeqCst), 41);
-            assert_eq!(slab2.at(&attached, 2).load(Ordering::SeqCst), 99);
+            assert_eq!(word2.offset(), word_offset);
+            assert_eq!(slab2.offset(), slab_offset);
+            assert_eq!(word2.load(Ordering::SeqCst), 41);
+            assert_eq!(slab2[2].load(Ordering::SeqCst), 99);
             std::fs::remove_file(&path).unwrap();
         }
 
@@ -1480,8 +1357,8 @@ mod tests {
             let path = scratch_path("layout");
             let arena = Arena::file_create(&path, 1024).expect("file arena");
             // The first allocation lands after the header line.
-            let first = arena.alloc::<AtomicU64>();
-            assert_eq!(first.offset(), FILE_HEADER_BYTES);
+            let first = arena.alloc::<AtomicU64>().offset();
+            assert_eq!(first, FILE_HEADER_BYTES);
             // The full requested capacity is usable beyond the header.
             assert_eq!(arena.remaining(), 1024 - 64);
             let header = arena.file_header().expect("file arenas have headers");
@@ -1502,35 +1379,34 @@ mod tests {
     }
 
     #[test]
-    fn pinned_refs_alias_their_handles_and_survive_threads() {
+    fn refs_alias_their_offsets_and_survive_threads() {
         let arena = Arena::heap(4096);
         let word = arena.alloc_with(AtomicU64::new(3));
-        let pinned = word.pin(&arena);
-        // Same offset, same Loc, same physical word as the relocatable form.
-        assert_eq!(pinned.offset(), word.offset());
-        assert_eq!(pinned.loc(), word.loc(&arena));
-        assert_eq!(pinned.handle().offset(), word.offset());
-        word.get(&arena).store(9, Ordering::SeqCst);
-        assert_eq!(pinned.load(Ordering::SeqCst), 9);
+        // The view, its offset-derived Loc and a fresh resolve of its offset
+        // all name the same physical word of the same arena.
+        assert!(Arc::ptr_eq(word.arena(), &arena));
+        assert_eq!(word.loc(), arena.loc_for(word.offset()));
+        arena
+            .resolve::<AtomicU64>(word.offset())
+            .store(9, Ordering::SeqCst);
+        assert_eq!(word.load(Ordering::SeqCst), 9);
 
         let slab = arena.alloc_slice::<AtomicU64>(4);
-        let pinned_slab = slab.pin(&arena);
-        assert_eq!(pinned_slab.len(), 4);
-        assert_eq!(pinned_slab.offset(), slab.offset());
-        assert_eq!(pinned_slab.loc_at(2), slab.loc_at(&arena, 2));
-        assert_eq!(pinned_slab.handle().len(), 4);
-        slab.at(&arena, 2).store(7, Ordering::SeqCst);
-        assert_eq!(pinned_slab[2].load(Ordering::SeqCst), 7);
+        assert_eq!(slab.len(), 4);
+        assert!(Arc::ptr_eq(slab.arena(), &arena));
+        assert_eq!(slab.loc_at(2), arena.loc_for(slab.offset() + 2 * 8));
+        arena.resolve_slice::<AtomicU64>(slab.offset(), 4)[2].store(7, Ordering::SeqCst);
+        assert_eq!(slab[2].load(Ordering::SeqCst), 7);
 
         // Clones are cheap aliases, and refs cross threads (the Arc inside
-        // keeps the region alive even if the caller drops its own handle).
-        let other = pinned.clone();
+        // keeps the region alive even if the caller drops its own arena).
+        let other = word.clone();
         drop(arena);
         std::thread::scope(|scope| {
             scope.spawn(move || other.fetch_add(1, Ordering::SeqCst));
         });
-        assert_eq!(pinned.load(Ordering::SeqCst), 10);
-        assert!(format!("{pinned:?}").contains("ArenaRef"));
-        assert!(format!("{pinned_slab:?}").contains("ArenaSliceRef"));
+        assert_eq!(word.load(Ordering::SeqCst), 10);
+        assert!(format!("{word:?}").contains("ArenaRef"));
+        assert!(format!("{slab:?}").contains("ArenaSliceRef"));
     }
 }

@@ -9,9 +9,10 @@
 //!
 //! * [`register`] — MWMR atomic registers with per-operation step accounting.
 //! * [`arena`] — a relocatable, offset-addressed backing store for shared
-//!   structures ([`arena::ArenaBox`]/[`arena::ArenaSlice`] handles resolving
-//!   `base + offset`), with a process-private heap backend and an anonymous
-//!   `MAP_SHARED` mmap backend for true cross-process operation.
+//!   structures (allocations return [`arena::ArenaRef`]/[`arena::ArenaSliceRef`]
+//!   views that resolve `base + offset` once and remember the offset), with
+//!   a process-private heap backend and anonymous and file-backed
+//!   `MAP_SHARED` mmap backends for true cross-process operation.
 //! * [`steps`] — the paper's cost model: counts of shared-memory reads,
 //!   writes, read-modify-writes and test-and-set invocations per process.
 //! * [`process`] — [`ProcessId`] and
@@ -85,10 +86,7 @@ pub mod steps;
 pub mod vexec;
 
 pub use adversary::{ArrivalSchedule, CrashPlan, ExecConfig, ScheduleSource, YieldPolicy};
-pub use arena::{
-    Arena, ArenaBackend, ArenaBox, ArenaCell, ArenaError, ArenaPod, ArenaRef, ArenaSlice,
-    ArenaSliceRef,
-};
+pub use arena::{Arena, ArenaBackend, ArenaCell, ArenaError, ArenaPod, ArenaRef, ArenaSliceRef};
 pub use executor::{ExecutionOutcome, Executor, ProcessOutcome};
 pub use history::{History, OpRecord, Recorder};
 pub use lazy::LazyTable;

@@ -118,7 +118,7 @@ mod tests {
     #[test]
     fn forked_children_exit_cleanly_and_report_through_shared_memory() {
         let arena = Arena::shared(4096).expect("MAP_SHARED arena");
-        let word = arena.alloc::<AtomicU64>().pin(&arena);
+        let word = arena.alloc::<AtomicU64>();
         let pid = fork_child({
             let word = word.clone();
             move || {
@@ -132,7 +132,7 @@ mod tests {
     #[test]
     fn stopped_children_stay_alive_and_resume() {
         let arena = Arena::shared(4096).expect("MAP_SHARED arena");
-        let word = arena.alloc::<AtomicU64>().pin(&arena);
+        let word = arena.alloc::<AtomicU64>();
         let pid = fork_child({
             let word = word.clone();
             move || {

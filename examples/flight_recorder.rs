@@ -47,7 +47,7 @@ fn main() {
         .map(|child| {
             let mut ctx = ProcessCtx::new(ProcessId::new(child), child as u64 + 1);
             fork_child({
-                let arena = Arc::clone(&arena);
+                let handshake = handshake.clone();
                 let table = Arc::clone(&table);
                 let recorder = Arc::clone(&recorder);
                 let slab = Arc::clone(&slab);
@@ -73,7 +73,7 @@ fn main() {
                         // rounds: SIGKILL arrives while it spins here, so
                         // its last recorded event is this grant.
                         if child == 1 && round == rounds / 2 {
-                            handshake.get(&arena).store(name as u64, Ordering::SeqCst);
+                            handshake.store(name as u64, Ordering::SeqCst);
                             loop {
                                 std::hint::spin_loop();
                             }
@@ -86,10 +86,10 @@ fn main() {
         .collect();
 
     // Wait for the victim to hold a lease, then crash it without warning.
-    while handshake.get(&arena).load(Ordering::SeqCst) == 0 {
+    while handshake.load(Ordering::SeqCst) == 0 {
         std::thread::yield_now();
     }
-    let stuck_name = handshake.get(&arena).load(Ordering::SeqCst) as usize;
+    let stuck_name = handshake.load(Ordering::SeqCst) as usize;
     let victim = pids[1];
     kill_child(victim);
     assert!(wait_child(victim).killed(), "the victim died of SIGKILL");

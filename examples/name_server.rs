@@ -95,13 +95,13 @@ fn main() {
     // `build_long_lived()` gives the recycler a per-thread escrow (quota
     // q = 8 by default): a single release parks its name in the releasing
     // thread's own cache-line slot, where that thread's next lease finds
-    // it. `lease_many` takes a burst of names with one admission
-    // reservation; a batch bypasses the escrow, but steals parked names
-    // when admission runs short. Parked names hold admission slots, and a
-    // spill in flight briefly holds up to ⌈q/2⌉ names of its slot, so the
-    // bound covers every worker holding a full burst plus one spill each
-    // (lease_many is all-or-nothing and non-blocking: an undersized bound
-    // would reject bursts on multi-core hosts).
+    // it. A burst is a loop of single leases, each served from the
+    // caller's slot when it holds a name, and otherwise through admission
+    // (which steals parked names before it rejects). Parked names hold
+    // admission slots, and a spill in flight briefly holds up to ⌈q/2⌉
+    // names of its slot, so the bound covers every worker holding a full
+    // burst plus one spill each (a lease is non-blocking: an undersized
+    // bound would reject leases on multi-core hosts).
     const BURST: usize = 4;
     const QUOTA: usize = 8;
     let burst_bound = workers * (BURST + QUOTA.div_ceil(2));
@@ -117,11 +117,15 @@ fn main() {
         move |ctx| {
             let mut worst = 0usize;
             for _ in 0..requests_per_worker / BURST {
-                // One burst: four slots leased together, served, released
-                // one by one into the caller's escrow slot.
-                let burst = Arc::clone(&escrowed)
-                    .lease_many(ctx, BURST)
-                    .expect("the bound covers every burst and spill");
+                // One burst: four slots leased one after another, served,
+                // released one by one into the caller's escrow slot.
+                let burst: Vec<NameLease> = (0..BURST)
+                    .map(|_| {
+                        Arc::clone(&escrowed)
+                            .lease(ctx)
+                            .expect("the bound covers every burst and spill")
+                    })
+                    .collect();
                 ctx.flip();
                 for lease in burst {
                     worst = worst.max(lease.name());

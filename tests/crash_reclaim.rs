@@ -5,9 +5,10 @@
 //! shared-memory substrate:
 //!
 //! * **Visibility** — atomic words allocated in a shared arena are the same
-//!   physical memory in every forked process; handle structs (`ArenaBox`,
-//!   compiled network wiring, lease-table slot vectors) are inherited by
-//!   value and keep resolving against the shared base.
+//!   physical memory in every forked process; the views allocation returns
+//!   (`ArenaRef`, compiled network wiring, lease-table slot vectors) are
+//!   inherited by value with the mapping at the same address, so they keep
+//!   pointing into the shared region.
 //! * **Crash-robust reclamation** — a child SIGKILLed mid-lease leaves its
 //!   slot `HELD(pid)`; the surviving parent's
 //!   [`RobustLeaseTable::sweep_dead_processes`] probes the pid, reclaims the
@@ -34,14 +35,14 @@ fn shared_arena_words_are_visible_across_fork() {
     let word = arena.alloc::<AtomicU64>();
 
     let pid = fork_child({
-        let arena = Arc::clone(&arena);
+        let word = word.clone();
         move || {
-            word.get(&arena).store(0xC0FFEE, Ordering::SeqCst);
+            word.store(0xC0FFEE, Ordering::SeqCst);
         }
     });
     wait_for_clean_exit(pid);
     assert_eq!(
-        word.get(&arena).load(Ordering::SeqCst),
+        word.load(Ordering::SeqCst),
         0xC0FFEE,
         "a child's store through the shared mapping must be visible here"
     );
@@ -58,10 +59,10 @@ fn forked_incrementers_share_one_arena_counter() {
     let pids: Vec<i32> = (0..children)
         .map(|_| {
             fork_child({
-                let arena = Arc::clone(&arena);
+                let word = word.clone();
                 move || {
                     for _ in 0..increments {
-                        word.get(&arena).fetch_add(1, Ordering::SeqCst);
+                        word.fetch_add(1, Ordering::SeqCst);
                     }
                 }
             })
@@ -70,10 +71,7 @@ fn forked_incrementers_share_one_arena_counter() {
     for pid in pids {
         wait_for_clean_exit(pid);
     }
-    assert_eq!(
-        word.get(&arena).load(Ordering::SeqCst),
-        children as u64 * increments
-    );
+    assert_eq!(word.load(Ordering::SeqCst), children as u64 * increments);
 }
 
 #[test]
@@ -87,7 +85,7 @@ fn forked_clean_churn_of_the_robust_table_stays_tight() {
         .expect("anonymous MAP_SHARED mapping");
     let table = Arc::new(RobustLeaseTable::with_capacity_in(&arena, processes));
     // One word per child: the largest name it was granted.
-    let reports = arena.alloc_slice::<AtomicU64>(processes).pin(&arena);
+    let reports = arena.alloc_slice::<AtomicU64>(processes);
 
     let pids: Vec<i32> = (0..processes)
         .map(|child| {
@@ -139,7 +137,7 @@ fn crashed_leaseholder_names_are_reclaimed_by_a_sweep() {
     let mut child_ctx = ProcessCtx::new(ProcessId::new(1), 7);
 
     let pid = fork_child({
-        let arena = Arc::clone(&arena);
+        let handshake = handshake.clone();
         let table = Arc::clone(&table);
         move || {
             // Registration is the child's first act on the shared table:
@@ -152,7 +150,7 @@ fn crashed_leaseholder_names_are_reclaimed_by_a_sweep() {
             let name = table
                 .acquire(&mut child_ctx, registration.tag())
                 .expect("an empty table has free names");
-            handshake.get(&arena).store(name as u64, Ordering::SeqCst);
+            handshake.store(name as u64, Ordering::SeqCst);
             // Hold the lease until the parent kills us: the crash leaves the
             // slot HELD with our registration tag stamped as owner.
             loop {
@@ -162,10 +160,10 @@ fn crashed_leaseholder_names_are_reclaimed_by_a_sweep() {
     });
 
     // Wait for the lease, then crash the holder without warning.
-    while handshake.get(&arena).load(Ordering::SeqCst) == 0 {
+    while handshake.load(Ordering::SeqCst) == 0 {
         std::thread::yield_now();
     }
-    let name = handshake.get(&arena).load(Ordering::SeqCst) as usize;
+    let name = handshake.load(Ordering::SeqCst) as usize;
     kill_child(pid);
     assert!(
         wait_child(pid).killed(),
@@ -219,7 +217,7 @@ fn a_crashed_leaseholders_flight_recorder_tail_survives_the_sweep() {
     let mut child_ctx = ProcessCtx::new(ProcessId::new(1), 7);
 
     let pid = fork_child({
-        let arena = Arc::clone(&arena);
+        let handshake = handshake.clone();
         let table = Arc::clone(&table);
         let recorder = Arc::clone(&recorder);
         move || {
@@ -235,17 +233,17 @@ fn a_crashed_leaseholders_flight_recorder_tail_survives_the_sweep() {
             let name = table
                 .acquire(&mut child_ctx, registration.tag())
                 .expect("an empty table has free names");
-            handshake.get(&arena).store(name as u64, Ordering::SeqCst);
+            handshake.store(name as u64, Ordering::SeqCst);
             loop {
                 std::hint::spin_loop();
             }
         }
     });
 
-    while handshake.get(&arena).load(Ordering::SeqCst) == 0 {
+    while handshake.load(Ordering::SeqCst) == 0 {
         std::thread::yield_now();
     }
-    let name = handshake.get(&arena).load(Ordering::SeqCst) as usize;
+    let name = handshake.load(Ordering::SeqCst) as usize;
     kill_child(pid);
     assert!(wait_child(pid).killed());
 

@@ -5,9 +5,8 @@
 //! guarantees at every instant: no two live leases share a name, and every
 //! granted name is bounded by the point contention of its grant. Histories
 //! are recorded with logical timestamps and checked offline by
-//! `assert_tight_lease_namespace`. Batch churn through `lease_many_raw` /
-//! `release_many_raw` is checked for uniqueness and the `threads × batch`
-//! bound; the builder-default object, a recycler with a per-thread escrow,
+//! `assert_tight_lease_namespace`. The builder-default object, a recycler
+//! with a per-thread escrow,
 //! is checked for uniqueness and the `max_concurrent` bound under random
 //! interleavings and against
 //! `assert_escrow_lease_namespace` on seeded `vexec` schedules (the escrow
@@ -87,14 +86,11 @@ impl Drop for RecordedLease {
 
 /// Runs `k` workers through `rounds` lease/hold/release cycles against the
 /// given long-lived object, with optional crash injection, and returns the
-/// recorded history. With `batch == 1` each cycle is one guarded `lease`;
-/// a larger `batch` takes that many names per cycle through
-/// `lease_many_raw` and returns them with one `release_many_raw`.
+/// recorded history. Each cycle is one guarded `lease`.
 fn churn(
     object: Arc<dyn LongLivedRenaming>,
     k: usize,
     rounds: usize,
-    batch: usize,
     config: ExecConfig,
 ) -> Vec<LeaseRecord> {
     let journal = Arc::new(Journal::new());
@@ -102,30 +98,7 @@ fn churn(
         let object = Arc::clone(&object);
         let journal = Arc::clone(&journal);
         move |ctx| {
-            let mut names = Vec::with_capacity(batch);
             for _ in 0..rounds {
-                if batch > 1 {
-                    let indices: Vec<usize> = (0..batch).map(|_| journal.open()).collect();
-                    names.clear();
-                    if object.lease_many_raw(ctx, batch, &mut names).is_err() {
-                        indices.iter().for_each(|&index| journal.fail(index));
-                        continue;
-                    }
-                    for (&index, &name) in indices.iter().zip(&names) {
-                        journal.grant(index, name);
-                    }
-                    ctx.flip();
-                    let started = journal.now();
-                    for &index in &indices {
-                        journal.records.lock()[index].release_started_at = Some(started);
-                    }
-                    object.release_many_raw(&names);
-                    let finished = journal.now();
-                    for &index in &indices {
-                        journal.records.lock()[index].release_finished_at = Some(finished);
-                    }
-                    continue;
-                }
                 let index = journal.open();
                 match Arc::clone(&object).lease(ctx) {
                     Ok(lease) => {
@@ -204,7 +177,7 @@ proptest! {
         let config = ExecConfig::new(seed)
             .with_yield_policy(YieldPolicy::Probabilistic(f64::from(yield_percent) / 100.0))
             .with_arrival(ArrivalSchedule::Simultaneous);
-        let records = churn(Arc::clone(&recycler) as Arc<dyn LongLivedRenaming>, k, rounds, 1, config);
+        let records = churn(Arc::clone(&recycler) as Arc<dyn LongLivedRenaming>, k, rounds, config);
 
         prop_assert_eq!(records.len(), k * rounds);
         let check = assert_tight_lease_namespace(&records);
@@ -235,7 +208,7 @@ proptest! {
             prob: f64::from(crash_percent) / 100.0,
             max_steps: 40,
         });
-        let records = churn(Arc::clone(&recycler) as Arc<dyn LongLivedRenaming>, k, rounds, 1, config);
+        let records = churn(Arc::clone(&recycler) as Arc<dyn LongLivedRenaming>, k, rounds, config);
 
         let check = assert_tight_lease_namespace(&records);
         prop_assert!(check.is_ok(), "{check:?}");
@@ -267,7 +240,7 @@ proptest! {
             .seed(seed)
             .build_long_lived()
             .unwrap();
-        let records = churn(object, k, rounds, 1, ExecConfig::new(seed));
+        let records = churn(object, k, rounds, ExecConfig::new(seed));
         let check = assert_tight_lease_namespace(&records);
         prop_assert!(check.is_ok(), "{check:?}");
     }
@@ -295,48 +268,12 @@ proptest! {
         let config = ExecConfig::new(seed)
             .with_yield_policy(YieldPolicy::Probabilistic(f64::from(yield_percent) / 100.0))
             .with_arrival(ArrivalSchedule::Simultaneous);
-        let records = churn(Arc::clone(&object), k, rounds, 1, config);
+        let records = churn(Arc::clone(&object), k, rounds, config);
 
         prop_assert_eq!(records.len(), k * rounds);
         let check = assert_unique_and_bounded(&records, 2 * k);
         prop_assert!(check.is_ok(), "{check:?}");
         prop_assert_eq!(object.live_leases(), 0);
-    }
-
-    /// Batch churn on a bare recycler: each worker takes `batch` names with
-    /// one `lease_many_raw` and returns them with one `release_many_raw`.
-    /// With admission sized for every worker holding a full batch, no batch
-    /// is refused, held names are distinct at every instant, every name is
-    /// at most `k × batch`, and the live count returns to zero.
-    #[test]
-    fn recycled_network_batches_stay_unique_and_bounded(
-        k in 2usize..6,
-        batch in 2usize..9,
-        rounds in 1usize..6,
-        seed in 0u64..1_000_000,
-        yield_percent in 0u8..40,
-    ) {
-        let recycler = Arc::new(Recycler::new(
-            RenamingNetwork::<_>::new(sortnet::batcher::odd_even_network(64)),
-            k * batch,
-        ));
-        let config = ExecConfig::new(seed)
-            .with_yield_policy(YieldPolicy::Probabilistic(f64::from(yield_percent) / 100.0))
-            .with_arrival(ArrivalSchedule::Simultaneous);
-        let records = churn(
-            Arc::clone(&recycler) as Arc<dyn LongLivedRenaming>,
-            k,
-            rounds,
-            batch,
-            config,
-        );
-
-        prop_assert_eq!(records.len(), k * rounds * batch);
-        prop_assert!(records.iter().all(|r| r.name.is_some()), "a batch was refused");
-        let check = assert_unique_and_bounded(&records, k * batch);
-        prop_assert!(check.is_ok(), "{check:?}");
-        prop_assert_eq!(recycler.live_leases(), 0);
-        prop_assert_eq!(recycler.leaked_names(), 0);
     }
 
     /// The free list is pinned to a sequential pop-min model (a sorted set
