@@ -43,8 +43,8 @@
 //! a partner captured it (or while carrying its weight-2 token through the
 //! network), the partner's already-completed increment is lost with it.
 //! Crash-tolerant elimination needs a helping protocol the paper does not
-//! require; the executor's default configuration injects no crashes, and the
-//! prism tests use yield adversaries only. The slot itself stays safe: a slot
+//! require; the executor's default configuration injects no crashes, and
+//! neither do the prism tests. The slot itself stays safe: a slot
 //! abandoned in `CAPTURED` is permanently skipped (every visitor falls
 //! through), never corrupted.
 //!

@@ -351,12 +351,11 @@ impl<T: TwoPartyTas + Default> Renaming for AdaptiveRenaming<T> {
 mod tests {
     use super::*;
     use crate::traits::{assert_tight_namespace, assert_unique_names};
-    use shmem::adversary::{ArrivalSchedule, CrashPlan, ExecConfig, YieldPolicy};
-    use shmem::executor::Executor;
+    use shmem::adversary::{CrashPlan, ExecConfig, ScheduleSource};
     use shmem::process::ProcessId;
     use shmem::steps::StepStats;
+    use shmem::vexec::{Schedule, VirtualExecutor};
     use std::sync::Arc;
-    use std::time::Duration;
     use tas::hardware::HardwareTas;
 
     #[test]
@@ -385,13 +384,12 @@ mod tests {
         for seed in 0..6 {
             let renaming = Arc::new(AdaptiveRenaming::default());
             let k = 12usize;
-            let config = ExecConfig::new(seed)
-                .with_yield_policy(YieldPolicy::Probabilistic(0.15))
-                .with_arrival(ArrivalSchedule::Simultaneous);
-            let outcome = Executor::new(config).run(k, {
-                let renaming = Arc::clone(&renaming);
-                move |ctx| renaming.acquire(ctx).unwrap()
-            });
+            let outcome = VirtualExecutor::with_seed(seed)
+                .run(k, {
+                    let renaming = Arc::clone(&renaming);
+                    move |ctx| renaming.acquire(ctx).unwrap()
+                })
+                .outcome;
             assert_tight_namespace(&outcome.results())
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
@@ -405,23 +403,27 @@ mod tests {
             .copied()
             .map(ProcessId::new)
             .collect();
-        let outcome = Executor::new(ExecConfig::new(21)).run_with_ids(&ids, {
-            let renaming = Arc::clone(&renaming);
-            move |ctx| renaming.acquire(ctx).unwrap()
-        });
+        let outcome = VirtualExecutor::with_seed(21)
+            .run_with_ids(&ids, {
+                let renaming = Arc::clone(&renaming);
+                move |ctx| renaming.acquire(ctx).unwrap()
+            })
+            .outcome;
         assert_tight_namespace(&outcome.results()).unwrap();
     }
 
     #[test]
     fn staggered_arrivals_still_get_a_tight_namespace() {
         let renaming = Arc::new(AdaptiveRenaming::default());
-        let config = ExecConfig::new(8).with_arrival(ArrivalSchedule::Staggered {
-            gap: Duration::from_micros(300),
-        });
-        let outcome = Executor::new(config).run(10, {
-            let renaming = Arc::clone(&renaming);
-            move |ctx| renaming.acquire(ctx).unwrap()
-        });
+        // The empty replay schedule runs each process to completion before
+        // the next one arrives.
+        let config = ExecConfig::new(8).with_schedule(ScheduleSource::Replay(Schedule::default()));
+        let outcome = VirtualExecutor::new(config)
+            .run(10, {
+                let renaming = Arc::clone(&renaming);
+                move |ctx| renaming.acquire(ctx).unwrap()
+            })
+            .outcome;
         assert_tight_namespace(&outcome.results()).unwrap();
     }
 
@@ -434,10 +436,12 @@ mod tests {
                 prob: 0.3,
                 max_steps: 60,
             });
-            let outcome = Executor::new(config).run(k, {
-                let renaming = Arc::clone(&renaming);
-                move |ctx| renaming.acquire(ctx).unwrap()
-            });
+            let outcome = VirtualExecutor::new(config)
+                .run(k, {
+                    let renaming = Arc::clone(&renaming);
+                    move |ctx| renaming.acquire(ctx).unwrap()
+                })
+                .outcome;
             let names = outcome.results();
             assert_unique_names(&names).unwrap();
             assert!(names.iter().all(|&name| name <= k));
@@ -449,10 +453,12 @@ mod tests {
         let renaming: Arc<AdaptiveRenaming<HardwareTas>> = Arc::new(
             AdaptiveRenaming::with_network(AdaptiveNetwork::new(NetworkFamily::OddEven, 5)),
         );
-        let outcome = Executor::new(ExecConfig::new(2)).run(8, {
-            let renaming = Arc::clone(&renaming);
-            move |ctx| renaming.acquire(ctx).unwrap()
-        });
+        let outcome = VirtualExecutor::with_seed(2)
+            .run(8, {
+                let renaming = Arc::clone(&renaming);
+                move |ctx| renaming.acquire(ctx).unwrap()
+            })
+            .outcome;
         assert_tight_namespace(&outcome.results()).unwrap();
     }
 
@@ -463,10 +469,12 @@ mod tests {
         // temporary name, which is polylogarithmic in k.
         let renaming = Arc::new(AdaptiveRenaming::default());
         let k = 16usize;
-        let outcome = Executor::new(ExecConfig::new(33)).run(k, {
-            let renaming = Arc::clone(&renaming);
-            move |ctx| renaming.acquire_with_report(ctx).unwrap()
-        });
+        let outcome = VirtualExecutor::with_seed(33)
+            .run(k, {
+                let renaming = Arc::clone(&renaming);
+                move |ctx| renaming.acquire_with_report(ctx).unwrap()
+            })
+            .outcome;
         for report in outcome.results() {
             let bound = renaming
                 .network()
@@ -487,10 +495,12 @@ mod tests {
             NetworkFamily::OddEven,
             3, // 256 input ports
         ));
-        let outcome = Executor::new(ExecConfig::new(14)).run(6, {
-            let renaming = Arc::clone(&renaming);
-            move |ctx| renaming.acquire(ctx).unwrap()
-        });
+        let outcome = VirtualExecutor::with_seed(14)
+            .run(6, {
+                let renaming = Arc::clone(&renaming);
+                move |ctx| renaming.acquire(ctx).unwrap()
+            })
+            .outcome;
         assert_tight_namespace(&outcome.results()).unwrap();
     }
 

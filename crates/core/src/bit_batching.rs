@@ -268,9 +268,9 @@ impl<T: TestAndSet> Renaming for BitBatchingRenaming<T> {
 mod tests {
     use super::*;
     use crate::traits::assert_tight_namespace;
-    use shmem::adversary::{ArrivalSchedule, CrashPlan, ExecConfig, YieldPolicy};
-    use shmem::executor::Executor;
+    use shmem::adversary::{CrashPlan, ExecConfig};
     use shmem::process::ProcessId;
+    use shmem::vexec::VirtualExecutor;
     use std::sync::Arc;
     use tas::hardware::HardwareTas;
 
@@ -334,13 +334,12 @@ mod tests {
         for seed in 0..5 {
             let n = 16;
             let renaming = Arc::new(BitBatchingRenaming::with_factory(n, RatRaceTas::new));
-            let config = ExecConfig::new(seed)
-                .with_yield_policy(YieldPolicy::Probabilistic(0.1))
-                .with_arrival(ArrivalSchedule::Simultaneous);
-            let outcome = Executor::new(config).run(n, {
-                let renaming = Arc::clone(&renaming);
-                move |ctx| renaming.acquire(ctx).unwrap()
-            });
+            let outcome = VirtualExecutor::with_seed(seed)
+                .run(n, {
+                    let renaming = Arc::clone(&renaming);
+                    move |ctx| renaming.acquire(ctx).unwrap()
+                })
+                .outcome;
             assert_tight_namespace(&outcome.results())
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
@@ -349,10 +348,12 @@ mod tests {
     #[test]
     fn partial_load_yields_unique_names_within_n() {
         let renaming = Arc::new(BitBatchingRenaming::with_factory(64, RatRaceTas::new));
-        let outcome = Executor::new(ExecConfig::new(11)).run(20, {
-            let renaming = Arc::clone(&renaming);
-            move |ctx| renaming.acquire(ctx).unwrap()
-        });
+        let outcome = VirtualExecutor::with_seed(11)
+            .run(20, {
+                let renaming = Arc::clone(&renaming);
+                move |ctx| renaming.acquire(ctx).unwrap()
+            })
+            .outcome;
         let names = outcome.results();
         crate::traits::assert_unique_names(&names).unwrap();
         assert!(names.iter().all(|&name| (1..=64).contains(&name)));
@@ -362,10 +363,12 @@ mod tests {
     fn hardware_slots_are_supported() {
         let slots: Vec<HardwareTas> = (0..16).map(|_| HardwareTas::new()).collect();
         let renaming = Arc::new(BitBatchingRenaming::with_slots(slots));
-        let outcome = Executor::new(ExecConfig::new(2)).run(16, {
-            let renaming = Arc::clone(&renaming);
-            move |ctx| renaming.acquire(ctx).unwrap()
-        });
+        let outcome = VirtualExecutor::with_seed(2)
+            .run(16, {
+                let renaming = Arc::clone(&renaming);
+                move |ctx| renaming.acquire(ctx).unwrap()
+            })
+            .outcome;
         assert_tight_namespace(&outcome.results()).unwrap();
     }
 
@@ -393,10 +396,12 @@ mod tests {
                 prob: 0.3,
                 max_steps: 40,
             });
-            let outcome = Executor::new(config).run(24, {
-                let renaming = Arc::clone(&renaming);
-                move |ctx| renaming.acquire(ctx).unwrap()
-            });
+            let outcome = VirtualExecutor::new(config)
+                .run(24, {
+                    let renaming = Arc::clone(&renaming);
+                    move |ctx| renaming.acquire(ctx).unwrap()
+                })
+                .outcome;
             crate::traits::assert_unique_names(&outcome.results()).unwrap();
         }
     }
@@ -405,10 +410,12 @@ mod tests {
     fn probe_counts_stay_polylogarithmic_under_full_load() {
         let n = 64;
         let renaming = Arc::new(BitBatchingRenaming::with_factory(n, RatRaceTas::new));
-        let outcome = Executor::new(ExecConfig::new(9)).run(n, {
-            let renaming = Arc::clone(&renaming);
-            move |ctx| renaming.acquire_with_report(ctx).unwrap()
-        });
+        let outcome = VirtualExecutor::with_seed(9)
+            .run(n, {
+                let renaming = Arc::clone(&renaming);
+                move |ctx| renaming.acquire_with_report(ctx).unwrap()
+            })
+            .outcome;
         let log_n = (n as f64).log2();
         let bound = (3.0 * log_n * log_n + 2.0 * log_n) as usize + n / 4;
         for report in outcome.results() {

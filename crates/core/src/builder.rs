@@ -83,7 +83,7 @@ pub struct RenamingBuilder {
     family: NetworkFamily,
     comparators: ComparatorKind,
     adaptive_level: Option<usize>,
-    lease_batch: usize,
+    escrow_quota: usize,
     seed: u64,
 }
 
@@ -96,7 +96,7 @@ impl Default for RenamingBuilder {
             family: NetworkFamily::default(),
             comparators: ComparatorKind::default(),
             adaptive_level: None,
-            lease_batch: 8,
+            escrow_quota: 8,
             seed: 0,
         }
     }
@@ -194,12 +194,13 @@ impl RenamingBuilder {
     /// checked by
     /// [`assert_escrow_lease_namespace`](crate::lease::assert_escrow_lease_namespace)
     /// (see the [`recycler`](crate::recycler) module docs).
-    /// `.lease_batch(1)` builds the bare, tight recycler.
+    /// `.escrow_quota(0)` builds the bare, tight recycler; `1..=15` is an
+    /// escrow of that many names per slot.
     ///
-    /// Ignored by [`RenamingBuilder::build`]; `0` and values above
+    /// Ignored by [`RenamingBuilder::build`]; values above
     /// [`MAX_ESCROW_QUOTA`] (15) are rejected at build time.
-    pub fn lease_batch(mut self, batch: usize) -> Self {
-        self.lease_batch = batch;
+    pub fn escrow_quota(mut self, quota: usize) -> Self {
+        self.escrow_quota = quota;
         self
     }
 
@@ -302,7 +303,7 @@ impl RenamingBuilder {
     /// Builds the configured object and wraps it in a [`Recycler`],
     /// yielding a long-lived renaming object whose leases recycle released
     /// names through a lock-free [`FreeList`](crate::free_list::FreeList).
-    /// Unless [`RenamingBuilder::lease_batch`] is set to 1, the recycler
+    /// Unless [`RenamingBuilder::escrow_quota`] is set to 0, the recycler
     /// also gets a per-thread escrow of that quota (8 by default). Its
     /// words live in a private heap arena of exactly
     /// [`Recycler::footprint`] bytes.
@@ -314,12 +315,12 @@ impl RenamingBuilder {
     ///
     /// As [`RenamingBuilder::build`], plus
     /// [`RenamingError::InvalidConfiguration`] when no concurrency bound can
-    /// be derived, it exceeds the capacity, or the lease batch is out of
+    /// be derived, it exceeds the capacity, or the escrow quota is out of
     /// range.
     pub fn build_long_lived(&self) -> Result<Arc<dyn LongLivedRenaming>, RenamingError> {
-        if self.lease_batch == 0 || self.lease_batch > MAX_ESCROW_QUOTA {
+        if self.escrow_quota > MAX_ESCROW_QUOTA {
             return Err(RenamingError::InvalidConfiguration {
-                reason: "the lease batch must be in 1..=15 (1 disables the escrow)",
+                reason: "the escrow quota must be in 0..=15 (0 disables the escrow)",
             });
         }
         let max_concurrent =
@@ -341,11 +342,7 @@ impl RenamingBuilder {
                 });
             }
         }
-        let quota = if self.lease_batch > 1 {
-            self.lease_batch
-        } else {
-            0
-        };
+        let quota = self.escrow_quota;
         let arena = Arena::heap(Recycler::footprint(&inner, max_concurrent, quota));
         Ok(Arc::new(Recycler::new_in(
             inner,
@@ -360,12 +357,13 @@ impl RenamingBuilder {
 mod tests {
     use super::*;
     use crate::traits::assert_tight_namespace;
-    use shmem::executor::Executor;
     use shmem::process::{ProcessCtx, ProcessId};
+    use shmem::vexec::VirtualExecutor;
 
     fn run_tight(renaming: Arc<dyn Renaming>, k: usize, seed: u64) {
-        let outcome =
-            Executor::new(ExecConfig::new(seed)).run(k, move |ctx| renaming.acquire(ctx).unwrap());
+        let outcome = VirtualExecutor::with_seed(seed)
+            .run(k, move |ctx| renaming.acquire(ctx).unwrap())
+            .outcome;
         assert_tight_namespace(&outcome.results()).unwrap();
     }
 
@@ -444,18 +442,12 @@ mod tests {
             .max_concurrent(9)
             .build_long_lived();
         assert!(excess.is_err());
-        let zero_batch = <dyn Renaming>::builder()
+        let oversized_quota = <dyn Renaming>::builder()
             .network()
             .capacity(8)
-            .lease_batch(0)
+            .escrow_quota(16) // one escrow slot holds at most 15 names
             .build_long_lived();
-        assert!(zero_batch.is_err());
-        let oversized_batch = <dyn Renaming>::builder()
-            .network()
-            .capacity(8)
-            .lease_batch(16) // one escrow slot holds at most 15 names
-            .build_long_lived();
-        assert!(oversized_batch.is_err());
+        assert!(oversized_quota.is_err());
     }
 
     #[test]
@@ -476,20 +468,34 @@ mod tests {
         assert_eq!(escrowed.lease_raw(&mut ctx).unwrap(), name);
         escrowed.release_raw(name);
 
-        // .lease_batch(1) builds the bare tight recycler: a release goes
+        // .escrow_quota(0) builds the bare tight recycler: a release goes
         // straight to the free list, so the free-list pop serves the next
         // lease.
         let tight = <dyn Renaming>::builder()
             .network()
             .capacity(32)
             .max_concurrent(4)
-            .lease_batch(1)
+            .escrow_quota(0)
             .build_long_lived()
             .unwrap();
         let first = tight.lease_raw(&mut ctx).unwrap();
         assert_eq!(first, 1);
         tight.release_raw(first);
         assert_eq!(tight.lease_raw(&mut ctx).unwrap(), 1);
+        // Every quota up to a slot's 15 names builds, one included.
+        for quota in [1, MAX_ESCROW_QUOTA] {
+            let object = <dyn Renaming>::builder()
+                .network()
+                .capacity(32)
+                .max_concurrent(4)
+                .escrow_quota(quota)
+                .build_long_lived()
+                .unwrap();
+            let name = object.lease_raw(&mut ctx).unwrap();
+            object.release_raw(name);
+            assert_eq!(object.live_leases(), 0, "quota {quota}");
+            assert_eq!(object.lease_raw(&mut ctx).unwrap(), name, "quota {quota}");
+        }
     }
 
     #[test]

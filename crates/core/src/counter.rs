@@ -387,11 +387,10 @@ impl CounterBuilder {
 mod tests {
     use super::*;
     use maxreg::BoundedMaxRegister;
-    use shmem::adversary::{ArrivalSchedule, ExecConfig, YieldPolicy};
     use shmem::consistency::{check_monotone_consistent, CounterOp};
-    use shmem::executor::Executor;
     use shmem::history::Recorder;
     use shmem::process::ProcessId;
+    use shmem::vexec::VirtualExecutor;
     use std::sync::Arc;
 
     #[test]
@@ -410,16 +409,15 @@ mod tests {
         for seed in 0..4 {
             let counter = Arc::new(MonotoneCounter::new());
             let k = 10usize;
-            let config = ExecConfig::new(seed)
-                .with_yield_policy(YieldPolicy::Probabilistic(0.1))
-                .with_arrival(ArrivalSchedule::Simultaneous);
-            let outcome = Executor::new(config).run(k, {
-                let counter = Arc::clone(&counter);
-                move |ctx| {
-                    counter.increment(ctx);
-                    counter.read(ctx)
-                }
-            });
+            let outcome = VirtualExecutor::with_seed(seed)
+                .run(k, {
+                    let counter = Arc::clone(&counter);
+                    move |ctx| {
+                        counter.increment(ctx);
+                        counter.read(ctx)
+                    }
+                })
+                .outcome;
             let reads = outcome.results();
             // Every read is at least 1 (its own increment) and at most k.
             assert!(
@@ -437,26 +435,25 @@ mod tests {
         for seed in 0..3 {
             let counter = Arc::new(MonotoneCounter::new());
             let recorder: Arc<Recorder<CounterOp, u64>> = Arc::new(Recorder::new());
-            let outcome = Executor::new(
-                ExecConfig::new(seed).with_yield_policy(YieldPolicy::Probabilistic(0.2)),
-            )
-            .run(8, {
-                let counter = Arc::clone(&counter);
-                let recorder = Arc::clone(&recorder);
-                move |ctx| {
-                    for round in 0..3 {
-                        if (ctx.id().as_usize() + round) % 2 == 0 {
-                            let invoke = recorder.invoke();
-                            counter.increment(ctx);
-                            recorder.record(ctx.id(), CounterOp::Increment, 0, invoke);
-                        } else {
-                            let invoke = recorder.invoke();
-                            let value = counter.read(ctx);
-                            recorder.record(ctx.id(), CounterOp::Read, value, invoke);
+            let outcome = VirtualExecutor::with_seed(seed)
+                .run(8, {
+                    let counter = Arc::clone(&counter);
+                    let recorder = Arc::clone(&recorder);
+                    move |ctx| {
+                        for round in 0..3 {
+                            if (ctx.id().as_usize() + round) % 2 == 0 {
+                                let invoke = recorder.invoke();
+                                counter.increment(ctx);
+                                recorder.record(ctx.id(), CounterOp::Increment, 0, invoke);
+                            } else {
+                                let invoke = recorder.invoke();
+                                let value = counter.read(ctx);
+                                recorder.record(ctx.id(), CounterOp::Read, value, invoke);
+                            }
                         }
                     }
-                }
-            });
+                })
+                .outcome;
             assert_eq!(outcome.crashed_count(), 0);
             let history = recorder.take_history();
             check_monotone_consistent(&history, &[])
@@ -503,13 +500,15 @@ mod tests {
     #[test]
     fn cas_counter_counts_under_contention() {
         let counter = Arc::new(CasCounter::new());
-        let outcome = Executor::new(ExecConfig::new(5)).run(16, {
-            let counter = Arc::clone(&counter);
-            move |ctx| {
-                counter.increment(ctx);
-                counter.read(ctx)
-            }
-        });
+        let outcome = VirtualExecutor::with_seed(5)
+            .run(16, {
+                let counter = Arc::clone(&counter);
+                move |ctx| {
+                    counter.increment(ctx);
+                    counter.read(ctx)
+                }
+            })
+            .outcome;
         let mut ctx = ProcessCtx::new(ProcessId::new(99), 0);
         assert_eq!(counter.read(&mut ctx), 16);
         assert!(outcome.results().iter().all(|&v| v >= 1));
@@ -529,10 +528,12 @@ mod tests {
             let counter = builder
                 .build()
                 .unwrap_or_else(|e| panic!("{backend:?}: {e}"));
-            let outcome = Executor::new(builder.exec_config()).run(8, {
-                let counter = Arc::clone(&counter);
-                move |ctx| counter.increment(ctx)
-            });
+            let outcome = VirtualExecutor::new(builder.exec_config())
+                .run(8, {
+                    let counter = Arc::clone(&counter);
+                    move |ctx| counter.increment(ctx)
+                })
+                .outcome;
             assert_eq!(outcome.crashed_count(), 0);
             let mut ctx = ProcessCtx::new(ProcessId::new(50), 0);
             assert_eq!(counter.read(&mut ctx), 8, "{backend:?}");

@@ -159,11 +159,10 @@ impl SequentialSpec for FetchIncrementSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmem::adversary::{ArrivalSchedule, ExecConfig, YieldPolicy};
     use shmem::consistency::check_linearizable;
-    use shmem::executor::Executor;
     use shmem::history::Recorder;
     use shmem::process::ProcessId;
+    use shmem::vexec::VirtualExecutor;
     use std::sync::Arc;
 
     #[test]
@@ -194,13 +193,12 @@ mod tests {
         for seed in 0..5 {
             let object = Arc::new(BoundedFetchIncrement::new(64));
             let k = 10usize;
-            let config = ExecConfig::new(seed)
-                .with_yield_policy(YieldPolicy::Probabilistic(0.1))
-                .with_arrival(ArrivalSchedule::Simultaneous);
-            let outcome = Executor::new(config).run(k, {
-                let object = Arc::clone(&object);
-                move |ctx| object.fetch_and_increment(ctx)
-            });
+            let outcome = VirtualExecutor::with_seed(seed)
+                .run(k, {
+                    let object = Arc::clone(&object);
+                    move |ctx| object.fetch_and_increment(ctx)
+                })
+                .outcome;
             let mut values = outcome.results();
             values.sort_unstable();
             assert_eq!(
@@ -217,18 +215,17 @@ mod tests {
             let limit = 16u64;
             let object = Arc::new(BoundedFetchIncrement::new(limit));
             let recorder: Arc<Recorder<(), u64>> = Arc::new(Recorder::new());
-            let outcome = Executor::new(
-                ExecConfig::new(seed).with_yield_policy(YieldPolicy::Probabilistic(0.25)),
-            )
-            .run(8, {
-                let object = Arc::clone(&object);
-                let recorder = Arc::clone(&recorder);
-                move |ctx| {
-                    let invoke = recorder.invoke();
-                    let value = object.fetch_and_increment(ctx);
-                    recorder.record(ctx.id(), (), value, invoke);
-                }
-            });
+            let outcome = VirtualExecutor::with_seed(seed)
+                .run(8, {
+                    let object = Arc::clone(&object);
+                    let recorder = Arc::clone(&recorder);
+                    move |ctx| {
+                        let invoke = recorder.invoke();
+                        let value = object.fetch_and_increment(ctx);
+                        recorder.record(ctx.id(), (), value, invoke);
+                    }
+                })
+                .outcome;
             assert_eq!(outcome.crashed_count(), 0);
             let history = recorder.take_history();
             check_linearizable(&FetchIncrementSpec { limit }, &history)

@@ -43,11 +43,11 @@
 //! [`NameLease`] guards recycle released names through a
 //! lock-free [`FreeList`] (a two-level bitmap with an `O(1)`-expected
 //! lowest-free-name pop). The builder's default long-lived object gives its
-//! recycler a per-thread *escrow* (`.lease_batch(q)`, `q = 8`): a release
+//! recycler a per-thread *escrow* (`.escrow_quota(q)`, `q = 8`): a release
 //! parks the name in the calling thread's own cache-line slot and the
 //! thread's next lease takes it back, so steady churn touches no shared
 //! line, at the price of the per-grant tight bound (see the [`recycler`]
-//! module docs for the exact bound). `.lease_batch(1)` builds the bare
+//! module docs for the exact bound). `.escrow_quota(0)` builds the bare
 //! recycler, whose every grant is tight.
 //!
 //! # Quick start

@@ -105,9 +105,8 @@ impl<T: TestAndSet> Renaming for LinearProbeRenaming<T> {
 mod tests {
     use super::*;
     use crate::traits::assert_tight_namespace;
-    use shmem::adversary::{ExecConfig, YieldPolicy};
-    use shmem::executor::Executor;
     use shmem::process::ProcessId;
+    use shmem::vexec::VirtualExecutor;
     use std::sync::Arc;
     use tas::hardware::HardwareTas;
 
@@ -131,11 +130,12 @@ mod tests {
             let renaming = Arc::new(LinearProbeRenaming::with_slots(
                 (0..32).map(|_| RatRaceTas::new()).collect(),
             ));
-            let config = ExecConfig::new(seed).with_yield_policy(YieldPolicy::Probabilistic(0.2));
-            let outcome = Executor::new(config).run(12, {
-                let renaming = Arc::clone(&renaming);
-                move |ctx| renaming.acquire(ctx).unwrap()
-            });
+            let outcome = VirtualExecutor::with_seed(seed)
+                .run(12, {
+                    let renaming = Arc::clone(&renaming);
+                    move |ctx| renaming.acquire(ctx).unwrap()
+                })
+                .outcome;
             assert_tight_namespace(&outcome.results()).unwrap();
         }
     }

@@ -137,11 +137,10 @@ impl SequentialSpec for BoundedTasSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmem::adversary::{ArrivalSchedule, ExecConfig, YieldPolicy};
     use shmem::consistency::check_linearizable;
-    use shmem::executor::Executor;
     use shmem::history::{History, OpRecord, Recorder};
     use shmem::process::ProcessId;
+    use shmem::vexec::VirtualExecutor;
     use std::sync::Arc;
 
     #[test]
@@ -183,13 +182,12 @@ mod tests {
             for limit in [1usize, 2, 5] {
                 let ltas = Arc::new(BoundedTas::new(limit));
                 let k = 10usize;
-                let config = ExecConfig::new(seed)
-                    .with_yield_policy(YieldPolicy::Probabilistic(0.15))
-                    .with_arrival(ArrivalSchedule::Simultaneous);
-                let outcome = Executor::new(config).run(k, {
-                    let ltas = Arc::clone(&ltas);
-                    move |ctx| ltas.invoke(ctx)
-                });
+                let outcome = VirtualExecutor::with_seed(seed)
+                    .run(k, {
+                        let ltas = Arc::clone(&ltas);
+                        move |ctx| ltas.invoke(ctx)
+                    })
+                    .outcome;
                 let winners = outcome.results().into_iter().filter(|w| *w).count();
                 assert_eq!(winners, limit.min(k), "seed {seed}, limit {limit}");
             }
@@ -199,10 +197,12 @@ mod tests {
     #[test]
     fn fewer_participants_than_the_limit_all_win() {
         let ltas = Arc::new(BoundedTas::new(8));
-        let outcome = Executor::new(ExecConfig::new(1)).run(3, {
-            let ltas = Arc::clone(&ltas);
-            move |ctx| ltas.invoke(ctx)
-        });
+        let outcome = VirtualExecutor::with_seed(1)
+            .run(3, {
+                let ltas = Arc::clone(&ltas);
+                move |ctx| ltas.invoke(ctx)
+            })
+            .outcome;
         assert!(outcome.results().into_iter().all(|won| won));
     }
 
@@ -212,18 +212,17 @@ mod tests {
             let limit = 3usize;
             let ltas = Arc::new(BoundedTas::new(limit));
             let recorder: Arc<Recorder<(), bool>> = Arc::new(Recorder::new());
-            let outcome = Executor::new(
-                ExecConfig::new(seed).with_yield_policy(YieldPolicy::Probabilistic(0.25)),
-            )
-            .run(8, {
-                let ltas = Arc::clone(&ltas);
-                let recorder = Arc::clone(&recorder);
-                move |ctx| {
-                    let invoke = recorder.invoke();
-                    let won = ltas.invoke(ctx);
-                    recorder.record(ctx.id(), (), won, invoke);
-                }
-            });
+            let outcome = VirtualExecutor::with_seed(seed)
+                .run(8, {
+                    let ltas = Arc::clone(&ltas);
+                    let recorder = Arc::clone(&recorder);
+                    move |ctx| {
+                        let invoke = recorder.invoke();
+                        let won = ltas.invoke(ctx);
+                        recorder.record(ctx.id(), (), won, invoke);
+                    }
+                })
+                .outcome;
             assert_eq!(outcome.crashed_count(), 0);
             let history = recorder.take_history();
             check_linearizable(

@@ -881,7 +881,10 @@ mod tests {
 
     #[test]
     fn concurrent_churn_yields_unique_live_names_in_bound() {
-        // Shrunk under miri, like the escrow churn below.
+        // On OS threads: the free-list words and escrow try-locks record no
+        // modelled step, so a virtual schedule never interleaves inside
+        // them; only real threads (and miri) race them. Shrunk under miri,
+        // like the escrow churn below.
         let seeds = if cfg!(miri) { 1 } else { 4 };
         for seed in 0..seeds {
             let recycler = Arc::new(Recycler::new(
@@ -1035,7 +1038,7 @@ mod tests {
 
     #[test]
     fn escrowed_concurrent_churn_keeps_names_unique_and_bounded() {
-        // Shrunk under miri, as the bare churn above.
+        // On OS threads and shrunk under miri, as the bare churn above.
         let (seeds, workers) = if cfg!(miri) { (1, 3) } else { (4, 8) };
         for seed in 0..seeds {
             let recycler = escrowed(workers, 2);

@@ -245,9 +245,9 @@ impl<S: ComparatorSchedule, T: TwoPartyTas + Default> Renaming for RenamingNetwo
 mod tests {
     use super::*;
     use crate::traits::{assert_tight_namespace, assert_unique_names};
-    use shmem::adversary::{ArrivalSchedule, CrashPlan, ExecConfig, YieldPolicy};
-    use shmem::executor::Executor;
+    use shmem::adversary::{CrashPlan, ExecConfig};
     use shmem::process::ProcessId;
+    use shmem::vexec::VirtualExecutor;
     use sortnet::batcher::odd_even_network;
     use sortnet::transposition::transposition_network;
     use std::sync::Arc;
@@ -304,13 +304,12 @@ mod tests {
                 32,
             )));
             let ids = scattered_ids(10, 32, seed);
-            let config = ExecConfig::new(seed)
-                .with_yield_policy(YieldPolicy::Probabilistic(0.2))
-                .with_arrival(ArrivalSchedule::Simultaneous);
-            let outcome = Executor::new(config).run_with_ids(&ids, {
-                let network = Arc::clone(&network);
-                move |ctx| network.acquire(ctx).unwrap()
-            });
+            let outcome = VirtualExecutor::with_seed(seed)
+                .run_with_ids(&ids, {
+                    let network = Arc::clone(&network);
+                    move |ctx| network.acquire(ctx).unwrap()
+                })
+                .outcome;
             assert_tight_namespace(&outcome.results())
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
@@ -323,10 +322,12 @@ mod tests {
             namespace,
         )));
         let ids: Vec<ProcessId> = (0..namespace).map(ProcessId::new).collect();
-        let outcome = Executor::new(ExecConfig::new(3)).run_with_ids(&ids, {
-            let network = Arc::clone(&network);
-            move |ctx| network.acquire(ctx).unwrap()
-        });
+        let outcome = VirtualExecutor::with_seed(3)
+            .run_with_ids(&ids, {
+                let network = Arc::clone(&network);
+                move |ctx| network.acquire(ctx).unwrap()
+            })
+            .outcome;
         assert_tight_namespace(&outcome.results()).unwrap();
     }
 
@@ -335,10 +336,12 @@ mod tests {
         let network: Arc<RenamingNetwork<_, HardwareTas>> =
             Arc::new(RenamingNetwork::new(odd_even_network(16)));
         let ids = scattered_ids(6, 16, 99);
-        let outcome = Executor::new(ExecConfig::new(4)).run_with_ids(&ids, {
-            let network = Arc::clone(&network);
-            move |ctx| network.acquire(ctx).unwrap()
-        });
+        let outcome = VirtualExecutor::with_seed(4)
+            .run_with_ids(&ids, {
+                let network = Arc::clone(&network);
+                move |ctx| network.acquire(ctx).unwrap()
+            })
+            .outcome;
         assert_tight_namespace(&outcome.results()).unwrap();
     }
 
@@ -353,10 +356,12 @@ mod tests {
                 prob: 0.3,
                 max_steps: 25,
             });
-            let outcome = Executor::new(config).run_with_ids(&ids, {
-                let network = Arc::clone(&network);
-                move |ctx| network.acquire(ctx).unwrap()
-            });
+            let outcome = VirtualExecutor::new(config)
+                .run_with_ids(&ids, {
+                    let network = Arc::clone(&network);
+                    move |ctx| network.acquire(ctx).unwrap()
+                })
+                .outcome;
             // Crashed processes return nothing; survivors keep unique names
             // bounded by the number of participants that took steps.
             let names = outcome.results();
@@ -371,10 +376,12 @@ mod tests {
         let depth = sortnet::schedule::ComparatorSchedule::depth(&schedule);
         let network = Arc::new(RenamingNetwork::<_, TwoProcessTas>::new(schedule));
         let ids = scattered_ids(20, 64, 7);
-        let outcome = Executor::new(ExecConfig::new(7)).run_with_ids(&ids, {
-            let network = Arc::clone(&network);
-            move |ctx| network.acquire_with_report(ctx).unwrap()
-        });
+        let outcome = VirtualExecutor::with_seed(7)
+            .run_with_ids(&ids, {
+                let network = Arc::clone(&network);
+                move |ctx| network.acquire_with_report(ctx).unwrap()
+            })
+            .outcome;
         for report in outcome.results() {
             assert!(report.comparators_played <= depth);
             assert!(report.wins <= report.comparators_played);
@@ -391,10 +398,12 @@ mod tests {
             transposition_network(12),
         ));
         let ids = scattered_ids(12, 12, 42);
-        let outcome = Executor::new(ExecConfig::new(6)).run_with_ids(&ids, {
-            let network = Arc::clone(&network);
-            move |ctx| network.acquire(ctx).unwrap()
-        });
+        let outcome = VirtualExecutor::with_seed(6)
+            .run_with_ids(&ids, {
+                let network = Arc::clone(&network);
+                move |ctx| network.acquire(ctx).unwrap()
+            })
+            .outcome;
         assert_tight_namespace(&outcome.results()).unwrap();
     }
 
@@ -411,10 +420,12 @@ mod tests {
         let total = network.comparator_count();
         assert_eq!(total, network.compiled().size());
         let ids = scattered_ids(8, 64, 11);
-        let outcome = Executor::new(ExecConfig::new(11)).run_with_ids(&ids, {
-            let network = Arc::clone(&network);
-            move |ctx| network.acquire(ctx).unwrap()
-        });
+        let outcome = VirtualExecutor::with_seed(11)
+            .run_with_ids(&ids, {
+                let network = Arc::clone(&network);
+                move |ctx| network.acquire(ctx).unwrap()
+            })
+            .outcome;
         assert_tight_namespace(&outcome.results()).unwrap();
         let allocated = network.allocated_comparators();
         assert!(

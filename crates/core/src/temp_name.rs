@@ -130,9 +130,8 @@ impl fmt::Debug for TempName {
 mod tests {
     use super::*;
     use crate::traits::assert_unique_names;
-    use shmem::adversary::{ArrivalSchedule, ExecConfig, YieldPolicy};
-    use shmem::executor::Executor;
     use shmem::process::ProcessId;
+    use shmem::vexec::VirtualExecutor;
     use std::sync::Arc;
 
     #[test]
@@ -185,13 +184,12 @@ mod tests {
         for seed in 0..6 {
             let temp = Arc::new(TempName::new());
             let k = 24usize;
-            let config = ExecConfig::new(seed)
-                .with_yield_policy(YieldPolicy::Probabilistic(0.2))
-                .with_arrival(ArrivalSchedule::Simultaneous);
-            let outcome = Executor::new(config).run(k, {
-                let temp = Arc::clone(&temp);
-                move |ctx| temp.acquire_with_report(ctx)
-            });
+            let outcome = VirtualExecutor::with_seed(seed)
+                .run(k, {
+                    let temp = Arc::clone(&temp);
+                    move |ctx| temp.acquire_with_report(ctx)
+                })
+                .outcome;
             let reports = outcome.results();
             let names: Vec<usize> = reports.iter().map(|r| r.name).collect();
             assert_unique_names(&names).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -213,10 +211,12 @@ mod tests {
     fn depth_grows_logarithmically_with_contention() {
         let temp = Arc::new(TempName::new());
         let k = 32usize;
-        let outcome = Executor::new(ExecConfig::new(17)).run(k, {
-            let temp = Arc::clone(&temp);
-            move |ctx| temp.acquire_with_report(ctx)
-        });
+        let outcome = VirtualExecutor::with_seed(17)
+            .run(k, {
+                let temp = Arc::clone(&temp);
+                move |ctx| temp.acquire_with_report(ctx)
+            })
+            .outcome;
         let max_depth = outcome.results().iter().map(|r| r.depth).max().unwrap_or(0);
         // With 32 processes the deepest acquisition should be well below
         // 6 * log2(32) = 30 levels.

@@ -52,8 +52,7 @@ pub trait MaxRegister: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmem::adversary::{ExecConfig, YieldPolicy};
-    use shmem::executor::Executor;
+    use shmem::vexec::VirtualExecutor;
     use std::sync::Arc;
 
     /// Shared behavioural test applied to every implementation: concurrent
@@ -63,17 +62,16 @@ mod tests {
         for seed in 0..10 {
             let register = Arc::new(make());
             let writers = 8u64;
-            let outcome = Executor::new(
-                ExecConfig::new(seed).with_yield_policy(YieldPolicy::Probabilistic(0.2)),
-            )
-            .run(writers as usize, {
-                let register = Arc::clone(&register);
-                move |ctx| {
-                    let value = (ctx.id().as_u64() + 1) * 10;
-                    register.write_max(ctx, value);
-                    register.read_max(ctx)
-                }
-            });
+            let outcome = VirtualExecutor::with_seed(seed)
+                .run(writers as usize, {
+                    let register = Arc::clone(&register);
+                    move |ctx| {
+                        let value = (ctx.id().as_u64() + 1) * 10;
+                        register.write_max(ctx, value);
+                        register.read_max(ctx)
+                    }
+                })
+                .outcome;
             let reads = outcome.results();
             assert_eq!(reads.len(), writers as usize);
             for (process, read) in outcome.completed() {

@@ -28,7 +28,7 @@ use maxreg::MaxRegister;
 use parking_lot::Mutex;
 use shmem::consistency::{
     check_linearizable, check_monotone_consistent, check_quiescent_consistent, CounterOp,
-    CounterSpec, SequentialSpec,
+    CounterSpec, TicketCounterSpec,
 };
 use shmem::history::Recorder;
 use shmem::process::{ProcessCtx, ProcessId};
@@ -442,28 +442,6 @@ fn build_tas_chain() -> BuiltScenario {
 // Counting-network scenarios.
 // ---------------------------------------------------------------------------
 
-/// Sequential specification of an exact fetch-and-increment: increments
-/// return their 0-indexed ticket, reads return the count.
-#[derive(Clone, Copy, Debug)]
-struct FetchIncrementSpec;
-
-impl SequentialSpec for FetchIncrementSpec {
-    type Op = CounterOp;
-    type Ret = u64;
-    type State = u64;
-
-    fn initial(&self) -> u64 {
-        0
-    }
-
-    fn apply(&self, state: &u64, op: &CounterOp) -> (u64, u64) {
-        match op {
-            CounterOp::Increment => (*state + 1, *state),
-            CounterOp::Read => (*state, *state),
-        }
-    }
-}
-
 fn step_property(counts: &[u64]) -> bool {
     counts
         .iter()
@@ -545,7 +523,7 @@ fn build_cnet_stall() -> BuiltScenario {
         move |_run: &VirtualRun<u64>| {
             let history = recorder.take_history();
             let pending = pending.lock().clone();
-            let not_linearizable = check_linearizable(&FetchIncrementSpec, &history).is_err();
+            let not_linearizable = check_linearizable(&TicketCounterSpec, &history).is_err();
             if let Err(v) = check_quiescent_consistent(&history, &pending) {
                 return Err(format!("quiescent consistency violated: {v}"));
             }
@@ -919,7 +897,6 @@ fn build_recover_race() -> BuiltScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmem::adversary::ExecConfig;
     use shmem::vexec::VirtualExecutor;
 
     /// Every scenario completes and passes (or, for counterexample hunts,
@@ -930,8 +907,7 @@ mod tests {
             for seed in 0..3u64 {
                 let built = (def.build)();
                 let body = Arc::clone(&built.body);
-                let run = VirtualExecutor::new(ExecConfig::new(seed))
-                    .run(def.procs, move |ctx| body(ctx));
+                let run = VirtualExecutor::with_seed(seed).run(def.procs, move |ctx| body(ctx));
                 assert_eq!(
                     run.outcome.completed().count(),
                     def.procs,

@@ -1,100 +1,26 @@
-//! Schedule perturbation standing in for the strong adaptive adversary.
+//! The strong adaptive adversary of the paper's model.
 //!
 //! The paper's adversary controls scheduling and crashes and may observe local
 //! coin flips (§2). A true worst-case adaptive adversary cannot be enumerated
-//! at runtime, so the execution harness approximates it with three orthogonal
-//! knobs, all of which the safety properties of the algorithms must tolerate:
+//! at runtime, so the execution harness approximates it with two orthogonal
+//! knobs, both of which the safety properties of the algorithms must tolerate:
 //!
-//! * [`ArrivalSchedule`] — when each process begins taking steps (simultaneous
-//!   burst, staggered arrival, random jitter). Contention patterns are the
-//!   main lever an adversary has against *adaptive* algorithms, whose
-//!   complexity must track the realized contention `k`.
-//! * [`YieldPolicy`] — forced descheduling points injected between
-//!   shared-memory steps, widening the space of interleavings explored.
+//! * [`ScheduleSource`] — who takes the next shared-memory step. The
+//!   [`VirtualExecutor`](crate::vexec::VirtualExecutor) serializes processes
+//!   at every step and asks a seeded random scheduler, a recorded schedule or
+//!   an exploration scheduler which process goes next, so every interleaving
+//!   (arrival order and contention pattern included) is a pure function of
+//!   the configuration. The threaded [`Executor`](crate::executor::Executor)
+//!   leaves the interleaving to the OS.
 //! * [`CrashPlan`] — crash-fault injection: a process silently stops taking
 //!   steps after a chosen number of shared-memory operations.
 //!
-//! [`ExecConfig`] bundles the three together with a global random seed so an
+//! [`ExecConfig`] bundles the two together with a global random seed so an
 //! execution is reproducible given its configuration.
 
 use crate::vexec::{ExploreHandle, Schedule};
-use rand::Rng;
-use std::time::Duration;
-
-/// Policy describing when the harness forces a process to yield the CPU
-/// between shared-memory steps.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum YieldPolicy {
-    /// Never inject yields; only the OS scheduler interleaves processes.
-    #[default]
-    None,
-    /// Yield after every shared-memory step. Maximizes interleaving at the
-    /// cost of slower executions.
-    EveryStep,
-    /// Yield after each step independently with the given probability.
-    Probabilistic(f64),
-    /// Yield after every `n`-th shared-memory step taken by the process.
-    EveryNth(u64),
-}
-
-impl YieldPolicy {
-    /// Decides whether to yield after a step, given the per-process step
-    /// counter and the process-local random number generator.
-    pub fn should_yield<R: Rng + ?Sized>(&self, steps_taken: u64, rng: &mut R) -> bool {
-        match *self {
-            YieldPolicy::None => false,
-            YieldPolicy::EveryStep => true,
-            YieldPolicy::Probabilistic(p) => rng.gen_bool(p.clamp(0.0, 1.0)),
-            YieldPolicy::EveryNth(n) => n > 0 && steps_taken.is_multiple_of(n),
-        }
-    }
-}
-
-/// When each of the `k` processes starts taking steps.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum ArrivalSchedule {
-    /// All processes start together behind a barrier (maximum contention).
-    #[default]
-    Simultaneous,
-    /// Processes start as soon as their thread is spawned, with no barrier.
-    Unsynchronized,
-    /// Process `i` starts roughly `i * gap` after the barrier opens
-    /// (staggered, low-contention arrivals).
-    Staggered {
-        /// Gap between consecutive arrivals.
-        gap: Duration,
-    },
-    /// Each process waits a uniformly random delay in `[0, max_delay]` after
-    /// the barrier opens.
-    RandomJitter {
-        /// Upper bound on the random arrival delay.
-        max_delay: Duration,
-    },
-}
-
-impl ArrivalSchedule {
-    /// Whether the schedule requires a start barrier shared by all processes.
-    pub fn uses_barrier(&self) -> bool {
-        !matches!(self, ArrivalSchedule::Unsynchronized)
-    }
-
-    /// The delay process `index` should wait after the start barrier opens.
-    pub fn delay_for<R: Rng + ?Sized>(&self, index: usize, rng: &mut R) -> Duration {
-        match *self {
-            ArrivalSchedule::Simultaneous | ArrivalSchedule::Unsynchronized => Duration::ZERO,
-            ArrivalSchedule::Staggered { gap } => gap.saturating_mul(index as u32),
-            ArrivalSchedule::RandomJitter { max_delay } => {
-                if max_delay.is_zero() {
-                    Duration::ZERO
-                } else {
-                    let nanos =
-                        rng.gen_range(0..=max_delay.as_nanos().min(u64::MAX as u128) as u64);
-                    Duration::from_nanos(nanos)
-                }
-            }
-        }
-    }
-}
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Crash-fault injection plan.
 ///
@@ -159,15 +85,17 @@ impl CrashPlan {
 /// Where the interleaving of a *virtual* (serialized) execution comes from.
 ///
 /// The threaded [`Executor`](crate::executor::Executor) ignores this field —
-/// its interleavings come from the OS scheduler, perturbed by the other
-/// adversary knobs. The [`VirtualExecutor`](crate::vexec::VirtualExecutor)
-/// consults it at every step:
+/// its interleavings come from the OS scheduler. The
+/// [`VirtualExecutor`](crate::vexec::VirtualExecutor) consults it at every
+/// step:
 ///
 /// * [`ScheduleSource::Random`] — a seeded uniformly random scheduler, the
 ///   deterministic analogue of the threaded executor's sampling.
 /// * [`ScheduleSource::Replay`] — replay a recorded [`Schedule`] verbatim
 ///   (with deterministic fallback for shrunk or stale schedules), the
-///   substrate of `tests/schedules/*.trace` regression replays.
+///   substrate of `tests/schedules/*.trace` regression replays. The empty
+///   schedule falls back at every step and so runs the processes one after
+///   another in index order: staggered, contention-free arrivals.
 /// * [`ScheduleSource::Explore`] — delegate every decision to a shared
 ///   [`Scheduler`](crate::vexec::Scheduler), the hook the `mcheck` crate's
 ///   DPOR / preemption-bounded / coverage-guided explorers drive.
@@ -181,36 +109,24 @@ pub enum ScheduleSource {
     Explore(ExploreHandle),
 }
 
-impl Default for ScheduleSource {
-    fn default() -> Self {
-        ScheduleSource::Random(0)
-    }
-}
-
-/// Configuration for one adversarial execution: seed, arrival schedule, yield
-/// policy and crash plan.
+/// Configuration for one adversarial execution: seed, crash plan and
+/// schedule source.
 ///
 /// # Example
 ///
 /// ```
-/// use shmem::adversary::{ArrivalSchedule, CrashPlan, ExecConfig, YieldPolicy};
-/// use std::time::Duration;
+/// use shmem::adversary::{CrashPlan, ExecConfig, ScheduleSource};
 ///
-/// let config = ExecConfig::default()
-///     .with_seed(42)
-///     .with_yield_policy(YieldPolicy::Probabilistic(0.1))
-///     .with_arrival(ArrivalSchedule::Staggered { gap: Duration::from_micros(50) })
-///     .with_crash_plan(CrashPlan::Random { prob: 0.2, max_steps: 100 });
+/// let config =
+///     ExecConfig::new(42).with_crash_plan(CrashPlan::Random { prob: 0.2, max_steps: 100 });
 /// assert_eq!(config.seed, 42);
+/// // One seed drives the virtual scheduler too.
+/// assert_eq!(config.schedule, ScheduleSource::Random(42));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExecConfig {
     /// Global random seed; each process derives its own stream from it.
     pub seed: u64,
-    /// Forced-yield policy applied after shared-memory steps.
-    pub yield_policy: YieldPolicy,
-    /// Arrival schedule for the participating processes.
-    pub arrival: ArrivalSchedule,
     /// Crash-fault injection plan.
     pub crash_plan: CrashPlan,
     /// Schedule source for virtual (serialized) executions; ignored by the
@@ -219,31 +135,14 @@ pub struct ExecConfig {
 }
 
 impl ExecConfig {
-    /// Creates a configuration with the given seed and default (benign)
-    /// adversary settings.
+    /// Creates a configuration with the given seed, no crashes and the
+    /// virtual schedule [`ScheduleSource::Random`] drawn from the same seed.
     pub fn new(seed: u64) -> Self {
         ExecConfig {
             seed,
-            ..Default::default()
+            crash_plan: CrashPlan::None,
+            schedule: ScheduleSource::Random(seed),
         }
-    }
-
-    /// Sets the global random seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the yield policy.
-    pub fn with_yield_policy(mut self, policy: YieldPolicy) -> Self {
-        self.yield_policy = policy;
-        self
-    }
-
-    /// Sets the arrival schedule.
-    pub fn with_arrival(mut self, arrival: ArrivalSchedule) -> Self {
-        self.arrival = arrival;
-        self
     }
 
     /// Sets the crash plan.
@@ -257,6 +156,22 @@ impl ExecConfig {
     pub fn with_schedule(mut self, schedule: ScheduleSource) -> Self {
         self.schedule = schedule;
         self
+    }
+
+    /// The crash step of each of `k` processes, derived from the seed: both
+    /// executors call this, so a crash plan reproduces identically under
+    /// either.
+    pub(crate) fn crash_steps(&self, k: usize) -> Vec<Option<u64>> {
+        let mut plan_rng = StdRng::seed_from_u64(self.seed ^ 0xA5A5_5A5A_DEAD_BEEF);
+        (0..k)
+            .map(|index| self.crash_plan.crash_step_for(index, &mut plan_rng))
+            .collect()
+    }
+}
+
+impl Default for ExecConfig {
+    fn default() -> Self {
+        ExecConfig::new(0)
     }
 }
 
@@ -324,8 +239,6 @@ impl FaultPlan {
     /// are uniform over `1..=ops`, so kills land anywhere from the first
     /// lease to the last release.
     pub fn from_seed(seed: u64, children: usize, ops: u64) -> Self {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed ^ 0xFA_017_9A5);
         let mut faults = Vec::new();
         for child in 0..children {
@@ -376,8 +289,6 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xfeed)
@@ -403,78 +314,6 @@ mod tests {
                 assert!((1..=50).contains(&fault.at_op), "seed {seed}: {fault:?}");
             }
         }
-    }
-
-    #[test]
-    fn yield_policy_none_never_yields() {
-        let mut r = rng();
-        for step in 0..100 {
-            assert!(!YieldPolicy::None.should_yield(step, &mut r));
-        }
-    }
-
-    #[test]
-    fn yield_policy_every_step_always_yields() {
-        let mut r = rng();
-        for step in 0..100 {
-            assert!(YieldPolicy::EveryStep.should_yield(step, &mut r));
-        }
-    }
-
-    #[test]
-    fn yield_policy_every_nth_yields_on_multiples() {
-        let mut r = rng();
-        let policy = YieldPolicy::EveryNth(3);
-        assert!(policy.should_yield(3, &mut r));
-        assert!(policy.should_yield(6, &mut r));
-        assert!(!policy.should_yield(4, &mut r));
-        // n == 0 must not divide by zero and never yields.
-        assert!(!YieldPolicy::EveryNth(0).should_yield(5, &mut r));
-    }
-
-    #[test]
-    fn yield_policy_probabilistic_clamps_probability() {
-        let mut r = rng();
-        // Out-of-range probabilities are clamped rather than panicking.
-        assert!(YieldPolicy::Probabilistic(2.0).should_yield(0, &mut r));
-        assert!(!YieldPolicy::Probabilistic(-1.0).should_yield(0, &mut r));
-    }
-
-    #[test]
-    fn simultaneous_arrival_has_zero_delay_and_barrier() {
-        let mut r = rng();
-        let schedule = ArrivalSchedule::Simultaneous;
-        assert!(schedule.uses_barrier());
-        assert_eq!(schedule.delay_for(5, &mut r), Duration::ZERO);
-    }
-
-    #[test]
-    fn unsynchronized_arrival_skips_barrier() {
-        assert!(!ArrivalSchedule::Unsynchronized.uses_barrier());
-    }
-
-    #[test]
-    fn staggered_arrival_grows_linearly() {
-        let mut r = rng();
-        let schedule = ArrivalSchedule::Staggered {
-            gap: Duration::from_micros(10),
-        };
-        assert_eq!(schedule.delay_for(0, &mut r), Duration::ZERO);
-        assert_eq!(schedule.delay_for(3, &mut r), Duration::from_micros(30));
-    }
-
-    #[test]
-    fn random_jitter_stays_within_bound() {
-        let mut r = rng();
-        let max = Duration::from_micros(100);
-        let schedule = ArrivalSchedule::RandomJitter { max_delay: max };
-        for i in 0..50 {
-            assert!(schedule.delay_for(i, &mut r) <= max);
-        }
-        let zero = ArrivalSchedule::RandomJitter {
-            max_delay: Duration::ZERO,
-        };
-        assert_eq!(zero.delay_for(1, &mut r), Duration::ZERO);
     }
 
     #[test]
@@ -532,16 +371,13 @@ mod tests {
 
     #[test]
     fn exec_config_builder_sets_fields() {
-        let config = ExecConfig::new(3)
-            .with_yield_policy(YieldPolicy::EveryStep)
-            .with_arrival(ArrivalSchedule::Unsynchronized)
-            .with_crash_plan(CrashPlan::CrashSuffix {
-                survivors: 1,
-                after_steps: 2,
-            });
+        let config = ExecConfig::new(3).with_crash_plan(CrashPlan::CrashSuffix {
+            survivors: 1,
+            after_steps: 2,
+        });
         assert_eq!(config.seed, 3);
-        assert_eq!(config.yield_policy, YieldPolicy::EveryStep);
-        assert_eq!(config.arrival, ArrivalSchedule::Unsynchronized);
+        assert_eq!(config.schedule, ScheduleSource::Random(3));
         assert!(matches!(config.crash_plan, CrashPlan::CrashSuffix { .. }));
+        assert_eq!(ExecConfig::default(), ExecConfig::new(0));
     }
 }

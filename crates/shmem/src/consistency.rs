@@ -241,6 +241,30 @@ impl SequentialSpec for CounterSpec {
     }
 }
 
+/// Sequential specification of an exact ticket counter (fetch-and-increment):
+/// each increment returns its 0-indexed ticket, the count before it, and
+/// reads return the count. Used to show that recorded counting-network ticket
+/// histories are *not* linearizable.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TicketCounterSpec;
+
+impl SequentialSpec for TicketCounterSpec {
+    type Op = CounterOp;
+    type Ret = u64;
+    type State = u64;
+
+    fn initial(&self) -> u64 {
+        0
+    }
+
+    fn apply(&self, state: &u64, op: &CounterOp) -> (u64, u64) {
+        match op {
+            CounterOp::Increment => (*state + 1, *state),
+            CounterOp::Read => (*state, *state),
+        }
+    }
+}
+
 /// Checks the three monotone-consistency conditions of Lemma 4 on a counter
 /// history.
 ///
@@ -483,6 +507,25 @@ mod tests {
             op(1, CounterOp::Read, 2, 7, 8),
         ]);
         assert!(check_linearizable(&CounterSpec, &history).is_ok());
+    }
+
+    #[test]
+    fn ticket_counter_spec_hands_out_tickets_in_order() {
+        let history = History::new(vec![
+            op(0, CounterOp::Increment, 0, 1, 2),
+            op(1, CounterOp::Increment, 1, 3, 4),
+            op(2, CounterOp::Read, 2, 5, 6),
+        ]);
+        assert!(check_linearizable(&TicketCounterSpec, &history).is_ok());
+        // A later increment may not take an earlier ticket.
+        let inverted = History::new(vec![
+            op(0, CounterOp::Increment, 1, 1, 2),
+            op(1, CounterOp::Increment, 0, 3, 4),
+        ]);
+        assert_eq!(
+            check_linearizable(&TicketCounterSpec, &inverted),
+            Err(Violation::NotLinearizable)
+        );
     }
 
     #[test]

@@ -1,19 +1,18 @@
 //! Multi-threaded execution harness.
 //!
 //! The [`Executor`] runs `k` processes — each an OS thread executing the same
-//! closure against `Arc`-shared objects — under an adversarial
-//! [`ExecConfig`]: arrival schedule, yield
-//! injection and crash injection. It collects every process's return value and
-//! step statistics into an [`ExecutionOutcome`], the raw material for all
-//! correctness checks and experiments.
+//! closure against `Arc`-shared objects — released together behind one start
+//! barrier, under the crash plan of an [`ExecConfig`]; the OS scheduler picks
+//! the interleaving. It collects every process's return value and step
+//! statistics into an [`ExecutionOutcome`], the raw material for all
+//! correctness checks and experiments. Tests whose verdict depends on the
+//! interleaving run on the seeded, replayable
+//! [`VirtualExecutor`](crate::vexec::VirtualExecutor) instead.
 
 use crate::adversary::ExecConfig;
 use crate::process::{install_crash_panic_silencer, CrashSignal, ProcessCtx, ProcessId};
 use crate::steps::{StepStats, StepSummary};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::panic::AssertUnwindSafe;
-use std::time::Duration;
 
 /// The fate of one process in an execution.
 #[derive(Clone, Debug, PartialEq)]
@@ -195,8 +194,8 @@ impl<'a, R> IntoIterator for &'a ExecutionOutcome<R> {
     }
 }
 
-/// Runs `k` processes concurrently against shared objects under an
-/// adversarial configuration.
+/// Runs `k` processes concurrently on OS threads against shared objects,
+/// starting them together behind one barrier.
 ///
 /// # Example
 ///
@@ -225,7 +224,7 @@ impl Executor {
         Executor { config }
     }
 
-    /// Creates an executor with a benign configuration and the given seed.
+    /// Creates an executor with no crashes and the given seed.
     pub fn with_seed(seed: u64) -> Self {
         Executor {
             config: ExecConfig::new(seed),
@@ -267,39 +266,21 @@ impl Executor {
             };
         }
 
-        // Pre-compute each process's adversarial parameters from the global
-        // seed so the whole execution is reproducible.
-        let mut plan_rng = StdRng::seed_from_u64(self.config.seed ^ 0xA5A5_5A5A_DEAD_BEEF);
-        let params: Vec<(ProcessId, Duration, Option<u64>)> = ids
-            .iter()
-            .enumerate()
-            .map(|(index, id)| {
-                let delay = self.config.arrival.delay_for(index, &mut plan_rng);
-                let crash_at = self.config.crash_plan.crash_step_for(index, &mut plan_rng);
-                (*id, delay, crash_at)
-            })
-            .collect();
-
+        let crash_steps = self.config.crash_steps(k);
         let barrier = std::sync::Barrier::new(k);
-        let use_barrier = self.config.arrival.uses_barrier();
         let f = &f;
         let barrier = &barrier;
-        let yield_policy = self.config.yield_policy;
         let seed = self.config.seed;
 
         let mut outcomes: Vec<(ProcessId, ProcessOutcome<R>)> = Vec::with_capacity(k);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = params
+            let handles: Vec<_> = ids
                 .iter()
-                .map(|&(id, delay, crash_at)| {
+                .zip(crash_steps)
+                .map(|(&id, crash_at)| {
                     scope.spawn(move || {
-                        if use_barrier {
-                            barrier.wait();
-                        }
-                        if !delay.is_zero() {
-                            std::thread::sleep(delay);
-                        }
-                        let mut ctx = ProcessCtx::with_adversary(id, seed, yield_policy, crash_at);
+                        barrier.wait();
+                        let mut ctx = ProcessCtx::with_adversary(id, seed, crash_at);
                         let run = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
                         match run {
                             Ok(result) => (
@@ -328,7 +309,11 @@ impl Executor {
                 })
                 .collect();
             for handle in handles {
-                outcomes.push(handle.join().expect("process thread panicked"));
+                // Re-raise a process's own panic with its payload intact.
+                let outcome = handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                outcomes.push(outcome);
             }
         });
 
@@ -339,7 +324,7 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{ArrivalSchedule, CrashPlan, YieldPolicy};
+    use crate::adversary::CrashPlan;
     use crate::register::AtomicUsizeRegister;
     use std::sync::Arc;
 
@@ -374,12 +359,10 @@ mod tests {
     #[test]
     fn fetch_add_hands_out_distinct_values_under_contention() {
         let reg = Arc::new(AtomicUsizeRegister::new(0));
-        let outcome =
-            Executor::new(ExecConfig::new(3).with_yield_policy(YieldPolicy::Probabilistic(0.3)))
-                .run(16, {
-                    let reg = Arc::clone(&reg);
-                    move |ctx| reg.fetch_add(ctx, 1)
-                });
+        let outcome = Executor::with_seed(3).run(16, {
+            let reg = Arc::clone(&reg);
+            move |ctx| reg.fetch_add(ctx, 1)
+        });
         assert_eq!(outcome.results_sorted(), (0..16).collect::<Vec<_>>());
     }
 
@@ -423,25 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn staggered_and_jittered_arrivals_still_complete() {
-        for arrival in [
-            ArrivalSchedule::Staggered {
-                gap: Duration::from_micros(200),
-            },
-            ArrivalSchedule::RandomJitter {
-                max_delay: Duration::from_micros(500),
-            },
-            ArrivalSchedule::Unsynchronized,
-        ] {
-            let outcome = Executor::new(ExecConfig::new(5).with_arrival(arrival)).run(6, |ctx| {
-                ctx.flip();
-                ctx.id().as_usize()
-            });
-            assert_eq!(outcome.completed().count(), 6);
-        }
-    }
-
-    #[test]
     fn execution_outcome_into_iter_yields_all_processes() {
         let outcome = Executor::with_seed(2).run(3, |ctx| ctx.id().as_usize());
         let borrowed: Vec<_> = (&outcome).into_iter().collect();
@@ -461,11 +425,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "process thread panicked")]
+    #[should_panic(expected = "boom")]
     fn genuine_panics_inside_processes_propagate() {
         let _ = Executor::with_seed(0).run(2, |ctx| {
             if ctx.id().as_usize() == 1 {
-                panic!("algorithm bug");
+                panic!("boom");
             }
             0usize
         });

@@ -18,17 +18,19 @@
 //! * [`process`] — [`ProcessId`] and
 //!   [`ProcessCtx`], the handle each simulated process
 //!   threads through every shared-memory operation (identity, seeded
-//!   randomness, step accounting, adversarial yielding and crash injection).
-//! * [`adversary`] — schedule-perturbation policies standing in for the strong
-//!   adaptive adversary: arrival schedules, yield injection and crash plans.
+//!   randomness, step accounting and crash injection).
+//! * [`adversary`] — the strong adaptive adversary's two levers: where the
+//!   interleaving comes from (a seeded random, replayed or explored
+//!   schedule) and which processes crash when.
 //! * [`executor`] — a multi-threaded execution harness that runs `k` processes
-//!   against a shared object and collects results, step statistics and crash
-//!   outcomes.
+//!   on OS threads against a shared object and collects results, step
+//!   statistics and crash outcomes.
 //! * [`vexec`] — a deterministic *virtual* executor that serializes process
 //!   threads at every shared-memory operation behind per-process gates, so a
 //!   [`vexec::Scheduler`] chooses the interleaving step by step:
-//!   the substrate for systematic schedule exploration (the `mcheck` crate),
-//!   schedule replay and DPOR model checking.
+//!   the substrate for seeded, load-independent concurrency tests,
+//!   systematic schedule exploration (the `mcheck` crate), schedule replay
+//!   and DPOR model checking.
 //! * [`lazy`] — [`LazyTable`], a lock-free radix table of
 //!   `OnceLock` nodes that creates shared objects keyed by `u64` on first
 //!   touch (outer renaming-network sections, splitter trees).
@@ -50,7 +52,7 @@
 //! use std::sync::Arc;
 //!
 //! let reg = Arc::new(AtomicU64Register::new(0));
-//! let exec = Executor::new(ExecConfig::default().with_seed(7));
+//! let exec = Executor::new(ExecConfig::new(7));
 //! let outcome = exec.run(8, {
 //!     let reg = Arc::clone(&reg);
 //!     move |ctx| {
@@ -85,7 +87,7 @@ pub mod register;
 pub mod steps;
 pub mod vexec;
 
-pub use adversary::{ArrivalSchedule, CrashPlan, ExecConfig, ScheduleSource, YieldPolicy};
+pub use adversary::{CrashPlan, ExecConfig, ScheduleSource};
 pub use arena::{Arena, ArenaBackend, ArenaCell, ArenaError, ArenaPod, ArenaRef, ArenaSliceRef};
 pub use executor::{ExecutionOutcome, Executor, ProcessOutcome};
 pub use history::{History, OpRecord, Recorder};

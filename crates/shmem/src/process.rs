@@ -4,9 +4,8 @@
 //! a closure that performs shared-memory operations on `Arc`-shared objects.
 //! The closure receives a [`ProcessCtx`] carrying everything the paper's model
 //! attaches to a process — its identity (initial name), its local coin flips,
-//! the step accounting of §2, and the adversary's scheduling/crash decisions.
+//! the step accounting of §2, and the adversary's crash decisions.
 
-use crate::adversary::YieldPolicy;
 use crate::steps::{StepKind, StepStats};
 use crate::vexec::{Gate, Loc, PendingOp, ScheduleAbort};
 use rand::rngs::StdRng;
@@ -83,7 +82,7 @@ pub fn install_crash_panic_silencer() {
 }
 
 /// Per-process execution context: identity, seeded randomness, step
-/// accounting, adversarial yield injection and crash injection.
+/// accounting and crash injection.
 ///
 /// Shared objects take `&mut ProcessCtx` on every operation and call
 /// [`ProcessCtx::record`] once per shared-memory step, which keeps the cost
@@ -108,30 +107,23 @@ pub struct ProcessCtx {
     id: ProcessId,
     rng: StdRng,
     stats: StepStats,
-    yield_policy: YieldPolicy,
     crash_at: Option<u64>,
     flipped_since_last_shared_op: bool,
     gate: Option<Arc<Gate>>,
 }
 
 impl ProcessCtx {
-    /// Creates a context with no adversarial yielding and no crash plan.
+    /// Creates a context with no crash plan.
     ///
     /// The random stream is derived from `seed` and the process identifier so
     /// distinct processes sharing a global seed still flip independent coins.
     pub fn new(id: ProcessId, seed: u64) -> Self {
-        Self::with_adversary(id, seed, YieldPolicy::None, None)
+        Self::with_adversary(id, seed, None)
     }
 
-    /// Creates a context with an explicit yield policy and optional crash
-    /// step (the total number of shared-memory steps after which the process
-    /// crashes).
-    pub fn with_adversary(
-        id: ProcessId,
-        seed: u64,
-        yield_policy: YieldPolicy,
-        crash_at: Option<u64>,
-    ) -> Self {
+    /// Creates a context with an optional crash step (the total number of
+    /// shared-memory steps after which the process crashes).
+    pub fn with_adversary(id: ProcessId, seed: u64, crash_at: Option<u64>) -> Self {
         let stream = seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(id.as_u64().wrapping_mul(0xD1B5_4A32_D192_ED03));
@@ -139,7 +131,6 @@ impl ProcessCtx {
             id,
             rng: StdRng::seed_from_u64(stream),
             stats: StepStats::new(),
-            yield_policy,
             crash_at,
             flipped_since_last_shared_op: false,
             gate: None,
@@ -164,7 +155,7 @@ impl ProcessCtx {
     }
 
     /// Records one shared-memory step of the given kind, then applies the
-    /// adversary's yield policy and crash plan.
+    /// adversary's crash plan.
     ///
     /// Equivalent to [`ProcessCtx::record_at`] with the anonymous location
     /// [`Loc::ANON`], which the schedule explorer treats as conflicting with
@@ -182,7 +173,7 @@ impl ProcessCtx {
     }
 
     /// Records one shared-memory step of the given kind on the given
-    /// location, then applies the adversary's yield policy and crash plan.
+    /// location, then applies the adversary's crash plan.
     ///
     /// This is the instrumentation point of the virtual executor
     /// ([`VirtualExecutor`](crate::vexec::VirtualExecutor)): when a gate is
@@ -217,14 +208,6 @@ impl ProcessCtx {
                     std::panic::panic_any(ScheduleAbort);
                 }
             }
-            // Yields are meaningless under cooperative serialization.
-            return;
-        }
-        if self
-            .yield_policy
-            .should_yield(self.stats.total_all(), &mut self.rng)
-        {
-            std::thread::yield_now();
         }
     }
 
@@ -364,8 +347,7 @@ mod tests {
     fn crash_at_panics_with_crash_signal() {
         install_crash_panic_silencer();
         let result = std::panic::catch_unwind(|| {
-            let mut ctx =
-                ProcessCtx::with_adversary(ProcessId::new(5), 0, YieldPolicy::None, Some(2));
+            let mut ctx = ProcessCtx::with_adversary(ProcessId::new(5), 0, Some(2));
             ctx.record(StepKind::RegisterRead);
             ctx.record(StepKind::RegisterWrite); // reaches the crash limit
             ctx.record(StepKind::RegisterRead); // never executed
@@ -376,15 +358,5 @@ mod tests {
             .expect("payload must be a CrashSignal");
         assert_eq!(signal.id, ProcessId::new(5));
         assert_eq!(signal.steps.total_all(), 2);
-    }
-
-    #[test]
-    fn yield_policy_every_step_still_counts_correctly() {
-        let mut ctx =
-            ProcessCtx::with_adversary(ProcessId::new(1), 3, YieldPolicy::EveryStep, None);
-        for _ in 0..10 {
-            ctx.record(StepKind::RegisterRead);
-        }
-        assert_eq!(ctx.stats().reads, 10);
     }
 }

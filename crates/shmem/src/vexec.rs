@@ -525,9 +525,9 @@ pub struct VirtualRun<R> {
 ///
 /// Unlike the threaded [`Executor`](crate::executor::Executor), executions
 /// are fully deterministic: the same configuration produces byte-identical
-/// traces, step statistics and results. Arrival schedules and yield policies
-/// are ignored (arrival order is part of the explored schedule; yields are
-/// meaningless under cooperative serialization); crash plans are honored.
+/// traces, step statistics and results. Arrival order is part of the
+/// schedule (each process's first step is an arrival pseudo-step); crash
+/// plans are honored.
 ///
 /// The executor requires process closures not to block on locks held across
 /// a recorded step by another process. All objects in this workspace park
@@ -553,10 +553,10 @@ impl VirtualExecutor {
         }
     }
 
-    /// Creates a virtual executor with a benign configuration and the given
-    /// seed (random scheduling seeded by the configuration seed).
+    /// Creates a virtual executor with no crashes and the given seed
+    /// (random scheduling seeded by the configuration seed).
     pub fn with_seed(seed: u64) -> Self {
-        VirtualExecutor::new(ExecConfig::new(seed).with_schedule(ScheduleSource::Random(seed)))
+        VirtualExecutor::new(ExecConfig::new(seed))
     }
 
     /// Sets the per-execution step budget. Executions exceeding it are cut
@@ -599,21 +599,10 @@ impl VirtualExecutor {
             };
         }
 
-        // Derive per-process crash steps exactly as the threaded executor
-        // does (drawing and discarding the arrival delays keeps the plan RNG
-        // stream aligned, so a CrashPlan reproduces identically under both
-        // executors).
-        let mut plan_rng = StdRng::seed_from_u64(self.config.seed ^ 0xA5A5_5A5A_DEAD_BEEF);
         let params: Vec<(ProcessId, Option<u64>)> = ids
             .iter()
-            .enumerate()
-            .map(|(index, id)| {
-                let _ = self.config.arrival.delay_for(index, &mut plan_rng);
-                (
-                    *id,
-                    self.config.crash_plan.crash_step_for(index, &mut plan_rng),
-                )
-            })
+            .copied()
+            .zip(self.config.crash_steps(k))
             .collect();
 
         let gates: Vec<Arc<Gate>> = (0..k).map(|_| Arc::new(Gate::default())).collect();
@@ -632,12 +621,7 @@ impl VirtualExecutor {
                 .map(|(&(id, crash_at), gate)| {
                     let gate = Arc::clone(gate);
                     scope.spawn(move || {
-                        let mut ctx = ProcessCtx::with_adversary(
-                            id,
-                            seed,
-                            crate::adversary::YieldPolicy::None,
-                            crash_at,
-                        );
+                        let mut ctx = ProcessCtx::with_adversary(id, seed, crash_at);
                         if !gate.park(PendingOp::begin()) {
                             gate.mark_finished();
                             return (id, ProcessOutcome::Crashed { steps: ctx.stats() });
@@ -739,7 +723,10 @@ impl VirtualExecutor {
             }
 
             for handle in handles {
-                let (id, outcome) = handle.join().expect("process thread panicked");
+                // Re-raise a process's own panic with its payload intact.
+                let (id, outcome) = handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
                 let index = params
                     .iter()
                     .position(|(pid, _)| *pid == id)
@@ -987,6 +974,37 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(skel(&a.trace), skel(&b.trace));
+    }
+
+    #[test]
+    fn one_seed_drives_the_schedule() {
+        // A racy two-process program: both write, then read, one register,
+        // so the schedule decides what each reads.
+        let mk = |exec: VirtualExecutor| {
+            let reg = Arc::new(AtomicU64Register::new(0));
+            exec.run(2, three_writer_body(&reg))
+        };
+        for seed in 0..8 {
+            let configured = mk(VirtualExecutor::new(ExecConfig::new(seed)));
+            let seeded = mk(VirtualExecutor::with_seed(seed));
+            assert_eq!(
+                configured.trace.schedule, seeded.trace.schedule,
+                "seed {seed}"
+            );
+            assert_eq!(configured.outcome.results(), seeded.outcome.results());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn genuine_panics_inside_processes_keep_their_message() {
+        let _ = VirtualExecutor::with_seed(0).run(2, |ctx| {
+            ctx.record_at(StepKind::RegisterRead, Loc::ANON);
+            if ctx.id().as_usize() == 1 {
+                panic!("boom");
+            }
+            0usize
+        });
     }
 
     #[test]

@@ -71,9 +71,8 @@ impl TwoPartyTas for HardwareTas {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmem::adversary::ExecConfig;
-    use shmem::executor::Executor;
     use shmem::process::ProcessId;
+    use shmem::vexec::VirtualExecutor;
     use std::sync::Arc;
 
     #[test]
@@ -112,10 +111,12 @@ mod tests {
     fn exactly_one_winner_under_concurrency() {
         for seed in 0..10 {
             let tas = Arc::new(HardwareTas::new());
-            let outcome = Executor::new(ExecConfig::new(seed)).run(16, {
-                let tas = Arc::clone(&tas);
-                move |ctx| tas.test_and_set(ctx)
-            });
+            let outcome = VirtualExecutor::with_seed(seed)
+                .run(16, {
+                    let tas = Arc::clone(&tas);
+                    move |ctx| tas.test_and_set(ctx)
+                })
+                .outcome;
             let winners = outcome.results().into_iter().filter(|w| *w).count();
             assert_eq!(winners, 1, "seed {seed}");
         }

@@ -205,11 +205,10 @@ impl TestAndSet for RatRaceTas {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmem::adversary::{ArrivalSchedule, CrashPlan, ExecConfig, YieldPolicy};
-    use shmem::executor::Executor;
+    use shmem::adversary::{CrashPlan, ExecConfig};
     use shmem::process::ProcessId;
+    use shmem::vexec::VirtualExecutor;
     use std::sync::Arc;
-    use std::time::Duration;
 
     #[test]
     fn solo_process_wins_at_the_root() {
@@ -238,13 +237,12 @@ mod tests {
     fn concurrent_processes_produce_exactly_one_winner() {
         for seed in 0..15 {
             let tas = Arc::new(RatRaceTas::new());
-            let config = ExecConfig::new(seed)
-                .with_yield_policy(YieldPolicy::Probabilistic(0.2))
-                .with_arrival(ArrivalSchedule::Simultaneous);
-            let outcome = Executor::new(config).run(24, {
-                let tas = Arc::clone(&tas);
-                move |ctx| tas.test_and_set(ctx)
-            });
+            let outcome = VirtualExecutor::with_seed(seed)
+                .run(24, {
+                    let tas = Arc::clone(&tas);
+                    move |ctx| tas.test_and_set(ctx)
+                })
+                .outcome;
             let winners = outcome.results().into_iter().filter(|w| *w).count();
             assert_eq!(winners, 1, "seed {seed}");
         }
@@ -258,10 +256,12 @@ mod tests {
                 prob: 0.4,
                 max_steps: 20,
             });
-            let outcome = Executor::new(config).run(16, {
-                let tas = Arc::clone(&tas);
-                move |ctx| tas.test_and_set(ctx)
-            });
+            let outcome = VirtualExecutor::new(config)
+                .run(16, {
+                    let tas = Arc::clone(&tas);
+                    move |ctx| tas.test_and_set(ctx)
+                })
+                .outcome;
             let winners = outcome.results().into_iter().filter(|w| *w).count();
             assert!(winners <= 1, "seed {seed}: {winners} winners");
         }
@@ -272,13 +272,12 @@ mod tests {
         // With k = 16 concurrent participants the maximum per-process step
         // count should be far below the Θ(k) cost of a linear scan.
         let tas = Arc::new(RatRaceTas::new());
-        let config = ExecConfig::new(77).with_arrival(ArrivalSchedule::RandomJitter {
-            max_delay: Duration::from_micros(200),
-        });
-        let outcome = Executor::new(config).run(16, {
-            let tas = Arc::clone(&tas);
-            move |ctx| tas.test_and_set(ctx)
-        });
+        let outcome = VirtualExecutor::with_seed(77)
+            .run(16, {
+                let tas = Arc::clone(&tas);
+                move |ctx| tas.test_and_set(ctx)
+            })
+            .outcome;
         let summary = outcome.step_summary();
         assert!(
             summary.max_register_steps < 600,

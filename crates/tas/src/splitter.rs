@@ -129,9 +129,8 @@ impl RandomizedSplitter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmem::adversary::{ExecConfig, YieldPolicy};
-    use shmem::executor::Executor;
     use shmem::process::ProcessId;
+    use shmem::vexec::VirtualExecutor;
     use std::sync::Arc;
 
     #[test]
@@ -165,11 +164,12 @@ mod tests {
     fn at_most_one_process_acquires_under_contention() {
         for seed in 0..30 {
             let splitter = Arc::new(RandomizedSplitter::new());
-            let config = ExecConfig::new(seed).with_yield_policy(YieldPolicy::Probabilistic(0.4));
-            let outcome = Executor::new(config).run(8, {
-                let splitter = Arc::clone(&splitter);
-                move |ctx| splitter.enter(ctx)
-            });
+            let outcome = VirtualExecutor::with_seed(seed)
+                .run(8, {
+                    let splitter = Arc::clone(&splitter);
+                    move |ctx| splitter.enter(ctx)
+                })
+                .outcome;
             let acquired = outcome
                 .results()
                 .into_iter()

@@ -268,8 +268,6 @@ impl TwoPartyTas for TwoProcessTas {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmem::adversary::{ArrivalSchedule, ExecConfig, ScheduleSource, YieldPolicy};
-    use shmem::executor::Executor;
     use shmem::process::ProcessId;
     use shmem::steps::StepStats;
     use shmem::vexec::VirtualExecutor;
@@ -336,8 +334,7 @@ mod tests {
         let mut steps = StepStats::new();
         for seed in 0..seeds {
             let tas = Arc::new(TwoProcessTas::new());
-            let config = ExecConfig::new(seed).with_schedule(ScheduleSource::Random(seed));
-            let run = VirtualExecutor::new(config).run(2, {
+            let run = VirtualExecutor::with_seed(seed).run(2, {
                 let tas = Arc::clone(&tas);
                 move |ctx| {
                     let side = if ctx.id().as_usize() == 0 {
@@ -394,20 +391,19 @@ mod tests {
         let seeds = if cfg!(miri) { 4 } else { 50 };
         for seed in 0..seeds {
             let tas = Arc::new(TwoProcessTas::new());
-            let config = ExecConfig::new(seed)
-                .with_yield_policy(YieldPolicy::Probabilistic(0.3))
-                .with_arrival(ArrivalSchedule::Simultaneous);
-            let outcome = Executor::new(config).run(2, {
-                let tas = Arc::clone(&tas);
-                move |ctx| {
-                    let side = if ctx.id().as_usize() == 0 {
-                        Side::Top
-                    } else {
-                        Side::Bottom
-                    };
-                    tas.play(ctx, side)
-                }
-            });
+            let outcome = VirtualExecutor::with_seed(seed)
+                .run(2, {
+                    let tas = Arc::clone(&tas);
+                    move |ctx| {
+                        let side = if ctx.id().as_usize() == 0 {
+                            Side::Top
+                        } else {
+                            Side::Bottom
+                        };
+                        tas.play(ctx, side)
+                    }
+                })
+                .outcome;
             let winners = outcome.results().into_iter().filter(|w| *w).count();
             assert_eq!(winners, 1, "seed {seed}: exactly one winner required");
         }
@@ -419,17 +415,19 @@ mod tests {
         let trials = if cfg!(miri) { 4 } else { 50 };
         for seed in 0..trials {
             let tas = Arc::new(TwoProcessTas::new());
-            let outcome = Executor::new(ExecConfig::new(seed)).run(2, {
-                let tas = Arc::clone(&tas);
-                move |ctx| {
-                    let side = if ctx.id().as_usize() == 0 {
-                        Side::Top
-                    } else {
-                        Side::Bottom
-                    };
-                    tas.play(ctx, side)
-                }
-            });
+            let outcome = VirtualExecutor::with_seed(seed)
+                .run(2, {
+                    let tas = Arc::clone(&tas);
+                    move |ctx| {
+                        let side = if ctx.id().as_usize() == 0 {
+                            Side::Top
+                        } else {
+                            Side::Bottom
+                        };
+                        tas.play(ctx, side)
+                    }
+                })
+                .outcome;
             total_steps += outcome.total_steps().total();
         }
         let mean_per_process = total_steps as f64 / (2 * trials) as f64;

@@ -53,11 +53,7 @@ fn run_backend(backend: CounterBackend) -> RunReport {
     let counter = builder.build().expect("every backend builds");
     let recorder: Arc<Recorder<CounterOp, u64>> = Arc::new(Recorder::new());
 
-    let executor = Executor::new(
-        builder
-            .exec_config()
-            .with_yield_policy(YieldPolicy::Probabilistic(0.1)),
-    );
+    let executor = Executor::new(builder.exec_config());
     // Producers increment; the last process acts as a read-only monitor.
     let start = Instant::now();
     let outcome = executor.run(PRODUCERS + 1, {

@@ -36,12 +36,7 @@ fn main() {
         max_concurrent,
     ));
 
-    let outcome = Executor::new(
-        builder
-            .exec_config()
-            .with_yield_policy(YieldPolicy::Probabilistic(0.05)),
-    )
-    .run(workers, {
+    let outcome = Executor::new(builder.exec_config()).run(workers, {
         let server = Arc::clone(&server);
         move |ctx| {
             let mut names = Vec::with_capacity(requests_per_worker);
@@ -108,7 +103,7 @@ fn main() {
     let escrowed = builder
         .clone()
         .max_concurrent(burst_bound)
-        .lease_batch(QUOTA)
+        .escrow_quota(QUOTA)
         .build_long_lived()
         .expect("valid configuration");
 

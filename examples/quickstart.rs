@@ -19,11 +19,7 @@ fn main() {
     // One builder configures everything: algorithm, engine, seed.
     let builder = RenamingBuilder::new().adaptive().seed(0xC0FFEE);
     let renaming = builder.build().expect("the default configuration is valid");
-    let executor = Executor::new(
-        builder
-            .exec_config()
-            .with_yield_policy(YieldPolicy::Probabilistic(0.05)),
-    );
+    let executor = Executor::new(builder.exec_config());
 
     let outcome = executor.run_with_ids(&ids, {
         let renaming = renaming.clone();

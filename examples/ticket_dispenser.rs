@@ -25,10 +25,7 @@ fn main() {
     let dispenser = Arc::new(BoundedFetchIncrement::new(tickets));
     let recorder: Arc<Recorder<(), u64>> = Arc::new(Recorder::new());
 
-    let outcome = Executor::new(
-        ExecConfig::new(11).with_yield_policy(YieldPolicy::Probabilistic(0.1)),
-    )
-    .run(clients, {
+    let outcome = Executor::new(ExecConfig::new(11)).run(clients, {
         let dispenser = Arc::clone(&dispenser);
         let recorder = Arc::clone(&recorder);
         move |ctx| {

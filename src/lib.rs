@@ -27,8 +27,8 @@ pub use sortnet;
 pub use tas;
 
 /// A convenience prelude for examples and tests: the items needed to run the
-/// paper's objects under the adversarial executor, plus the builder and
-/// long-lived lease surface.
+/// paper's objects under the threaded and the seeded virtual executor, plus
+/// the builder and long-lived lease surface.
 pub mod prelude {
     pub use adaptive_renaming::adaptive::AdaptiveRenaming;
     pub use adaptive_renaming::bit_batching::BitBatchingRenaming;
@@ -53,9 +53,10 @@ pub mod prelude {
         CompiledBalancingNetwork, ContentionSensor, CountingFamily, NetworkCounter, Prism,
         PrismOutcome,
     };
-    pub use shmem::adversary::{ArrivalSchedule, CrashPlan, ExecConfig, YieldPolicy};
+    pub use shmem::adversary::{CrashPlan, ExecConfig, ScheduleSource};
     pub use shmem::executor::Executor;
     pub use shmem::process::{ProcessCtx, ProcessId};
+    pub use shmem::vexec::{Schedule, VirtualExecutor};
     pub use sortnet::family::NetworkFamily;
 }
 

@@ -1,7 +1,8 @@
 //! Property-based tests of the counting-network subsystem (`cnet`).
 //!
-//! Three guarantees are pinned across randomized schedules, widths and both
-//! certified wirings:
+//! These guarantees are pinned across randomized widths, both certified
+//! wirings and seeded `VirtualExecutor` schedules, whose verdicts are a pure
+//! function of the inputs and cannot depend on machine load:
 //!
 //! 1. **Step property** — at every quiescent point the output-wire counts
 //!    form a staircase, sequentially (checked after every token) and after
@@ -16,61 +17,22 @@
 //!    through the real implementation for every certified wiring and width.
 //! 4. **Elimination preserves counting** — every visit to the standalone
 //!    `Prism` resolves to an outcome whose weights sum back to the visit
-//!    count (eliminated and combined tokens appear in matched pairs).
+//!    count (eliminated and combined tokens appear in matched pairs). The
+//!    prism's slot words are uncharged, so a virtual schedule runs each
+//!    visit uninterrupted; real pairings are exercised on OS threads by the
+//!    prism module's own tests.
 //! 5. **Routing preserves counting** — the `AdaptiveNetworkCounter` cascade
-//!    stays exact and quiescently consistent under the same adversarial
-//!    schedules as the fixed-width counter, on real threads and on seeded
-//!    `VirtualExecutor` schedules whose verdicts cannot depend on load.
+//!    stays exact and quiescently consistent under the same schedules as
+//!    the fixed-width counter.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use shmem::consistency::{
-    check_linearizable, check_quiescent_consistent, CounterOp, SequentialSpec, Violation,
+    check_linearizable, check_quiescent_consistent, CounterOp, TicketCounterSpec, Violation,
 };
 use shmem::history::Recorder;
-use shmem::vexec::VirtualExecutor;
 use std::sync::Arc;
-use std::time::Duration;
 use strong_renaming::prelude::*;
-
-/// Sequential specification of an exact fetch-and-increment counter:
-/// increments return the pre-increment count (their 0-indexed ticket), reads
-/// return the count. Used to show recorded ticket histories are *not*
-/// linearizable.
-#[derive(Clone, Copy, Debug)]
-struct FetchIncrementSpec;
-
-impl SequentialSpec for FetchIncrementSpec {
-    type Op = CounterOp;
-    type Ret = u64;
-    type State = u64;
-
-    fn initial(&self) -> u64 {
-        0
-    }
-
-    fn apply(&self, state: &u64, op: &CounterOp) -> (u64, u64) {
-        match op {
-            CounterOp::Increment => (*state + 1, *state),
-            CounterOp::Read => (*state, *state),
-        }
-    }
-}
-
-fn config(seed: u64, yield_percent: u8, arrival_choice: u8) -> ExecConfig {
-    let arrival = match arrival_choice % 3 {
-        0 => ArrivalSchedule::Simultaneous,
-        1 => ArrivalSchedule::Unsynchronized,
-        _ => ArrivalSchedule::RandomJitter {
-            max_delay: Duration::from_micros(200),
-        },
-    };
-    ExecConfig::new(seed)
-        .with_yield_policy(YieldPolicy::Probabilistic(
-            f64::from(yield_percent % 40) / 100.0,
-        ))
-        .with_arrival(arrival)
-}
 
 fn families() -> [CountingFamily; 2] {
     CountingFamily::all()
@@ -123,13 +85,11 @@ proptest! {
         ops_per_worker in 1usize..12,
         raw_width in 0u8..4,
         seed in 0u64..1_000_000,
-        yield_percent in 0u8..40,
-        arrival_choice in 0u8..3,
     ) {
         let width = width_from(raw_width);
         for family in families() {
             let counter = Arc::new(NetworkCounter::new(family, width));
-            let outcome = Executor::new(config(seed, yield_percent, arrival_choice))
+            let outcome = VirtualExecutor::with_seed(seed)
                 .run(threads, {
                     let counter = Arc::clone(&counter);
                     move |ctx| {
@@ -137,7 +97,7 @@ proptest! {
                             counter.increment(ctx);
                         }
                     }
-                });
+                }).outcome;
             prop_assert_eq!(outcome.crashed_count(), 0);
             let counts = counter.exit_counts();
             if let Some(violation) = cnet::step_property_violation(&counts) {
@@ -161,14 +121,13 @@ proptest! {
     fn recorded_histories_are_quiescently_consistent(
         threads in 2usize..7,
         seed in 0u64..1_000_000,
-        yield_percent in 0u8..40,
         raw_width in 0u8..3,
     ) {
         let width = width_from(raw_width);
         for family in families() {
             let counter = Arc::new(NetworkCounter::new(family, width));
             let recorder: Arc<Recorder<CounterOp, u64>> = Arc::new(Recorder::new());
-            let outcome = Executor::new(config(seed, yield_percent, 0)).run(threads, {
+            let outcome = VirtualExecutor::with_seed(seed).run(threads, {
                 let counter = Arc::clone(&counter);
                 let recorder = Arc::clone(&recorder);
                 move |ctx| {
@@ -184,7 +143,7 @@ proptest! {
                         }
                     }
                 }
-            });
+            }).outcome;
             prop_assert_eq!(outcome.crashed_count(), 0);
             // A final quiescent read must be exact by construction.
             let mut quiescent = ProcessCtx::new(ProcessId::new(10_000), 0);
@@ -261,7 +220,7 @@ proptest! {
             // (when width > 2 the wrap makes it even more lopsided): no
             // sequential fetch-and-increment order can reproduce this.
             prop_assert_eq!(
-                check_linearizable(&FetchIncrementSpec, &history),
+                check_linearizable(&TicketCounterSpec, &history),
                 Err(Violation::NotLinearizable),
                 "{} width {}", family, width
             );
@@ -285,8 +244,6 @@ proptest! {
         raw_slots in 0u8..3,
         spin_limit in 1u32..64,
         seed in 0u64..1_000_000,
-        yield_percent in 0u8..40,
-        arrival_choice in 0u8..3,
     ) {
         use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -297,7 +254,7 @@ proptest! {
             AtomicU64::new(0), // combined
             AtomicU64::new(0), // fell through
         ]);
-        let outcome = Executor::new(config(seed, yield_percent, arrival_choice))
+        let outcome = VirtualExecutor::with_seed(seed)
             .run(threads, {
                 let prism = Arc::clone(&prism);
                 let tallies = Arc::clone(&tallies);
@@ -311,7 +268,7 @@ proptest! {
                         tallies[slot].fetch_add(1, Ordering::Relaxed);
                     }
                 }
-            });
+            }).outcome;
         prop_assert_eq!(outcome.crashed_count(), 0);
 
         let eliminated = tallies[0].load(Ordering::Relaxed);
@@ -326,48 +283,9 @@ proptest! {
         prop_assert_eq!(prism.pairs(), combined, "pairs() counts each pairing once");
     }
 
-    /// The adaptive counter is exact at quiescence under adversarial
-    /// schedules — no increment is lost or duplicated by cascade routing —
-    /// and every layer's exit wires satisfy the step property.
-    #[test]
-    fn adaptive_counter_is_exact_at_quiescence(
-        threads in 2usize..9,
-        ops_per_worker in 1usize..12,
-        raw_width in 0u8..4,
-        seed in 0u64..1_000_000,
-        yield_percent in 0u8..40,
-        arrival_choice in 0u8..3,
-    ) {
-        let width = width_from(raw_width);
-        for family in families() {
-            let counter = Arc::new(AdaptiveNetworkCounter::new(family, width));
-            let outcome = Executor::new(config(seed, yield_percent, arrival_choice))
-                .run(threads, {
-                    let counter = Arc::clone(&counter);
-                    move |ctx| {
-                        for _ in 0..ops_per_worker {
-                            counter.increment(ctx);
-                        }
-                    }
-                });
-            prop_assert_eq!(outcome.crashed_count(), 0);
-            prop_assert_eq!(
-                counter.peek(),
-                (threads * ops_per_worker) as u64,
-                "{} max width {}: tokens conserved", family, width
-            );
-            if let Err(violation) = counter.check_step_property() {
-                return Err(TestCaseError::fail(format!(
-                    "{family} max width {width}: {violation}"
-                )));
-            }
-        }
-    }
-
-    /// The seeded-`VirtualExecutor` twin of
-    /// `adaptive_counter_is_exact_at_quiescence`: the same inputs on
-    /// serialized random schedules, so the verdict is a pure function of
-    /// the seed and cannot depend on machine load.
+    /// The adaptive counter is exact at quiescence on seeded schedules — no
+    /// increment is lost or duplicated by cascade routing — and every
+    /// layer's exit wires satisfy the step property.
     #[test]
     fn adaptive_counter_is_exact_at_quiescence_on_virtual_schedules(
         threads in 2usize..9,
@@ -409,14 +327,13 @@ proptest! {
     fn adaptive_histories_are_quiescently_consistent(
         threads in 2usize..7,
         seed in 0u64..1_000_000,
-        yield_percent in 0u8..40,
         raw_width in 0u8..3,
     ) {
         let width = width_from(raw_width);
         for family in families() {
             let counter = Arc::new(AdaptiveNetworkCounter::new(family, width));
             let recorder: Arc<Recorder<CounterOp, u64>> = Arc::new(Recorder::new());
-            let outcome = Executor::new(config(seed, yield_percent, 0)).run(threads, {
+            let outcome = VirtualExecutor::with_seed(seed).run(threads, {
                 let counter = Arc::clone(&counter);
                 let recorder = Arc::clone(&recorder);
                 move |ctx| {
@@ -432,7 +349,7 @@ proptest! {
                         }
                     }
                 }
-            });
+            }).outcome;
             prop_assert_eq!(outcome.crashed_count(), 0);
             // A final quiescent read must be exact by construction.
             let mut quiescent = ProcessCtx::new(ProcessId::new(10_000), 0);
@@ -488,7 +405,7 @@ fn width_two_counterexample_is_pinned() {
 
     let history = recorder.take_history();
     assert_eq!(
-        check_linearizable(&FetchIncrementSpec, &history),
+        check_linearizable(&TicketCounterSpec, &history),
         Err(Violation::NotLinearizable),
         "q's ticket 1 completed before r's ticket 0 was invoked"
     );

@@ -1,6 +1,6 @@
 //! Cross-crate integration tests: the paper's objects assembled end to end,
-//! exercised under the adversarial executor, with their correctness conditions
-//! checked by the history-based checkers.
+//! exercised on seeded virtual-executor schedules, with their correctness
+//! conditions checked by the history-based checkers.
 
 use adaptive_renaming::fetch_increment::FetchIncrementSpec;
 use adaptive_renaming::ltas::BoundedTasSpec;
@@ -9,7 +9,6 @@ use shmem::consistency::{
 };
 use shmem::history::{History, OpRecord, Recorder};
 use std::sync::Arc;
-use std::time::Duration;
 use strong_renaming::prelude::*;
 
 #[test]
@@ -18,15 +17,12 @@ fn adaptive_renaming_handles_bursts_of_mixed_arrival_times() {
         let renaming = <dyn Renaming>::builder()
             .build()
             .expect("valid configuration");
-        let config = ExecConfig::new(seed)
-            .with_arrival(ArrivalSchedule::RandomJitter {
-                max_delay: Duration::from_micros(300),
+        let outcome = VirtualExecutor::with_seed(seed)
+            .run(k, {
+                let renaming = renaming.clone();
+                move |ctx| renaming.acquire(ctx).unwrap()
             })
-            .with_yield_policy(YieldPolicy::Probabilistic(0.1));
-        let outcome = Executor::new(config).run(k, {
-            let renaming = renaming.clone();
-            move |ctx| renaming.acquire(ctx).unwrap()
-        });
+            .outcome;
         assert_tight_namespace(&outcome.results())
             .unwrap_or_else(|e| panic!("k={k}, seed={seed}: {e}"));
     }
@@ -40,13 +36,11 @@ fn counter_histories_with_crashes_stay_monotone_consistent() {
         let pending: Arc<parking_lot::Mutex<Vec<u64>>> =
             Arc::new(parking_lot::Mutex::new(Vec::new()));
         let k = 10usize;
-        let config = ExecConfig::new(seed)
-            .with_crash_plan(CrashPlan::Random {
-                prob: 0.25,
-                max_steps: 80,
-            })
-            .with_yield_policy(YieldPolicy::Probabilistic(0.1));
-        let _ = Executor::new(config).run(k, {
+        let config = ExecConfig::new(seed).with_crash_plan(CrashPlan::Random {
+            prob: 0.25,
+            max_steps: 80,
+        });
+        let _ = VirtualExecutor::new(config).run(k, {
             let counter = Arc::clone(&counter);
             let recorder = Arc::clone(&recorder);
             let pending = Arc::clone(&pending);
@@ -122,7 +116,7 @@ fn bounded_tas_histories_remain_linearizable_under_crashes() {
             prob: 0.2,
             max_steps: 60,
         });
-        let _ = Executor::new(config).run(9, {
+        let _ = VirtualExecutor::new(config).run(9, {
             let ltas = Arc::clone(&ltas);
             let recorder = Arc::clone(&recorder);
             let invoked = Arc::clone(&invoked);
@@ -179,19 +173,18 @@ fn fetch_and_increment_under_heavy_yielding_is_linearizable() {
         let limit = 32u64;
         let object = Arc::new(BoundedFetchIncrement::new(limit));
         let recorder: Arc<Recorder<(), u64>> = Arc::new(Recorder::new());
-        let config = ExecConfig::new(seed)
-            .with_yield_policy(YieldPolicy::EveryStep)
-            .with_arrival(ArrivalSchedule::Simultaneous);
-        let outcome = Executor::new(config).run(10, {
-            let object = Arc::clone(&object);
-            let recorder = Arc::clone(&recorder);
-            move |ctx| {
-                let invoke = recorder.invoke();
-                let value = object.fetch_and_increment(ctx);
-                recorder.record(ctx.id(), (), value, invoke);
-                value
-            }
-        });
+        let outcome = VirtualExecutor::with_seed(seed)
+            .run(10, {
+                let object = Arc::clone(&object);
+                let recorder = Arc::clone(&recorder);
+                move |ctx| {
+                    let invoke = recorder.invoke();
+                    let value = object.fetch_and_increment(ctx);
+                    recorder.record(ctx.id(), (), value, invoke);
+                    value
+                }
+            })
+            .outcome;
         assert_eq!(
             outcome.results_sorted(),
             (0..10u64).collect::<Vec<_>>(),
@@ -216,19 +209,23 @@ fn renaming_network_and_adaptive_renaming_agree_on_tightness_for_shared_ids() {
     let bounded: Arc<RenamingNetwork<_>> = Arc::new(RenamingNetwork::new(
         sortnet::batcher::odd_even_network(256),
     ));
-    let outcome = Executor::new(ExecConfig::new(31)).run_with_ids(&ids, {
-        let bounded = Arc::clone(&bounded);
-        move |ctx| bounded.acquire(ctx).unwrap()
-    });
+    let outcome = VirtualExecutor::with_seed(31)
+        .run_with_ids(&ids, {
+            let bounded = Arc::clone(&bounded);
+            move |ctx| bounded.acquire(ctx).unwrap()
+        })
+        .outcome;
     assert_tight_namespace(&outcome.results()).unwrap();
 
     let adaptive = <dyn Renaming>::builder()
         .build()
         .expect("valid configuration");
-    let outcome = Executor::new(ExecConfig::new(31)).run_with_ids(&ids, {
-        let adaptive = adaptive.clone();
-        move |ctx| adaptive.acquire(ctx).unwrap()
-    });
+    let outcome = VirtualExecutor::with_seed(31)
+        .run_with_ids(&ids, {
+            let adaptive = adaptive.clone();
+            move |ctx| adaptive.acquire(ctx).unwrap()
+        })
+        .outcome;
     assert_tight_namespace(&outcome.results()).unwrap();
 }
 
@@ -239,7 +236,7 @@ fn counters_agree_with_the_fetch_and_add_baseline_at_quiescence() {
 
     let monotone = Arc::new(MonotoneCounter::new());
     let baseline = Arc::new(CasCounter::new());
-    let _ = Executor::new(ExecConfig::new(13)).run(k, {
+    let _ = VirtualExecutor::with_seed(13).run(k, {
         let monotone = Arc::clone(&monotone);
         let baseline = Arc::clone(&baseline);
         move |ctx| {

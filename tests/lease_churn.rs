@@ -6,14 +6,14 @@
 //! granted name is bounded by the point contention of its grant. Histories
 //! are recorded with logical timestamps and checked offline by
 //! `assert_tight_lease_namespace`. The builder-default object, a recycler
-//! with a per-thread escrow,
-//! is checked for uniqueness and the `max_concurrent` bound under random
-//! interleavings and against
-//! `assert_escrow_lease_namespace` on seeded `vexec` schedules (the escrow
-//! deliberately trades away per-grant tightness); the free-list properties
-//! pin the lock-free bitmap to a sequential sorted-set model op for op. The
-//! crash-robust `RobustLeaseTable` churns on seeded, replayable `vexec`
-//! schedules and is held to the same tight checker.
+//! with a per-thread escrow, is checked for uniqueness, the
+//! `max_concurrent` bound and `assert_escrow_lease_namespace` (the escrow
+//! deliberately trades away per-grant tightness). The crash-robust
+//! `RobustLeaseTable` is held to the same tight checker. Every interleaving
+//! comes from a seeded, replayable `vexec` schedule, so no verdict depends
+//! on machine load. The free-list properties pin the lock-free bitmap to a
+//! sequential sorted-set model op for op, and one concurrent-churn property
+//! runs it on real threads.
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -94,7 +94,7 @@ fn churn(
     config: ExecConfig,
 ) -> Vec<LeaseRecord> {
     let journal = Arc::new(Journal::new());
-    let _ = Executor::new(config).run(k, {
+    let _ = VirtualExecutor::new(config).run(k, {
         let object = Arc::clone(&object);
         let journal = Arc::clone(&journal);
         move |ctx| {
@@ -168,16 +168,17 @@ proptest! {
         k in 2usize..8,
         rounds in 1usize..8,
         seed in 0u64..1_000_000,
-        yield_percent in 0u8..40,
     ) {
         let recycler = Arc::new(Recycler::new(
             RenamingNetwork::<_>::new(sortnet::batcher::odd_even_network(64)),
             2 * k,
         ));
-        let config = ExecConfig::new(seed)
-            .with_yield_policy(YieldPolicy::Probabilistic(f64::from(yield_percent) / 100.0))
-            .with_arrival(ArrivalSchedule::Simultaneous);
-        let records = churn(Arc::clone(&recycler) as Arc<dyn LongLivedRenaming>, k, rounds, config);
+        let records = churn(
+            Arc::clone(&recycler) as Arc<dyn LongLivedRenaming>,
+            k,
+            rounds,
+            ExecConfig::new(seed),
+        );
 
         prop_assert_eq!(records.len(), k * rounds);
         let check = assert_tight_lease_namespace(&records);
@@ -230,13 +231,13 @@ proptest! {
             1 => RenamingBuilder::new().adaptive().adaptive_level(3),
             _ => RenamingBuilder::new().linear_probe().capacity(32),
         };
-        // .lease_batch(1) builds the bare recycler without the default
+        // .escrow_quota(0) builds the bare recycler without the default
         // escrow: only it guarantees per-grant tightness (the escrowed
         // default is covered by the unique-and-bounded test below and by
         // the seeded escrow-bound test at the end of this file).
         let object = builder
             .max_concurrent(2 * k)
-            .lease_batch(1)
+            .escrow_quota(0)
             .seed(seed)
             .build_long_lived()
             .unwrap();
@@ -256,7 +257,6 @@ proptest! {
         k in 2usize..8,
         rounds in 1usize..8,
         seed in 0u64..1_000_000,
-        yield_percent in 0u8..40,
     ) {
         let object = RenamingBuilder::new()
             .network()
@@ -265,10 +265,7 @@ proptest! {
             .seed(seed)
             .build_long_lived()
             .unwrap();
-        let config = ExecConfig::new(seed)
-            .with_yield_policy(YieldPolicy::Probabilistic(f64::from(yield_percent) / 100.0))
-            .with_arrival(ArrivalSchedule::Simultaneous);
-        let records = churn(Arc::clone(&object), k, rounds, config);
+        let records = churn(Arc::clone(&object), k, rounds, ExecConfig::new(seed));
 
         prop_assert_eq!(records.len(), k * rounds);
         let check = assert_unique_and_bounded(&records, 2 * k);
@@ -441,7 +438,7 @@ fn escrow_default_leases_stay_within_the_escrow_bound_on_seeded_schedules() {
         for seed in 0..32u64 {
             let object = RenamingBuilder::new()
                 .max_concurrent(MAX_CONCURRENT)
-                .lease_batch(quota)
+                .escrow_quota(quota)
                 .build_long_lived()
                 .unwrap();
             let journal = Arc::new(Journal::new());

@@ -1,28 +1,12 @@
 //! Property-based tests of the renaming objects' safety guarantees.
 //!
 //! These properties hold in *every* execution, so they are exercised across
-//! randomized contention levels, seeds, arrival schedules and yield policies.
+//! randomized contention levels on seeded `VirtualExecutor` schedules, whose
+//! verdicts are a pure function of the inputs and cannot depend on load.
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 use strong_renaming::prelude::*;
-
-/// Builds an adversarial configuration from raw proptest inputs.
-fn config(seed: u64, yield_percent: u8, arrival_choice: u8) -> ExecConfig {
-    let arrival = match arrival_choice % 3 {
-        0 => ArrivalSchedule::Simultaneous,
-        1 => ArrivalSchedule::Unsynchronized,
-        _ => ArrivalSchedule::RandomJitter {
-            max_delay: Duration::from_micros(200),
-        },
-    };
-    ExecConfig::new(seed)
-        .with_yield_policy(YieldPolicy::Probabilistic(
-            f64::from(yield_percent % 40) / 100.0,
-        ))
-        .with_arrival(arrival)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -31,19 +15,17 @@ proptest! {
     })]
 
     /// Adaptive strong renaming returns exactly the names 1..=k, for any
-    /// contention level, seed and schedule perturbation.
+    /// contention level and seeded schedule.
     #[test]
     fn adaptive_renaming_namespace_is_always_tight(
         k in 1usize..10,
         seed in 0u64..1_000_000,
-        yield_percent in 0u8..40,
-        arrival_choice in 0u8..3,
     ) {
         let renaming = <dyn Renaming>::builder().build().expect("valid configuration");
-        let outcome = Executor::new(config(seed, yield_percent, arrival_choice)).run(k, {
+        let outcome = VirtualExecutor::with_seed(seed).run(k, {
             let renaming = renaming.clone();
             move |ctx| renaming.acquire(ctx).expect("adaptive renaming never fails")
-        });
+        }).outcome;
         prop_assert!(assert_tight_namespace(&outcome.results()).is_ok());
     }
 
@@ -52,16 +34,15 @@ proptest! {
     #[test]
     fn renaming_network_namespace_is_always_tight(
         seed in 0u64..1_000_000,
-        yield_percent in 0u8..40,
         ports in proptest::collection::btree_set(0usize..32, 1..10),
     ) {
         let network: Arc<RenamingNetwork<_>> =
             Arc::new(RenamingNetwork::new(sortnet::batcher::odd_even_network(32)));
         let ids: Vec<ProcessId> = ports.iter().copied().map(ProcessId::new).collect();
-        let outcome = Executor::new(config(seed, yield_percent, 0)).run_with_ids(&ids, {
+        let outcome = VirtualExecutor::with_seed(seed).run_with_ids(&ids, {
             let network = Arc::clone(&network);
             move |ctx| network.acquire(ctx).expect("ports fit the namespace")
-        });
+        }).outcome;
         prop_assert!(assert_tight_namespace(&outcome.results()).is_ok());
     }
 
@@ -72,7 +53,6 @@ proptest! {
     fn bit_batching_names_are_unique_and_in_range(
         k in 1usize..12,
         seed in 0u64..1_000_000,
-        yield_percent in 0u8..40,
     ) {
         let n = 16usize;
         let renaming = RenamingBuilder::new()
@@ -80,10 +60,10 @@ proptest! {
             .capacity(n)
             .build()
             .expect("valid configuration");
-        let outcome = Executor::new(config(seed, yield_percent, 0)).run(k, {
+        let outcome = VirtualExecutor::with_seed(seed).run(k, {
             let renaming = renaming.clone();
             move |ctx| renaming.acquire(ctx).expect("k <= n")
-        });
+        }).outcome;
         let names = outcome.results();
         prop_assert!(assert_unique_names(&names).is_ok());
         prop_assert!(names.iter().all(|&name| (1..=n).contains(&name)));
@@ -95,13 +75,12 @@ proptest! {
         k in 1usize..13,
         limit in 1usize..9,
         seed in 0u64..1_000_000,
-        yield_percent in 0u8..40,
     ) {
         let ltas = Arc::new(BoundedTas::new(limit));
-        let outcome = Executor::new(config(seed, yield_percent, 0)).run(k, {
+        let outcome = VirtualExecutor::with_seed(seed).run(k, {
             let ltas = Arc::clone(&ltas);
             move |ctx| ltas.invoke(ctx)
-        });
+        }).outcome;
         let winners = outcome.results().into_iter().filter(|w| *w).count();
         prop_assert_eq!(winners, limit.min(k));
     }
@@ -112,13 +91,12 @@ proptest! {
     fn fetch_and_increment_values_are_consecutive(
         k in 1usize..10,
         seed in 0u64..1_000_000,
-        yield_percent in 0u8..40,
     ) {
         let object = Arc::new(BoundedFetchIncrement::new(32));
-        let outcome = Executor::new(config(seed, yield_percent, 0)).run(k, {
+        let outcome = VirtualExecutor::with_seed(seed).run(k, {
             let object = Arc::clone(&object);
             move |ctx| object.fetch_and_increment(ctx)
-        });
+        }).outcome;
         let mut values = outcome.results();
         values.sort_unstable();
         prop_assert_eq!(values, (0..k as u64).collect::<Vec<_>>());
@@ -144,10 +122,10 @@ proptest! {
             prob: f64::from(crash_percent) / 100.0,
             max_steps: 50,
         });
-        let outcome = Executor::new(exec_config).run(k, {
+        let outcome = VirtualExecutor::new(exec_config).run(k, {
             let renaming = renaming.clone();
             move |ctx| renaming.acquire(ctx).expect("adaptive renaming never fails")
-        });
+        }).outcome;
         let names = outcome.results();
         prop_assert!(assert_unique_names(&names).is_ok());
         prop_assert!(names.iter().all(|&name| name <= k));
