@@ -55,14 +55,14 @@
 //! ```
 //! use cnet::{CountingFamily, NetworkCounter};
 //! use shmem::adversary::ExecConfig;
-//! use shmem::executor::Executor;
+//! use shmem::vexec::VirtualExecutor;
 //! use std::sync::Arc;
 //!
 //! let counter = Arc::new(NetworkCounter::new(CountingFamily::Bitonic, 8));
-//! let outcome = Executor::new(ExecConfig::new(1)).run(8, {
+//! let outcome = VirtualExecutor::new(ExecConfig::new(1)).run(8, {
 //!     let counter = Arc::clone(&counter);
 //!     move |ctx| counter.fetch_increment(ctx)
-//! });
+//! }).outcome;
 //! // Quiescent: the exit counts form a staircase and the sum is exact.
 //! assert!(cnet::verify::has_step_property(&counter.exit_counts()));
 //! assert_eq!(counter.peek(), 8);

@@ -158,18 +158,18 @@ pub struct AdaptiveReport {
 /// use adaptive_renaming::adaptive::AdaptiveRenaming;
 /// use adaptive_renaming::traits::{assert_tight_namespace, Renaming};
 /// use shmem::adversary::ExecConfig;
-/// use shmem::executor::Executor;
 /// use shmem::process::ProcessId;
+/// use shmem::vexec::VirtualExecutor;
 /// use std::sync::Arc;
 ///
 /// // Identifiers are irrelevant: huge, scattered initial names still map to 1..=4.
 /// let renaming = Arc::new(AdaptiveRenaming::default());
 /// let ids: Vec<ProcessId> = [7usize, 123_456, 42, 999_999_999]
 ///     .iter().copied().map(ProcessId::new).collect();
-/// let outcome = Executor::new(ExecConfig::new(11)).run_with_ids(&ids, {
+/// let outcome = VirtualExecutor::new(ExecConfig::new(11)).run_with_ids(&ids, {
 ///     let renaming = Arc::clone(&renaming);
 ///     move |ctx| renaming.acquire(ctx).expect("adaptive renaming never fails")
-/// });
+/// }).outcome;
 /// assert!(assert_tight_namespace(&outcome.results()).is_ok());
 /// ```
 pub struct AdaptiveRenaming<T: TwoPartyTas + Default = TwoProcessTas> {

@@ -59,17 +59,17 @@ pub struct BitBatchingReport {
 /// ```
 /// use adaptive_renaming::traits::{assert_tight_namespace, Renaming};
 /// use shmem::adversary::ExecConfig;
-/// use shmem::executor::Executor;
+/// use shmem::vexec::VirtualExecutor;
 ///
 /// let renaming = <dyn Renaming>::builder()
 ///     .bit_batching()
 ///     .capacity(8)
 ///     .build()
 ///     .unwrap();
-/// let outcome = Executor::new(ExecConfig::new(3)).run(8, {
+/// let outcome = VirtualExecutor::new(ExecConfig::new(3)).run(8, {
 ///     let renaming = renaming.clone();
 ///     move |ctx| renaming.acquire(ctx).expect("8 slots for 8 processes")
-/// });
+/// }).outcome;
 /// assert!(assert_tight_namespace(&outcome.results()).is_ok());
 /// ```
 pub struct BitBatchingRenaming<T: TestAndSet = RatRaceTas> {

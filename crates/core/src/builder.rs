@@ -14,14 +14,14 @@
 //!
 //! ```
 //! use adaptive_renaming::traits::{assert_tight_namespace, Renaming};
-//! use shmem::executor::Executor;
+//! use shmem::adversary::ExecConfig;
+//! use shmem::vexec::VirtualExecutor;
 //!
-//! let builder = <dyn Renaming>::builder().seed(42);
-//! let renaming = builder.build().unwrap(); // adaptive strong renaming
-//! let outcome = Executor::new(builder.exec_config()).run(6, {
+//! let renaming = <dyn Renaming>::builder().build().unwrap(); // adaptive strong renaming
+//! let outcome = VirtualExecutor::new(ExecConfig::new(42)).run(6, {
 //!     let renaming = renaming.clone();
 //!     move |ctx| renaming.acquire(ctx).unwrap()
-//! });
+//! }).outcome;
 //! assert!(assert_tight_namespace(&outcome.results()).is_ok());
 //! ```
 
@@ -33,7 +33,6 @@ use crate::linear_probe::LinearProbeRenaming;
 use crate::recycler::{Recycler, MAX_ESCROW_QUOTA};
 use crate::renaming_network::RenamingNetwork;
 use crate::traits::Renaming;
-use shmem::adversary::ExecConfig;
 use shmem::arena::Arena;
 use sortnet::family::{NetworkFamily, SortingFamily};
 use std::sync::Arc;
@@ -84,7 +83,6 @@ pub struct RenamingBuilder {
     comparators: ComparatorKind,
     adaptive_level: Option<usize>,
     escrow_quota: usize,
-    seed: u64,
 }
 
 impl Default for RenamingBuilder {
@@ -97,7 +95,6 @@ impl Default for RenamingBuilder {
             comparators: ComparatorKind::default(),
             adaptive_level: None,
             escrow_quota: 8,
-            seed: 0,
         }
     }
 }
@@ -202,26 +199,6 @@ impl RenamingBuilder {
     pub fn escrow_quota(mut self, quota: usize) -> Self {
         self.escrow_quota = quota;
         self
-    }
-
-    /// Sets the seed recorded for adversarial executions driven against the
-    /// built object (see [`RenamingBuilder::exec_config`]). Construction
-    /// itself is deterministic: all randomness in the paper's algorithms is
-    /// drawn from the per-process context at runtime.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// An adversarial executor configuration seeded with this builder's
-    /// seed, so experiment code has a single source of reproducibility.
-    pub fn exec_config(&self) -> ExecConfig {
-        ExecConfig::new(self.seed)
-    }
-
-    /// The configured seed.
-    pub fn configured_seed(&self) -> u64 {
-        self.seed
     }
 
     fn bounded_capacity(&self, minimum: usize) -> Result<usize, RenamingError> {
@@ -530,12 +507,5 @@ mod tests {
         a.release(&mut ctx);
         b.release(&mut ctx);
         assert_eq!(ctx.stats().releases, 2);
-    }
-
-    #[test]
-    fn the_seed_threads_into_exec_config() {
-        let builder = RenamingBuilder::new().seed(77);
-        assert_eq!(builder.configured_seed(), 77);
-        assert_eq!(builder.exec_config().seed, 77);
     }
 }

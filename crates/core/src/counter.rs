@@ -35,7 +35,6 @@ use cnet::counter::NetworkCounter;
 use cnet::family::CountingFamily;
 use cnet::network::BalancingTopology;
 use maxreg::{MaxRegister, UnboundedMaxRegister};
-use shmem::adversary::ExecConfig;
 use shmem::process::ProcessCtx;
 use shmem::register::AtomicU64Register;
 use sortnet::family::NetworkFamily;
@@ -58,17 +57,17 @@ pub trait Counter: Send + Sync {
 /// ```
 /// use adaptive_renaming::counter::{Counter, MonotoneCounter};
 /// use shmem::adversary::ExecConfig;
-/// use shmem::executor::Executor;
+/// use shmem::vexec::VirtualExecutor;
 /// use std::sync::Arc;
 ///
 /// let counter = Arc::new(MonotoneCounter::new());
-/// let outcome = Executor::new(ExecConfig::new(4)).run(6, {
+/// let outcome = VirtualExecutor::new(ExecConfig::new(4)).run(6, {
 ///     let counter = Arc::clone(&counter);
 ///     move |ctx| {
 ///         counter.increment(ctx);
 ///         counter.read(ctx)
 ///     }
-/// });
+/// }).outcome;
 /// // After all six increments the counter reads exactly six.
 /// assert!(outcome.results().into_iter().max().unwrap() == 6);
 /// ```
@@ -246,7 +245,6 @@ pub struct CounterBuilder {
     backend: CounterBackend,
     family: NetworkFamily,
     width: usize,
-    seed: u64,
 }
 
 impl dyn Counter {
@@ -263,7 +261,6 @@ impl Default for CounterBuilder {
             backend: CounterBackend::default(),
             family: NetworkFamily::Bitonic,
             width: 8,
-            seed: 0,
         }
     }
 }
@@ -322,20 +319,6 @@ impl CounterBuilder {
         self
     }
 
-    /// Sets the seed recorded for adversarial executions driven against the
-    /// built counter (see [`CounterBuilder::exec_config`]).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// An adversarial executor configuration seeded with this builder's
-    /// seed, mirroring
-    /// [`RenamingBuilder::exec_config`](crate::builder::RenamingBuilder::exec_config).
-    pub fn exec_config(&self) -> ExecConfig {
-        ExecConfig::new(self.seed)
-    }
-
     /// The configured backend.
     pub fn configured_backend(&self) -> CounterBackend {
         self.backend
@@ -387,6 +370,7 @@ impl CounterBuilder {
 mod tests {
     use super::*;
     use maxreg::BoundedMaxRegister;
+    use shmem::adversary::ExecConfig;
     use shmem::consistency::{check_monotone_consistent, CounterOp};
     use shmem::history::Recorder;
     use shmem::process::ProcessId;
@@ -522,13 +506,12 @@ mod tests {
             CounterBackend::Network,
             CounterBackend::Adaptive,
         ] {
-            let builder = <dyn Counter>::builder().backend(backend).seed(3);
+            let builder = <dyn Counter>::builder().backend(backend);
             assert_eq!(builder.configured_backend(), backend);
-            assert_eq!(builder.exec_config().seed, 3);
             let counter = builder
                 .build()
                 .unwrap_or_else(|e| panic!("{backend:?}: {e}"));
-            let outcome = VirtualExecutor::new(builder.exec_config())
+            let outcome = VirtualExecutor::new(ExecConfig::new(3))
                 .run(8, {
                     let counter = Arc::clone(&counter);
                     move |ctx| counter.increment(ctx)

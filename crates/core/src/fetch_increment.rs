@@ -78,14 +78,14 @@ impl FaiNode {
 /// ```
 /// use adaptive_renaming::fetch_increment::BoundedFetchIncrement;
 /// use shmem::adversary::ExecConfig;
-/// use shmem::executor::Executor;
+/// use shmem::vexec::VirtualExecutor;
 /// use std::sync::Arc;
 ///
 /// let object = Arc::new(BoundedFetchIncrement::new(16));
-/// let outcome = Executor::new(ExecConfig::new(2)).run(5, {
+/// let outcome = VirtualExecutor::new(ExecConfig::new(2)).run(5, {
 ///     let object = Arc::clone(&object);
 ///     move |ctx| object.fetch_and_increment(ctx)
-/// });
+/// }).outcome;
 /// let mut values = outcome.results();
 /// values.sort_unstable();
 /// assert_eq!(values, vec![0, 1, 2, 3, 4]);

@@ -55,15 +55,15 @@
 //! ```
 //! use adaptive_renaming::traits::Renaming;
 //! use shmem::adversary::ExecConfig;
-//! use shmem::executor::Executor;
+//! use shmem::vexec::VirtualExecutor;
 //!
-//! // Eight threads with arbitrary identities acquire names 1..=8 from the
-//! // paper's adaptive strong renaming algorithm.
+//! // Eight processes acquire names 1..=8 from the paper's adaptive strong
+//! // renaming algorithm on a seeded virtual schedule.
 //! let renaming = <dyn Renaming>::builder().build().unwrap();
-//! let outcome = Executor::new(ExecConfig::new(7)).run(8, {
+//! let outcome = VirtualExecutor::new(ExecConfig::new(7)).run(8, {
 //!     let renaming = renaming.clone();
 //!     move |ctx| renaming.acquire(ctx).expect("adaptive renaming never fails")
-//! });
+//! }).outcome;
 //! assert_eq!(outcome.results_sorted(), (1..=8).collect::<Vec<_>>());
 //! ```
 //!

@@ -21,17 +21,17 @@ use tas::TestAndSet;
 /// ```
 /// use adaptive_renaming::traits::{assert_tight_namespace, Renaming};
 /// use shmem::adversary::ExecConfig;
-/// use shmem::executor::Executor;
+/// use shmem::vexec::VirtualExecutor;
 ///
 /// let renaming = <dyn Renaming>::builder()
 ///     .linear_probe()
 ///     .capacity(16)
 ///     .build()
 ///     .unwrap();
-/// let outcome = Executor::new(ExecConfig::new(1)).run(5, {
+/// let outcome = VirtualExecutor::new(ExecConfig::new(1)).run(5, {
 ///     let renaming = renaming.clone();
 ///     move |ctx| renaming.acquire(ctx).expect("capacity not exceeded")
-/// });
+/// }).outcome;
 /// assert!(assert_tight_namespace(&outcome.results()).is_ok());
 /// ```
 pub struct LinearProbeRenaming<T: TestAndSet = RatRaceTas> {

@@ -25,14 +25,14 @@ use std::sync::Arc;
 /// ```
 /// use adaptive_renaming::ltas::BoundedTas;
 /// use shmem::adversary::ExecConfig;
-/// use shmem::executor::Executor;
+/// use shmem::vexec::VirtualExecutor;
 /// use std::sync::Arc;
 ///
 /// let ltas = Arc::new(BoundedTas::new(3));
-/// let outcome = Executor::new(ExecConfig::new(9)).run(8, {
+/// let outcome = VirtualExecutor::new(ExecConfig::new(9)).run(8, {
 ///     let ltas = Arc::clone(&ltas);
 ///     move |ctx| ltas.invoke(ctx)
-/// });
+/// }).outcome;
 /// let winners = outcome.results().into_iter().filter(|w| *w).count();
 /// assert_eq!(winners, 3);
 /// ```

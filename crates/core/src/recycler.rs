@@ -699,14 +699,36 @@ mod tests {
     use crate::linear_probe::LinearProbeRenaming;
     use crate::renaming_network::RenamingNetwork;
     use parking_lot::Mutex;
-    use shmem::adversary::ExecConfig;
-    use shmem::executor::Executor;
     use shmem::process::ProcessId;
     use sortnet::batcher::odd_even_network;
     use tas::ratrace::RatRaceTas;
 
     fn ctx(id: usize, seed: u64) -> ProcessCtx {
         ProcessCtx::new(ProcessId::new(id), seed)
+    }
+
+    /// Runs `workers` OS threads released together, thread `i` as process
+    /// `i` with its own context, and returns every thread's names in
+    /// process order.
+    fn on_threads<F>(workers: usize, seed: u64, body: F) -> Vec<usize>
+    where
+        F: Fn(&mut ProcessCtx) -> Vec<usize> + Sync,
+    {
+        let (body, start) = (&body, &std::sync::Barrier::new(workers));
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|id| {
+                    scope.spawn(move || {
+                        start.wait();
+                        body(&mut ctx(id, seed))
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|handle| handle.join().unwrap())
+                .collect()
+        })
     }
 
     #[test]
@@ -891,19 +913,15 @@ mod tests {
                 RenamingNetwork::<_>::new(odd_even_network(64)),
                 8,
             ));
-            let outcome = Executor::new(ExecConfig::new(seed)).run(8, {
-                let recycler = Arc::clone(&recycler);
-                move |ctx| {
-                    let mut names = Vec::new();
-                    for _ in 0..6 {
-                        let lease = Arc::clone(&recycler).lease(ctx).unwrap();
-                        names.push(lease.name());
-                        lease.release(ctx);
-                    }
-                    names
+            let names = on_threads(8, seed, |ctx| {
+                let mut names = Vec::new();
+                for _ in 0..6 {
+                    let lease = Arc::clone(&recycler).lease(ctx).unwrap();
+                    names.push(lease.name());
+                    lease.release(ctx);
                 }
+                names
             });
-            let names = outcome.flattened();
             assert_eq!(names.len(), 48, "seed {seed}");
             assert!(
                 names.iter().all(|&name| (1..=8).contains(&name)),
@@ -1042,15 +1060,11 @@ mod tests {
         let (seeds, workers) = if cfg!(miri) { (1, 3) } else { (4, 8) };
         for seed in 0..seeds {
             let recycler = escrowed(workers, 2);
-            let outcome = Executor::new(ExecConfig::new(seed)).run(workers, {
-                let recycler = Arc::clone(&recycler);
-                move |ctx| {
-                    (0..6)
-                        .map(|_| Arc::clone(&recycler).lease(ctx).unwrap().name())
-                        .collect::<Vec<_>>()
-                }
+            let names = on_threads(workers, seed, |ctx| {
+                (0..6)
+                    .map(|_| Arc::clone(&recycler).lease(ctx).unwrap().name())
+                    .collect()
             });
-            let names = outcome.flattened();
             assert!(names.iter().all(|name| (1..=workers).contains(name)));
             assert_eq!(recycler.live_leases(), 0, "seed {seed}");
             assert_eq!(recycler.live_count(), recycler.escrowed_names());

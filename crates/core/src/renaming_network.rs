@@ -99,18 +99,18 @@ pub struct TraversalReport {
 /// use adaptive_renaming::renaming_network::RenamingNetwork;
 /// use adaptive_renaming::traits::{assert_tight_namespace, Renaming};
 /// use shmem::adversary::ExecConfig;
-/// use shmem::executor::Executor;
 /// use shmem::process::ProcessId;
+/// use shmem::vexec::VirtualExecutor;
 /// use sortnet::batcher::odd_even_network;
 /// use std::sync::Arc;
 ///
 /// // 16 possible initial names, 5 participants with scattered identities.
 /// let network: Arc<RenamingNetwork<_>> = Arc::new(RenamingNetwork::new(odd_even_network(16)));
 /// let ids: Vec<ProcessId> = [0usize, 3, 7, 11, 15].iter().copied().map(ProcessId::new).collect();
-/// let outcome = Executor::new(ExecConfig::new(5)).run_with_ids(&ids, {
+/// let outcome = VirtualExecutor::new(ExecConfig::new(5)).run_with_ids(&ids, {
 ///     let network = Arc::clone(&network);
 ///     move |ctx| network.acquire(ctx).expect("identities fit the network")
-/// });
+/// }).outcome;
 /// assert!(assert_tight_namespace(&outcome.results()).is_ok());
 /// ```
 pub struct RenamingNetwork<S: ComparatorSchedule, T: TwoPartyTas + Default = TwoProcessTas> {

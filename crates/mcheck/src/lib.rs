@@ -1,11 +1,12 @@
 //! `mcheck`: deterministic schedule exploration over the `shmem` virtual
 //! executor — DPOR model checking with replayable counterexamples.
 //!
-//! The workspace's threaded [`Executor`](shmem::Executor) samples schedules
-//! from the OS; the [`VirtualExecutor`](shmem::VirtualExecutor) instead
-//! serializes every shared-memory operation through per-process gates and
-//! asks a [`Scheduler`](shmem::Scheduler) which process steps next. This
-//! crate supplies the schedulers worth asking:
+//! The workspace's one execution harness, the
+//! [`VirtualExecutor`](shmem::VirtualExecutor), serializes every
+//! shared-memory operation through per-process gates and asks a
+//! [`Scheduler`](shmem::Scheduler) which process steps next. Tests and
+//! examples ask a seeded random scheduler; this crate supplies the
+//! schedulers worth asking when the goal is to cover or replay schedules:
 //!
 //! * [`dpor`] — exhaustive DFS with dynamic partial-order reduction
 //!   (persistent sets + sleep sets) and a brute-force mode as ground truth;

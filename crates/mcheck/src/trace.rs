@@ -38,7 +38,7 @@ pub struct TraceFile {
     pub scenario: String,
     /// Number of processes.
     pub procs: usize,
-    /// Executor seed (drives per-process coin flips).
+    /// Execution seed (drives per-process coin flips).
     pub seed: u64,
     /// Crash plan entries as `(process index, crash-after steps)`.
     pub crashes: Vec<(usize, u64)>,

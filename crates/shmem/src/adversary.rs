@@ -2,16 +2,16 @@
 //!
 //! The paper's adversary controls scheduling and crashes and may observe local
 //! coin flips (§2). A true worst-case adaptive adversary cannot be enumerated
-//! at runtime, so the execution harness approximates it with two orthogonal
-//! knobs, both of which the safety properties of the algorithms must tolerate:
+//! at runtime, so the execution harness, the
+//! [`VirtualExecutor`](crate::vexec::VirtualExecutor), approximates it with
+//! two orthogonal knobs, both of which the safety properties of the
+//! algorithms must tolerate:
 //!
 //! * [`ScheduleSource`] — who takes the next shared-memory step. The
-//!   [`VirtualExecutor`](crate::vexec::VirtualExecutor) serializes processes
-//!   at every step and asks a seeded random scheduler, a recorded schedule or
-//!   an exploration scheduler which process goes next, so every interleaving
-//!   (arrival order and contention pattern included) is a pure function of
-//!   the configuration. The threaded [`Executor`](crate::executor::Executor)
-//!   leaves the interleaving to the OS.
+//!   executor serializes processes at every step and asks a seeded random
+//!   scheduler, a recorded schedule or an exploration scheduler which
+//!   process goes next, so every interleaving (arrival order and contention
+//!   pattern included) is a pure function of the configuration.
 //! * [`CrashPlan`] — crash-fault injection: a process silently stops taking
 //!   steps after a chosen number of shared-memory operations.
 //!
@@ -44,14 +44,6 @@ pub enum CrashPlan {
         /// Upper bound on the step at which a crashing process stops.
         max_steps: u64,
     },
-    /// Crash every process with index `>= first_survivors` after the given
-    /// number of steps — a deterministic "half the system dies" scenario.
-    CrashSuffix {
-        /// Number of low-indexed processes that never crash.
-        survivors: usize,
-        /// Step count after which the rest crash.
-        after_steps: u64,
-    },
 }
 
 impl CrashPlan {
@@ -68,29 +60,17 @@ impl CrashPlan {
                     Some(rng.gen_range(1..=*max_steps))
                 }
             }
-            CrashPlan::CrashSuffix {
-                survivors,
-                after_steps,
-            } => {
-                if index >= *survivors {
-                    Some((*after_steps).max(1))
-                } else {
-                    None
-                }
-            }
         }
     }
 }
 
-/// Where the interleaving of a *virtual* (serialized) execution comes from.
+/// Where the interleaving of an execution comes from.
 ///
-/// The threaded [`Executor`](crate::executor::Executor) ignores this field —
-/// its interleavings come from the OS scheduler. The
-/// [`VirtualExecutor`](crate::vexec::VirtualExecutor) consults it at every
-/// step:
+/// The [`VirtualExecutor`](crate::vexec::VirtualExecutor) consults it at
+/// every step:
 ///
 /// * [`ScheduleSource::Random`] — a seeded uniformly random scheduler, the
-///   deterministic analogue of the threaded executor's sampling.
+///   default: one seed picks one interleaving.
 /// * [`ScheduleSource::Replay`] — replay a recorded [`Schedule`] verbatim
 ///   (with deterministic fallback for shrunk or stale schedules), the
 ///   substrate of `tests/schedules/*.trace` regression replays. The empty
@@ -129,14 +109,13 @@ pub struct ExecConfig {
     pub seed: u64,
     /// Crash-fault injection plan.
     pub crash_plan: CrashPlan,
-    /// Schedule source for virtual (serialized) executions; ignored by the
-    /// threaded executor.
+    /// Schedule source: who takes each next step.
     pub schedule: ScheduleSource,
 }
 
 impl ExecConfig {
     /// Creates a configuration with the given seed, no crashes and the
-    /// virtual schedule [`ScheduleSource::Random`] drawn from the same seed.
+    /// schedule [`ScheduleSource::Random`] drawn from the same seed.
     pub fn new(seed: u64) -> Self {
         ExecConfig {
             seed,
@@ -158,9 +137,8 @@ impl ExecConfig {
         self
     }
 
-    /// The crash step of each of `k` processes, derived from the seed: both
-    /// executors call this, so a crash plan reproduces identically under
-    /// either.
+    /// The crash step of each of `k` processes, derived from the seed, so a
+    /// crash plan reproduces identically from its configuration.
     pub(crate) fn crash_steps(&self, k: usize) -> Vec<Option<u64>> {
         let mut plan_rng = StdRng::seed_from_u64(self.seed ^ 0xA5A5_5A5A_DEAD_BEEF);
         (0..k)
@@ -357,27 +335,11 @@ mod tests {
     }
 
     #[test]
-    fn crash_suffix_spares_survivors() {
-        let mut r = rng();
-        let plan = CrashPlan::CrashSuffix {
-            survivors: 2,
-            after_steps: 7,
-        };
-        assert_eq!(plan.crash_step_for(0, &mut r), None);
-        assert_eq!(plan.crash_step_for(1, &mut r), None);
-        assert_eq!(plan.crash_step_for(2, &mut r), Some(7));
-        assert_eq!(plan.crash_step_for(9, &mut r), Some(7));
-    }
-
-    #[test]
     fn exec_config_builder_sets_fields() {
-        let config = ExecConfig::new(3).with_crash_plan(CrashPlan::CrashSuffix {
-            survivors: 1,
-            after_steps: 2,
-        });
+        let config = ExecConfig::new(3).with_crash_plan(CrashPlan::Fixed(vec![None, Some(2)]));
         assert_eq!(config.seed, 3);
         assert_eq!(config.schedule, ScheduleSource::Random(3));
-        assert!(matches!(config.crash_plan, CrashPlan::CrashSuffix { .. }));
+        assert!(matches!(config.crash_plan, CrashPlan::Fixed(_)));
         assert_eq!(ExecConfig::default(), ExecConfig::new(0));
     }
 }

@@ -1,18 +1,12 @@
-//! Multi-threaded execution harness.
+//! Execution outcomes.
 //!
-//! The [`Executor`] runs `k` processes — each an OS thread executing the same
-//! closure against `Arc`-shared objects — released together behind one start
-//! barrier, under the crash plan of an [`ExecConfig`]; the OS scheduler picks
-//! the interleaving. It collects every process's return value and step
-//! statistics into an [`ExecutionOutcome`], the raw material for all
-//! correctness checks and experiments. Tests whose verdict depends on the
-//! interleaving run on the seeded, replayable
-//! [`VirtualExecutor`](crate::vexec::VirtualExecutor) instead.
+//! A run of the [`VirtualExecutor`](crate::vexec::VirtualExecutor) reports
+//! every process's return value and step statistics as an
+//! [`ExecutionOutcome`], the raw material for all correctness checks and
+//! experiments; each process's fate is a [`ProcessOutcome`].
 
-use crate::adversary::ExecConfig;
-use crate::process::{install_crash_panic_silencer, CrashSignal, ProcessCtx, ProcessId};
+use crate::process::ProcessId;
 use crate::steps::{StepStats, StepSummary};
-use std::panic::AssertUnwindSafe;
 
 /// The fate of one process in an execution.
 #[derive(Clone, Debug, PartialEq)]
@@ -46,11 +40,6 @@ impl<R> ProcessOutcome<R> {
             ProcessOutcome::Crashed { .. } => None,
         }
     }
-
-    /// Whether the process crashed.
-    pub fn is_crashed(&self) -> bool {
-        matches!(self, ProcessOutcome::Crashed { .. })
-    }
 }
 
 /// The collected results of one adversarial execution of `k` processes.
@@ -61,7 +50,7 @@ pub struct ExecutionOutcome<R> {
 }
 
 impl<R> ExecutionOutcome<R> {
-    /// Assembles an outcome from per-process reports (used by the executors).
+    /// Assembles an outcome from per-process reports (used by the executor).
     pub(crate) fn from_outcomes(outcomes: Vec<(ProcessId, ProcessOutcome<R>)>) -> Self {
         ExecutionOutcome { outcomes }
     }
@@ -107,9 +96,12 @@ impl<R> ExecutionOutcome<R> {
     /// # Example
     ///
     /// ```
-    /// use shmem::executor::Executor;
+    /// use shmem::adversary::ExecConfig;
+    /// use shmem::vexec::VirtualExecutor;
     ///
-    /// let outcome = Executor::with_seed(3).run(4, |ctx| ctx.id().as_usize());
+    /// let outcome = VirtualExecutor::new(ExecConfig::new(3))
+    ///     .run(4, |ctx| ctx.id().as_usize())
+    ///     .outcome;
     /// assert_eq!(outcome.results_sorted(), vec![0, 1, 2, 3]);
     /// ```
     pub fn results_sorted(&self) -> Vec<R>
@@ -123,22 +115,13 @@ impl<R> ExecutionOutcome<R> {
 
     /// Number of processes that crashed.
     pub fn crashed_count(&self) -> usize {
-        self.outcomes.iter().filter(|(_, o)| o.is_crashed()).count()
+        self.outcomes.len() - self.completed().count()
     }
 
     /// Per-process step statistics (completed and crashed alike), in
     /// process-index order.
     pub fn per_process_steps(&self) -> Vec<StepStats> {
         self.outcomes.iter().map(|(_, o)| o.steps()).collect()
-    }
-
-    /// Step statistics of completed processes only.
-    pub fn completed_steps(&self) -> Vec<StepStats> {
-        self.outcomes
-            .iter()
-            .filter(|(_, o)| !o.is_crashed())
-            .map(|(_, o)| o.steps())
-            .collect()
     }
 
     /// Total steps across all processes.
@@ -194,143 +177,21 @@ impl<'a, R> IntoIterator for &'a ExecutionOutcome<R> {
     }
 }
 
-/// Runs `k` processes concurrently on OS threads against shared objects,
-/// starting them together behind one barrier.
-///
-/// # Example
-///
-/// ```
-/// use shmem::adversary::ExecConfig;
-/// use shmem::executor::Executor;
-/// use shmem::register::AtomicUsizeRegister;
-/// use std::sync::Arc;
-///
-/// let slots = Arc::new(AtomicUsizeRegister::new(0));
-/// let exec = Executor::new(ExecConfig::new(1));
-/// let outcome = exec.run(4, {
-///     let slots = Arc::clone(&slots);
-///     move |ctx| slots.fetch_add(ctx, 1)
-/// });
-/// assert_eq!(outcome.results_sorted(), vec![0, 1, 2, 3]);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Executor {
-    config: ExecConfig,
-}
-
-impl Executor {
-    /// Creates an executor with the given adversarial configuration.
-    pub fn new(config: ExecConfig) -> Self {
-        Executor { config }
-    }
-
-    /// Creates an executor with no crashes and the given seed.
-    pub fn with_seed(seed: u64) -> Self {
-        Executor {
-            config: ExecConfig::new(seed),
-        }
-    }
-
-    /// The configuration this executor runs with.
-    pub fn config(&self) -> &ExecConfig {
-        &self.config
-    }
-
-    /// Runs `k` processes with consecutive identifiers `0..k`.
-    ///
-    /// Each process executes `f(&mut ctx)`; the closure is shared by all
-    /// processes, so per-process state must live in the `ProcessCtx` or in
-    /// values captured behind `Arc`.
-    pub fn run<R, F>(&self, k: usize, f: F) -> ExecutionOutcome<R>
-    where
-        R: Send,
-        F: Fn(&mut ProcessCtx) -> R + Send + Sync,
-    {
-        let ids: Vec<ProcessId> = (0..k).map(ProcessId::new).collect();
-        self.run_with_ids(&ids, f)
-    }
-
-    /// Runs one process per entry of `ids`, using each entry as the process's
-    /// initial name. This is how experiments model a large, sparse initial
-    /// namespace (`M ≫ k`).
-    pub fn run_with_ids<R, F>(&self, ids: &[ProcessId], f: F) -> ExecutionOutcome<R>
-    where
-        R: Send,
-        F: Fn(&mut ProcessCtx) -> R + Send + Sync,
-    {
-        install_crash_panic_silencer();
-        let k = ids.len();
-        if k == 0 {
-            return ExecutionOutcome {
-                outcomes: Vec::new(),
-            };
-        }
-
-        let crash_steps = self.config.crash_steps(k);
-        let barrier = std::sync::Barrier::new(k);
-        let f = &f;
-        let barrier = &barrier;
-        let seed = self.config.seed;
-
-        let mut outcomes: Vec<(ProcessId, ProcessOutcome<R>)> = Vec::with_capacity(k);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ids
-                .iter()
-                .zip(crash_steps)
-                .map(|(&id, crash_at)| {
-                    scope.spawn(move || {
-                        barrier.wait();
-                        let mut ctx = ProcessCtx::with_adversary(id, seed, crash_at);
-                        let run = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-                        match run {
-                            Ok(result) => (
-                                id,
-                                ProcessOutcome::Completed {
-                                    result,
-                                    steps: ctx.stats(),
-                                },
-                            ),
-                            Err(payload) => {
-                                if let Some(signal) = payload.downcast_ref::<CrashSignal>() {
-                                    (
-                                        id,
-                                        ProcessOutcome::Crashed {
-                                            steps: signal.steps,
-                                        },
-                                    )
-                                } else {
-                                    // A genuine bug in the algorithm under
-                                    // test: propagate it.
-                                    std::panic::resume_unwind(payload)
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // Re-raise a process's own panic with its payload intact.
-                let outcome = handle
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                outcomes.push(outcome);
-            }
-        });
-
-        ExecutionOutcome { outcomes }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::CrashPlan;
+    use crate::adversary::{CrashPlan, ExecConfig};
     use crate::register::AtomicUsizeRegister;
+    use crate::vexec::VirtualExecutor;
     use std::sync::Arc;
+
+    fn seeded(seed: u64) -> VirtualExecutor {
+        VirtualExecutor::new(ExecConfig::new(seed))
+    }
 
     #[test]
     fn run_with_zero_processes_is_empty() {
-        let outcome: ExecutionOutcome<()> = Executor::with_seed(0).run(0, |_| ());
+        let outcome: ExecutionOutcome<()> = seeded(0).run(0, |_| ()).outcome;
         assert!(outcome.is_empty());
         assert_eq!(outcome.len(), 0);
         assert_eq!(outcome.total_steps().total_all(), 0);
@@ -339,13 +200,15 @@ mod tests {
     #[test]
     fn every_process_completes_and_reports_steps() {
         let reg = Arc::new(AtomicUsizeRegister::new(0));
-        let outcome = Executor::with_seed(7).run(8, {
-            let reg = Arc::clone(&reg);
-            move |ctx| {
-                reg.write(ctx, ctx.id().as_usize());
-                reg.read(ctx)
-            }
-        });
+        let outcome = seeded(7)
+            .run(8, {
+                let reg = Arc::clone(&reg);
+                move |ctx| {
+                    reg.write(ctx, ctx.id().as_usize());
+                    reg.read(ctx)
+                }
+            })
+            .outcome;
         assert_eq!(outcome.len(), 8);
         assert_eq!(outcome.crashed_count(), 0);
         assert_eq!(outcome.completed().count(), 8);
@@ -359,10 +222,12 @@ mod tests {
     #[test]
     fn fetch_add_hands_out_distinct_values_under_contention() {
         let reg = Arc::new(AtomicUsizeRegister::new(0));
-        let outcome = Executor::with_seed(3).run(16, {
-            let reg = Arc::clone(&reg);
-            move |ctx| reg.fetch_add(ctx, 1)
-        });
+        let outcome = seeded(3)
+            .run(16, {
+                let reg = Arc::clone(&reg);
+                move |ctx| reg.fetch_add(ctx, 1)
+            })
+            .outcome;
         assert_eq!(outcome.results_sorted(), (0..16).collect::<Vec<_>>());
     }
 
@@ -373,7 +238,9 @@ mod tests {
             ProcessId::new(999),
             ProcessId::new(5000),
         ];
-        let outcome = Executor::with_seed(1).run_with_ids(&ids, |ctx| ctx.id().as_usize());
+        let outcome = seeded(1)
+            .run_with_ids(&ids, |ctx| ctx.id().as_usize())
+            .outcome;
         assert_eq!(outcome.results_sorted(), vec![10, 999, 5000]);
     }
 
@@ -386,20 +253,25 @@ mod tests {
             Some(1),
             None,
         ]));
-        let outcome = Executor::new(config).run(4, {
-            let reg = Arc::clone(&reg);
-            move |ctx| {
-                for _ in 0..10 {
-                    reg.fetch_add(ctx, 1);
+        let outcome = VirtualExecutor::new(config)
+            .run(4, {
+                let reg = Arc::clone(&reg);
+                move |ctx| {
+                    for _ in 0..10 {
+                        reg.fetch_add(ctx, 1);
+                    }
+                    ctx.id().as_usize()
                 }
-                ctx.id().as_usize()
-            }
-        });
+            })
+            .outcome;
         assert_eq!(outcome.len(), 4);
         assert_eq!(outcome.crashed_count(), 2);
         assert_eq!(outcome.completed().count(), 2);
         // Crashed processes still report the steps they took before stopping.
-        for (_, o) in outcome.iter().filter(|(_, o)| o.is_crashed()) {
+        let crashed = outcome
+            .iter()
+            .filter(|(_, o)| matches!(o, ProcessOutcome::Crashed { .. }));
+        for (_, o) in crashed {
             assert!(o.steps().total_all() >= 1);
             assert!(o.result().is_none());
         }
@@ -407,7 +279,7 @@ mod tests {
 
     #[test]
     fn execution_outcome_into_iter_yields_all_processes() {
-        let outcome = Executor::with_seed(2).run(3, |ctx| ctx.id().as_usize());
+        let outcome = seeded(2).run(3, |ctx| ctx.id().as_usize()).outcome;
         let borrowed: Vec<_> = (&outcome).into_iter().collect();
         assert_eq!(borrowed.len(), 3);
         let collected: Vec<_> = outcome.into_iter().collect();
@@ -416,22 +288,13 @@ mod tests {
 
     #[test]
     fn multi_operation_outcomes_flatten() {
-        let outcome = Executor::with_seed(4).run(3, |ctx| {
-            let base = ctx.id().as_usize() * 10;
-            vec![base, base + 1]
-        });
+        let outcome = seeded(4)
+            .run(3, |ctx| {
+                let base = ctx.id().as_usize() * 10;
+                vec![base, base + 1]
+            })
+            .outcome;
         assert_eq!(outcome.flattened().len(), 6);
         assert_eq!(outcome.flattened_sorted(), vec![0, 1, 10, 11, 20, 21]);
-    }
-
-    #[test]
-    #[should_panic(expected = "boom")]
-    fn genuine_panics_inside_processes_propagate() {
-        let _ = Executor::with_seed(0).run(2, |ctx| {
-            if ctx.id().as_usize() == 1 {
-                panic!("boom");
-            }
-            0usize
-        });
     }
 }

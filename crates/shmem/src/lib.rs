@@ -22,15 +22,15 @@
 //! * [`adversary`] — the strong adaptive adversary's two levers: where the
 //!   interleaving comes from (a seeded random, replayed or explored
 //!   schedule) and which processes crash when.
-//! * [`executor`] — a multi-threaded execution harness that runs `k` processes
-//!   on OS threads against a shared object and collects results, step
-//!   statistics and crash outcomes.
-//! * [`vexec`] — a deterministic *virtual* executor that serializes process
-//!   threads at every shared-memory operation behind per-process gates, so a
-//!   [`vexec::Scheduler`] chooses the interleaving step by step:
-//!   the substrate for seeded, load-independent concurrency tests,
+//! * [`vexec`] — the execution harness: a deterministic *virtual* executor
+//!   that runs `k` processes against a shared object, serializing them at
+//!   every shared-memory operation behind per-process gates, so a
+//!   [`vexec::Scheduler`] chooses the interleaving step by step. It is the
+//!   substrate for seeded, load-independent concurrency tests, examples,
 //!   systematic schedule exploration (the `mcheck` crate), schedule replay
 //!   and DPOR model checking.
+//! * [`executor`] — [`ExecutionOutcome`], the results, step statistics and
+//!   crash outcomes a run collects.
 //! * [`lazy`] — [`LazyTable`], a lock-free radix table of
 //!   `OnceLock` nodes that creates shared objects keyed by `u64` on first
 //!   touch (outer renaming-network sections, splitter trees).
@@ -42,24 +42,24 @@
 //!
 //! # Example
 //!
-//! Run eight processes that each write and read a shared register, collecting
-//! per-process step counts:
+//! Run eight processes that each write and read a shared register on a
+//! seeded virtual schedule, collecting per-process step counts:
 //!
 //! ```
-//! use shmem::executor::Executor;
 //! use shmem::adversary::ExecConfig;
 //! use shmem::register::AtomicU64Register;
+//! use shmem::vexec::VirtualExecutor;
 //! use std::sync::Arc;
 //!
 //! let reg = Arc::new(AtomicU64Register::new(0));
-//! let exec = Executor::new(ExecConfig::new(7));
+//! let exec = VirtualExecutor::new(ExecConfig::new(7));
 //! let outcome = exec.run(8, {
 //!     let reg = Arc::clone(&reg);
 //!     move |ctx| {
 //!         reg.write(ctx, ctx.id().as_u64() + 1);
 //!         reg.read(ctx)
 //!     }
-//! });
+//! }).outcome;
 //! assert_eq!(outcome.completed().count(), 8);
 //! assert!(outcome.total_steps().total() >= 16);
 //! ```
@@ -89,7 +89,7 @@ pub mod vexec;
 
 pub use adversary::{CrashPlan, ExecConfig, ScheduleSource};
 pub use arena::{Arena, ArenaBackend, ArenaCell, ArenaError, ArenaPod, ArenaRef, ArenaSliceRef};
-pub use executor::{ExecutionOutcome, Executor, ProcessOutcome};
+pub use executor::{ExecutionOutcome, ProcessOutcome};
 pub use history::{History, OpRecord, Recorder};
 pub use lazy::LazyTable;
 pub use pad::CachePadded;

@@ -4,7 +4,11 @@
 //! a closure that performs shared-memory operations on `Arc`-shared objects.
 //! The closure receives a [`ProcessCtx`] carrying everything the paper's model
 //! attaches to a process — its identity (initial name), its local coin flips,
-//! the step accounting of §2, and the adversary's crash decisions.
+//! the step accounting of §2, and the adversary's crash decisions. The
+//! [`VirtualExecutor`](crate::vexec::VirtualExecutor) builds one context per
+//! process and parks it at every step; code that drives real OS threads
+//! (unit tests racing words that charge no step) builds one per thread with
+//! [`ProcessCtx::new`].
 
 use crate::steps::{StepKind, StepStats};
 use crate::vexec::{Gate, Loc, PendingOp, ScheduleAbort};
@@ -51,7 +55,7 @@ impl fmt::Display for ProcessId {
 /// Panic payload used internally to simulate a crash fault: the process stops
 /// taking steps and never returns from its operation.
 ///
-/// The [`Executor`](crate::executor::Executor) catches this payload and
+/// The [`VirtualExecutor`](crate::vexec::VirtualExecutor) catches this payload and
 /// reports the process as crashed together with the steps it took before
 /// stopping. User code never observes it.
 #[derive(Clone, Copy, Debug)]
@@ -123,7 +127,7 @@ impl ProcessCtx {
 
     /// Creates a context with an optional crash step (the total number of
     /// shared-memory steps after which the process crashes).
-    pub fn with_adversary(id: ProcessId, seed: u64, crash_at: Option<u64>) -> Self {
+    pub(crate) fn with_adversary(id: ProcessId, seed: u64, crash_at: Option<u64>) -> Self {
         let stream = seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(id.as_u64().wrapping_mul(0xD1B5_4A32_D192_ED03));

@@ -72,7 +72,7 @@ impl fmt::Display for StepKind {
 /// Per-process step counts, broken down by [`StepKind`].
 ///
 /// `StepStats` is the value returned for every process by the
-/// [`Executor`](crate::executor::Executor) and is the quantity the paper's
+/// [`VirtualExecutor`](crate::vexec::VirtualExecutor) and is the quantity the paper's
 /// step-count claims (`tests/paper_claims.rs`) are stated in.
 ///
 /// # Example

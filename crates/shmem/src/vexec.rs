@@ -1,10 +1,10 @@
 //! Deterministic virtual executor: cooperative serialization of process
 //! threads at every shared-memory operation.
 //!
-//! The threaded [`Executor`](crate::executor::Executor) lets the OS scheduler
-//! interleave processes, which samples schedules but can neither enumerate nor
-//! replay them. The [`VirtualExecutor`] instead runs the *same* process
-//! closures under a cooperative protocol: every process parks at each
+//! The [`VirtualExecutor`] is the workspace's one execution harness. It runs
+//! each process closure on its own thread, but the OS scheduler does not pick
+//! the interleaving (it could sample schedules, yet neither enumerate nor
+//! replay them). A cooperative protocol does: every process parks at each
 //! shared-memory operation (the [`ProcessCtx::record_at`] instrumentation
 //! point, called by every register before the underlying atomic executes) and
 //! announces the operation it is about to perform — its [`StepKind`], the
@@ -512,8 +512,8 @@ impl PartialEq for ExploreHandle {
 /// The result of one virtual execution: the ordinary outcome plus the trace.
 #[derive(Clone, Debug)]
 pub struct VirtualRun<R> {
-    /// Per-process results and step statistics, as from the threaded
-    /// executor. Processes aborted by the scheduler are reported as crashed.
+    /// Per-process results and step statistics. Processes aborted by the
+    /// scheduler are reported as crashed.
     pub outcome: ExecutionOutcome<R>,
     /// The serialized schedule taken and every operation performed.
     pub trace: ExecTrace,
@@ -523,11 +523,10 @@ pub struct VirtualRun<R> {
 /// [`Scheduler`] chosen by the configuration's
 /// [`ScheduleSource`].
 ///
-/// Unlike the threaded [`Executor`](crate::executor::Executor), executions
-/// are fully deterministic: the same configuration produces byte-identical
-/// traces, step statistics and results. Arrival order is part of the
-/// schedule (each process's first step is an arrival pseudo-step); crash
-/// plans are honored.
+/// Executions are fully deterministic: the same configuration produces
+/// byte-identical traces, step statistics and results. Arrival order is part
+/// of the schedule (each process's first step is an arrival pseudo-step);
+/// crash plans are honored.
 ///
 /// The executor requires process closures not to block on locks held across
 /// a recorded step by another process. All objects in this workspace park

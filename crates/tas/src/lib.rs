@@ -29,16 +29,16 @@
 //!
 //! ```
 //! use shmem::adversary::ExecConfig;
-//! use shmem::executor::Executor;
+//! use shmem::vexec::VirtualExecutor;
 //! use std::sync::Arc;
 //! use tas::ratrace::RatRaceTas;
 //! use tas::TestAndSet;
 //!
 //! let tas = Arc::new(RatRaceTas::new());
-//! let outcome = Executor::new(ExecConfig::new(5)).run(8, {
+//! let outcome = VirtualExecutor::new(ExecConfig::new(5)).run(8, {
 //!     let tas = Arc::clone(&tas);
 //!     move |ctx| tas.test_and_set(ctx)
-//! });
+//! }).outcome;
 //! let winners = outcome.results().into_iter().filter(|w| *w).count();
 //! assert_eq!(winners, 1);
 //! ```

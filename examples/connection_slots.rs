@@ -1,5 +1,5 @@
 //! Connection-slot assignment: a server owns a fixed pool of `n` connection
-//! slots and concurrent handler threads must each claim a distinct slot.
+//! slots and concurrent handlers must each claim a distinct slot.
 //!
 //! This is the classic use case for *non-adaptive strong renaming*: the pool
 //! size `n` is fixed up front and every slot should be usable. The example
@@ -18,10 +18,12 @@ use strong_renaming::prelude::*;
 /// Runs `handlers` concurrent acquisitions against `renaming` and reports
 /// the per-handler test-and-set invocation profile from the step statistics.
 fn race(label: &str, renaming: std::sync::Arc<dyn Renaming>, handlers: usize, seed: u64) -> u64 {
-    let outcome = Executor::new(ExecConfig::new(seed)).run(handlers, {
-        let renaming = renaming.clone();
-        move |ctx| renaming.acquire(ctx).expect("enough slots")
-    });
+    let outcome = VirtualExecutor::new(ExecConfig::new(seed))
+        .run(handlers, {
+            let renaming = renaming.clone();
+            move |ctx| renaming.acquire(ctx).expect("enough slots")
+        })
+        .outcome;
     assert_tight_namespace(&outcome.results()).expect("every slot is assigned exactly once");
 
     let per_process = outcome.per_process_steps();
@@ -50,7 +52,6 @@ fn main() {
     let bitbatching = RenamingBuilder::new()
         .bit_batching()
         .capacity(slots)
-        .seed(seed)
         .build()
         .expect("valid configuration");
     let max_bitbatching = race(
@@ -64,7 +65,6 @@ fn main() {
     let linear = RenamingBuilder::new()
         .linear_probe()
         .capacity(slots)
-        .seed(seed)
         .build()
         .expect("valid configuration");
     let max_linear = race("\nLinear probing baseline", linear, handlers, seed);

@@ -1,7 +1,7 @@
 //! Event counting across the three counter backends.
 //!
-//! Producer threads record events by incrementing a shared counter; a
-//! monitor thread periodically reads it. The same workload runs against
+//! Producer processes record events by incrementing a shared counter; a
+//! monitor process periodically reads it. The same workload runs against
 //! every backend of the `<dyn Counter>::builder()` facade:
 //!
 //! * `monotone` — the paper's §8.1 renaming + max-register counter
@@ -18,8 +18,9 @@
 //! Each run records the full operation history, verifies the backend's
 //! consistency guarantee (Lemma 4 monotone consistency for the renaming
 //! counter, quiescent consistency for the network counter — the
-//! fetch-and-add baseline satisfies both), and prints a three-way cost
-//! comparison: wall time plus the step-model breakdown.
+//! fetch-and-add baseline satisfies both), and prints a cost comparison in
+//! the step model. Every run is a seeded virtual schedule, so the output is
+//! the same on every host and every run.
 //!
 //! Run with:
 //!
@@ -30,7 +31,6 @@
 use shmem::consistency::{check_monotone_consistent, check_quiescent_consistent, CounterOp};
 use shmem::history::Recorder;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use strong_renaming::prelude::*;
 
 const PRODUCERS: usize = 8;
@@ -38,7 +38,6 @@ const EVENTS_PER_PRODUCER: usize = 4;
 
 struct RunReport {
     backend: CounterBackend,
-    elapsed: Duration,
     max_steps: u64,
     total_steps: u64,
     balancer_toggles: u64,
@@ -46,36 +45,35 @@ struct RunReport {
 }
 
 fn run_backend(backend: CounterBackend) -> RunReport {
-    let builder = <dyn Counter>::builder()
+    let counter = <dyn Counter>::builder()
         .backend(backend)
         .width(PRODUCERS.next_power_of_two())
-        .seed(7);
-    let counter = builder.build().expect("every backend builds");
+        .build()
+        .expect("every backend builds");
     let recorder: Arc<Recorder<CounterOp, u64>> = Arc::new(Recorder::new());
 
-    let executor = Executor::new(builder.exec_config());
     // Producers increment; the last process acts as a read-only monitor.
-    let start = Instant::now();
-    let outcome = executor.run(PRODUCERS + 1, {
-        let counter = Arc::clone(&counter);
-        let recorder = Arc::clone(&recorder);
-        move |ctx| {
-            if ctx.id().as_usize() == PRODUCERS {
-                for _ in 0..2 * EVENTS_PER_PRODUCER {
-                    let invoke = recorder.invoke();
-                    let value = counter.read(ctx);
-                    recorder.record(ctx.id(), CounterOp::Read, value, invoke);
-                }
-            } else {
-                for _ in 0..EVENTS_PER_PRODUCER {
-                    let invoke = recorder.invoke();
-                    counter.increment(ctx);
-                    recorder.record(ctx.id(), CounterOp::Increment, 0, invoke);
+    let outcome = VirtualExecutor::new(ExecConfig::new(7))
+        .run(PRODUCERS + 1, {
+            let counter = Arc::clone(&counter);
+            let recorder = Arc::clone(&recorder);
+            move |ctx| {
+                if ctx.id().as_usize() == PRODUCERS {
+                    for _ in 0..2 * EVENTS_PER_PRODUCER {
+                        let invoke = recorder.invoke();
+                        let value = counter.read(ctx);
+                        recorder.record(ctx.id(), CounterOp::Read, value, invoke);
+                    }
+                } else {
+                    for _ in 0..EVENTS_PER_PRODUCER {
+                        let invoke = recorder.invoke();
+                        counter.increment(ctx);
+                        recorder.record(ctx.id(), CounterOp::Increment, 0, invoke);
+                    }
                 }
             }
-        }
-    });
-    let elapsed = start.elapsed();
+        })
+        .outcome;
 
     let expected = (PRODUCERS * EVENTS_PER_PRODUCER) as u64;
     let mut quiescent = ProcessCtx::new(ProcessId::new(10_000), 0);
@@ -117,7 +115,6 @@ fn run_backend(backend: CounterBackend) -> RunReport {
     let totals = outcome.total_steps();
     RunReport {
         backend,
-        elapsed,
         max_steps: summary.max_register_steps,
         total_steps: summary.total_register_steps,
         balancer_toggles: totals.balancer_toggles,
@@ -143,8 +140,8 @@ fn main() {
     .collect();
 
     println!(
-        "{:<10} {:>10} {:>16} {:>13} {:>9}  consistency",
-        "backend", "wall time", "max steps/proc", "total steps", "toggles"
+        "{:<10} {:>16} {:>13} {:>9}  consistency",
+        "backend", "max steps/proc", "total steps", "toggles"
     );
     for report in &reports {
         let name = match report.backend {
@@ -154,13 +151,8 @@ fn main() {
             CounterBackend::FetchAdd => "fetch_add",
         };
         println!(
-            "{:<10} {:>8.1?} {:>16} {:>13} {:>9}  {}",
-            name,
-            report.elapsed,
-            report.max_steps,
-            report.total_steps,
-            report.balancer_toggles,
-            report.verdict
+            "{:<10} {:>16} {:>13} {:>9}  {}",
+            name, report.max_steps, report.total_steps, report.balancer_toggles, report.verdict
         );
     }
 

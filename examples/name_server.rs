@@ -7,7 +7,8 @@
 //! names, and only growth in *concurrency* (not in total traffic) consumes
 //! fresh names from the underlying object. The `NameLease` guard releases
 //! its name on drop, so a crashed or early-returning handler can never leak
-//! a slot.
+//! a slot. The workers run on seeded virtual schedules, so the output is a
+//! pure function of the seeds.
 //!
 //! Run with:
 //!
@@ -30,28 +31,31 @@ fn main() {
     // explicitly because the churn diagnostics printed below
     // (`fresh_names()`, `recycled_names()`, `peak_leases()`) live on the
     // concrete type.
-    let builder = RenamingBuilder::new().network().capacity(64).seed(7);
+    let builder = RenamingBuilder::new().network().capacity(64);
     let server: Arc<Recycler<_>> = Arc::new(Recycler::new(
         builder.build().expect("valid configuration"),
         max_concurrent,
     ));
+    let executor = VirtualExecutor::new(ExecConfig::new(7));
 
-    let outcome = Executor::new(builder.exec_config()).run(workers, {
-        let server = Arc::clone(&server);
-        move |ctx| {
-            let mut names = Vec::with_capacity(requests_per_worker);
-            for _ in 0..requests_per_worker {
-                // One request: lease a slot, "serve" (a couple of local coin
-                // flips), release. Dropping the lease would release too; the
-                // explicit form also records the release step.
-                let lease = Arc::clone(&server).lease(ctx).expect("pool not exhausted");
-                names.push(lease.name());
-                ctx.flip();
-                lease.release(ctx);
+    let outcome = executor
+        .run(workers, {
+            let server = Arc::clone(&server);
+            move |ctx| {
+                let mut names = Vec::with_capacity(requests_per_worker);
+                for _ in 0..requests_per_worker {
+                    // One request: lease a slot, "serve" (a couple of local
+                    // coin flips), release. Dropping the lease would release
+                    // too; the explicit form also records the release step.
+                    let lease = Arc::clone(&server).lease(ctx).expect("pool not exhausted");
+                    names.push(lease.name());
+                    ctx.flip();
+                    lease.release(ctx);
+                }
+                names
             }
-            names
-        }
-    });
+        })
+        .outcome;
 
     let served: Vec<usize> = outcome.flattened_sorted();
     let total = served.len();
@@ -95,8 +99,8 @@ fn main() {
     // (which steals parked names before it rejects). Parked names hold
     // admission slots, and a spill in flight briefly holds up to ⌈q/2⌉
     // names of its slot, so the bound covers every worker holding a full
-    // burst plus one spill each (a lease is non-blocking: an undersized
-    // bound would reject leases on multi-core hosts).
+    // burst plus one spill each (a lease is non-blocking: with an undersized
+    // bound, schedules that overlap the bursts would get leases rejected).
     const BURST: usize = 4;
     const QUOTA: usize = 8;
     let burst_bound = workers * (BURST + QUOTA.div_ceil(2));
@@ -107,29 +111,31 @@ fn main() {
         .build_long_lived()
         .expect("valid configuration");
 
-    let outcome = Executor::new(builder.exec_config()).run(workers, {
-        let escrowed = Arc::clone(&escrowed);
-        move |ctx| {
-            let mut worst = 0usize;
-            for _ in 0..requests_per_worker / BURST {
-                // One burst: four slots leased one after another, served,
-                // released one by one into the caller's escrow slot.
-                let burst: Vec<NameLease> = (0..BURST)
-                    .map(|_| {
-                        Arc::clone(&escrowed)
-                            .lease(ctx)
-                            .expect("the bound covers every burst and spill")
-                    })
-                    .collect();
-                ctx.flip();
-                for lease in burst {
-                    worst = worst.max(lease.name());
-                    lease.release(ctx);
+    let outcome = executor
+        .run(workers, {
+            let escrowed = Arc::clone(&escrowed);
+            move |ctx| {
+                let mut worst = 0usize;
+                for _ in 0..requests_per_worker / BURST {
+                    // One burst: four slots leased one after another, served,
+                    // released one by one into the caller's escrow slot.
+                    let burst: Vec<NameLease> = (0..BURST)
+                        .map(|_| {
+                            Arc::clone(&escrowed)
+                                .lease(ctx)
+                                .expect("the bound covers every burst and spill")
+                        })
+                        .collect();
+                    ctx.flip();
+                    for lease in burst {
+                        worst = worst.max(lease.name());
+                        lease.release(ctx);
+                    }
                 }
+                worst
             }
-            worst
-        }
-    });
+        })
+        .outcome;
     let widest = outcome.results().into_iter().max().unwrap_or(0);
     println!(
         "Escrowed server: bursts of {BURST}, widest name granted {widest} \

@@ -1,6 +1,7 @@
-//! Quickstart: eight threads with arbitrary identities agree on the names
+//! Quickstart: eight processes with arbitrary identities agree on the names
 //! 1..=8 using the paper's adaptive strong renaming algorithm, constructed
-//! through the unified `Renaming::builder()` facade.
+//! through the unified `Renaming::builder()` facade. The processes run on a
+//! seeded virtual schedule, so the output is a pure function of the seed.
 //!
 //! Run with:
 //!
@@ -16,20 +17,24 @@ fn main() {
     let initial_ids = [90_210usize, 7, 123_456_789, 31_337, 4_242, 999, 17, 2_024];
     let ids: Vec<ProcessId> = initial_ids.iter().copied().map(ProcessId::new).collect();
 
-    // One builder configures everything: algorithm, engine, seed.
-    let builder = RenamingBuilder::new().adaptive().seed(0xC0FFEE);
-    let renaming = builder.build().expect("the default configuration is valid");
-    let executor = Executor::new(builder.exec_config());
+    // One builder configures the object; one seed picks the interleaving.
+    let renaming = RenamingBuilder::new()
+        .adaptive()
+        .build()
+        .expect("the default configuration is valid");
+    let executor = VirtualExecutor::new(ExecConfig::new(0xC0FFEE));
 
-    let outcome = executor.run_with_ids(&ids, {
-        let renaming = renaming.clone();
-        move |ctx| {
-            let name = renaming
-                .acquire(ctx)
-                .expect("adaptive renaming never fails");
-            (ctx.id().as_usize(), name)
-        }
-    });
+    let outcome = executor
+        .run_with_ids(&ids, {
+            let renaming = renaming.clone();
+            move |ctx| {
+                let name = renaming
+                    .acquire(ctx)
+                    .expect("adaptive renaming never fails");
+                (ctx.id().as_usize(), name)
+            }
+        })
+        .outcome;
 
     println!("initial id -> new name   (register steps)");
     println!("-----------------------------------------");

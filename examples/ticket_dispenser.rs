@@ -25,16 +25,18 @@ fn main() {
     let dispenser = Arc::new(BoundedFetchIncrement::new(tickets));
     let recorder: Arc<Recorder<(), u64>> = Arc::new(Recorder::new());
 
-    let outcome = Executor::new(ExecConfig::new(11)).run(clients, {
-        let dispenser = Arc::clone(&dispenser);
-        let recorder = Arc::clone(&recorder);
-        move |ctx| {
-            let invoke = recorder.invoke();
-            let ticket = dispenser.fetch_and_increment(ctx);
-            recorder.record(ctx.id(), (), ticket, invoke);
-            ticket
-        }
-    });
+    let outcome = VirtualExecutor::new(ExecConfig::new(11))
+        .run(clients, {
+            let dispenser = Arc::clone(&dispenser);
+            let recorder = Arc::clone(&recorder);
+            move |ctx| {
+                let invoke = recorder.invoke();
+                let ticket = dispenser.fetch_and_increment(ctx);
+                recorder.record(ctx.id(), (), ticket, invoke);
+                ticket
+            }
+        })
+        .outcome;
 
     let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
     for ticket in outcome.results() {

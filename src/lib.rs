@@ -6,7 +6,7 @@
 //!
 //! * [`adaptive_renaming`] — the paper's algorithms (renaming, counters,
 //!   fetch-and-increment).
-//! * [`shmem`] — the shared-memory substrate and execution harness.
+//! * [`shmem`] — the shared-memory substrate and the seeded virtual executor.
 //! * [`tas`] — test-and-set objects.
 //! * [`sortnet`] — sorting networks, including the §6.1 adaptive construction.
 //! * [`cnet`] — counting networks: balancers, the compiled balancing
@@ -27,8 +27,8 @@ pub use sortnet;
 pub use tas;
 
 /// A convenience prelude for examples and tests: the items needed to run the
-/// paper's objects under the threaded and the seeded virtual executor, plus
-/// the builder and long-lived lease surface.
+/// paper's objects on a seeded virtual schedule, plus the builder and
+/// long-lived lease surface.
 pub mod prelude {
     pub use adaptive_renaming::adaptive::AdaptiveRenaming;
     pub use adaptive_renaming::bit_batching::BitBatchingRenaming;
@@ -54,7 +54,6 @@ pub mod prelude {
         PrismOutcome,
     };
     pub use shmem::adversary::{CrashPlan, ExecConfig, ScheduleSource};
-    pub use shmem::executor::Executor;
     pub use shmem::process::{ProcessCtx, ProcessId};
     pub use shmem::vexec::{Schedule, VirtualExecutor};
     pub use sortnet::family::NetworkFamily;

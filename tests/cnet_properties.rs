@@ -17,10 +17,11 @@
 //!    through the real implementation for every certified wiring and width.
 //! 4. **Elimination preserves counting** — every visit to the standalone
 //!    `Prism` resolves to an outcome whose weights sum back to the visit
-//!    count (eliminated and combined tokens appear in matched pairs). The
-//!    prism's slot words are uncharged, so a virtual schedule runs each
-//!    visit uninterrupted; real pairings are exercised on OS threads by the
-//!    prism module's own tests.
+//!    count. The prism's slot words are uncharged, so a virtual schedule
+//!    runs each visit uninterrupted and never pairs two visits: the pairing
+//!    assertions here hold only as 0 = 0. That eliminated and combined
+//!    tokens pair one-for-one is checked on OS threads by
+//!    `cnet::prism::tests::concurrent_visits_conserve_total_weight`.
 //! 5. **Routing preserves counting** — the `AdaptiveNetworkCounter` cascade
 //!    stays exact and quiescently consistent under the same schedules as
 //!    the fixed-width counter.
@@ -234,9 +235,11 @@ proptest! {
     }
 
     /// Elimination never creates or destroys increments: across any
-    /// adversarial schedule the outcome weights sum to the visit count, and
-    /// eliminated tokens pair off one-for-one with combiners — exactly
-    /// `pairs()` of each.
+    /// adversarial schedule the outcome weights sum to the visit count. The
+    /// slot CASes charge no step, so no visit pairs on a virtual schedule
+    /// and the pairing assertions below hold as 0 = 0; pairing's checker is
+    /// `cnet::prism::tests::concurrent_visits_conserve_total_weight`, on OS
+    /// threads.
     #[test]
     fn prism_outcomes_conserve_tokens_under_contention(
         threads in 2usize..9,

@@ -1,4 +1,4 @@
-//! Determinism audit for the seeded executors.
+//! Determinism audit for the seeded virtual executor.
 //!
 //! Replayable traces (`tests/schedules/*.trace`) only work if a seeded
 //! execution reproduces byte-identically: same schedule, same per-process
@@ -8,10 +8,7 @@
 //! order-independent sums), so determinism rests on the seeded RNG streams —
 //! which these tests pin down.
 
-use shmem::adversary::{CrashPlan, ExecConfig};
-use shmem::executor::Executor;
 use shmem::history::Recorder;
-use shmem::process::ProcessId;
 use shmem::register::AtomicU64Register;
 use shmem::vexec::{VirtualExecutor, VirtualRun};
 use std::sync::Arc;
@@ -172,69 +169,4 @@ fn distinct_seeds_explore_distinct_schedules() {
     // Not a hard guarantee for any seed pair, but these two differ — which
     // shows the seed actually steers the schedule rather than being ignored.
     assert_ne!(a.trace.schedule, b.trace.schedule);
-}
-
-#[test]
-fn threaded_executor_step_stats_are_deterministic_without_contention() {
-    // Under real threads the interleaving is up to the OS, so only
-    // contention-free workloads have schedule-independent step counts: each
-    // process touches its own register. Two runs must agree byte-for-byte.
-    let run = || {
-        let slots: Vec<Arc<AtomicU64Register>> = (0..4)
-            .map(|_| Arc::new(AtomicU64Register::new(0)))
-            .collect();
-        let outcome = Executor::with_seed(42).run(4, {
-            let slots = slots.clone();
-            move |ctx| {
-                let slot = &slots[ctx.id().as_usize()];
-                for step in 0..5 {
-                    slot.write(ctx, step);
-                }
-                slot.read(ctx)
-            }
-        });
-        (outcome.per_process_steps(), outcome.results_sorted())
-    };
-    let (first_steps, first_results) = run();
-    let (second_steps, second_results) = run();
-    assert_eq!(first_steps, second_steps);
-    assert_eq!(first_results, second_results);
-}
-
-#[test]
-fn threaded_executor_crash_plans_reproduce_from_the_seed() {
-    // The per-process crash plan is derived from the configuration seed, so
-    // the set of crashed processes must agree across runs (and with the
-    // plan), even though thread interleaving varies.
-    let crashed = || {
-        let config = ExecConfig::new(9).with_crash_plan(CrashPlan::Fixed(vec![
-            Some(2),
-            None,
-            Some(1),
-            None,
-        ]));
-        let slots: Vec<Arc<AtomicU64Register>> = (0..4)
-            .map(|_| Arc::new(AtomicU64Register::new(0)))
-            .collect();
-        let outcome = Executor::new(config).run(4, {
-            let slots = slots.clone();
-            move |ctx| {
-                let slot = &slots[ctx.id().as_usize()];
-                for step in 0..8 {
-                    slot.write(ctx, step);
-                }
-                slot.read(ctx)
-            }
-        });
-        let completed: Vec<ProcessId> = outcome.completed().map(|(pid, _)| pid).collect();
-        completed
-    };
-    let first = crashed();
-    let second = crashed();
-    assert_eq!(first, second);
-    assert_eq!(
-        first,
-        vec![ProcessId::new(1), ProcessId::new(3)],
-        "processes 0 and 2 crash per the fixed plan"
-    );
 }

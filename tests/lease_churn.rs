@@ -238,7 +238,6 @@ proptest! {
         let object = builder
             .max_concurrent(2 * k)
             .escrow_quota(0)
-            .seed(seed)
             .build_long_lived()
             .unwrap();
         let records = churn(object, k, rounds, ExecConfig::new(seed));
@@ -262,7 +261,6 @@ proptest! {
             .network()
             .capacity(64)
             .max_concurrent(2 * k)
-            .seed(seed)
             .build_long_lived()
             .unwrap();
         let records = churn(Arc::clone(&object), k, rounds, ExecConfig::new(seed));

@@ -460,19 +460,38 @@ const LEMMA4_INCREMENT_C: f64 = 13.0;
 /// maximum ratio is 2.67 (v = 8).
 const LEMMA4_READ_C: f64 = 3.0;
 
+/// Lemma 4: the max-register write of an increment ≤ `c·log₂v` steps. The
+/// write of the v-th name measures `2·log₂v + 1`, so the maximum ratio is
+/// 2.33 (v = 8). An increment is mostly renaming, so only this line sees a
+/// slower write.
+const LEMMA4_WRITE_C: f64 = 2.8;
+
 #[test]
 fn lemma4_counter_costs_polylog_v_per_increment_and_log_v_per_read() {
     for v in [8usize, 32, 128, 512] {
         for seed in 0..3u64 {
             let counter = MonotoneCounter::new();
             let mut ctx = ProcessCtx::new(ProcessId::new(0), seed);
+            // The twin's context flips the same coins, so its acquires
+            // cost what the counter's renaming does; the difference of the
+            // last two operations is the write of name v.
+            let twin = MonotoneCounter::new();
+            let mut twin_ctx = ProcessCtx::new(ProcessId::new(0), seed);
+            let mut last_write = 0;
             for _ in 0..v {
+                let (before, twin_before) = (ctx.stats().total(), twin_ctx.stats().total());
                 counter.increment(&mut ctx);
+                twin.renaming().acquire(&mut twin_ctx).unwrap();
+                let increment = ctx.stats().total() - before;
+                last_write = increment - (twin_ctx.stats().total() - twin_before);
             }
             let per_increment = ctx.stats().total() as f64 / v as f64;
             let increment_bound = LEMMA4_INCREMENT_C * log2(v) * log2(v);
             let id = "lemma4.steps_per_increment";
             claim(id, v, Some(seed), per_increment, "<=", increment_bound);
+            let write_bound = LEMMA4_WRITE_C * log2(v);
+            let id = "lemma4.steps_per_write";
+            claim(id, v, Some(seed), last_write as f64, "<=", write_bound);
             let before = ctx.stats().total();
             assert_eq!(counter.read(&mut ctx), v as u64, "v={v} seed={seed}");
             let read = (ctx.stats().total() - before) as f64;
