@@ -21,7 +21,7 @@
 //!    table's recovery epoch upward; exactly one caller wins per epoch.
 //!    Losers return immediately ([`RecoveryReport::won`] false) — recovery
 //!    is idempotent, so there is nothing to wait for.
-//! 2. **Gate admissions.** While the scan runs, acquirers that find the
+//! 2. **Throttle admissions.** While the scan runs, acquirers that find the
 //!    table exhausted back off (bounded) instead of failing: the capacity
 //!    they are missing is exactly what the scan is about to free.
 //! 3. **Repair free-list summaries** — the table's own list and every list

@@ -883,8 +883,8 @@ impl LongLivedRenaming for RobustLeaseTable {
     }
 
     /// Releases through the caller's `ctx`, so the slot read, the CAS and
-    /// the transition-stripe bump are charged to the caller, scheduled at
-    /// its gate, subject to its crash plan and striped by its identity;
+    /// the transition-stripe bump are charged to the caller, scheduled as
+    /// its steps, subject to its crash plan and striped by its identity;
     /// then records the one [`StepKind::Release`] step.
     fn release_with(&self, ctx: &mut ProcessCtx, name: usize) {
         self.release(ctx, name);

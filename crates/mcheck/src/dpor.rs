@@ -451,6 +451,55 @@ mod tests {
     }
 
     #[test]
+    fn exhaustive_tier_counts_are_pinned() {
+        // `(executions, complete, sleep_blocked, classes)` of every
+        // exhaustive scenario, searched as `mcheck explore` searches it. The
+        // virtual executor is deterministic, so any drift here means the
+        // enabled sets or the order the scheduler saw them in changed.
+        let pinned: [(&str, [usize; 4]); 15] = [
+            ("toy_rw_indep", [1, 1, 0, 1]),
+            ("toy_racy_pair", [4, 4, 0, 4]),
+            ("toy_mp", [3, 3, 0, 3]),
+            ("tas_pair_2p", [2, 2, 0, 2]),
+            ("tas_chain_3p", [4, 4, 0, 4]),
+            ("cnet_width2_2p", [2, 2, 0, 2]),
+            ("cnet_width4_3p", [9, 8, 1, 8]),
+            ("cnet_stall_one_token", [1, 1, 0, 1]),
+            ("mono_counter_3p", [5, 5, 0, 3]),
+            ("renaming_width4_3p", [13, 12, 1, 12]),
+            ("recycler_churn_2p", [22, 22, 0, 22]),
+            ("robust_sweep_2p", [189, 189, 0, 189]),
+            ("recover_race_2p", [4, 4, 0, 4]),
+            ("obs_ring_2p", [39, 39, 0, 39]),
+            ("recycler_churn_3p", [119, 114, 5, 114]),
+        ];
+        let tier: Vec<ScenarioDef> = scenarios::all()
+            .into_iter()
+            .filter(|def| def.exhaustive)
+            .collect();
+        assert_eq!(
+            tier.iter().map(|def| def.name).collect::<Vec<_>>(),
+            pinned.iter().map(|(name, _)| *name).collect::<Vec<_>>(),
+            "the exhaustive tier's membership changed"
+        );
+        for (def, (name, counts)) in tier.iter().zip(pinned) {
+            let config = ExploreConfig {
+                stop_on_violation: def.expect_violations,
+                ..ExploreConfig::default()
+            };
+            let r = explore(def, &config);
+            assert_eq!(
+                [r.executions, r.complete, r.sleep_blocked, r.classes.len()],
+                counts,
+                "{name}: (executions, complete, sleep-blocked, classes)"
+            );
+        }
+        let chain = scenarios::find("tas_chain_3p").expect("registered");
+        let brute = explore(&chain, &exhaustive(ExploreMode::BruteForce));
+        assert_eq!((brute.executions, brute.classes.len()), (210, 4));
+    }
+
+    #[test]
     fn capped_dpor_keeps_the_randomized_tas_green() {
         // The randomized TAS's schedule space explodes (round counts depend
         // on adversarially scheduled coin flips), so the exhaustive tier
@@ -473,11 +522,7 @@ mod tests {
         use shmem::{Loc, PendingOp as Op, StepKind};
         let a = Loc::fresh();
         let pid = ProcessId::new;
-        let ev = |p: usize, op: Op| OpEvent {
-            pid: pid(p),
-            op,
-            enabled: Vec::new(),
-        };
+        let ev = |p: usize, op: Op| OpEvent { pid: pid(p), op };
         // p0 writes a, then p1 writes a: one race at index 0, try p1 there.
         let events = vec![
             ev(0, Op::begin()),
@@ -496,11 +541,7 @@ mod tests {
         use shmem::{Loc, PendingOp as Op, StepKind};
         let a = Loc::fresh();
         let pid = ProcessId::new;
-        let ev = |p: usize, op: Op| OpEvent {
-            pid: pid(p),
-            op,
-            enabled: Vec::new(),
-        };
+        let ev = |p: usize, op: Op| OpEvent { pid: pid(p), op };
         // p0 writes a; p1 reads a; p1 writes a again. The second p1 access
         // is ordered after p0's write *through* p1's own earlier racy read —
         // only the first pair is a race.

@@ -3,8 +3,8 @@
 //!
 //! The workspace's one execution harness, the
 //! [`VirtualExecutor`](shmem::VirtualExecutor), serializes every
-//! shared-memory operation through per-process gates and asks a
-//! [`Scheduler`](shmem::Scheduler) which process steps next. Tests and
+//! shared-memory operation by passing one turn between the processes and
+//! asks a [`Scheduler`](shmem::Scheduler) which process steps next. Tests and
 //! examples ask a seeded random scheduler; this crate supplies the
 //! schedulers worth asking when the goal is to cover or replay schedules:
 //!

@@ -24,7 +24,7 @@
 //!   schedule) and which processes crash when.
 //! * [`vexec`] — the execution harness: a deterministic *virtual* executor
 //!   that runs `k` processes against a shared object, serializing them at
-//!   every shared-memory operation behind per-process gates, so a
+//!   every shared-memory operation by passing one turn between them, so a
 //!   [`vexec::Scheduler`] chooses the interleaving step by step. It is the
 //!   substrate for seeded, load-independent concurrency tests, examples,
 //!   systematic schedule exploration (the `mcheck` crate), schedule replay

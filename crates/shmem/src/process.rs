@@ -11,7 +11,7 @@
 //! [`ProcessCtx::new`].
 
 use crate::steps::{StepKind, StepStats};
-use crate::vexec::{Gate, Loc, PendingOp, ScheduleAbort};
+use crate::vexec::{AccessClass, Baton, Loc, PendingOp, ScheduleAbort};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -66,25 +66,6 @@ pub struct CrashSignal {
     pub steps: StepStats,
 }
 
-/// Installs a process-wide panic hook that suppresses the default "thread
-/// panicked" message for the internal [`CrashSignal`] payload, while
-/// delegating every other panic to the previously installed hook.
-///
-/// The executor calls this once before simulating crashes so injected crash
-/// faults do not flood test output. Calling it multiple times is harmless.
-pub fn install_crash_panic_silencer() {
-    use std::sync::Once;
-    static INSTALL: Once = Once::new();
-    INSTALL.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<CrashSignal>().is_none() {
-                previous(info);
-            }
-        }));
-    });
-}
-
 /// Per-process execution context: identity, seeded randomness, step
 /// accounting and crash injection.
 ///
@@ -113,7 +94,8 @@ pub struct ProcessCtx {
     stats: StepStats,
     crash_at: Option<u64>,
     flipped_since_last_shared_op: bool,
-    gate: Option<Arc<Gate>>,
+    /// The virtual executor's baton and this process's index in its run.
+    baton: Option<(Arc<Baton>, usize)>,
 }
 
 impl ProcessCtx {
@@ -137,15 +119,15 @@ impl ProcessCtx {
             stats: StepStats::new(),
             crash_at,
             flipped_since_last_shared_op: false,
-            gate: None,
+            baton: None,
         }
     }
 
-    /// Installs the virtual executor's per-process gate: every subsequent
-    /// non-local recorded step parks on it before the operation executes,
-    /// handing the scheduling decision to the coordinator.
-    pub(crate) fn install_gate(&mut self, gate: Arc<Gate>) {
-        self.gate = Some(gate);
+    /// Installs the virtual executor's baton for the process at `index` of
+    /// its run: every subsequent non-local recorded step parks on it before
+    /// the operation executes, until the scheduler grants the step.
+    pub(crate) fn install_baton(&mut self, baton: Arc<Baton>, index: usize) {
+        self.baton = Some((baton, index));
     }
 
     /// The process identifier (initial name).
@@ -180,7 +162,7 @@ impl ProcessCtx {
     /// location, then applies the adversary's crash plan.
     ///
     /// This is the instrumentation point of the virtual executor
-    /// ([`VirtualExecutor`](crate::vexec::VirtualExecutor)): when a gate is
+    /// ([`VirtualExecutor`](crate::vexec::VirtualExecutor)): when a baton is
     /// installed, the process parks here — *before* the operation's atomic
     /// access executes — announcing `(kind, loc)`, and proceeds only once the
     /// scheduler grants it the step.
@@ -204,13 +186,10 @@ impl ProcessCtx {
                 });
             }
         }
-        if let Some(gate) = &self.gate {
+        if let Some((baton, index)) = &self.baton {
             let op = PendingOp::step(kind, loc);
-            if op.access != crate::vexec::AccessClass::Local {
-                let gate = Arc::clone(gate);
-                if !gate.park(op) {
-                    std::panic::panic_any(ScheduleAbort);
-                }
+            if op.access != AccessClass::Local && !baton.park(*index, op) {
+                std::panic::panic_any(ScheduleAbort);
             }
         }
     }
@@ -229,13 +208,6 @@ impl ProcessCtx {
     pub fn flip(&mut self) -> u8 {
         self.record_flip();
         self.rng.gen_range(0..2u8)
-    }
-
-    /// Flips a biased coin that is `true` with probability `p` (clamped to
-    /// `[0, 1]`).
-    pub fn flip_with_probability(&mut self, p: f64) -> bool {
-        self.record_flip();
-        self.rng.gen_bool(p.clamp(0.0, 1.0))
     }
 
     /// Draws a uniformly random index in `[0, bound)`.
@@ -306,7 +278,7 @@ mod tests {
         // A shared-memory operation resets the batch.
         ctx.record(StepKind::RegisterRead);
         ctx.flip();
-        ctx.flip_with_probability(0.5);
+        ctx.random_in(0, 1);
         assert_eq!(ctx.stats().coin_flips, 2);
     }
 
@@ -349,7 +321,7 @@ mod tests {
 
     #[test]
     fn crash_at_panics_with_crash_signal() {
-        install_crash_panic_silencer();
+        crate::vexec::install_panic_silencer();
         let result = std::panic::catch_unwind(|| {
             let mut ctx = ProcessCtx::with_adversary(ProcessId::new(5), 0, Some(2));
             ctx.record(StepKind::RegisterRead);

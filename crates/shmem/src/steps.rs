@@ -165,22 +165,6 @@ impl StepStats {
     pub fn is_empty(&self) -> bool {
         self.total_all() == 0
     }
-
-    /// Every step counter as stable `(name, value)` pairs, in declaration
-    /// order — the exporter surface telemetry snapshots embed so step
-    /// accounting and latency histograms land in one report.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 8] {
-        [
-            ("reads", self.reads),
-            ("writes", self.writes),
-            ("rmws", self.rmws),
-            ("tas_invocations", self.tas_invocations),
-            ("coin_flips", self.coin_flips),
-            ("releases", self.releases),
-            ("balancer_toggles", self.balancer_toggles),
-            ("eliminations", self.eliminations),
-        ]
-    }
 }
 
 impl Add for StepStats {

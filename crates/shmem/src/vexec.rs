@@ -8,10 +8,11 @@
 //! shared-memory operation (the [`ProcessCtx::record_at`] instrumentation
 //! point, called by every register before the underlying atomic executes) and
 //! announces the operation it is about to perform — its [`StepKind`], the
-//! [`Loc`] of the memory word it touches and its [`AccessClass`]. A
-//! coordinator thread waits until every live process is parked, asks a
-//! [`Scheduler`] to pick the next process, and grants exactly one process at a
-//! time. The result is a fully serialized, deterministic execution whose
+//! [`Loc`] of the memory word it touches and its [`AccessClass`]. The
+//! processes pass a baton: the last live process to park asks a [`Scheduler`]
+//! to pick the next process from every parked one, and wakes exactly that
+//! process, all under one lock per run. No third thread stands between two
+//! steps. The result is a fully serialized, deterministic execution whose
 //! interleaving is chosen step by step — the substrate the `mcheck` crate's
 //! DPOR/bounded/coverage explorers are built on.
 //!
@@ -55,15 +56,16 @@
 
 use crate::adversary::{ExecConfig, ScheduleSource};
 use crate::executor::{ExecutionOutcome, ProcessOutcome};
-use crate::process::{install_crash_panic_silencer, CrashSignal, ProcessCtx, ProcessId};
+use crate::process::{CrashSignal, ProcessCtx, ProcessId};
 use crate::steps::StepKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Identifier of a shared-memory location (one register, balancer word or
 /// other atomic cell), used to key read/write dependency analysis.
@@ -246,99 +248,157 @@ impl PendingOp {
     }
 }
 
-/// Internal panic payload used by the coordinator to stop a process whose
-/// execution the scheduler has abandoned (schedule truncation or sleep-set
-/// pruning). The process is reported as crashed. User code never observes it.
+/// Internal panic payload that stops a process whose execution the scheduler
+/// has abandoned (schedule truncation or sleep-set pruning). The process is
+/// reported as crashed. User code never observes it.
 #[derive(Clone, Copy, Debug)]
 pub struct ScheduleAbort;
 
-/// Installs a panic hook silencing the internal [`ScheduleAbort`] payload
-/// (in addition to the [`CrashSignal`] silencer). Called by the virtual
-/// executor; calling it multiple times is harmless.
-pub fn install_abort_panic_silencer() {
+/// Installs, once per process, a panic hook that silences the internal
+/// [`CrashSignal`] and [`ScheduleAbort`] payloads, so injected crashes and
+/// abandoned executions do not flood test output, and delegates every other
+/// panic to the previously installed hook.
+pub(crate) fn install_panic_silencer() {
     use std::sync::Once;
     static INSTALL: Once = Once::new();
     INSTALL.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<ScheduleAbort>().is_none() {
+            let payload = info.payload();
+            if !payload.is::<CrashSignal>() && !payload.is::<ScheduleAbort>() {
                 previous(info);
             }
         }));
     });
 }
 
-#[derive(Debug, Default)]
-struct GateState {
-    pending: Option<PendingOp>,
-    granted: bool,
-    abort: bool,
-    finished: bool,
+/// The state of one run, shared by its processes behind the [`Baton`]'s lock.
+struct Board {
+    /// The operation each parked process announced, by process index;
+    /// `None` while the process runs and once it has finished.
+    pending: Vec<Option<PendingOp>>,
+    /// Processes neither parked nor finished. The one whose park or finish
+    /// brings this to zero makes the next scheduling decision.
+    running: usize,
+    /// The index of the process granted the next step, until it wakes.
+    turn: Option<usize>,
+    /// Set when the run is abandoned: every parked process aborts.
+    stopping: bool,
+    /// A scheduler's panic, re-raised by the run once every process joined.
+    failure: Option<Box<dyn Any + Send>>,
+    scheduler: Box<dyn Scheduler>,
+    max_steps: u64,
+    trace: ExecTrace,
 }
 
-/// The per-process rendezvous through which the coordinator serializes
+/// The rendezvous through which the processes of one run serialize their
 /// shared-memory steps. Installed into each [`ProcessCtx`] by the virtual
 /// executor; [`ProcessCtx::record_at`] parks on it before every non-local
 /// operation.
-#[derive(Default)]
-pub(crate) struct Gate {
-    state: Mutex<GateState>,
-    cv: Condvar,
+pub(crate) struct Baton {
+    /// The initial name of each process, by index.
+    ids: Vec<ProcessId>,
+    board: Mutex<Board>,
+    /// One per process, so a grant wakes only the process it picks.
+    wake: Vec<Condvar>,
 }
 
-impl fmt::Debug for Gate {
+impl fmt::Debug for Baton {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Gate").finish_non_exhaustive()
+        f.debug_struct("Baton").finish_non_exhaustive()
     }
 }
 
-impl Gate {
-    /// Worker side: announce `op`, block until the coordinator grants this
-    /// process the next step. Returns `false` if the coordinator asked the
-    /// process to abort instead of proceeding.
-    pub(crate) fn park(&self, op: PendingOp) -> bool {
-        let mut st = self.state.lock().expect("gate poisoned");
-        st.pending = Some(op);
-        self.cv.notify_all();
-        while !st.granted {
-            st = self.cv.wait(st).expect("gate poisoned");
+impl Baton {
+    fn board(&self) -> MutexGuard<'_, Board> {
+        self.board.lock().expect("board poisoned")
+    }
+
+    /// Process `index` announces `op` and blocks until it holds the turn.
+    /// If it was the last process running, it makes the scheduling decision
+    /// itself first. Returns `false` if the run is stopping instead.
+    pub(crate) fn park(&self, index: usize, op: PendingOp) -> bool {
+        let mut board = self.board();
+        board.pending[index] = Some(op);
+        board.running -= 1;
+        self.decide(&mut board);
+        while board.turn != Some(index) && !board.stopping {
+            board = self.wake[index].wait(board).expect("board poisoned");
         }
-        st.granted = false;
-        !st.abort
+        board.running += 1;
+        if board.stopping {
+            return false;
+        }
+        board.turn = None;
+        true
     }
 
-    /// Worker side: mark the process finished (returned, crashed or aborted).
-    fn mark_finished(&self) {
-        let mut st = self.state.lock().expect("gate poisoned");
-        st.finished = true;
-        self.cv.notify_all();
+    /// A process has returned, crashed or aborted. If it was the last one
+    /// running, it hands the next step on.
+    fn finish(&self) {
+        let mut board = self.board();
+        board.running -= 1;
+        self.decide(&mut board);
     }
 
-    /// Coordinator side: block until the process is parked (returning its
-    /// announced operation) or finished (returning `None`).
-    fn wait_parked(&self) -> Option<PendingOp> {
-        let mut st = self.state.lock().expect("gate poisoned");
-        loop {
-            if let Some(op) = st.pending {
-                return Some(op);
+    /// Once every live process is parked, asks the scheduler for the next
+    /// step and grants it, or stops the run on the step budget, an abort, a
+    /// panicking scheduler or a pick of a process that is not enabled.
+    fn decide(&self, board: &mut Board) {
+        if board.running > 0 || board.stopping {
+            return;
+        }
+        let enabled: Vec<(ProcessId, PendingOp)> = self
+            .ids
+            .iter()
+            .zip(&board.pending)
+            .filter_map(|(&pid, op)| op.map(|op| (pid, op)))
+            .collect();
+        if enabled.is_empty() {
+            return;
+        }
+        let step = board.trace.events.len();
+        if step as u64 >= board.max_steps {
+            board.trace.truncated = true;
+            return self.stop(board);
+        }
+        let choose = AssertUnwindSafe(|| match board.scheduler.choose(step, &enabled) {
+            SchedulerDecision::Pick(pid) => {
+                let index =
+                    (0..self.ids.len()).find(|&i| self.ids[i] == pid && board.pending[i].is_some());
+                assert!(
+                    index.is_some(),
+                    "scheduler picked {pid}, which is not enabled"
+                );
+                index
             }
-            if st.finished {
-                return None;
+            SchedulerDecision::Abort => None,
+        });
+        match std::panic::catch_unwind(choose) {
+            Ok(Some(index)) => {
+                let pid = self.ids[index];
+                let op = board.pending[index].take().expect("the pick is parked");
+                board.trace.events.push(OpEvent { pid, op });
+                board.trace.schedule.choices.push(pid);
+                board.turn = Some(index);
+                self.wake[index].notify_one();
             }
-            st = self.cv.wait(st).expect("gate poisoned");
+            Ok(None) => {
+                board.trace.aborted = true;
+                self.stop(board);
+            }
+            Err(payload) => {
+                board.failure = Some(payload);
+                self.stop(board);
+            }
         }
     }
 
-    /// Coordinator side: let the parked process take its announced step (or
-    /// abort it). Consumes `pending` here — not in [`Gate::park`] — so the
-    /// coordinator's next [`Gate::wait_parked`] blocks until the worker
-    /// actually reaches its *next* park rather than re-observing a stale op.
-    fn grant(&self, abort: bool) {
-        let mut st = self.state.lock().expect("gate poisoned");
-        st.granted = true;
-        st.abort = abort;
-        st.pending = None;
-        self.cv.notify_all();
+    fn stop(&self, board: &mut Board) {
+        board.stopping = true;
+        for wake in &self.wake {
+            wake.notify_one();
+        }
     }
 }
 
@@ -349,10 +409,6 @@ pub struct OpEvent {
     pub pid: ProcessId,
     /// The operation it performed.
     pub op: PendingOp,
-    /// Snapshot of every parked process and its announced operation at the
-    /// moment of the scheduling decision, in process-index order. This is the
-    /// "enabled set" the scheduler chose from.
-    pub enabled: Vec<(ProcessId, PendingOp)>,
 }
 
 /// A recorded schedule: the sequence of processes granted steps, in order.
@@ -413,6 +469,11 @@ pub enum SchedulerDecision {
 /// operation the process will perform if granted. Implementations must be
 /// deterministic functions of their own state and the arguments for replays
 /// to be byte-identical.
+///
+/// `choose` runs on the thread of the last process to park, with the run's
+/// lock held, so it must not wait on any process. A panic in `choose`, or a
+/// pick of a process that is not enabled, stops every process and fails the
+/// run with that panic.
 pub trait Scheduler: Send {
     /// Chooses the process to grant the `step`-th step (0-based).
     fn choose(&mut self, step: usize, enabled: &[(ProcessId, PendingOp)]) -> SchedulerDecision;
@@ -475,8 +536,8 @@ impl Scheduler for ReplayScheduler {
 
 /// A cloneable, comparable handle to a shared [`Scheduler`], so that
 /// [`ScheduleSource::Explore`] fits in the `Clone + Debug + PartialEq`
-/// derives of [`ExecConfig`]. The explorer keeps a clone and inspects or
-/// reseeds the scheduler between executions.
+/// derives of [`ExecConfig`]. Every clone schedules through the one
+/// scheduler it wraps.
 #[derive(Clone)]
 pub struct ExploreHandle {
     inner: Arc<Mutex<dyn Scheduler>>,
@@ -489,11 +550,12 @@ impl ExploreHandle {
             inner: Arc::new(Mutex::new(scheduler)),
         }
     }
+}
 
-    /// Locks the underlying scheduler for a scheduling decision or for
-    /// between-execution state manipulation.
-    pub fn lock(&self) -> std::sync::MutexGuard<'_, dyn Scheduler + 'static> {
-        self.inner.lock().expect("explore handle poisoned")
+impl Scheduler for ExploreHandle {
+    fn choose(&mut self, step: usize, enabled: &[(ProcessId, PendingOp)]) -> SchedulerDecision {
+        let mut scheduler = self.inner.lock().expect("explore handle poisoned");
+        scheduler.choose(step, enabled)
     }
 }
 
@@ -566,11 +628,6 @@ impl VirtualExecutor {
         self
     }
 
-    /// The configuration this executor runs with.
-    pub fn config(&self) -> &ExecConfig {
-        &self.config
-    }
-
     /// Runs `k` processes with consecutive identifiers `0..k`.
     pub fn run<R, F>(&self, k: usize, f: F) -> VirtualRun<R>
     where
@@ -583,64 +640,69 @@ impl VirtualExecutor {
 
     /// Runs one process per entry of `ids`, using each entry as the
     /// process's initial name.
+    ///
+    /// The calling thread only spawns the processes and joins them: each
+    /// decision is taken by the last process to park, which passes the turn
+    /// to the process the scheduler picks.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a process's own panic, and a panic of the scheduler (or a
+    /// pick of a process that is not enabled), once every process has
+    /// stopped.
     pub fn run_with_ids<R, F>(&self, ids: &[ProcessId], f: F) -> VirtualRun<R>
     where
         R: Send,
         F: Fn(&mut ProcessCtx) -> R + Send + Sync,
     {
-        install_crash_panic_silencer();
-        install_abort_panic_silencer();
+        install_panic_silencer();
         let k = ids.len();
-        if k == 0 {
-            return VirtualRun {
-                outcome: ExecutionOutcome::from_outcomes(Vec::new()),
+        let scheduler: Box<dyn Scheduler> = match &self.config.schedule {
+            ScheduleSource::Random(seed) => Box::new(RandomScheduler::new(*seed)),
+            ScheduleSource::Replay(schedule) => Box::new(ReplayScheduler::new(schedule.clone())),
+            ScheduleSource::Explore(handle) => Box::new(handle.clone()),
+        };
+        let baton = Arc::new(Baton {
+            ids: ids.to_vec(),
+            board: Mutex::new(Board {
+                pending: vec![None; k],
+                running: k,
+                turn: None,
+                stopping: false,
+                failure: None,
+                scheduler,
+                max_steps: self.max_steps,
                 trace: ExecTrace::default(),
-            };
-        }
+            }),
+            wake: (0..k).map(|_| Condvar::new()).collect(),
+        });
+        let (seed, f, baton) = (self.config.seed, &f, &baton);
 
-        let params: Vec<(ProcessId, Option<u64>)> = ids
-            .iter()
-            .copied()
-            .zip(self.config.crash_steps(k))
-            .collect();
-
-        let gates: Vec<Arc<Gate>> = (0..k).map(|_| Arc::new(Gate::default())).collect();
-        let seed = self.config.seed;
-        let f = &f;
-
-        let mut scheduler = self.resolve_scheduler();
-        let mut trace = ExecTrace::default();
-        let mut outcomes: Vec<Option<(ProcessId, ProcessOutcome<R>)>> =
-            (0..k).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = params
+        let outcomes = std::thread::scope(|scope| {
+            let handles: Vec<_> = ids
                 .iter()
-                .zip(gates.iter())
-                .map(|(&(id, crash_at), gate)| {
-                    let gate = Arc::clone(gate);
+                .zip(self.config.crash_steps(k))
+                .enumerate()
+                .map(|(index, (&id, crash_at))| {
                     scope.spawn(move || {
                         let mut ctx = ProcessCtx::with_adversary(id, seed, crash_at);
-                        if !gate.park(PendingOp::begin()) {
-                            gate.mark_finished();
-                            return (id, ProcessOutcome::Crashed { steps: ctx.stats() });
+                        if !baton.park(index, PendingOp::begin()) {
+                            baton.finish();
+                            return ProcessOutcome::Crashed { steps: ctx.stats() };
                         }
-                        ctx.install_gate(Arc::clone(&gate));
+                        ctx.install_baton(Arc::clone(baton), index);
                         let run = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
                         let steps = ctx.stats();
-                        gate.mark_finished();
+                        baton.finish();
                         match run {
-                            Ok(result) => (id, ProcessOutcome::Completed { result, steps }),
+                            Ok(result) => ProcessOutcome::Completed { result, steps },
                             Err(payload) => {
                                 if let Some(signal) = payload.downcast_ref::<CrashSignal>() {
-                                    (
-                                        id,
-                                        ProcessOutcome::Crashed {
-                                            steps: signal.steps,
-                                        },
-                                    )
-                                } else if payload.downcast_ref::<ScheduleAbort>().is_some() {
-                                    (id, ProcessOutcome::Crashed { steps })
+                                    ProcessOutcome::Crashed {
+                                        steps: signal.steps,
+                                    }
+                                } else if payload.is::<ScheduleAbort>() {
+                                    ProcessOutcome::Crashed { steps }
                                 } else {
                                     std::panic::resume_unwind(payload)
                                 }
@@ -649,131 +711,26 @@ impl VirtualExecutor {
                     })
                 })
                 .collect();
-
-            // Coordinator loop: wait for every live process to park, pick
-            // one, grant it, repeat.
-            let mut finished = vec![false; k];
-            let mut step: usize = 0;
-            loop {
-                let mut enabled: Vec<(ProcessId, PendingOp)> = Vec::with_capacity(k);
-                let mut enabled_idx: Vec<usize> = Vec::with_capacity(k);
-                for (i, gate) in gates.iter().enumerate() {
-                    if finished[i] {
-                        continue;
-                    }
-                    match gate.wait_parked() {
-                        Some(op) => {
-                            enabled.push((params[i].0, op));
-                            enabled_idx.push(i);
-                        }
-                        None => finished[i] = true,
-                    }
-                }
-                if enabled.is_empty() {
-                    break;
-                }
-                let abort_all =
-                    |reason_truncated: bool, trace: &mut ExecTrace, finished: &mut [bool]| {
-                        if reason_truncated {
-                            trace.truncated = true;
-                        } else {
-                            trace.aborted = true;
-                        }
-                        for (i, gate) in gates.iter().enumerate() {
-                            if finished[i] {
-                                continue;
-                            }
-                            // The process is parked; abort it and wait for the
-                            // unwind to complete.
-                            if gate.wait_parked().is_some() {
-                                gate.grant(true);
-                            }
-                            while gate.wait_parked().is_some() {
-                                gate.grant(true);
-                            }
-                            finished[i] = true;
-                        }
-                    };
-                if step as u64 >= self.max_steps {
-                    abort_all(true, &mut trace, &mut finished);
-                    break;
-                }
-                match scheduler.choose(step, &enabled) {
-                    SchedulerDecision::Pick(pid) => {
-                        let slot = enabled
-                            .iter()
-                            .position(|(p, _)| *p == pid)
-                            .expect("scheduler picked a process that is not enabled");
-                        let op = enabled[slot].1;
-                        trace.events.push(OpEvent {
-                            pid,
-                            op,
-                            enabled: enabled.clone(),
-                        });
-                        trace.schedule.choices.push(pid);
-                        gates[enabled_idx[slot]].grant(false);
-                        step += 1;
-                    }
-                    SchedulerDecision::Abort => {
-                        abort_all(false, &mut trace, &mut finished);
-                        break;
-                    }
-                }
-            }
-
-            for handle in handles {
-                // Re-raise a process's own panic with its payload intact.
-                let (id, outcome) = handle
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                let index = params
-                    .iter()
-                    .position(|(pid, _)| *pid == id)
-                    .expect("unknown process id");
-                outcomes[index] = Some((id, outcome));
-            }
+            ids.iter()
+                .zip(handles)
+                .map(|(&id, handle)| {
+                    // Re-raise a process's own panic with its payload intact.
+                    let outcome = handle
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                    (id, outcome)
+                })
+                .collect()
         });
 
+        let mut board = baton.board();
+        if let Some(payload) = board.failure.take() {
+            std::panic::resume_unwind(payload);
+        }
         VirtualRun {
-            outcome: ExecutionOutcome::from_outcomes(
-                outcomes
-                    .into_iter()
-                    .map(|o| o.expect("every process reports an outcome"))
-                    .collect(),
-            ),
-            trace,
+            outcome: ExecutionOutcome::from_outcomes(outcomes),
+            trace: std::mem::take(&mut board.trace),
         }
-    }
-
-    fn resolve_scheduler(&self) -> Box<dyn SchedulerSlot + '_> {
-        match &self.config.schedule {
-            ScheduleSource::Random(seed) => Box::new(Owned(RandomScheduler::new(*seed))),
-            ScheduleSource::Replay(schedule) => {
-                Box::new(Owned(ReplayScheduler::new(schedule.clone())))
-            }
-            ScheduleSource::Explore(handle) => Box::new(Shared(handle)),
-        }
-    }
-}
-
-/// Internal adapter unifying owned schedulers and shared explore handles.
-trait SchedulerSlot {
-    fn choose(&mut self, step: usize, enabled: &[(ProcessId, PendingOp)]) -> SchedulerDecision;
-}
-
-struct Owned<S: Scheduler>(S);
-
-impl<S: Scheduler> SchedulerSlot for Owned<S> {
-    fn choose(&mut self, step: usize, enabled: &[(ProcessId, PendingOp)]) -> SchedulerDecision {
-        self.0.choose(step, enabled)
-    }
-}
-
-struct Shared<'a>(&'a ExploreHandle);
-
-impl SchedulerSlot for Shared<'_> {
-    fn choose(&mut self, step: usize, enabled: &[(ProcessId, PendingOp)]) -> SchedulerDecision {
-        self.0.lock().choose(step, enabled)
     }
 }
 
@@ -1121,17 +1078,62 @@ mod tests {
         assert_eq!(handle, handle.clone());
     }
 
-    #[test]
-    fn enabled_sets_are_recorded_in_process_order() {
-        let reg = Arc::new(AtomicU64Register::new(0));
-        let run = VirtualExecutor::with_seed(11).run(3, three_writer_body(&reg));
-        for event in &run.trace.events {
-            let pids: Vec<usize> = event.enabled.iter().map(|(p, _)| p.as_usize()).collect();
-            let mut sorted = pids.clone();
-            sorted.sort_unstable();
-            assert_eq!(pids, sorted);
-            assert!(event.enabled.iter().any(|(p, _)| *p == event.pid));
+    /// Asserts the [`Scheduler`] contract on every decision, then defers to
+    /// a seeded random scheduler.
+    struct ContractChecker(RandomScheduler);
+    impl Scheduler for ContractChecker {
+        fn choose(&mut self, step: usize, enabled: &[(ProcessId, PendingOp)]) -> SchedulerDecision {
+            assert!(!enabled.is_empty(), "step {step}: empty enabled set");
+            assert!(
+                enabled.windows(2).all(|pair| pair[0].0 < pair[1].0),
+                "step {step}: enabled set not strictly sorted by process: {enabled:?}"
+            );
+            self.0.choose(step, enabled)
         }
+    }
+
+    #[test]
+    fn enabled_sets_are_non_empty_and_strictly_sorted_by_process() {
+        let handle = ExploreHandle::new(ContractChecker(RandomScheduler::new(11)));
+        let reg = Arc::new(AtomicU64Register::new(0));
+        let run =
+            VirtualExecutor::new(ExecConfig::new(0).with_schedule(ScheduleSource::Explore(handle)))
+                .run(4, three_writer_body(&reg));
+        assert_eq!(run.outcome.completed().count(), 4);
+        assert_eq!(run.trace.events.len(), 4 * 3);
+    }
+
+    /// Always picks a process that does not exist.
+    struct PickAbsent;
+    impl Scheduler for PickAbsent {
+        fn choose(&mut self, _: usize, _: &[(ProcessId, PendingOp)]) -> SchedulerDecision {
+            SchedulerDecision::Pick(ProcessId::new(99))
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler picked p99, which is not enabled")]
+    fn a_pick_of_a_process_that_is_not_enabled_fails_the_run() {
+        let source = ScheduleSource::Explore(ExploreHandle::new(PickAbsent));
+        VirtualExecutor::new(ExecConfig::new(0).with_schedule(source)).run(2, |ctx| ctx.flip());
+    }
+
+    /// Panics on its third decision.
+    struct PanicAtStepTwo;
+    impl Scheduler for PanicAtStepTwo {
+        fn choose(&mut self, step: usize, enabled: &[(ProcessId, PendingOp)]) -> SchedulerDecision {
+            assert!(step < 2, "scheduler gave up");
+            SchedulerDecision::Pick(enabled[0].0)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler gave up")]
+    fn a_panicking_scheduler_fails_the_run() {
+        let reg = Arc::new(AtomicU64Register::new(0));
+        let source = ScheduleSource::Explore(ExploreHandle::new(PanicAtStepTwo));
+        VirtualExecutor::new(ExecConfig::new(0).with_schedule(source))
+            .run(2, three_writer_body(&reg));
     }
 
     #[test]

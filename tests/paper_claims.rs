@@ -47,7 +47,8 @@ use tas::two_process::TwoProcessTas;
 use tas::{Side, TestAndSet, TwoPartyTas};
 
 /// Contention levels of the concurrent renaming claims. A debug-build
-/// `vexec` run costs about 2 s at k = 128 and four times that at k = 256.
+/// `vexec` run of the adaptive renaming costs about 1 s at k = 128 and about
+/// 5 s at k = 256 (2-vCPU x86-64 host).
 const KS: [usize; 7] = [2, 4, 8, 16, 32, 64, 128];
 
 /// Schedule seeds of the concurrent claims at contention `k`: three up to
@@ -189,7 +190,7 @@ fn bit_batching_runs() -> &'static [Run<BitBatchingReport>] {
 }
 
 /// Linear probing over exactly `k` RatRace slots, the §1 baseline, stops at
-/// k = 64: one debug-build run at k = 128 takes about 6 s.
+/// k = 64: one debug-build run at k = 128 takes about 4 s (same host).
 const LINEAR_PROBE_KS: [usize; 6] = [2, 4, 8, 16, 32, 64];
 
 /// Linear-probing runs, reporting `(name, probes)`: shared by the Theorem 5
