@@ -224,9 +224,11 @@ impl FreeList {
     }
 
     /// Data word `index` as one load: bit `i` is set iff name
-    /// `index * 64 + i + 1` is free. Scans that visit names in order (the
-    /// recovery re-listing pass) read each word once instead of once per
-    /// name.
+    /// `index * 64 + i + 1` is listed free. The crash-robust table's sweep
+    /// and recovery walk ([`RobustLeaseTable`](crate::robust::RobustLeaseTable))
+    /// load each word once and read only the slots behind its clear bits,
+    /// since a set bit vouches for a free slot. Bits past the bound read
+    /// as clear; callers mask them off.
     pub(crate) fn word_bits(&self, index: usize) -> u64 {
         self.data()[index].load(Ordering::SeqCst)
     }

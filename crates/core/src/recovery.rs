@@ -28,16 +28,43 @@
 //!    passed in. Summary flags are monotone, so repair is
 //!    re-derive-and-re-flag ([`FreeList::repair_summary`]) — never a clear,
 //!    so it cannot race pushers.
-//! 4. **Sweep the table.** Every held slot's owner tag is judged: dead
-//!    owners' slots get the same exactly-once `HELD(g) → FREE(g)` CAS a
-//!    release would perform, and the name is pushed back onto the table's
-//!    free list. With `presume_all_dead` (the restart signature: no
-//!    registered survivor) every held slot is reclaimed unconditionally.
-//! 5. **Re-list dropped names.** With `presume_all_dead`, every free slot
-//!    whose list bit is clear is pushed back: nobody is alive to finish the
-//!    pop-then-claim or free-then-push that left it off the list. A push
-//!    that races a straggler only duplicates a bit, and the table drops a
-//!    popped name whose slot is held, so duplicates are harmless.
+//! 4. **Walk the unlisted slots.** One pass over the table's free-list
+//!    data words visits, in name order, every slot whose list bit is clear
+//!    (the walk [`RobustLeaseTable::sweep`] uses too) and reads its word:
+//!    * a **held** slot's owner tag is judged: dead owners' slots get the
+//!      same exactly-once `HELD(g) → FREE(g)` CAS a release would perform,
+//!      and the name is pushed back onto the table's free list. With
+//!      `presume_all_dead` (the restart signature: no registered survivor)
+//!      every held slot is reclaimed unconditionally;
+//!    * a **free** slot is re-listed when `presume_all_dead` is set: nobody
+//!      is alive to finish the pop-then-claim or free-then-push that left
+//!      it off the list. A push that races a straggler only duplicates a
+//!      bit, and the table drops a popped name whose slot is held, so
+//!      duplicates are harmless.
+//!
+//! # What the free list vouches for
+//!
+//! A release CASes its slot to `FREE` before it pushes the name's bit, and
+//! a pop clears the bit before it claims the slot. So a **set data bit
+//! means a free slot**, and the walk skips it without reading the slot.
+//!
+//! The one exception is a straggler. Recovery may re-list a name while a
+//! presumed-dead process that popped it is still claiming it; the slot is
+//! then held with its bit set, and a skipping scan misses it. The next pop
+//! that reaches the bit finds the slot held and drops the name, which
+//! clears the bit, and the scan after that reclaims the slot. A delay is
+//! the only behaviour that changes. The unit test
+//! `robust::tests::a_straggler_claim_behind_a_relisted_bit_is_reclaimed_after_a_pop`
+//! walks through it step by step.
+//!
+//! **Cost.** The walk loads each of the `⌈capacity / 64⌉` data words once
+//! (one anonymous register-read step each) and reads only the slots whose
+//! bit is clear: `O(capacity / 64 + unlisted)` reads instead of
+//! `O(capacity)`. After a whole-fleet kill the unlisted slots are the held
+//! names plus the few a kill tore off the list. The unit tests
+//! `recovery::tests::a_restart_recovery_reads_one_word_per_64_names_and_only_held_slots`
+//! and `robust::tests::a_sweep_reads_one_word_per_64_names_and_only_held_slots`
+//! pin the exact counts.
 //!
 //! Idempotence — `recover ∘ recover = recover` on the observable state
 //! ([`RobustLeaseTable::state_snapshot`]) — is pinned by proptests in
@@ -107,20 +134,15 @@ pub fn recover_with(
         .map(FreeList::repair_summary)
         .sum();
 
-    let mut listed = 0;
-    for index in 0..table.capacity() {
+    table.for_each_unlisted(ctx, |ctx, index| {
         let name = index + 1;
         let word = table.read_slot(ctx, index);
-        if presume_all_dead && index % 64 == 0 {
-            listed = own.word_bits(index / 64);
-        }
         if !robust::is_held(word) {
-            let bit = 1u64 << (index % 64);
             // Like a release's push, the re-listing rides on the slot read.
-            if presume_all_dead && listed & bit == 0 && own.push_unsequenced(name) {
+            if presume_all_dead && own.push_unsequenced(name) {
                 report.relisted += 1;
             }
-            continue;
+            return;
         }
         let tag = robust::owner(word);
         let dead =
@@ -130,7 +152,7 @@ pub fn recover_with(
             obs::count(obs::Metric::RecoverReclaimed);
             obs::event(obs::EventKind::Recovered, name as u64, tag as u64);
         }
-    }
+    });
 
     table.release_admissions(ctx);
     obs::add(
@@ -268,6 +290,40 @@ mod tests {
         assert_eq!(table.holder(live_name), Some(live.tag()));
         assert_eq!(table.holder(dead_name), None);
         assert_eq!(table.holder(raw_name), Some(7));
+    }
+
+    /// The walk loads each free-list data word once and reads only the
+    /// slots whose bit is clear: here the `capacity / 64` held names, one
+    /// per word. A full slot scan would read all `capacity` slots.
+    #[test]
+    fn a_restart_recovery_reads_one_word_per_64_names_and_only_held_slots() {
+        let capacity = if cfg!(miri) { 256 } else { 4096 };
+        let table = RobustLeaseTable::with_capacity(capacity);
+        let mut ctx = ctx(0);
+        for name in 1..=capacity {
+            assert_eq!(table.acquire(&mut ctx, 9).unwrap(), name);
+        }
+        for name in (1..=capacity).filter(|name| name % 64 != 7) {
+            assert!(table.release(&mut ctx, name));
+        }
+        let held = capacity / 64;
+
+        let before = ctx.stats();
+        let report = recover_with(&mut ctx, &table, &[], 1, |_| true, true);
+        let after = ctx.stats();
+        assert_eq!((report.reclaimed, report.relisted), (held, 0));
+        assert_eq!(
+            after.reads - before.reads,
+            (1 + capacity / 64 + held) as u64,
+            "the epoch read, one read per data word, one per held slot"
+        );
+        assert_eq!(
+            after.rmws - before.rmws,
+            (1 + 2 * held) as u64,
+            "the epoch CAS, then a CAS and a stripe bump per reclaimed name"
+        );
+        assert_eq!(after.writes - before.writes, 2, "the gate up and down");
+        assert_eq!(table.listed(), capacity);
     }
 
     #[test]

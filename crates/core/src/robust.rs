@@ -21,14 +21,18 @@
 //!   [`linear_probe`](crate::linear_probe)).
 //! * `release` performs the single CAS `HELD(g, owner) → FREE(g)`, then
 //!   pushes the name back.
-//! * `sweep` re-reads every slot and performs the *same* CAS on slots whose
-//!   owner a liveness predicate declares dead, then pushes the name back.
+//! * `sweep` reads the slots whose free-list bit is clear and performs the
+//!   *same* CAS on those whose owner a liveness predicate declares dead,
+//!   then pushes the name back. A set bit means a free slot, so the sweep
+//!   costs one read per 64 names plus one per unlisted slot.
 //!
 //! The list is a hint, the slot word the truth. A popped name whose slot
 //! turns out HELD carries a stale bit (a duplicate push) and is simply
 //! dropped: its holder pushes it again when it frees it. Duplicate bits are
 //! therefore harmless, which is what lets recovery re-list names without
-//! coordinating with the list.
+//! coordinating with the list. Until a pop drops it, such a bit hides its
+//! held slot from sweeps: the [`crate::recovery`] docs state that one
+//! exception to "a set bit means a free slot".
 //!
 //! Because release and sweep compare against the exact word they observed,
 //! the `HELD(g) → FREE(g)` transition of every grant happens **exactly
@@ -427,12 +431,19 @@ impl RobustLeaseTable {
     /// resolves to exactly one transition. Returns the number of names
     /// reclaimed by this call.
     ///
+    /// Reads only the slots the free list cannot vouch for: one step per
+    /// free-list data word plus one per unlisted slot,
+    /// `O(capacity / 64 + held)` rather than `O(capacity)`. A listed name's
+    /// slot is free, save for the straggler exception the
+    /// [`crate::recovery`] docs describe, which delays that one slot's
+    /// reclamation to the sweep after a pop drops its bit.
+    ///
     /// Correctness of the *namespace* (no two live holders of one name)
     /// relies on the predicate never declaring a live owner dead; the
     /// exactly-once transition holds regardless.
     pub fn sweep(&self, ctx: &mut ProcessCtx, mut is_dead: impl FnMut(u32) -> bool) -> usize {
         let mut reclaimed = 0;
-        for index in 0..self.capacity {
+        self.for_each_unlisted(ctx, |ctx, index| {
             let word = self.read_slot(ctx, index);
             if is_held(word) && is_dead(owner(word)) && self.free_observed(ctx, index, word) {
                 reclaimed += 1;
@@ -443,8 +454,36 @@ impl RobustLeaseTable {
                     owner(word) as u64,
                 );
             }
-        }
+        });
         reclaimed
+    }
+
+    /// Calls `visit` with the slot index of every name whose free-list bit
+    /// is clear, in name order: the slots the list cannot vouch for, which
+    /// sweep and recovery read. Each data word
+    /// ([`FreeList::word_bits`]) is loaded once and charged as one
+    /// anonymous [`StepKind::RegisterRead`], like `acquire`'s pop: pushes
+    /// ride on slot CASes at other locations, so a located read would hide
+    /// real races from the model checker. Bits past `capacity` are masked
+    /// off.
+    pub(crate) fn for_each_unlisted(
+        &self,
+        ctx: &mut ProcessCtx,
+        mut visit: impl FnMut(&mut ProcessCtx, usize),
+    ) {
+        for word in 0..self.capacity.div_ceil(64) {
+            let base = word * 64;
+            let in_range = match self.capacity - base {
+                names @ 0..=63 => (1u64 << names) - 1,
+                _ => u64::MAX,
+            };
+            ctx.record(StepKind::RegisterRead);
+            let mut unlisted = !self.free.word_bits(word) & in_range;
+            while unlisted != 0 {
+                visit(ctx, base + unlisted.trailing_zeros() as usize);
+                unlisted &= unlisted - 1;
+            }
+        }
     }
 
     /// Sweeps with the operating system as the liveness oracle — the sweep
@@ -995,6 +1034,69 @@ mod tests {
         // A second sweep for the same owner finds nothing.
         assert_eq!(table.sweep(&mut ctx, |o| o == 100), 0);
         assert_eq!(table.transitions(), 1);
+    }
+
+    /// The sweep loads each free-list data word once and reads only the
+    /// slots whose bit is clear: here the `capacity / 64` held names, one
+    /// per word. A full slot scan would read all `capacity` slots.
+    #[test]
+    fn a_sweep_reads_one_word_per_64_names_and_only_held_slots() {
+        let capacity = if cfg!(miri) { 256 } else { 4096 };
+        let table = RobustLeaseTable::with_capacity(capacity);
+        let mut ctx = ctx(0);
+        for name in 1..=capacity {
+            assert_eq!(table.acquire(&mut ctx, 9).unwrap(), name);
+        }
+        for name in (1..=capacity).filter(|name| name % 64 != 7) {
+            assert!(table.release(&mut ctx, name));
+        }
+        let held = capacity / 64;
+
+        let before = ctx.stats();
+        assert_eq!(table.sweep(&mut ctx, |owner| owner == 9), held);
+        let after = ctx.stats();
+        assert_eq!(
+            after.reads - before.reads,
+            (capacity / 64 + held) as u64,
+            "one read per data word, one per held slot"
+        );
+        assert_eq!(
+            after.rmws - before.rmws,
+            (2 * held) as u64,
+            "a CAS and a stripe bump per reclaimed name"
+        );
+        assert_eq!(table.listed(), capacity);
+    }
+
+    /// The one exception to "a set bit means a free slot": recovery
+    /// re-lists a name a presumed-dead straggler popped, and the straggler
+    /// then claims it. Scans skip the held slot until a pop drops the stale
+    /// bit; the scan after that reclaims it.
+    #[test]
+    fn a_straggler_claim_behind_a_relisted_bit_is_reclaimed_after_a_pop() {
+        let table = RobustLeaseTable::with_capacity(1);
+        let mut ctx = ctx(0);
+        let recover = |ctx: &mut ProcessCtx, epoch| {
+            crate::recovery::recover_with(ctx, &table, &[], epoch, |_| true, true)
+        };
+
+        // 1. The straggler pops name 1 and stalls before its claim.
+        assert_eq!(table.inject_torn_pop(&mut ctx), Some(1));
+        // 2. A whole-fleet recovery finds the slot free and unlisted.
+        let first = recover(&mut ctx, 1);
+        assert_eq!((first.reclaimed, first.relisted), (0, 1));
+        // 3. The straggler wakes and claims: held, with its bit set.
+        assert!(table.claim(&mut ctx, 1, 5));
+        assert_eq!((table.holder(1), table.listed()), (Some(5), 1));
+        // 4. The set bit hides the held slot from the next scan.
+        assert_eq!(recover(&mut ctx, 2).reclaimed, 0);
+        assert_eq!(table.sweep(&mut ctx, |_| true), 0);
+        // 5. A pop finds the slot held and drops the stale name.
+        assert!(table.acquire(&mut ctx, 6).is_err());
+        assert_eq!((table.holder(1), table.listed()), (Some(5), 0));
+        // 6. The next scan reads the slot and reclaims it.
+        assert_eq!(recover(&mut ctx, 3).reclaimed, 1);
+        assert_eq!(table.acquire(&mut ctx, 6).unwrap(), 1);
     }
 
     #[test]

@@ -468,8 +468,8 @@ mod tests {
             ("mono_counter_3p", [5, 5, 0, 3]),
             ("renaming_width4_3p", [13, 12, 1, 12]),
             ("recycler_churn_2p", [22, 22, 0, 22]),
-            ("robust_sweep_2p", [189, 189, 0, 189]),
-            ("recover_race_2p", [4, 4, 0, 4]),
+            ("robust_sweep_2p", [887, 887, 0, 887]),
+            ("recover_race_2p", [8, 8, 0, 8]),
             ("obs_ring_2p", [39, 39, 0, 39]),
             ("recycler_churn_3p", [119, 114, 5, 114]),
         ];

@@ -17,6 +17,12 @@
 //! ```
 //!
 //! One-command repro: `cargo run -p mcheck -- replay tests/schedules/<f>.trace`.
+//!
+//! An `expect: pass` file pins a race its comment walks through, so
+//! [`verify`] fails it unless the replay takes every choice exactly as
+//! written. An `expect: violation` file is a minimized counterexample and
+//! may rely on the replay scheduler skipping disabled choices and falling
+//! back to the lowest enabled process.
 
 use crate::scenarios;
 use shmem::{CrashPlan, ExecConfig, ProcessId, Schedule, ScheduleSource, VirtualExecutor};
@@ -202,6 +208,22 @@ pub fn verify(file: &TraceFile) -> Result<String, String> {
     if run.trace.truncated || run.trace.aborted {
         return Err("replay was truncated or aborted — the trace is stale".into());
     }
+    // The replay scheduler skips choices naming a disabled process and
+    // falls back to the lowest enabled one when the schedule runs out. A
+    // minimized counterexample relies on that; a pinned passing schedule
+    // must drive its run exactly, or it no longer pins the race its
+    // comment describes.
+    if file.expect == Expectation::Pass && run.trace.schedule != file.schedule {
+        let (taken, pinned) = (&run.trace.schedule.choices, &file.schedule.choices);
+        let diverged = taken.iter().zip(pinned).take_while(|(a, b)| a == b).count();
+        return Err(format!(
+            "{}: the replay took {} choices where the trace pins {}, diverging at \
+             choice {diverged} — the trace is stale; re-record it",
+            def.name,
+            taken.len(),
+            pinned.len()
+        ));
+    }
     let verdict = (built.check)(&run);
     match (file.expect, verdict) {
         (Expectation::Pass, Ok(())) => Ok(format!(
@@ -273,6 +295,32 @@ mod tests {
             ..sample()
         };
         assert_eq!(no_crash.crash_plan(), None);
+    }
+
+    #[test]
+    fn a_passing_trace_must_drive_its_replay_exactly() {
+        let pinned = |choices: &str| {
+            TraceFile::parse(&format!(
+                "scenario: toy_racy_pair\nprocs: 2\nexpect: pass\nschedule: {choices}\n"
+            ))
+            .expect("parses")
+        };
+        // Arrival, write, read for each process: every choice is taken.
+        assert!(verify(&pinned("0 0 0 1 1 1")).is_ok());
+        // The same run with a choice the replay must skip (process 0 has
+        // finished) or one too few (the fallback picks the last step).
+        for stale in ["0 0 0 0 1 1 1", "0 0 0 1 1"] {
+            let error = verify(&pinned(stale)).expect_err(stale);
+            assert!(error.contains("stale"), "{stale}: {error}");
+        }
+        // A minimized counterexample still relies on the fallback.
+        let violation = TraceFile {
+            expect: Expectation::Violation,
+            ..pinned("0")
+        };
+        assert!(verify(&violation)
+            .expect_err("toy_racy_pair has no violation")
+            .contains("no longer reproduces"));
     }
 
     #[test]

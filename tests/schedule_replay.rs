@@ -1,8 +1,10 @@
 //! Replays every pinned schedule in `tests/schedules/` and checks each trace's
 //! recorded expectation (`pass` or `violation`) against the scenario oracle.
 //!
-//! These traces are minimized counterexamples (and one regression schedule)
-//! produced by the `mcheck` explorer; each file can also be replayed by hand:
+//! The `expect: violation` traces are minimized counterexamples produced by
+//! the `mcheck` explorer. The `expect: pass` traces pin races their comments
+//! walk through, and fail unless the replay takes every pinned choice. Each
+//! file can also be replayed by hand:
 //!
 //! ```text
 //! cargo run -p mcheck -- replay tests/schedules/mono_counter_3p_0.trace
