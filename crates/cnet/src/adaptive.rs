@@ -42,11 +42,21 @@
 //! # Consistency
 //!
 //! The word is a one-wire layer and every wider layer an independent
-//! quiescently-consistent [`NetworkCounter`]; a read sums all layers. Every
-//! token has weight 1 and every exit wire is a plain 64-bit counter, so at
-//! any quiescent point each layer's exit counts sum to the increments routed
-//! to it — the total is exact — and satisfy the step property
+//! quiescently-consistent [`NetworkCounter`]. Every token has weight 1 and
+//! every exit wire is a plain 64-bit counter, so at any quiescent point each
+//! layer's exit counts sum to the increments routed to it — the total is
+//! exact — and satisfy the step property
 //! ([`check_step_property`](AdaptiveNetworkCounter::check_step_property)).
+//!
+//! A read sums the word and only the *touched* networks. A cache-padded
+//! word holds one bit per level `ℓ ≥ 1`, monotone like the free list's
+//! summary flags: a route-up increment ensures its level's bit (one load,
+//! plus one `fetch_or` only if the bit is clear) *before* it traverses, and
+//! nothing clears a bit. A read loads that word once, then the word and the
+//! flagged networks' exit wires; a clear bit means no token ever entered
+//! that network. At a quiescent point every completed increment set its bit
+//! before it returned, so a read that starts there visits every network
+//! holding a token and is exact. Level 0 needs no bit: every read reads it.
 //!
 //! Routing different increments to different layers is also why the adaptive
 //! counter exposes *counting* only (increment/read) and not the network
@@ -214,6 +224,8 @@ pub struct AdaptiveNetworkCounter {
     word: CachePadded<AtomicU64Register>,
     /// Levels 1 and up: network counters of widths 4, 8, …, `max_width`.
     networks: Vec<NetworkCounter>,
+    /// Bit `ℓ` is set once an increment routes to level `ℓ ≥ 1`, never cleared.
+    touched: CachePadded<AtomicU64>,
     max_width: usize,
     sensor: ContentionSensor,
     slots: Box<[CachePadded<TicketSlot>]>,
@@ -239,6 +251,7 @@ impl AdaptiveNetworkCounter {
             networks: (1..levels)
                 .map(|level| NetworkCounter::new(family, 2 << level))
                 .collect(),
+            touched: CachePadded::new(AtomicU64::new(0)),
             max_width,
             sensor: ContentionSensor::new(),
             slots: (0..TICKET_SLOTS)
@@ -288,8 +301,9 @@ impl AdaptiveNetworkCounter {
     /// Increments the counter.
     ///
     /// The token is routed to the layer covering the sensor's estimate: at
-    /// level 0 it is one fetch-and-add on the word, above it the token is
-    /// carried through that layer's network and deposited on its exit wire.
+    /// level 0 it is one fetch-and-add on the word, above it the token
+    /// ensures its level's touched bit, is carried through that layer's
+    /// network and deposited on its exit wire.
     /// On one increment in eight the ticket gap since the process's previous
     /// deposit on the same layer is folded into the sensor.
     pub fn increment(&self, ctx: &mut ProcessCtx) {
@@ -303,6 +317,12 @@ impl AdaptiveNetworkCounter {
             None => self.word.fetch_add(ctx, 1),
             Some(network) => {
                 obs::count(obs::Metric::AdaptiveRouteUp);
+                let bit = 1u64 << level;
+                ctx.record(StepKind::RegisterRead);
+                if self.touched.load(Ordering::Acquire) & bit == 0 {
+                    ctx.record(StepKind::ReadModifyWrite);
+                    self.touched.fetch_or(bit, Ordering::AcqRel); // lint: relaxed-ok(monotone flag: a set bit stays set, and coherence shows it to any read ordered after this increment)
+                }
                 let layer = &self.networks[network];
                 // Traverse and deposit directly: `fetch_increment` would
                 // count the token again as a `NetIncrement`.
@@ -318,15 +338,21 @@ impl AdaptiveNetworkCounter {
         obs::finish(increment_timer, obs::Metric::AdaptiveIncrementNs);
     }
 
-    /// Reads the counter by summing every layer's exit wires, one register
-    /// read per wire (1 + 4 + 8 + 16 = 29 at width 16). Quiescently
-    /// consistent: exact whenever no increment is in flight.
+    /// Reads the counter: one register read of the touched word, one of the
+    /// width-1 word, and one per exit wire of each network an increment has
+    /// touched (2 reads while every token has stayed on the word, 29 once
+    /// all layers of a width-16 cascade are touched). Quiescently consistent:
+    /// exact whenever no increment is in flight.
     pub fn read(&self, ctx: &mut ProcessCtx) -> u64 {
+        ctx.record(StepKind::RegisterRead);
+        let touched = self.touched.load(Ordering::Acquire);
         let word = self.word.read(ctx);
         word + self
             .networks
             .iter()
-            .map(|layer| layer.read(ctx))
+            .enumerate()
+            .filter(|(network, _)| touched & (2 << network) != 0)
+            .map(|(_, layer)| layer.read(ctx))
             .sum::<u64>()
     }
 
@@ -380,6 +406,8 @@ impl fmt::Display for AdaptiveNetworkCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shmem::consistency::{check_quiescent_consistent, CounterOp};
+    use shmem::history::Recorder;
     use shmem::process::ProcessId;
     use shmem::vexec::VirtualExecutor;
     use std::sync::Arc;
@@ -401,7 +429,17 @@ mod tests {
         assert_eq!(counter.max_width(), 16);
         let mut ctx = ctx(0);
         assert_eq!(counter.read(&mut ctx), 0);
-        assert_eq!(ctx.stats().reads, 1 + 4 + 8 + 16, "a read sums every wire");
+        assert_eq!(ctx.stats().reads, 2, "the touched word and the word");
+        // Width-16 traffic touches only the widest network: a read then
+        // charges the touched word, the word and that network's 16 wires.
+        for _ in 0..32 {
+            counter.sensor.observe(&mut ctx, 16);
+        }
+        assert_eq!(counter.current_width(), 16);
+        counter.increment(&mut ctx);
+        let before = ctx.stats().reads;
+        assert_eq!(counter.read(&mut ctx), 1);
+        assert_eq!(ctx.stats().reads - before, 1 + 1 + 16);
         let narrow = AdaptiveNetworkCounter::new(CountingFamily::Periodic, 2);
         assert_eq!(narrow.layer_widths(), vec![1]);
         assert_eq!(
@@ -543,10 +581,56 @@ mod tests {
             });
             assert_eq!(run.outcome.crashed_count(), 0);
             assert_eq!(counter.peek(), (processes * per_process) as u64);
+            assert_eq!(counter.read(&mut ctx(99)), counter.peek());
             counter.check_step_property().expect("staircase per layer");
             let above_two: u64 = counter.layer_token_counts()[1..].iter().flatten().sum();
             assert!(above_two > 0, "seed {seed}: every token stayed on the word");
             assert_eq!(run.outcome.total_steps().eliminations, 0);
+        }
+    }
+
+    #[test]
+    fn reads_racing_first_touch_increments_are_quiescently_consistent() {
+        let (seeds, rounds) = if cfg!(miri) { (1, 3) } else { (6, 6) };
+        for width in [4u64, 8, 16] {
+            for processes in 2..=4 {
+                for seed in 0..seeds {
+                    let counter =
+                        Arc::new(AdaptiveNetworkCounter::new(CountingFamily::Bitonic, 16));
+                    for _ in 0..32 {
+                        counter.sensor.observe(&mut ctx(0), width);
+                    }
+                    assert_eq!(counter.current_width(), width as usize);
+                    let recorder: Arc<Recorder<CounterOp, u64>> = Arc::new(Recorder::new());
+                    let run = VirtualExecutor::with_seed(seed).run(processes, {
+                        let counter = Arc::clone(&counter);
+                        let recorder = Arc::clone(&recorder);
+                        move |ctx| {
+                            for round in 0..rounds {
+                                let invoke = recorder.invoke();
+                                if (ctx.id().as_usize() + round) % 2 == 0 {
+                                    counter.increment(ctx);
+                                    recorder.record(ctx.id(), CounterOp::Increment, 0, invoke);
+                                } else {
+                                    let value = counter.read(ctx);
+                                    recorder.record(ctx.id(), CounterOp::Read, value, invoke);
+                                }
+                            }
+                        }
+                    });
+                    assert_eq!(run.outcome.crashed_count(), 0);
+                    let mut reader = ctx(99);
+                    let invoke = recorder.invoke();
+                    let value = counter.read(&mut reader);
+                    recorder.record(reader.id(), CounterOp::Read, value, invoke);
+                    let routed_up: u64 = counter.layer_token_counts()[1..].iter().flatten().sum();
+                    assert!(routed_up > 0, "width {width} seed {seed}: no first touch");
+                    check_quiescent_consistent(&recorder.take_history(), &[]).unwrap_or_else(
+                        |violation| panic!("width {width} p {processes} seed {seed}: {violation}"),
+                    );
+                    assert_eq!(value, counter.peek(), "width {width} seed {seed}");
+                }
+            }
         }
     }
 

@@ -23,7 +23,8 @@
 //!   ([`AdaptiveNetworkCounter`]): quiescently consistent like the network
 //!   counter, but each increment is routed through the narrowest of the
 //!   widths 1, 4, …, w that covers *realized* contention, so a quiet
-//!   increment is a sensor read and one fetch-add on the width-1 word.
+//!   increment is a sensor read and one fetch-add on the width-1 word, and a
+//!   read skips every layer no increment has reached.
 //! * [`CounterBackend::FetchAdd`] — the hardware fetch-and-add baseline:
 //!   linearizable, but every increment hits the same cache line (and the
 //!   paper's model does not assume read-modify-write).
@@ -186,8 +187,9 @@ impl<T: BalancingTopology> Counter for NetworkCounter<T> {
 /// The adaptive cascade is the fourth [`Counter`] backend: an increment is
 /// routed by a contention sensor into the narrowest layer (widths 1, 4, …,
 /// `width`) covering realized contention, so a quiet increment is a sensor
-/// read and one fetch-add on the width-1 word; a read sums all layers' exit
-/// wires (quiescently consistent, not linearizable).
+/// read and one fetch-add on the width-1 word; a read sums the word and the
+/// exit wires of only the layers an increment has touched (quiescently
+/// consistent, not linearizable).
 impl Counter for AdaptiveNetworkCounter {
     fn increment(&self, ctx: &mut ProcessCtx) {
         AdaptiveNetworkCounter::increment(self, ctx);
@@ -217,8 +219,10 @@ pub enum CounterBackend {
     /// tickets, routes each increment into the narrowest layer that covers
     /// realized contention. The layers have widths 1, 4, …, the configured
     /// width: a single fetch-and-add word, then network counters. So a
-    /// quiet increment is a sensor read and one fetch-add. At width 2 the
-    /// cascade is the word alone. Quiescently consistent.
+    /// quiet increment is a sensor read and one fetch-add, and a quiet read
+    /// two register reads: the touched-layers word and the width-1 word; a
+    /// read adds a layer's exit wires only once an increment has entered it.
+    /// At width 2 the cascade is the word alone. Quiescently consistent.
     Adaptive,
 }
 
@@ -561,8 +565,8 @@ mod tests {
         assert_eq!(stats.rmws, 12 + 1, "one fetch-add each, one sensor CAS");
         assert_eq!(
             stats.reads,
-            12 + 1 + 12 * 29,
-            "sensor reads, reads of 29 wires"
+            12 + 1 + 12 * 2,
+            "sensor reads, reads of the touched word and the word"
         );
         assert_eq!(stats.eliminations, 0, "no prism on the increment path");
         // At width 2 the cascade is the word alone, and still counts.

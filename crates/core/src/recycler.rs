@@ -300,6 +300,9 @@ pub struct Recycler<R: Renaming> {
     granted: ArenaRef<AtomicUsize>,
     peak: ArenaRef<AtomicUsize>,
     leaked: ArenaRef<AtomicUsize>,
+    /// Tickets a failed fresh acquisition could not roll back because a
+    /// later fresh acquisition had already taken the next one.
+    burned: ArenaRef<AtomicUsize>,
     /// The per-thread escrow, when built with a quota (see the module docs).
     escrow: Option<Escrow>,
 }
@@ -373,13 +376,14 @@ impl<R: Renaming> Recycler<R> {
             granted: arena.alloc::<AtomicUsize>(),
             peak: arena.alloc::<AtomicUsize>(),
             leaked: arena.alloc::<AtomicUsize>(),
+            burned: arena.alloc::<AtomicUsize>(),
             escrow: (escrow_quota > 0).then(|| Escrow::new_in(arena, escrow_quota)),
             arena: Arc::clone(arena),
         }
     }
 
     /// The number of arena bytes a recycler of this shape allocates: the
-    /// free list, four header counter lines and, with a nonzero quota, the
+    /// free list, five header counter lines and, with a nonzero quota, the
     /// 64 escrow slot lines.
     pub fn footprint(inner: &R, max_concurrent: usize, escrow_quota: usize) -> usize {
         let escrow = if escrow_quota > 0 {
@@ -387,7 +391,7 @@ impl<R: Renaming> Recycler<R> {
         } else {
             0
         };
-        FreeList::footprint(Self::checked_bound(inner, max_concurrent)) + 4 * 64 + escrow
+        FreeList::footprint(Self::checked_bound(inner, max_concurrent)) + 5 * 64 + escrow
     }
 
     fn checked_bound(inner: &R, max_concurrent: usize) -> usize {
@@ -427,9 +431,12 @@ impl<R: Renaming> Recycler<R> {
         self.free.bound()
     }
 
-    /// Names acquired fresh from the inner object so far.
+    /// Names acquired fresh from the inner object so far: the tickets
+    /// issued, less the burned ones no name was acquired with.
     pub fn fresh_names(&self) -> usize {
-        self.tickets.load(Ordering::Relaxed) // lint: relaxed-ok(diagnostic counter; no ordering dependency)
+        let burned = self.burned.load(Ordering::Relaxed); // lint: relaxed-ok(diagnostic counter; no ordering dependency)
+        let tickets = self.tickets.load(Ordering::Relaxed); // lint: relaxed-ok(diagnostic counter; no ordering dependency)
+        tickets.saturating_sub(burned)
     }
 
     /// Leases served from the free list (recycled names) so far, derived as
@@ -618,13 +625,17 @@ impl<R: Renaming> Recycler<R> {
                 // namespace on retry). The compare-exchange only restores
                 // the counter when no later fresh acquisition raced past us;
                 // in that rare case the index stays burned — acceptable,
-                // since concurrent freshers are bounded by admission.
-                let _ = self.tickets.compare_exchange(
+                // since concurrent freshers are bounded by admission — and
+                // is counted so `fresh_names()` stays exact.
+                let rolled_back = self.tickets.compare_exchange(
                     participant + 1,
                     participant,
                     Ordering::AcqRel, // lint: relaxed-ok(CAS success publishes the rollback; failure retries with a fresh load)
                     Ordering::Relaxed,
                 );
+                if rolled_back.is_err() {
+                    self.burned.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(diagnostic counter; no ordering dependency)
+                }
                 Err(error)
             }
         }

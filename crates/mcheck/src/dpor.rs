@@ -456,7 +456,7 @@ mod tests {
         // exhaustive scenario, searched as `mcheck explore` searches it. The
         // virtual executor is deterministic, so any drift here means the
         // enabled sets or the order the scheduler saw them in changed.
-        let pinned: [(&str, [usize; 4]); 15] = [
+        let pinned: [(&str, [usize; 4]); 16] = [
             ("toy_rw_indep", [1, 1, 0, 1]),
             ("toy_racy_pair", [4, 4, 0, 4]),
             ("toy_mp", [3, 3, 0, 3]),
@@ -472,6 +472,7 @@ mod tests {
             ("recover_race_2p", [8, 8, 0, 8]),
             ("obs_ring_2p", [39, 39, 0, 39]),
             ("recycler_churn_3p", [119, 114, 5, 114]),
+            ("recycler_rollback_2p", [18, 18, 0, 18]),
         ];
         let tier: Vec<ScenarioDef> = scenarios::all()
             .into_iter()
@@ -492,6 +493,11 @@ mod tests {
                 [r.executions, r.complete, r.sleep_blocked, r.classes.len()],
                 counts,
                 "{name}: (executions, complete, sleep-blocked, classes)"
+            );
+            assert!(
+                def.expect_violations || r.violations.is_empty(),
+                "{name}: {:?}",
+                r.violations
             );
         }
         let chain = scenarios::find("tas_chain_3p").expect("registered");

@@ -14,6 +14,7 @@
 //!   the oracle; the minimized witnesses are pinned under `tests/schedules/`.
 
 use adaptive_renaming::counter::MonotoneCounter;
+use adaptive_renaming::error::RenamingError;
 use adaptive_renaming::lease::{assert_tight_lease_namespace, LeaseRecord, LongLivedRenaming};
 use adaptive_renaming::linear_probe::LinearProbeRenaming;
 use adaptive_renaming::recovery::recover_with;
@@ -210,7 +211,7 @@ pub fn all() -> Vec<ScenarioDef> {
         ScenarioDef {
             name: "recycler_churn_2p",
             procs: 2,
-            build: || build_recycler_churn(2, 2),
+            build: || build_recycler_churn(2, 2, 3),
             crash_sweep: None,
             expect_violations: false,
             exhaustive: true,
@@ -250,11 +251,22 @@ pub fn all() -> Vec<ScenarioDef> {
         ScenarioDef {
             name: "recycler_churn_3p",
             procs: 3,
-            build: || build_recycler_churn(3, 1),
+            build: || build_recycler_churn(3, 1, 4),
             crash_sweep: None,
             expect_violations: false,
             exhaustive: true,
             about: "three-process lease/release churn: tightness + ticket accounting",
+        },
+        ScenarioDef {
+            name: "recycler_rollback_2p",
+            procs: 2,
+            build: || build_recycler_churn(2, 2, 1),
+            crash_sweep: None,
+            expect_violations: false,
+            exhaustive: true,
+            about: "two fresh leases race for a one-name inner object: the loser's \
+                    failed acquisition rolls its ticket back or counts it burned, so the \
+                    ledgers reconcile",
         },
     ]
 }
@@ -624,8 +636,39 @@ fn build_renaming_width4() -> BuiltScenario {
     BuiltScenario { body, check }
 }
 
-fn build_recycler_churn(procs: usize, cycles: usize) -> BuiltScenario {
-    let recycler = Arc::new(Recycler::new(linear_probe(procs + 1), procs));
+/// A linear probe that reports a capacity of at least `admitted`, however
+/// few names it has. `Recycler::new` refuses an inner object whose reported
+/// capacity is below its admission; with fewer names than admitted leases, a
+/// fresh acquisition can find every name taken and fail.
+struct UndersizedProbe {
+    probe: LinearProbeRenaming<HardwareTas>,
+    admitted: usize,
+}
+
+impl Renaming for UndersizedProbe {
+    fn acquire(&self, ctx: &mut ProcessCtx) -> Result<usize, RenamingError> {
+        self.probe.acquire(ctx)
+    }
+
+    fn capacity(&self) -> Option<usize> {
+        self.probe.capacity().map(|names| names.max(self.admitted))
+    }
+
+    fn is_adaptive(&self) -> bool {
+        self.probe.is_adaptive()
+    }
+}
+
+/// `procs` processes lease and release `cycles` times each through a
+/// recycler admitting `procs` leases over an `inner_names`-name linear probe.
+/// With fewer inner names than admitted leases, a fresh acquisition can fail
+/// and must roll its ticket back.
+fn build_recycler_churn(procs: usize, cycles: usize, inner_names: usize) -> BuiltScenario {
+    let inner = UndersizedProbe {
+        probe: linear_probe(inner_names),
+        admitted: procs,
+    };
+    let recycler = Arc::new(Recycler::new(inner, procs));
     let clock = Arc::new(AtomicU64::new(1));
     let records: Arc<Mutex<Vec<LeaseRecord>>> = Arc::new(Mutex::new(Vec::new()));
     let bump = move |clock: &AtomicU64| clock.fetch_add(1, Ordering::SeqCst);
@@ -670,9 +713,10 @@ fn build_recycler_churn(procs: usize, cycles: usize) -> BuiltScenario {
             }
             let granted: u64 = run.outcome.completed().map(|(_, &g)| g).sum();
             let accounted = (recycler.fresh_names() + recycler.recycled_names()) as u64;
-            // The ticket-rollback regression (PR 3): a failed fresh
-            // acquisition must not burn a virtual participant, so grants
-            // and the fresh/recycled ledgers always reconcile.
+            // The ticket-rollback regression: a failed fresh acquisition
+            // rolls its ticket back, or counts it burned when a later fresh
+            // acquisition raced past it, so grants and the fresh/recycled
+            // ledgers always reconcile.
             if accounted != granted {
                 return Err(format!(
                     "lease ledger mismatch: {accounted} accounted vs {granted} granted"

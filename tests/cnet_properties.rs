@@ -314,6 +314,12 @@ proptest! {
                 (threads * ops_per_worker) as u64,
                 "{} max width {}: tokens conserved", family, width
             );
+            let mut reader = ProcessCtx::new(ProcessId::new(10_000), 0);
+            prop_assert_eq!(
+                counter.read(&mut reader),
+                counter.peek(),
+                "{} max width {}: a charged read skips no touched layer", family, width
+            );
             if let Err(violation) = counter.check_step_property() {
                 return Err(TestCaseError::fail(format!(
                     "{family} max width {width} seed {seed}: {violation}"
