@@ -16,11 +16,9 @@ use crate::scenarios::ScenarioDef;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shmem::{
-    CrashPlan, ExecConfig, ExploreHandle, PendingOp, ProcessId, Schedule, ScheduleSource,
-    Scheduler, SchedulerDecision, VirtualExecutor,
+    ExploreHandle, PendingOp, ProcessId, Schedule, ScheduleSource, Scheduler, SchedulerDecision,
 };
 use std::collections::BTreeSet;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Knobs of one fuzzing campaign.
@@ -122,16 +120,8 @@ pub fn fuzz(def: &ScenarioDef, config: &FuzzConfig) -> FuzzReport {
             pos: 0,
             rng: StdRng::seed_from_u64(rng.gen()),
         };
-        let built = (def.build)();
-        let mut cfg = ExecConfig::new(0)
-            .with_schedule(ScheduleSource::Explore(ExploreHandle::new(scheduler)));
-        if let Some(plan) = plan {
-            cfg = cfg.with_crash_plan(CrashPlan::Fixed(plan.clone()));
-        }
-        let body = Arc::clone(&built.body);
-        let run = VirtualExecutor::new(cfg)
-            .with_max_steps(config.max_steps)
-            .run(def.procs, move |ctx| body(ctx));
+        let schedule = ScheduleSource::Explore(ExploreHandle::new(scheduler));
+        let (run, check) = def.execute(0, plan.as_ref(), schedule, config.max_steps);
 
         if run.trace.truncated {
             report.truncated += 1;
@@ -154,13 +144,10 @@ pub fn fuzz(def: &ScenarioDef, config: &FuzzConfig) -> FuzzReport {
             corpus.push(run.trace.schedule.clone());
         }
 
-        if let Err(message) = (built.check)(&run) {
-            report.violations.push(Counterexample {
-                scenario: def.name.to_string(),
-                crash_plan: plan.clone(),
-                schedule: run.trace.schedule.clone(),
-                message,
-            });
+        if let Err(message) = check(&run) {
+            report
+                .violations
+                .push(Counterexample::new(def, plan.as_ref(), &run, message));
             if config.stop_on_violation {
                 break;
             }
@@ -212,6 +199,44 @@ mod tests {
             !report.violations.is_empty(),
             "the stall violation is dense enough for a short fuzz: {report:?}"
         );
+    }
+
+    #[test]
+    fn fuzz_campaigns_are_pinned() {
+        // `(iterations, complete, truncated, classes, corpus, max_trace_len,
+        // max_result, violations)` of a 400-iteration campaign at seed 1. The
+        // deadline is an hour away, so the iteration cap ends every campaign
+        // and the figures do not depend on the host's speed.
+        let pinned: [(&str, [usize; 8]); 3] = [
+            ("toy_racy_pair", [400, 400, 0, 4, 4, 6, 2, 0]),
+            ("recycler_churn_2p", [400, 400, 0, 22, 22, 9, 2, 0]),
+            ("cnet_stall_one_token", [400, 400, 0, 14, 14, 10, 2, 197]),
+        ];
+        for (name, counts) in pinned {
+            let def = scenarios::find(name).expect("registered");
+            let r = fuzz(
+                &def,
+                &FuzzConfig {
+                    seconds: 3600.0,
+                    ..quick(1)
+                },
+            );
+            assert_eq!(
+                [
+                    r.iterations,
+                    r.complete,
+                    r.truncated,
+                    r.classes.len(),
+                    r.corpus,
+                    r.max_trace_len,
+                    r.max_result as usize,
+                    r.violations.len(),
+                ],
+                counts,
+                "{name}: (iterations, complete, truncated, classes, corpus, \
+                 max_trace_len, max_result, violations)"
+            );
+        }
     }
 
     #[test]

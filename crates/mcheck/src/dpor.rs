@@ -1,4 +1,5 @@
-//! The exhaustive explorer: DFS over schedules with classic DPOR.
+//! The schedule search: one DFS over schedules, with classic DPOR as its
+//! default mode and brute-force and preemption-bounded modes beside it.
 //!
 //! Stateless-search layout (Flanagan–Godefroid persistent sets + sleep
 //! sets): a DFS stack of scheduling decisions mirrors the current execution
@@ -15,27 +16,36 @@
 //! process becomes a backtrack candidate, sleep sets stay empty), turning
 //! the same DFS into naive enumeration of *all* maximal interleavings — the
 //! ground truth the DPOR soundness tests compare against.
+//!
+//! [`ExploreMode::Bounded`] is CHESS-style preemption bounding. Empirically,
+//! most concurrency bugs need only a handful of *preemptions* — context
+//! switches taken while the running process could have continued — and
+//! bounding their count makes the schedule space polynomial in the program
+//! length, a deep slice of behaviours on scenarios exhaustive DPOR cannot
+//! finish. The same DFS runs with empty sleep sets and no race analysis; a
+//! node's backtrack set is every enabled process switching to which is free
+//! (not a preemption) or affordable (the prefix above the node took fewer
+//! preemptions than the bound), and the free-run tail keeps granting the
+//! process that stepped last, so it spends no preemptions.
 
 use crate::classes::class_hash;
 use crate::driver::{ForcedChoice, Guide, TailPolicy};
 use crate::scenarios::ScenarioDef;
-use shmem::{
-    CrashPlan, ExecConfig, ExploreHandle, OpEvent, PendingOp, ProcessId, Schedule, ScheduleSource,
-    VirtualExecutor,
-};
+use shmem::{ExploreHandle, OpEvent, PendingOp, ProcessId, Schedule, ScheduleSource, VirtualRun};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
-/// Search strategy of the exhaustive explorer.
+/// Search strategy of the explorer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExploreMode {
     /// Dynamic partial-order reduction: persistent sets + sleep sets.
     Dpor,
     /// Naive enumeration of every maximal interleaving (ground truth).
     BruteForce,
+    /// Every interleaving that takes at most this many preemptions.
+    Bounded(u32),
 }
 
-/// Knobs of one exhaustive search.
+/// Knobs of one search.
 #[derive(Clone, Debug)]
 pub struct ExploreConfig {
     /// Search strategy.
@@ -73,7 +83,25 @@ pub struct Counterexample {
     pub message: String,
 }
 
-/// What an exhaustive search did and found.
+impl Counterexample {
+    /// The counterexample made of `run`, an execution of `def` under
+    /// `crash_plan` whose oracle failed with `message`.
+    pub(crate) fn new(
+        def: &ScenarioDef,
+        crash_plan: Option<&Vec<Option<u64>>>,
+        run: &VirtualRun<u64>,
+        message: String,
+    ) -> Self {
+        Counterexample {
+            scenario: def.name.to_string(),
+            crash_plan: crash_plan.cloned(),
+            schedule: run.trace.schedule.clone(),
+            message,
+        }
+    }
+}
+
+/// What a search did and found.
 #[derive(Clone, Debug, Default)]
 pub struct ExploreReport {
     /// Executions launched (complete + sleep-blocked + truncated).
@@ -147,7 +175,7 @@ pub fn explore(def: &ScenarioDef, config: &ExploreConfig) -> ExploreReport {
     report
 }
 
-/// Exhaustively explores one scenario under one (optional) crash plan.
+/// Explores one scenario under one (optional) crash plan.
 pub fn explore_one(
     def: &ScenarioDef,
     crash_plan: Option<&Vec<Option<u64>>>,
@@ -175,43 +203,52 @@ pub fn explore_one(
                         .filter(|(p, _)| e.done.contains(p))
                         .copied()
                         .collect(),
-                    ExploreMode::BruteForce => Vec::new(),
+                    ExploreMode::BruteForce | ExploreMode::Bounded(_) => Vec::new(),
                 },
             })
             .collect();
-        let built = (def.build)();
-        let guide = Guide::new(forced, TailPolicy::LowestAwake);
-        let mut cfg = ExecConfig::new(0).with_schedule(ScheduleSource::Explore(
-            ExploreHandle::new(guide.scheduler()),
-        ));
-        if let Some(plan) = crash_plan {
-            cfg = cfg.with_crash_plan(CrashPlan::Fixed(plan.clone()));
-        }
-        let body = Arc::clone(&built.body);
-        let run = VirtualExecutor::new(cfg)
-            .with_max_steps(config.max_steps)
-            .run(def.procs, move |ctx| body(ctx));
+        let policy = match config.mode {
+            ExploreMode::Bounded(_) => TailPolicy::Sticky,
+            ExploreMode::Dpor | ExploreMode::BruteForce => TailPolicy::LowestAwake,
+        };
+        let guide = Guide::new(forced, policy);
+        let schedule = ScheduleSource::Explore(ExploreHandle::new(guide.scheduler()));
+        let (run, check) = def.execute(0, crash_plan, schedule, config.max_steps);
         let (nodes, sleep_blocked) = guide.into_nodes();
         report.executions += 1;
 
-        // Extend the stack with the free-run suffix of this execution.
+        // Extend the stack with the free-run suffix of this execution,
+        // counting the preemptions the run took above each node.
         debug_assert!(
             nodes.len() >= stack.len()
                 && nodes.iter().zip(&stack).all(|(n, e)| n.chosen == e.chosen),
             "deterministic replay must reproduce the forced prefix"
         );
-        for node in nodes.iter().skip(stack.len()) {
-            let backtrack: BTreeSet<ProcessId> = match config.mode {
-                ExploreMode::Dpor => std::iter::once(node.chosen).collect(),
-                ExploreMode::BruteForce => node.enabled.iter().map(|(p, _)| *p).collect(),
+        let mut prev = None;
+        let mut preemptions = 0;
+        for (depth, node) in nodes.iter().enumerate() {
+            let preempts = |pid: ProcessId| {
+                prev.is_some_and(|q| q != pid && node.enabled.iter().any(|(p, _)| *p == q))
             };
-            stack.push(Entry {
-                enabled: node.enabled.clone(),
-                chosen: node.chosen,
-                sleep_at_entry: node.sleep_at_entry.clone(),
-                backtrack,
-                done: BTreeSet::new(),
-            });
+            if depth >= stack.len() {
+                let enabled = node.enabled.iter().map(|(p, _)| *p);
+                let backtrack: BTreeSet<ProcessId> = match config.mode {
+                    ExploreMode::Dpor => std::iter::once(node.chosen).collect(),
+                    ExploreMode::BruteForce => enabled.collect(),
+                    ExploreMode::Bounded(bound) => enabled
+                        .filter(|&p| preemptions < bound || !preempts(p))
+                        .collect(),
+                };
+                stack.push(Entry {
+                    enabled: node.enabled.clone(),
+                    chosen: node.chosen,
+                    sleep_at_entry: node.sleep_at_entry.clone(),
+                    backtrack,
+                    done: BTreeSet::new(),
+                });
+            }
+            preemptions += u32::from(preempts(node.chosen));
+            prev = Some(node.chosen);
         }
 
         if sleep_blocked {
@@ -224,13 +261,10 @@ pub fn explore_one(
             if report.naive_ln_interleavings.is_none() {
                 report.naive_ln_interleavings = Some(ln_multinomial(&run.trace.events));
             }
-            if let Err(message) = (built.check)(&run) {
-                report.violations.push(Counterexample {
-                    scenario: def.name.to_string(),
-                    crash_plan: crash_plan.cloned(),
-                    schedule: run.trace.schedule.clone(),
-                    message,
-                });
+            if let Err(message) = check(&run) {
+                report
+                    .violations
+                    .push(Counterexample::new(def, crash_plan, &run, message));
                 if config.stop_on_violation {
                     break;
                 }
@@ -521,6 +555,78 @@ mod tests {
         let report = explore(&def, &config);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(report.complete >= 2, "distinct executions must complete");
+    }
+
+    #[test]
+    fn bound_zero_is_non_preemptive_scheduling() {
+        // With no preemptions allowed, the only free choices are at process
+        // completion: a 2-process program admits exactly 2 executions.
+        let def = scenarios::find("toy_racy_pair").expect("registered");
+        let report = explore(&def, &exhaustive(ExploreMode::Bounded(0)));
+        assert!(!report.capped);
+        assert_eq!(report.executions, 2);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+    }
+
+    #[test]
+    fn preemptions_buy_strictly_more_coverage() {
+        let def = scenarios::find("toy_racy_pair").expect("registered");
+        let b0 = explore(&def, &exhaustive(ExploreMode::Bounded(0)));
+        let b2 = explore(&def, &exhaustive(ExploreMode::Bounded(2)));
+        assert!(!b2.capped);
+        assert!(
+            b2.classes.len() > b0.classes.len(),
+            "bound 2 must reach classes bound 0 cannot: {} vs {}",
+            b2.classes.len(),
+            b0.classes.len()
+        );
+        assert!(
+            b2.classes.is_superset(&b0.classes),
+            "raising the bound only adds schedules"
+        );
+        assert!(b2.violations.is_empty(), "{:?}", b2.violations);
+    }
+
+    #[test]
+    fn bounded_search_keeps_tas_pair_green() {
+        let def = scenarios::find("tas_pair_2p").expect("registered");
+        let report = explore(&def, &exhaustive(ExploreMode::Bounded(2)));
+        assert!(!report.capped, "bound 2 on a 2-process TAS is exhaustible");
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert!(report.complete >= 2);
+    }
+
+    #[test]
+    fn bound_two_counts_are_pinned() {
+        // `(executions, complete, truncated, classes)` at bound 2, searched
+        // as `mcheck explore --mode bounded` searches each scenario. The
+        // randomized TAS runs under CI's execution cap.
+        let pinned: [(&str, usize, [usize; 4]); 6] = [
+            ("toy_racy_pair", 200_000, [14, 14, 0, 4]),
+            ("tas_pair_2p", 200_000, [6, 6, 0, 2]),
+            ("tas_chain_3p", 200_000, [92, 92, 0, 4]),
+            ("cnet_width4_3p", 200_000, [690, 690, 0, 8]),
+            ("recycler_churn_2p", 200_000, [24, 24, 0, 12]),
+            ("rand_tas_pair_2p", 20_000, [42, 42, 0, 16]),
+        ];
+        for (name, max_executions, counts) in pinned {
+            let def = scenarios::find(name).expect("registered");
+            let r = explore(
+                &def,
+                &ExploreConfig {
+                    mode: ExploreMode::Bounded(2),
+                    max_executions,
+                    ..ExploreConfig::default()
+                },
+            );
+            assert!(!r.capped, "{name}: bound 2 is exhaustible");
+            assert_eq!(
+                [r.executions, r.complete, r.truncated, r.classes.len()],
+                counts,
+                "{name}: (executions, complete, truncated, classes)"
+            );
+            assert!(r.violations.is_empty(), "{name}: {:?}", r.violations);
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! examples ask a seeded random scheduler; this crate supplies the
 //! schedulers worth asking when the goal is to cover or replay schedules:
 //!
-//! * [`dpor`] — exhaustive DFS with dynamic partial-order reduction
-//!   (persistent sets + sleep sets) and a brute-force mode as ground truth;
-//! * [`bounded`] — CHESS-style preemption-bounded DFS;
+//! * [`dpor`] — the one schedule search: a DFS with three modes, dynamic
+//!   partial-order reduction (persistent sets + sleep sets), brute-force
+//!   enumeration as ground truth, and CHESS-style preemption bounding;
 //! * [`coverage`] — coverage-guided schedule fuzzing keyed on Mazurkiewicz
 //!   class novelty and step-count / namespace-bound objectives;
 //! * [`minimize`] — `ddmin` shrinking of failing schedules;
@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bounded;
 pub mod classes;
 pub mod coverage;
 pub mod dpor;
@@ -35,7 +34,6 @@ pub mod minimize;
 pub mod scenarios;
 pub mod trace;
 
-pub use bounded::{BoundedConfig, BoundedReport};
 pub use classes::{class_hash, class_hash_ops};
 pub use coverage::{fuzz, FuzzConfig, FuzzReport};
 pub use dpor::{explore, Counterexample, ExploreConfig, ExploreMode, ExploreReport};

@@ -8,14 +8,16 @@
 //! mcheck replay <FILE.trace>
 //! ```
 //!
-//! `explore` exhausts the schedule space of each selected scenario, prints
-//! the reduction achieved against naive enumeration, and (with
-//! `--write-traces`) serializes every violation as a minimized replayable
-//! trace file. Exit status is non-zero when a scenario's outcome contradicts
-//! its registration (an unexpected violation, or a counterexample hunt that
-//! found nothing).
+//! `explore` runs the one schedule search over each selected scenario in one
+//! of its three modes: `dpor` (partial-order reduction, the default),
+//! `brute` (every interleaving) or `bounded` (every interleaving with at
+//! most `--bound` preemptions). It prints the executions and classes found
+//! beside the naive enumeration baseline and (with `--write-traces`)
+//! serializes every violation as a minimized replayable trace file. `fuzz`
+//! samples schedules instead, guided by class coverage. Exit status is
+//! non-zero when a scenario's outcome contradicts its registration (an
+//! unexpected violation, or a counterexample hunt that found nothing).
 
-use mcheck::bounded::{self, BoundedConfig};
 use mcheck::coverage::{fuzz, FuzzConfig};
 use mcheck::dpor::{self, Counterexample, ExploreConfig, ExploreMode};
 use mcheck::minimize::minimize_counterexample;
@@ -133,10 +135,16 @@ fn selected(flags: &Flags) -> Result<Vec<ScenarioDef>, String> {
 
 fn cmd_explore(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
+    let mode = match flags.mode.as_str() {
+        "dpor" => ExploreMode::Dpor,
+        "brute" => ExploreMode::BruteForce,
+        "bounded" => ExploreMode::Bounded(flags.bound),
+        other => return Err(format!("unknown mode {other:?} (dpor|brute|bounded)")),
+    };
     let mut failed = false;
     // A bare `explore` sweeps the exhaustive tier; heavy scenarios (whose
     // schedule spaces defeat exhaustive search) must be named explicitly
-    // and are meant for the bounded / fuzz modes.
+    // and are meant for the bounded mode or the fuzzer.
     let sweep = flags.scenario.is_none();
     for def in selected(&flags)? {
         if sweep && !def.exhaustive {
@@ -146,55 +154,26 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
             );
             continue;
         }
-        let (violations, summary) = match flags.mode.as_str() {
-            "dpor" | "brute" => {
-                let config = ExploreConfig {
-                    mode: if flags.mode == "brute" {
-                        ExploreMode::BruteForce
-                    } else {
-                        ExploreMode::Dpor
-                    },
-                    max_executions: flags.max_executions,
-                    stop_on_violation: flags.stop_on_violation || def.expect_violations,
-                    ..ExploreConfig::default()
-                };
-                let report = dpor::explore(&def, &config);
-                let summary = format!(
-                    "{} executions ({} complete, {} sleep-blocked, {} truncated), \
-                     {} classes, naive baseline ≈ {:.0} interleavings{}",
-                    report.executions,
-                    report.complete,
-                    report.sleep_blocked,
-                    report.truncated,
-                    report.classes.len(),
-                    report.naive_interleavings(),
-                    if report.capped { " [CAPPED]" } else { "" },
-                );
-                (report.violations, summary)
-            }
-            "bounded" => {
-                let config = BoundedConfig {
-                    bound: flags.bound,
-                    max_executions: flags.max_executions,
-                    stop_on_violation: flags.stop_on_violation || def.expect_violations,
-                    ..BoundedConfig::default()
-                };
-                let report = bounded::explore(&def, &config);
-                let summary = format!(
-                    "{} executions ({} complete, {} truncated), {} classes, bound {}{}",
-                    report.executions,
-                    report.complete,
-                    report.truncated,
-                    report.classes.len(),
-                    flags.bound,
-                    if report.capped { " [CAPPED]" } else { "" },
-                );
-                (report.violations, summary)
-            }
-            other => return Err(format!("unknown mode {other:?} (dpor|brute|bounded)")),
+        let config = ExploreConfig {
+            mode,
+            max_executions: flags.max_executions,
+            stop_on_violation: flags.stop_on_violation || def.expect_violations,
+            ..ExploreConfig::default()
         };
-        println!("{:<22} {}", def.name, summary);
-        let ok = report_outcome(&def, &violations, flags.write_traces.as_deref())?;
+        let report = dpor::explore(&def, &config);
+        println!(
+            "{:<22} {} executions ({} complete, {} sleep-blocked, {} truncated), \
+             {} classes, naive baseline ≈ {:.0} interleavings{}",
+            def.name,
+            report.executions,
+            report.complete,
+            report.sleep_blocked,
+            report.truncated,
+            report.classes.len(),
+            report.naive_interleavings(),
+            if report.capped { " [CAPPED]" } else { "" },
+        );
+        let ok = report_outcome(&def, &report.violations, flags.write_traces.as_deref())?;
         failed |= !ok;
     }
     if failed {

@@ -11,8 +11,7 @@
 
 use crate::dpor::Counterexample;
 use crate::scenarios::ScenarioDef;
-use shmem::{CrashPlan, ExecConfig, Schedule, ScheduleSource, VirtualExecutor};
-use std::sync::Arc;
+use shmem::{Schedule, ScheduleSource};
 
 /// Zeller–Hildebrandt delta debugging over an arbitrary sequence: returns a
 /// 1-minimal subsequence on which `fails` still returns `true`.
@@ -79,20 +78,13 @@ pub fn schedule_fails(
     schedule: &Schedule,
     max_steps: u64,
 ) -> bool {
-    let built = (def.build)();
-    let mut cfg = ExecConfig::new(0).with_schedule(ScheduleSource::Replay(schedule.clone()));
-    if let Some(plan) = crash_plan {
-        cfg = cfg.with_crash_plan(CrashPlan::Fixed(plan.clone()));
-    }
-    let body = Arc::clone(&built.body);
-    let run = VirtualExecutor::new(cfg)
-        .with_max_steps(max_steps)
-        .run(def.procs, move |ctx| body(ctx));
+    let replay = ScheduleSource::Replay(schedule.clone());
+    let (run, check) = def.execute(0, crash_plan, replay, max_steps);
     if run.trace.truncated || run.trace.aborted {
         // A cut-off replay never counts as a reproduction.
         return false;
     }
-    (built.check)(&run).is_err()
+    check(&run).is_err()
 }
 
 /// Minimizes a counterexample's schedule with `ddmin`, preserving the crash

@@ -27,6 +27,7 @@ use cnet::network::BalancingTopology;
 use maxreg::unbounded::UnboundedMaxRegister;
 use maxreg::MaxRegister;
 use parking_lot::Mutex;
+use shmem::adversary::{CrashPlan, ExecConfig, ScheduleSource};
 use shmem::consistency::{
     check_linearizable, check_monotone_consistent, check_quiescent_consistent, CounterOp,
     CounterSpec, TicketCounterSpec,
@@ -34,7 +35,7 @@ use shmem::consistency::{
 use shmem::history::Recorder;
 use shmem::process::{ProcessCtx, ProcessId};
 use shmem::register::AtomicU64Register;
-use shmem::vexec::VirtualRun;
+use shmem::vexec::{VirtualExecutor, VirtualRun};
 use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,7 +80,7 @@ pub struct ScenarioDef {
     pub expect_violations: bool,
     /// Whether exhaustive DPOR is tractable on this scenario. Heavy
     /// scenarios (randomized TAS with its coin-flip-dependent round counts)
-    /// belong to the bounded / coverage-guided tiers instead.
+    /// are searched in the DPOR search's bounded mode or fuzzed instead.
     pub exhaustive: bool,
     /// One-line description.
     pub about: &'static str,
@@ -100,6 +101,29 @@ impl ScenarioDef {
                 })
                 .collect(),
         }
+    }
+
+    /// Builds a fresh instance and runs it once on the virtual executor:
+    /// `seed` drives the processes' coin flips, `crash_plan` (a
+    /// `CrashPlan::Fixed` vector) crashes processes, `schedule` picks the
+    /// interleaving and `max_steps` cuts the run off. Returns the run with
+    /// the instance's oracle, not yet applied.
+    pub fn execute(
+        &self,
+        seed: u64,
+        crash_plan: Option<&Vec<Option<u64>>>,
+        schedule: ScheduleSource,
+        max_steps: u64,
+    ) -> (VirtualRun<u64>, ScenarioCheck) {
+        let built = (self.build)();
+        let mut config = ExecConfig::new(seed).with_schedule(schedule);
+        if let Some(plan) = crash_plan {
+            config = config.with_crash_plan(CrashPlan::Fixed(plan.clone()));
+        }
+        let run = VirtualExecutor::new(config)
+            .with_max_steps(max_steps)
+            .run(self.procs, &*built.body);
+        (run, built.check)
     }
 }
 
@@ -159,7 +183,7 @@ pub fn all() -> Vec<ScenarioDef> {
             expect_violations: false,
             exhaustive: false,
             about: "the paper's randomized two-process TAS (coin-flip round counts \
-                    blow up the exhaustive tier; bounded/coverage only)",
+                    blow up the exhaustive tier; bounded search and fuzzing only)",
         },
         ScenarioDef {
             name: "cnet_width2_2p",
@@ -941,7 +965,7 @@ fn build_recover_race() -> BuiltScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmem::vexec::VirtualExecutor;
+    use shmem::vexec::DEFAULT_MAX_STEPS;
 
     /// Every scenario completes and passes (or, for counterexample hunts,
     /// legitimately fails) under a handful of random schedules.
@@ -949,9 +973,8 @@ mod tests {
     fn scenarios_run_under_random_schedules() {
         for def in all() {
             for seed in 0..3u64 {
-                let built = (def.build)();
-                let body = Arc::clone(&built.body);
-                let run = VirtualExecutor::with_seed(seed).run(def.procs, move |ctx| body(ctx));
+                let schedule = ScheduleSource::Random(seed);
+                let (run, check) = def.execute(seed, None, schedule, DEFAULT_MAX_STEPS);
                 assert_eq!(
                     run.outcome.completed().count(),
                     def.procs,
@@ -960,7 +983,7 @@ mod tests {
                 );
                 // Green oracles must hold on arbitrary schedules; hunts may
                 // fail (that is their purpose), but must not panic.
-                let verdict = (built.check)(&run);
+                let verdict = check(&run);
                 if !def.expect_violations {
                     assert_eq!(verdict, Ok(()), "{} under seed {seed}", def.name);
                 }

@@ -25,8 +25,8 @@
 //! back to the lowest enabled process.
 
 use crate::scenarios;
-use shmem::{CrashPlan, ExecConfig, ProcessId, Schedule, ScheduleSource, VirtualExecutor};
-use std::sync::Arc;
+use shmem::vexec::DEFAULT_MAX_STEPS;
+use shmem::{ProcessId, Schedule, ScheduleSource};
 
 /// Whether the pinned schedule is expected to pass its oracle or violate it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -197,14 +197,9 @@ pub fn verify(file: &TraceFile) -> Result<String, String> {
             def.name, def.procs, file.procs
         ));
     }
-    let built = (def.build)();
-    let mut cfg =
-        ExecConfig::new(file.seed).with_schedule(ScheduleSource::Replay(file.schedule.clone()));
-    if let Some(plan) = file.crash_plan() {
-        cfg = cfg.with_crash_plan(CrashPlan::Fixed(plan));
-    }
-    let body = Arc::clone(&built.body);
-    let run = VirtualExecutor::new(cfg).run(def.procs, move |ctx| body(ctx));
+    let replay = ScheduleSource::Replay(file.schedule.clone());
+    let plan = file.crash_plan();
+    let (run, check) = def.execute(file.seed, plan.as_ref(), replay, DEFAULT_MAX_STEPS);
     if run.trace.truncated || run.trace.aborted {
         return Err("replay was truncated or aborted — the trace is stale".into());
     }
@@ -224,7 +219,7 @@ pub fn verify(file: &TraceFile) -> Result<String, String> {
             pinned.len()
         ));
     }
-    let verdict = (built.check)(&run);
+    let verdict = check(&run);
     match (file.expect, verdict) {
         (Expectation::Pass, Ok(())) => Ok(format!(
             "{}: replayed {} steps, oracle passed as expected",

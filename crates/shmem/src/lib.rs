@@ -28,9 +28,8 @@
 //!   [`vexec::Scheduler`] chooses the interleaving step by step. It is the
 //!   substrate for seeded, load-independent concurrency tests, examples,
 //!   systematic schedule exploration (the `mcheck` crate), schedule replay
-//!   and DPOR model checking.
-//! * [`executor`] — [`ExecutionOutcome`], the results, step statistics and
-//!   crash outcomes a run collects.
+//!   and DPOR model checking. A run returns an [`ExecutionOutcome`]: the
+//!   results, step statistics and crash outcomes of its processes.
 //! * [`lazy`] — [`LazyTable`], a lock-free radix table of
 //!   `OnceLock` nodes that creates shared objects keyed by `u64` on first
 //!   touch (outer renaming-network sections, splitter trees).
@@ -76,7 +75,6 @@
 pub mod adversary;
 pub mod arena;
 pub mod consistency;
-pub mod executor;
 pub mod history;
 pub mod lazy;
 pub mod pad;
@@ -89,7 +87,6 @@ pub mod vexec;
 
 pub use adversary::{CrashPlan, ExecConfig, ScheduleSource};
 pub use arena::{Arena, ArenaBackend, ArenaCell, ArenaError, ArenaPod, ArenaRef, ArenaSliceRef};
-pub use executor::{ExecutionOutcome, ProcessOutcome};
 pub use history::{History, OpRecord, Recorder};
 pub use lazy::LazyTable;
 pub use pad::CachePadded;
@@ -97,6 +94,6 @@ pub use process::{ProcessCtx, ProcessId};
 pub use register::{AtomicBoolRegister, AtomicU64Register, AtomicUsizeRegister, RegisterBlock};
 pub use steps::{StepKind, StepStats};
 pub use vexec::{
-    AccessClass, ExecTrace, ExploreHandle, Loc, OpEvent, PendingOp, Schedule, Scheduler,
-    SchedulerDecision, VirtualExecutor, VirtualRun,
+    AccessClass, ExecTrace, ExecutionOutcome, ExploreHandle, Loc, OpEvent, PendingOp,
+    ProcessOutcome, Schedule, Scheduler, SchedulerDecision, VirtualExecutor, VirtualRun,
 };

@@ -153,7 +153,7 @@ impl ProcessCtx {
     ///
     /// Panics with an internal [`CrashSignal`] payload when the configured
     /// crash step is reached; the executor converts this into a
-    /// [`ProcessOutcome::Crashed`](crate::executor::ProcessOutcome) report.
+    /// [`ProcessOutcome::Crashed`](crate::vexec::ProcessOutcome) report.
     pub fn record(&mut self, kind: StepKind) {
         self.record_at(kind, Loc::ANON);
     }
