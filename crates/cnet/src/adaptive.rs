@@ -607,25 +607,26 @@ mod tests {
                         let recorder = Arc::clone(&recorder);
                         move |ctx| {
                             for round in 0..rounds {
-                                let invoke = recorder.invoke();
                                 if (ctx.id().as_usize() + round) % 2 == 0 {
+                                    let invoke = recorder.invoke(ctx.id(), CounterOp::Increment);
                                     counter.increment(ctx);
-                                    recorder.record(ctx.id(), CounterOp::Increment, 0, invoke);
+                                    recorder.respond(invoke, 0);
                                 } else {
+                                    let invoke = recorder.invoke(ctx.id(), CounterOp::Read);
                                     let value = counter.read(ctx);
-                                    recorder.record(ctx.id(), CounterOp::Read, value, invoke);
+                                    recorder.respond(invoke, value);
                                 }
                             }
                         }
                     });
                     assert_eq!(run.outcome.crashed_count(), 0);
                     let mut reader = ctx(99);
-                    let invoke = recorder.invoke();
+                    let invoke = recorder.invoke(reader.id(), CounterOp::Read);
                     let value = counter.read(&mut reader);
-                    recorder.record(reader.id(), CounterOp::Read, value, invoke);
+                    recorder.respond(invoke, value);
                     let routed_up: u64 = counter.layer_token_counts()[1..].iter().flatten().sum();
                     assert!(routed_up > 0, "width {width} seed {seed}: no first touch");
-                    check_quiescent_consistent(&recorder.take_history(), &[]).unwrap_or_else(
+                    check_quiescent_consistent(&recorder.take_history()).unwrap_or_else(
                         |violation| panic!("width {width} p {processes} seed {seed}: {violation}"),
                     );
                     assert_eq!(value, counter.peek(), "width {width} seed {seed}");

@@ -430,13 +430,13 @@ mod tests {
                     move |ctx| {
                         for round in 0..3 {
                             if (ctx.id().as_usize() + round) % 2 == 0 {
-                                let invoke = recorder.invoke();
+                                let invoke = recorder.invoke(ctx.id(), CounterOp::Increment);
                                 counter.increment(ctx);
-                                recorder.record(ctx.id(), CounterOp::Increment, 0, invoke);
+                                recorder.respond(invoke, 0);
                             } else {
-                                let invoke = recorder.invoke();
+                                let invoke = recorder.invoke(ctx.id(), CounterOp::Read);
                                 let value = counter.read(ctx);
-                                recorder.record(ctx.id(), CounterOp::Read, value, invoke);
+                                recorder.respond(invoke, value);
                             }
                         }
                     }
@@ -444,7 +444,7 @@ mod tests {
                 .outcome;
             assert_eq!(outcome.crashed_count(), 0);
             let history = recorder.take_history();
-            check_monotone_consistent(&history, &[])
+            check_monotone_consistent(&history)
                 .unwrap_or_else(|violation| panic!("seed {seed}: {violation}"));
         }
     }

@@ -220,9 +220,9 @@ mod tests {
                     let object = Arc::clone(&object);
                     let recorder = Arc::clone(&recorder);
                     move |ctx| {
-                        let invoke = recorder.invoke();
+                        let invoke = recorder.invoke(ctx.id(), ());
                         let value = object.fetch_and_increment(ctx);
-                        recorder.record(ctx.id(), (), value, invoke);
+                        recorder.respond(invoke, value);
                     }
                 })
                 .outcome;

@@ -12,13 +12,15 @@
 //! * [`NameLease`] — the RAII guard returned by
 //!   [`LongLivedRenaming::lease`]. Dropping the guard returns the name;
 //!   [`NameLease::release`] does the same with step accounting.
-//! * [`LeaseRecord`] / [`assert_tight_lease_namespace`] — the correctness
-//!   checker for lease-churn histories: at every instant live names must be
-//!   distinct, and every granted name must be bounded by the contention at
-//!   the moment of the grant (tightness against *concurrent holders*, not
-//!   against the total number of acquisitions ever made).
+//! * [`LeaseOp`] / [`assert_tight_lease_namespace`] — the correctness
+//!   checker for lease-churn histories recorded through a
+//!   [`Recorder`](shmem::history::Recorder): at every instant live names
+//!   must be distinct, and every granted name must be bounded by the
+//!   contention at the moment of the grant (tightness against *concurrent
+//!   holders*, not against the total number of acquisitions ever made).
 
 use crate::error::RenamingError;
+use shmem::history::{History, OpRecord, Response};
 use shmem::process::ProcessCtx;
 use shmem::steps::StepKind;
 use std::fmt;
@@ -190,46 +192,35 @@ impl PartialEq<usize> for NameLease {
     }
 }
 
-/// One lease attempt in a recorded churn history, with logical timestamps
-/// drawn from a shared monotone counter (e.g. an `AtomicU64` bumped at every
-/// recorded event).
-///
-/// The four timestamps delimit two nested intervals:
-///
-/// * the **contention interval** `[requested_at, release_finished_at)` — the
-///   span during which this attempt counts toward the object's point
-///   contention (open-ended for crashed attempts, which may hold resources
-///   forever);
-/// * the **hold interval** `[granted_at, release_started_at)` — the span
-///   during which the caller observably owned the name (used for the
-///   uniqueness check; it is a subset of the true ownership span, so any
-///   recorded overlap is a genuine violation).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LeaseRecord {
-    /// The granted name, or `None` if the attempt failed or crashed before
-    /// the grant.
-    pub name: Option<usize>,
-    /// Timestamp taken immediately before invoking `lease`.
-    pub requested_at: u64,
-    /// Timestamp taken immediately after `lease` returned a name.
-    pub granted_at: Option<u64>,
-    /// Timestamp taken immediately before initiating the release.
-    pub release_started_at: Option<u64>,
-    /// Timestamp taken immediately after the release returned.
-    pub release_finished_at: Option<u64>,
+/// An operation in a [`LeaseHistory`]. A lease responds `Some(name)` when
+/// granted and `None` when it fails; a release responds `None`; a pending
+/// operation is a crash. A lease attempt **contends** from its invocation
+/// until a failed lease or the name's release responds (forever after a
+/// crash), and **holds** its name from the grant until its process invokes
+/// the release (a subset of the true ownership span, so any recorded
+/// overlap is a genuine violation).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum LeaseOp {
+    /// Lease a name.
+    Lease,
+    /// Release the given name.
+    Release(usize),
 }
+
+/// A lease history, recorded through a [`Recorder`](shmem::history::Recorder).
+pub type LeaseHistory = History<LeaseOp, Option<usize>>;
 
 /// Checks a lease-churn history for the long-lived strong renaming
 /// guarantees:
 ///
 /// 1. **Uniqueness at every instant** — no two hold intervals with the same
-///    name overlap.
+///    name overlap (see [`assert_unique_lease_names`]).
 /// 2. **Tightness against concurrent holders** — every granted name is at
 ///    most the peak number of attempts simultaneously inside their
 ///    contention interval while the grant was in flight (between the
-///    attempt's request and its grant). Crashed attempts (no release
-///    timestamps) count as contenders forever, exactly as a crashed process
-///    may forever hold the object's internal resources.
+///    attempt's request and its grant). Crashed attempts count as
+///    contenders forever, exactly as a crashed process may forever hold the
+///    object's internal resources.
 ///
 /// This is the lease-history analogue of
 /// [`assert_tight_namespace`](crate::traits::assert_tight_namespace), which
@@ -237,8 +228,8 @@ pub struct LeaseRecord {
 /// rejects any history in which a name is ever reused.
 ///
 /// Returns `Err` with a human-readable description of the first violation.
-pub fn assert_tight_lease_namespace(records: &[LeaseRecord]) -> Result<(), String> {
-    check_lease_namespace(records, None)
+pub fn assert_tight_lease_namespace(history: &LeaseHistory) -> Result<(), String> {
+    check_lease_namespace(history, None)
 }
 
 /// Checks a lease-churn history against the bound of a recycler with a
@@ -247,26 +238,32 @@ pub fn assert_tight_lease_namespace(records: &[LeaseRecord]) -> Result<(), Strin
 /// name at most the highest grant-window point contention of any grant up
 /// to and including it, plus `slack` (`P·q` for quota `q` and `P` slots in
 /// use). Returns `Err` describing the first violation.
-pub fn assert_escrow_lease_namespace(records: &[LeaseRecord], slack: usize) -> Result<(), String> {
-    check_lease_namespace(records, Some(slack))
+pub fn assert_escrow_lease_namespace(history: &LeaseHistory, slack: usize) -> Result<(), String> {
+    check_lease_namespace(history, Some(slack))
 }
 
-/// The tight check (`escrow_slack == None`) or the escrow check.
-fn check_lease_namespace(
-    records: &[LeaseRecord],
-    escrow_slack: Option<usize>,
-) -> Result<(), String> {
-    const INFINITY: u64 = u64::MAX;
-
-    // --- 1. uniqueness: per name, hold intervals must not overlap. --------
-    let mut holds: Vec<(usize, u64, u64)> = records
-        .iter()
-        .filter_map(|r| {
-            let name = r.name?;
-            let start = r.granted_at?;
-            Some((name, start, r.release_started_at.unwrap_or(INFINITY)))
-        })
-        .collect();
+/// Checks the uniqueness half of [`assert_tight_lease_namespace`]: no two
+/// hold intervals with the same name overlap, no name is 0, and every
+/// release is of a name its process holds. Returns `Err` describing the
+/// first violation.
+pub fn assert_unique_lease_names(history: &LeaseHistory) -> Result<(), String> {
+    // `(name, grant, end of hold)`, and the open hold of each (holder, name)
+    // as an index into `holds`. A second grant to the same holder replaces
+    // the first, which then holds forever and fails the check below.
+    let mut holds: Vec<(usize, u64, u64)> = Vec::new();
+    let mut held = std::collections::HashMap::new();
+    for record in history {
+        if let Some((name, at)) = grant(record) {
+            held.insert((record.process, name), holds.len());
+            holds.push((name, at, u64::MAX));
+        } else if let LeaseOp::Release(name) = record.op {
+            let index = held.remove(&(record.process, name)).ok_or_else(|| {
+                let (process, at) = (record.process, record.invoke);
+                format!("{process:?} released name {name} at t={at} without holding it")
+            })?;
+            holds[index].2 = record.invoke;
+        }
+    }
     holds.sort_unstable();
     for pair in holds.windows(2) {
         let (name_a, _, end_a) = pair[0];
@@ -283,15 +280,33 @@ fn check_lease_namespace(
             return Err("name 0 granted (names are 1-based)".to_string());
         }
     }
+    Ok(())
+}
 
-    // --- 2. tightness: name ≤ peak contention during the grant window. ----
-    // Sweep the contention deltas in timestamp order, remembering the active
-    // count after every event so per-record windows can be answered offline.
-    let mut deltas: Vec<(u64, i64)> = Vec::with_capacity(records.len() * 2);
-    for r in records {
-        deltas.push((r.requested_at, 1));
-        if let Some(end) = r.release_finished_at {
-            deltas.push((end, -1));
+/// The name a lease record was granted, and when.
+fn grant(record: &OpRecord<LeaseOp, Option<usize>>) -> Option<(usize, u64)> {
+    match (record.op, &record.response) {
+        (LeaseOp::Lease, Some(response)) => Some((response.result?, response.at)),
+        _ => None,
+    }
+}
+
+/// The tight check (`slack == None`) or the escrow check.
+fn check_lease_namespace(history: &LeaseHistory, slack: Option<usize>) -> Result<(), String> {
+    assert_unique_lease_names(history)?;
+
+    // Tightness: name ≤ peak contention during the grant window. Every lease
+    // starts contending at its invocation, and every response without a
+    // name (a failed lease's or a release's) ends one attempt's contention.
+    // Sweep these deltas in timestamp order, remembering the active count
+    // after every event so per-grant windows can be answered offline.
+    let mut deltas: Vec<(u64, i64)> = Vec::with_capacity(history.len() * 2);
+    for record in history {
+        if record.op == LeaseOp::Lease {
+            deltas.push((record.invoke, 1));
+        }
+        if let Some(Response { result: None, at }) = record.response {
+            deltas.push((at, -1));
         }
     }
     deltas.sort_unstable();
@@ -316,20 +331,20 @@ fn check_lease_namespace(
             .fold(before, i64::max)
     };
 
-    let mut grants: Vec<(u64, usize, i64)> = records
+    let mut grants: Vec<(u64, usize, i64)> = history
         .iter()
-        .filter_map(|r| {
-            let (name, granted) = (r.name?, r.granted_at?);
-            Some((granted, name, peak_between(r.requested_at, granted)))
+        .filter_map(|record| {
+            let (name, at) = grant(record)?;
+            Some((at, name, peak_between(record.invoke, at)))
         })
         .collect();
     grants.sort_unstable();
     let mut highest = 0;
     for (granted, name, contention) in grants {
         highest = highest.max(contention);
-        let limit = escrow_slack.map_or(contention, |slack| highest + slack as i64);
+        let limit = slack.map_or(contention, |slack| highest + slack as i64);
         if name as i64 > limit {
-            return Err(match escrow_slack {
+            return Err(match slack {
                 None => format!(
                     "name {name} granted at t={granted} exceeds the point \
                      contention {contention} of its grant window"
@@ -348,39 +363,52 @@ fn check_lease_namespace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shmem::process::ProcessId;
 
+    type Record = OpRecord<LeaseOp, Option<usize>>;
+
+    /// The records of one granted lease, leased by a process of its own
+    /// (numbered by its request time) and released over
+    /// `[rel_start, rel_end]`: no release without `rel_start`, a pending one
+    /// without `rel_end`.
     fn record(
         name: usize,
         requested: u64,
         granted: u64,
         rel_start: Option<u64>,
         rel_end: Option<u64>,
-    ) -> LeaseRecord {
-        LeaseRecord {
-            name: Some(name),
-            requested_at: requested,
-            granted_at: Some(granted),
-            release_started_at: rel_start,
-            release_finished_at: rel_end,
-        }
+    ) -> Vec<Record> {
+        let process = ProcessId::new(requested as usize);
+        let lease = OpRecord::completed(process, LeaseOp::Lease, Some(name), requested, granted);
+        let release = rel_start.map(|invoke| OpRecord {
+            process,
+            op: LeaseOp::Release(name),
+            invoke,
+            response: rel_end.map(|at| Response { result: None, at }),
+        });
+        std::iter::once(lease).chain(release).collect()
+    }
+
+    fn history(leases: Vec<Vec<Record>>) -> LeaseHistory {
+        History::new(leases.concat())
     }
 
     #[test]
     fn sequential_reuse_of_one_name_is_accepted() {
-        let records = [
+        let records = history(vec![
             record(1, 0, 1, Some(2), Some(3)),
             record(1, 4, 5, Some(6), Some(7)),
             record(1, 8, 9, None, None), // still held at the end
-        ];
+        ]);
         assert!(assert_tight_lease_namespace(&records).is_ok());
     }
 
     #[test]
     fn overlapping_holders_of_one_name_are_rejected() {
-        let records = [
+        let records = history(vec![
             record(1, 0, 1, Some(6), Some(7)),
             record(1, 2, 3, Some(4), Some(5)),
-        ];
+        ]);
         let err = assert_tight_lease_namespace(&records).unwrap_err();
         assert!(err.contains("held by two leases"), "{err}");
     }
@@ -389,7 +417,7 @@ mod tests {
     fn names_above_the_point_contention_are_rejected() {
         // A single uncontended lease must get a name bounded by its own
         // contention of 1.
-        let records = [record(2, 0, 1, Some(2), Some(3))];
+        let records = history(vec![record(2, 0, 1, Some(2), Some(3))]);
         let err = assert_tight_lease_namespace(&records).unwrap_err();
         assert!(err.contains("exceeds the point contention"), "{err}");
     }
@@ -397,10 +425,10 @@ mod tests {
     #[test]
     fn concurrent_leases_may_use_higher_names() {
         // Two overlapping leases: names 1 and 2 are both legitimate.
-        let records = [
+        let records = history(vec![
             record(1, 0, 2, Some(8), Some(9)),
             record(2, 1, 3, Some(6), Some(7)),
-        ];
+        ]);
         assert!(assert_tight_lease_namespace(&records).is_ok());
     }
 
@@ -408,46 +436,92 @@ mod tests {
     fn in_flight_releases_count_toward_contention() {
         // Lease A releases over [3, 6]; lease B requests at 4 and is granted
         // name 2 at 5 — legitimate, because A's release has not finished.
-        let records = [
+        let records = history(vec![
             record(1, 0, 1, Some(3), Some(6)),
             record(2, 4, 5, Some(7), Some(8)),
-        ];
+        ]);
         assert!(assert_tight_lease_namespace(&records).is_ok());
     }
 
     #[test]
     fn crashed_attempts_hold_contention_forever() {
-        // A crashed attempt (no grant, no release) keeps contention at 2, so
-        // a later lease may be granted name 2.
-        let crashed = LeaseRecord {
-            name: None,
-            requested_at: 0,
-            ..Default::default()
-        };
-        let records = [crashed, record(2, 5, 6, Some(7), Some(8))];
+        // A crashed attempt (a lease that never responded) keeps contention
+        // at 2, so a later lease may be granted name 2.
+        let crashed = vec![OpRecord::pending(ProcessId::new(9), LeaseOp::Lease, 0)];
+        let records = history(vec![crashed, record(2, 5, 6, Some(7), Some(8))]);
         assert!(assert_tight_lease_namespace(&records).is_ok());
     }
 
     #[test]
+    fn pending_releases_end_the_hold_at_their_invocation_and_contend_forever() {
+        // A's release of name 1 is invoked at 2 and never responds: the name
+        // is free for B from then on, and A still contends, so C's later
+        // grant of name 2 is within the contention of its window.
+        let records = history(vec![
+            record(1, 0, 1, Some(2), None),
+            record(1, 3, 4, Some(5), Some(6)),
+            record(2, 7, 8, Some(9), Some(10)),
+        ]);
+        assert!(assert_tight_lease_namespace(&records).is_ok());
+        // Had A's release responded, C would be alone and name 2 too high.
+        let answered = history(vec![
+            record(1, 0, 1, Some(2), Some(3)),
+            record(1, 4, 5, Some(6), Some(7)),
+            record(2, 8, 9, Some(10), Some(11)),
+        ]);
+        let err = assert_tight_lease_namespace(&answered).unwrap_err();
+        assert!(err.contains("exceeds the point contention"), "{err}");
+    }
+
+    #[test]
+    fn pending_leases_contend_forever_and_hold_no_name() {
+        // A pending lease holds no name (B takes name 1 without a
+        // uniqueness violation) but counts toward every later contention
+        // (C's name 2 is legitimate).
+        let pending = vec![OpRecord::pending(ProcessId::new(9), LeaseOp::Lease, 0)];
+        let records = history(vec![
+            pending,
+            record(1, 1, 2, Some(3), Some(4)),
+            record(2, 5, 6, Some(7), Some(8)),
+        ]);
+        assert!(assert_tight_lease_namespace(&records).is_ok());
+        // A lease that failed instead stops contending at its response.
+        let mut failed = record(1, 0, 1, None, None);
+        failed[0].response.as_mut().expect("responded").result = None;
+        let records = history(vec![failed, record(2, 5, 6, Some(7), Some(8))]);
+        assert!(assert_tight_lease_namespace(&records).is_err());
+    }
+
+    #[test]
+    fn releases_of_names_never_granted_are_rejected() {
+        // Process 5's release of name 1, without its lease.
+        let mut stray = record(1, 5, 6, Some(7), Some(8));
+        stray.remove(0);
+        let records = history(vec![record(1, 0, 1, None, None), stray]);
+        let err = assert_unique_lease_names(&records).unwrap_err();
+        assert!(err.contains("without holding it"), "{err}");
+    }
+
+    #[test]
     fn zero_names_are_rejected() {
-        let records = [record(0, 0, 1, None, None)];
+        let records = history(vec![record(0, 0, 1, None, None)]);
         assert!(assert_tight_lease_namespace(&records).is_err());
     }
 
     #[test]
     fn empty_histories_are_trivially_tight() {
-        assert!(assert_tight_lease_namespace(&[]).is_ok());
+        assert!(assert_tight_lease_namespace(&History::new(vec![])).is_ok());
     }
 
     #[test]
     fn escrow_checker_allows_the_slack_above_the_running_peak() {
         // Two overlapping grants reach contention 2; a later solo grant
         // (contention 1) may carry an escrowed name up to 2 + slack.
-        let history = [
+        let history = history(vec![
             record(1, 0, 2, Some(6), Some(7)),
             record(2, 1, 3, Some(4), Some(5)),
             record(3, 8, 9, Some(10), Some(11)),
-        ];
+        ]);
         assert!(assert_tight_lease_namespace(&history).is_err());
         assert!(assert_escrow_lease_namespace(&history, 1).is_ok());
         let error = assert_escrow_lease_namespace(&history, 0).unwrap_err();

@@ -102,8 +102,8 @@ pub use error::RenamingError;
 pub use fetch_increment::BoundedFetchIncrement;
 pub use free_list::FreeList;
 pub use lease::{
-    assert_escrow_lease_namespace, assert_tight_lease_namespace, LeaseRecord, LongLivedRenaming,
-    NameLease,
+    assert_escrow_lease_namespace, assert_tight_lease_namespace, assert_unique_lease_names,
+    LeaseHistory, LeaseOp, LongLivedRenaming, NameLease,
 };
 pub use linear_probe::LinearProbeRenaming;
 pub use ltas::BoundedTas;

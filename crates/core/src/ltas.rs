@@ -217,9 +217,9 @@ mod tests {
                     let ltas = Arc::clone(&ltas);
                     let recorder = Arc::clone(&recorder);
                     move |ctx| {
-                        let invoke = recorder.invoke();
+                        let invoke = recorder.invoke(ctx.id(), ());
                         let won = ltas.invoke(ctx);
-                        recorder.record(ctx.id(), (), won, invoke);
+                        recorder.respond(invoke, won);
                     }
                 })
                 .outcome;
@@ -239,53 +239,17 @@ mod tests {
     fn the_spec_itself_behaves_as_documented() {
         let spec = BoundedTasSpec { limit: 2 };
         let history = History::new(vec![
-            OpRecord {
-                process: ProcessId::new(0),
-                op: (),
-                result: true,
-                invoke: 1,
-                response: 2,
-            },
-            OpRecord {
-                process: ProcessId::new(1),
-                op: (),
-                result: true,
-                invoke: 3,
-                response: 4,
-            },
-            OpRecord {
-                process: ProcessId::new(2),
-                op: (),
-                result: false,
-                invoke: 5,
-                response: 6,
-            },
+            OpRecord::completed(ProcessId::new(0), (), true, 1, 2),
+            OpRecord::completed(ProcessId::new(1), (), true, 3, 4),
+            OpRecord::completed(ProcessId::new(2), (), false, 5, 6),
         ]);
         assert!(check_linearizable(&spec, &history).is_ok());
 
         // Three winners with limit 2 is not linearizable.
         let bad = History::new(vec![
-            OpRecord {
-                process: ProcessId::new(0),
-                op: (),
-                result: true,
-                invoke: 1,
-                response: 2,
-            },
-            OpRecord {
-                process: ProcessId::new(1),
-                op: (),
-                result: true,
-                invoke: 3,
-                response: 4,
-            },
-            OpRecord {
-                process: ProcessId::new(2),
-                op: (),
-                result: true,
-                invoke: 5,
-                response: 6,
-            },
+            OpRecord::completed(ProcessId::new(0), (), true, 1, 2),
+            OpRecord::completed(ProcessId::new(1), (), true, 3, 4),
+            OpRecord::completed(ProcessId::new(2), (), true, 5, 6),
         ]);
         assert!(check_linearizable(&spec, &bad).is_err());
     }

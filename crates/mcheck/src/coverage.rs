@@ -210,7 +210,7 @@ mod tests {
         let pinned: [(&str, [usize; 8]); 3] = [
             ("toy_racy_pair", [400, 400, 0, 4, 4, 6, 2, 0]),
             ("recycler_churn_2p", [400, 400, 0, 22, 22, 9, 2, 0]),
-            ("cnet_stall_one_token", [400, 400, 0, 14, 14, 10, 2, 197]),
+            ("cnet_stall_one_token", [400, 400, 0, 14, 14, 10, 2, 130]),
         ];
         for (name, counts) in pinned {
             let def = scenarios::find(name).expect("registered");

@@ -499,7 +499,7 @@ mod tests {
             ("cnet_width2_2p", [2, 2, 0, 2]),
             ("cnet_width4_3p", [9, 8, 1, 8]),
             ("cnet_stall_one_token", [1, 1, 0, 1]),
-            ("mono_counter_3p", [5, 5, 0, 3]),
+            ("mono_counter_3p", [193, 193, 0, 104]),
             ("renaming_width4_3p", [13, 12, 1, 12]),
             ("recycler_churn_2p", [22, 22, 0, 22]),
             ("robust_sweep_2p", [887, 887, 0, 887]),

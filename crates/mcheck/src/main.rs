@@ -1,12 +1,4 @@
-//! The `mcheck` command-line front end.
-//!
-//! ```text
-//! mcheck list
-//! mcheck explore [--scenario NAME] [--mode dpor|brute|bounded] [--bound N]
-//!                [--max-executions N] [--stop-on-violation] [--write-traces DIR]
-//! mcheck fuzz --scenario NAME [--seconds S] [--seed S] [--write-traces DIR]
-//! mcheck replay <FILE.trace>
-//! ```
+//! The `mcheck` command-line front end (see [`USAGE`]).
 //!
 //! `explore` runs the one schedule search over each selected scenario in one
 //! of its three modes: `dpor` (partial-order reduction, the default),
@@ -14,8 +6,9 @@
 //! most `--bound` preemptions). It prints the executions and classes found
 //! beside the naive enumeration baseline and (with `--write-traces`)
 //! serializes every violation as a minimized replayable trace file. `fuzz`
-//! samples schedules instead, guided by class coverage. Exit status is
-//! non-zero when a scenario's outcome contradicts its registration (an
+//! samples schedules instead, guided by class coverage. A subcommand given a
+//! flag it does not read prints the usage and exits with status 2. Exit
+//! status is 1 when a scenario's outcome contradicts its registration (an
 //! unexpected violation, or a counterexample hunt that found nothing).
 
 use mcheck::coverage::{fuzz, FuzzConfig};
@@ -26,23 +19,40 @@ use mcheck::trace::{Expectation, TraceFile};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: mcheck list
+       mcheck explore [--scenario NAME] [--mode dpor|brute|bounded] [--bound N]
+                      [--max-executions N] [--stop-on-violation] [--write-traces DIR]
+       mcheck fuzz --scenario NAME [--seconds S] [--seed S] [--stop-on-violation]
+                   [--write-traces DIR]
+       mcheck replay <FILE.trace>";
+
+/// The flags each subcommand reads; any other flag is a usage error.
+const EXPLORE_FLAGS: &str =
+    "--scenario --mode --bound --max-executions --stop-on-violation --write-traces";
+const FUZZ_FLAGS: &str = "--scenario --seconds --seed --stop-on-violation --write-traces";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("explore") => cmd_explore(&args[1..]),
-        Some("fuzz") => cmd_fuzz(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        _ => {
-            eprintln!("usage: mcheck <list|explore|fuzz|replay> [options]");
-            return ExitCode::from(2);
-        }
+    let (command, rest) = args
+        .split_first()
+        .map_or(("", &[][..]), |(c, r)| (c.as_str(), r));
+    // The outer `Err` is a usage error, the inner one a failed run.
+    let result = match (command, rest) {
+        ("list", []) => Ok(cmd_list()),
+        ("explore", _) => parse_flags(rest, EXPLORE_FLAGS).map(|flags| cmd_explore(&flags)),
+        ("fuzz", _) => parse_flags(rest, FUZZ_FLAGS).map(|flags| cmd_fuzz(&flags)),
+        ("replay", [path]) => Ok(cmd_replay(path)),
+        _ => Err(format!("cannot run {:?}", args.join(" "))),
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
+        Ok(Ok(())) => ExitCode::SUCCESS,
+        Ok(Err(message)) => {
             eprintln!("mcheck: {message}");
             ExitCode::FAILURE
+        }
+        Err(message) => {
+            eprintln!("mcheck: {message}\n{USAGE}");
+            ExitCode::from(2)
         }
     }
 }
@@ -64,10 +74,10 @@ fn cmd_list() -> Result<(), String> {
     Ok(())
 }
 
+#[derive(Debug)]
 struct Flags {
     scenario: Option<String>,
-    mode: String,
-    bound: u32,
+    mode: ExploreMode,
     max_executions: usize,
     seconds: f64,
     seed: u64,
@@ -75,52 +85,55 @@ struct Flags {
     write_traces: Option<PathBuf>,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// Parses the flags of a subcommand that reads the (space-separated) flags
+/// in `accepted`.
+fn parse_flags(args: &[String], accepted: &str) -> Result<Flags, String> {
+    fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        value.parse().map_err(|e| format!("{flag}: {e}"))
+    }
     let mut flags = Flags {
         scenario: None,
-        mode: "dpor".into(),
-        bound: 2,
+        mode: ExploreMode::Dpor,
         max_executions: 200_000,
         seconds: 5.0,
         seed: 0,
         stop_on_violation: false,
         write_traces: None,
     };
+    let (mut mode, mut bound) = ("dpor".to_string(), None);
     let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--scenario" => flags.scenario = Some(value("--scenario")?),
-            "--mode" => flags.mode = value("--mode")?,
-            "--bound" => {
-                flags.bound = value("--bound")?
-                    .parse()
-                    .map_err(|e| format!("--bound: {e}"))?;
-            }
-            "--max-executions" => {
-                flags.max_executions = value("--max-executions")?
-                    .parse()
-                    .map_err(|e| format!("--max-executions: {e}"))?;
-            }
-            "--seconds" => {
-                flags.seconds = value("--seconds")?
-                    .parse()
-                    .map_err(|e| format!("--seconds: {e}"))?;
-            }
-            "--seed" => {
-                flags.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--stop-on-violation" => flags.stop_on_violation = true,
-            "--write-traces" => flags.write_traces = Some(PathBuf::from(value("--write-traces")?)),
-            other => return Err(format!("unknown flag {other:?}")),
+    while let Some(flag) = it.next() {
+        if !accepted.split(' ').any(|accepted| accepted == flag) {
+            return Err(format!("unknown flag {flag:?}"));
+        }
+        if flag == "--stop-on-violation" {
+            flags.stop_on_violation = true;
+            continue;
+        }
+        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        match flag.as_str() {
+            "--scenario" => flags.scenario = Some(value.clone()),
+            "--mode" => mode = value.clone(),
+            "--bound" => bound = Some(parse(flag, value)?),
+            "--max-executions" => flags.max_executions = parse(flag, value)?,
+            "--seconds" => flags.seconds = parse(flag, value)?,
+            "--seed" => flags.seed = parse(flag, value)?,
+            "--write-traces" => flags.write_traces = Some(PathBuf::from(value)),
+            other => unreachable!("accepted flag {other:?} has no parser"),
         }
     }
+    flags.mode = match (mode.as_str(), bound) {
+        ("dpor", None) => ExploreMode::Dpor,
+        ("brute", None) => ExploreMode::BruteForce,
+        ("bounded", bound) => ExploreMode::Bounded(bound.unwrap_or(2)),
+        ("dpor" | "brute", Some(_)) => {
+            return Err("--bound is read only with --mode bounded".into())
+        }
+        (other, _) => return Err(format!("unknown mode {other:?} (dpor|brute|bounded)")),
+    };
     Ok(flags)
 }
 
@@ -133,20 +146,13 @@ fn selected(flags: &Flags) -> Result<Vec<ScenarioDef>, String> {
     }
 }
 
-fn cmd_explore(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let mode = match flags.mode.as_str() {
-        "dpor" => ExploreMode::Dpor,
-        "brute" => ExploreMode::BruteForce,
-        "bounded" => ExploreMode::Bounded(flags.bound),
-        other => return Err(format!("unknown mode {other:?} (dpor|brute|bounded)")),
-    };
+fn cmd_explore(flags: &Flags) -> Result<(), String> {
     let mut failed = false;
     // A bare `explore` sweeps the exhaustive tier; heavy scenarios (whose
     // schedule spaces defeat exhaustive search) must be named explicitly
     // and are meant for the bounded mode or the fuzzer.
     let sweep = flags.scenario.is_none();
-    for def in selected(&flags)? {
+    for def in selected(flags)? {
         if sweep && !def.exhaustive {
             println!(
                 "{:<22} skipped (heavy tier; name it with --scenario)",
@@ -155,7 +161,7 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
             continue;
         }
         let config = ExploreConfig {
-            mode,
+            mode: flags.mode,
             max_executions: flags.max_executions,
             stop_on_violation: flags.stop_on_violation || def.expect_violations,
             ..ExploreConfig::default()
@@ -183,10 +189,9 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_fuzz(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+fn cmd_fuzz(flags: &Flags) -> Result<(), String> {
     let mut failed = false;
-    for def in selected(&flags)? {
+    for def in selected(flags)? {
         let config = FuzzConfig {
             seconds: flags.seconds,
             seed: flags.seed,
@@ -267,11 +272,40 @@ fn trace_file_for(def: &ScenarioDef, cx: &Counterexample) -> TraceFile {
     }
 }
 
-fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("replay needs a trace file path")?;
+fn cmd_replay(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let file = TraceFile::parse(&text)?;
     let summary = mcheck::trace::verify(&file)?;
     println!("{summary}");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str, accepted: &str) -> Result<Flags, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_flags(&args, accepted)
+    }
+
+    #[test]
+    fn subcommands_reject_flags_they_do_not_read() {
+        let err = parse("--seconds 2", EXPLORE_FLAGS).unwrap_err();
+        assert!(err.contains("unknown flag \"--seconds\""), "{err}");
+        let err = parse("--mode dpor --bound 7", EXPLORE_FLAGS).unwrap_err();
+        assert!(
+            err.contains("--bound is read only with --mode bounded"),
+            "{err}"
+        );
+        assert!(parse("--scenario toy_mp --mode brute", FUZZ_FLAGS).is_err());
+        // The flags CI passes still parse.
+        let bounded = "--mode bounded --bound 2 --max-executions 20000 --scenario x";
+        assert_eq!(
+            parse(bounded, EXPLORE_FLAGS).map(|f| f.mode),
+            Ok(ExploreMode::Bounded(2))
+        );
+        assert!(parse("--mode brute --scenario tas_chain_3p", EXPLORE_FLAGS).is_ok());
+        assert!(parse("--scenario rand_tas_pair_2p --seconds 30", FUZZ_FLAGS).is_ok());
+    }
 }

@@ -15,10 +15,11 @@
 
 use adaptive_renaming::counter::MonotoneCounter;
 use adaptive_renaming::error::RenamingError;
-use adaptive_renaming::lease::{assert_tight_lease_namespace, LeaseRecord, LongLivedRenaming};
+use adaptive_renaming::lease::{assert_tight_lease_namespace, LeaseOp, LongLivedRenaming};
 use adaptive_renaming::linear_probe::LinearProbeRenaming;
 use adaptive_renaming::recovery::recover_with;
 use adaptive_renaming::recycler::Recycler;
+use adaptive_renaming::renaming_network::RenamingNetwork;
 use adaptive_renaming::robust::RobustLeaseTable;
 use adaptive_renaming::traits::{assert_tight_namespace, Renaming};
 use cnet::counter::NetworkCounter;
@@ -26,7 +27,6 @@ use cnet::family::CountingFamily;
 use cnet::network::BalancingTopology;
 use maxreg::unbounded::UnboundedMaxRegister;
 use maxreg::MaxRegister;
-use parking_lot::Mutex;
 use shmem::adversary::{CrashPlan, ExecConfig, ScheduleSource};
 use shmem::consistency::{
     check_linearizable, check_monotone_consistent, check_quiescent_consistent, CounterOp,
@@ -35,9 +35,10 @@ use shmem::consistency::{
 use shmem::history::Recorder;
 use shmem::process::{ProcessCtx, ProcessId};
 use shmem::register::AtomicU64Register;
+use shmem::steps::StepKind;
 use shmem::vexec::{VirtualExecutor, VirtualRun};
+use sortnet::batcher::odd_even_network;
 use std::ops::RangeInclusive;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tas::hardware::HardwareTas;
 use tas::two_process::TwoProcessTas;
@@ -220,8 +221,9 @@ pub fn all() -> Vec<ScenarioDef> {
             crash_sweep: Some((0, 1..=24)),
             expect_violations: true,
             exhaustive: true,
-            about: "§8.1: a crashed incrementer makes the renaming+max-register counter \
-                    non-linearizable while staying monotone-consistent",
+            about: "§8.1: a crashed incrementer lets a renaming network grant name 1 after \
+                    name 2, so the renaming+max-register counter is non-linearizable \
+                    while staying monotone-consistent",
         },
         ScenarioDef {
             name: "renaming_width4_3p",
@@ -522,45 +524,40 @@ fn build_cnet_counter(width: usize, procs: usize) -> BuiltScenario {
 fn build_cnet_stall() -> BuiltScenario {
     let counter = Arc::new(NetworkCounter::new(CountingFamily::Bitonic, 2));
     let recorder: Arc<Recorder<CounterOp, u64>> = Arc::new(Recorder::new());
-    let pending: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let body: ScenarioBody = Arc::new({
         let counter = Arc::clone(&counter);
         let recorder = Arc::clone(&recorder);
-        let pending = Arc::clone(&pending);
         move |ctx| match ctx.id().as_usize() {
             0 => {
                 // The stalled token: traverse the network but never deposit.
                 // Its increment is invoked and stays pending forever.
-                let invoke = recorder.invoke();
-                pending.lock().push(invoke);
+                let _stalled = recorder.invoke(ctx.id(), CounterOp::Increment);
                 let entry = counter.entry_wire(ctx);
                 counter.network().traverse(ctx, entry) as u64
             }
             1 => {
-                let invoke = recorder.invoke();
+                let invoke = recorder.invoke(ctx.id(), CounterOp::Increment);
                 let ticket = counter.fetch_increment(ctx);
-                recorder.record(ctx.id(), CounterOp::Increment, ticket, invoke);
+                recorder.respond(invoke, ticket);
                 ticket
             }
             _ => {
-                let invoke = recorder.invoke();
+                let invoke = recorder.invoke(ctx.id(), CounterOp::Increment);
                 let ticket = counter.fetch_increment(ctx);
-                recorder.record(ctx.id(), CounterOp::Increment, ticket, invoke);
-                let invoke = recorder.invoke();
+                recorder.respond(invoke, ticket);
+                let invoke = recorder.invoke(ctx.id(), CounterOp::Read);
                 let value = counter.read(ctx);
-                recorder.record(ctx.id(), CounterOp::Read, value, invoke);
+                recorder.respond(invoke, value);
                 value
             }
         }
     });
     let check: ScenarioCheck = Box::new({
         let recorder = Arc::clone(&recorder);
-        let pending = Arc::clone(&pending);
         move |_run: &VirtualRun<u64>| {
             let history = recorder.take_history();
-            let pending = pending.lock().clone();
             let not_linearizable = check_linearizable(&TicketCounterSpec, &history).is_err();
-            if let Err(v) = check_quiescent_consistent(&history, &pending) {
+            if let Err(v) = check_quiescent_consistent(&history) {
                 return Err(format!("quiescent consistency violated: {v}"));
             }
             if not_linearizable {
@@ -580,52 +577,50 @@ fn build_cnet_stall() -> BuiltScenario {
 // §8.1 monotone counter.
 // ---------------------------------------------------------------------------
 
-fn linear_probe(slots: usize) -> LinearProbeRenaming<HardwareTas> {
-    LinearProbeRenaming::with_slots((0..slots).map(|_| HardwareTas::new()).collect())
-}
-
 fn build_mono_counter() -> BuiltScenario {
-    // Strong adaptive renaming (the linear-probe baseline over hardware TAS
-    // keeps the schedule space small) plus an unbounded max register: the
-    // paper's counter, §8.1.
+    // The paper's counter, §8.1: a width-4 §5 renaming network over hardware
+    // TAS plus an unbounded max register. The witness: crash-swept p0 wins
+    // its first comparator and crashes, pushing p1 to name 2; p1 reads 2;
+    // p2 takes the comparator p0 never reached, gets name 1, and p1 reads 2
+    // again, which no completion of p0's increment explains. (Linear probing
+    // never grants name 1 after name 2, so it cannot produce the witness.)
     let counter = Arc::new(MonotoneCounter::with_parts(
-        linear_probe(4),
+        RenamingNetwork::<_, HardwareTas>::new(odd_even_network(4)),
         UnboundedMaxRegister::new(),
     ));
     let recorder: Arc<Recorder<CounterOp, u64>> = Arc::new(Recorder::new());
-    let pending: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let body: ScenarioBody = Arc::new({
         let counter = Arc::clone(&counter);
         let recorder = Arc::clone(&recorder);
-        let pending = Arc::clone(&pending);
-        move |ctx| match ctx.id().as_usize() {
-            0 | 1 => {
-                let invoke = recorder.invoke();
-                pending.lock().push(invoke);
-                let name = counter
-                    .renaming()
-                    .acquire(ctx)
-                    .expect("capacity covers the participants");
-                counter.max_register().write_max(ctx, name as u64);
-                recorder.record(ctx.id(), CounterOp::Increment, 0, invoke);
-                pending.lock().retain(|&t| t != invoke);
-                name as u64
+        move |ctx| {
+            let increment = recorder.invoke(ctx.id(), CounterOp::Increment);
+            let name = counter
+                .renaming()
+                .acquire(ctx)
+                .expect("capacity covers the participants");
+            counter.max_register().write_max(ctx, name as u64);
+            recorder.respond(increment, 0);
+            if ctx.id().as_usize() != 1 {
+                return name as u64;
             }
-            _ => {
-                let invoke = recorder.invoke();
+            let read = |ctx: &mut ProcessCtx| {
+                let invoke = recorder.invoke(ctx.id(), CounterOp::Read);
                 let value = counter.max_register().read_max(ctx);
-                recorder.record(ctx.id(), CounterOp::Read, value, invoke);
+                recorder.respond(invoke, value);
                 value
-            }
+            };
+            read(ctx);
+            // Recording is uncharged: without a charged step here no other
+            // process could run between the two reads.
+            ctx.record(StepKind::RegisterRead);
+            read(ctx)
         }
     });
     let check: ScenarioCheck = Box::new({
         let recorder = Arc::clone(&recorder);
-        let pending = Arc::clone(&pending);
         move |_run: &VirtualRun<u64>| {
             let history = recorder.take_history();
-            let pending = pending.lock().clone();
-            if let Err(v) = check_monotone_consistent(&history, &pending) {
+            if let Err(v) = check_monotone_consistent(&history) {
                 return Err(format!("monotone consistency violated: {v}"));
             }
             if check_linearizable(&CounterSpec, &history).is_err() {
@@ -642,6 +637,10 @@ fn build_mono_counter() -> BuiltScenario {
 // ---------------------------------------------------------------------------
 // Renaming and recycler scenarios.
 // ---------------------------------------------------------------------------
+
+fn linear_probe(slots: usize) -> LinearProbeRenaming<HardwareTas> {
+    LinearProbeRenaming::with_slots((0..slots).map(|_| HardwareTas::new()).collect())
+}
 
 fn build_renaming_width4() -> BuiltScenario {
     let renaming = Arc::new(linear_probe(4));
@@ -693,34 +692,21 @@ fn build_recycler_churn(procs: usize, cycles: usize, inner_names: usize) -> Buil
         admitted: procs,
     };
     let recycler = Arc::new(Recycler::new(inner, procs));
-    let clock = Arc::new(AtomicU64::new(1));
-    let records: Arc<Mutex<Vec<LeaseRecord>>> = Arc::new(Mutex::new(Vec::new()));
-    let bump = move |clock: &AtomicU64| clock.fetch_add(1, Ordering::SeqCst);
+    let recorder: Arc<Recorder<LeaseOp, Option<usize>>> = Arc::new(Recorder::new());
     let body: ScenarioBody = Arc::new({
         let recycler = Arc::clone(&recycler);
-        let clock = Arc::clone(&clock);
-        let records = Arc::clone(&records);
+        let recorder = Arc::clone(&recorder);
         move |ctx| {
             let mut granted = 0u64;
             for _ in 0..cycles {
-                let slot = {
-                    let mut all = records.lock();
-                    all.push(LeaseRecord {
-                        requested_at: bump(&clock),
-                        ..LeaseRecord::default()
-                    });
-                    all.len() - 1
-                };
-                if let Ok(name) = recycler.lease_raw(ctx) {
-                    {
-                        let mut all = records.lock();
-                        all[slot].name = Some(name);
-                        all[slot].granted_at = Some(bump(&clock));
-                    }
+                let lease = recorder.invoke(ctx.id(), LeaseOp::Lease);
+                let name = recycler.lease_raw(ctx).ok();
+                recorder.respond(lease, name);
+                if let Some(name) = name {
                     granted += 1;
-                    records.lock()[slot].release_started_at = Some(bump(&clock));
+                    let release = recorder.invoke(ctx.id(), LeaseOp::Release(name));
                     recycler.release_with(ctx, name);
-                    records.lock()[slot].release_finished_at = Some(bump(&clock));
+                    recorder.respond(release, None);
                 }
             }
             granted
@@ -728,10 +714,9 @@ fn build_recycler_churn(procs: usize, cycles: usize, inner_names: usize) -> Buil
     });
     let check: ScenarioCheck = Box::new({
         let recycler = Arc::clone(&recycler);
-        let records = Arc::clone(&records);
+        let recorder = Arc::clone(&recorder);
         move |run: &VirtualRun<u64>| {
-            let records = records.lock().clone();
-            assert_tight_lease_namespace(&records)?;
+            assert_tight_lease_namespace(&recorder.take_history())?;
             if recycler.leaked_names() != 0 {
                 return Err(format!("{} names leaked", recycler.leaked_names()));
             }

@@ -15,7 +15,11 @@
 //!   verifies it on a recorded history.
 //!
 //! All checkers consume [`History`] values produced by a
-//! [`Recorder`](crate::history::Recorder).
+//! [`Recorder`](crate::history::Recorder), pending operations included. The
+//! linearizability checker *completes* each pending operation the
+//! Herlihy–Wing way: it linearizes anywhere after its invocation, returning
+//! what the sequential specification returns there, or never takes effect.
+//! The counter checkers count a pending increment as started, not completed.
 
 use crate::history::{History, OpRecord};
 use std::collections::HashSet;
@@ -113,8 +117,10 @@ impl std::error::Error for Violation {}
 
 /// Checks whether `history` is linearizable with respect to `spec`.
 ///
-/// On success, returns one witness linearization as a list of indices into
-/// `history.records()`.
+/// Pending operations are completed (see the module docs). On success,
+/// returns one witness linearization as a list of indices into
+/// `history.records()`: every completed operation, plus the pending ones
+/// that took effect.
 ///
 /// The search is exponential in the worst case (linearizability checking is
 /// NP-complete); memoization over (set of linearized operations, object state)
@@ -124,6 +130,11 @@ impl std::error::Error for Violation {}
 /// # Errors
 ///
 /// Returns [`Violation::NotLinearizable`] if no valid linearization exists.
+///
+/// # Panics
+///
+/// Panics if the history holds more than 64 operations, pending ones
+/// included.
 pub fn check_linearizable<S>(
     spec: &S,
     history: &History<S::Op, S::Ret>,
@@ -132,16 +143,12 @@ where
     S: SequentialSpec,
 {
     let records = history.records();
-    let n = records.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
     assert!(
-        n <= 64,
+        records.len() <= 64,
         "the exhaustive linearizability checker supports at most 64 operations per history"
     );
 
-    let mut order: Vec<usize> = Vec::with_capacity(n);
+    let mut order: Vec<usize> = Vec::with_capacity(records.len());
     let mut visited: HashSet<(u64, S::State)> = HashSet::new();
     if search(spec, records, 0, &spec.initial(), &mut order, &mut visited) {
         Ok(order)
@@ -161,31 +168,29 @@ fn search<S>(
 where
     S: SequentialSpec,
 {
-    let n = records.len();
-    if order.len() == n {
-        return true;
-    }
-    if !visited.insert((done_mask, state.clone())) {
-        return false;
-    }
-
-    // Minimum response among operations not yet linearized: an operation can
-    // only be linearized next if no other pending operation finished entirely
-    // before it began.
-    let min_response = records
+    // Minimum response among completed operations not yet linearized: an
+    // operation can only be linearized next if no other operation finished
+    // entirely before it began. Once every completed operation is
+    // linearized, the pending ones left over never took effect.
+    let Some(min_response) = records
         .iter()
         .enumerate()
         .filter(|(i, _)| done_mask & (1 << i) == 0)
-        .map(|(_, r)| r.response)
+        .filter_map(|(_, r)| r.response.as_ref().map(|response| response.at))
         .min()
-        .expect("at least one pending operation");
+    else {
+        return true;
+    };
+    if !visited.insert((done_mask, state.clone())) {
+        return false;
+    }
 
     for (i, record) in records.iter().enumerate() {
         if done_mask & (1 << i) != 0 || record.invoke > min_response {
             continue;
         }
         let (next_state, result) = spec.apply(state, &record.op);
-        if result != record.result {
+        if record.result().is_some_and(|observed| *observed != result) {
             continue;
         }
         order.push(i);
@@ -276,66 +281,42 @@ impl SequentialSpec for TicketCounterSpec {
 ///    responded.
 ///
 /// Increment results are ignored; only their invocation/response times matter.
-/// `pending_increment_invokes` lists the invocation timestamps of increments
-/// that started but never completed in the recorded execution (crashed
-/// processes, or operations still in flight when recording stopped); they
-/// count towards condition 3 but not condition 2.
+/// A pending increment (one that started but never completed: its process
+/// crashed, or it was still in flight when recording stopped) counts towards
+/// condition 3 but not condition 2. A pending read returned nothing and is
+/// unconstrained.
 ///
 /// # Errors
 ///
 /// Returns the first [`Violation`] found.
-pub fn check_monotone_consistent(
-    history: &History<CounterOp, u64>,
-    pending_increment_invokes: &[u64],
-) -> Result<(), Violation> {
-    let reads: Vec<&OpRecord<CounterOp, u64>> =
-        history.iter().filter(|r| r.op == CounterOp::Read).collect();
-    let increments: Vec<&OpRecord<CounterOp, u64>> = history
-        .iter()
-        .filter(|r| r.op == CounterOp::Increment)
-        .collect();
+pub fn check_monotone_consistent(history: &History<CounterOp, u64>) -> Result<(), Violation> {
+    let (reads, increments) = (completed_reads(history), increments(history));
 
     // Condition 1: pairwise — if R1 finishes before R2 starts, then
     // value(R1) <= value(R2). (Sorting reads by value with invoke-time
     // tie-breaks then yields a witness total order.)
-    for r1 in &reads {
-        for r2 in &reads {
-            if r1.response < r2.invoke && r1.result > r2.result {
-                return Err(Violation::NonMonotoneReads {
-                    earlier: r1.result,
-                    later: r2.result,
-                });
+    for &(r1, earlier) in &reads {
+        for &(r2, later) in &reads {
+            if r1.precedes(r2) && earlier > later {
+                return Err(Violation::NonMonotoneReads { earlier, later });
             }
         }
     }
 
-    for read in &reads {
+    for &(read, returned) in &reads {
         // Condition 2: completed increments before the read started.
-        let completed = increments
-            .iter()
-            .filter(|inc| inc.response < read.invoke)
-            .count() as u64;
-        if read.result < completed {
+        let completed = increments.iter().filter(|inc| inc.precedes(read)).count() as u64;
+        if returned < completed {
             return Err(Violation::ReadBelowCompletedIncrements {
-                returned: read.result,
+                returned,
                 completed,
             });
         }
         // Condition 3: started increments (completed or pending) before the
         // read responded.
-        let started = increments
-            .iter()
-            .filter(|inc| inc.invoke < read.response)
-            .count() as u64
-            + pending_increment_invokes
-                .iter()
-                .filter(|&&invoke| invoke < read.response)
-                .count() as u64;
-        if read.result > started {
-            return Err(Violation::ReadAboveStartedIncrements {
-                returned: read.result,
-                started,
-            });
+        let started = increments.iter().filter(|inc| !read.precedes(inc)).count() as u64;
+        if returned > started {
+            return Err(Violation::ReadAboveStartedIncrements { returned, started });
         }
     }
     Ok(())
@@ -344,7 +325,7 @@ pub fn check_monotone_consistent(
 /// Checks *quiescent consistency* of a counter history: every read performed
 /// at a quiescent point sees the exact number of completed increments.
 ///
-/// A read is **quiescent** when no increment overlaps it: every recorded
+/// A read is **quiescent** when no increment overlaps it: every completed
 /// increment either responded before the read invoked or invoked after the
 /// read responded, and no pending increment (one that started but never
 /// completed) invoked before the read responded. Reads that do overlap an
@@ -354,46 +335,41 @@ pub fn check_monotone_consistent(
 /// (quiescent consistency says nothing about the order of concurrent reads).
 ///
 /// Increment results are ignored; only their invocation/response times
-/// matter. `pending_increment_invokes` lists invocation timestamps of
-/// increments that started but never completed (crashed processes, or
-/// operations still in flight when recording stopped): a read they overlap
-/// is not quiescent.
+/// matter. A pending read returned nothing and is unconstrained.
 ///
 /// # Errors
 ///
 /// Returns [`Violation::QuiescentReadMismatch`] for the first quiescent read
 /// whose value is not exactly the completed-increment count.
-pub fn check_quiescent_consistent(
-    history: &History<CounterOp, u64>,
-    pending_increment_invokes: &[u64],
-) -> Result<(), Violation> {
-    let increments: Vec<&OpRecord<CounterOp, u64>> = history
-        .iter()
-        .filter(|r| r.op == CounterOp::Increment)
-        .collect();
-
-    for read in history.iter().filter(|r| r.op == CounterOp::Read) {
-        let overlaps_completed = increments
-            .iter()
-            .any(|inc| inc.invoke < read.response && inc.response > read.invoke);
-        let overlaps_pending = pending_increment_invokes
-            .iter()
-            .any(|&invoke| invoke < read.response);
-        if overlaps_completed || overlaps_pending {
+pub fn check_quiescent_consistent(history: &History<CounterOp, u64>) -> Result<(), Violation> {
+    let increments = increments(history);
+    for (read, returned) in completed_reads(history) {
+        if increments.iter().any(|inc| inc.overlaps(read)) {
             continue; // not a quiescent point; the read is unconstrained
         }
-        let completed = increments
-            .iter()
-            .filter(|inc| inc.response < read.invoke)
-            .count() as u64;
-        if read.result != completed {
-            return Err(Violation::QuiescentReadMismatch {
-                returned: read.result,
-                expected: completed,
-            });
+        let expected = increments.iter().filter(|inc| inc.precedes(read)).count() as u64;
+        if returned != expected {
+            return Err(Violation::QuiescentReadMismatch { returned, expected });
         }
     }
     Ok(())
+}
+
+/// The completed reads of a counter history, with the values they returned.
+fn completed_reads(history: &History<CounterOp, u64>) -> Vec<(&OpRecord<CounterOp, u64>, u64)> {
+    history
+        .iter()
+        .filter(|r| r.op == CounterOp::Read)
+        .filter_map(|r| r.result().map(|&value| (r, value)))
+        .collect()
+}
+
+/// The increments of a counter history, pending ones included.
+fn increments(history: &History<CounterOp, u64>) -> Vec<&OpRecord<CounterOp, u64>> {
+    history
+        .iter()
+        .filter(|r| r.op == CounterOp::Increment)
+        .collect()
 }
 
 #[cfg(test)]
@@ -401,20 +377,12 @@ mod tests {
     use super::*;
     use crate::process::ProcessId;
 
-    fn op(
-        process: usize,
-        op: CounterOp,
-        result: u64,
-        invoke: u64,
-        response: u64,
-    ) -> OpRecord<CounterOp, u64> {
-        OpRecord {
-            process: ProcessId::new(process),
-            op,
-            result,
-            invoke,
-            response,
-        }
+    fn op(p: usize, op: CounterOp, result: u64, invoke: u64, at: u64) -> OpRecord<CounterOp, u64> {
+        OpRecord::completed(ProcessId::new(p), op, result, invoke, at)
+    }
+
+    fn pending(process: usize, invoke: u64) -> OpRecord<CounterOp, u64> {
+        OpRecord::pending(ProcessId::new(process), CounterOp::Increment, invoke)
     }
 
     /// Sequential spec of a single-value register for checker tests.
@@ -445,13 +413,7 @@ mod tests {
     }
 
     fn reg(op_: RegOp, result: u64, invoke: u64, response: u64) -> OpRecord<RegOp, u64> {
-        OpRecord {
-            process: ProcessId::new(0),
-            op: op_,
-            result,
-            invoke,
-            response,
-        }
+        OpRecord::completed(ProcessId::new(0), op_, result, invoke, response)
     }
 
     #[test]
@@ -548,7 +510,7 @@ mod tests {
             op(2, CounterOp::Read, 1, 5, 7),
             op(2, CounterOp::Read, 2, 8, 9),
         ]);
-        assert_eq!(check_monotone_consistent(&history, &[]), Ok(()));
+        assert_eq!(check_monotone_consistent(&history), Ok(()));
     }
 
     #[test]
@@ -560,7 +522,7 @@ mod tests {
             op(2, CounterOp::Read, 1, 7, 8),
         ]);
         assert!(matches!(
-            check_monotone_consistent(&history, &[]),
+            check_monotone_consistent(&history),
             Err(Violation::NonMonotoneReads {
                 earlier: 2,
                 later: 1
@@ -576,7 +538,7 @@ mod tests {
             op(2, CounterOp::Read, 1, 5, 6),
         ]);
         assert!(matches!(
-            check_monotone_consistent(&history, &[]),
+            check_monotone_consistent(&history),
             Err(Violation::ReadBelowCompletedIncrements {
                 returned: 1,
                 completed: 2
@@ -591,7 +553,7 @@ mod tests {
             op(2, CounterOp::Read, 3, 3, 4),
         ]);
         assert!(matches!(
-            check_monotone_consistent(&history, &[]),
+            check_monotone_consistent(&history),
             Err(Violation::ReadAboveStartedIncrements {
                 returned: 3,
                 started: 1
@@ -605,23 +567,26 @@ mod tests {
         // fine (condition 3 counts the pending one), but a read of 3 is not.
         let history = History::new(vec![
             op(0, CounterOp::Increment, 0, 1, 2),
+            pending(1, 3),
             op(2, CounterOp::Read, 2, 4, 5),
         ]);
-        assert_eq!(check_monotone_consistent(&history, &[3]), Ok(()));
+        assert_eq!(check_monotone_consistent(&history), Ok(()));
 
         let too_high = History::new(vec![
             op(0, CounterOp::Increment, 0, 1, 2),
+            pending(1, 3),
             op(2, CounterOp::Read, 3, 4, 5),
         ]);
-        assert!(check_monotone_consistent(&too_high, &[3]).is_err());
+        assert!(check_monotone_consistent(&too_high).is_err());
 
         // A pending increment that starts only after the read responded does
         // not count.
         let late_pending = History::new(vec![
             op(0, CounterOp::Increment, 0, 1, 2),
             op(2, CounterOp::Read, 2, 4, 5),
+            pending(1, 9),
         ]);
-        assert!(check_monotone_consistent(&late_pending, &[9]).is_err());
+        assert!(check_monotone_consistent(&late_pending).is_err());
     }
 
     #[test]
@@ -634,14 +599,16 @@ mod tests {
         // strictly between two reads returning the same value, so the history
         // is not linearizable — but it is monotone-consistent because p3's
         // increment has started.
+        // Completing p3's increment does not help: R1 needs it to have taken
+        // effect, R2 needs it not to have.
         let history = History::new(vec![
+            pending(3, 1),                        // p3 starts, never finishes
             op(2, CounterOp::Increment, 0, 2, 3), // p2 obtains name 2
             op(9, CounterOp::Read, 2, 4, 5),      // R1 returns 2
             op(1, CounterOp::Increment, 0, 6, 7), // p1 obtains name 1
             op(9, CounterOp::Read, 2, 8, 9),      // R2 still returns 2
         ]);
-        let pending_p3 = [1u64]; // p3's increment started at time 1, never finished
-        assert_eq!(check_monotone_consistent(&history, &pending_p3), Ok(()));
+        assert_eq!(check_monotone_consistent(&history), Ok(()));
         assert_eq!(
             check_linearizable(&CounterSpec, &history),
             Err(Violation::NotLinearizable)
@@ -651,13 +618,13 @@ mod tests {
     #[test]
     fn monotone_consistency_of_empty_and_read_only_histories() {
         let empty: History<CounterOp, u64> = History::new(vec![]);
-        assert_eq!(check_monotone_consistent(&empty, &[]), Ok(()));
+        assert_eq!(check_monotone_consistent(&empty), Ok(()));
 
         let reads_only = History::new(vec![op(0, CounterOp::Read, 0, 1, 2)]);
-        assert_eq!(check_monotone_consistent(&reads_only, &[]), Ok(()));
+        assert_eq!(check_monotone_consistent(&reads_only), Ok(()));
 
         let bad_read = History::new(vec![op(0, CounterOp::Read, 1, 1, 2)]);
-        assert!(check_monotone_consistent(&bad_read, &[]).is_err());
+        assert!(check_monotone_consistent(&bad_read).is_err());
     }
 
     #[test]
@@ -671,7 +638,7 @@ mod tests {
             op(0, CounterOp::Increment, 0, 7, 8),
             op(2, CounterOp::Read, 3, 9, 10),
         ]);
-        assert_eq!(check_quiescent_consistent(&history, &[]), Ok(()));
+        assert_eq!(check_quiescent_consistent(&history), Ok(()));
     }
 
     #[test]
@@ -683,7 +650,7 @@ mod tests {
             op(2, CounterOp::Read, 1, 5, 6),
         ]);
         assert_eq!(
-            check_quiescent_consistent(&history, &[]),
+            check_quiescent_consistent(&history),
             Err(Violation::QuiescentReadMismatch {
                 returned: 1,
                 expected: 2
@@ -695,7 +662,7 @@ mod tests {
             op(2, CounterOp::Read, 2, 3, 4),
         ]);
         assert!(matches!(
-            check_quiescent_consistent(&too_high, &[]),
+            check_quiescent_consistent(&too_high),
             Err(Violation::QuiescentReadMismatch {
                 returned: 2,
                 expected: 1
@@ -714,7 +681,7 @@ mod tests {
                 op(2, CounterOp::Read, observed, 5, 6),
             ]);
             assert_eq!(
-                check_quiescent_consistent(&history, &[]),
+                check_quiescent_consistent(&history),
                 Ok(()),
                 "observed {observed}"
             );
@@ -727,13 +694,19 @@ mod tests {
         // [4, 5] overlaps it and is unconstrained...
         let history = History::new(vec![
             op(0, CounterOp::Increment, 0, 1, 2),
+            pending(1, 3),
             op(2, CounterOp::Read, 2, 4, 5),
         ]);
-        assert_eq!(check_quiescent_consistent(&history, &[3]), Ok(()));
+        assert_eq!(check_quiescent_consistent(&history), Ok(()));
         // ...but a pending increment started only after the read responded
         // leaves the read quiescent, so the stale value is a violation.
+        let late_pending = History::new(vec![
+            op(0, CounterOp::Increment, 0, 1, 2),
+            op(2, CounterOp::Read, 2, 4, 5),
+            pending(1, 9),
+        ]);
         assert!(matches!(
-            check_quiescent_consistent(&history, &[9]),
+            check_quiescent_consistent(&late_pending),
             Err(Violation::QuiescentReadMismatch {
                 returned: 2,
                 expected: 1
@@ -744,13 +717,13 @@ mod tests {
     #[test]
     fn quiescent_consistency_of_empty_and_read_only_histories() {
         let empty: History<CounterOp, u64> = History::new(vec![]);
-        assert_eq!(check_quiescent_consistent(&empty, &[]), Ok(()));
+        assert_eq!(check_quiescent_consistent(&empty), Ok(()));
 
         let reads_only = History::new(vec![op(0, CounterOp::Read, 0, 1, 2)]);
-        assert_eq!(check_quiescent_consistent(&reads_only, &[]), Ok(()));
+        assert_eq!(check_quiescent_consistent(&reads_only), Ok(()));
 
         let bad_read = History::new(vec![op(0, CounterOp::Read, 5, 1, 2)]);
-        assert!(check_quiescent_consistent(&bad_read, &[]).is_err());
+        assert!(check_quiescent_consistent(&bad_read).is_err());
     }
 
     #[test]
@@ -759,17 +732,63 @@ mod tests {
         // around a completed increment) yet quiescently consistent, because
         // both reads overlap the pending increment that started at time 1.
         let history = History::new(vec![
+            pending(3, 1),
             op(2, CounterOp::Increment, 0, 2, 3),
             op(9, CounterOp::Read, 2, 4, 5),
             op(1, CounterOp::Increment, 0, 6, 7),
             op(9, CounterOp::Read, 2, 8, 9),
         ]);
-        let pending = [1u64];
-        assert_eq!(check_quiescent_consistent(&history, &pending), Ok(()));
+        assert_eq!(check_quiescent_consistent(&history), Ok(()));
         assert_eq!(
             check_linearizable(&CounterSpec, &history),
             Err(Violation::NotLinearizable)
         );
+    }
+
+    #[test]
+    fn pending_operations_that_took_effect_are_completed() {
+        // p0's increment never responds, yet p1, invoked after it, takes
+        // ticket 1: the history linearizes only if p0's increment took
+        // effect first, with ticket 0.
+        let history = History::new(vec![
+            pending(0, 1),
+            op(1, CounterOp::Increment, 1, 2, 3),
+            op(2, CounterOp::Read, 2, 4, 5),
+        ]);
+        assert_eq!(
+            check_linearizable(&TicketCounterSpec, &history),
+            Ok(vec![0, 1, 2])
+        );
+        // Without the pending record the same responses cannot linearize.
+        let dropped = history.filter(|r| r.response.is_some());
+        assert!(check_linearizable(&TicketCounterSpec, &dropped).is_err());
+    }
+
+    #[test]
+    fn pending_operations_that_never_took_effect_are_dropped() {
+        // p0's increment never responds, and p1 (invoked after it) takes
+        // ticket 0 and a later read returns 1: p0's increment can have
+        // taken effect nowhere before the read, so the witness leaves it out.
+        let history = History::new(vec![
+            pending(0, 1),
+            op(1, CounterOp::Increment, 0, 2, 3),
+            op(2, CounterOp::Read, 1, 4, 5),
+        ]);
+        assert_eq!(
+            check_linearizable(&TicketCounterSpec, &history),
+            Ok(vec![1, 2])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 operations")]
+    fn pending_operations_count_toward_the_operation_cap() {
+        // 64 completed reads fit; one pending increment more does not.
+        let mut records: Vec<_> = (0..64)
+            .map(|i| op(0, CounterOp::Read, 0, 2 * i + 1, 2 * i + 2))
+            .collect();
+        records.push(pending(1, 200));
+        let _ = check_linearizable(&TicketCounterSpec, &History::new(records));
     }
 
     #[test]

@@ -3,36 +3,76 @@
 //! Correctness arguments in the paper (linearizability of the ℓ-test-and-set
 //! and fetch-and-increment objects, monotone consistency of the counter) are
 //! statements about *histories*: sequences of operation invocations and
-//! responses with their real-time order. The [`Recorder`] assigns globally
-//! ordered timestamps to invocations and responses so the checkers in
-//! [`consistency`](crate::consistency) can reconstruct the real-time partial
-//! order of any execution.
+//! responses with their real-time order. The [`Recorder`] opens a record at
+//! each invocation ([`Recorder::invoke`]) and closes it at the response
+//! ([`Recorder::respond`]), stamping both from one logical clock, so the
+//! checkers in [`consistency`](crate::consistency) can reconstruct the
+//! real-time partial order of any execution. A record never closed (its
+//! process crashed) stays in the [`History`] as **pending**: it may already
+//! have taken effect, and every checker reads it from there.
+//!
+//! Stamps are *uncharged*: recording takes no shared-memory step, so under
+//! the virtual executor no other process runs between a process's response
+//! and its next invocation. A scenario that needs another process to run
+//! between two of its own operations must take a charged step between them,
+//! and schedule-equivalence classes are built from charged steps only.
 
 use crate::process::ProcessId;
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One completed operation in a history.
+/// The response of a completed operation.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Response<V> {
+    /// The value the operation returned.
+    pub result: V,
+    /// Logical timestamp at response. Always greater than `invoke`.
+    pub at: u64,
+}
+
+/// One operation in a history: completed, or pending if it never responded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OpRecord<O, V> {
     /// The process that performed the operation.
     pub process: ProcessId,
     /// The operation performed.
     pub op: O,
-    /// The value the operation returned.
-    pub result: V,
     /// Logical timestamp at invocation.
     pub invoke: u64,
-    /// Logical timestamp at response. Always greater than `invoke`.
-    pub response: u64,
+    /// The response, or `None` while the operation is pending.
+    pub response: Option<Response<V>>,
 }
 
 impl<O, V> OpRecord<O, V> {
+    /// A completed operation, invoked at `invoke`, that returned `result` at
+    /// `at`.
+    pub fn completed(process: ProcessId, op: O, result: V, invoke: u64, at: u64) -> Self {
+        let mut record = OpRecord::pending(process, op, invoke);
+        record.response = Some(Response { result, at });
+        record
+    }
+
+    /// An operation invoked at `invoke` that never responded.
+    pub fn pending(process: ProcessId, op: O, invoke: u64) -> Self {
+        OpRecord {
+            process,
+            op,
+            invoke,
+            response: None,
+        }
+    }
+
+    /// The value the operation returned, or `None` while it is pending.
+    pub fn result(&self) -> Option<&V> {
+        self.response.as_ref().map(|response| &response.result)
+    }
+
     /// Whether this operation's response precedes `other`'s invocation
-    /// (i.e. it strictly precedes `other` in real time).
+    /// (i.e. it strictly precedes `other` in real time). A pending operation
+    /// precedes nothing.
     pub fn precedes(&self, other: &OpRecord<O, V>) -> bool {
-        self.response < other.invoke
+        matches!(&self.response, Some(response) if response.at < other.invoke)
     }
 
     /// Whether this operation overlaps `other` in real time.
@@ -41,7 +81,8 @@ impl<O, V> OpRecord<O, V> {
     }
 }
 
-/// A completed-operation history, ordered by invocation timestamp.
+/// An operation history, completed and pending operations alike, ordered by
+/// invocation timestamp.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct History<O, V> {
     records: Vec<OpRecord<O, V>>,
@@ -54,7 +95,7 @@ impl<O, V> History<O, V> {
         History { records }
     }
 
-    /// Number of operations in the history.
+    /// Number of operations in the history, pending ones included.
     pub fn len(&self) -> usize {
         self.records.len()
     }
@@ -72,11 +113,6 @@ impl<O, V> History<O, V> {
     /// The records in invocation order.
     pub fn records(&self) -> &[OpRecord<O, V>] {
         &self.records
-    }
-
-    /// Consumes the history, returning its records in invocation order.
-    pub fn into_records(self) -> Vec<OpRecord<O, V>> {
-        self.records
     }
 
     /// Returns the sub-history of operations satisfying `predicate`,
@@ -122,8 +158,14 @@ impl<O, V> FromIterator<OpRecord<O, V>> for History<O, V> {
     }
 }
 
-/// A thread-safe recorder that timestamps operation invocations and responses
-/// with a global logical clock.
+/// An open record, returned by [`Recorder::invoke`] and closed by
+/// [`Recorder::respond`]. Dropping it leaves the operation pending.
+#[derive(Debug)]
+#[must_use = "an operation that is never responded to stays pending"]
+pub struct Invocation(u64);
+
+/// A thread-safe recorder that opens a record at every invocation and
+/// closes it at the response, stamping both from one logical clock.
 ///
 /// # Example
 ///
@@ -132,12 +174,14 @@ impl<O, V> FromIterator<OpRecord<O, V>> for History<O, V> {
 /// use shmem::process::ProcessId;
 ///
 /// let recorder: Recorder<&'static str, u64> = Recorder::new();
-/// let invoke = recorder.invoke();
+/// let increment = recorder.invoke(ProcessId::new(0), "increment");
 /// // ... perform the operation on the shared object ...
-/// recorder.record(ProcessId::new(0), "increment", 1, invoke);
+/// recorder.respond(increment, 1);
+/// let _crashed = recorder.invoke(ProcessId::new(1), "increment");
 /// let history = recorder.take_history();
-/// assert_eq!(history.len(), 1);
-/// assert!(history.records()[0].invoke < history.records()[0].response);
+/// assert_eq!(history.len(), 2);
+/// assert_eq!(history.records()[0].result(), Some(&1));
+/// assert_eq!(history.records()[1].result(), None); // pending
 /// ```
 pub struct Recorder<O, V> {
     clock: AtomicU64,
@@ -153,27 +197,33 @@ impl<O, V> Recorder<O, V> {
         }
     }
 
-    /// Returns an invocation timestamp. Call this immediately before invoking
-    /// the operation on the shared object.
-    pub fn invoke(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::SeqCst)
+    /// Opens a pending record of `process` invoking `op`. Call this
+    /// immediately before invoking the operation on the shared object.
+    pub fn invoke(&self, process: ProcessId, op: O) -> Invocation {
+        let mut records = self.records.lock();
+        // Stamped under the lock, so the records stay sorted by invocation.
+        let invoke = self.clock.fetch_add(1, Ordering::SeqCst);
+        records.push(OpRecord::pending(process, op, invoke));
+        Invocation(invoke)
     }
 
-    /// Records a completed operation. The response timestamp is assigned at
-    /// the moment of this call, so call it immediately after the operation
-    /// returns.
-    pub fn record(&self, process: ProcessId, op: O, result: V, invoke: u64) {
-        let response = self.clock.fetch_add(1, Ordering::SeqCst);
-        self.records.lock().push(OpRecord {
-            process,
-            op,
-            result,
-            invoke,
-            response,
-        });
+    /// Closes the record `invocation` opened: the operation returned
+    /// `result`. The response timestamp is assigned at the moment of this
+    /// call, so call it immediately after the operation returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record was already taken by [`Recorder::take_history`].
+    pub fn respond(&self, invocation: Invocation, result: V) {
+        let at = self.clock.fetch_add(1, Ordering::SeqCst);
+        let mut records = self.records.lock();
+        let index = records
+            .binary_search_by_key(&invocation.0, |record| record.invoke)
+            .expect("responding to an operation of a history already taken");
+        records[index].response = Some(Response { result, at });
     }
 
-    /// Number of operations recorded so far.
+    /// Number of operations recorded so far, pending ones included.
     pub fn len(&self) -> usize {
         self.records.lock().len()
     }
@@ -183,7 +233,8 @@ impl<O, V> Recorder<O, V> {
         self.records.lock().is_empty()
     }
 
-    /// Takes the recorded operations, leaving the recorder empty.
+    /// Takes the recorded operations, leaving the recorder empty. Operations
+    /// still open stay pending in the returned history.
     pub fn take_history(&self) -> History<O, V> {
         History::new(std::mem::take(&mut *self.records.lock()))
     }
@@ -218,13 +269,7 @@ mod tests {
     use super::*;
 
     fn record(invoke: u64, response: u64, result: u64) -> OpRecord<&'static str, u64> {
-        OpRecord {
-            process: ProcessId::new(0),
-            op: "op",
-            result,
-            invoke,
-            response,
-        }
+        OpRecord::completed(ProcessId::new(0), "op", result, invoke, response)
     }
 
     #[test]
@@ -237,6 +282,10 @@ mod tests {
         assert!(a.overlaps(&c));
         assert!(c.overlaps(&b));
         assert!(!a.overlaps(&b));
+        // A pending operation precedes nothing.
+        let pending = OpRecord::pending(ProcessId::new(1), "op", 3);
+        assert!(a.precedes(&pending));
+        assert!(!pending.precedes(&record(7, 8, 0)));
     }
 
     #[test]
@@ -251,9 +300,9 @@ mod tests {
     #[test]
     fn history_filter_preserves_matching_records() {
         let history = History::new(vec![record(1, 2, 10), record(3, 4, 20), record(5, 6, 30)]);
-        let filtered = history.filter(|r| r.result >= 20);
+        let filtered = history.filter(|r| r.result() >= Some(&20));
         assert_eq!(filtered.len(), 2);
-        assert!(filtered.iter().all(|r| r.result >= 20));
+        assert!(filtered.iter().all(|r| r.result() >= Some(&20)));
     }
 
     #[test]
@@ -272,23 +321,33 @@ mod tests {
     fn recorder_assigns_increasing_timestamps() {
         let recorder: Recorder<&'static str, u64> = Recorder::new();
         assert!(recorder.is_empty());
-        let t0 = recorder.invoke();
-        recorder.record(ProcessId::new(1), "read", 7, t0);
-        let t1 = recorder.invoke();
-        recorder.record(ProcessId::new(2), "read", 8, t1);
+        let t0 = recorder.invoke(ProcessId::new(1), "read");
+        recorder.respond(t0, 7);
+        let t1 = recorder.invoke(ProcessId::new(2), "read");
+        recorder.respond(t1, 8);
         assert_eq!(recorder.len(), 2);
 
         let history = recorder.snapshot();
         assert_eq!(history.len(), 2);
+        let at = |r: &OpRecord<&str, u64>| r.response.as_ref().expect("completed").at;
         let first = &history.records()[0];
         let second = &history.records()[1];
-        assert!(first.invoke < first.response);
-        assert!(second.invoke < second.response);
-        assert!(first.response < second.response);
+        assert!(first.invoke < at(first));
+        assert!(second.invoke < at(second));
+        assert!(at(first) < at(second));
 
         let taken = recorder.take_history();
         assert_eq!(taken.len(), 2);
         assert!(recorder.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "already taken")]
+    fn responding_after_the_history_was_taken_panics() {
+        let recorder: Recorder<&'static str, u64> = Recorder::new();
+        let open = recorder.invoke(ProcessId::new(0), "op");
+        let _ = recorder.take_history();
+        recorder.respond(open, 0);
     }
 
     #[test]
@@ -300,8 +359,8 @@ mod tests {
                 let recorder = Arc::clone(&recorder);
                 scope.spawn(move || {
                     for round in 0..8 {
-                        let t = recorder.invoke();
-                        recorder.record(ProcessId::new(process), "op", round, t);
+                        let t = recorder.invoke(ProcessId::new(process), "op");
+                        recorder.respond(t, round);
                     }
                 });
             }
@@ -311,9 +370,10 @@ mod tests {
         // Every record has invoke < response, and timestamps are unique.
         let mut stamps: Vec<u64> = Vec::new();
         for r in &history {
-            assert!(r.invoke < r.response);
+            let response = r.response.as_ref().expect("every operation responded").at;
+            assert!(r.invoke < response);
             stamps.push(r.invoke);
-            stamps.push(r.response);
+            stamps.push(response);
         }
         stamps.sort_unstable();
         stamps.dedup();

@@ -1,7 +1,7 @@
 //! Cache-line padding for contended shared words.
 //!
 //! The simulated cost model counts *steps*, but the wall-clock experiments in
-//! `crates/bench` also care about mechanical sympathy: two logically
+//! `perfbench` also care about mechanical sympathy: two logically
 //! independent atomic words that share a cache line serialize on real
 //! hardware through coherence traffic (false sharing). [`CachePadded`] is a
 //! zero-logic wrapper that aligns its contents to a 64-byte boundary so every

@@ -60,15 +60,15 @@ fn run_backend(backend: CounterBackend) -> RunReport {
             move |ctx| {
                 if ctx.id().as_usize() == PRODUCERS {
                     for _ in 0..2 * EVENTS_PER_PRODUCER {
-                        let invoke = recorder.invoke();
+                        let invoke = recorder.invoke(ctx.id(), CounterOp::Read);
                         let value = counter.read(ctx);
-                        recorder.record(ctx.id(), CounterOp::Read, value, invoke);
+                        recorder.respond(invoke, value);
                     }
                 } else {
                     for _ in 0..EVENTS_PER_PRODUCER {
-                        let invoke = recorder.invoke();
+                        let invoke = recorder.invoke(ctx.id(), CounterOp::Increment);
                         counter.increment(ctx);
-                        recorder.record(ctx.id(), CounterOp::Increment, 0, invoke);
+                        recorder.respond(invoke, 0);
                     }
                 }
             }
@@ -88,24 +88,24 @@ fn run_backend(backend: CounterBackend) -> RunReport {
     let history = recorder.take_history();
     let verdict = match backend {
         CounterBackend::Monotone => {
-            check_monotone_consistent(&history, &[])
+            check_monotone_consistent(&history)
                 .unwrap_or_else(|violation| panic!("monotone-consistency violation: {violation}"));
             "monotone-consistent (Lemma 4)"
         }
         CounterBackend::Network => {
-            check_quiescent_consistent(&history, &[])
+            check_quiescent_consistent(&history)
                 .unwrap_or_else(|violation| panic!("quiescent-consistency violation: {violation}"));
             "quiescently consistent"
         }
         CounterBackend::Adaptive => {
-            check_quiescent_consistent(&history, &[])
+            check_quiescent_consistent(&history)
                 .unwrap_or_else(|violation| panic!("quiescent-consistency violation: {violation}"));
             "quiescently consistent"
         }
         CounterBackend::FetchAdd => {
-            check_monotone_consistent(&history, &[])
+            check_monotone_consistent(&history)
                 .unwrap_or_else(|violation| panic!("monotone-consistency violation: {violation}"));
-            check_quiescent_consistent(&history, &[])
+            check_quiescent_consistent(&history)
                 .unwrap_or_else(|violation| panic!("quiescent-consistency violation: {violation}"));
             "linearizable (⇒ both)"
         }

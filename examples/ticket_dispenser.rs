@@ -30,9 +30,9 @@ fn main() {
             let dispenser = Arc::clone(&dispenser);
             let recorder = Arc::clone(&recorder);
             move |ctx| {
-                let invoke = recorder.invoke();
+                let invoke = recorder.invoke(ctx.id(), ());
                 let ticket = dispenser.fetch_and_increment(ctx);
-                recorder.record(ctx.id(), (), ticket, invoke);
+                recorder.respond(invoke, ticket);
                 ticket
             }
         })

@@ -40,8 +40,8 @@ pub mod prelude {
     pub use adaptive_renaming::fetch_increment::BoundedFetchIncrement;
     pub use adaptive_renaming::free_list::FreeList;
     pub use adaptive_renaming::lease::{
-        assert_escrow_lease_namespace, assert_tight_lease_namespace, LeaseRecord,
-        LongLivedRenaming, NameLease,
+        assert_escrow_lease_namespace, assert_tight_lease_namespace, assert_unique_lease_names,
+        LeaseHistory, LeaseOp, LongLivedRenaming, NameLease,
     };
     pub use adaptive_renaming::linear_probe::LinearProbeRenaming;
     pub use adaptive_renaming::ltas::BoundedTas;
@@ -75,7 +75,7 @@ mod tests {
             .unwrap();
         assert_eq!(long_lived.max_concurrent(), Some(4));
         assert!(assert_tight_namespace(&[1, 2]).is_ok());
-        assert!(assert_tight_lease_namespace(&[]).is_ok());
+        assert!(assert_tight_lease_namespace(&shmem::history::History::new(vec![])).is_ok());
         let counter = <dyn Counter>::builder()
             .backend(CounterBackend::Network)
             .build()

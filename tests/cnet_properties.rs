@@ -134,13 +134,13 @@ proptest! {
                 move |ctx| {
                     for round in 0..3 {
                         if (ctx.id().as_usize() + round) % 2 == 0 {
-                            let invoke = recorder.invoke();
+                            let invoke = recorder.invoke(ctx.id(), CounterOp::Increment);
                             counter.increment(ctx);
-                            recorder.record(ctx.id(), CounterOp::Increment, 0, invoke);
+                            recorder.respond(invoke, 0);
                         } else {
-                            let invoke = recorder.invoke();
+                            let invoke = recorder.invoke(ctx.id(), CounterOp::Read);
                             let value = counter.read(ctx);
-                            recorder.record(ctx.id(), CounterOp::Read, value, invoke);
+                            recorder.respond(invoke, value);
                         }
                     }
                 }
@@ -148,13 +148,13 @@ proptest! {
             prop_assert_eq!(outcome.crashed_count(), 0);
             // A final quiescent read must be exact by construction.
             let mut quiescent = ProcessCtx::new(ProcessId::new(10_000), 0);
-            let invoke = recorder.invoke();
+            let invoke = recorder.invoke(quiescent.id(), CounterOp::Read);
             let value = counter.read(&mut quiescent);
-            recorder.record(quiescent.id(), CounterOp::Read, value, invoke);
+            recorder.respond(invoke, value);
             prop_assert_eq!(value, counter.peek());
 
             let history = recorder.take_history();
-            if let Err(violation) = check_quiescent_consistent(&history, &[]) {
+            if let Err(violation) = check_quiescent_consistent(&history) {
                 return Err(TestCaseError::fail(format!(
                     "{family} width {width}: {violation}"
                 )));
@@ -184,7 +184,7 @@ proptest! {
             // wire 0, as the first token must) and then pauses before its
             // exit-wire deposit.
             let mut stalled = ProcessCtx::new(ProcessId::new(100), seed);
-            let stalled_invoke = recorder.invoke();
+            let stalled_invoke = recorder.invoke(stalled.id(), CounterOp::Increment);
             let stalled_wire = counter.network().traverse(&mut stalled, stalled_entry % width);
             prop_assert_eq!(stalled_wire, 0, "the first token exits wire 0");
 
@@ -195,9 +195,9 @@ proptest! {
             let mut tickets = Vec::new();
             for process in 0..width {
                 let mut ctx = ProcessCtx::new(ProcessId::new(process), seed);
-                let invoke = recorder.invoke();
+                let invoke = recorder.invoke(ctx.id(), CounterOp::Increment);
                 let ticket = counter.fetch_increment(&mut ctx);
-                recorder.record(ctx.id(), CounterOp::Increment, ticket, invoke);
+                recorder.respond(invoke, ticket);
                 tickets.push(ticket);
             }
             let mut expected: Vec<u64> = (1..width as u64).collect();
@@ -206,14 +206,14 @@ proptest! {
 
             // The stalled token finally deposits and takes ticket `width`.
             let ticket = counter.deposit(&mut stalled, stalled_wire);
-            recorder.record(stalled.id(), CounterOp::Increment, ticket, stalled_invoke);
+            recorder.respond(stalled_invoke, ticket);
             prop_assert_eq!(ticket, width as u64);
 
             // A quiescent read closes the history.
             let mut reader = ProcessCtx::new(ProcessId::new(200), seed);
-            let invoke = recorder.invoke();
+            let invoke = recorder.invoke(reader.id(), CounterOp::Read);
             let value = counter.read(&mut reader);
-            recorder.record(reader.id(), CounterOp::Read, value, invoke);
+            recorder.respond(invoke, value);
             prop_assert_eq!(value, width as u64 + 1);
 
             let history = recorder.take_history();
@@ -227,7 +227,7 @@ proptest! {
             );
             // Yet the very same run is quiescently consistent.
             prop_assert_eq!(
-                check_quiescent_consistent(&history, &[]),
+                check_quiescent_consistent(&history),
                 Ok(()),
                 "{} width {}", family, width
             );
@@ -348,13 +348,13 @@ proptest! {
                 move |ctx| {
                     for round in 0..3 {
                         if (ctx.id().as_usize() + round) % 2 == 0 {
-                            let invoke = recorder.invoke();
+                            let invoke = recorder.invoke(ctx.id(), CounterOp::Increment);
                             counter.increment(ctx);
-                            recorder.record(ctx.id(), CounterOp::Increment, 0, invoke);
+                            recorder.respond(invoke, 0);
                         } else {
-                            let invoke = recorder.invoke();
+                            let invoke = recorder.invoke(ctx.id(), CounterOp::Read);
                             let value = counter.read(ctx);
-                            recorder.record(ctx.id(), CounterOp::Read, value, invoke);
+                            recorder.respond(invoke, value);
                         }
                     }
                 }
@@ -362,13 +362,13 @@ proptest! {
             prop_assert_eq!(outcome.crashed_count(), 0);
             // A final quiescent read must be exact by construction.
             let mut quiescent = ProcessCtx::new(ProcessId::new(10_000), 0);
-            let invoke = recorder.invoke();
+            let invoke = recorder.invoke(quiescent.id(), CounterOp::Read);
             let value = counter.read(&mut quiescent);
-            recorder.record(quiescent.id(), CounterOp::Read, value, invoke);
+            recorder.respond(invoke, value);
             prop_assert_eq!(value, counter.peek());
 
             let history = recorder.take_history();
-            if let Err(violation) = check_quiescent_consistent(&history, &[]) {
+            if let Err(violation) = check_quiescent_consistent(&history) {
                 return Err(TestCaseError::fail(format!(
                     "{family} max width {width}: {violation}"
                 )));
@@ -387,29 +387,29 @@ fn width_two_counterexample_is_pinned() {
 
     // p traverses (toggling the lone balancer towards wire 1) and stalls.
     let mut p = ProcessCtx::new(ProcessId::new(100), 0);
-    let p_invoke = recorder.invoke();
+    let p_invoke = recorder.invoke(p.id(), CounterOp::Increment);
     let p_wire = counter.network().traverse(&mut p, 0);
     assert_eq!(p_wire, 0);
 
     // q completes: exits wire 1, ticket 0·2+1 = 1.
     let mut q = ProcessCtx::new(ProcessId::new(0), 0);
-    let q_invoke = recorder.invoke();
+    let q_invoke = recorder.invoke(q.id(), CounterOp::Increment);
     let q_ticket = counter.fetch_increment(&mut q);
-    recorder.record(q.id(), CounterOp::Increment, q_ticket, q_invoke);
+    recorder.respond(q_invoke, q_ticket);
     assert_eq!(q_ticket, 1);
 
     // r starts after q responded and completes: exits wire 0, whose counter
     // p has not bumped — ticket 0·2+0 = 0, an inversion against q.
     let mut r = ProcessCtx::new(ProcessId::new(1), 0);
-    let r_invoke = recorder.invoke();
+    let r_invoke = recorder.invoke(r.id(), CounterOp::Increment);
     let r_ticket = counter.fetch_increment(&mut r);
-    recorder.record(r.id(), CounterOp::Increment, r_ticket, r_invoke);
+    recorder.respond(r_invoke, r_ticket);
     assert_eq!(r_ticket, 0);
 
     // p deposits last: ticket 1·2+0 = 2. All three tickets are distinct and
     // complete {0, 1, 2} — counting is intact, order is not.
     let p_ticket = counter.deposit(&mut p, p_wire);
-    recorder.record(p.id(), CounterOp::Increment, p_ticket, p_invoke);
+    recorder.respond(p_invoke, p_ticket);
     assert_eq!(p_ticket, 2);
 
     let history = recorder.take_history();
@@ -418,7 +418,7 @@ fn width_two_counterexample_is_pinned() {
         Err(Violation::NotLinearizable),
         "q's ticket 1 completed before r's ticket 0 was invoked"
     );
-    assert_eq!(check_quiescent_consistent(&history, &[]), Ok(()));
+    assert_eq!(check_quiescent_consistent(&history), Ok(()));
 }
 
 /// The uncertified wirings really do miscount — the refutations that justify

@@ -33,8 +33,6 @@ fn counter_histories_with_crashes_stay_monotone_consistent() {
     for seed in 0..4u64 {
         let counter = Arc::new(MonotoneCounter::new());
         let recorder: Arc<Recorder<CounterOp, u64>> = Arc::new(Recorder::new());
-        let pending: Arc<parking_lot::Mutex<Vec<u64>>> =
-            Arc::new(parking_lot::Mutex::new(Vec::new()));
         let k = 10usize;
         let config = ExecConfig::new(seed).with_crash_plan(CrashPlan::Random {
             prob: 0.25,
@@ -43,29 +41,24 @@ fn counter_histories_with_crashes_stay_monotone_consistent() {
         let _ = VirtualExecutor::new(config).run(k, {
             let counter = Arc::clone(&counter);
             let recorder = Arc::clone(&recorder);
-            let pending = Arc::clone(&pending);
             move |ctx| {
                 for round in 0..3 {
                     if (ctx.id().as_usize() + round) % 3 == 0 {
-                        let invoke = recorder.invoke();
+                        let invoke = recorder.invoke(ctx.id(), CounterOp::Read);
                         let value = counter.read(ctx);
-                        recorder.record(ctx.id(), CounterOp::Read, value, invoke);
+                        recorder.respond(invoke, value);
                     } else {
-                        let invoke = recorder.invoke();
-                        // Record the increment as pending before starting it:
-                        // if the process crashes mid-increment the checker
-                        // still knows the operation had begun.
-                        pending.lock().push(invoke);
+                        // An increment whose process crashes before it
+                        // returns stays pending in the history.
+                        let invoke = recorder.invoke(ctx.id(), CounterOp::Increment);
                         counter.increment(ctx);
-                        pending.lock().retain(|&p| p != invoke);
-                        recorder.record(ctx.id(), CounterOp::Increment, 0, invoke);
+                        recorder.respond(invoke, 0);
                     }
                 }
             }
         });
         let history = recorder.take_history();
-        let pending_invokes = pending.lock().clone();
-        check_monotone_consistent(&history, &pending_invokes)
+        check_monotone_consistent(&history)
             .unwrap_or_else(|violation| panic!("seed {seed}: {violation}"));
     }
 }
@@ -75,29 +68,15 @@ fn paper_counterexample_history_is_monotone_but_not_linearizable() {
     // Experiment E9: the §8.1 schedule — p3's increment is pending, p2
     // completes with name 2, p1 later completes with name 1, and two reads
     // straddling p1's increment both return 2.
-    fn op(
-        process: usize,
-        op: CounterOp,
-        result: u64,
-        invoke: u64,
-        response: u64,
-    ) -> OpRecord<CounterOp, u64> {
-        OpRecord {
-            process: ProcessId::new(process),
-            op,
-            result,
-            invoke,
-            response,
-        }
-    }
+    let (p, increment, read) = (ProcessId::new, CounterOp::Increment, CounterOp::Read);
     let history = History::new(vec![
-        op(2, CounterOp::Increment, 0, 2, 3),
-        op(9, CounterOp::Read, 2, 4, 5),
-        op(1, CounterOp::Increment, 0, 6, 7),
-        op(9, CounterOp::Read, 2, 8, 9),
+        OpRecord::pending(p(3), increment, 1),
+        OpRecord::completed(p(2), increment, 0, 2, 3),
+        OpRecord::completed(p(9), read, 2, 4, 5),
+        OpRecord::completed(p(1), increment, 0, 6, 7),
+        OpRecord::completed(p(9), read, 2, 8, 9),
     ]);
-    let pending_p3 = [1u64];
-    assert_eq!(check_monotone_consistent(&history, &pending_p3), Ok(()));
+    assert_eq!(check_monotone_consistent(&history), Ok(()));
     assert_eq!(
         check_linearizable(&CounterSpec, &history),
         Err(Violation::NotLinearizable)
@@ -110,8 +89,6 @@ fn bounded_tas_histories_remain_linearizable_under_crashes() {
         let limit = 3usize;
         let ltas = Arc::new(BoundedTas::new(limit));
         let recorder: Arc<Recorder<(), bool>> = Arc::new(Recorder::new());
-        let invoked: Arc<parking_lot::Mutex<Vec<(ProcessId, u64)>>> =
-            Arc::new(parking_lot::Mutex::new(Vec::new()));
         let config = ExecConfig::new(seed).with_crash_plan(CrashPlan::Random {
             prob: 0.2,
             max_steps: 60,
@@ -119,51 +96,20 @@ fn bounded_tas_histories_remain_linearizable_under_crashes() {
         let _ = VirtualExecutor::new(config).run(9, {
             let ltas = Arc::clone(&ltas);
             let recorder = Arc::clone(&recorder);
-            let invoked = Arc::clone(&invoked);
             move |ctx| {
-                let invoke = recorder.invoke();
-                invoked.lock().push((ctx.id(), invoke));
+                let invoke = recorder.invoke(ctx.id(), ());
                 let won = ltas.invoke(ctx);
-                recorder.record(ctx.id(), (), won, invoke);
+                recorder.respond(invoke, won);
             }
         });
         // A crashed invocation never responds, but it may already have won
-        // a slot, so dropping it can make a correct history look
-        // non-linearizable. Herlihy–Wing completion: the history is
-        // linearizable if completing some subset of the crashed invocations
-        // as wins that respond after every recorded event (and dropping the
-        // rest) linearizes.
-        let completed = recorder.take_history().into_records();
-        let crashed: Vec<(ProcessId, u64)> = invoked
-            .lock()
-            .iter()
-            .copied()
-            .filter(|&(_, invoke)| completed.iter().all(|op| op.invoke != invoke))
-            .collect();
-        let end = recorder.invoke();
+        // a slot: the checker completes it (it won, lost, or never took
+        // effect) rather than dropping it.
         let spec = BoundedTasSpec {
             limit: limit as u64,
         };
-        let linearizable = (0..1u32 << crashed.len()).any(|took_effect| {
-            let winners = crashed
-                .iter()
-                .enumerate()
-                .filter(|&(index, _)| took_effect & (1 << index) != 0)
-                .map(|(_, &(process, invoke))| OpRecord {
-                    process,
-                    op: (),
-                    result: true,
-                    invoke,
-                    response: end,
-                });
-            let history = History::new(completed.iter().cloned().chain(winners).collect());
-            check_linearizable(&spec, &history).is_ok()
-        });
-        assert!(
-            linearizable,
-            "seed {seed}: no completion of {} crashed invocations linearizes",
-            crashed.len()
-        );
+        check_linearizable(&spec, &recorder.take_history())
+            .unwrap_or_else(|violation| panic!("seed {seed}: {violation}"));
     }
 }
 
@@ -178,9 +124,9 @@ fn fetch_and_increment_under_heavy_yielding_is_linearizable() {
                 let object = Arc::clone(&object);
                 let recorder = Arc::clone(&recorder);
                 move |ctx| {
-                    let invoke = recorder.invoke();
+                    let invoke = recorder.invoke(ctx.id(), ());
                     let value = object.fetch_and_increment(ctx);
-                    recorder.record(ctx.id(), (), value, invoke);
+                    recorder.respond(invoke, value);
                     value
                 }
             })

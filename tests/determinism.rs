@@ -26,9 +26,9 @@ fn contended_virtual_run(
         move |ctx| {
             let mut last = 0;
             for _ in 0..4 {
-                let invoke = recorder.invoke();
+                let invoke = recorder.invoke(ctx.id(), "inc");
                 last = counter.fetch_add(ctx, 1);
-                recorder.record(ctx.id(), "inc", last, invoke);
+                recorder.respond(invoke, last);
             }
             last
         }

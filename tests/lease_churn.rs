@@ -15,74 +15,11 @@
 //! sequential sorted-set model op for op, and one concurrent-churn property
 //! runs it on real threads.
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
+use shmem::history::Recorder;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use strong_renaming::prelude::*;
-
-/// Shared instrumentation: a logical clock and the records under
-/// construction.
-struct Journal {
-    clock: AtomicU64,
-    records: Mutex<Vec<LeaseRecord>>,
-}
-
-impl Journal {
-    fn new() -> Self {
-        Journal {
-            clock: AtomicU64::new(0),
-            records: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn now(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::AcqRel)
-    }
-
-    /// Opens a record at request time; returns its index.
-    fn open(&self) -> usize {
-        let requested_at = self.now();
-        let mut records = self.records.lock();
-        records.push(LeaseRecord {
-            requested_at,
-            ..Default::default()
-        });
-        records.len() - 1
-    }
-
-    fn grant(&self, index: usize, name: usize) {
-        let at = self.now();
-        let mut records = self.records.lock();
-        records[index].name = Some(name);
-        records[index].granted_at = Some(at);
-    }
-
-    /// A failed (but not crashed) attempt stops counting toward contention.
-    fn fail(&self, index: usize) {
-        let at = self.now();
-        self.records.lock()[index].release_finished_at = Some(at);
-    }
-}
-
-/// Holds a lease together with its journal record, stamping the release
-/// boundaries even when dropped by a crash unwind.
-struct RecordedLease {
-    lease: Option<NameLease>,
-    journal: Arc<Journal>,
-    index: usize,
-}
-
-impl Drop for RecordedLease {
-    fn drop(&mut self) {
-        let started = self.journal.now();
-        self.journal.records.lock()[self.index].release_started_at = Some(started);
-        drop(self.lease.take());
-        let finished = self.journal.now();
-        self.journal.records.lock()[self.index].release_finished_at = Some(finished);
-    }
-}
 
 /// Runs `k` workers through `rounds` lease/hold/release cycles against the
 /// given long-lived object, with optional crash injection, and returns the
@@ -92,39 +29,36 @@ fn churn(
     k: usize,
     rounds: usize,
     config: ExecConfig,
-) -> Vec<LeaseRecord> {
-    let journal = Arc::new(Journal::new());
+) -> LeaseHistory {
+    let recorder = Arc::new(Recorder::new());
     let _ = VirtualExecutor::new(config).run(k, {
         let object = Arc::clone(&object);
-        let journal = Arc::clone(&journal);
+        let recorder = Arc::clone(&recorder);
         move |ctx| {
             for _ in 0..rounds {
-                let index = journal.open();
+                let attempt = recorder.invoke(ctx.id(), LeaseOp::Lease);
                 match Arc::clone(&object).lease(ctx) {
                     Ok(lease) => {
-                        journal.grant(index, lease.name());
-                        let holder = RecordedLease {
-                            lease: Some(lease),
-                            journal: Arc::clone(&journal),
-                            index,
-                        };
-                        // Hold the name across a few steps so leases overlap
-                        // (and so crash injection can strike mid-hold; the
-                        // unwind then drops `holder`, which journals the
-                        // release the recycler performs).
+                        let name = lease.name();
+                        recorder.respond(attempt, Some(name));
+                        // Hold the name across a coin flip: a local step,
+                        // so crashes strike only inside `lease`.
                         ctx.flip();
-                        drop(holder);
+                        let release = recorder.invoke(ctx.id(), LeaseOp::Release(name));
+                        drop(lease);
+                        recorder.respond(release, None);
                     }
-                    Err(_) => journal.fail(index),
+                    Err(_) => recorder.respond(attempt, None),
                 }
             }
         }
     });
-    Arc::try_unwrap(journal)
-        .ok()
-        .expect("all workers joined")
-        .records
-        .into_inner()
+    recorder.take_history()
+}
+
+/// The number of lease attempts in a history.
+fn attempts(history: &LeaseHistory) -> usize {
+    history.iter().filter(|r| r.op == LeaseOp::Lease).count()
 }
 
 /// Checks the guarantees an object without per-grant tightness must still
@@ -132,26 +66,13 @@ fn churn(
 /// name at once. A holder occupies its name from the grant until its
 /// release *starts* (an escrow push lands inside the release window, so any
 /// later grant of the same name is stamped after it).
-fn assert_unique_and_bounded(records: &[LeaseRecord], bound: usize) -> Result<(), String> {
-    for (i, a) in records.iter().enumerate() {
-        let (Some(name_a), Some(start_a)) = (a.name, a.granted_at) else {
-            continue;
-        };
-        if !(1..=bound).contains(&name_a) {
-            return Err(format!("name {name_a} outside 1..={bound}"));
-        }
-        for b in &records[i + 1..] {
-            let (Some(name_b), Some(start_b)) = (b.name, b.granted_at) else {
-                continue;
-            };
-            let end_a = a.release_started_at.unwrap_or(u64::MAX);
-            let end_b = b.release_started_at.unwrap_or(u64::MAX);
-            if name_a == name_b && end_a > start_b && end_b > start_a {
-                return Err(format!("name {name_a} held twice at once"));
-            }
+fn assert_unique_and_bounded(history: &LeaseHistory, bound: usize) -> Result<(), String> {
+    for name in history.iter().filter_map(|r| r.result().copied().flatten()) {
+        if !(1..=bound).contains(&name) {
+            return Err(format!("name {name} outside 1..={bound}"));
         }
     }
-    Ok(())
+    assert_unique_lease_names(history)
 }
 
 proptest! {
@@ -173,15 +94,15 @@ proptest! {
             RenamingNetwork::<_>::new(sortnet::batcher::odd_even_network(64)),
             2 * k,
         ));
-        let records = churn(
+        let history = churn(
             Arc::clone(&recycler) as Arc<dyn LongLivedRenaming>,
             k,
             rounds,
             ExecConfig::new(seed),
         );
 
-        prop_assert_eq!(records.len(), k * rounds);
-        let check = assert_tight_lease_namespace(&records);
+        prop_assert_eq!(attempts(&history), k * rounds);
+        let check = assert_tight_lease_namespace(&history);
         prop_assert!(check.is_ok(), "{check:?}");
         // Quiescent invariants: everything released, nothing leaked, and the
         // one-shot namespace consumed only in proportion to concurrency.
@@ -190,10 +111,9 @@ proptest! {
         prop_assert!(recycler.fresh_names() <= k);
     }
 
-    /// The same guarantees must survive crash injection: a crashed holder's
-    /// lease is released by the unwind, a crash inside the acquisition keeps
-    /// counting toward contention forever, and no interleaving ever yields
-    /// duplicate live names.
+    /// The same guarantees must survive crash injection: a crash inside the
+    /// acquisition leaves a pending lease that counts toward contention
+    /// forever, and no interleaving ever yields duplicate live names.
     #[test]
     fn recycled_network_leases_survive_crashes(
         k in 2usize..8,
@@ -209,9 +129,9 @@ proptest! {
             prob: f64::from(crash_percent) / 100.0,
             max_steps: 40,
         });
-        let records = churn(Arc::clone(&recycler) as Arc<dyn LongLivedRenaming>, k, rounds, config);
+        let history = churn(Arc::clone(&recycler) as Arc<dyn LongLivedRenaming>, k, rounds, config);
 
-        let check = assert_tight_lease_namespace(&records);
+        let check = assert_tight_lease_namespace(&history);
         prop_assert!(check.is_ok(), "{check:?}");
         prop_assert_eq!(recycler.leaked_names(), 0);
         prop_assert!(recycler.fresh_names() <= 2 * k);
@@ -240,8 +160,8 @@ proptest! {
             .escrow_quota(0)
             .build_long_lived()
             .unwrap();
-        let records = churn(object, k, rounds, ExecConfig::new(seed));
-        let check = assert_tight_lease_namespace(&records);
+        let history = churn(object, k, rounds, ExecConfig::new(seed));
+        let check = assert_tight_lease_namespace(&history);
         prop_assert!(check.is_ok(), "{check:?}");
     }
 
@@ -263,10 +183,10 @@ proptest! {
             .max_concurrent(2 * k)
             .build_long_lived()
             .unwrap();
-        let records = churn(Arc::clone(&object), k, rounds, ExecConfig::new(seed));
+        let history = churn(Arc::clone(&object), k, rounds, ExecConfig::new(seed));
 
-        prop_assert_eq!(records.len(), k * rounds);
-        let check = assert_unique_and_bounded(&records, 2 * k);
+        prop_assert_eq!(attempts(&history), k * rounds);
+        let check = assert_unique_and_bounded(&history, 2 * k);
         prop_assert!(check.is_ok(), "{check:?}");
         prop_assert_eq!(object.live_leases(), 0);
     }
@@ -383,28 +303,26 @@ fn robust_table_leases_stay_tight_on_seeded_schedules() {
     for capacity in [PROCS, 8] {
         for seed in 0..48u64 {
             let table = Arc::new(RobustLeaseTable::with_capacity(capacity));
-            let journal = Arc::new(Journal::new());
+            let recorder = Arc::new(Recorder::new());
             let run = VirtualExecutor::with_seed(seed).run(PROCS, {
-                let (table, journal) = (Arc::clone(&table), Arc::clone(&journal));
+                let (table, recorder) = (Arc::clone(&table), Arc::clone(&recorder));
                 move |ctx| {
                     let tag = ctx.id().as_u64() as u32 + 1;
                     for _ in 0..ROUNDS {
-                        let index = journal.open();
+                        let lease = recorder.invoke(ctx.id(), LeaseOp::Lease);
                         let name = table
                             .acquire(ctx, tag)
                             .expect("the capacity covers every process");
-                        journal.grant(index, name);
-                        let started = journal.now();
-                        journal.records.lock()[index].release_started_at = Some(started);
+                        recorder.respond(lease, Some(name));
+                        let release = recorder.invoke(ctx.id(), LeaseOp::Release(name));
                         assert!(table.release(ctx, name), "nobody else frees it");
-                        let finished = journal.now();
-                        journal.records.lock()[index].release_finished_at = Some(finished);
+                        recorder.respond(release, None);
                     }
                 }
             });
             assert_eq!(run.outcome.completed().count(), PROCS, "seed {seed}");
-            let records = journal.records.lock().clone();
-            assert_tight_lease_namespace(&records).unwrap_or_else(|violation| {
+            let history = recorder.take_history();
+            assert_tight_lease_namespace(&history).unwrap_or_else(|violation| {
                 panic!("capacity {capacity}, seed {seed}: {violation}")
             });
             assert_eq!(table.live_leases(), 0);
@@ -439,44 +357,49 @@ fn escrow_default_leases_stay_within_the_escrow_bound_on_seeded_schedules() {
                 .escrow_quota(quota)
                 .build_long_lived()
                 .unwrap();
-            let journal = Arc::new(Journal::new());
+            let recorder = Arc::new(Recorder::new());
             let run = VirtualExecutor::with_seed(seed).run(PROCS, {
-                let (object, journal) = (Arc::clone(&object), Arc::clone(&journal));
+                let (object, recorder) = (Arc::clone(&object), Arc::clone(&recorder));
                 move |ctx| {
                     for burst in BURSTS {
                         let mut held = Vec::new();
                         for _ in 0..burst {
-                            let index = journal.open();
-                            match object.lease_raw(ctx) {
-                                Ok(name) => {
-                                    journal.grant(index, name);
-                                    held.push((index, name));
-                                }
-                                Err(_) => journal.fail(index),
-                            }
+                            let lease = recorder.invoke(ctx.id(), LeaseOp::Lease);
+                            let name = object.lease_raw(ctx).ok();
+                            recorder.respond(lease, name);
+                            held.extend(name);
                         }
-                        for (index, name) in held {
-                            let started = journal.now();
-                            journal.records.lock()[index].release_started_at = Some(started);
+                        for name in held {
+                            let release = recorder.invoke(ctx.id(), LeaseOp::Release(name));
                             object.release_with(ctx, name);
-                            let finished = journal.now();
-                            journal.records.lock()[index].release_finished_at = Some(finished);
+                            recorder.respond(release, None);
                         }
                     }
                 }
             });
             assert_eq!(run.outcome.completed().count(), PROCS, "seed {seed}");
-            let records = journal.records.lock().clone();
-            assert_escrow_lease_namespace(&records, PROCS * quota)
+            let history = recorder.take_history();
+            assert_escrow_lease_namespace(&history, PROCS * quota)
                 .unwrap_or_else(|violation| panic!("quota {quota}, seed {seed}: {violation}"));
-            for reject in records.iter().filter(|r| r.name.is_none()) {
-                let at = reject.release_finished_at.expect("a reject is stamped");
-                let open = records
+            // Every response without a name ends one attempt's contention:
+            // a reject's own, or a release's.
+            let ended_before = |at: u64| {
+                history
                     .iter()
-                    .filter(|r| {
-                        r.requested_at < at && r.release_finished_at.is_none_or(|end| end >= at)
-                    })
+                    .filter_map(|r| r.response.as_ref())
+                    .filter(|response| response.result.is_none() && response.at < at)
+                    .count()
+            };
+            let rejects = history
+                .iter()
+                .filter(|r| r.op == LeaseOp::Lease && r.result() == Some(&None));
+            for reject in rejects {
+                let at = reject.response.as_ref().expect("a reject responded").at;
+                let requested = history
+                    .iter()
+                    .filter(|r| r.op == LeaseOp::Lease && r.invoke < at)
                     .count();
+                let open = requested - ended_before(at);
                 assert!(
                     open > MAX_CONCURRENT,
                     "quota {quota}, seed {seed}: spurious reject at t={at} with {open} attempts open"

@@ -521,9 +521,9 @@ fn thm6_fetch_and_increment_costs_log_k_log_m_and_linearizes() {
         let object = BoundedFetchIncrement::new(m);
         let recorder: Recorder<(), u64> = Recorder::new();
         let run = run_seeded(seed, &consecutive_ids(k, seed), |ctx| {
-            let invoke = recorder.invoke();
+            let invoke = recorder.invoke(ctx.id(), ());
             let value = object.fetch_and_increment(ctx);
-            recorder.record(ctx.id(), (), value, invoke);
+            recorder.respond(invoke, value);
             value
         });
         let mut values = run.reports.clone();

@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 CYCLES="${1:-1000}"
 
 echo "chaos_soak: building exp_chaos (release)"
-cargo build --release -q -p renaming-bench --bin exp_chaos
+cargo build --release -q --bin exp_chaos
 
 echo "chaos_soak: running ${CYCLES} kill-storm/restart cycles"
 exec target/release/exp_chaos "${CYCLES}"
