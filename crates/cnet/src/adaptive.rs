@@ -20,6 +20,34 @@
 //!    is the number of increments that layer served in between — about 1
 //!    for a process running alone, about `k` under `k` busy processes.
 //!
+//! # Routing rule
+//!
+//! The cascade widens only on sustained evidence:
+//!
+//! - **The word covers estimates up to 3.** A token leaves level 0 only when
+//!   at least three processes keep interleaving on it; above that, level
+//!   `ℓ ≥ 1` (width `2^(ℓ+1)`) covers estimates up to its width.
+//! - **A sample moves routing at most one layer.** A ticket gap sampled on a
+//!   layer is clamped to the width of the next layer up (the top layer
+//!   clamps at `2 × max_width`). With α = 1/8, lifting the estimate from 2
+//!   past 3 takes six consecutive word samples with gaps of 4 or more, and
+//!   one descheduled sample moves a lone process's estimate from 1.0 to
+//!   1.375 rather than to the widest layer.
+//!
+//! The measured basis is `perfbench`'s `count_mix` (two threads, 7
+//! increments per read, on a 2-vCPU Xeon; the runs are in `CHANGES.md`). At
+//! two interleaved processes the estimate sits near 2, which the earlier
+//! cover of 2 for the word crossed on about half the samples, and one
+//! stalled sample, clamped at 32, routed to width 8 and set that layer's
+//! touched bit for good: 41–47% of increments routed up and every read
+//! loaded 14 registers. Under the rule above no increment leaves the word,
+//! a read loads 2 registers, and in 10 of 10 alternating pairs the read
+//! p50 fell (~201 ns to ~143 ns), with both p99s about halved. In the §2
+//! step model a fetch-and-add on the word is one step whatever the
+//! contention, so the wider layers pay off only through memory contention
+//! that two workers on this host cannot show; their case rests on the
+//! counting-network literature.
+//!
 //! The narrowest layer is a width-1 counting network: one cache-padded exit
 //! word and no balancer. A width-2 network would be dominated by it: its
 //! single balancer is toggled by every token, so it is exactly as contended
@@ -87,6 +115,9 @@ const ALPHA_SHIFT: u32 = 3;
 const SAMPLE_PERIOD: u64 = 8;
 /// Number of per-process ticket slots (see the module docs).
 const TICKET_SLOTS: usize = 64;
+/// The largest estimate, in processes, that routes to the word: two
+/// interleaved processes are no reason to leave it (see the module docs).
+const WORD_COVERS: u64 = 3;
 
 /// A cache-padded EWMA of sampled ticket gaps, estimating the number of
 /// concurrently in-flight increments.
@@ -102,8 +133,9 @@ pub struct ContentionSensor {
 impl ContentionSensor {
     /// The largest sample [`observe`](ContentionSensor::observe) folds in, in
     /// processes; larger samples are clamped to it. It keeps the fixed-point
-    /// estimate at most 2⁴⁰, far from overflow, and still routes to the
-    /// widest layer of any cascade up to width 2³².
+    /// estimate at most 2⁴⁰, far from overflow. [`AdaptiveNetworkCounter`]
+    /// clamps its own samples far tighter, to the next layer's width (see
+    /// the module docs).
     pub const MAX_SAMPLE: u64 = 1 << 32;
 
     /// Creates a sensor that initially estimates one lone process.
@@ -140,12 +172,14 @@ impl ContentionSensor {
     }
 
     /// The narrowest level (0-indexed) among `levels` layers that covers a
-    /// fixed-point estimate. Level `ℓ ≥ 1` has width `2^(ℓ+1)` and covers
-    /// estimates up to it; level 0, the word, covers estimates up to 2, the
-    /// range of the width-2 network it dominates.
+    /// fixed-point estimate. Level 0, the word, covers estimates up to
+    /// [`WORD_COVERS`]; level `ℓ ≥ 1` has width `2^(ℓ+1)` and covers
+    /// estimates up to it.
     fn level_for(estimate_fp: u64, levels: usize) -> usize {
-        let tokens = estimate_fp.div_ceil(FP_ONE).max(1);
-        let width = tokens.next_power_of_two().max(2);
+        if estimate_fp <= WORD_COVERS * FP_ONE {
+            return 0;
+        }
+        let width = estimate_fp.div_ceil(FP_ONE).next_power_of_two();
         let level = width.trailing_zeros() as usize - 1;
         level.min(levels - 1)
     }
@@ -262,7 +296,7 @@ impl AdaptiveNetworkCounter {
 
     /// The provisioned width passed to [`new`](AdaptiveNetworkCounter::new).
     /// It is the widest layer's width, except at 2, where the cascade is the
-    /// width-1 word alone. The sensor clamps its samples to twice this.
+    /// width-1 word alone. The top layer's samples are clamped to twice this.
     pub fn max_width(&self) -> usize {
         self.max_width
     }
@@ -305,7 +339,8 @@ impl AdaptiveNetworkCounter {
     /// ensures its level's touched bit, is carried through that layer's
     /// network and deposited on its exit wire.
     /// On one increment in eight the ticket gap since the process's previous
-    /// deposit on the same layer is folded into the sensor.
+    /// deposit on the same layer, clamped to the next layer's width, is
+    /// folded into the sensor.
     pub fn increment(&self, ctx: &mut ProcessCtx) {
         let increment_timer = obs::start();
         let fp = self.sensor.load_for_routing(ctx);
@@ -332,8 +367,13 @@ impl AdaptiveNetworkCounter {
         };
         let slot = &self.slots[ctx.id().as_usize() % TICKET_SLOTS];
         if let Some(gap) = slot.sample(level, ticket) {
-            let ceiling = 2 * self.max_width() as u64;
-            self.sensor.observe(ctx, gap.clamp(1, ceiling));
+            // At most one layer per sample: clamp to the next layer's width.
+            let ceiling = if level + 1 < self.levels() {
+                self.width_of(level + 1)
+            } else {
+                2 * self.max_width()
+            };
+            self.sensor.observe(ctx, gap.clamp(1, ceiling as u64));
         }
         obs::finish(increment_timer, obs::Metric::AdaptiveIncrementNs);
     }
@@ -529,6 +569,53 @@ mod tests {
         }
         assert!(counter.contention_estimate() <= ContentionSensor::MAX_SAMPLE as f64);
         assert_eq!(counter.current_width(), 16);
+    }
+
+    #[test]
+    fn one_stalled_sample_cannot_jump_layers() {
+        let counter = AdaptiveNetworkCounter::new(CountingFamily::Bitonic, 16);
+        let (mut a, mut b) = (ctx(0), ctx(1));
+        for _ in 0..7 {
+            counter.increment(&mut a);
+        }
+        for _ in 0..1000 {
+            counter.increment(&mut b);
+        }
+        // A's eighth increment samples a ticket gap of ~1000, clamped to the
+        // width-4 layer above the word: 1 − 1/8 + 4/8.
+        counter.increment(&mut a);
+        assert_eq!(counter.contention_estimate(), 1.375);
+        assert_eq!(counter.current_width(), 1);
+    }
+
+    #[test]
+    fn two_interleaved_processes_stay_on_the_word() {
+        let (seeds, ops) = if cfg!(miri) { (2, 32) } else { (16, 256) };
+        for seed in 0..seeds {
+            let counter = Arc::new(AdaptiveNetworkCounter::new(CountingFamily::Bitonic, 16));
+            let run = VirtualExecutor::with_seed(seed).run(2, {
+                let counter = Arc::clone(&counter);
+                move |ctx| {
+                    for op in 1..=ops {
+                        if op % 8 == 0 {
+                            counter.read(ctx);
+                        } else {
+                            counter.increment(ctx);
+                        }
+                    }
+                }
+            });
+            assert_eq!(run.outcome.crashed_count(), 0);
+            let above_word: u64 = counter.layer_token_counts()[1..].iter().flatten().sum();
+            assert_eq!(above_word, 0, "seed {seed}: tokens left the word");
+            let mut reader = ctx(99);
+            assert_eq!(counter.read(&mut reader), 2 * (ops - ops / 8));
+            assert_eq!(
+                reader.stats().reads,
+                2,
+                "seed {seed}: the touched word and the word"
+            );
+        }
     }
 
     #[test]

@@ -39,7 +39,8 @@
 //!   network's ~11. A width-2 network is dominated by the word: its one
 //!   balancer is as contended as the word, and its exit wire adds a second
 //!   contended step. The sensor learns from the exit-wire tickets
-//!   increments already fetch.
+//!   increments already fetch, and the route leaves the word only on
+//!   sustained evidence of three or more interleaving processes.
 //! * [`Prism`] — a standalone elimination/diffraction primitive: exchanger
 //!   slots where two colliding increments pair off before entering a
 //!   network (one returns immediately, the other carries a weight-2 token).

@@ -8,7 +8,8 @@
 //! Mazurkiewicz dependency-class hash — or by pushing an **objective**
 //! outlier: the longest trace seen (step-count outlier, e.g. recycler retry
 //! storms) or the largest per-process result (namespace-bound outlier for
-//! renaming scenarios).
+//! renaming scenarios). A full corpus keeps learning: each admission then
+//! replaces a uniformly drawn entry.
 
 use crate::classes::class_hash;
 use crate::dpor::Counterexample;
@@ -91,9 +92,24 @@ impl Scheduler for PrefixRandomScheduler {
     }
 }
 
+/// The most schedules a campaign keeps as mutation parents.
+const CORPUS_CAP: usize = 512;
+
+/// Admits an interesting run's schedule to the corpus: appended while there
+/// is room, and once the corpus is full it replaces a uniformly drawn entry,
+/// so a long campaign keeps learning after the cap. Draws from `rng` only
+/// when the corpus is full.
+fn admit<T>(corpus: &mut Vec<T>, entry: T, rng: &mut StdRng) {
+    if corpus.len() < CORPUS_CAP {
+        corpus.push(entry);
+    } else {
+        let victim = rng.gen_range(0..corpus.len());
+        corpus[victim] = entry;
+    }
+}
+
 /// Runs a coverage-guided fuzzing campaign over one scenario.
 pub fn fuzz(def: &ScenarioDef, config: &FuzzConfig) -> FuzzReport {
-    const CORPUS_CAP: usize = 512;
     let mut report = FuzzReport::default();
     let mut corpus: Vec<Schedule> = Vec::new();
     let mut rng =
@@ -140,8 +156,8 @@ pub fn fuzz(def: &ScenarioDef, config: &FuzzConfig) -> FuzzReport {
             report.max_result = best;
             interesting = true;
         }
-        if interesting && corpus.len() < CORPUS_CAP {
-            corpus.push(run.trace.schedule.clone());
+        if interesting {
+            admit(&mut corpus, run.trace.schedule.clone(), &mut rng);
         }
 
         if let Err(message) = check(&run) {
@@ -237,6 +253,33 @@ mod tests {
                  max_trace_len, max_result, violations)"
             );
         }
+    }
+
+    #[test]
+    fn a_full_corpus_replaces_a_uniformly_drawn_entry() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut corpus: Vec<usize> = Vec::new();
+        for entry in 0..CORPUS_CAP {
+            admit(&mut corpus, entry, &mut rng);
+        }
+        // Filling the corpus never touches the rng.
+        assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(7).gen::<u64>());
+        assert_eq!(corpus, (0..CORPUS_CAP).collect::<Vec<_>>());
+        let replacements = 4 * CORPUS_CAP;
+        for entry in CORPUS_CAP..CORPUS_CAP + replacements {
+            admit(&mut corpus, entry, &mut rng);
+            assert_eq!(corpus.len(), CORPUS_CAP);
+            assert!(corpus.contains(&entry), "the newest admission is kept");
+        }
+        // Uniform victims: after four corpus-sizes of replacements about
+        // e⁻⁴ ≈ 2% of the original entries survive, and the corpus holds no
+        // entry twice.
+        let originals = corpus.iter().filter(|&&entry| entry < CORPUS_CAP).count();
+        assert!(originals < CORPUS_CAP / 10, "{originals} originals survive");
+        let mut distinct = corpus.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), CORPUS_CAP);
     }
 
     #[test]

@@ -159,9 +159,10 @@ fn main() {
     println!(
         "\nThe network counter trades the monotone counter's register-step budget for \
          {} balancer toggles spread across a width-{} bitonic network; the adaptive \
-         counter routes each increment through the narrowest layer covering the \
-         contention its exit-wire tickets reveal, a single fetch-and-add word when quiet \
-         ({} toggles); the fetch-and-add baseline \
+         counter keeps increments on a single fetch-and-add word until its exit-wire \
+         tickets show sustained contention, then routes them through the narrowest \
+         network covering it ({} toggles here: {EVENTS_PER_PRODUCER} events per producer \
+         are too few to show any); the fetch-and-add baseline \
          is a single hot word outside the paper's register-only model.",
         reports[1].balancer_toggles,
         PRODUCERS.next_power_of_two(),

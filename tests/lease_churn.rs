@@ -17,13 +17,16 @@
 
 use proptest::prelude::*;
 use shmem::history::Recorder;
+use shmem::steps::StepKind;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use strong_renaming::prelude::*;
 
 /// Runs `k` workers through `rounds` lease/hold/release cycles against the
 /// given long-lived object, with optional crash injection, and returns the
-/// recorded history. Each cycle is one guarded `lease`.
+/// recorded history. Each cycle is one guarded `lease`, held across one
+/// charged step, so an injected crash can strike inside `lease` or while
+/// the name is held.
 fn churn(
     object: Arc<dyn LongLivedRenaming>,
     k: usize,
@@ -39,14 +42,13 @@ fn churn(
                 let attempt = recorder.invoke(ctx.id(), LeaseOp::Lease);
                 match Arc::clone(&object).lease(ctx) {
                     Ok(lease) => {
-                        let name = lease.name();
-                        recorder.respond(attempt, Some(name));
-                        // Hold the name across a coin flip: a local step,
-                        // so crashes strike only inside `lease`.
-                        ctx.flip();
-                        let release = recorder.invoke(ctx.id(), LeaseOp::Release(name));
-                        drop(lease);
-                        recorder.respond(release, None);
+                        recorder.respond(attempt, Some(lease.name()));
+                        let _held = Held {
+                            lease: Some(lease),
+                            recorder: &recorder,
+                            process: ctx.id(),
+                        };
+                        ctx.record(StepKind::RegisterRead);
                     }
                     Err(_) => recorder.respond(attempt, None),
                 }
@@ -54,6 +56,29 @@ fn churn(
         }
     });
     recorder.take_history()
+}
+
+/// A granted lease whose release is recorded when it drops: the release is
+/// invoked before the name goes back and answered after, except when the
+/// process is unwinding from a crash, which leaves `Release(name)` pending.
+struct Held<'a> {
+    lease: Option<NameLease>,
+    recorder: &'a Recorder<LeaseOp, Option<usize>>,
+    process: ProcessId,
+}
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        if let Some(lease) = self.lease.take() {
+            let release = self
+                .recorder
+                .invoke(self.process, LeaseOp::Release(lease.name()));
+            drop(lease);
+            if !std::thread::panicking() {
+                self.recorder.respond(release, None);
+            }
+        }
+    }
 }
 
 /// The number of lease attempts in a history.
@@ -287,6 +312,36 @@ proptest! {
         }
         prop_assert_eq!(&drained, &expected, "lost or invented names");
     }
+}
+
+/// Crash injection reaches lease holders: process 0 crashes at each of its
+/// first 40 steps in turn. Some of those crashes land on the hold step and
+/// leave a pending release; every history still passes the tight lease
+/// checker, and the unwinding guard returns the name, so nothing leaks.
+#[test]
+fn crashes_strike_lease_holders_and_the_history_stays_tight() {
+    let mut struck = 0;
+    for step in 1..=40 {
+        let recycler = Arc::new(Recycler::new(
+            RenamingNetwork::<_>::new(sortnet::batcher::odd_even_network(64)),
+            4,
+        ));
+        let config = ExecConfig::new(7).with_crash_plan(CrashPlan::Fixed(vec![Some(step)]));
+        let history = churn(
+            Arc::clone(&recycler) as Arc<dyn LongLivedRenaming>,
+            2,
+            3,
+            config,
+        );
+        assert_tight_lease_namespace(&history)
+            .unwrap_or_else(|violation| panic!("crash at step {step}: {violation}"));
+        assert_eq!(recycler.leaked_names(), 0, "crash at step {step}");
+        struck += history
+            .iter()
+            .filter(|r| matches!(r.op, LeaseOp::Release(_)) && r.response.is_none())
+            .count();
+    }
+    assert!(struck > 0, "no crash struck a lease holder");
 }
 
 /// The crash-robust lease table pops the minimum free name, so it is held
