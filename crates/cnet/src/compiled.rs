@@ -1,24 +1,23 @@
 //! The compiled balancing-network fast path.
 //!
-//! [`CompiledBalancingNetwork`] reuses the renaming engine's
-//! [`CompiledSchedule`] lowering wholesale: the schedule's flat
-//! `depth × width` wire map answers "which balancer touches my wire?" with
-//! one array load, and the dense stage-major comparator index doubles as the
-//! index into a flat slab of [`Balancer`]s — exactly the layout the
-//! lock-free comparator slab uses for test-and-sets, minus the locks it
-//! never needed. A token's traversal is `depth` iterations of
-//! load-wire-map → fetch-add → pick-wire, with no hashing and no pointer
-//! chasing.
+//! [`CompiledBalancingNetwork`] compiles its schedule into the renaming
+//! engine's [`ComparatorNetwork`] layout: the flat `depth × width` wire map
+//! answers "which balancer touches my wire?" with one array load, and the
+//! dense stage-major comparator index doubles as the index into a flat slab
+//! of [`Balancer`]s — exactly the layout the lock-free comparator slab uses
+//! for test-and-sets, minus the locks it never needed. A token's traversal
+//! is `depth` iterations of load-wire-map → fetch-add → pick-wire, with no
+//! hashing and no pointer chasing.
 
 use crate::balancer::Balancer;
 use crate::network::{exit_wire, BalancingTopology};
 use shmem::arena::Arena;
-use sortnet::compiled::CompiledSchedule;
+use sortnet::network::ComparatorNetwork;
 use sortnet::schedule::ComparatorSchedule;
 use std::fmt;
 use std::sync::Arc;
 
-/// A balancing network lowered onto [`CompiledSchedule`]'s flat arrays.
+/// A balancing network lowered onto [`ComparatorNetwork`]'s flat arrays.
 ///
 /// # Example
 ///
@@ -34,8 +33,8 @@ use std::sync::Arc;
 /// assert_eq!(exits, vec![0, 1, 2, 3, 4, 5, 6, 7]);
 /// ```
 pub struct CompiledBalancingNetwork {
-    schedule: CompiledSchedule,
-    /// One balancer per comparator, indexed by the schedule's dense slot.
+    network: ComparatorNetwork,
+    /// One balancer per comparator, indexed by the network's dense slot.
     balancers: Vec<Balancer>,
 }
 
@@ -43,16 +42,7 @@ impl CompiledBalancingNetwork {
     /// Compiles any comparator schedule and attaches one balancer per
     /// comparator slot.
     pub fn compile<S: ComparatorSchedule + ?Sized>(schedule: &S) -> Self {
-        Self::from_schedule(CompiledSchedule::compile(schedule))
-    }
-
-    /// Reinterprets an already-compiled schedule as balancer wiring.
-    pub fn from_schedule(schedule: CompiledSchedule) -> Self {
-        let balancers = (0..schedule.size()).map(|_| Balancer::new()).collect();
-        CompiledBalancingNetwork {
-            schedule,
-            balancers,
-        }
+        Self::with_balancers(ComparatorNetwork::compile(schedule), Balancer::new)
     }
 
     /// Like [`CompiledBalancingNetwork::compile`], but places every
@@ -62,20 +52,18 @@ impl CompiledBalancingNetwork {
     /// toggle words they point at are shared. Allocates
     /// [`CompiledBalancingNetwork::footprint`] arena bytes.
     pub fn compile_in<S: ComparatorSchedule + ?Sized>(schedule: &S, arena: &Arc<Arena>) -> Self {
-        Self::from_schedule_in(CompiledSchedule::compile(schedule), arena)
+        Self::with_balancers(ComparatorNetwork::compile(schedule), || {
+            Balancer::new_in(arena)
+        })
     }
 
-    /// Reinterprets an already-compiled schedule as balancer wiring with
-    /// arena-resident toggle words (see
-    /// [`CompiledBalancingNetwork::compile_in`]).
-    pub fn from_schedule_in(schedule: CompiledSchedule, arena: &Arc<Arena>) -> Self {
-        let balancers = (0..schedule.size())
-            .map(|_| Balancer::new_in(arena))
+    /// Attaches one balancer per comparator slot of `network`, in dense
+    /// order.
+    fn with_balancers(network: ComparatorNetwork, balancer: impl FnMut() -> Balancer) -> Self {
+        let balancers = std::iter::repeat_with(balancer)
+            .take(network.size())
             .collect();
-        CompiledBalancingNetwork {
-            schedule,
-            balancers,
-        }
+        CompiledBalancingNetwork { network, balancers }
     }
 
     /// The number of arena bytes [`CompiledBalancingNetwork::compile_in`]
@@ -85,9 +73,9 @@ impl CompiledBalancingNetwork {
         size * 64
     }
 
-    /// The compiled schedule backing the wiring.
-    pub fn schedule(&self) -> &CompiledSchedule {
-        &self.schedule
+    /// The compiled network backing the wiring.
+    pub fn schedule(&self) -> &ComparatorNetwork {
+        &self.network
     }
 
     /// The balancer at the given dense slot (harness/test inspection).
@@ -108,11 +96,11 @@ impl CompiledBalancingNetwork {
 
 impl BalancingTopology for CompiledBalancingNetwork {
     fn width(&self) -> usize {
-        self.schedule.width()
+        self.network.width()
     }
 
     fn depth(&self) -> usize {
-        self.schedule.depth()
+        self.network.depth()
     }
 
     fn size(&self) -> usize {
@@ -126,8 +114,8 @@ impl BalancingTopology for CompiledBalancingNetwork {
             self.width()
         );
         let mut wire = wire;
-        for stage in 0..self.schedule.depth() {
-            if let Some((comparator, slot)) = self.schedule.pair_at(stage, wire) {
+        for stage in 0..self.network.depth() {
+            if let Some((comparator, slot)) = self.network.pair_at(stage, wire) {
                 wire = exit_wire(comparator, self.balancers[slot].toggle(ctx));
             }
         }
@@ -209,7 +197,7 @@ mod tests {
 
         let schedule = CountingFamily::Bitonic.schedule(8);
         let arena = Arena::heap(CompiledBalancingNetwork::footprint(
-            CompiledSchedule::compile(&*schedule).size(),
+            ComparatorNetwork::compile(&*schedule).size(),
         ));
         let private = CompiledBalancingNetwork::compile(&*schedule);
         let shared = CompiledBalancingNetwork::compile_in(&*schedule, &arena);

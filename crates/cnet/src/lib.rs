@@ -17,8 +17,8 @@
 //! * [`Balancer`] — the primitive: one atomic word toggled per token, with
 //!   step accounting through `shmem` ([`StepKind::Balancer`]).
 //! * [`CompiledBalancingNetwork`] — any [`ComparatorSchedule`]
-//!   reinterpreted as balancer wiring, lowered onto
-//!   [`CompiledSchedule`](sortnet::compiled::CompiledSchedule)'s flat
+//!   reinterpreted as balancer wiring, compiled into a
+//!   [`ComparatorNetwork`](sortnet::network::ComparatorNetwork)'s flat
 //!   wire-map and dense-CSR arrays: O(1) per-stage traversal, balancers in a
 //!   flat slab indexed by dense slot. It implements
 //!   [`BalancingTopology`], the traversal interface the counters are

@@ -24,8 +24,9 @@
 //! comparator):
 //!
 //! * Sections of at most `COMPILED_CELL_LIMIT` cells (levels 1–3 and the
-//!   base, covering channels 0–255) are compiled into flat wire maps over a
-//!   pre-sized [`ComparatorSlab`] indexed by the dense comparator slot.
+//!   base, covering channels 0–255) are compiled into a
+//!   [`ComparatorNetwork`]'s flat wire map, with a pre-sized
+//!   [`ComparatorSlab`] indexed by its dense comparator slot.
 //! * Larger sections (level 4 from channel 128, level 5 from channel 32768
 //!   up to 2³²) keep their analytic schedule and store comparators in a
 //!   [`LazyTable`] keyed by `(top − offset) << depth_bits | stage`.
@@ -49,8 +50,8 @@ use crate::traits::Renaming;
 use shmem::lazy::LazyTable;
 use shmem::process::ProcessCtx;
 use sortnet::adaptive::{AdaptiveNetwork, Section};
-use sortnet::compiled::CompiledSchedule;
 use sortnet::family::{NetworkFamily, SortingFamily};
+use sortnet::network::ComparatorNetwork;
 use std::fmt;
 use tas::two_process::TwoProcessTas;
 use tas::{Side, TwoPartyTas};
@@ -66,11 +67,11 @@ const COMPILED_CELL_LIMIT: usize = 1 << 20;
 
 /// Comparator storage of one section of the adaptive network.
 enum SectionStore<T> {
-    /// Small section: schedule lowered to flat arrays, test-and-sets in a
-    /// lock-free slab indexed by the dense comparator slot.
+    /// Small section: schedule compiled into flat arrays, test-and-sets in
+    /// a lock-free slab indexed by the dense comparator slot.
     Compiled {
         /// The section's schedule in compiled (local-wire) form.
-        schedule: CompiledSchedule,
+        network: ComparatorNetwork,
         /// One lazily created test-and-set per comparator.
         slab: ComparatorSlab<T>,
     },
@@ -105,9 +106,9 @@ impl<T: TwoPartyTas + Default> SectionStore<T> {
         let cells = section.width().checked_mul(section.schedule.depth());
         match cells {
             Some(cells) if cells <= COMPILED_CELL_LIMIT => {
-                let schedule = CompiledSchedule::compile(section.schedule.as_ref());
-                let slab = ComparatorSlab::new(schedule.size());
-                SectionStore::Compiled { schedule, slab }
+                let network = ComparatorNetwork::compile(section.schedule.as_ref());
+                let slab = ComparatorSlab::new(network.size());
+                SectionStore::Compiled { network, slab }
             }
             _ => {
                 let depth_bits = depth_bits(section);
@@ -263,11 +264,11 @@ impl<T: TwoPartyTas + Default> AdaptiveRenaming<T> {
                 continue;
             }
             match store {
-                SectionStore::Compiled { schedule, slab } => {
+                SectionStore::Compiled { network, slab } => {
                     // Hot path: O(1) wire-map lookups over local wires, plays
                     // against the lock-free slab.
                     let (local, played, won) =
-                        traverse_compiled(schedule, slab, ctx, channel - section.offset);
+                        traverse_compiled(network, slab, ctx, channel - section.offset);
                     channel = section.offset + local;
                     comparators_played += played;
                     wins += won;

@@ -40,6 +40,14 @@ use tas::hardware::HardwareTas;
 use tas::ratrace::RatRaceTas;
 use tas::two_process::TwoProcessTas;
 
+/// The deepest §6.1 level at which [`Algorithm::Adaptive`] accepts a
+/// materialized family (every [`NetworkFamily`] but odd-even, the one
+/// analytic schedule). Level 3's sections all fit the adaptive object's
+/// compiled-section cell limit; level 4 would materialize 65 408-wire
+/// sections and level 5 sections up to 2³² wires (a bitonic level-5 section
+/// has 2³¹ comparators in its first stage alone).
+const MAX_MATERIALIZED_LEVEL: usize = 3;
+
 /// The renaming algorithm a [`RenamingBuilder`] constructs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Algorithm {
@@ -157,7 +165,12 @@ impl RenamingBuilder {
     }
 
     /// Selects the sorting-network family used by [`Algorithm::Network`] and
-    /// [`Algorithm::Adaptive`].
+    /// [`Algorithm::Adaptive`]. Odd-even (the default) is the only analytic
+    /// family; [`Algorithm::Adaptive`] rejects the materialized ones (bitonic,
+    /// periodic, transposition) at build time above
+    /// [`adaptive_level`](RenamingBuilder::adaptive_level) 3, whose sections
+    /// they would have to materialize with millions to billions of
+    /// comparators.
     pub fn family(mut self, family: NetworkFamily) -> Self {
         self.family = family;
         self
@@ -220,7 +233,8 @@ impl RenamingBuilder {
     ///
     /// Returns [`RenamingError::InvalidConfiguration`] when the settings do
     /// not fit the selected algorithm (missing or too-small capacity, a
-    /// capacity on the unbounded adaptive algorithm).
+    /// capacity on the unbounded adaptive algorithm, a materialized family
+    /// on an adaptive level above 3).
     pub fn build(&self) -> Result<Arc<dyn Renaming>, RenamingError> {
         match self.algorithm {
             Algorithm::Adaptive => {
@@ -231,6 +245,13 @@ impl RenamingBuilder {
                     });
                 }
                 let level = self.adaptive_level.unwrap_or(sortnet::adaptive::MAX_LEVEL);
+                if self.family != NetworkFamily::OddEven && level > MAX_MATERIALIZED_LEVEL {
+                    return Err(RenamingError::InvalidConfiguration {
+                        reason: "only the analytic odd-even family builds adaptive levels \
+                                 above 3: set .adaptive_level(3) or less for a materialized \
+                                 family",
+                    });
+                }
                 Ok(match self.comparators {
                     ComparatorKind::Randomized => Arc::new(
                         AdaptiveRenaming::<TwoProcessTas>::with_family(self.family, level),
@@ -245,10 +266,10 @@ impl RenamingBuilder {
                 let schedule = self.family.schedule(width);
                 Ok(match self.comparators {
                     ComparatorKind::Randomized => {
-                        Arc::new(RenamingNetwork::<_, TwoProcessTas>::new(schedule))
+                        Arc::new(RenamingNetwork::<TwoProcessTas>::new(schedule))
                     }
                     ComparatorKind::Hardware => {
-                        Arc::new(RenamingNetwork::<_, HardwareTas>::new(schedule))
+                        Arc::new(RenamingNetwork::<HardwareTas>::new(schedule))
                     }
                 })
             }
@@ -398,6 +419,37 @@ mod tests {
 
         let small = <dyn Renaming>::builder().adaptive_level(3).build().unwrap();
         run_tight(small, 6, 11);
+    }
+
+    /// A materialized family builds the adaptive object up to level 3 and is
+    /// refused above it, where its sections would be materialized whole.
+    #[test]
+    fn adaptive_materialized_families_stop_at_level_three() {
+        let bitonic = <dyn Renaming>::builder()
+            .family(NetworkFamily::Bitonic)
+            .adaptive_level(3)
+            .build()
+            .unwrap();
+        run_tight(bitonic, 6, 13);
+
+        // The default level (5) and level 4 are refused before anything is
+        // built.
+        for (family, level) in [
+            (NetworkFamily::Bitonic, None),
+            (NetworkFamily::Transposition, Some(4)),
+        ] {
+            let mut builder = <dyn Renaming>::builder().family(family);
+            if let Some(level) = level {
+                builder = builder.adaptive_level(level);
+            }
+            assert!(
+                matches!(
+                    builder.build(),
+                    Err(RenamingError::InvalidConfiguration { .. })
+                ),
+                "{family} at level {level:?}"
+            );
+        }
     }
 
     #[test]

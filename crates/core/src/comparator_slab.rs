@@ -1,8 +1,8 @@
 //! A lock-free, lazily initialized slab of comparator objects.
 //!
 //! The renaming engine stores one two-process test-and-set per comparator of
-//! the underlying sorting network. Where the network's
-//! [`CompiledSchedule`](sortnet::compiled::CompiledSchedule) assigns every
+//! the underlying sorting network. Where a compiled
+//! [`ComparatorNetwork`](sortnet::network::ComparatorNetwork) assigns every
 //! comparator a *dense index* — the §5 renaming network and the compiled
 //! inner sections of the §6 adaptive network — the natural store is a
 //! pre-sized contiguous array indexed by that slot: no hashing, no lock, no

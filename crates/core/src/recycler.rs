@@ -262,10 +262,8 @@ impl Escrow {
 ///
 /// // A compiled renaming network over 16 wires, recycled for at most 4
 /// // concurrent holders.
-/// let recycler = Arc::new(Recycler::new(
-///     RenamingNetwork::<_>::new(odd_even_network(16)),
-///     4,
-/// ));
+/// let network: RenamingNetwork = RenamingNetwork::new(odd_even_network(16));
+/// let recycler = Arc::new(Recycler::new(network, 4));
 /// let mut ctx = ProcessCtx::new(ProcessId::new(0), 1);
 ///
 /// let a = Arc::clone(&recycler).lease(&mut ctx).unwrap();
@@ -345,7 +343,7 @@ impl<R: Renaming> Recycler<R> {
     /// use shmem::process::{ProcessCtx, ProcessId};
     /// use sortnet::batcher::odd_even_network;
     ///
-    /// let inner = RenamingNetwork::<_>::new(odd_even_network(16));
+    /// let inner: RenamingNetwork = RenamingNetwork::new(odd_even_network(16));
     /// let arena = Arena::heap(Recycler::footprint(&inner, 4, 4));
     /// let recycler = Recycler::new_in(inner, 4, 4, &arena);
     /// let mut ctx = ProcessCtx::new(ProcessId::new(0), 1);
@@ -713,6 +711,7 @@ mod tests {
     use shmem::process::ProcessId;
     use sortnet::batcher::odd_even_network;
     use tas::ratrace::RatRaceTas;
+    use tas::two_process::TwoProcessTas;
 
     fn ctx(id: usize, seed: u64) -> ProcessCtx {
         ProcessCtx::new(ProcessId::new(id), seed)
@@ -745,7 +744,7 @@ mod tests {
     #[test]
     fn sequential_churn_recycles_instead_of_growing() {
         let recycler = Arc::new(Recycler::new(
-            RenamingNetwork::<_>::new(odd_even_network(32)),
+            RenamingNetwork::<TwoProcessTas>::new(odd_even_network(32)),
             4,
         ));
         let mut ctx = ctx(0, 9);
@@ -921,7 +920,7 @@ mod tests {
         let seeds = if cfg!(miri) { 1 } else { 4 };
         for seed in 0..seeds {
             let recycler = Arc::new(Recycler::new(
-                RenamingNetwork::<_>::new(odd_even_network(64)),
+                RenamingNetwork::<TwoProcessTas>::new(odd_even_network(64)),
                 8,
             ));
             let names = on_threads(8, seed, |ctx| {
@@ -947,7 +946,7 @@ mod tests {
     /// A recycler over a 64-wire network with an escrow of `quota` names
     /// per slot, in its own heap arena.
     fn escrowed(max: usize, quota: usize) -> Arc<Recycler<impl Renaming>> {
-        let inner = RenamingNetwork::<_>::new(odd_even_network(64));
+        let inner = RenamingNetwork::<TwoProcessTas>::new(odd_even_network(64));
         let arena = Arena::heap(Recycler::footprint(&inner, max, quota));
         Arc::new(Recycler::new_in(inner, max, quota, &arena))
     }

@@ -14,12 +14,11 @@
 //!
 //! The paper's cost bounds count test-and-set operations, so the substrate
 //! must not hide extra synchronization behind each one. [`RenamingNetwork`]
-//! therefore lowers its schedule into a
-//! [`CompiledSchedule`] at construction
-//! — a flat wire map answering "which comparator touches my wire in the next
-//! stage?" with one array load — and stores the comparator test-and-sets in a
-//! [`ComparatorSlab`] indexed by the
-//! compiled dense slot. The traversal hot path performs no hashing, no
+//! therefore compiles its schedule into a [`ComparatorNetwork`] at
+//! construction — a flat wire map answering "which comparator touches my
+//! wire in the next stage?" with one array load — and stores the comparator
+//! test-and-sets in a [`ComparatorSlab`] indexed by the network's dense
+//! comparator slot. The schedule itself is not kept. The traversal hot path performs no hashing, no
 //! reference-count traffic and no locking beyond each cell's one-time
 //! initialization: per stage, one wire-map load plus the test-and-set
 //! itself. Comparator objects are still created lazily on first touch
@@ -29,27 +28,27 @@ use crate::comparator_slab::ComparatorSlab;
 use crate::error::RenamingError;
 use crate::traits::Renaming;
 use shmem::process::ProcessCtx;
-use sortnet::compiled::CompiledSchedule;
+use sortnet::network::ComparatorNetwork;
 use sortnet::schedule::ComparatorSchedule;
 use std::fmt;
 use tas::two_process::TwoProcessTas;
 use tas::{Side, TwoPartyTas};
 
-/// Plays one process through a compiled schedule against its comparator
+/// Plays one process through a compiled network against its comparator
 /// slab, entering at `wire`. Returns the exit wire together with the number
 /// of comparators played and won. Shared by [`RenamingNetwork`] and the
 /// compiled sections of [`AdaptiveRenaming`](crate::adaptive::AdaptiveRenaming),
 /// so the traversal protocol cannot silently diverge between the two.
 pub(crate) fn traverse_compiled<T: TwoPartyTas + Default>(
-    schedule: &CompiledSchedule,
+    network: &ComparatorNetwork,
     slab: &ComparatorSlab<T>,
     ctx: &mut ProcessCtx,
     mut wire: usize,
 ) -> (usize, usize, usize) {
     let mut comparators_played = 0;
     let mut wins = 0;
-    for stage in 0..ComparatorSchedule::depth(schedule) {
-        if let Some((comparator, slot)) = schedule.pair_at(stage, wire) {
+    for stage in 0..network.depth() {
+        if let Some((comparator, slot)) = network.pair_at(stage, wire) {
             let side = if wire == comparator.top {
                 Side::Top
             } else {
@@ -105,7 +104,7 @@ pub struct TraversalReport {
 /// use std::sync::Arc;
 ///
 /// // 16 possible initial names, 5 participants with scattered identities.
-/// let network: Arc<RenamingNetwork<_>> = Arc::new(RenamingNetwork::new(odd_even_network(16)));
+/// let network: Arc<RenamingNetwork> = Arc::new(RenamingNetwork::new(odd_even_network(16)));
 /// let ids: Vec<ProcessId> = [0usize, 3, 7, 11, 15].iter().copied().map(ProcessId::new).collect();
 /// let outcome = VirtualExecutor::new(ExecConfig::new(5)).run_with_ids(&ids, {
 ///     let network = Arc::clone(&network);
@@ -113,29 +112,23 @@ pub struct TraversalReport {
 /// }).outcome;
 /// assert!(assert_tight_namespace(&outcome.results()).is_ok());
 /// ```
-pub struct RenamingNetwork<S: ComparatorSchedule, T: TwoPartyTas + Default = TwoProcessTas> {
-    /// The schedule lowered into flat arrays: O(1) wire-map queries and the
-    /// dense comparator index space addressing the slab. The source schedule
-    /// is not retained — every query goes through the compiled form.
-    compiled: CompiledSchedule,
+pub struct RenamingNetwork<T: TwoPartyTas + Default = TwoProcessTas> {
+    /// The schedule compiled into flat arrays: O(1) wire-map queries and the
+    /// dense comparator index space addressing the slab.
+    compiled: ComparatorNetwork,
     /// One lazily created test-and-set per comparator, indexed by the
     /// compiled dense slot.
     slab: ComparatorSlab<T>,
-    _schedule: std::marker::PhantomData<S>,
 }
 
-impl<S: ComparatorSchedule, T: TwoPartyTas + Default> RenamingNetwork<S, T> {
+impl<T: TwoPartyTas + Default> RenamingNetwork<T> {
     /// Creates a renaming network over the given sorting network, compiling
     /// its schedule and pre-sizing the comparator slab (one empty cell per
     /// comparator; the objects themselves stay lazy).
-    pub fn new(schedule: S) -> Self {
-        let compiled = CompiledSchedule::compile(&schedule);
+    pub fn new<S: ComparatorSchedule>(schedule: S) -> Self {
+        let compiled = ComparatorNetwork::compile(&schedule);
         let slab = ComparatorSlab::new(compiled.size());
-        RenamingNetwork {
-            compiled,
-            slab,
-            _schedule: std::marker::PhantomData,
-        }
+        RenamingNetwork { compiled, slab }
     }
 
     /// The size of the initial namespace (number of input ports).
@@ -146,11 +139,11 @@ impl<S: ComparatorSchedule, T: TwoPartyTas + Default> RenamingNetwork<S, T> {
     /// The depth of the underlying sorting network — an upper bound on the
     /// number of test-and-set objects any process plays.
     pub fn depth(&self) -> usize {
-        ComparatorSchedule::depth(&self.compiled)
+        self.compiled.depth()
     }
 
     /// The compiled form of the schedule (harness inspection).
-    pub fn compiled(&self) -> &CompiledSchedule {
+    pub fn compiled(&self) -> &ComparatorNetwork {
         &self.compiled
     }
 
@@ -208,7 +201,7 @@ impl<S: ComparatorSchedule, T: TwoPartyTas + Default> RenamingNetwork<S, T> {
     }
 }
 
-impl<S: ComparatorSchedule, T: TwoPartyTas + Default> fmt::Debug for RenamingNetwork<S, T> {
+impl<T: TwoPartyTas + Default> fmt::Debug for RenamingNetwork<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RenamingNetwork")
             .field("namespace", &self.namespace())
@@ -219,7 +212,7 @@ impl<S: ComparatorSchedule, T: TwoPartyTas + Default> fmt::Debug for RenamingNet
     }
 }
 
-impl<S: ComparatorSchedule, T: TwoPartyTas + Default> Renaming for RenamingNetwork<S, T> {
+impl<T: TwoPartyTas + Default> Renaming for RenamingNetwork<T> {
     fn acquire(&self, ctx: &mut ProcessCtx) -> Result<usize, RenamingError> {
         self.acquire_with_report(ctx).map(|report| report.name)
     }
@@ -265,7 +258,7 @@ mod tests {
     #[test]
     fn solo_process_gets_name_one_from_any_port() {
         for port in [0usize, 3, 7, 12, 15] {
-            let network = RenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(16));
+            let network = RenamingNetwork::<TwoProcessTas>::new(odd_even_network(16));
             let mut ctx = ProcessCtx::new(ProcessId::new(port), 3);
             let report = network.acquire_with_report(&mut ctx).unwrap();
             assert_eq!(report.name, 1, "port {port}");
@@ -275,7 +268,7 @@ mod tests {
 
     #[test]
     fn identifiers_outside_the_namespace_are_rejected() {
-        let network = RenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(8));
+        let network = RenamingNetwork::<TwoProcessTas>::new(odd_even_network(8));
         let mut ctx = ProcessCtx::new(ProcessId::new(8), 0);
         assert_eq!(
             network.acquire(&mut ctx),
@@ -288,7 +281,7 @@ mod tests {
 
     #[test]
     fn sequential_arrivals_get_a_tight_namespace() {
-        let network = RenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(16));
+        let network = RenamingNetwork::<TwoProcessTas>::new(odd_even_network(16));
         let mut names = Vec::new();
         for port in [15usize, 2, 9, 0, 7] {
             let mut ctx = ProcessCtx::new(ProcessId::new(port), 5);
@@ -300,9 +293,7 @@ mod tests {
     #[test]
     fn concurrent_arrivals_get_a_tight_namespace() {
         for seed in 0..8 {
-            let network = Arc::new(RenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(
-                32,
-            )));
+            let network = Arc::new(RenamingNetwork::<TwoProcessTas>::new(odd_even_network(32)));
             let ids = scattered_ids(10, 32, seed);
             let outcome = VirtualExecutor::with_seed(seed)
                 .run_with_ids(&ids, {
@@ -318,7 +309,7 @@ mod tests {
     #[test]
     fn full_load_is_a_permutation_of_the_namespace() {
         let namespace = 16;
-        let network = Arc::new(RenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(
+        let network = Arc::new(RenamingNetwork::<TwoProcessTas>::new(odd_even_network(
             namespace,
         )));
         let ids: Vec<ProcessId> = (0..namespace).map(ProcessId::new).collect();
@@ -333,7 +324,7 @@ mod tests {
 
     #[test]
     fn hardware_comparators_give_the_deterministic_variant() {
-        let network: Arc<RenamingNetwork<_, HardwareTas>> =
+        let network: Arc<RenamingNetwork<HardwareTas>> =
             Arc::new(RenamingNetwork::new(odd_even_network(16)));
         let ids = scattered_ids(6, 16, 99);
         let outcome = VirtualExecutor::with_seed(4)
@@ -348,9 +339,7 @@ mod tests {
     #[test]
     fn crashed_processes_never_break_uniqueness() {
         for seed in 0..5 {
-            let network = Arc::new(RenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(
-                32,
-            )));
+            let network = Arc::new(RenamingNetwork::<TwoProcessTas>::new(odd_even_network(32)));
             let ids = scattered_ids(16, 32, seed + 100);
             let config = ExecConfig::new(seed).with_crash_plan(CrashPlan::Random {
                 prob: 0.3,
@@ -373,8 +362,8 @@ mod tests {
     #[test]
     fn comparators_played_is_bounded_by_the_network_depth() {
         let schedule = odd_even_network(64);
-        let depth = sortnet::schedule::ComparatorSchedule::depth(&schedule);
-        let network = Arc::new(RenamingNetwork::<_, TwoProcessTas>::new(schedule));
+        let depth = schedule.depth();
+        let network = Arc::new(RenamingNetwork::<TwoProcessTas>::new(schedule));
         let ids = scattered_ids(20, 64, 7);
         let outcome = VirtualExecutor::with_seed(7)
             .run_with_ids(&ids, {
@@ -394,7 +383,7 @@ mod tests {
     fn slower_networks_still_rename_correctly() {
         // The transposition network has Θ(n) depth but is still a sorting
         // network, so renaming over it must still be tight.
-        let network = Arc::new(RenamingNetwork::<_, TwoProcessTas>::new(
+        let network = Arc::new(RenamingNetwork::<TwoProcessTas>::new(
             transposition_network(12),
         ));
         let ids = scattered_ids(12, 12, 42);
@@ -409,9 +398,7 @@ mod tests {
 
     #[test]
     fn comparator_allocation_stays_lazy_and_bounded() {
-        let network = Arc::new(RenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(
-            64,
-        )));
+        let network = Arc::new(RenamingNetwork::<TwoProcessTas>::new(odd_even_network(64)));
         assert_eq!(
             network.allocated_comparators(),
             0,

@@ -25,6 +25,7 @@ use adaptive_renaming::traits::{assert_tight_namespace, Renaming};
 use cnet::counter::NetworkCounter;
 use cnet::family::CountingFamily;
 use cnet::network::BalancingTopology;
+use cnet::verify::step_property_violation;
 use maxreg::unbounded::UnboundedMaxRegister;
 use maxreg::MaxRegister;
 use shmem::adversary::{CrashPlan, ExecConfig, ScheduleSource};
@@ -480,15 +481,19 @@ fn build_tas_chain() -> BuiltScenario {
 // Counting-network scenarios.
 // ---------------------------------------------------------------------------
 
-fn step_property(counts: &[u64]) -> bool {
-    counts
-        .iter()
-        .zip(counts.iter().skip(1))
-        .all(|(&hi, &lo)| hi == lo || hi == lo + 1)
+fn build_cnet_counter(width: usize, procs: usize) -> BuiltScenario {
+    cnet_counter_scenario(
+        Arc::new(NetworkCounter::new(CountingFamily::Bitonic, width)),
+        procs,
+    )
 }
 
-fn build_cnet_counter(width: usize, procs: usize) -> BuiltScenario {
-    let counter = Arc::new(NetworkCounter::new(CountingFamily::Bitonic, width));
+/// Every process increments `counter` once; the oracle wants distinct
+/// tickets, `procs` tokens counted and the step property at quiescence.
+fn cnet_counter_scenario<T: BalancingTopology + 'static>(
+    counter: Arc<NetworkCounter<T>>,
+    procs: usize,
+) -> BuiltScenario {
     let body: ScenarioBody = Arc::new({
         let counter = Arc::clone(&counter);
         move |ctx| counter.fetch_increment(ctx)
@@ -509,10 +514,10 @@ fn build_cnet_counter(width: usize, procs: usize) -> BuiltScenario {
                     counter.peek()
                 ));
             }
-            if !step_property(&counter.exit_counts()) {
+            let counts = counter.exit_counts();
+            if let Some(violation) = step_property_violation(&counts) {
                 return Err(format!(
-                    "exit counts {:?} violate the step property at quiescence",
-                    counter.exit_counts()
+                    "exit counts {counts:?} violate the step property at quiescence: {violation}"
                 ));
             }
             Ok(())
@@ -585,7 +590,7 @@ fn build_mono_counter() -> BuiltScenario {
     // again, which no completion of p0's increment explains. (Linear probing
     // never grants name 1 after name 2, so it cannot produce the witness.)
     let counter = Arc::new(MonotoneCounter::with_parts(
-        RenamingNetwork::<_, HardwareTas>::new(odd_even_network(4)),
+        RenamingNetwork::<HardwareTas>::new(odd_even_network(4)),
         UnboundedMaxRegister::new(),
     ));
     let recorder: Arc<Recorder<CounterOp, u64>> = Arc::new(Recorder::new());
@@ -974,6 +979,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The `cnet_width4_3p` oracle rejects a wiring that miscounts: three
+    /// tokens entering wire 0 of the width-4 transposition wiring leave with
+    /// exit counts [2, 1, 0, 0], whose adjacent wires all differ by at most
+    /// one, but whose first and third wires differ by two.
+    #[test]
+    fn the_counting_oracle_rejects_a_non_adjacent_step_violation() {
+        use cnet::compiled::CompiledBalancingNetwork;
+        use sortnet::family::{NetworkFamily, SortingFamily};
+
+        let wiring = NetworkFamily::Transposition.schedule(4);
+        let counter = Arc::new(NetworkCounter::with_network(
+            CompiledBalancingNetwork::compile(&*wiring),
+        ));
+        let BuiltScenario { body, check } = cnet_counter_scenario(Arc::clone(&counter), 3);
+        // Entry wire = identifier mod 4: all three enter on wire 0.
+        let ids: Vec<ProcessId> = [0, 4, 8].into_iter().map(ProcessId::new).collect();
+        let run = VirtualExecutor::with_seed(0).run_with_ids(&ids, move |ctx| body(ctx));
+        assert_eq!(counter.exit_counts(), vec![2, 1, 0, 0]);
+        let error = check(&run).expect_err("[2, 1, 0, 0] is not a staircase");
+        assert!(
+            error.contains("wire 0 holds 2 tokens but wire 2 holds 0"),
+            "{error}"
+        );
     }
 
     #[test]

@@ -91,7 +91,6 @@ use crate::vexec::Loc;
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::fmt;
 use std::ptr::NonNull;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -132,21 +131,6 @@ impl fmt::Display for ArenaBackend {
     }
 }
 
-impl FromStr for ArenaBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "heap" | "private" => Ok(ArenaBackend::Heap),
-            "shared" | "mmap" => Ok(ArenaBackend::Shared),
-            "file" | "named" => Ok(ArenaBackend::File),
-            other => Err(format!(
-                "unknown arena backend {other:?} (expected \"heap\", \"shared\" or \"file\")"
-            )),
-        }
-    }
-}
-
 /// Why an arena could not be created.
 #[derive(Debug)]
 pub enum ArenaError {
@@ -157,9 +141,6 @@ pub enum ArenaError {
     InvalidCapacity(usize),
     /// The underlying `mmap` call failed.
     MapFailed(std::io::Error),
-    /// The [`ArenaBackend::File`] backend needs a path: use
-    /// [`Arena::file_create`] / [`Arena::file_attach`], not `with_backend`.
-    PathRequired,
     /// Creating, opening or sizing the backing file failed.
     Io(std::io::Error),
     /// The file exists but its [`FileHeader`] does not validate (wrong
@@ -181,12 +162,6 @@ impl fmt::Display for ArenaError {
                 )
             }
             ArenaError::MapFailed(err) => write!(f, "mmap failed: {err}"),
-            ArenaError::PathRequired => {
-                write!(
-                    f,
-                    "the file backend needs a path: use Arena::file_create / file_attach"
-                )
-            }
             ArenaError::Io(err) => write!(f, "arena file i/o failed: {err}"),
             ArenaError::BadHeader(why) => write!(f, "arena file header invalid: {why}"),
         }
@@ -393,12 +368,11 @@ impl Arena {
         Arena::with_backend(ArenaBackend::Shared, capacity)
     }
 
-    /// Creates an arena on the requested backend. [`ArenaBackend::Shared`]
+    /// Creates a heap or anonymous shared arena. [`ArenaBackend::Shared`]
     /// fails with [`ArenaError::UnsupportedBackend`] on non-unix platforms
-    /// and under miri; [`ArenaBackend::File`] always fails here with
-    /// [`ArenaError::PathRequired`] — use [`Arena::file_create`] /
-    /// [`Arena::file_attach`].
-    pub fn with_backend(backend: ArenaBackend, capacity: usize) -> Result<Arc<Arena>, ArenaError> {
+    /// and under miri. File arenas are created by path
+    /// ([`Arena::file_create`]), never here.
+    fn with_backend(backend: ArenaBackend, capacity: usize) -> Result<Arc<Arena>, ArenaError> {
         if capacity == 0 || capacity > MAX_ARENA_CAPACITY {
             return Err(ArenaError::InvalidCapacity(capacity));
         }
@@ -414,7 +388,7 @@ impl Arena {
                 Storage::Heap { base, layout }
             }
             ArenaBackend::Shared => Self::map_shared(capacity)?,
-            ArenaBackend::File => return Err(ArenaError::PathRequired),
+            ArenaBackend::File => unreachable!("file arenas are created by path"),
         };
         Ok(Arc::new(Arena {
             storage,
@@ -1164,18 +1138,10 @@ mod tests {
     }
 
     #[test]
-    fn backend_parse_and_display_round_trip() {
-        assert_eq!("heap".parse::<ArenaBackend>().unwrap(), ArenaBackend::Heap);
-        assert_eq!(
-            "mmap".parse::<ArenaBackend>().unwrap(),
-            ArenaBackend::Shared
-        );
-        assert_eq!(
-            "shared".parse::<ArenaBackend>().unwrap(),
-            ArenaBackend::Shared
-        );
-        assert!("bogus".parse::<ArenaBackend>().is_err());
+    fn backend_display_names_each_backend() {
         assert_eq!(ArenaBackend::Heap.to_string(), "heap");
+        assert_eq!(ArenaBackend::Shared.to_string(), "shared");
+        assert_eq!(ArenaBackend::File.to_string(), "file");
         assert_eq!(ArenaBackend::default(), ArenaBackend::Heap);
     }
 
@@ -1326,7 +1292,7 @@ mod tests {
         }
 
         #[test]
-        fn create_refuses_existing_files_and_with_backend_needs_a_path() {
+        fn create_refuses_existing_files_and_zero_capacities() {
             let path = scratch_path("exists");
             let arena = Arena::file_create(&path, 1024).expect("file arena");
             assert!(matches!(
@@ -1336,20 +1302,9 @@ mod tests {
             drop(arena);
             std::fs::remove_file(&path).unwrap();
             assert!(matches!(
-                Arena::with_backend(ArenaBackend::File, 1024),
-                Err(ArenaError::PathRequired)
-            ));
-            assert!(matches!(
                 Arena::file_create(scratch_path("zero"), 0),
                 Err(ArenaError::InvalidCapacity(0))
             ));
-        }
-
-        #[test]
-        fn file_backend_parses_and_displays() {
-            assert_eq!("file".parse::<ArenaBackend>().unwrap(), ArenaBackend::File);
-            assert_eq!("named".parse::<ArenaBackend>().unwrap(), ArenaBackend::File);
-            assert_eq!(ArenaBackend::File.to_string(), "file");
         }
 
         #[test]

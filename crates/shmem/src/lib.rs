@@ -91,7 +91,7 @@ pub use history::{History, OpRecord, Recorder};
 pub use lazy::LazyTable;
 pub use pad::CachePadded;
 pub use process::{ProcessCtx, ProcessId};
-pub use register::{AtomicBoolRegister, AtomicU64Register, AtomicUsizeRegister, RegisterBlock};
+pub use register::{AtomicBoolRegister, AtomicU64Register, RegisterBlock};
 pub use steps::{StepKind, StepStats};
 pub use vexec::{
     AccessClass, ExecTrace, ExecutionOutcome, ExploreHandle, Loc, OpEvent, PendingOp,

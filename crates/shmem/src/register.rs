@@ -106,93 +106,10 @@ impl AtomicU64Register {
     }
 }
 
-/// A multi-writer multi-reader atomic register holding a `usize`.
-#[derive(Debug)]
-pub struct AtomicUsizeRegister {
-    cell: ArenaCell<AtomicUsize>,
-    loc: Loc,
-}
-
-impl Default for AtomicUsizeRegister {
-    fn default() -> Self {
-        AtomicUsizeRegister::new(0)
-    }
-}
-
-impl AtomicUsizeRegister {
-    /// Creates a register with the given initial value.
-    pub fn new(initial: usize) -> Self {
-        AtomicUsizeRegister {
-            cell: ArenaCell::inline(AtomicUsize::new(initial)),
-            loc: Loc::fresh(),
-        }
-    }
-
-    /// Creates a register whose word lives in `arena`, on its own cache
-    /// line (see [`AtomicU64Register::new_in`]).
-    pub fn new_in(arena: &Arc<Arena>, initial: usize) -> Self {
-        let cell = ArenaCell::new_in(arena, AtomicUsize::new(initial));
-        AtomicUsizeRegister {
-            loc: cell.loc().expect("arena cells have derived locs"),
-            cell,
-        }
-    }
-
-    /// The register's location identifier (see [`AtomicU64Register::loc`]).
-    pub fn loc(&self) -> Loc {
-        self.loc
-    }
-
-    /// Atomically reads the register, charging one read step.
-    pub fn read(&self, ctx: &mut ProcessCtx) -> usize {
-        ctx.record_at(StepKind::RegisterRead, self.loc);
-        self.cell.get().load(Ordering::SeqCst)
-    }
-
-    /// Atomically writes the register, charging one write step.
-    pub fn write(&self, ctx: &mut ProcessCtx, value: usize) {
-        ctx.record_at(StepKind::RegisterWrite, self.loc);
-        self.cell.get().store(value, Ordering::SeqCst);
-    }
-
-    /// Atomically replaces the value, returning the previous one and charging
-    /// one read-modify-write step.
-    pub fn swap(&self, ctx: &mut ProcessCtx, value: usize) -> usize {
-        ctx.record_at(StepKind::ReadModifyWrite, self.loc);
-        self.cell.get().swap(value, Ordering::SeqCst)
-    }
-
-    /// Atomically performs compare-and-swap, charging one read-modify-write
-    /// step. Returns `Ok(previous)` on success and `Err(actual)` on failure.
-    pub fn compare_and_swap(
-        &self,
-        ctx: &mut ProcessCtx,
-        expected: usize,
-        new: usize,
-    ) -> Result<usize, usize> {
-        ctx.record_at(StepKind::ReadModifyWrite, self.loc);
-        self.cell
-            .get()
-            .compare_exchange(expected, new, Ordering::SeqCst, Ordering::SeqCst)
-    }
-
-    /// Atomically adds `delta`, returning the previous value and charging one
-    /// read-modify-write step.
-    pub fn fetch_add(&self, ctx: &mut ProcessCtx, delta: usize) -> usize {
-        ctx.record_at(StepKind::ReadModifyWrite, self.loc);
-        self.cell.get().fetch_add(delta, Ordering::SeqCst)
-    }
-
-    /// Reads the register without charging any step (harness/test use only).
-    pub fn peek(&self) -> usize {
-        self.cell.get().load(Ordering::SeqCst)
-    }
-}
-
 /// `N` multi-writer multi-reader `usize` registers stored as plain words
 /// behind one block of location ids.
 ///
-/// Word `i` behaves exactly like an [`AtomicUsizeRegister`]: each operation
+/// Word `i` behaves exactly like an [`AtomicU64Register`]: each operation
 /// charges one step at location `base.offset(i)` ([`Loc::fresh_block`])
 /// before its `SeqCst` access, so step counts, scheduling points and
 /// conflicts are the same as with `N` separate registers. What differs is
@@ -344,18 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn usize_register_read_write_swap_cas() {
-        let mut ctx = ctx();
-        let reg = AtomicUsizeRegister::new(1);
-        assert_eq!(reg.read(&mut ctx), 1);
-        reg.write(&mut ctx, 2);
-        assert_eq!(reg.swap(&mut ctx, 3), 2);
-        assert_eq!(reg.compare_and_swap(&mut ctx, 3, 4), Ok(3));
-        assert_eq!(reg.fetch_add(&mut ctx, 10), 4);
-        assert_eq!(reg.peek(), 14);
-    }
-
-    #[test]
     fn register_block_words_behave_like_registers_at_consecutive_locs() {
         let mut ctx = ctx();
         let block: RegisterBlock<3> = RegisterBlock::new(7);
@@ -403,7 +308,7 @@ mod tests {
         assert!(!flag.test_and_set(&mut ctx));
         assert!(flag.test_and_set(&mut ctx));
 
-        let count = AtomicUsizeRegister::new_in(&arena, 1);
+        let count = AtomicU64Register::new_in(&arena, 1);
         assert_eq!(count.fetch_add(&mut ctx, 3), 1);
         assert_eq!(count.peek(), 4);
     }

@@ -902,7 +902,7 @@ impl VirtualExecutor {
 mod tests {
     use super::*;
     use crate::adversary::CrashPlan;
-    use crate::register::{AtomicU64Register, AtomicUsizeRegister};
+    use crate::register::AtomicU64Register;
     use std::sync::Arc;
 
     #[test]
@@ -1142,7 +1142,7 @@ mod tests {
 
     #[test]
     fn replay_falls_back_on_invalid_and_exhausted_schedules() {
-        let reg = Arc::new(AtomicUsizeRegister::new(0));
+        let reg = Arc::new(AtomicU64Register::new(0));
         // A nonsense schedule: process 7 never exists, and it is far too
         // short — the fallback must still complete the run deterministically.
         let schedule = Schedule::new(vec![ProcessId::new(7), ProcessId::new(1)]);
@@ -1187,7 +1187,7 @@ mod tests {
 
     #[test]
     fn crash_plans_are_honored_deterministically() {
-        let reg = Arc::new(AtomicUsizeRegister::new(0));
+        let reg = Arc::new(AtomicU64Register::new(0));
         let config = ExecConfig::new(5).with_crash_plan(CrashPlan::Fixed(vec![Some(2), None]));
         let run = VirtualExecutor::new(config).run(2, {
             let reg = Arc::clone(&reg);
@@ -1204,7 +1204,7 @@ mod tests {
 
     #[test]
     fn step_budget_truncates_and_reports() {
-        let reg = Arc::new(AtomicUsizeRegister::new(0));
+        let reg = Arc::new(AtomicU64Register::new(0));
         let run = VirtualExecutor::with_seed(1).with_max_steps(5).run(2, {
             let reg = Arc::clone(&reg);
             move |ctx| {
@@ -1317,12 +1317,12 @@ mod tests {
 
     #[test]
     fn every_process_completes_and_reports_steps() {
-        let reg = Arc::new(AtomicUsizeRegister::new(0));
+        let reg = Arc::new(AtomicU64Register::new(0));
         let outcome = VirtualExecutor::with_seed(7)
             .run(8, {
                 let reg = Arc::clone(&reg);
                 move |ctx| {
-                    reg.write(ctx, ctx.id().as_usize());
+                    reg.write(ctx, ctx.id().as_usize() as u64);
                     reg.read(ctx)
                 }
             })
@@ -1339,7 +1339,7 @@ mod tests {
 
     #[test]
     fn fetch_add_hands_out_distinct_values_under_contention() {
-        let reg = Arc::new(AtomicUsizeRegister::new(0));
+        let reg = Arc::new(AtomicU64Register::new(0));
         let outcome = VirtualExecutor::with_seed(3)
             .run(16, {
                 let reg = Arc::clone(&reg);
@@ -1364,7 +1364,7 @@ mod tests {
 
     #[test]
     fn crashed_processes_are_reported_not_joined_on() {
-        let reg = Arc::new(AtomicUsizeRegister::new(0));
+        let reg = Arc::new(AtomicU64Register::new(0));
         let config = ExecConfig::new(11).with_crash_plan(CrashPlan::Fixed(vec![
             Some(3),
             None,

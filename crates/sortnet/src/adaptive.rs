@@ -135,12 +135,12 @@ pub fn level_for_port(port: usize) -> usize {
 /// ```
 /// use sortnet::adaptive::AdaptiveNetwork;
 /// use sortnet::family::NetworkFamily;
-/// use sortnet::verify::is_sorting_network_exhaustive;
+/// use sortnet::verify::schedule_sorts_exhaustive;
 ///
 /// // Level 2: a 16-wire network.
 /// let adaptive = AdaptiveNetwork::new(NetworkFamily::OddEven, 2);
 /// assert_eq!(adaptive.width(), 16);
-/// assert!(is_sorting_network_exhaustive(&adaptive.materialize()));
+/// assert!(schedule_sorts_exhaustive(&adaptive.materialize()));
 /// ```
 pub struct AdaptiveNetwork {
     family: Arc<dyn SortingFamily>,
@@ -303,7 +303,7 @@ impl fmt::Debug for AdaptiveNetwork {
 mod tests {
     use super::*;
     use crate::family::NetworkFamily;
-    use crate::verify::{is_sorting_network_exhaustive, sorts_random_zero_one_inputs};
+    use crate::verify::{schedule_sorts_exhaustive, sorts_random_zero_one_inputs};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -387,14 +387,14 @@ mod tests {
             let level1 = AdaptiveNetwork::new(family, 1);
             assert_eq!(level1.width(), 4);
             assert!(
-                is_sorting_network_exhaustive(&level1.materialize()),
+                schedule_sorts_exhaustive(&level1.materialize()),
                 "{family} level 1"
             );
 
             let level2 = AdaptiveNetwork::new(family, 2);
             assert_eq!(level2.width(), 16);
             assert!(
-                is_sorting_network_exhaustive(&level2.materialize()),
+                schedule_sorts_exhaustive(&level2.materialize()),
                 "{family} level 2"
             );
         }

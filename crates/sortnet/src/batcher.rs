@@ -60,12 +60,13 @@ fn stage_parameters(phys: usize) -> Vec<(usize, usize)> {
 ///
 /// ```
 /// use sortnet::batcher::OddEvenSchedule;
+/// use sortnet::network::ComparatorNetwork;
 /// use sortnet::schedule::ComparatorSchedule;
 ///
 /// let schedule = OddEvenSchedule::new(8);
 /// assert_eq!(schedule.width(), 8);
 /// assert_eq!(schedule.depth(), 6); // log2(8) * (log2(8) + 1) / 2
-/// assert_eq!(schedule.apply_schedule(&[4, 2, 7, 1, 8, 3, 6, 5]),
+/// assert_eq!(ComparatorNetwork::compile(&schedule).apply(&[4, 2, 7, 1, 8, 3, 6, 5]),
 ///            vec![1, 2, 3, 4, 5, 6, 7, 8]);
 /// ```
 #[derive(Clone, Debug)]
@@ -136,20 +137,20 @@ impl ComparatorSchedule for OddEvenSchedule {
 /// assert_eq!(network.apply(&[6, 5, 4, 3, 2, 1]), vec![1, 2, 3, 4, 5, 6]);
 /// ```
 pub fn odd_even_network(width: usize) -> ComparatorNetwork {
-    OddEvenSchedule::new(width).materialize()
+    ComparatorNetwork::compile(&OddEvenSchedule::new(width))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{is_sorting_network_exhaustive, schedule_sorts_exhaustive};
+    use crate::verify::schedule_sorts_exhaustive;
 
     #[test]
     fn power_of_two_networks_sort_exhaustively() {
         for width in [2usize, 4, 8, 16] {
             let network = odd_even_network(width);
             assert!(
-                is_sorting_network_exhaustive(&network),
+                schedule_sorts_exhaustive(&network),
                 "width {width} failed the zero-one principle"
             );
         }
@@ -160,7 +161,7 @@ mod tests {
         for width in [3usize, 5, 6, 7, 9, 11, 13, 15, 17] {
             let network = odd_even_network(width);
             assert!(
-                is_sorting_network_exhaustive(&network),
+                schedule_sorts_exhaustive(&network),
                 "width {width} failed the zero-one principle"
             );
         }
@@ -182,10 +183,19 @@ mod tests {
         for width in [4usize, 7, 8, 13, 16, 20] {
             let schedule = OddEvenSchedule::new(width);
             let network = odd_even_network(width);
-            // Same multiset of comparators per (p, k) stage; the materialized
-            // network drops empty stages, so compare via full materialization.
-            let rebuilt = schedule.materialize();
-            assert_eq!(rebuilt, network, "width {width}");
+            // Every (p, k) stage of the schedule holds a comparator, so the
+            // network keeps the schedule's stage indices.
+            assert_eq!(network.depth(), schedule.depth(), "width {width}");
+            for stage in 0..schedule.depth() {
+                assert!(!network.stage(stage).is_empty(), "width {width}");
+                for wire in 0..width {
+                    assert_eq!(
+                        network.comparator_at(stage, wire),
+                        schedule.comparator_at(stage, wire),
+                        "width {width}: ({stage}, {wire})"
+                    );
+                }
+            }
         }
     }
 

@@ -72,13 +72,13 @@ pub fn bitonic_network(width: usize) -> ComparatorNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::is_sorting_network_exhaustive;
+    use crate::verify::schedule_sorts_exhaustive;
 
     #[test]
     fn power_of_two_widths_sort_exhaustively() {
         for width in [2usize, 4, 8, 16] {
             assert!(
-                is_sorting_network_exhaustive(&bitonic_network(width)),
+                schedule_sorts_exhaustive(&bitonic_network(width)),
                 "width {width}"
             );
         }
@@ -88,7 +88,7 @@ mod tests {
     fn truncated_widths_sort_exhaustively() {
         for width in [3usize, 5, 6, 7, 10, 12, 15] {
             assert!(
-                is_sorting_network_exhaustive(&bitonic_network(width)),
+                schedule_sorts_exhaustive(&bitonic_network(width)),
                 "width {width}"
             );
         }

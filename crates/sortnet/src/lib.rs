@@ -4,17 +4,17 @@
 //! comparators have been replaced by two-process test-and-set objects (§5).
 //! This crate provides the sorting-network substrate:
 //!
-//! * [`network`] — materialized comparator networks: stages of disjoint
-//!   comparators, application to inputs, depth/size metrics.
+//! * [`network`] — [`ComparatorNetwork`], the one materialized network:
+//!   stages of disjoint comparators in a flat wire map over a dense,
+//!   stage-major comparator index, with O(1) "which comparator touches my
+//!   wire?" queries, application to inputs and depth/size metrics. Any
+//!   schedule compiles into it; the dense index addresses the lock-free
+//!   comparator slab of the renaming engine.
 //! * [`schedule`] — the [`ComparatorSchedule`]
 //!   abstraction: "which comparator (if any) touches wire `w` in stage `s`?".
 //!   Analytic schedules answer it arithmetically, so arbitrarily wide
 //!   networks (the adaptive construction's outer levels) can be queried
 //!   without materializing millions of comparators.
-//! * [`compiled`] — [`CompiledSchedule`]: any
-//!   schedule lowered into flat wire-map + dense-comparator arrays with O(1)
-//!   queries and a dense index space, the substrate of the lock-free
-//!   comparator slab in the renaming engine.
 //! * [`batcher`] — Batcher's odd-even mergesort, both materialized and as an
 //!   analytic schedule; the constructible `O(log² n)`-depth family the paper
 //!   suggests in place of the impractical AKS network.
@@ -34,10 +34,10 @@
 //!
 //! ```
 //! use sortnet::batcher::odd_even_network;
-//! use sortnet::verify::is_sorting_network_exhaustive;
+//! use sortnet::verify::schedule_sorts_exhaustive;
 //!
 //! let network = odd_even_network(8);
-//! assert!(is_sorting_network_exhaustive(&network));
+//! assert!(schedule_sorts_exhaustive(&network));
 //! assert_eq!(network.apply(&[5, 3, 8, 1, 9, 2, 7, 4]), vec![1, 2, 3, 4, 5, 7, 8, 9]);
 //! ```
 
@@ -48,7 +48,6 @@
 pub mod adaptive;
 pub mod batcher;
 pub mod bitonic;
-pub mod compiled;
 pub mod family;
 pub mod network;
 pub mod periodic;
@@ -59,7 +58,6 @@ pub mod verify;
 pub use adaptive::AdaptiveNetwork;
 pub use batcher::{odd_even_network, OddEvenSchedule};
 pub use bitonic::bitonic_network;
-pub use compiled::CompiledSchedule;
 pub use family::{NetworkFamily, SortingFamily};
 pub use network::{Comparator, ComparatorNetwork};
 pub use periodic::periodic_network;

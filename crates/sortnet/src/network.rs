@@ -6,7 +6,31 @@
 //! routes the smaller value to the `top` wire and the larger value to the
 //! `bottom` wire — the "min up" convention the paper's renaming networks rely
 //! on (winning a test-and-set moves a process *up*).
+//!
+//! [`ComparatorNetwork`] is the one materialized form of a network in the
+//! workspace: the §5 renaming network, the small sections of the §6 adaptive
+//! renaming object and the counting networks all traverse it. It keeps
+//! three flat arrays:
+//!
+//! * a `depth × width` *wire map*: for every `(stage, wire)` cell, the dense
+//!   index of the comparator touching that wire, or a sentinel for an idle
+//!   wire. One array load answers the traversal query "which comparator
+//!   touches my wire in this stage?" ([`ComparatorNetwork::pair_at`]).
+//! * the comparators, each once, in stage-major order. A comparator's
+//!   position is its *dense index*: the renaming engine keeps its
+//!   test-and-sets, and a counting network its balancers, in plain arrays
+//!   indexed by it, with no hashing and no locks on the traversal path.
+//! * CSR stage offsets into the comparators, so a stage is a contiguous
+//!   slice ([`ComparatorNetwork::stage`]).
+//!
+//! [`ComparatorNetwork::compile`] lowers any [`ComparatorSchedule`] into
+//! this layout in `O(width × depth)` time and memory, so it is meant for the
+//! bounded networks processes actually traverse. The analytic schedules of
+//! the §6.1 construction with astronomical widths stay uncompiled: the
+//! adaptive renaming object compiles its small inner sections and keeps
+//! sparse storage for the outer ones.
 
+use crate::schedule::ComparatorSchedule;
 use std::fmt;
 
 /// A single min-up comparator between two wires.
@@ -59,21 +83,19 @@ impl fmt::Display for Comparator {
     }
 }
 
-/// Sentinel marking a wire idle in a stage's lookup row.
-const NO_COMPARATOR: u32 = u32::MAX;
+/// Sentinel marking an idle `(stage, wire)` cell in the wire map.
+const IDLE: u32 = u32::MAX;
 
-/// A materialized comparator network: a fixed width and a sequence of stages.
-///
-/// Alongside the stage lists, the network maintains a per-stage *wire lookup
-/// row* mapping each wire to the comparator touching it, so
-/// [`ComparatorNetwork::comparator_touching`] (and therefore the
-/// [`ComparatorSchedule`](crate::schedule::ComparatorSchedule) query) is O(1)
-/// instead of a scan of the stage.
+/// A materialized comparator network: a fixed width and a sequence of stages,
+/// stored as a flat wire map over a dense comparator index (see the
+/// [module documentation](self)).
 ///
 /// # Example
 ///
 /// ```
+/// use sortnet::batcher::{odd_even_network, OddEvenSchedule};
 /// use sortnet::network::{Comparator, ComparatorNetwork};
+/// use sortnet::schedule::ComparatorSchedule;
 ///
 /// // A 3-wire sorting network (insertion sort).
 /// let mut network = ComparatorNetwork::new(3);
@@ -83,26 +105,29 @@ const NO_COMPARATOR: u32 = u32::MAX;
 /// assert_eq!(network.apply(&[3, 2, 1]), vec![1, 2, 3]);
 /// assert_eq!(network.depth(), 3);
 /// assert_eq!(network.size(), 3);
-/// assert_eq!(network.comparator_touching(1, 2), Some(Comparator::new(1, 2)));
+/// assert_eq!(network.pair_at(1, 2), Some((Comparator::new(1, 2), 1)));
+///
+/// // Compiling a schedule keeps every stage and every query.
+/// let schedule = OddEvenSchedule::new(8);
+/// let compiled = ComparatorNetwork::compile(&schedule);
+/// assert_eq!(compiled, odd_even_network(8));
+/// for stage in 0..schedule.depth() {
+///     for wire in 0..schedule.width() {
+///         assert_eq!(compiled.comparator_at(stage, wire), schedule.comparator_at(stage, wire));
+///     }
+/// }
+/// assert_eq!(compiled.apply(&[5, 1, 4, 2, 8, 6, 3, 7]), vec![1, 2, 3, 4, 5, 6, 7, 8]);
 /// ```
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ComparatorNetwork {
     width: usize,
-    stages: Vec<Vec<Comparator>>,
-    /// `stage_lookup[s][w]` = index within `stages[s]` of the comparator
-    /// touching wire `w`, or [`NO_COMPARATOR`]. Maintained by every mutator.
-    stage_lookup: Vec<Vec<u32>>,
-}
-
-/// Builds the lookup row of one stage.
-fn lookup_row(width: usize, comparators: &[Comparator]) -> Vec<u32> {
-    let mut row = vec![NO_COMPARATOR; width];
-    for (index, comparator) in comparators.iter().enumerate() {
-        let index = u32::try_from(index).expect("stage has more than u32::MAX comparators");
-        row[comparator.top] = index;
-        row[comparator.bottom] = index;
-    }
-    row
+    /// Wire map: `slots[stage * width + wire]` is the dense index of the
+    /// comparator touching the wire in the stage, or [`IDLE`].
+    slots: Vec<u32>,
+    /// Every comparator once, in stage-major order (the dense index space).
+    comparators: Vec<Comparator>,
+    /// CSR offsets: stage `s` owns `comparators[stage_offsets[s]..stage_offsets[s + 1]]`.
+    stage_offsets: Vec<u32>,
 }
 
 impl ComparatorNetwork {
@@ -110,16 +135,91 @@ impl ComparatorNetwork {
     pub fn new(width: usize) -> Self {
         ComparatorNetwork {
             width,
-            stages: Vec::new(),
-            stage_lookup: Vec::new(),
+            slots: Vec::new(),
+            comparators: Vec::new(),
+            stage_offsets: vec![0],
         }
     }
 
-    /// Appends a stage without validating it, keeping the lookup index in
-    /// sync. Callers must guarantee well-formedness.
-    fn push_stage_unchecked(&mut self, comparators: Vec<Comparator>) {
-        self.stage_lookup.push(lookup_row(self.width, &comparators));
-        self.stages.push(comparators);
+    /// Lowers any schedule into the flat layout.
+    ///
+    /// Runs in `O(width × depth)` time and memory — one wire-map cell per
+    /// `(stage, wire)` pair. Stages are kept verbatim, including empty ones,
+    /// so stage indices agree with the source schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the wire map does not fit the address space, if the
+    /// schedule has `u32::MAX` comparators or more, or if the schedule is
+    /// inconsistent (a comparator reported for a wire before its top wire,
+    /// or two comparators on one wire in one stage — a violation of the
+    /// [`ComparatorSchedule`] contract).
+    pub fn compile<S: ComparatorSchedule + ?Sized>(schedule: &S) -> Self {
+        let width = schedule.width();
+        let depth = schedule.depth();
+        let cells = width
+            .checked_mul(depth)
+            .expect("schedule wire map exceeds the address space");
+        let mut network = ComparatorNetwork::new(width);
+        network.slots.reserve_exact(cells);
+        network.stage_offsets.reserve_exact(depth);
+        for stage in 0..depth {
+            let row = network.open_stage();
+            for wire in 0..width {
+                // The top wire of a comparator is visited first and fills in
+                // both cells, so a filled cell needs no second query.
+                if network.slots[row + wire] != IDLE {
+                    continue;
+                }
+                if let Some(comparator) = schedule.comparator_at(stage, wire) {
+                    assert_eq!(
+                        comparator.top, wire,
+                        "schedule reported comparator {comparator} for wire {wire} in stage \
+                         {stage} before its top wire — inconsistent comparator_at"
+                    );
+                    network.place(row, comparator);
+                }
+            }
+            network.close_stage();
+        }
+        network
+    }
+
+    /// Appends an idle wire-map row for a new stage and returns its first
+    /// cell.
+    fn open_stage(&mut self) -> usize {
+        let row = self.slots.len();
+        self.slots.resize(row + self.width, IDLE);
+        row
+    }
+
+    /// Gives `comparator` the next dense index in the stage whose wire-map
+    /// row starts at `row`.
+    fn place(&mut self, row: usize, comparator: Comparator) {
+        assert!(
+            comparator.bottom < self.width,
+            "comparator {comparator} exceeds network width {}",
+            self.width
+        );
+        let index = u32::try_from(self.comparators.len())
+            .ok()
+            .filter(|&index| index != IDLE)
+            .expect("a network holds fewer than u32::MAX comparators");
+        for wire in [comparator.top, comparator.bottom] {
+            let cell = &mut self.slots[row + wire];
+            assert!(
+                *cell == IDLE,
+                "wire {wire} appears twice in one stage ({comparator})"
+            );
+            *cell = index;
+        }
+        self.comparators.push(comparator);
+    }
+
+    /// Ends the stage opened last after the comparators placed so far.
+    fn close_stage(&mut self) {
+        // `place` keeps every index, and so this count, below `u32::MAX`.
+        self.stage_offsets.push(self.comparators.len() as u32);
     }
 
     /// The number of wires.
@@ -129,25 +229,13 @@ impl ComparatorNetwork {
 
     /// The number of stages (the network's depth).
     pub fn depth(&self) -> usize {
-        self.stages.len()
+        self.stage_offsets.len() - 1
     }
 
-    /// The total number of comparators.
+    /// The total number of comparators — the size of the dense index space
+    /// (and of any slab allocated against it).
     pub fn size(&self) -> usize {
-        self.stages.iter().map(Vec::len).sum()
-    }
-
-    /// The stages of the network, in execution order.
-    pub fn stages(&self) -> &[Vec<Comparator>] {
-        &self.stages
-    }
-
-    /// Iterates over every comparator with its stage index.
-    pub fn comparators(&self) -> impl Iterator<Item = (usize, Comparator)> + '_ {
-        self.stages
-            .iter()
-            .enumerate()
-            .flat_map(|(stage, comparators)| comparators.iter().map(move |&c| (stage, c)))
+        self.comparators.len()
     }
 
     /// Appends a stage of comparators.
@@ -157,63 +245,38 @@ impl ComparatorNetwork {
     /// Panics if any comparator references a wire `>= width`, or if two
     /// comparators in the stage share a wire.
     pub fn push_stage(&mut self, comparators: Vec<Comparator>) {
-        let mut seen = vec![false; self.width];
-        for comparator in &comparators {
-            assert!(
-                comparator.bottom < self.width,
-                "comparator {comparator} exceeds network width {}",
-                self.width
-            );
-            for wire in [comparator.top, comparator.bottom] {
-                assert!(
-                    !seen[wire],
-                    "wire {wire} appears twice in one stage ({comparator})"
-                );
-                seen[wire] = true;
-            }
-        }
-        self.push_stage_unchecked(comparators);
-    }
-
-    /// The comparator touching `wire` in `stage`, if any, in O(1) via the
-    /// per-wire lookup index. Out-of-range stages and wires yield `None`.
-    #[inline]
-    pub fn comparator_touching(&self, stage: usize, wire: usize) -> Option<Comparator> {
-        let row = self.stage_lookup.get(stage)?;
-        match *row.get(wire)? {
-            NO_COMPARATOR => None,
-            index => Some(self.stages[stage][index as usize]),
-        }
-    }
-
-    /// Appends every comparator of a sequence, greedily packing them into the
-    /// fewest stages that keep each stage's wires disjoint while preserving
-    /// the sequential order of comparators that share a wire.
-    pub fn append_comparators<I: IntoIterator<Item = Comparator>>(&mut self, comparators: I) {
-        // `ready_stage[w]` = first stage index at which wire `w` is free,
-        // counting only stages appended by this call (earlier stages are
-        // considered busy to preserve ordering with existing content).
-        let base = self.stages.len();
-        let mut ready_stage = vec![base; self.width];
+        let row = self.open_stage();
         for comparator in comparators {
-            assert!(
-                comparator.bottom < self.width,
-                "comparator {comparator} exceeds network width {}",
-                self.width
-            );
-            let stage = ready_stage[comparator.top].max(ready_stage[comparator.bottom]);
-            while self.stages.len() <= stage {
-                self.stages.push(Vec::new());
-            }
-            self.stages[stage].push(comparator);
-            ready_stage[comparator.top] = stage + 1;
-            ready_stage[comparator.bottom] = stage + 1;
+            self.place(row, comparator);
         }
-        // Rebuild the lookup rows of the stages this call touched.
-        self.stage_lookup.truncate(base);
-        for stage in &self.stages[base..] {
-            self.stage_lookup.push(lookup_row(self.width, stage));
+        self.close_stage();
+    }
+
+    /// The comparator touching `wire` in `stage` together with its dense
+    /// index — the one wire-map load a traversal runs per stage. The index
+    /// addresses the comparator slab of a renaming network and the balancer
+    /// slab of a counting network built over this network. Out-of-range
+    /// stages and wires yield `None`.
+    #[inline]
+    pub fn pair_at(&self, stage: usize, wire: usize) -> Option<(Comparator, usize)> {
+        if wire >= self.width || stage >= self.depth() {
+            return None;
         }
+        match self.slots[stage * self.width + wire] {
+            IDLE => None,
+            slot => Some((self.comparators[slot as usize], slot as usize)),
+        }
+    }
+
+    /// The comparators of one stage as a contiguous slice. Out-of-range
+    /// stages yield an empty slice.
+    pub fn stage(&self, stage: usize) -> &[Comparator] {
+        if stage >= self.depth() {
+            return &[];
+        }
+        let start = self.stage_offsets[stage] as usize;
+        let end = self.stage_offsets[stage + 1] as usize;
+        &self.comparators[start..end]
     }
 
     /// Applies the network to an input sequence, returning the output wires.
@@ -228,11 +291,11 @@ impl ComparatorNetwork {
             "input length must equal the network width"
         );
         let mut values: Vec<T> = input.to_vec();
-        for stage in &self.stages {
-            for comparator in stage {
-                if values[comparator.top] > values[comparator.bottom] {
-                    values.swap(comparator.top, comparator.bottom);
-                }
+        // Stages only matter for parallel hardware; sequentially, the dense
+        // stage-major order applies them with one flat pass.
+        for comparator in &self.comparators {
+            if values[comparator.top] > values[comparator.bottom] {
+                values.swap(comparator.top, comparator.bottom);
             }
         }
         values
@@ -251,14 +314,12 @@ impl ComparatorNetwork {
         // `origin[w]` = index of the input whose value currently sits on wire w.
         let mut origin: Vec<usize> = (0..self.width).collect();
         let mut traversed = vec![0usize; self.width];
-        for stage in &self.stages {
-            for comparator in stage {
-                traversed[origin[comparator.top]] += 1;
-                traversed[origin[comparator.bottom]] += 1;
-                if values[comparator.top] > values[comparator.bottom] {
-                    values.swap(comparator.top, comparator.bottom);
-                    origin.swap(comparator.top, comparator.bottom);
-                }
+        for comparator in &self.comparators {
+            traversed[origin[comparator.top]] += 1;
+            traversed[origin[comparator.bottom]] += 1;
+            if values[comparator.top] > values[comparator.bottom] {
+                values.swap(comparator.top, comparator.bottom);
+                origin.swap(comparator.top, comparator.bottom);
             }
         }
         let mut entries: Vec<TraceEntry> = (0..self.width)
@@ -275,61 +336,26 @@ impl ComparatorNetwork {
     }
 
     /// Returns a copy of this network restricted to the first `width` wires:
-    /// comparators touching any dropped wire are removed.
+    /// comparators touching any dropped wire are removed, and so are the
+    /// stages left empty.
     ///
     /// If the original network sorts and uses only min-up comparators, the
     /// truncation sorts its `width` wires (dropped wires behave as `+∞`
     /// inputs, which a min-up comparator never moves upward).
     pub fn truncate(&self, width: usize) -> ComparatorNetwork {
         let mut truncated = ComparatorNetwork::new(width);
-        for stage in &self.stages {
-            let kept: Vec<Comparator> =
-                stage.iter().copied().filter(|c| c.bottom < width).collect();
+        for stage in 0..self.depth() {
+            let kept: Vec<Comparator> = self
+                .stage(stage)
+                .iter()
+                .copied()
+                .filter(|c| c.bottom < width)
+                .collect();
             if !kept.is_empty() {
-                truncated.push_stage_unchecked(kept);
+                truncated.push_stage(kept);
             }
         }
         truncated
-    }
-
-    /// Returns this network with every wire index shifted by `offset`, on a
-    /// total of `new_width` wires. Used to embed sub-networks into the §6.1
-    /// adaptive construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shifted network would not fit in `new_width` wires.
-    pub fn shift(&self, offset: usize, new_width: usize) -> ComparatorNetwork {
-        assert!(
-            self.width + offset <= new_width,
-            "shifted network ({} wires + offset {offset}) exceeds new width {new_width}",
-            self.width
-        );
-        let mut shifted = ComparatorNetwork::new(new_width);
-        for stage in &self.stages {
-            shifted.push_stage_unchecked(
-                stage
-                    .iter()
-                    .map(|c| Comparator::new(c.top + offset, c.bottom + offset))
-                    .collect(),
-            );
-        }
-        shifted
-    }
-
-    /// Appends all stages of `other` (which must have the same width) after
-    /// this network's stages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ.
-    pub fn concat(&mut self, other: &ComparatorNetwork) {
-        assert_eq!(
-            self.width, other.width,
-            "concatenated networks must have equal widths"
-        );
-        self.stages.extend(other.stages.iter().cloned());
-        self.stage_lookup.extend(other.stage_lookup.iter().cloned());
     }
 }
 
@@ -337,7 +363,8 @@ impl fmt::Debug for ComparatorNetwork {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ComparatorNetwork")
             .field("width", &self.width)
-            .field("stages", &self.stages)
+            .field("depth", &self.depth())
+            .field("size", &self.size())
             .finish()
     }
 }
@@ -357,6 +384,7 @@ pub struct TraceEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batcher::odd_even_network;
 
     fn three_wire_sorter() -> ComparatorNetwork {
         let mut network = ComparatorNetwork::new(3);
@@ -395,6 +423,10 @@ mod tests {
         assert_eq!(network.width(), 3);
         assert_eq!(network.depth(), 3);
         assert_eq!(network.size(), 3);
+        assert_eq!(
+            format!("{network:?}"),
+            "ComparatorNetwork { width: 3, depth: 3, size: 3 }"
+        );
         for input in [
             [1, 2, 3],
             [3, 2, 1],
@@ -428,27 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn append_comparators_packs_disjoint_comparators_into_one_stage() {
-        let mut network = ComparatorNetwork::new(4);
-        network.append_comparators(vec![Comparator::new(0, 1), Comparator::new(2, 3)]);
-        assert_eq!(network.depth(), 1);
-        network.append_comparators(vec![Comparator::new(1, 2), Comparator::new(0, 1)]);
-        // (1,2) conflicts with nothing in the new batch's first stage, (0,1)
-        // conflicts with it, so two further stages are created.
-        assert_eq!(network.depth(), 3);
-        assert_eq!(network.size(), 4);
-    }
-
-    #[test]
-    fn comparators_iterator_yields_stage_indices() {
-        let network = three_wire_sorter();
-        let listed: Vec<(usize, Comparator)> = network.comparators().collect();
-        assert_eq!(listed.len(), 3);
-        assert_eq!(listed[0].0, 0);
-        assert_eq!(listed[2].0, 2);
-    }
-
-    #[test]
     fn trace_counts_comparators_and_final_positions() {
         let network = three_wire_sorter();
         let trace = network.trace(&[3, 2, 1]);
@@ -468,57 +479,30 @@ mod tests {
         let truncated = network.truncate(2);
         assert_eq!(truncated.width(), 2);
         assert_eq!(truncated.size(), 2); // the two (0,1) comparators survive
+        assert_eq!(truncated.depth(), 2, "the emptied stage is dropped");
         assert_eq!(truncated.apply(&[2, 1]), vec![1, 2]);
     }
 
-    #[test]
-    fn shift_moves_all_wires_by_an_offset() {
-        let network = three_wire_sorter();
-        let shifted = network.shift(2, 5);
-        assert_eq!(shifted.width(), 5);
-        assert!(shifted.comparators().all(|(_, c)| c.top >= 2));
-        assert_eq!(shifted.apply(&[9, 8, 3, 2, 1]), vec![9, 8, 1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds new width")]
-    fn shift_rejects_overflowing_offsets() {
-        three_wire_sorter().shift(3, 5);
-    }
-
-    #[test]
-    fn concat_appends_stages() {
-        let mut a = three_wire_sorter();
-        let b = three_wire_sorter();
-        a.concat(&b);
-        assert_eq!(a.depth(), 6);
-        assert_eq!(a.size(), 6);
-        assert_eq!(a.apply(&[3, 1, 2]), vec![1, 2, 3]);
-    }
-
-    /// The lookup index must agree with a scan of the stage lists after any
+    /// The wire map must agree with a scan of the stage slices after any
     /// sequence of mutations.
     fn assert_lookup_consistent(network: &ComparatorNetwork, label: &str) {
-        for (stage, comparators) in network.stages().iter().enumerate() {
+        for stage in 0..network.depth() {
             for wire in 0..network.width() {
-                let scanned = comparators.iter().copied().find(|c| c.touches(wire));
+                let scanned = network
+                    .stage(stage)
+                    .iter()
+                    .copied()
+                    .find(|c| c.touches(wire));
                 assert_eq!(
-                    network.comparator_touching(stage, wire),
+                    network.comparator_at(stage, wire),
                     scanned,
                     "{label}: stage {stage}, wire {wire}"
                 );
             }
         }
-        assert_eq!(
-            network.comparator_touching(network.depth(), 0),
-            None,
-            "{label}"
-        );
-        assert_eq!(
-            network.comparator_touching(0, network.width()),
-            None,
-            "{label}"
-        );
+        assert_eq!(network.pair_at(network.depth(), 0), None, "{label}");
+        assert_eq!(network.pair_at(0, network.width()), None, "{label}");
+        assert!(network.stage(network.depth()).is_empty(), "{label}");
     }
 
     #[test]
@@ -526,25 +510,49 @@ mod tests {
         let mut network = three_wire_sorter();
         assert_lookup_consistent(&network, "push_stage");
 
-        network.append_comparators(vec![Comparator::new(1, 2), Comparator::new(0, 1)]);
-        assert_lookup_consistent(&network, "append_comparators");
+        network.push_stage(Vec::new());
+        network.push_stage(vec![Comparator::new(0, 2)]);
+        assert_eq!(network.depth(), 5, "empty stages are kept");
+        assert_lookup_consistent(&network, "empty push_stage");
 
         let truncated = network.truncate(2);
         assert_lookup_consistent(&truncated, "truncate");
 
-        let shifted = network.shift(2, 6);
-        assert_lookup_consistent(&shifted, "shift");
-
-        let mut concatenated = three_wire_sorter();
-        concatenated.concat(&three_wire_sorter());
-        assert_lookup_consistent(&concatenated, "concat");
+        let compiled = ComparatorNetwork::compile(&network);
+        assert_eq!(compiled, network, "compile");
+        assert_lookup_consistent(&compiled, "compile");
     }
 
     #[test]
-    #[should_panic(expected = "equal widths")]
-    fn concat_rejects_mismatched_widths() {
-        let mut a = ComparatorNetwork::new(2);
-        let b = ComparatorNetwork::new(3);
-        a.concat(&b);
+    fn dense_indices_are_stage_major_and_complete() {
+        let network = odd_even_network(16);
+        // Every busy (stage, wire) cell has a dense index; the indices of
+        // one stage form the stage's contiguous slice.
+        let mut seen = vec![false; network.size()];
+        let mut start = 0;
+        for stage in 0..network.depth() {
+            let end = start + network.stage(stage).len();
+            for wire in 0..network.width() {
+                if let Some((comparator, slot)) = network.pair_at(stage, wire) {
+                    assert!((start..end).contains(&slot), "stage {stage} wire {wire}");
+                    assert_eq!(network.stage(stage)[slot - start], comparator);
+                    seen[slot] = true;
+                }
+            }
+            start = end;
+        }
+        assert_eq!(start, network.size());
+        assert!(seen.into_iter().all(|s| s), "every dense slot is reachable");
+    }
+
+    #[test]
+    fn pair_at_returns_comparator_and_slot_together() {
+        let network = odd_even_network(8);
+        let (comparator, slot) = network.pair_at(0, 0).unwrap();
+        assert!(comparator.touches(0));
+        assert_eq!(network.stage(0)[slot], comparator);
+        assert_eq!(network.pair_at(0, 0), network.pair_at(0, comparator.bottom));
+        assert_eq!(network.pair_at(99, 0), None, "stage out of range");
+        assert_eq!(network.pair_at(0, 99), None, "wire out of range");
     }
 }

@@ -73,13 +73,13 @@ pub fn periodic_network(width: usize) -> ComparatorNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::is_sorting_network_exhaustive;
+    use crate::verify::schedule_sorts_exhaustive;
 
     #[test]
     fn power_of_two_widths_sort_exhaustively() {
         for width in [2usize, 4, 8, 16] {
             assert!(
-                is_sorting_network_exhaustive(&periodic_network(width)),
+                schedule_sorts_exhaustive(&periodic_network(width)),
                 "width {width}"
             );
         }
@@ -89,7 +89,7 @@ mod tests {
     fn truncated_widths_sort_exhaustively() {
         for width in [3usize, 5, 6, 7, 9, 12, 13, 15] {
             assert!(
-                is_sorting_network_exhaustive(&periodic_network(width)),
+                schedule_sorts_exhaustive(&periodic_network(width)),
                 "width {width}"
             );
         }

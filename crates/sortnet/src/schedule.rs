@@ -40,47 +40,6 @@ pub trait ComparatorSchedule: Send + Sync {
         }
         comparators
     }
-
-    /// Applies the schedule to an input sequence (smaller values move to
-    /// lower-indexed wires).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != self.width()`.
-    fn apply_schedule<T: Ord + Clone>(&self, input: &[T]) -> Vec<T>
-    where
-        Self: Sized,
-    {
-        assert_eq!(
-            input.len(),
-            self.width(),
-            "input length must equal the schedule width"
-        );
-        let mut values: Vec<T> = input.to_vec();
-        for stage in 0..self.depth() {
-            for comparator in self.stage_comparators(stage) {
-                if values[comparator.top] > values[comparator.bottom] {
-                    values.swap(comparator.top, comparator.bottom);
-                }
-            }
-        }
-        values
-    }
-
-    /// Materializes the schedule into a [`ComparatorNetwork`].
-    fn materialize(&self) -> ComparatorNetwork
-    where
-        Self: Sized,
-    {
-        let mut network = ComparatorNetwork::new(self.width());
-        for stage in 0..self.depth() {
-            let comparators = self.stage_comparators(stage);
-            if !comparators.is_empty() {
-                network.push_stage(comparators);
-            }
-        }
-        network
-    }
 }
 
 impl ComparatorSchedule for ComparatorNetwork {
@@ -93,8 +52,12 @@ impl ComparatorSchedule for ComparatorNetwork {
     }
 
     fn comparator_at(&self, stage: usize, wire: usize) -> Option<Comparator> {
-        // O(1) through the network's per-wire lookup index.
-        self.comparator_touching(stage, wire)
+        // One wire-map load.
+        self.pair_at(stage, wire).map(|(comparator, _)| comparator)
+    }
+
+    fn stage_comparators(&self, stage: usize) -> Vec<Comparator> {
+        self.stage(stage).to_vec()
     }
 }
 
@@ -152,18 +115,13 @@ mod tests {
     }
 
     #[test]
-    fn apply_schedule_matches_direct_application() {
-        let network = sorter3();
-        let input = [9, 1, 5];
-        assert_eq!(network.apply_schedule(&input), network.apply(&input));
-    }
-
-    #[test]
     fn materialize_round_trips_a_network() {
+        // Compiling a materialized network rebuilds it exactly.
         let network = sorter3();
-        let rebuilt = network.materialize();
-        assert_eq!(rebuilt.width(), 3);
-        assert_eq!(rebuilt.size(), 3);
+        let rebuilt = ComparatorNetwork::compile(&network);
+        assert_eq!(rebuilt, network);
         assert_eq!(rebuilt.apply(&[2, 3, 1]), vec![1, 2, 3]);
+        let network = crate::batcher::odd_even_network(12);
+        assert_eq!(ComparatorNetwork::compile(&network), network);
     }
 }

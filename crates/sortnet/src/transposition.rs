@@ -42,13 +42,13 @@ pub fn transposition_network(width: usize) -> ComparatorNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::is_sorting_network_exhaustive;
+    use crate::verify::schedule_sorts_exhaustive;
 
     #[test]
     fn sorts_exhaustively_for_small_widths() {
         for width in 2..=12usize {
             assert!(
-                is_sorting_network_exhaustive(&transposition_network(width)),
+                schedule_sorts_exhaustive(&transposition_network(width)),
                 "width {width}"
             );
         }

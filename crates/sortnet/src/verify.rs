@@ -21,31 +21,21 @@ fn zero_one_input(width: usize, mask: u64) -> Vec<u8> {
     (0..width).map(|wire| ((mask >> wire) & 1) as u8).collect()
 }
 
-/// Exhaustively checks the zero-one principle on a materialized network.
-///
-/// # Panics
-///
-/// Panics if the network is wider than 22 wires (2²² inputs is the practical
-/// limit for exhaustive checking in tests); use
-/// [`sorts_random_zero_one_inputs`] beyond that.
-pub fn is_sorting_network_exhaustive(network: &ComparatorNetwork) -> bool {
-    schedule_sorts_exhaustive(network)
-}
-
 /// Exhaustively checks the zero-one principle on any comparator schedule.
 ///
 /// # Panics
 ///
 /// Panics if the schedule is wider than 22 wires.
-pub fn schedule_sorts_exhaustive<S: ComparatorSchedule>(schedule: &S) -> bool {
+pub fn schedule_sorts_exhaustive<S: ComparatorSchedule + ?Sized>(schedule: &S) -> bool {
     let width = schedule.width();
     assert!(
         width <= 22,
         "exhaustive zero-one verification supports at most 22 wires; got {width}"
     );
+    let network = ComparatorNetwork::compile(schedule);
     for mask in 0..(1u64 << width) {
         let input = zero_one_input(width, mask);
-        let output = schedule.apply_schedule(&input);
+        let output = network.apply(&input);
         if !is_sorted_zero_one(&output) {
             return false;
         }
@@ -59,13 +49,14 @@ pub fn schedule_sorts_exhaustive<S: ComparatorSchedule>(schedule: &S) -> bool {
 /// a definite counterexample.
 pub fn sorts_random_zero_one_inputs<S, R>(schedule: &S, trials: usize, rng: &mut R) -> bool
 where
-    S: ComparatorSchedule,
+    S: ComparatorSchedule + ?Sized,
     R: Rng + ?Sized,
 {
     let width = schedule.width();
+    let network = ComparatorNetwork::compile(schedule);
     for _ in 0..trials {
         let input: Vec<u8> = (0..width).map(|_| rng.gen_range(0..=1u8)).collect();
-        let output = schedule.apply_schedule(&input);
+        let output = network.apply(&input);
         if !is_sorted_zero_one(&output) {
             return false;
         }
@@ -95,12 +86,12 @@ mod tests {
 
     #[test]
     fn a_single_comparator_sorts_two_wires() {
-        assert!(is_sorting_network_exhaustive(&sorter2()));
+        assert!(schedule_sorts_exhaustive(&sorter2()));
     }
 
     #[test]
     fn exhaustive_check_detects_non_sorting_networks() {
-        assert!(!is_sorting_network_exhaustive(&broken3()));
+        assert!(!schedule_sorts_exhaustive(&broken3()));
     }
 
     #[test]
@@ -114,7 +105,7 @@ mod tests {
     #[should_panic(expected = "at most 22 wires")]
     fn exhaustive_check_rejects_very_wide_networks() {
         let network = ComparatorNetwork::new(30);
-        let _ = is_sorting_network_exhaustive(&network);
+        let _ = schedule_sorts_exhaustive(&network);
     }
 
     #[test]

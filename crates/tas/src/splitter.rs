@@ -10,10 +10,10 @@
 //! of the adaptive renaming algorithm (§6.2).
 
 use shmem::process::ProcessCtx;
-use shmem::register::{AtomicBoolRegister, AtomicUsizeRegister};
+use shmem::register::{AtomicBoolRegister, AtomicU64Register};
 
 /// Sentinel stored in the splitter's name register before any process writes.
-const EMPTY: usize = usize::MAX;
+const EMPTY: u64 = u64::MAX;
 
 /// The result of passing through a splitter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -85,7 +85,7 @@ impl Direction {
 #[derive(Debug, Default)]
 pub struct RandomizedSplitter {
     /// The "name" register X: last process to enter.
-    name: AtomicUsizeRegister,
+    name: AtomicU64Register,
     /// The "door" register Y: set once somebody has gone through.
     door: AtomicBoolRegister,
     /// Harness-only flag recording that some process acquired the splitter.
@@ -96,7 +96,7 @@ impl RandomizedSplitter {
     /// Creates a fresh, unacquired splitter.
     pub fn new() -> Self {
         RandomizedSplitter {
-            name: AtomicUsizeRegister::new(EMPTY),
+            name: AtomicU64Register::new(EMPTY),
             door: AtomicBoolRegister::new(false),
             acquired: AtomicBoolRegister::new(false),
         }
@@ -104,7 +104,7 @@ impl RandomizedSplitter {
 
     /// Passes the calling process through the splitter.
     pub fn enter(&self, ctx: &mut ProcessCtx) -> SplitterOutcome {
-        let me = ctx.id().as_usize();
+        let me = ctx.id().as_usize() as u64;
         self.name.write(ctx, me);
         if self.door.read(ctx) {
             return SplitterOutcome::Continue;

@@ -152,7 +152,7 @@ fn renaming_network_and_adaptive_renaming_agree_on_tightness_for_shared_ids() {
         .map(ProcessId::new)
         .collect();
 
-    let bounded: Arc<RenamingNetwork<_>> = Arc::new(RenamingNetwork::new(
+    let bounded: Arc<RenamingNetwork> = Arc::new(RenamingNetwork::new(
         sortnet::batcher::odd_even_network(256),
     ));
     let outcome = VirtualExecutor::with_seed(31)

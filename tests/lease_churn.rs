@@ -21,6 +21,7 @@ use shmem::steps::StepKind;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use strong_renaming::prelude::*;
+use tas::two_process::TwoProcessTas;
 
 /// Runs `k` workers through `rounds` lease/hold/release cycles against the
 /// given long-lived object, with optional crash injection, and returns the
@@ -116,7 +117,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let recycler = Arc::new(Recycler::new(
-            RenamingNetwork::<_>::new(sortnet::batcher::odd_even_network(64)),
+            RenamingNetwork::<TwoProcessTas>::new(sortnet::batcher::odd_even_network(64)),
             2 * k,
         ));
         let history = churn(
@@ -147,7 +148,7 @@ proptest! {
         crash_percent in 10u8..60,
     ) {
         let recycler = Arc::new(Recycler::new(
-            RenamingNetwork::<_>::new(sortnet::batcher::odd_even_network(64)),
+            RenamingNetwork::<TwoProcessTas>::new(sortnet::batcher::odd_even_network(64)),
             2 * k,
         ));
         let config = ExecConfig::new(seed).with_crash_plan(CrashPlan::Random {
@@ -323,7 +324,7 @@ fn crashes_strike_lease_holders_and_the_history_stays_tight() {
     let mut struck = 0;
     for step in 1..=40 {
         let recycler = Arc::new(Recycler::new(
-            RenamingNetwork::<_>::new(sortnet::batcher::odd_even_network(64)),
+            RenamingNetwork::<TwoProcessTas>::new(sortnet::batcher::odd_even_network(64)),
             4,
         ));
         let config = ExecConfig::new(7).with_crash_plan(CrashPlan::Fixed(vec![Some(step)]));

@@ -221,7 +221,7 @@ fn network_runs<T: TwoPartyTas + Default>() -> Vec<Run<TraversalReport>> {
             ports.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
             ports.into_iter().take(k).map(ProcessId::new).collect()
         },
-        |k| RenamingNetwork::<_, T>::new(OddEvenSchedule::new(4 * k)),
+        |k| RenamingNetwork::<T>::new(OddEvenSchedule::new(4 * k)),
         |network, ctx| network.acquire_with_report(ctx).expect("ids fit"),
         |report| report.name,
     )
@@ -387,8 +387,8 @@ fn thm2_adaptive_network_traversal_stays_within_the_per_wire_bound() {
 fn exact_max_traversal(network: &ComparatorNetwork, port: usize) -> usize {
     let mut longest: Vec<Option<usize>> = vec![None; port + 1];
     longest[port] = Some(0);
-    for stage in network.stages() {
-        for comparator in stage.iter().filter(|c| c.top <= port) {
+    for stage in 0..network.depth() {
+        for comparator in network.stage(stage).iter().filter(|c| c.top <= port) {
             let bottom = longest.get(comparator.bottom).copied().flatten();
             let met = longest[comparator.top].max(bottom).map(|n| n + 1);
             longest[comparator.top] = met;

@@ -36,7 +36,7 @@ proptest! {
         seed in 0u64..1_000_000,
         ports in proptest::collection::btree_set(0usize..32, 1..10),
     ) {
-        let network: Arc<RenamingNetwork<_>> =
+        let network: Arc<RenamingNetwork> =
             Arc::new(RenamingNetwork::new(sortnet::batcher::odd_even_network(32)));
         let ids: Vec<ProcessId> = ports.iter().copied().map(ProcessId::new).collect();
         let outcome = VirtualExecutor::with_seed(seed).run_with_ids(&ids, {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Dead-document lint: fails when a Rust doc comment (`//!` or `///`) or a
-# top-level document describing the tree cites a `*.md` file that does not
-# exist.
+# Dead-citation lint: fails when a Rust doc comment (`//!` or `///`) or a
+# top-level document describing the tree cites a file that does not exist:
+# any `*.md` file, or a `*.rs` file given as a path (a citation containing
+# a `/`, such as `tests/paper_claims.rs`; a bare `lib.rs` names no place).
 #
 # A cited path resolves if it exists relative to the repository root or to
 # the citing file's directory. Glob-like citations (containing `*` or `<`)
@@ -25,15 +26,16 @@ for doc in "${DOCS[@]}"; do
   fi
 done
 
-# Prints `file:line:citation` for every `*.md` citation in stdin, which
-# holds the text of `file`.
+# Prints `file:line:citation` for every `*.md` and `*.rs` citation in
+# stdin, which holds the text of `file`.
 citations() {
-  grep -noE '[A-Za-z0-9_./<>*-]*\.md\b' | sed "s|^|$1:|" || true
+  grep -noE '[A-Za-z0-9_./<>*-]*\.(md|rs)\b' | sed "s|^|$1:|" || true
 }
 
 fail=0
 while IFS=: read -r file line cited; do
   [[ "$cited" == *'*'* || "$cited" == *'<'* ]] && continue
+  [[ "$cited" == *.rs && "$cited" != */* ]] && continue
   [[ -e "$cited" || -e "$(dirname "$file")/$cited" ]] && continue
   echo "$file:$line: cites $cited, which does not exist"
   fail=1
@@ -49,7 +51,7 @@ done < <(
 
 if [[ "$fail" -ne 0 ]]; then
   echo >&2
-  echo "check_doc_refs: dead document citations found." >&2
+  echo "check_doc_refs: dead citations found." >&2
   exit 1
 fi
 echo "check_doc_refs: clean"
