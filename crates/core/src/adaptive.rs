@@ -19,28 +19,32 @@
 //! (Theorem 3, adjusted for the constructible-network substitution recorded
 //! under *Substitutions* in `PAPER.md`).
 //!
-//! Comparator storage is chosen per section of the sandwich, and both kinds
-//! are lock-free and lazy (an object exists only once a process reaches its
-//! comparator):
+//! Comparator storage is chosen per section of the sandwich. Both kinds are
+//! lock-free, and both build their comparators in place ([`InPlace`]) from
+//! one block of location ids, so a comparator's first play allocates
+//! nothing and draws no id:
 //!
 //! * Sections of at most `COMPILED_CELL_LIMIT` cells (levels 1–3 and the
 //!   base, covering channels 0–255) are compiled into a
-//!   [`ComparatorNetwork`]'s flat wire map, with a pre-sized
-//!   [`ComparatorSlab`] indexed by its dense comparator slot.
+//!   [`ComparatorNetwork`]'s flat wire map, with a [`ComparatorSlab`] of
+//!   comparators indexed by its dense comparator slot and built with the
+//!   object.
 //! * Larger sections (level 4 from channel 128, level 5 from channel 32768
 //!   up to 2³²) keep their analytic schedule and store comparators in a
-//!   [`LazyTable`] keyed by `(top − offset) << depth_bits | stage`.
+//!   [`LazyTable`] keyed by `(top − offset) << depth_bits | stage`, whose
+//!   64-comparator leaves are built on the first touch of any key under
+//!   them.
 //!
 //! The outer sections are not rare: temporary names are polynomial in `k`,
 //! and level 4 begins at channel 128, so a process whose temporary name
 //! exceeds 128 plays some comparators there. With `k = 256` concurrent
 //! acquisitions (128 per thread on two threads), 61% of acquisitions reach
-//! level 4; the median temporary name is 136. A comparator's object is
-//! created on the first play that reaches it, so the cost of that first
-//! touch is on the path too: one [`TwoProcessTas`], whose rounds 0 and 1 are
-//! seven plain words behind one block of location ids (80 bytes; 88 with the
-//! slab cell's `OnceLock`), its other rounds boxed and built only by a play
-//! that reaches round 2.
+//! level 4; the median temporary name is 136. Such a first touch builds a
+//! 2 KiB leaf of 64 [`TwoProcessTas`] values. Each value is 32 bytes: its
+//! rounds 0 and 1 are seven byte registers behind one base location id, and
+//! its other rounds are boxed and built only by a play that reaches round 2.
+//! Dropping the object frees its slabs and leaves and any tails that plays
+//! reached, not one box per comparator.
 
 use crate::comparator_slab::ComparatorSlab;
 use crate::error::RenamingError;
@@ -49,6 +53,7 @@ use crate::temp_name::{TempName, TempNameReport};
 use crate::traits::Renaming;
 use shmem::lazy::LazyTable;
 use shmem::process::ProcessCtx;
+use shmem::register::InPlace;
 use sortnet::adaptive::{AdaptiveNetwork, Section};
 use sortnet::family::{NetworkFamily, SortingFamily};
 use sortnet::network::ComparatorNetwork;
@@ -72,16 +77,16 @@ enum SectionStore<T> {
     Compiled {
         /// The section's schedule in compiled (local-wire) form.
         network: ComparatorNetwork,
-        /// One lazily created test-and-set per comparator.
+        /// One test-and-set per comparator, built with the object.
         slab: ComparatorSlab<T>,
     },
-    /// Huge analytic section: lazily allocated comparator objects keyed by
-    /// [`sparse_key`].
+    /// Huge analytic section: comparator objects built a leaf at a time on
+    /// first touch, keyed by [`sparse_key`].
     Sparse {
         /// Bits reserved for the stage in the key.
         depth_bits: u32,
-        /// One lazily created test-and-set per comparator reached (boxed:
-        /// the table's eleven roots outweigh the compiled variant).
+        /// The test-and-sets of the leaves reached (boxed: the table's
+        /// eleven roots outweigh the compiled variant).
         games: Box<LazyTable<T>>,
     },
 }
@@ -101,7 +106,7 @@ fn sparse_key(section: &Section, depth_bits: u32, stage: usize, top: usize) -> u
     (((top - section.offset) as u64) << depth_bits) | stage as u64
 }
 
-impl<T: TwoPartyTas + Default> SectionStore<T> {
+impl<T: TwoPartyTas + InPlace> SectionStore<T> {
     fn for_section(section: &Section) -> Self {
         let cells = section.width().checked_mul(section.schedule.depth());
         match cells {
@@ -125,10 +130,10 @@ impl<T: TwoPartyTas + Default> SectionStore<T> {
         }
     }
 
-    fn allocated(&self) -> usize {
+    fn touched(&self) -> usize {
         match self {
-            SectionStore::Compiled { slab, .. } => slab.allocated(),
-            SectionStore::Sparse { games, .. } => games.allocated(),
+            SectionStore::Compiled { slab, .. } => slab.touched(),
+            SectionStore::Sparse { games, .. } => games.touched(),
         }
     }
 }
@@ -173,11 +178,11 @@ pub struct AdaptiveReport {
 /// }).outcome;
 /// assert!(assert_tight_namespace(&outcome.results()).is_ok());
 /// ```
-pub struct AdaptiveRenaming<T: TwoPartyTas + Default = TwoProcessTas> {
+pub struct AdaptiveRenaming<T: TwoPartyTas + InPlace = TwoProcessTas> {
     temp: TempName,
     network: AdaptiveNetwork,
     /// Per-section comparator storage, parallel to `network.sections()`:
-    /// compiled slab for the small inner sections, sparse lazy tables for
+    /// compiled slabs for the small inner sections, sparse lazy tables for
     /// the huge outer ones.
     stores: Vec<SectionStore<T>>,
 }
@@ -195,7 +200,7 @@ impl Default for AdaptiveRenaming<TwoProcessTas> {
     }
 }
 
-impl<T: TwoPartyTas + Default> AdaptiveRenaming<T> {
+impl<T: TwoPartyTas + InPlace> AdaptiveRenaming<T> {
     /// Creates the object over an explicit adaptive network (choice of base
     /// family and truncation level).
     pub fn with_network(network: AdaptiveNetwork) -> Self {
@@ -212,9 +217,14 @@ impl<T: TwoPartyTas + Default> AdaptiveRenaming<T> {
     }
 
     /// Creates the object over the adaptive network built from the given base
-    /// family and truncation level. Materialized families should keep
-    /// `max_level ≤ 3`; the analytic odd-even family supports the maximum
-    /// level cheaply.
+    /// family and truncation level. The analytic odd-even family supports
+    /// the maximum level cheaply.
+    ///
+    /// # Panics
+    ///
+    /// As [`AdaptiveNetwork::new`]: a level outside `1..=MAX_LEVEL`, or a
+    /// materialized family above
+    /// [`MAX_MATERIALIZED_LEVEL`](sortnet::adaptive::MAX_MATERIALIZED_LEVEL).
     pub fn with_family<F: SortingFamily + 'static>(family: F, max_level: usize) -> Self {
         Self::with_network(AdaptiveNetwork::new(family, max_level))
     }
@@ -229,9 +239,9 @@ impl<T: TwoPartyTas + Default> AdaptiveRenaming<T> {
         &self.temp
     }
 
-    /// Number of comparator objects allocated so far (harness inspection).
+    /// Number of comparators some process has played (harness inspection).
     pub fn allocated_comparators(&self) -> usize {
-        self.stores.iter().map(SectionStore::allocated).sum()
+        self.stores.iter().map(SectionStore::touched).sum()
     }
 
     /// Number of sections running on the compiled slab engine (the rest use
@@ -277,7 +287,7 @@ impl<T: TwoPartyTas + Default> AdaptiveRenaming<T> {
                     for stage in 0..section.schedule.depth() {
                         if let Some(comparator) = section.comparator_at(stage, channel) {
                             let key = sparse_key(section, *depth_bits, stage, comparator.top);
-                            let game = games.get_or_init(key, T::default);
+                            let game = games.get(key);
                             let side = if channel == comparator.top {
                                 Side::Top
                             } else {
@@ -325,7 +335,7 @@ impl<T: TwoPartyTas + Default> AdaptiveRenaming<T> {
     }
 }
 
-impl<T: TwoPartyTas + Default> fmt::Debug for AdaptiveRenaming<T> {
+impl<T: TwoPartyTas + InPlace> fmt::Debug for AdaptiveRenaming<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AdaptiveRenaming")
             .field("network", &self.network)
@@ -334,7 +344,7 @@ impl<T: TwoPartyTas + Default> fmt::Debug for AdaptiveRenaming<T> {
     }
 }
 
-impl<T: TwoPartyTas + Default> Renaming for AdaptiveRenaming<T> {
+impl<T: TwoPartyTas + InPlace> Renaming for AdaptiveRenaming<T> {
     fn acquire(&self, ctx: &mut ProcessCtx) -> Result<usize, RenamingError> {
         self.acquire_with_report(ctx).map(|report| report.name)
     }
@@ -574,6 +584,7 @@ mod tests {
         // The largest key of level 5 — its last channel as a comparator's
         // top at its last stage — and its neighbours must not collide.
         let renaming = AdaptiveRenaming::default();
+        let mut ctx = ProcessCtx::new(ProcessId::new(0), 1);
         let mut probes = Vec::new();
         for (section, store) in renaming.network().sections().iter().zip(&renaming.stores) {
             if let SectionStore::Sparse { depth_bits, games } = store {
@@ -586,10 +597,11 @@ mod tests {
                     (0, section.offset),
                 ] {
                     let key = sparse_key(section, *depth_bits, stage, top);
-                    let game: *const TwoProcessTas = games.get_or_init(key, TwoProcessTas::new);
-                    probes.push((section.index, key, game));
+                    let game = games.get(key);
+                    assert!(game.play(&mut ctx, Side::Top), "a solo play wins");
+                    probes.push((section.index, key, game as *const TwoProcessTas));
                 }
-                assert_eq!(games.allocated(), 4, "section {}", section.index);
+                assert_eq!(games.touched(), 4, "section {}", section.index);
             }
         }
         assert_eq!(probes.len(), 16, "four sparse sections");

@@ -11,12 +11,12 @@
 //! the whole vector — exists only to guarantee termination in the
 //! vanishing-probability case where the first stage fails.
 
-use crate::comparator_slab::ComparatorSlab;
 use crate::error::RenamingError;
 use crate::traits::Renaming;
 use shmem::process::ProcessCtx;
 use std::fmt;
 use std::ops::Range;
+use std::sync::OnceLock;
 use tas::ratrace::RatRaceTas;
 use tas::TestAndSet;
 
@@ -46,13 +46,14 @@ pub struct BitBatchingReport {
 /// other [`TestAndSet`] (for instance the hardware test-and-set for the
 /// unit-cost measure).
 ///
-/// The name vector is a lazily initialized [`ComparatorSlab`]: constructing
-/// the object over `n` names allocates `n` empty cells, and a test-and-set
-/// object materializes only when some process first probes its slot
-/// (observable through [`BitBatchingRenaming::allocated_slots`]). With
-/// `k ≪ n` participants probing `O(log² n)` slots each, most of the vector
-/// is never built — the same lazy-slab principle the renaming-network engine
-/// uses for its comparators.
+/// The name vector is lazily initialized: constructing the object over `n`
+/// names allocates `n` empty `OnceLock` cells, and a test-and-set object
+/// materializes only when some process first probes its slot (observable
+/// through [`BitBatchingRenaming::allocated_slots`]). With `k ≪ n`
+/// participants probing `O(log² n)` slots each, most of the vector is never
+/// built. (A slot's object is a whole RatRace tree, not a value of fixed
+/// size that could be built in place the way the renaming networks build
+/// their comparators.)
 ///
 /// # Example
 ///
@@ -74,7 +75,7 @@ pub struct BitBatchingReport {
 /// ```
 pub struct BitBatchingRenaming<T: TestAndSet = RatRaceTas> {
     /// One lazily initialized cell per name.
-    slots: ComparatorSlab<T>,
+    slots: Box<[OnceLock<T>]>,
     /// Builds a slot's test-and-set on first probe. `None` only when the
     /// object was constructed from pre-built slots, in which case every cell
     /// is already initialized.
@@ -94,7 +95,10 @@ impl<T: TestAndSet> BitBatchingRenaming<T> {
     where
         F: Fn() -> T + Send + Sync + 'static,
     {
-        Self::from_parts(ComparatorSlab::new(n), Some(Box::new(factory)))
+        Self::from_parts(
+            (0..n).map(|_| OnceLock::new()).collect(),
+            Some(Box::new(factory)),
+        )
     }
 
     /// Creates the object over the given vector of pre-built test-and-set
@@ -104,11 +108,11 @@ impl<T: TestAndSet> BitBatchingRenaming<T> {
     ///
     /// Panics if fewer than 2 slots are supplied.
     pub fn with_slots(slots: Vec<T>) -> Self {
-        Self::from_parts(ComparatorSlab::from_values(slots), None)
+        Self::from_parts(slots.into_iter().map(OnceLock::from).collect(), None)
     }
 
     fn from_parts(
-        slots: ComparatorSlab<T>,
+        slots: Box<[OnceLock<T>]>,
         factory: Option<Box<dyn Fn() -> T + Send + Sync>>,
     ) -> Self {
         let n = slots.len();
@@ -124,7 +128,7 @@ impl<T: TestAndSet> BitBatchingRenaming<T> {
 
     /// The test-and-set of one slot, created on first probe.
     fn slot(&self, index: usize) -> &T {
-        self.slots.get_with(index, || {
+        self.slots[index].get_or_init(|| {
             let factory = self
                 .factory
                 .as_ref()
@@ -136,7 +140,10 @@ impl<T: TestAndSet> BitBatchingRenaming<T> {
     /// Number of slot objects actually materialized so far (harness
     /// inspection; O(n)).
     pub fn allocated_slots(&self) -> usize {
-        self.slots.allocated()
+        self.slots
+            .iter()
+            .filter(|slot| slot.get().is_some())
+            .count()
     }
 
     /// The batch layout for a vector of `n` objects: the first half, the next

@@ -34,19 +34,12 @@ use crate::recycler::{Recycler, MAX_ESCROW_QUOTA};
 use crate::renaming_network::RenamingNetwork;
 use crate::traits::Renaming;
 use shmem::arena::Arena;
+use sortnet::adaptive::{MAX_LEVEL, MAX_MATERIALIZED_LEVEL};
 use sortnet::family::{NetworkFamily, SortingFamily};
 use std::sync::Arc;
 use tas::hardware::HardwareTas;
 use tas::ratrace::RatRaceTas;
 use tas::two_process::TwoProcessTas;
-
-/// The deepest §6.1 level at which [`Algorithm::Adaptive`] accepts a
-/// materialized family (every [`NetworkFamily`] but odd-even, the one
-/// analytic schedule). Level 3's sections all fit the adaptive object's
-/// compiled-section cell limit; level 4 would materialize 65 408-wire
-/// sections and level 5 sections up to 2³² wires (a bitonic level-5 section
-/// has 2³¹ comparators in its first stage alone).
-const MAX_MATERIALIZED_LEVEL: usize = 3;
 
 /// The renaming algorithm a [`RenamingBuilder`] constructs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -188,8 +181,9 @@ impl RenamingBuilder {
     }
 
     /// Sets the truncation level of the §6.1 adaptive network (defaults to
-    /// the maximum supported level; smaller levels build faster and suffice
-    /// for small contention).
+    /// the maximum supported level, [`MAX_LEVEL`]; smaller levels build
+    /// faster and suffice for small contention). Levels outside
+    /// `1..=MAX_LEVEL` are rejected at build time.
     pub fn adaptive_level(mut self, level: usize) -> Self {
         self.adaptive_level = Some(level);
         self
@@ -233,8 +227,9 @@ impl RenamingBuilder {
     ///
     /// Returns [`RenamingError::InvalidConfiguration`] when the settings do
     /// not fit the selected algorithm (missing or too-small capacity, a
-    /// capacity on the unbounded adaptive algorithm, a materialized family
-    /// on an adaptive level above 3).
+    /// capacity on the unbounded adaptive algorithm, an adaptive level
+    /// outside `1..=MAX_LEVEL`, a materialized family on an adaptive level
+    /// above [`MAX_MATERIALIZED_LEVEL`]).
     pub fn build(&self) -> Result<Arc<dyn Renaming>, RenamingError> {
         match self.algorithm {
             Algorithm::Adaptive => {
@@ -244,8 +239,13 @@ impl RenamingBuilder {
                                  (use .max_concurrent(n) to bound the long-lived form)",
                     });
                 }
-                let level = self.adaptive_level.unwrap_or(sortnet::adaptive::MAX_LEVEL);
-                if self.family != NetworkFamily::OddEven && level > MAX_MATERIALIZED_LEVEL {
+                let level = self.adaptive_level.unwrap_or(MAX_LEVEL);
+                if !(1..=MAX_LEVEL).contains(&level) {
+                    return Err(RenamingError::InvalidConfiguration {
+                        reason: "the adaptive level must be in 1..=5",
+                    });
+                }
+                if !self.family.is_analytic() && level > MAX_MATERIALIZED_LEVEL {
                     return Err(RenamingError::InvalidConfiguration {
                         reason: "only the analytic odd-even family builds adaptive levels \
                                  above 3: set .adaptive_level(3) or less for a materialized \
@@ -448,6 +448,27 @@ mod tests {
                     Err(RenamingError::InvalidConfiguration { .. })
                 ),
                 "{family} at level {level:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn adaptive_levels_outside_the_supported_range_are_refused() {
+        for level in [0, MAX_LEVEL + 1] {
+            let builder = <dyn Renaming>::builder().adaptive_level(level);
+            assert!(
+                matches!(
+                    builder.build(),
+                    Err(RenamingError::InvalidConfiguration { .. })
+                ),
+                "level {level}"
+            );
+            assert!(
+                matches!(
+                    builder.max_concurrent(4).build_long_lived(),
+                    Err(RenamingError::InvalidConfiguration { .. })
+                ),
+                "long-lived, level {level}"
             );
         }
     }

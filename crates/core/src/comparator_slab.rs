@@ -1,4 +1,4 @@
-//! A lock-free, lazily initialized slab of comparator objects.
+//! A lock-free slab of comparator objects built in place.
 //!
 //! The renaming engine stores one two-process test-and-set per comparator of
 //! the underlying sorting network. Where a compiled
@@ -6,125 +6,90 @@
 //! comparator a *dense index* — the §5 renaming network and the compiled
 //! inner sections of the §6 adaptive network — the natural store is a
 //! pre-sized contiguous array indexed by that slot: no hashing, no lock, no
-//! `Arc` clone on the traversal path. Each cell is a [`OnceLock`], which
-//! preserves the engine's lazy-allocation semantics (a comparator object
-//! exists only once some process actually reaches it — observable through
-//! [`ComparatorSlab::allocated`]): every contender resolves first touch to
-//! the same object, and all subsequent reads are a single atomic acquire
-//! load. The only blocking the slab can introduce is per-cell and one-time —
-//! a contender arriving while a cell's `T::default()` is still running waits
-//! for it — after which the cell is immutable and lock-free forever.
+//! `Arc` clone on the traversal path. The slab reserves one block of
+//! location ids for all its comparators and builds comparator *i* in place
+//! at the block's *i*-th sub-block ([`InPlace`]), so a slot is the object
+//! itself and a lookup is a plain index. A comparator is in its initial
+//! state until some process plays it, which is what
+//! [`ComparatorSlab::touched`] counts; the first play allocates nothing
+//! and draws no location id.
 //!
 //! Sections too large to pre-size (the adaptive network's outer levels) keep
-//! the same first-touch semantics in a sparse
-//! [`LazyTable`](shmem::lazy::LazyTable) keyed by stage and channel instead.
+//! the same layout in a sparse [`LazyTable`](shmem::lazy::LazyTable) keyed
+//! by stage and channel, whose leaves hold 64 comparators each.
 
+use shmem::register::InPlace;
+use shmem::vexec::Loc;
 use std::fmt;
-use std::sync::OnceLock;
 
-/// A fixed-capacity slab of lazily created `T`s, one per dense comparator
+/// A fixed-capacity slab of `T`s built in place, one per dense comparator
 /// slot.
 ///
-/// Reads after initialization are a single atomic acquire load; the returned
-/// reference borrows from the slab, so playing a comparator performs no
-/// reference-count traffic at all.
+/// The returned reference borrows from the slab, so playing a comparator
+/// performs no reference-count traffic at all.
 ///
 /// # Example
 ///
 /// ```
 /// use adaptive_renaming::comparator_slab::ComparatorSlab;
-/// use std::sync::atomic::{AtomicUsize, Ordering};
+/// use shmem::process::{ProcessCtx, ProcessId};
+/// use tas::two_process::TwoProcessTas;
+/// use tas::{Side, TwoPartyTas};
 ///
-/// #[derive(Default)]
-/// struct Cell(AtomicUsize);
-///
-/// let slab: ComparatorSlab<Cell> = ComparatorSlab::new(4);
-/// assert_eq!(slab.allocated(), 0);
-/// slab.get(2).0.fetch_add(1, Ordering::Relaxed);
-/// slab.get(2).0.fetch_add(1, Ordering::Relaxed);
-/// assert_eq!(slab.allocated(), 1);
-/// assert_eq!(slab.get(2).0.load(Ordering::Relaxed), 2);
+/// let slab: ComparatorSlab<TwoProcessTas> = ComparatorSlab::new(4);
+/// assert_eq!(slab.touched(), 0);
+/// let mut ctx = ProcessCtx::new(ProcessId::new(0), 1);
+/// assert!(slab.get(2).play(&mut ctx, Side::Top));
+/// assert!(!slab.get(2).play(&mut ctx, Side::Bottom));
+/// assert_eq!(slab.touched(), 1);
 /// ```
 pub struct ComparatorSlab<T> {
-    cells: Box<[OnceLock<T>]>,
+    values: Box<[T]>,
 }
 
-impl<T> ComparatorSlab<T> {
-    /// Creates a slab with `len` empty cells.
+impl<T: InPlace> ComparatorSlab<T> {
+    /// Creates a slab of `len` initial values over one block of
+    /// `len × T::LOCS` location ids.
     pub fn new(len: usize) -> Self {
-        let mut cells = Vec::with_capacity(len);
-        cells.resize_with(len, OnceLock::new);
+        let base = Loc::fresh_block(len as u64 * T::LOCS);
         ComparatorSlab {
-            cells: cells.into_boxed_slice(),
-        }
-    }
-
-    /// Creates a slab whose cells are pre-filled with the given values (used
-    /// when the caller supplies ready-made objects instead of relying on
-    /// lazy creation, e.g. `BitBatchingRenaming::with_slots`).
-    pub fn from_values<I: IntoIterator<Item = T>>(values: I) -> Self {
-        ComparatorSlab {
-            cells: values
-                .into_iter()
-                .map(|value| {
-                    let cell = OnceLock::new();
-                    let _ = cell.set(value);
-                    cell
-                })
+            values: (0..len as u64)
+                .map(|i| T::at(base.offset(i * T::LOCS)))
                 .collect(),
         }
     }
 
-    /// The object at `slot`, created by `init` on first touch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= self.len()`.
-    #[inline]
-    pub fn get_with<F: FnOnce() -> T>(&self, slot: usize, init: F) -> &T {
-        self.cells[slot].get_or_init(init)
-    }
-
-    /// The object at `slot` if some process already touched it.
-    pub fn peek(&self, slot: usize) -> Option<&T> {
-        self.cells.get(slot).and_then(OnceLock::get)
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the slab has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Number of objects created so far (harness inspection; O(len)).
-    pub fn allocated(&self) -> usize {
-        self.cells
-            .iter()
-            .filter(|cell| cell.get().is_some())
-            .count()
-    }
-}
-
-impl<T: Default> ComparatorSlab<T> {
-    /// The object at `slot`, default-created on first touch.
+    /// The object at `slot`.
     ///
     /// # Panics
     ///
     /// Panics if `slot >= self.len()`.
     #[inline]
     pub fn get(&self, slot: usize) -> &T {
-        self.get_with(slot, T::default)
+        &self.values[slot]
+    }
+
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Whether the slab has no slots.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Number of objects some process has played (harness inspection;
+    /// O(len)).
+    pub fn touched(&self) -> usize {
+        self.values.iter().filter(|value| value.touched()).count()
     }
 }
 
 impl<T> fmt::Debug for ComparatorSlab<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ComparatorSlab")
-            .field("slots", &self.cells.len())
+            .field("slots", &self.values.len())
             .finish_non_exhaustive()
     }
 }
@@ -133,53 +98,95 @@ impl<T> fmt::Debug for ComparatorSlab<T> {
 mod tests {
     use super::*;
     use shmem::process::{ProcessCtx, ProcessId};
+    use shmem::register::RegisterBlock;
+    use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
     use tas::two_process::TwoProcessTas;
     use tas::{Side, TwoPartyTas};
 
-    #[derive(Default)]
-    struct Counter(AtomicUsize);
+    /// A test value: a touch counter at one location id.
+    struct Counter {
+        count: AtomicUsize,
+        loc: Loc,
+    }
+
+    impl InPlace for Counter {
+        const LOCS: u64 = 1;
+
+        fn at(loc: Loc) -> Self {
+            Counter {
+                count: AtomicUsize::new(0),
+                loc,
+            }
+        }
+
+        fn touched(&self) -> bool {
+            self.count.load(Ordering::SeqCst) > 0
+        }
+    }
 
     #[test]
     fn cells_initialize_lazily_and_once() {
         let slab: ComparatorSlab<Counter> = ComparatorSlab::new(8);
         assert_eq!(slab.len(), 8);
         assert!(!slab.is_empty());
-        assert_eq!(slab.allocated(), 0);
-        assert!(slab.peek(3).is_none());
-        slab.get(3).0.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(test-only single-threaded counter)
-        slab.get(3).0.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(test-only single-threaded counter)
-        assert_eq!(slab.allocated(), 1);
-        assert_eq!(slab.peek(3).unwrap().0.load(Ordering::Relaxed), 2); // lint: relaxed-ok(test-only single-threaded counter)
-        assert!(slab.peek(99).is_none(), "out-of-range peek is None");
+        assert_eq!(slab.touched(), 0);
+        slab.get(3).count.fetch_add(1, Ordering::SeqCst);
+        slab.get(3).count.fetch_add(1, Ordering::SeqCst);
+        assert_eq!(slab.touched(), 1);
+        assert_eq!(slab.get(3).count.load(Ordering::SeqCst), 2);
+        let locs: BTreeSet<Loc> = (0..8).map(|slot| slab.get(slot).loc).collect();
+        assert_eq!(locs.len(), 8, "one location id per slot");
+    }
+
+    #[test]
+    fn registers_of_one_slab_never_share_a_loc() {
+        // Word `w` of slot `i` sits at id `i × LOCS + w` of the slab's
+        // block; a second slab draws a block of its own. (How a
+        // `TwoProcessTas` lays its 104 words over its sub-block is pinned
+        // in `tas::two_process`.)
+        let slabs: [ComparatorSlab<RegisterBlock<3>>; 2] =
+            [ComparatorSlab::new(70), ComparatorSlab::new(3)];
+        let mut locs = BTreeSet::new();
+        for slab in &slabs {
+            for slot in 0..slab.len() {
+                for word in 0..3 {
+                    let loc = slab.get(slot).loc(word);
+                    assert!(locs.insert(loc), "slot {slot}, word {word}: {loc:?} shared");
+                }
+            }
+        }
+        assert_eq!(slabs[0].get(1).loc(0), slabs[0].get(0).loc(0).offset(3));
     }
 
     #[test]
     fn concurrent_first_touch_yields_one_object() {
-        let slab: Arc<ComparatorSlab<Counter>> = Arc::new(ComparatorSlab::new(4));
+        let slab: ComparatorSlab<Counter> = ComparatorSlab::new(4);
         std::thread::scope(|scope| {
             for _ in 0..8 {
-                let slab = Arc::clone(&slab);
+                let slab = &slab;
                 scope.spawn(move || {
                     for slot in 0..4 {
-                        slab.get(slot).0.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(test-only counter; threads joined before the assert)
+                        slab.get(slot).count.fetch_add(1, Ordering::SeqCst);
                     }
                 });
             }
         });
-        assert_eq!(slab.allocated(), 4);
+        assert_eq!(slab.touched(), 4);
         for slot in 0..4 {
-            // lint: relaxed-ok(test-only counter; threads joined before the assert)
-            assert_eq!(slab.get(slot).0.load(Ordering::Relaxed), 8, "slot {slot}");
+            assert_eq!(
+                slab.get(slot).count.load(Ordering::SeqCst),
+                8,
+                "slot {slot}"
+            );
         }
     }
 
     #[test]
     fn concurrent_first_touch_yields_one_comparator() {
-        // The slab's real cell type: two processes race to create each
-        // comparator and play opposite sides of it; each slot ends up with
-        // one object and that object with one winner.
+        // The slab's real value type: two processes race to play each
+        // comparator first, on opposite sides; each slot's comparator ends
+        // up with one winner, and the slab's objects are the ones played.
         let slab: ComparatorSlab<TwoProcessTas> = ComparatorSlab::new(4);
         let wins: Vec<Vec<bool>> = std::thread::scope(|scope| {
             let players: Vec<_> = [Side::Top, Side::Bottom]
@@ -197,10 +204,11 @@ mod tests {
                 .collect();
             players.into_iter().map(|p| p.join().unwrap()).collect()
         });
-        assert_eq!(slab.allocated(), 4);
+        assert_eq!(slab.touched(), 4);
         for (slot, (top, bottom)) in wins[0].iter().zip(&wins[1]).enumerate() {
             assert!(top ^ bottom, "slot {slot}: one winner");
-            assert!(slab.peek(slot).unwrap().has_winner());
+            let winner = if *top { Side::Top } else { Side::Bottom };
+            assert_eq!(slab.get(slot).winner(), Some(winner));
         }
     }
 
@@ -215,7 +223,7 @@ mod tests {
     fn zero_length_slab_is_empty() {
         let slab: ComparatorSlab<Counter> = ComparatorSlab::new(0);
         assert!(slab.is_empty());
-        assert_eq!(slab.allocated(), 0);
+        assert_eq!(slab.touched(), 0);
         assert!(format!("{slab:?}").contains("ComparatorSlab"));
     }
 }

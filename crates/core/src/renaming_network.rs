@@ -19,15 +19,17 @@
 //! wire in the next stage?" with one array load — and stores the comparator
 //! test-and-sets in a [`ComparatorSlab`] indexed by the network's dense
 //! comparator slot. The schedule itself is not kept. The traversal hot path performs no hashing, no
-//! reference-count traffic and no locking beyond each cell's one-time
-//! initialization: per stage, one wire-map load plus the test-and-set
-//! itself. Comparator objects are still created lazily on first touch
-//! ([`RenamingNetwork::allocated_comparators`] observes this).
+//! reference-count traffic and no locking: per stage, one wire-map load
+//! plus the test-and-set itself. The slab builds every comparator in place
+//! at construction, in its initial state, so a first play allocates
+//! nothing; [`RenamingNetwork::allocated_comparators`] counts the
+//! comparators some process has played.
 
 use crate::comparator_slab::ComparatorSlab;
 use crate::error::RenamingError;
 use crate::traits::Renaming;
 use shmem::process::ProcessCtx;
+use shmem::register::InPlace;
 use sortnet::network::ComparatorNetwork;
 use sortnet::schedule::ComparatorSchedule;
 use std::fmt;
@@ -39,7 +41,7 @@ use tas::{Side, TwoPartyTas};
 /// of comparators played and won. Shared by [`RenamingNetwork`] and the
 /// compiled sections of [`AdaptiveRenaming`](crate::adaptive::AdaptiveRenaming),
 /// so the traversal protocol cannot silently diverge between the two.
-pub(crate) fn traverse_compiled<T: TwoPartyTas + Default>(
+pub(crate) fn traverse_compiled<T: TwoPartyTas + InPlace>(
     network: &ComparatorNetwork,
     slab: &ComparatorSlab<T>,
     ctx: &mut ProcessCtx,
@@ -112,19 +114,19 @@ pub struct TraversalReport {
 /// }).outcome;
 /// assert!(assert_tight_namespace(&outcome.results()).is_ok());
 /// ```
-pub struct RenamingNetwork<T: TwoPartyTas + Default = TwoProcessTas> {
+pub struct RenamingNetwork<T: TwoPartyTas + InPlace = TwoProcessTas> {
     /// The schedule compiled into flat arrays: O(1) wire-map queries and the
     /// dense comparator index space addressing the slab.
     compiled: ComparatorNetwork,
-    /// One lazily created test-and-set per comparator, indexed by the
+    /// One test-and-set per comparator, built in place and indexed by the
     /// compiled dense slot.
     slab: ComparatorSlab<T>,
 }
 
-impl<T: TwoPartyTas + Default> RenamingNetwork<T> {
+impl<T: TwoPartyTas + InPlace> RenamingNetwork<T> {
     /// Creates a renaming network over the given sorting network, compiling
-    /// its schedule and pre-sizing the comparator slab (one empty cell per
-    /// comparator; the objects themselves stay lazy).
+    /// its schedule and building the comparator slab (one initial
+    /// test-and-set per comparator, over one block of location ids).
     pub fn new<S: ComparatorSchedule>(schedule: S) -> Self {
         let compiled = ComparatorNetwork::compile(&schedule);
         let slab = ComparatorSlab::new(compiled.size());
@@ -152,9 +154,9 @@ impl<T: TwoPartyTas + Default> RenamingNetwork<T> {
         self.slab.len()
     }
 
-    /// Number of comparator objects allocated so far (harness inspection).
+    /// Number of comparators some process has played (harness inspection).
     pub fn allocated_comparators(&self) -> usize {
-        self.slab.allocated()
+        self.slab.touched()
     }
 
     /// Runs the calling process through the network from the input port given
@@ -201,7 +203,7 @@ impl<T: TwoPartyTas + Default> RenamingNetwork<T> {
     }
 }
 
-impl<T: TwoPartyTas + Default> fmt::Debug for RenamingNetwork<T> {
+impl<T: TwoPartyTas + InPlace> fmt::Debug for RenamingNetwork<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RenamingNetwork")
             .field("namespace", &self.namespace())
@@ -212,7 +214,7 @@ impl<T: TwoPartyTas + Default> fmt::Debug for RenamingNetwork<T> {
     }
 }
 
-impl<T: TwoPartyTas + Default> Renaming for RenamingNetwork<T> {
+impl<T: TwoPartyTas + InPlace> Renaming for RenamingNetwork<T> {
     fn acquire(&self, ctx: &mut ProcessCtx) -> Result<usize, RenamingError> {
         self.acquire_with_report(ctx).map(|report| report.name)
     }
@@ -402,7 +404,7 @@ mod tests {
         assert_eq!(
             network.allocated_comparators(),
             0,
-            "nothing allocated up front"
+            "building the slab plays nothing"
         );
         let total = network.comparator_count();
         assert_eq!(total, network.compiled().size());
@@ -415,10 +417,7 @@ mod tests {
             .outcome;
         assert_tight_namespace(&outcome.results()).unwrap();
         let allocated = network.allocated_comparators();
-        assert!(
-            allocated > 0,
-            "traversals allocate the comparators they touch"
-        );
+        assert!(allocated > 0, "traversals touch the comparators they play");
         assert!(
             allocated < total,
             "8 of 64 ports must not touch the whole network ({allocated} of {total})"

@@ -47,9 +47,10 @@ pub struct TempNameReport {
 /// assert_eq!(report.depth, 0);
 /// ```
 pub struct TempName {
-    /// Lazily allocated splitters, keyed by heap index (root = 1, children of
-    /// `i` are `2i` and `2i + 1`): a lock-free radix table, so a visit costs
-    /// a few acquire loads and no hashing or reference counting.
+    /// Splitters, built in place a leaf of 64 at a time on first touch and
+    /// keyed by heap index (root = 1, children of `i` are `2i` and
+    /// `2i + 1`): a lock-free radix table, so a visit costs a few acquire
+    /// loads and no hashing or reference counting.
     splitters: LazyTable<RandomizedSplitter>,
     /// Overflow counter handing out unique names beyond the tree, used only
     /// if a process fails to acquire a splitter within [`MAX_DEPTH`] levels.
@@ -65,13 +66,14 @@ impl TempName {
         }
     }
 
-    /// Number of splitters allocated so far (harness inspection hook).
+    /// Number of splitters some process has entered (harness inspection
+    /// hook).
     pub fn allocated_splitters(&self) -> usize {
-        self.splitters.allocated()
+        self.splitters.touched()
     }
 
     fn splitter(&self, index: u64) -> &RandomizedSplitter {
-        self.splitters.get_or_init(index, RandomizedSplitter::new)
+        self.splitters.get(index)
     }
 
     /// Acquires a unique temporary name.

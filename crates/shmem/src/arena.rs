@@ -81,8 +81,8 @@
 //! assert_eq!(word.loc(), arena.loc_for(word.offset()));
 //! ```
 
-// The one module in this crate that needs raw memory: the arena owns an
-// untyped region (heap block or mmap) and hands out typed views into it.
+// Raw memory: the arena owns an untyped region (heap block or mmap) and
+// hands out typed views into it.
 // Everything unsafe is confined to `Storage` and `Arena::resolve`.
 #![allow(unsafe_code)]
 

@@ -7,7 +7,9 @@
 //! registers, scheduled by a strong adaptive adversary, where up to `t < n`
 //! processes may crash. This crate provides that substrate:
 //!
-//! * [`register`] — MWMR atomic registers with per-operation step accounting.
+//! * [`register`] — MWMR atomic registers with per-operation step accounting,
+//!   and [`InPlace`], the shape of an object built at a block of location
+//!   ids that its container reserved.
 //! * [`arena`] — a relocatable, offset-addressed backing store for shared
 //!   structures (allocations return [`arena::ArenaRef`]/[`arena::ArenaSliceRef`]
 //!   views that resolve `base + offset` once and remember the offset), with
@@ -30,9 +32,10 @@
 //!   systematic schedule exploration (the `mcheck` crate), schedule replay
 //!   and DPOR model checking. A run returns an [`ExecutionOutcome`]: the
 //!   results, step statistics and crash outcomes of its processes.
-//! * [`lazy`] — [`LazyTable`], a lock-free radix table of
-//!   `OnceLock` nodes that creates shared objects keyed by `u64` on first
-//!   touch (outer renaming-network sections, splitter trees).
+//! * [`lazy`] — [`LazyTable`], a lock-free radix table whose nodes and
+//!   leaves are published by one compare-and-swap each; a leaf builds its
+//!   64 shared objects in place ([`register::InPlace`]) from one block of
+//!   location ids (outer renaming-network sections, splitter trees).
 //! * [`pad`] — a 64-byte-aligned [`CachePadded`] wrapper used to keep
 //!   contended atomic words on distinct cache lines.
 //! * [`history`] — invoke/response history recording for concurrent objects.
@@ -63,10 +66,11 @@
 //! assert!(outcome.total_steps().total() >= 16);
 //! ```
 
-// `deny` rather than `forbid`: the arena and procs modules opt back in with
-// a scoped `#![allow(unsafe_code)]` — they are the only places raw memory
-// and raw OS calls are handled, and the reason this crate can back its
-// registers with a MAP_SHARED mapping shared across forked processes.
+// `deny` rather than `forbid`: the arena, lazy and procs modules opt back
+// in with a scoped `#![allow(unsafe_code)]` — they are the only places raw
+// memory and raw OS calls are handled. The arena is the reason this crate
+// can back its registers with a MAP_SHARED mapping shared across forked
+// processes; the lazy table publishes its nodes through raw pointers.
 // Everything else in the crate remains unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -91,7 +95,7 @@ pub use history::{History, OpRecord, Recorder};
 pub use lazy::LazyTable;
 pub use pad::CachePadded;
 pub use process::{ProcessCtx, ProcessId};
-pub use register::{AtomicBoolRegister, AtomicU64Register, RegisterBlock};
+pub use register::{AtomicBoolRegister, AtomicU64Register, InPlace, RegisterBlock};
 pub use steps::{StepKind, StepStats};
 pub use vexec::{
     AccessClass, ExecTrace, ExecutionOutcome, ExploreHandle, Loc, OpEvent, PendingOp,

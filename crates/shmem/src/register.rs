@@ -16,7 +16,7 @@ use crate::arena::{Arena, ArenaCell};
 use crate::process::ProcessCtx;
 use crate::steps::StepKind;
 use crate::vexec::Loc;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// A multi-writer multi-reader atomic register holding a `u64`.
@@ -35,9 +35,15 @@ impl Default for AtomicU64Register {
 impl AtomicU64Register {
     /// Creates a register with the given initial value.
     pub fn new(initial: u64) -> Self {
+        AtomicU64Register::at(Loc::fresh(), initial)
+    }
+
+    /// Creates a register with the given initial value at a location id
+    /// the caller reserved (register *i* of an [`InPlace`] value).
+    pub fn at(loc: Loc, initial: u64) -> Self {
         AtomicU64Register {
             cell: ArenaCell::inline(AtomicU64::new(initial)),
-            loc: Loc::fresh(),
+            loc,
         }
     }
 
@@ -106,45 +112,74 @@ impl AtomicU64Register {
     }
 }
 
-/// `N` multi-writer multi-reader `usize` registers stored as plain words
-/// behind one block of location ids.
+/// A shared object built at a block of location ids its container reserved.
 ///
-/// Word `i` behaves exactly like an [`AtomicU64Register`]: each operation
-/// charges one step at location `base.offset(i)` ([`Loc::fresh_block`])
-/// before its `SeqCst` access, so step counts, scheduling points and
-/// conflicts are the same as with `N` separate registers. What differs is
-/// the storage: eight bytes a word and one `Loc` for the block, where a
-/// register carries its own `Loc` and an [`ArenaCell`] it may not need.
-/// Objects built many times on a hot path (a comparator's two-process
-/// test-and-set) hold their words this way.
+/// Register *i* of the value charges its steps at `base.offset(i)`, for
+/// `i < LOCS`. A container that holds many values of one type (a
+/// [`LazyTable`](crate::lazy::LazyTable) leaf, a comparator slab) reserves
+/// one block of `count × LOCS` ids with [`Loc::fresh_block`] and builds
+/// value *j* at `base.offset(j × LOCS)`, so creating a value draws no id
+/// and makes no allocation of its own. A value built this way is in its
+/// initial state: it has been neither played nor entered.
+pub trait InPlace: Sized {
+    /// Location ids one value occupies.
+    const LOCS: u64;
+
+    /// Builds an initial value whose registers sit at `base.offset(0)` to
+    /// `base.offset(LOCS - 1)`.
+    fn at(base: Loc) -> Self;
+
+    /// Whether some register has left its initial value, that is, whether
+    /// some process has played or entered the object (harness inspection;
+    /// charges no steps).
+    fn touched(&self) -> bool;
+}
+
+/// `N` multi-writer multi-reader byte-wide registers behind one block of
+/// location ids, every word starting at 0.
+///
+/// Word `i` behaves exactly like an [`AtomicU64Register`] holding a byte:
+/// each operation charges one step at location `base.offset(i)` before its
+/// `SeqCst` access, so step counts, scheduling points and conflicts are the
+/// same as with `N` separate registers. What differs is the storage: one
+/// byte a word and one `Loc` for the block. Objects built many times on a
+/// hot path (a comparator's two-process test-and-set, whose words hold
+/// "empty", side 0 or side 1) hold their words this way.
 #[derive(Debug)]
 pub struct RegisterBlock<const N: usize> {
-    words: [AtomicUsize; N],
+    words: [AtomicU8; N],
     base: Loc,
 }
 
-impl<const N: usize> RegisterBlock<N> {
-    /// Creates a block with every word set to `initial`.
-    pub fn new(initial: usize) -> Self {
+impl<const N: usize> InPlace for RegisterBlock<N> {
+    const LOCS: u64 = N as u64;
+
+    fn at(base: Loc) -> Self {
         RegisterBlock {
-            words: std::array::from_fn(|_| AtomicUsize::new(initial)),
-            base: Loc::fresh_block(N as u64),
+            words: std::array::from_fn(|_| AtomicU8::new(0)),
+            base,
         }
     }
 
+    fn touched(&self) -> bool {
+        (0..N).any(|index| self.peek(index) != 0)
+    }
+}
+
+impl<const N: usize> RegisterBlock<N> {
     /// The location identifier of word `index`.
     pub fn loc(&self, index: usize) -> Loc {
         self.base.offset(index as u64)
     }
 
     /// Atomically reads word `index`, charging one read step.
-    pub fn read(&self, ctx: &mut ProcessCtx, index: usize) -> usize {
+    pub fn read(&self, ctx: &mut ProcessCtx, index: usize) -> u8 {
         ctx.record_at(StepKind::RegisterRead, self.loc(index));
         self.words[index].load(Ordering::SeqCst)
     }
 
     /// Atomically writes word `index`, charging one write step.
-    pub fn write(&self, ctx: &mut ProcessCtx, index: usize, value: usize) {
+    pub fn write(&self, ctx: &mut ProcessCtx, index: usize, value: u8) {
         ctx.record_at(StepKind::RegisterWrite, self.loc(index));
         self.words[index].store(value, Ordering::SeqCst);
     }
@@ -156,15 +191,15 @@ impl<const N: usize> RegisterBlock<N> {
         &self,
         ctx: &mut ProcessCtx,
         index: usize,
-        expected: usize,
-        new: usize,
-    ) -> Result<usize, usize> {
+        expected: u8,
+        new: u8,
+    ) -> Result<u8, u8> {
         ctx.record_at(StepKind::ReadModifyWrite, self.loc(index));
         self.words[index].compare_exchange(expected, new, Ordering::SeqCst, Ordering::SeqCst)
     }
 
     /// Reads word `index` without charging any step (harness/test use only).
-    pub fn peek(&self, index: usize) -> usize {
+    pub fn peek(&self, index: usize) -> u8 {
         self.words[index].load(Ordering::SeqCst)
     }
 }
@@ -185,9 +220,15 @@ impl Default for AtomicBoolRegister {
 impl AtomicBoolRegister {
     /// Creates a register with the given initial value.
     pub fn new(initial: bool) -> Self {
+        AtomicBoolRegister::at(Loc::fresh(), initial)
+    }
+
+    /// Creates a register with the given initial value at a location id
+    /// the caller reserved (see [`AtomicU64Register::at`]).
+    pub fn at(loc: Loc, initial: bool) -> Self {
         AtomicBoolRegister {
             cell: ArenaCell::inline(AtomicBool::new(initial)),
-            loc: Loc::fresh(),
+            loc,
         }
     }
 
@@ -263,20 +304,25 @@ mod tests {
     #[test]
     fn register_block_words_behave_like_registers_at_consecutive_locs() {
         let mut ctx = ctx();
-        let block: RegisterBlock<3> = RegisterBlock::new(7);
-        assert_eq!(block.read(&mut ctx, 0), 7);
+        let base = Loc::fresh_block(3);
+        let block: RegisterBlock<3> = RegisterBlock::at(base);
+        assert!(!block.touched());
+        assert_eq!(block.read(&mut ctx, 0), 0);
+        assert!(!block.touched(), "a read leaves the block untouched");
         block.write(&mut ctx, 1, 9);
+        assert!(block.touched());
         assert_eq!(block.peek(1), 9);
-        assert_eq!(block.peek(2), 7, "words are independent");
-        assert_eq!(block.compare_and_swap(&mut ctx, 2, 7, 4), Ok(7));
-        assert_eq!(block.compare_and_swap(&mut ctx, 2, 7, 5), Err(4));
+        assert_eq!(block.peek(2), 0, "words are independent");
+        assert_eq!(block.compare_and_swap(&mut ctx, 2, 0, 4), Ok(0));
+        assert_eq!(block.compare_and_swap(&mut ctx, 2, 0, 5), Err(4));
         let stats = ctx.stats();
         assert_eq!((stats.reads, stats.writes, stats.rmws), (1, 1, 2));
         for i in 0..3 {
-            assert_eq!(block.loc(i), block.loc(0).offset(i as u64));
+            assert_eq!(block.loc(i), base.offset(i as u64));
         }
         assert!(!block.loc(0).is_anon());
-        assert_ne!(block.loc(0), RegisterBlock::<3>::new(0).loc(0));
+        let other = RegisterBlock::<3>::at(Loc::fresh_block(RegisterBlock::<3>::LOCS));
+        assert_ne!(block.loc(0), other.loc(0));
     }
 
     #[test]

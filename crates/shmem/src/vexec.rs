@@ -71,11 +71,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 /// other atomic cell), used to key read/write dependency analysis.
 ///
 /// Every shared word gets its own `Loc` at construction: a register draws
-/// one with [`Loc::fresh`], and a block of words (a
-/// [`RegisterBlock`](crate::register::RegisterBlock)) draws one contiguous
-/// range with [`Loc::fresh_block`] and charges word *i* at `base + i`
-/// ([`Loc::offset`]). Either way two operations conflict only if they touch
-/// the same word. Ids are unique process-wide but carry no order: each
+/// one with [`Loc::fresh`], and a container of many objects (a slab or a
+/// table leaf of [`InPlace`](crate::register::InPlace) values) draws one
+/// contiguous range with [`Loc::fresh_block`] and charges word *i* of it at
+/// `base + i` ([`Loc::offset`]). Either way two operations conflict only if
+/// they touch the same word. Ids are unique process-wide but carry no order: each
 /// thread draws them from its own block, so which ids an object gets
 /// depends on the thread that built it and on what that thread built
 /// before. Nothing relies on the raw values — the dependency analysis only

@@ -29,6 +29,13 @@ use std::sync::Arc;
 /// truncation (input ports up to `2^31`).
 pub const MAX_LEVEL: usize = 5;
 
+/// The deepest level at which a family that is not
+/// [analytic](SortingFamily::is_analytic) may back the construction. Level
+/// 3's sections have at most 255 wires; level 4 would materialize 65 408-wire
+/// sections and level 5 sections of up to 2³² wires (a bitonic level-5
+/// section has 2³¹ comparators in its first stage alone).
+pub const MAX_MATERIALIZED_LEVEL: usize = 3;
+
 /// Which part of the sandwich a [`Section`] implements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SectionKind {
@@ -152,14 +159,16 @@ impl AdaptiveNetwork {
     /// Builds the adaptive network up to `max_level` over the given base
     /// family.
     ///
-    /// Levels beyond 3 should only be used with analytically scheduled
-    /// families (such as [`NetworkFamily::OddEven`](crate::family::NetworkFamily)),
-    /// since materialized families would allocate networks with millions of
-    /// comparators.
+    /// Levels beyond [`MAX_MATERIALIZED_LEVEL`] need an analytic family
+    /// (such as [`NetworkFamily::OddEven`](crate::family::NetworkFamily)),
+    /// since a materialized family would store networks with millions to
+    /// billions of comparators.
     ///
     /// # Panics
     ///
-    /// Panics if `max_level` is 0 or exceeds [`MAX_LEVEL`].
+    /// Panics if `max_level` is 0 or exceeds [`MAX_LEVEL`], or if it exceeds
+    /// [`MAX_MATERIALIZED_LEVEL`] and `family` is not analytic. Either check
+    /// runs before anything is built.
     pub fn new<F: SortingFamily + 'static>(family: F, max_level: usize) -> Self {
         Self::with_family(Arc::new(family), max_level)
     }
@@ -173,6 +182,12 @@ impl AdaptiveNetwork {
         assert!(
             max_level <= MAX_LEVEL,
             "level {max_level} exceeds MAX_LEVEL ({MAX_LEVEL})"
+        );
+        assert!(
+            family.is_analytic() || max_level <= MAX_MATERIALIZED_LEVEL,
+            "the {} family is materialized: level {max_level} exceeds \
+             MAX_MATERIALIZED_LEVEL ({MAX_MATERIALIZED_LEVEL})",
+            family.name()
         );
 
         // Base section S0: a single comparator on channels {0, 1}.
@@ -302,7 +317,7 @@ impl fmt::Debug for AdaptiveNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::family::NetworkFamily;
+    use crate::family::{NetworkFamily, SortingFamily};
     use crate::verify::{schedule_sorts_exhaustive, sorts_random_zero_one_inputs};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -450,6 +465,22 @@ mod tests {
     #[should_panic(expected = "at least level 1")]
     fn level_zero_is_rejected() {
         let _ = AdaptiveNetwork::new(NetworkFamily::OddEven, 0);
+    }
+
+    #[test]
+    fn materialized_families_build_up_to_level_three() {
+        for family in [NetworkFamily::Bitonic, NetworkFamily::Periodic] {
+            let network = AdaptiveNetwork::new(family, MAX_MATERIALIZED_LEVEL);
+            assert_eq!(network.width(), 256);
+        }
+        assert!(NetworkFamily::OddEven.is_analytic());
+        assert!(!NetworkFamily::Transposition.is_analytic());
+    }
+
+    #[test]
+    #[should_panic(expected = "the bitonic family is materialized: level 4 exceeds")]
+    fn materialized_families_are_rejected_above_level_three() {
+        let _ = AdaptiveNetwork::new(NetworkFamily::Bitonic, 4);
     }
 
     #[test]

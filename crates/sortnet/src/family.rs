@@ -36,6 +36,14 @@ pub trait SortingFamily: Send + Sync {
     fn depth(&self, width: usize) -> usize {
         self.schedule(width).depth()
     }
+
+    /// Whether the family computes its comparators on demand instead of
+    /// storing them, so that a schedule of any width takes `O(1)` memory.
+    /// Only such a family can back the §6.1 adaptive network above
+    /// [`MAX_MATERIALIZED_LEVEL`](crate::adaptive::MAX_MATERIALIZED_LEVEL).
+    fn is_analytic(&self) -> bool {
+        false
+    }
 }
 
 impl fmt::Debug for dyn SortingFamily {
@@ -128,6 +136,10 @@ impl SortingFamily for NetworkFamily {
             NetworkFamily::OddEven | NetworkFamily::Bitonic | NetworkFamily::Periodic => 2,
             NetworkFamily::Transposition => 0,
         }
+    }
+
+    fn is_analytic(&self) -> bool {
+        matches!(self, NetworkFamily::OddEven)
     }
 
     fn schedule(&self, width: usize) -> Arc<dyn ComparatorSchedule> {

@@ -9,8 +9,9 @@
 
 use crate::{Side, TestAndSet, TwoPartyTas};
 use shmem::process::ProcessCtx;
-use shmem::register::AtomicBoolRegister;
+use shmem::register::{AtomicBoolRegister, InPlace};
 use shmem::steps::StepKind;
+use shmem::vexec::Loc;
 
 /// A test-and-set backed by a single atomic swap instruction.
 ///
@@ -37,12 +38,25 @@ pub struct HardwareTas {
     bit: AtomicBoolRegister,
 }
 
-impl HardwareTas {
-    /// Creates an unwon test-and-set.
-    pub fn new() -> Self {
+impl InPlace for HardwareTas {
+    const LOCS: u64 = 1;
+
+    fn at(base: Loc) -> Self {
         HardwareTas {
-            bit: AtomicBoolRegister::new(false),
+            bit: AtomicBoolRegister::at(base, false),
         }
+    }
+
+    /// The first swap sets the bit.
+    fn touched(&self) -> bool {
+        self.bit.peek()
+    }
+}
+
+impl HardwareTas {
+    /// Creates an unwon test-and-set at a fresh location id.
+    pub fn new() -> Self {
+        Self::at(Loc::fresh())
     }
 }
 

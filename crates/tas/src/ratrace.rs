@@ -32,7 +32,9 @@ use crate::two_process::TwoProcessTas;
 use crate::{Side, TestAndSet, TwoPartyTas};
 use shmem::lazy::LazyTable;
 use shmem::process::ProcessCtx;
+use shmem::register::InPlace;
 use shmem::steps::StepKind;
+use shmem::vexec::Loc;
 use std::fmt;
 
 /// Maximum descent depth before a process diverts to the backup object.
@@ -53,13 +55,20 @@ struct Node {
     owner_game: TwoProcessTas,
 }
 
-impl Node {
-    fn new() -> Self {
+impl InPlace for Node {
+    const LOCS: u64 = RandomizedSplitter::LOCS + 2 * TwoProcessTas::LOCS;
+
+    fn at(base: Loc) -> Self {
+        let games = base.offset(RandomizedSplitter::LOCS);
         Node {
-            splitter: RandomizedSplitter::new(),
-            children_game: TwoProcessTas::new(),
-            owner_game: TwoProcessTas::new(),
+            splitter: RandomizedSplitter::at(base),
+            children_game: TwoProcessTas::at(games),
+            owner_game: TwoProcessTas::at(games.offset(TwoProcessTas::LOCS)),
         }
+    }
+
+    fn touched(&self) -> bool {
+        self.splitter.touched() || self.children_game.touched() || self.owner_game.touched()
     }
 }
 
@@ -81,8 +90,8 @@ impl Node {
 /// assert!(tas.test_and_set(&mut solo));
 /// ```
 pub struct RatRaceTas {
-    /// Lazily allocated tree nodes, keyed by heap index (root = 1, children
-    /// of `i` are `2i` and `2i + 1`).
+    /// Tree nodes, built a leaf of 64 at a time on first touch and keyed
+    /// by heap index (root = 1, children of `i` are `2i` and `2i + 1`).
     nodes: LazyTable<Node>,
     /// Final game between the primary-tree winner (top) and the backup winner
     /// (bottom).
@@ -101,13 +110,14 @@ impl RatRaceTas {
         }
     }
 
-    /// Number of tree nodes allocated so far (harness inspection hook).
+    /// Number of tree nodes some process has entered (harness inspection
+    /// hook).
     pub fn allocated_nodes(&self) -> usize {
-        self.nodes.allocated()
+        self.nodes.touched()
     }
 
     fn node(&self, index: u64) -> &Node {
-        self.nodes.get_or_init(index, Node::new)
+        self.nodes.get(index)
     }
 
     /// Descends the splitter tree until acquiring a node; returns its heap
@@ -216,7 +226,7 @@ mod tests {
         let mut ctx = ProcessCtx::new(ProcessId::new(3), 5);
         assert!(tas.test_and_set(&mut ctx));
         assert!(TestAndSet::has_winner(&tas));
-        // A solo process acquires the root splitter, so only one node exists.
+        // A solo process acquires the root splitter, so it enters one node.
         assert_eq!(tas.allocated_nodes(), 1);
     }
 

@@ -10,10 +10,8 @@
 //! of the adaptive renaming algorithm (§6.2).
 
 use shmem::process::ProcessCtx;
-use shmem::register::{AtomicBoolRegister, AtomicU64Register};
-
-/// Sentinel stored in the splitter's name register before any process writes.
-const EMPTY: u64 = u64::MAX;
+use shmem::register::{AtomicBoolRegister, AtomicU64Register, InPlace};
+use shmem::vexec::Loc;
 
 /// The result of passing through a splitter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -84,7 +82,8 @@ impl Direction {
 /// ```
 #[derive(Debug, Default)]
 pub struct RandomizedSplitter {
-    /// The "name" register X: last process to enter.
+    /// The "name" register X: last process to enter, as its identifier
+    /// plus one, so that 0 means that no process has entered.
     name: AtomicU64Register,
     /// The "door" register Y: set once somebody has gone through.
     door: AtomicBoolRegister,
@@ -92,19 +91,32 @@ pub struct RandomizedSplitter {
     acquired: AtomicBoolRegister,
 }
 
-impl RandomizedSplitter {
-    /// Creates a fresh, unacquired splitter.
-    pub fn new() -> Self {
+impl InPlace for RandomizedSplitter {
+    const LOCS: u64 = 3;
+
+    fn at(base: Loc) -> Self {
         RandomizedSplitter {
-            name: AtomicU64Register::new(EMPTY),
-            door: AtomicBoolRegister::new(false),
-            acquired: AtomicBoolRegister::new(false),
+            name: AtomicU64Register::at(base, 0),
+            door: AtomicBoolRegister::at(base.offset(1), false),
+            acquired: AtomicBoolRegister::at(base.offset(2), false),
         }
+    }
+
+    /// Every entry writes the name register first.
+    fn touched(&self) -> bool {
+        self.name.peek() != 0 || self.door.peek()
+    }
+}
+
+impl RandomizedSplitter {
+    /// Creates a fresh, unacquired splitter at fresh location ids.
+    pub fn new() -> Self {
+        Self::at(Loc::fresh_block(Self::LOCS))
     }
 
     /// Passes the calling process through the splitter.
     pub fn enter(&self, ctx: &mut ProcessCtx) -> SplitterOutcome {
-        let me = ctx.id().as_usize() as u64;
+        let me = ctx.id().as_u64().wrapping_add(1);
         self.name.write(ctx, me);
         if self.door.read(ctx) {
             return SplitterOutcome::Continue;

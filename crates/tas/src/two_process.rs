@@ -31,21 +31,27 @@
 //! recorded under *Substitutions* in `PAPER.md`.
 //!
 //! **Storage.** A renaming network holds one object per comparator and
-//! creates it on first touch, so construction is on the traversal path.
-//! Plays nearly always decide in round 0 or 1, so the object holds only
-//! those two rounds, as six plain words plus the harness `decided` word in
-//! one [`RegisterBlock`] (80 bytes with the tail pointer). The other rounds
-//! and the arbiter live in a second block, created once, through a
-//! `OnceLock`, by the first play that reaches round 2. Each block takes one
-//! contiguous range of location ids and word *i* charges its steps at the
-//! range's *i*-th id, so the algorithm, the steps each play records and the
-//! locations they touch are the same as with one register per word built up
-//! front.
+//! builds the objects in place in its slabs and table leaves, so an object's
+//! size is what a new network pays per comparator. Every register holds
+//! "empty", side 0 or side 1, encoded as 0, 1 and 2, so it is one byte and
+//! the all-zero state is the initial one. Plays nearly always decide in
+//! round 0 or 1, so the object holds only those two rounds inline: six byte
+//! registers plus the harness `decided` byte in one [`RegisterBlock`],
+//! 32 bytes with the tail pointer. The other rounds and the arbiter are a
+//! second, boxed block of 97 bytes, created once, through a `OnceLock`, by
+//! the first play that reaches round 2. The object owns
+//! [`LOCS`](InPlace::LOCS) = 104 consecutive location ids: the head's seven
+//! words are at `base.offset(0..7)` and the tail's at `base.offset(7..104)`,
+//! so creating the tail draws no id. Word *i* of a block charges its steps
+//! at its own id, so the algorithm, the steps each play records and the
+//! conflicts between them are the same as with one register per word built
+//! up front.
 
 use crate::{Side, TwoPartyTas};
 use shmem::process::ProcessCtx;
-use shmem::register::RegisterBlock;
+use shmem::register::{InPlace, RegisterBlock};
 use shmem::steps::StepKind;
+use shmem::vexec::Loc;
 use std::sync::OnceLock;
 
 /// Number of purely register-based rounds before the arbiter escape hatch.
@@ -55,8 +61,15 @@ pub const RANDOM_ROUNDS: usize = 32;
 /// and one final round that is guaranteed to decide.
 const ROUNDS: usize = RANDOM_ROUNDS + 2;
 
-/// Sentinel meaning "no value written yet".
-const EMPTY: usize = usize::MAX;
+/// Register value meaning "no value written yet": the initial state. A
+/// written preference is a side's [`code`].
+const EMPTY: u8 = 0;
+
+/// The register encoding of `side`'s preference: 1 for the top side, 2 for
+/// the bottom side.
+fn code(side: Side) -> u8 {
+    side.index() as u8 + 1
+}
 
 /// Words of one round, at these offsets from the round's first word: the
 /// proposal of the top-side process and of the bottom-side process (each
@@ -79,6 +92,9 @@ const HEAD_WORDS: usize = DECIDED + 1;
 /// tail's rounds. Used only by the escape-hatch round.
 const ARBITER: usize = (ROUNDS - INLINE_ROUNDS) * ROUND_WORDS;
 const TAIL_WORDS: usize = ARBITER + 1;
+
+/// The inline rounds and the `decided` word.
+type Head = RegisterBlock<HEAD_WORDS>;
 
 /// The rarely reached rounds: the remaining randomized rounds, the arbiter
 /// round and the final round that always decides, plus the arbiter word.
@@ -109,7 +125,7 @@ type Tail = RegisterBlock<TAIL_WORDS>;
 pub struct TwoProcessTas {
     /// Rounds 0 and 1, then the harness-only record of the decided winner
     /// side (no algorithmic role).
-    head: RegisterBlock<HEAD_WORDS>,
+    head: Head,
     tail: OnceLock<Box<Tail>>,
 }
 
@@ -122,12 +138,7 @@ struct Round<'a, const N: usize> {
 impl<const N: usize> Round<'_, N> {
     /// The commit-adopt gadget: returns `Ok(value)` if `value` was
     /// committed, `Err(adopted)` otherwise.
-    fn commit_adopt(
-        &self,
-        ctx: &mut ProcessCtx,
-        side: Side,
-        preference: usize,
-    ) -> Result<usize, usize> {
+    fn commit_adopt(&self, ctx: &mut ProcessCtx, side: Side, preference: u8) -> Result<u8, u8> {
         self.words.write(ctx, self.first + side.index(), preference);
         let other = self.words.read(ctx, self.first + side.other().index());
         if other == EMPTY || other == preference {
@@ -139,7 +150,7 @@ impl<const N: usize> Round<'_, N> {
 
     /// The randomized race conciliator: nudges both preferences towards a
     /// common value.
-    fn race_conciliator(&self, ctx: &mut ProcessCtx, preference: usize) -> usize {
+    fn race_conciliator(&self, ctx: &mut ProcessCtx, preference: u8) -> u8 {
         let race = self.first + RACE;
         if ctx.flip() == 0 {
             self.words.write(ctx, race, preference);
@@ -161,21 +172,34 @@ impl<const N: usize> Round<'_, N> {
     }
 }
 
-impl TwoProcessTas {
-    /// Creates an unwon two-process test-and-set.
-    pub fn new() -> Self {
+impl InPlace for TwoProcessTas {
+    const LOCS: u64 = Head::LOCS + Tail::LOCS;
+
+    fn at(base: Loc) -> Self {
         TwoProcessTas {
-            head: RegisterBlock::new(EMPTY),
+            head: Head::at(base),
             tail: OnceLock::new(),
         }
+    }
+
+    /// Every play writes its preference in round 0.
+    fn touched(&self) -> bool {
+        self.head.touched()
+    }
+}
+
+impl TwoProcessTas {
+    /// Creates an unwon two-process test-and-set at fresh location ids.
+    pub fn new() -> Self {
+        Self::at(Loc::fresh_block(Self::LOCS))
     }
 
     /// The winner's side, if a winner has been determined (harness inspection
     /// hook; charges no steps).
     pub fn winner(&self) -> Option<Side> {
         match self.head.peek(DECIDED) {
-            0 => Some(Side::Top),
-            1 => Some(Side::Bottom),
+            1 => Some(Side::Top),
+            2 => Some(Side::Bottom),
             _ => None,
         }
     }
@@ -189,7 +213,7 @@ impl TwoProcessTas {
 
     fn tail(&self) -> &Tail {
         self.tail
-            .get_or_init(|| Box::new(RegisterBlock::new(EMPTY)))
+            .get_or_init(|| Box::new(Tail::at(self.head.loc(HEAD_WORDS))))
     }
 
     /// Round `index`: commit-adopt, then (if undecided) the conciliator.
@@ -201,15 +225,15 @@ impl TwoProcessTas {
         round: Round<'_, N>,
         index: usize,
         side: Side,
-        preference: usize,
-    ) -> Result<bool, usize> {
+        preference: u8,
+    ) -> Result<bool, u8> {
         let preference = match round.commit_adopt(ctx, side, preference) {
             Ok(winner) => {
                 // Harness bookkeeping only; not part of the algorithm.
                 if self.head.peek(DECIDED) == EMPTY {
                     let _ = self.head.compare_and_swap(ctx, DECIDED, EMPTY, winner);
                 }
-                return Ok(winner == side.index());
+                return Ok(winner == code(side));
             }
             Err(adopted) => adopted,
         };
@@ -222,7 +246,7 @@ impl TwoProcessTas {
 
     /// The arbiter conciliator: a single compare-and-swap that forces both
     /// preferences to the first value installed.
-    fn arbiter_conciliator(&self, ctx: &mut ProcessCtx, preference: usize) -> usize {
+    fn arbiter_conciliator(&self, ctx: &mut ProcessCtx, preference: u8) -> u8 {
         let tail = self.tail();
         let _ = tail.compare_and_swap(ctx, ARBITER, EMPTY, preference);
         tail.read(ctx, ARBITER)
@@ -238,7 +262,7 @@ impl Default for TwoProcessTas {
 impl TwoPartyTas for TwoProcessTas {
     fn play(&self, ctx: &mut ProcessCtx, side: Side) -> bool {
         ctx.record(StepKind::TasInvocation);
-        let mut preference = side.index();
+        let mut preference = code(side);
         for index in 0..ROUNDS {
             let decided = if index < INLINE_ROUNDS {
                 let words = &self.head;
@@ -268,6 +292,7 @@ impl TwoPartyTas for TwoProcessTas {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shmem::lazy::LazyTable;
     use shmem::process::ProcessId;
     use shmem::steps::StepStats;
     use shmem::vexec::VirtualExecutor;
@@ -368,12 +393,49 @@ mod tests {
 
     #[test]
     fn object_and_slab_cell_stay_small() {
-        // A renaming network keeps one `OnceLock<TwoProcessTas>` per
-        // comparator in its slabs. That cell's size is what a fresh §6
-        // lease (perfbench `lease_ramp`) pays on every first touch of a
-        // comparator, and per slot when it builds a new object.
-        assert!(std::mem::size_of::<TwoProcessTas>() <= 80);
-        assert!(std::mem::size_of::<OnceLock<TwoProcessTas>>() <= 88);
+        // A renaming network's slabs and table leaves hold the objects
+        // themselves, so a slab cell is one object and a 64-value table
+        // leaf is 64 of them. That size is what a fresh §6 lease (perfbench
+        // `lease_ramp`) pays per comparator slot when it builds a new
+        // object, and per leaf its first touches create.
+        assert!(std::mem::size_of::<TwoProcessTas>() <= 32);
+        assert!(std::mem::size_of::<[TwoProcessTas; 64]>() <= 2048);
+        assert!(std::mem::size_of::<Tail>() <= 112);
+    }
+
+    #[test]
+    fn words_sit_at_consecutive_ids_and_the_tail_draws_none() {
+        let base = Loc::fresh_block(TwoProcessTas::LOCS);
+        let tas = TwoProcessTas::at(base);
+        assert!(!tas.touched());
+        let mut locs: Vec<Loc> = (0..HEAD_WORDS).map(|i| tas.head.loc(i)).collect();
+        locs.extend((0..TAIL_WORDS).map(|i| tas.tail().loc(i)));
+        let expected: Vec<Loc> = (0..TwoProcessTas::LOCS).map(|i| base.offset(i)).collect();
+        assert_eq!(locs, expected);
+        assert!(!tas.touched(), "creating the tail is not a play");
+        let mut ctx = ProcessCtx::new(ProcessId::new(0), 4);
+        assert!(tas.play(&mut ctx, Side::Bottom));
+        assert!(tas.touched());
+    }
+
+    #[test]
+    fn playing_fresh_comparators_in_an_existing_leaf_draws_no_ids() {
+        // On a thread of its own, so that its location-id block is fresh
+        // and two consecutive ids it draws differ by exactly 1.
+        std::thread::spawn(|| {
+            let table: LazyTable<TwoProcessTas> = LazyTable::new();
+            let mut ctx = ProcessCtx::new(ProcessId::new(0), 8);
+            assert!(table.get(0).play(&mut ctx, Side::Top), "builds the leaf");
+            let before = Loc::fresh();
+            for key in 1..=10 {
+                assert!(table.get(key).play(&mut ctx, Side::Bottom));
+            }
+            let after = Loc::fresh();
+            assert_eq!(after.as_u64() - before.as_u64(), 1);
+            assert_eq!(table.touched(), 11);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -34,6 +34,7 @@ use rand::SeedableRng;
 use shmem::consistency::check_linearizable;
 use shmem::history::Recorder;
 use shmem::process::{ProcessCtx, ProcessId};
+use shmem::register::InPlace;
 use shmem::vexec::VirtualExecutor;
 use sortnet::adaptive::{level_for_port, AdaptiveNetwork};
 use sortnet::batcher::OddEvenSchedule;
@@ -213,7 +214,7 @@ fn linear_probe_runs() -> &'static [Run<(usize, usize)>] {
 const NETWORK_KS: [usize; 3] = [4, 16, 64];
 
 /// `k` ids scattered over the network's `4k` input ports by a seeded shuffle.
-fn network_runs<T: TwoPartyTas + Default>() -> Vec<Run<TraversalReport>> {
+fn network_runs<T: TwoPartyTas + InPlace>() -> Vec<Run<TraversalReport>> {
     renaming_runs(
         &NETWORK_KS,
         |k, seed| {
